@@ -24,8 +24,10 @@ Each sweep is re-timed at the *baseline's* request count (not the
 smoke's ``REPRO_REQUESTS``), because rps depends on how far fixed
 per-config costs amortize -- only matching counts are apples to apples.
 The ``vectorized_sweep`` guard times the sweep phase the way the
-benchmark does (requests, pooling, and plans precomputed; warm builder
-caches) and compares against the baseline's ``sweep_rps``.
+benchmark does (requests, pooling, and sharding plans precomputed; the
+columnar cost plans built inside every sweep, as in every CLI run) and
+compares against the baseline's ``sweep_rps``.  Every other entry pins
+the reference kernel, as the benchmark does.
 
 Usage (CI extracts the committed baseline first, because earlier smoke
 steps overwrite the working-tree artifact)::
@@ -77,12 +79,12 @@ def measure_fresh(
         suite_requests,
     )
     from repro.models import drm1
-    from repro.serving import ServingConfig, TraceMode
+    from repro.serving import ServingConfig, TraceMode, columnar
     from repro.sharding.pooling import estimate_pooling_factors
 
     model = drm1()
 
-    def settings(kernel=None, trace_mode=TraceMode.AGGREGATE):
+    def settings(kernel="reference", trace_mode=TraceMode.AGGREGATE):
         return SuiteSettings(
             num_requests=bench_requests,
             serving=ServingConfig(seed=1),
@@ -113,8 +115,8 @@ def measure_fresh(
         fresh["kernel_sweep"] = suite_rps(settings(kernel="batched"))
     if "vectorized_sweep" in entries:
         # Sweep-phase protocol, matching the benchmark: requests,
-        # pooling, and plans precomputed; first pass warms the columnar
-        # builder caches.
+        # pooling, and sharding plans precomputed; every sweep builds
+        # its cost plans from cold.
         vec_settings = settings(kernel="vectorized")
         requests = suite_requests(model, vec_settings)
         plans = [
@@ -125,10 +127,10 @@ def measure_fresh(
         schedule = vec_settings.resolved_schedule()
 
         def sweep_once():
+            columnar._BUNDLE_CACHE.clear()
             for plan in plans:
                 run_configuration(model, plan, requests, serving, schedule)
 
-        sweep_once()  # warm
         fresh["vectorized_sweep"] = (
             len(requests) * len(plans) / _best_of(sweep_once)
         )

@@ -127,6 +127,17 @@ class SuiteCache:
         return self._memo(("compression",), build)
 
 
+@pytest.fixture
+def bench_dir(tmp_path) -> str | None:
+    """Where the perf benchmarks write their ``BENCH_*.json``.
+
+    A plain test run must not rewrite the committed baselines, so the
+    artifacts go to the test's tmp dir unless ``REPRO_BENCH_RECORD=1``
+    asks to record them into ``results/`` (None: the default directory).
+    """
+    return None if os.environ.get("REPRO_BENCH_RECORD") == "1" else str(tmp_path)
+
+
 @pytest.fixture(scope="session")
 def suites() -> SuiteCache:
     return SuiteCache()

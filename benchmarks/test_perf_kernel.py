@@ -15,7 +15,8 @@ three event classes that dominate sweeps:
 :func:`measure_kernel_ops` is imported by ``test_perf_throughput.py`` to
 embed a ``kernel_ops`` entry in ``results/BENCH_throughput.json``; the
 test here also records a standalone ``results/BENCH_kernel_ops.json``
-so the microbenchmark has its own artifact trajectory.  The per-kernel
+(with ``REPRO_BENCH_RECORD=1``; otherwise into the test's tmp dir) so
+the microbenchmark has its own artifact trajectory.  The per-kernel
 ops/sec double as a machine-speed proxy: CI's perf-regression guard
 normalizes the committed sweep baseline by the reference kernel's
 measured ops/sec before comparing, so a slow runner is not mistaken for
@@ -35,7 +36,7 @@ from repro.simulation.engine import KERNELS, make_engine
 KERNEL_OPS = 30_000
 
 #: Best-of-N passes per workload (scheduler-noise resilience).
-KERNEL_REPEATS = 3
+KERNEL_REPEATS = 5
 
 
 def _timer_hops(engine, ops: int) -> None:
@@ -91,31 +92,36 @@ def measure_kernel_ops(
 
     The combined number is total ops over total best-pass wall time --
     the single scalar the perf-regression guard uses as its
-    machine-speed proxy.
+    machine-speed proxy.  The kernels take turns within every pass, so
+    a slow spell of the host lands on all of them alike instead of
+    skewing the kernel-vs-kernel ratios.
     """
-    results: dict[str, dict[str, float]] = {}
-    for kernel in KERNELS:
-        entry: dict[str, float] = {}
-        total_s = 0.0
+    best = {
+        (kernel, name): float("inf") for kernel in KERNELS for name, _ in WORKLOADS
+    }
+    for _ in range(repeats):
         for name, workload in WORKLOADS:
-            best = float("inf")
-            for _ in range(repeats):
+            for kernel in KERNELS:
                 engine = make_engine(kernel)
                 start = time.perf_counter()
                 workload(engine, ops)
-                best = min(best, time.perf_counter() - start)
-            entry[f"{name}_per_s"] = ops / best
-            total_s += best
+                elapsed = time.perf_counter() - start
+                best[kernel, name] = min(best[kernel, name], elapsed)
+    results: dict[str, dict[str, float]] = {}
+    for kernel in KERNELS:
+        entry = {f"{name}_per_s": ops / best[kernel, name] for name, _ in WORKLOADS}
+        total_s = sum(best[kernel, name] for name, _ in WORKLOADS)
         entry["ops_per_s"] = len(WORKLOADS) * ops / total_s
         results[kernel] = entry
     return results
 
 
-def test_perf_kernel_ops():
+def test_perf_kernel_ops(bench_dir):
     measured = measure_kernel_ops()
     path = record_benchmark(
         "kernel_ops",
         {"ops": KERNEL_OPS, "kernels": measured},
+        results_dir=bench_dir,
     )
     reference = measured["reference"]
     batched = measured["batched"]

@@ -13,7 +13,14 @@ capacity-planning branch, ``chaos_sweep`` the fault-injection branch,
 ``kernel_sweep``/``kernel_ops`` the batched-DES-kernel branch, and
 ``vectorized_sweep`` the columnar-replay branch -- its headline ratio
 times the sweep phase both kernels share, with requests, pooling, and
-plans precomputed).
+sharding plans precomputed and the columnar cost plans built inside
+every sweep, as in every CLI run).  The entries that predate the
+kernel selector (``sweep``, ``aggregate_sweep`` and the mix, plan,
+chaos and resilience rungs) pin the reference kernel, so their
+trajectories stay comparable across commits.
+
+The JSON goes to the test's tmp dir unless ``REPRO_BENCH_RECORD=1``, so
+a plain test run never rewrites the committed baselines.
 
 ``REPRO_TRACE_MODE`` (``full``/``aggregate``, default ``full``) selects
 the trace mode of the *parallel* sweep and suffixes the artifact name
@@ -27,7 +34,9 @@ path and its speedup over full tracing.
 dev container; ``speedup_vs_seed`` in the artifact is relative to it and
 is only meaningful on comparable hardware.  ``PR1_FULL_TRACE_RPS`` is the
 same sweep measured at the PR 1 commit (full tracing, REPRO_REQUESTS=2000)
-and anchors the aggregate-mode speedup claim.
+and anchors the aggregate-mode speedup claim.  An anchored ratio is
+recorded only when ``REPRO_REQUESTS`` matches its anchor's request count
+(see :func:`_anchored`).
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from repro.planning import CandidateSpace, CapacityPlanner
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.models import drm1, drm2
 from repro.requests import RequestGenerator
-from repro.serving import ServingConfig, TraceMode
+from repro.serving import ServingConfig, TraceMode, columnar
 from repro.tracing.span import MAIN_SHARD, Layer, Span
 from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
 
@@ -104,6 +113,15 @@ def _time_best(fn, repeats: int = 2):
     return result, best
 
 
+def _anchored(
+    name: str, rps: float, anchor_rps: float, anchor_requests: int
+) -> dict[str, float]:
+    """``{name: rps / anchor_rps}`` at the anchor's request count, else
+    ``{}``: rps depends on how far fixed per-config costs amortize, so
+    a ratio across request counts is dropped rather than recorded."""
+    return {name: rps / anchor_rps} if BENCH_REQUESTS == anchor_requests else {}
+
+
 def _span_bytes_per_instance(count: int = 10_000) -> float:
     """Live bytes per Span, measured -- the ``__slots__`` win tracker."""
     tracemalloc.start()
@@ -121,16 +139,18 @@ def _span_bytes_per_instance(count: int = 10_000) -> float:
     return (after - before) / count
 
 
-def test_perf_throughput():
+def test_perf_throughput(bench_dir):
     model = drm1()
     settings = SuiteSettings(
-        num_requests=BENCH_REQUESTS, serving=ServingConfig(seed=1)
+        num_requests=BENCH_REQUESTS, serving=ServingConfig(seed=1),
+        kernel="reference",
     )
     trace_mode = TraceMode(os.environ.get("REPRO_TRACE_MODE", "full"))
     aggregate_settings = SuiteSettings(
         num_requests=BENCH_REQUESTS,
         serving=ServingConfig(seed=1),
         trace_mode=TraceMode.AGGREGATE,
+        kernel="reference",
     )
 
     # 1. Request generation: vectorized bulk path vs scalar reference.
@@ -331,12 +351,12 @@ def test_perf_throughput():
     # exhaustively pinned in tests/test_kernel_equivalence.py).  The
     # headline ratio times the *sweep phase* both kernels share: the
     # paper's replayer preprocesses and caches requests before sending
-    # (run_suite docstring), so requests, pooling, and plans are
-    # precomputed once and each kernel then replays the full
+    # (run_suite docstring), so requests, pooling, and sharding plans
+    # are precomputed once and each kernel then replays the full
     # configuration matrix -- interleaved best-of-2, so scheduler noise
-    # hits both kernels alike.  The first vectorized pass also warms the
-    # columnar builder caches; the committed number is the warm replay,
-    # matching every other warm-measured entry.
+    # hits both kernels alike.  The columnar cost plans are part of the
+    # vectorized replay: every sweep builds them from cold, as every CLI
+    # run does.
     vectorized_settings = SuiteSettings(
         num_requests=BENCH_REQUESTS,
         serving=ServingConfig(seed=1),
@@ -370,6 +390,9 @@ def test_perf_throughput():
     sweep_schedule = vectorized_settings.resolved_schedule()
 
     def kernel_sweep_once(serving):
+        # Drop the chunk count matrices the previous sweep left in the
+        # builder's LRU, so the first configuration builds them too.
+        columnar._BUNDLE_CACHE.clear()
         for sweep_plan in sweep_plans:
             run_configuration(
                 model, sweep_plan, sweep_requests, serving, sweep_schedule
@@ -377,7 +400,6 @@ def test_perf_throughput():
 
     batched_serving = batched_settings.resolved_serving()
     vectorized_serving = vectorized_settings.resolved_serving()
-    kernel_sweep_once(vectorized_serving)  # warm the builder caches
     batched_sweep_s = vectorized_sweep_s = float("inf")
     for _ in range(2):
         _, elapsed = _time(lambda: kernel_sweep_once(batched_serving))
@@ -389,8 +411,12 @@ def test_perf_throughput():
     vectorized_speedup = batched_sweep_s / vectorized_sweep_s
     # Advisory on shared CI runners, enforced where the host is
     # known-quiet (the committed artifact is the acceptance signal).
+    # With the cost plans built in every sweep the ratio measured
+    # 2.0-2.3x at 150 requests and 3.0-3.8x at 2000 (fixed per-chunk
+    # build costs amortize over more requests) on a 2-vCPU Xeon VM; the
+    # floor sits below the smaller.
     if os.environ.get("REPRO_BENCH_STRICT"):
-        assert vectorized_speedup > 3.0
+        assert vectorized_speedup > 1.8
 
     span_bytes = _span_bytes_per_instance()
 
@@ -415,15 +441,12 @@ def test_perf_throughput():
                 "parallel_workers": workers,
                 "seed_reference_rps": SEED_SWEEP_RPS,
                 "seed_reference_requests": SEED_SWEEP_REQUESTS,
-                # Only an apples-to-apples ratio when the request count
-                # matches the one the seed reference was measured at; the
-                # single-process serial number is compared (the seed
+                # The single-process serial number is compared (the seed
                 # reference is serial), so hardware parallelism can never
                 # mask a fast-path regression.
-                "speedup_vs_seed": (
-                    serial_rps / SEED_SWEEP_RPS
-                    if BENCH_REQUESTS == SEED_SWEEP_REQUESTS
-                    else None
+                **_anchored(
+                    "speedup_vs_seed", serial_rps,
+                    SEED_SWEEP_RPS, SEED_SWEEP_REQUESTS,
                 ),
             },
             "aggregate_sweep": {
@@ -436,13 +459,10 @@ def test_perf_throughput():
                 "speedup_vs_full_trace": aggregate_rps / serial_rps,
                 "pr1_reference_rps": PR1_FULL_TRACE_RPS,
                 "pr1_reference_requests": PR1_FULL_TRACE_REQUESTS,
-                # The sweep-cost claim of the aggregate fast path: only an
-                # apples-to-apples ratio at the request count the PR 1
-                # full-trace reference was measured at.
-                "speedup_vs_pr1_full_trace": (
-                    aggregate_rps / PR1_FULL_TRACE_RPS
-                    if BENCH_REQUESTS == PR1_FULL_TRACE_REQUESTS
-                    else None
+                # The sweep-cost claim of the aggregate fast path.
+                **_anchored(
+                    "speedup_vs_pr1_full_trace", aggregate_rps,
+                    PR1_FULL_TRACE_RPS, PR1_FULL_TRACE_REQUESTS,
                 ),
             },
             "mix_sweep": {
@@ -487,15 +507,13 @@ def test_perf_throughput():
                 "speedup_vs_reference_kernel": batched_rps / aggregate_rps,
                 "pr2_reference_rps": PR2_AGGREGATE_RPS,
                 "pr2_reference_requests": PR2_AGGREGATE_REQUESTS,
-                "speedup_vs_pr2_serial": (
-                    batched_rps / PR2_AGGREGATE_RPS
-                    if BENCH_REQUESTS == PR2_AGGREGATE_REQUESTS
-                    else None
+                **_anchored(
+                    "speedup_vs_pr2_serial", batched_rps,
+                    PR2_AGGREGATE_RPS, PR2_AGGREGATE_REQUESTS,
                 ),
-                "speedup_vs_pr2_parallel": (
-                    batched_parallel_rps / PR2_AGGREGATE_RPS
-                    if BENCH_REQUESTS == PR2_AGGREGATE_REQUESTS
-                    else None
+                **_anchored(
+                    "speedup_vs_pr2_parallel", batched_parallel_rps,
+                    PR2_AGGREGATE_RPS, PR2_AGGREGATE_REQUESTS,
                 ),
             },
             "kernel_ops": kernel_ops,
@@ -504,9 +522,10 @@ def test_perf_throughput():
                 # sweep, bit-identical to the batched kernel.  The
                 # headline `speedup_vs_batched_kernel` compares the
                 # sweep phase both kernels share (requests, pooling,
-                # and plans precomputed; warm builder caches); the
-                # suite-level serial/parallel rps include request
-                # generation and are comparable to `kernel_sweep`.
+                # and sharding plans precomputed; cost plans built in
+                # every sweep); the suite-level serial/parallel rps
+                # include request generation and are comparable to
+                # `kernel_sweep`.
                 "kernel": "vectorized",
                 "simulated_requests": simulated,
                 "chunk_size": default_chunk_size(),
@@ -549,6 +568,7 @@ def test_perf_throughput():
             "parallel_trace_mode": trace_mode.value,
             "span_bytes_per_instance": span_bytes,
         },
+        results_dir=bench_dir,
     )
     print(
         f"\n[bench] serial {serial_rps:.0f} req/s (full) / {aggregate_rps:.0f} "

@@ -115,11 +115,11 @@ def _trace_mode(args: argparse.Namespace) -> TraceMode:
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel", default=DEFAULT_KERNEL, choices=list(KERNELS),
-        help="DES event-loop kernel: 'reference' is the heap-only loop, "
-        "'batched' merges a same-timestamp deque with the heap and grants "
-        "free resources synchronously, 'vectorized' replays eligible runs "
-        "(serial closed-loop, chaos-free, aggregate tracing) as columnar "
-        "numpy programs and falls back to 'batched' otherwise -- results "
+        help="debug override of the replay kernel.  The default, "
+        "'vectorized', chooses per run: eligible runs (serial closed-loop, "
+        "chaos-free, aggregate tracing) replay as columnar numpy programs, "
+        "every other run takes the 'batched' DES.  'batched' and "
+        "'reference' (the heap-only event loop) force one DES -- results "
         "are bit-identical (tests/test_kernel_equivalence.py)",
     )
 

@@ -15,7 +15,7 @@ Determinism: requests are generated once in the parent from
 seeds are a pure function of the configuration, never of scheduling.  A
 parallel sweep is therefore byte-identical to a serial one for the same
 settings (regression-tested in ``tests/test_fastpath_determinism.py``).
-The kernel selector composes: with ``settings.kernel = "vectorized"``
+The kernel selector composes: with the default ``"vectorized"`` kernel
 each worker process replays its configuration through the columnar
 fast path (or its recorded fallback), so a parallel vectorized sweep is
 bit-identical to the serial vectorized sweep -- and to the reference

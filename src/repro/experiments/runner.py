@@ -469,11 +469,12 @@ def run_configuration(
     into the columnar arrays and the result adopts them wholesale --
     identical columns, no span or dataclass retention.
 
-    ``serving.kernel == "vectorized"`` dispatches eligible runs (serial
-    closed-loop, chaos-free, AGGREGATE) to the columnar replay engine
-    (:func:`repro.serving.columnar.run_vectorized`) -- bit-identical
-    columns, no event loop; ineligible runs fall back to the batched
-    kernel with the reason recorded on ``RunResult.kernel_fallback``.
+    ``serving.kernel == "vectorized"`` (the default) dispatches eligible
+    runs (serial closed-loop, chaos-free, AGGREGATE) to the columnar
+    replay engine (:func:`repro.serving.columnar.run_vectorized`) --
+    bit-identical columns, no event loop; ineligible runs fall back to
+    the batched kernel with the reason recorded on
+    ``RunResult.kernel_fallback``.
     """
     schedule = schedule or ReplaySchedule.serial()
     serving = serving or ServingConfig()
@@ -567,10 +568,10 @@ class SuiteSettings:
 
     kernel: str | None = None
     """Overrides ``serving.kernel`` when set (one of
-    :data:`repro.simulation.engine.KERNELS`); None keeps it.  Both
-    kernels replay bit-identical results (see
-    ``tests/test_kernel_equivalence.py``); ``"batched"`` trades the
-    reference event loop for the deque-merged one."""
+    :data:`repro.simulation.engine.KERNELS`); None keeps it.  Every
+    kernel replays bit-identical results (see
+    ``tests/test_kernel_equivalence.py``), so an override only forces
+    which code path produces them."""
 
     arrivals: ArrivalProcess | None = None
     """Overrides ``schedule`` with any workload-subsystem arrival process

@@ -224,15 +224,11 @@ class CapacityPlanner:
         ``parallel`` fans the candidate simulations out over worker
         processes -- one process per simulated cluster, via the shared
         :func:`repro.experiments.parallel.run_cluster_tasks` pool --
-        with byte-identical results, hence an identical plan.  Pair it
-        with ``settings.kernel = "batched"`` to also take the faster DES
-        kernel inside every worker (bit-identical by the kernel
-        equivalence contract).  ``settings.kernel = "vectorized"`` is
-        accepted but falls back to the batched kernel here: candidate
+        with byte-identical results, hence an identical plan.  Candidate
         simulations are co-located open-loop mixes, outside the columnar
-        path's eligible regime (the fallback and its reason are recorded
-        on every candidate's ``RunResult.kernel_used`` /
-        ``kernel_fallback``).
+        path's eligible regime, so the default kernel runs them on the
+        batched DES (the fallback and its reason are recorded on every
+        candidate's ``RunResult.kernel_used`` / ``kernel_fallback``).
         ``results_sink`` receives the candidate simulations keyed by
         configuration label, so callers can reuse the measurements (e.g.
         day-long elasticity sizing) without re-simulating.

@@ -29,21 +29,22 @@ columnar.
 Memory flatness
 ===============
 
-Chunking bounds peak memory at O(chunk_size), not O(num_requests): no
-per-request state outlives its chunk, the integer count matrices are
-kept in a small bounded LRU (so a multi-configuration sweep over one
-request sample reuses them across configurations without holding every
-chunk), and -- unlike the scalar builder -- nothing is memoized *on*
-the request objects.  Finished cost columns are likewise held in a
-bounded LRU (``_PLANS_CACHE``) so repeated replays of the same
-(requests, plan, config) triple -- benchmark iterations, figure
-regeneration -- skip the build pass; both caches evict oldest-first and
-their entry sizes are bounded by ``REPRO_CHUNK``.
+Chunking bounds peak memory at O(chunk_size), not O(num_requests): a
+chunk's cost columns are built, replayed and released before the next
+chunk is built, and no cost column outlives the run.  The per-target
+RPC costs stay float64 numpy planes until the evaluator turns one
+request's rows into Python lists, so boxed floats exist for one request
+at a time.  Only the integer count matrices are kept, in a small
+bounded LRU (so a multi-configuration sweep over one request sample
+reuses them across configurations without holding every chunk; entry
+size is bounded by ``REPRO_CHUNK``), and -- unlike the scalar builder
+-- nothing is memoized *on* the request objects.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from typing import Iterable
 
 import numpy as np
 
@@ -231,50 +232,8 @@ def _chunk_bundle(
     return bundle
 
 
-# -- built-plan cache ---------------------------------------------------------
-#: Finished ChunkPlans, keyed per (chunk, model, plan label) with deep
-#: verification on hit: the cost columns are a pure function of
-#: (requests, plan, serving config), so repeated sweeps over one request
-#: sample -- the figures pipeline re-running configurations, benchmark
-#: iterations -- skip the columnarization pass entirely.  Entries are
-#: evicted LRU; worst-case retention is _PLANS_CACHE_MAX chunks of cost
-#: columns (~60 MB each at the default 2048-request chunk on the largest
-#: paper configuration), and ``REPRO_CHUNK`` bounds the per-entry size.
-_PLANS_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
-#: One full paper sweep (11 configurations) plus headroom.
-_PLANS_CACHE_MAX = 12
-
-
-def _cached_chunk_plans(
-    sim: ClusterSimulation, tenant: _Tenant, requests: list[Request], build
-) -> ChunkPlans:
-    key = (
-        requests[0].request_id, requests[-1].request_id, len(requests),
-        tenant.model.name, tenant.plan.label,
-    )
-    hit = _PLANS_CACHE.get(key)
-    if hit is not None:
-        first, plan, config, plans = hit
-        # Identity + deep equality: request ids are only unique per
-        # sample, plan labels only per sweep, and the cost columns
-        # depend on the full serving config -- dataclass equality
-        # verifies all of it exactly.
-        if (
-            first is requests[0]
-            and (plan is tenant.plan or plan == tenant.plan)
-            and (config is sim.config or config == sim.config)
-        ):
-            _PLANS_CACHE.move_to_end(key)
-            return plans
-    plans = build(sim, tenant, requests)
-    _PLANS_CACHE[key] = (requests[0], tenant.plan, sim.config, plans)
-    while len(_PLANS_CACHE) > _PLANS_CACHE_MAX:
-        _PLANS_CACHE.popitem(last=False)
-    return plans
-
-
 # -- columnar plan building ---------------------------------------------------
-def _scatter(destination: list, positions: list[int], rows: list) -> None:
+def _scatter(destination: list, positions: list[int], rows: Iterable) -> None:
     # C-level scatter: map(__setitem__) avoids a Python-level loop over
     # thousands of chunk positions per (slot, field).
     _consume(map(destination.__setitem__, positions, rows))
@@ -413,17 +372,17 @@ def build_chunk_plans(
                 crd = serde_fixed + client_tbl + resp_bytes / denom_main
                 active_targets += active
                 target = net_columns.targets[slot]
-                # One prebuilt evaluator row per request: stack the nine
-                # per-batch cost planes request-major (axis=1 keeps the
-                # result C-contiguous) and let a single tolist emit
-                # every request's (9, batches) nested list.  The active
-                # plane becomes float 0.0/1.0 -- the evaluator only
-                # tests its truthiness.
+                # One evaluator row per request: stack the nine per-batch
+                # cost planes request-major (axis=1 keeps each request's
+                # (9, batches) row a contiguous view).  The rows stay
+                # float64 until the evaluator lists one request at a
+                # time.  The active plane becomes float 0.0/1.0 -- the
+                # evaluator only tests its truthiness.
                 stacked = np.stack((
                     active, cst, sdes, sov, slw, srs, crd,
                     req_bytes, resp_bytes,
                 ), axis=1)
-                _scatter(target.rows, positions, stacked.tolist())
+                _scatter(target.rows, positions, stacked)
             overhead = cm.net_overhead_fixed + cm.net_overhead_per_op * (
                 n_net + 12 + active_targets
             )
@@ -440,7 +399,8 @@ def build_chunk_plans(
     )
 
 
-_COST_FIELDS = ("cst", "sdes", "sov", "slw", "srs", "crd", "reqb", "respb")
+#: _ShardLookups attributes in evaluator row order (rows 1-8; row 0 is
+#: the active plane).
 _PLAN_FIELDS = (
     "client_ser_total", "server_deser", "server_overhead", "sls_work",
     "server_resp_ser", "client_resp_deser", "req_bytes", "resp_bytes",
@@ -504,24 +464,17 @@ def _scalar_chunk_plans(
                 net_columns.local.append([plan.local_work for plan in per_batch])
                 continue
             net_columns.overhead.append([plan.overhead for plan in per_batch])
-            slots = len(net_columns.targets)
-            active = [[False] * num_batches for _ in range(slots)]
-            columns = {
-                field: [[0.0] * num_batches for _ in range(slots)]
-                for field in _COST_FIELDS
-            }
+            # The same (9, batches) float64 rows build_chunk_plans emits:
+            # the active plane, then the eight cost fields.
+            rows = np.zeros((len(net_columns.targets), 9, num_batches))
             for batch_index, plan in enumerate(per_batch):
                 for lookup in plan.targets:
-                    slot = slot_of[net_index][lookup.shard.index]
-                    active[slot][batch_index] = True
-                    for field, attr in zip(_COST_FIELDS, _PLAN_FIELDS):
-                        columns[field][slot][batch_index] = getattr(lookup, attr)
-            for slot in range(slots):
-                target = net_columns.targets[slot]
-                target.rows.append(
-                    (active[slot],)
-                    + tuple(columns[field][slot] for field in _COST_FIELDS)
-                )
+                    row = rows[slot_of[net_index][lookup.shard.index]]
+                    row[0, batch_index] = 1.0
+                    for field, attr in enumerate(_PLAN_FIELDS, 1):
+                        row[field, batch_index] = getattr(lookup, attr)
+            for target, row in zip(net_columns.targets, rows):
+                target.rows.append(row)
     return ChunkPlans(singular, rids, nb_list, heads, tails, nets)
 
 
@@ -566,7 +519,9 @@ def run_vectorized(
     build = _scalar_chunk_plans if _has_partitions(plan) else build_chunk_plans
     now = 0.0
     for start in range(0, len(requests), chunk_size):
-        chunk = requests[start : start + chunk_size]
-        plans = _cached_chunk_plans(cluster, tenant, chunk, build)
-        now = evaluator.replay_chunk(plans, now)
+        # No name binds a chunk's plans, so they are freed as soon as
+        # the chunk is replayed -- before the next chunk is built.
+        now = evaluator.replay_chunk(
+            build(cluster, tenant, requests[start : start + chunk_size]), now
+        )
     return collector, cluster

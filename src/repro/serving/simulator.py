@@ -57,7 +57,15 @@ from repro.requests.generator import Request, request_payload_bytes
 from repro.requests.replayer import ReplayMode, ReplaySchedule
 from repro.sharding.plan import ShardingPlan, ShardSpec
 from repro.simulation.costmodel import CostModel, ranking_response_bytes
-from repro.simulation.engine import KERNELS, At, BatchedEngine, Engine, Event, make_engine
+from repro.simulation.engine import (
+    DEFAULT_KERNEL,
+    KERNELS,
+    At,
+    BatchedEngine,
+    Engine,
+    Event,
+    make_engine,
+)
 from repro.simulation.network import Fabric, FabricSpec
 from repro.simulation.platform import SC_LARGE, Platform
 from repro.tracing.aggregate import AggregatingTracer, TraceMode
@@ -126,17 +134,18 @@ class ServingConfig:
     *empty* policy installs no runtime and replays byte-identical to
     ``None``."""
 
-    kernel: str = "reference"
-    """DES kernel selector (see :data:`repro.simulation.engine.KERNELS`).
-    ``"reference"`` is the bit-exact historical event loop; ``"batched"``
-    batches same-timestamp scheduling through a FIFO now-queue, grants
-    free resources synchronously, and (chaos off) drives the fused
-    serving generators; ``"vectorized"`` replays eligible runs (serial
-    closed-loop, chaos-free, AGGREGATE tracing) as columnar numpy
-    programs with no event loop (:mod:`repro.serving.columnar`) and
-    falls back to ``"batched"`` otherwise, recording the reason on
-    ``RunResult.kernel_fallback`` -- results are regression-pinned
-    bit-identical to the reference kernel on every paper configuration
+    kernel: str = DEFAULT_KERNEL
+    """Kernel selector (see :data:`repro.simulation.engine.KERNELS`).
+    The default, ``"vectorized"``, chooses per run: eligible runs
+    (serial closed-loop, chaos-free, AGGREGATE tracing) replay as
+    columnar numpy programs with no event loop
+    (:mod:`repro.serving.columnar`), and every other run takes the
+    ``"batched"`` DES, recording the reason on
+    ``RunResult.kernel_fallback``.  ``"batched"`` (FIFO now-queue,
+    synchronous resource grants, fused serving generators with chaos
+    off) and ``"reference"`` (the historical heap-only event loop) force
+    one DES and exist as debug overrides -- all three are
+    regression-pinned bit-identical on every paper configuration
     (``tests/test_kernel_equivalence.py``)."""
 
     def __post_init__(self):

@@ -589,10 +589,13 @@ class BatchedEngine(Engine):
 #: batched kernel with a recorded reason (``RunResult.kernel_fallback``).
 KERNELS = ("reference", "batched", "vectorized")
 
-#: The kernel every surface defaults to; committed artifacts are
-#: produced with it and the batched kernel is regression-pinned
-#: bit-identical against it.
-DEFAULT_KERNEL = "reference"
+#: The kernel every surface defaults to.  ``"vectorized"`` chooses per
+#: run: eligible runs take the columnar replay, every other run takes
+#: the batched DES with the reason on ``RunResult.kernel_fallback``.
+#: All three kernels are regression-pinned bit-identical, so the
+#: committed artifacts do not depend on this choice; ``"reference"``
+#: and ``"batched"`` stay selectable as debug overrides.
+DEFAULT_KERNEL = "vectorized"
 
 
 def make_engine(kernel: str = DEFAULT_KERNEL) -> Engine:

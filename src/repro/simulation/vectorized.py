@@ -77,6 +77,8 @@ from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from repro.simulation.costmodel import CostModel
 from repro.simulation.network import Fabric
 from repro.simulation.platform import Platform
@@ -136,22 +138,22 @@ class TargetColumns:
     """Columnar per-(net, shard-slot) RPC costs for one request chunk.
 
     Mirrors :class:`repro.serving.simulator._ShardLookups` transposed:
-    ``rows[i]`` is one prebuilt sequence per request -- ``(active, cst,
-    sdes, sov, slw, srs, crd, reqb, respb)``, where every cost field is
-    that request's per-batch list (python floats -- identical float64
-    bits, scalar access is what the evaluator does) and ``active[b]``
-    is truthy for the batches that issue an RPC to this slot (the slot's
-    shard index lives on :attr:`shard`, not in the row).  The builders
-    assemble the rows once per chunk (one stacked ``tolist`` over the
-    transposed cost planes), so the evaluator's per-request setup is
-    plain indexing.
+    ``rows[i]`` is request ``i``'s ``(9, batches)`` float64 numpy plane
+    -- ``(active, cst, sdes, sov, slw, srs, crd, reqb, respb)`` by
+    batch, where ``active[b]`` is 1.0 for the batches that issue an RPC
+    to this slot (the slot's shard index lives on :attr:`shard`, not in
+    the row).  The builders keep the planes as views into one stacked
+    array per chunk; the evaluator turns a request's planes into Python
+    lists (``tolist`` -- identical float64 bits) when it starts that
+    request, so boxed floats exist for one request at a time and the
+    hot loop still does scalar list indexing.
     """
 
     __slots__ = ("shard", "rows")
 
     def __init__(self, shard: int) -> None:
         self.shard = shard
-        self.rows: list[tuple] = []
+        self.rows: list[np.ndarray] = []
 
 
 class NetColumns:
@@ -574,11 +576,14 @@ class SweepEvaluator:
             b_serde.extend([head] * nb)
             b_overhead.extend([0.0] * nb)
             b_sparse.extend([0.0] * nb)
-            # Per-request row prefetch: the builders pre-assembled one
-            # tuple per (net, slot) request holding the per-batch cost
-            # lists, so the hot heap branches do one list index per
-            # field instead of attribute + [i][b] chains.
-            rows = [[tg.rows[i] for tg in nets[n].targets] for n in range(num_nets)]
+            # Per-request row prefetch: list this request's (9, batches)
+            # plane per (net, slot), so the hot heap branches do one
+            # list index per field instead of attribute + [i][b] chains
+            # or numpy scalar indexing.
+            rows = [
+                [tg.rows[i].tolist() for tg in nets[n].targets]
+                for n in range(num_nets)
+            ]
             ov_i = [net.overhead[i] for net in nets]
             dn_i = [net.dense[i] for net in nets]
             heap: list[tuple[float, int, float, list[float] | None]] = []

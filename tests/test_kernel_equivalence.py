@@ -21,6 +21,7 @@ on ``RunResult.kernel_fallback`` -- both pinned here.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -95,12 +96,40 @@ def settings(kernel=None, trace_mode=None, num_requests=20, **serving_kwargs):
     )
 
 
+def _mix_results(kernel=None):
+    """A two-model co-located mix, one configuration, AGGREGATE."""
+    mix = WorkloadMix(
+        (
+            Workload(
+                "drm1-mix", drm1(),
+                PiecewiseRateArrivals.diurnal(50.0, seed=7), request_seed=3,
+            ),
+            Workload(
+                "drm2-mix", drm2(),
+                PiecewiseRateArrivals.diurnal(30.0, seed=8), request_seed=4,
+            ),
+        )
+    )
+    return run_mix_suite(
+        mix,
+        SuiteSettings(
+            num_requests=10, pooling_requests=150,
+            serving=ServingConfig(seed=1),
+            trace_mode=TraceMode.AGGREGATE, kernel=kernel,
+        ),
+        (ShardingConfiguration("load-bal", 2),),
+    )
+
+
 class TestKernelSelection:
     def test_make_engine_kernels(self):
         assert type(make_engine("reference")) is Engine
         assert isinstance(make_engine("batched"), BatchedEngine)
-        assert DEFAULT_KERNEL == "reference"
         assert DEFAULT_KERNEL in KERNELS and "batched" in KERNELS
+
+    def test_default_kernel_chooses_itself(self):
+        assert DEFAULT_KERNEL == "vectorized"
+        assert ServingConfig().kernel == DEFAULT_KERNEL
 
     def test_vectorized_kernel_registered(self):
         assert "vectorized" in KERNELS
@@ -136,7 +165,7 @@ class TestPaperConfigurationEquivalence:
     def test_every_paper_configuration_full_trace(self, factory):
         model = factory()
         assert_suites_identical(
-            run_suite(model, settings()),
+            run_suite(model, settings(kernel="reference")),
             run_suite(model, settings(kernel="batched")),
         )
 
@@ -144,7 +173,9 @@ class TestPaperConfigurationEquivalence:
     def test_every_paper_configuration_aggregate_trace(self, factory):
         model = factory()
         assert_suites_identical(
-            run_suite(model, settings(trace_mode=TraceMode.AGGREGATE)),
+            run_suite(
+                model, settings(kernel="reference", trace_mode=TraceMode.AGGREGATE)
+            ),
             run_suite(
                 model, settings(kernel="batched", trace_mode=TraceMode.AGGREGATE)
             ),
@@ -166,7 +197,7 @@ class TestPaperConfigurationEquivalence:
             )
 
         assert_suites_identical(
-            run_suite(model, contended(None)),
+            run_suite(model, contended("reference")),
             run_suite(model, contended("batched")),
         )
 
@@ -256,7 +287,9 @@ class TestVectorizedEquivalence:
     @pytest.mark.parametrize("factory", [drm1, drm2, drm3])
     def test_every_paper_configuration(self, factory):
         model = factory()
-        ref = run_suite(model, settings(trace_mode=TraceMode.AGGREGATE))
+        ref = run_suite(
+            model, settings(kernel="reference", trace_mode=TraceMode.AGGREGATE)
+        )
         vec = run_suite(
             model, settings(kernel="vectorized", trace_mode=TraceMode.AGGREGATE)
         )
@@ -287,7 +320,7 @@ class TestVectorizedEquivalence:
             )
 
         assert_suites_identical(
-            run_suite(model, skewed(None)),
+            run_suite(model, skewed("reference")),
             run_suite(model, skewed("vectorized")),
         )
 
@@ -333,28 +366,7 @@ class TestVectorizedFallback:
         assert result.kernel_fallback == REASON_FULL_TRACE
 
     def test_mix_falls_back(self):
-        mix = WorkloadMix(
-            (
-                Workload(
-                    "drm1-mix", drm1(),
-                    PiecewiseRateArrivals.diurnal(50.0, seed=7), request_seed=3,
-                ),
-                Workload(
-                    "drm2-mix", drm2(),
-                    PiecewiseRateArrivals.diurnal(30.0, seed=8), request_seed=4,
-                ),
-            )
-        )
-        results = run_mix_suite(
-            mix,
-            SuiteSettings(
-                num_requests=10, pooling_requests=150,
-                serving=ServingConfig(seed=1),
-                trace_mode=TraceMode.AGGREGATE, kernel="vectorized",
-            ),
-            (ShardingConfiguration("load-bal", 2),),
-        )
-        for result in results.values():
+        for result in _mix_results(kernel="vectorized").values():
             assert result.kernel_used == "batched"
             assert result.kernel_fallback == REASON_MIX
 
@@ -379,15 +391,59 @@ class TestVectorizedFallback:
         assert_run_identical(fallback, batched, "fallback")
 
 
+class TestDefaultKernel:
+    """With no kernel named anywhere, every run chooses its own path."""
+
+    TWO_CONFIGURATIONS = (
+        ShardingConfiguration("singular"),
+        ShardingConfiguration("load-bal", 2),
+    )
+
+    def test_serial_aggregate_runs_are_vectorized(self):
+        results = run_suite(drm1(), settings(trace_mode=TraceMode.AGGREGATE))
+        for label, result in results.items():
+            assert result.kernel_used == "vectorized", (
+                label, result.kernel_fallback,
+            )
+            assert result.kernel_fallback is None, label
+
+    @pytest.mark.parametrize(
+        "suite_settings, reason",
+        [
+            (
+                SuiteSettings(
+                    num_requests=15, pooling_requests=150,
+                    serving=ServingConfig(seed=1),
+                    schedule=ReplaySchedule.open_loop(25.0, seed=2),
+                    trace_mode=TraceMode.AGGREGATE,
+                ),
+                REASON_OPEN_LOOP,
+            ),
+            (settings(num_requests=15), REASON_FULL_TRACE),
+        ],
+        ids=["open-loop", "full-trace"],
+    )
+    def test_ineligible_runs_take_the_batched_des(self, suite_settings, reason):
+        results = run_suite(drm1(), suite_settings, self.TWO_CONFIGURATIONS)
+        for result in results.values():
+            assert result.kernel_used == "batched"
+            assert result.kernel_fallback == reason
+
+    def test_mix_runs_take_the_batched_des(self):
+        for result in _mix_results().values():
+            assert result.kernel_used == "batched"
+            assert result.kernel_fallback == REASON_MIX
+
+
 class TestChunkedReplay:
     """``REPRO_CHUNK`` bounds builder memory without changing a bit.
 
     Chunking only splits the columnarization pass; the replay arithmetic
-    and every substream walk are chunk-size invariant.  The memory smoke
-    pins the bound the vectorized path claims at REPRO_REQUESTS=1M: peak
-    replay memory tracks the chunk size, not the request count (the
-    O(num_requests) output columns are excluded by measuring the chunked
-    run against the same run columnarized in one piece).
+    and every substream walk are chunk-size invariant.  The memory
+    smokes pin the bound the vectorized path claims at
+    REPRO_REQUESTS=1M: peak replay memory tracks the chunk size, not the
+    request count, only one chunk's cost columns are alive at a time,
+    and none survive the run.
     """
 
     def test_chunk_size_invariance(self, monkeypatch):
@@ -400,28 +456,31 @@ class TestChunkedReplay:
             assert result.kernel_used == "vectorized"
         assert_suites_identical(base, chunked)
 
-    def test_replay_memory_bounded_by_chunk(self, monkeypatch):
-        from repro.serving import columnar
-
+    @staticmethod
+    def _inputs(configuration, num_requests):
         model = drm1()
         pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
-        plan = build_plan(model, ShardingConfiguration("singular"), pooling)
-        num_requests = 1024
+        plan = build_plan(model, configuration, pooling)
         requests = suite_requests(
             model,
             SuiteSettings(num_requests=num_requests, pooling_requests=150),
         )
-        serving = ServingConfig(
-            seed=1, kernel="vectorized", trace_mode=TraceMode.AGGREGATE
+        serving = ServingConfig(seed=1, trace_mode=TraceMode.AGGREGATE)
+        return model, plan, requests, serving
+
+    def test_replay_memory_bounded_by_chunk(self, monkeypatch):
+        from repro.serving import columnar
+
+        num_requests = 1024
+        model, plan, requests, serving = self._inputs(
+            ShardingConfiguration("singular"), num_requests
         )
-        # Disable the two builder caches: retention is their (bounded)
-        # business, this smoke measures the per-chunk working set.
-        monkeypatch.setattr(columnar, "_PLANS_CACHE_MAX", 0)
+        # Disable the count-matrix cache: its retention is bounded by
+        # design, this smoke measures the per-chunk working set.
         monkeypatch.setattr(columnar, "_BUNDLE_CACHE_MAX", 0)
 
         def peak_bytes(chunk_size):
             monkeypatch.setenv("REPRO_CHUNK", str(chunk_size))
-            columnar._PLANS_CACHE.clear()
             columnar._BUNDLE_CACHE.clear()
             tracemalloc.start()
             result = run_configuration(model, plan, requests, serving)
@@ -433,3 +492,45 @@ class TestChunkedReplay:
         whole = peak_bytes(num_requests)  # one chunk: O(num_requests)
         chunked = peak_bytes(32)  # 32 chunks of 32 requests
         assert chunked < whole / 4, (chunked, whole)
+
+        # One chunk's plans at a time: when chunk k+1 is built, no cost
+        # row of chunk k may still be alive (numpy rows take weakrefs).
+        # A distributed plan, because only its targets carry rows.
+        model, plan, requests, serving = self._inputs(
+            ShardingConfiguration("load-bal", 8), 128
+        )
+        build = columnar.build_chunk_plans
+        built = []
+
+        def tracked_build(sim, tenant, chunk):
+            alive = [ref for ref in built if ref() is not None]
+            assert not alive, f"{len(alive)} earlier chunks still alive"
+            plans = build(sim, tenant, chunk)
+            built.append(weakref.ref(plans.nets[0].targets[0].rows[0]))
+            return plans
+
+        monkeypatch.setattr(columnar, "build_chunk_plans", tracked_build)
+        monkeypatch.setenv("REPRO_CHUNK", "32")
+        run_configuration(model, plan, requests, serving)
+        assert len(built) == 4
+
+    def test_no_cost_columns_survive_the_run(self):
+        from repro.serving import columnar
+
+        model, plan, requests, serving = self._inputs(
+            ShardingConfiguration("load-bal", 8), 128
+        )
+        # Fill the one-time caches on a shorter sample, so the traced run
+        # below starts from nothing built for its own chunk.
+        run_configuration(model, plan, requests[:16], serving)
+        columnar._BUNDLE_CACHE.clear()
+        tracemalloc.start()
+        result = run_configuration(model, plan, requests, serving)
+        # The count-matrix LRU is the one cache the builder keeps.
+        columnar._BUNDLE_CACHE.clear()
+        retained, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert result.kernel_used == "vectorized"
+        # What survives is the result's own columns, a few percent of
+        # what the run built; a cache of cost columns keeps most of it.
+        assert retained < peak / 10, (retained, peak)
