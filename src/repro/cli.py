@@ -91,6 +91,19 @@ from repro.workloads import (
 )
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type for request counts: an integer >= 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {raw!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {raw!r}")
+    return value
+
+
 def _add_model_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model", default="DRM1", choices=sorted(MODEL_FACTORIES),
@@ -712,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=[SINGULAR, "1-shard", "load-bal", "cap-bal", "NSBP"],
         )
         sub.add_argument("--shards", type=int, default=8)
-        sub.add_argument("--pooling-requests", type=int, default=300)
+        sub.add_argument("--pooling-requests", type=_positive_int, default=300)
         sub.add_argument("--seed", type=int, default=1)
 
     shard = commands.add_parser("shard", help="build and print a sharding plan")
@@ -722,14 +735,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser("simulate", help="simulate one configuration")
     add_plan_arguments(simulate)
-    simulate.add_argument("--requests", type=int, default=150)
+    simulate.add_argument("--requests", type=_positive_int, default=150)
     _add_trace_mode_argument(simulate)
     _add_kernel_argument(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
     suite = commands.add_parser("suite", help="run the paper's config matrix")
     _add_model_argument(suite)
-    suite.add_argument("--requests", type=int, default=120)
+    suite.add_argument("--requests", type=_positive_int, default=120)
     suite.add_argument("--seed", type=int, default=1)
     _add_trace_mode_argument(suite)
     _add_kernel_argument(suite)
@@ -802,9 +815,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workload.add_argument("--shards", type=int, default=4)
     workload.add_argument(
-        "--requests", type=int, default=120, help="request count per workload"
+        "--requests", type=_positive_int, default=120,
+        help="request count per workload",
     )
-    workload.add_argument("--pooling-requests", type=int, default=300)
+    workload.add_argument("--pooling-requests", type=_positive_int, default=300)
     workload.add_argument("--seed", type=int, default=1)
     _add_trace_mode_argument(workload)
     _add_kernel_argument(workload)
@@ -839,9 +853,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_mix_arguments(plan)
     plan.add_argument(
-        "--requests", type=int, default=60, help="request count per workload"
+        "--requests", type=_positive_int, default=60,
+        help="request count per workload",
     )
-    plan.add_argument("--pooling-requests", type=int, default=300)
+    plan.add_argument("--pooling-requests", type=_positive_int, default=300)
     plan.add_argument("--seed", type=int, default=1)
     _add_trace_mode_argument(plan)
     _add_kernel_argument(plan)
@@ -906,8 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
         "singular is excluded)",
     )
     chaos.add_argument("--shards", type=int, default=4)
-    chaos.add_argument("--pooling-requests", type=int, default=300)
-    chaos.add_argument("--requests", type=int, default=120)
+    chaos.add_argument("--pooling-requests", type=_positive_int, default=300)
+    chaos.add_argument("--requests", type=_positive_int, default=120)
     chaos.add_argument("--seed", type=int, default=1)
     chaos.add_argument(
         "--arrivals", default="poisson",

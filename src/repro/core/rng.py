@@ -37,7 +37,11 @@ trace modes.  Three rules make that hold:
    That is what lets a parallel sweep fork one process per
    configuration and still match the serial sweep byte for byte: no
    draw depends on *which process* or *in which order* a configuration
-   runs.
+   runs.  Per-table substreams are also what let
+   :meth:`~repro.requests.generator.RequestGenerator.table_totals` draw
+   its tables on concurrent threads: every stream is created in the
+   calling thread before the fan-out, and each is then owned by exactly
+   one task, so no draw depends on *which thread* draws it either.
 
 2. **Draw order within a substream is part of the schedule.**  Code
    draws from a substream in a deterministic order fixed by the replay

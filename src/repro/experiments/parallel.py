@@ -32,9 +32,9 @@ big host instead of serializing between stages.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
 
+from repro.core.host import usable_cpus
 from repro.experiments.configs import (
     ShardingConfiguration,
     build_plan,
@@ -43,6 +43,7 @@ from repro.experiments.configs import (
 from repro.experiments.runner import (
     RunResult,
     SuiteSettings,
+    _env_positive_int,
     _mix_sweep_context,
     run_configuration,
     run_mix_configuration,
@@ -57,11 +58,13 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_SWEEP_WORKERS`` if set, else the CPU count."""
-    configured = os.environ.get(WORKERS_ENV)
-    if configured is not None:
-        return max(1, int(configured))
-    return max(1, os.cpu_count() or 1)
+    """Worker count: ``REPRO_SWEEP_WORKERS`` if set, else the usable CPUs.
+
+    The variable is validated like ``REPRO_REQUESTS``: a malformed or
+    non-positive value fails with a message naming it.  The CPU count is
+    the process's affinity mask (:func:`repro.core.host.usable_cpus`).
+    """
+    return _env_positive_int(WORKERS_ENV, usable_cpus())
 
 
 #: Per-worker sweep context: the shared (model, pooling, requests, serving,

@@ -583,6 +583,17 @@ class SuiteSettings:
     diurnal request-size modulation tracks the arrival curve instead of
     the default 5-day linspace window."""
 
+    def __post_init__(self) -> None:
+        if self.num_requests < 0:
+            raise ValueError(
+                "num_requests must be >= 1, or 0 for the REPRO_REQUESTS "
+                f"default, got {self.num_requests}"
+            )
+        if self.pooling_requests < 1:
+            raise ValueError(
+                f"pooling_requests must be >= 1, got {self.pooling_requests}"
+            )
+
     def resolved_requests(self) -> int:
         return self.num_requests or default_num_requests()
 

@@ -36,6 +36,13 @@ the scalar :meth:`RequestGenerator.generate` reference path (regression
 tested), while doing one RNG call per *table* instead of one per
 (request, table).
 
+The same property lets :meth:`RequestGenerator.table_totals` (the
+pooling-factor sample) cut each item-scoped table's draw into fixed-size
+chunks -- consecutive ``poisson(size=a)`` and ``poisson(size=b)`` calls
+consume a stream exactly like one ``poisson(size=a + b)`` -- and, since
+no table's streams are shared with another's, draw the tables
+concurrently on every usable CPU and still return the same bits.
+
 The same bulk-draw-equals-scalar-draws property is what the
 ``vectorized`` replay kernel leans on one layer up: a sweep generates
 its request sample once (``suite_requests``), and the columnar plan
@@ -46,13 +53,16 @@ draws never interleave, so kernels can vectorize each independently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.core.dlrm import NumericRequest, SparseInput
+from repro.core.host import usable_cpus
 from repro.core.rng import substream
-from repro.models.config import FeatureScope, ModelConfig
+from repro.models.config import FeatureScope, ModelConfig, TableConfig
 
 _DAY_SECONDS = 86_400.0
 
@@ -268,28 +278,81 @@ class RequestGenerator:
         Equivalent to summing ``draw.total_ids`` over
         :meth:`generate_many`'s output, without materializing any
         :class:`Request` -- the fast path for pooling-factor estimation.
+
+        Tables are drawn concurrently on :func:`usable_cpus` threads
+        (inline when there is one): numpy fills arrays with the GIL
+        released, and each table draws only from its own substreams, so
+        no result depends on which thread draws it or when.  Every
+        substream is resolved here, in the calling thread, before the
+        fan-out (``_rng`` mutates the stream dict); totals are collected
+        in table order.
+
+        Item-scoped tables draw in chunks of ``_POOLING_CHUNK`` and sum
+        the chunks as exact integers.  ``poisson(size=a)`` followed by
+        ``poisson(size=b)`` consumes a stream exactly like one
+        ``poisson(size=a + b)`` -- the bulk-equals-scalar property of
+        the draw scheme -- so chunk boundaries (which fall mid-request)
+        change no draw, and peak memory stays flat in the sample size.
         """
         timestamps = np.linspace(0.0, window_days * _DAY_SECONDS, count, endpoint=False)
-        num_items = self._bulk_items(timestamps)
-        totals: dict[str, float] = {}
+        total_items = int(self._bulk_items(timestamps).sum())
+        tasks = []
         for table in self.model.tables:
             name = table.name
             if table.scope is FeatureScope.USER:
-                activated = (
-                    self._rng(name, "activation").random(size=count)
-                    < table.activation_prob
+                counts_rng = (
+                    None if table.deterministic_ids else self._rng(name, "counts")
                 )
-                if table.deterministic_ids:
-                    fixed = max(1, int(round(table.mean_ids)))
-                    totals[name] = float(fixed * int(activated.sum()))
-                else:
-                    counts = self._rng(name, "counts").poisson(table.mean_ids, size=count)
-                    totals[name] = float(counts[activated].sum())
+                tasks.append(partial(
+                    _user_total, table, count, self._rng(name, "activation"), counts_rng
+                ))
             else:
                 rate = table.activation_prob * table.mean_ids
-                flat = self._rng(name, "per-item").poisson(rate, size=int(num_items.sum()))
-                totals[name] = float(flat.sum())
-        return totals
+                tasks.append(partial(
+                    _item_total, self._rng(name, "per-item"), rate, total_items
+                ))
+        workers = min(usable_cpus(), len(tasks))
+        if workers <= 1:
+            values = [task() for task in tasks]
+        else:
+            # Imported here, not at module level: concurrent.futures pulls
+            # in logging (~10 ms), which every importer would otherwise
+            # pay at start-up.
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                values = list(pool.map(operator.call, tasks))
+        return {table.name: value for table, value in zip(self.model.tables, values)}
+
+
+#: Draws per ``poisson`` call when :meth:`RequestGenerator.table_totals`
+#: sums an item-scoped table: bounds each thread's scratch array at
+#: 64 KiB however many requests are sampled.
+_POOLING_CHUNK = 8192
+
+
+def _user_total(
+    table: TableConfig,
+    count: int,
+    activation_rng: np.random.Generator,
+    counts_rng: np.random.Generator | None,
+) -> float:
+    """Ids one USER-scoped table contributes over ``count`` requests."""
+    activated = activation_rng.random(size=count) < table.activation_prob
+    if counts_rng is None:
+        fixed = max(1, int(round(table.mean_ids)))
+        return float(fixed * int(activated.sum()))
+    counts = counts_rng.poisson(table.mean_ids, size=count)
+    return float(counts[activated].sum())
+
+
+def _item_total(rng: np.random.Generator, rate: float, size: int) -> float:
+    """Sum of ``size`` Poisson(``rate``) draws, drawn chunk by chunk."""
+    chunk = _POOLING_CHUNK
+    total = 0
+    for start in range(0, size, chunk):
+        total += int(rng.poisson(rate, size=min(chunk, size - start)).sum())
+    return float(total)
 
 
 def request_payload_bytes(model: ModelConfig, request: Request) -> float:

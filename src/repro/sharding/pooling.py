@@ -7,6 +7,15 @@ observing the number of lookups per table".  This module reproduces that
 estimator: it draws requests from the model's request generator and sums
 observed ids per table, giving Table-II-scale aggregate pooling factors.
 
+The sum comes from
+:meth:`~repro.requests.generator.RequestGenerator.table_totals`, which
+never materializes a request: it draws each table from its own
+substreams, item-scoped tables in fixed-size chunks summed as exact
+integers, with the tables spread over a thread pool sized to the usable
+CPUs.  Neither the chunking nor the threading moves a draw, so the
+estimate is bit-identical to summing the generated requests, on any
+number of CPUs.
+
 Estimates are memoized per (model tables/profile, num_requests, seed):
 the suite runner and the benchmark conftest ask for the same estimate for
 every serving variant of a model, and the sampling itself is pure.

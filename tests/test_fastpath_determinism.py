@@ -6,10 +6,13 @@ The fast path must be *exactly* the slow path, faster:
   must draw identical requests from the same seed;
 * a parallel sweep must be byte-identical to a serial one (same e2e/cpu
   arrays, same attribution stacks) for the same settings;
-* pooling-factor memoization must not change estimates;
+* the pooling-factor sample must be the same bits on any thread count
+  and chunk size, and memoization must not change estimates;
 * columnar ``RunResult`` storage must agree with the retained
   per-request attributions.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from repro.experiments import (
     run_suite,
     run_suite_parallel,
 )
-from repro.models import drm1, drm3
+import repro.requests.generator as generator_module
+from repro.core.rng import substream
+from repro.models import FeatureScope, drm1, drm2, drm3
 from repro.requests import RequestGenerator
 from repro.requests.generator import _DAY_SECONDS
 from repro.serving import ServingConfig
@@ -68,8 +73,9 @@ class TestGeneratorEquivalence:
             RequestGenerator(model, seed=7).generate_many(30),
         )
 
-    def test_table_totals_matches_generated_requests(self):
-        model = drm1()
+    @pytest.mark.parametrize("model_factory", [drm1, drm2, drm3])
+    def test_table_totals_matches_generated_requests(self, model_factory):
+        model = model_factory()
         totals = RequestGenerator(model, seed=5).table_totals(40)
         requests = RequestGenerator(model, seed=5).generate_many(40)
         observed = {table.name: 0.0 for table in model.tables}
@@ -77,6 +83,50 @@ class TestGeneratorEquivalence:
             for draw in request.draws.values():
                 observed[draw.table_name] += draw.total_ids
         assert totals == observed
+        assert list(totals) == [table.name for table in model.tables]
+
+
+class TestThreadedPoolingSample:
+    """``table_totals`` fans tables out over threads and chunks the
+    item-scoped draws; neither may move a bit of the result."""
+
+    @pytest.mark.parametrize("model_factory", [drm1, drm2, drm3])
+    def test_identical_on_any_worker_count(self, model_factory, monkeypatch):
+        """1 runs inline, 2 is the benchmark host, 8 oversubscribes it;
+        a short switch interval makes the threads interleave densely."""
+        model = model_factory()
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(generator_module, "usable_cpus", lambda w=workers: w)
+                results[workers] = RequestGenerator(model, seed=11).table_totals(300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[1] == results[2] == results[8]
+        assert list(results[1]) == list(results[2]) == list(results[8])
+
+    def test_chunked_draw_matches_one_unchunked_draw(self, monkeypatch):
+        """A chunk size of 7 puts chunk boundaries mid-request; the sum
+        still equals one ``poisson(size=N)`` draw from a fresh stream,
+        and leaves the stream exactly where that draw leaves it."""
+        model = drm1()
+        count, seed = 12, 13
+        monkeypatch.setattr(generator_module, "_POOLING_CHUNK", 7)
+        generator = RequestGenerator(model, seed=seed)
+        totals = generator.table_totals(count)
+        timestamps = np.linspace(0.0, 5.0 * _DAY_SECONDS, count, endpoint=False)
+        size = int(RequestGenerator(model, seed=seed)._bulk_items(timestamps).sum())
+        assert size % 7 != 0
+        item_tables = [t for t in model.tables if t.scope is FeatureScope.ITEM]
+        assert item_tables
+        for table in item_tables:
+            rng = substream(seed, "requests", model.name, table.name, "per-item")
+            rate = table.activation_prob * table.mean_ids
+            assert totals[table.name] == float(rng.poisson(rate, size=size).sum())
+            drawn = generator._rng(table.name, "per-item")
+            assert drawn.bit_generator.state == rng.bit_generator.state
 
 
 class TestPoolingMemoization:

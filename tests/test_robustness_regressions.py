@@ -1,6 +1,7 @@
 """Regression tests for runner/replayer edge cases fixed alongside the
-trace-mode fast path: empty-run per-shard means, REPRO_REQUESTS
-validation, replay-schedule seeding, and the degenerate behaviors of the
+trace-mode fast path: empty-run per-shard means, REPRO_REQUESTS /
+REPRO_SWEEP_WORKERS / SuiteSettings / CLI request-count validation,
+replay-schedule seeding, and the degenerate behaviors of the
 median-window stack means.
 """
 
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.quantiles import median_window_mean, median_window_mean_columns
-from repro.experiments import default_num_requests
+from repro.cli import main
+from repro.core.host import usable_cpus
+from repro.experiments import SuiteSettings, default_num_requests, default_workers
+from repro.experiments.parallel import WORKERS_ENV
 from repro.experiments.runner import REQUESTS_ENV, RunResult
 from repro.models import drm1
 from repro.requests import ReplaySchedule
@@ -58,6 +62,63 @@ class TestDefaultNumRequests:
         monkeypatch.setenv(REQUESTS_ENV, bad)
         with pytest.raises(ValueError, match=f"{REQUESTS_ENV} must be >= 1"):
             default_num_requests()
+
+
+class TestDefaultWorkers:
+    def test_default_is_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        assert default_workers() == usable_cpus() >= 1
+
+    def test_valid_value(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        assert default_workers() == 3
+
+    @pytest.mark.parametrize("bad", ["", "two", "1.5"])
+    def test_malformed_value_names_variable_and_value(self, monkeypatch, bad):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        with pytest.raises(ValueError, match=WORKERS_ENV) as excinfo:
+            default_workers()
+        assert repr(bad) in str(excinfo.value)
+
+    @pytest.mark.parametrize("bad", ["0", "-2"])
+    def test_non_positive_rejected(self, monkeypatch, bad):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV} must be >= 1"):
+            default_workers()
+
+
+class TestRequestCountValidation:
+    @pytest.mark.parametrize("bad", [-1, -3])
+    def test_negative_num_requests_rejected(self, bad):
+        with pytest.raises(ValueError, match="num_requests must be >= 1"):
+            SuiteSettings(num_requests=bad)
+
+    @pytest.mark.parametrize("bad", [0, -5])
+    def test_non_positive_pooling_requests_rejected(self, bad):
+        with pytest.raises(ValueError, match="pooling_requests must be >= 1"):
+            SuiteSettings(pooling_requests=bad)
+
+    def test_zero_num_requests_keeps_env_default(self, monkeypatch):
+        monkeypatch.setenv(REQUESTS_ENV, "17")
+        assert SuiteSettings(num_requests=0).resolved_requests() == 17
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--model", "DRM3", "--requests", "-3"],
+            ["suite", "--model", "DRM3", "--requests", "0"],
+            ["simulate", "--requests", "ten"],
+            ["plan", "--models", "DRM1", "--pooling-requests", "0"],
+            ["chaos", "--requests", "-1"],
+            ["shard", "--pooling-requests", "-7"],
+        ],
+    )
+    def test_cli_rejects_non_positive_counts(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "requests" in err and argv[-1] in err
 
 
 class TestReplayScheduleSeeding:
