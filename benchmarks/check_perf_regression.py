@@ -102,10 +102,14 @@ def measure_fresh(
     fresh: dict[str, float] = {}
 
     def suite_rps(suite_settings) -> float:
+        # One worker: the guarded entries are serial sweeps, so the
+        # trajectory stays comparable whatever the host's CPU count.
         nonlocal simulated
-        results = run_suite(model, suite_settings)
+        results = run_suite(model, suite_settings, max_workers=1)
         simulated = sum(len(result) for result in results.values())
-        return simulated / _best_of(lambda: run_suite(model, suite_settings))
+        return simulated / _best_of(
+            lambda: run_suite(model, suite_settings, max_workers=1)
+        )
 
     if "sweep" in entries:
         fresh["sweep"] = suite_rps(settings(trace_mode=TraceMode.FULL))
@@ -161,6 +165,7 @@ def measure_fresh(
                     rpc_timeout=5e-3, max_attempts=3, hedge_quantile=95.0
                 ),
                 settings=settings(),
+                max_workers=1,
             )
 
         resilience_once()  # warm

@@ -1,8 +1,8 @@
 """Simulation fast-path throughput benchmark (``BENCH_throughput.json``).
 
 Times the stages the fast path optimized -- request generation, the DES
-sweep in both trace modes, the parallel sweep runner, a co-located
-diurnal ``WorkloadMix`` sweep in AGGREGATE mode, and a closed-loop
+sweep in both trace modes, that sweep over the host's workers, a
+co-located diurnal ``WorkloadMix`` sweep in AGGREGATE mode, and a closed-loop
 ``CapacityPlanner`` search over that mix -- and records
 simulated-requests-per-second into ``results/BENCH_throughput.json`` via
 :func:`repro.analysis.bench.record_benchmark`.  CI uploads the JSON as an
@@ -58,7 +58,6 @@ from repro.experiments import (
     run_configuration,
     run_mix_suite,
     run_suite,
-    run_suite_parallel,
     suite_requests,
 )
 from repro.experiments.runner import default_chunk_size
@@ -181,7 +180,9 @@ def test_perf_throughput(bench_dir):
     estimate_pooling_factors(
         model, num_requests=settings.pooling_requests, seed=settings.pooling_seed
     )
-    serial_results, serial_s = _time(lambda: run_suite(model, settings))
+    serial_results, serial_s = _time(
+        lambda: run_suite(model, settings, max_workers=1)
+    )
     simulated = sum(len(result) for result in serial_results.values())
     serial_rps = simulated / serial_s
     assert simulated == BENCH_REQUESTS * len(serial_results)
@@ -190,20 +191,22 @@ def test_perf_throughput(bench_dir):
     # columns must be bit-identical to full tracing (spot-checked here;
     # exhaustively regression-tested in tests/test_trace_modes.py).
     aggregate_results, aggregate_s = _time(
-        lambda: run_suite(model, aggregate_settings)
+        lambda: run_suite(model, aggregate_settings, max_workers=1)
     )
     aggregate_rps = simulated / aggregate_s
     for label, full_result in serial_results.items():
         assert np.array_equal(full_result.e2e, aggregate_results[label].e2e)
         assert np.array_equal(full_result.cpu, aggregate_results[label].cpu)
 
-    # 4. Parallel sweep runner (worker count depends on the host).
+    # 4. The same sweep fanned out over the host's workers (the default
+    # every sweep takes; the serial rungs pin one worker so their
+    # trajectories stay comparable across commits).
     workers = default_workers()
     parallel_settings = (
         aggregate_settings if trace_mode is TraceMode.AGGREGATE else settings
     )
     parallel_results, parallel_s = _time(
-        lambda: run_suite_parallel(model, parallel_settings, max_workers=workers)
+        lambda: run_suite(model, parallel_settings, max_workers=workers)
     )
     parallel_rps = simulated / parallel_s
     assert list(parallel_results) == list(serial_results)
@@ -230,7 +233,9 @@ def test_perf_throughput(bench_dir):
         ShardingConfiguration("NSBP", 8),
     )
     mix_results, mix_s = _time(
-        lambda: run_mix_suite(mix, aggregate_settings, mix_configurations)
+        lambda: run_mix_suite(
+            mix, aggregate_settings, mix_configurations, max_workers=1
+        )
     )
     mix_simulated = sum(len(result) for result in mix_results.values())
     mix_rps = mix_simulated / mix_s
@@ -249,7 +254,7 @@ def test_perf_throughput(bench_dir):
         space=CandidateSpace(configurations=mix_configurations),
         settings=aggregate_settings,
     )
-    plan_result, plan_s = _time(lambda: planner.plan(mix))
+    plan_result, plan_s = _time(lambda: planner.plan(mix, max_workers=1))
     plan_simulated = 2 * BENCH_REQUESTS * len(mix_configurations)
     plan_rps = plan_simulated / plan_s
     # Feasibility depends on tail estimates, which tighten with
@@ -275,6 +280,7 @@ def test_perf_throughput(bench_dir):
             (HostCrash(shard=0, at=0.1),),
             replica_counts=chaos_replicas,
             settings=aggregate_settings,
+            max_workers=1,
         )
     )
     chaos_simulated = BENCH_REQUESTS * (len(chaos_replicas) + 1)
@@ -305,6 +311,7 @@ def test_perf_throughput(bench_dir):
                 rpc_timeout=5e-3, max_attempts=3, hedge_quantile=95.0
             ),
             settings=aggregate_settings,
+            max_workers=1,
         )
     )
     resilience_simulated = BENCH_REQUESTS * (len(resilience_replicas) + 1)
@@ -332,13 +339,15 @@ def test_perf_throughput(bench_dir):
         trace_mode=TraceMode.AGGREGATE,
         kernel="batched",
     )
-    batched_results, batched_s = _time(lambda: run_suite(model, batched_settings))
+    batched_results, batched_s = _time(
+        lambda: run_suite(model, batched_settings, max_workers=1)
+    )
     batched_rps = simulated / batched_s
     for label, agg_result in aggregate_results.items():
         assert np.array_equal(agg_result.e2e, batched_results[label].e2e)
         assert np.array_equal(agg_result.cpu, batched_results[label].cpu)
     batched_parallel_results, batched_parallel_s = _time(
-        lambda: run_suite_parallel(model, batched_settings, max_workers=workers)
+        lambda: run_suite(model, batched_settings, max_workers=workers)
     )
     batched_parallel_rps = simulated / batched_parallel_s
     assert list(batched_parallel_results) == list(batched_results)
@@ -364,7 +373,7 @@ def test_perf_throughput(bench_dir):
         kernel="vectorized",
     )
     vectorized_results, vectorized_suite_s = _time(
-        lambda: run_suite(model, vectorized_settings)
+        lambda: run_suite(model, vectorized_settings, max_workers=1)
     )
     vectorized_rps = simulated / vectorized_suite_s
     for label, result in vectorized_results.items():
@@ -373,7 +382,7 @@ def test_perf_throughput(bench_dir):
         assert np.array_equal(batched_results[label].e2e, result.e2e)
         assert np.array_equal(batched_results[label].cpu, result.cpu)
     vectorized_parallel_results, vectorized_parallel_s = _time(
-        lambda: run_suite_parallel(model, vectorized_settings, max_workers=workers)
+        lambda: run_suite(model, vectorized_settings, max_workers=workers)
     )
     vectorized_parallel_rps = simulated / vectorized_parallel_s
     assert list(vectorized_parallel_results) == list(vectorized_results)

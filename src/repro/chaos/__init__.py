@@ -15,8 +15,8 @@ crash mid-replay, shards straggle, and the network spikes.
 * :mod:`repro.chaos.availability` -- availability/SLO-retention reports
   and arrival-binned timelines;
 * :mod:`repro.chaos.experiment` -- replica sweeps under a fault suite
-  (:func:`~repro.chaos.experiment.availability_sweep`), serial or
-  parallel, byte-identical either way.
+  (:func:`~repro.chaos.experiment.availability_sweep`), fanned out over
+  worker processes, byte-identical for every worker count.
 
 Determinism contract (see :mod:`repro.core.rng`): every chaos random
 draw comes from dedicated ``substream(seed, "chaos", ...)`` substreams

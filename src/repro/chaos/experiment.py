@@ -11,9 +11,9 @@ directly: ``assessment.replicas_for(0.999)``.
 Determinism: the request stream is sampled once in the parent and shared
 by every replica count; each replay's RNG substreams are pure functions
 of (seed, configuration), and chaos draws use dedicated substreams -- so
-a parallel sweep (fork pool, one process per cluster replay: the healthy
-baseline and every replica count together) is byte-identical to the
-serial one, exactly like the suite runners in
+the sweep (fork pool, one process per cluster replay: the healthy
+baseline and every replica count together) is byte-identical for every
+worker count, exactly like the suite runners on
 :mod:`repro.experiments.parallel`.
 """
 
@@ -34,7 +34,7 @@ from repro.chaos.faults import FaultExperiment, FaultSchedule, HealingPolicy
 if TYPE_CHECKING:
     from repro.resilience.policy import ResiliencePolicy
 from repro.experiments.configs import ShardingConfiguration, build_plan
-from repro.experiments.parallel import run_cluster_tasks
+from repro.experiments.parallel import run_cluster_tasks, worker_context
 from repro.experiments.runner import (
     RunResult,
     SuiteSettings,
@@ -162,10 +162,7 @@ def _as_mix(workload: Workload | WorkloadMix) -> WorkloadMix:
 
 def _replay_healthy(_item: None) -> RunResult:
     """Worker body: the no-fault baseline replay (also in-process)."""
-    from repro.experiments.parallel import _WORKER_CONTEXT
-
-    assert _WORKER_CONTEXT is not None
-    mix, plans, stream, serving = _WORKER_CONTEXT[:4]
+    mix, plans, stream, serving = worker_context()[:4]
     return run_mix_configuration(mix, plans, stream, serving)
 
 
@@ -176,13 +173,10 @@ def _replay_chaos(replicas: int) -> RunResult:
     computed in the parent, because the SLO it is measured against may
     itself derive from the healthy baseline running in the same pool.
     """
-    from repro.experiments.parallel import _WORKER_CONTEXT
-
-    assert _WORKER_CONTEXT is not None
     (
         mix, plans, stream, serving, experiments, failover_timeout,
         healing, domains, placement, policy,
-    ) = _WORKER_CONTEXT
+    ) = worker_context()
     schedule = FaultSchedule(
         experiments=experiments,
         replicas=replicas,
@@ -212,7 +206,6 @@ def availability_sweep(
     slo_latency: float | None = None,
     slo_slack: float = 1.5,
     window: float = 0.5,
-    parallel: bool = False,
     max_workers: int | None = None,
 ) -> AvailabilityAssessment:
     """Sweep replica counts under one fault suite; measure SLO retention.
@@ -228,14 +221,14 @@ def availability_sweep(
     derivation never shifts; a policy with ``hedge_quantile`` set is
     resolved here to that percentile of the healthy replay's per-request
     embedded-window totals (the tail-at-scale recipe: hedge when the
-    sparse fan-out is slower than its usual pXX).  With
-    ``parallel=True`` every cluster replay -- the healthy baseline *and*
-    the per-replica-count faulted replays -- fans out over one shared
-    fork pool (:func:`repro.experiments.parallel.run_cluster_tasks`),
-    byte-identically to the serial sweep: the workers return raw
-    :class:`RunResult` objects and the parent derives the SLO and the
-    availability reports afterwards, so result values never depend on
-    scheduling.
+    sparse fan-out is slower than its usual pXX).  Every cluster replay
+    -- the healthy baseline *and* the per-replica-count faulted replays
+    -- fans out over one shared pool of ``max_workers`` processes
+    (:func:`repro.experiments.parallel.run_cluster_tasks`, default: the
+    usable CPUs), byte-identically for every worker count: the workers
+    return raw :class:`RunResult` objects and the parent derives the SLO
+    and the availability reports afterwards, so result values never
+    depend on scheduling.
     """
     if not replica_counts:
         raise ValueError("replica_counts must name at least one count")
@@ -268,7 +261,6 @@ def availability_sweep(
     ]
 
     counts = tuple(int(count) for count in replica_counts)
-    workers = max_workers if parallel else 1
     base_context = (
         mix, plans, stream, serving, tuple(experiments), failover_timeout,
         healing, int(domains), placement,
@@ -278,10 +270,10 @@ def availability_sweep(
         # Resolve the hedge trigger against the healthy baseline first:
         # the faulted replays need the concrete delay, so the healthy
         # replay runs in its own batch ahead of them.  Each replay is a
-        # pure function of its inputs, so the split keeps serial and
-        # parallel sweeps byte-identical.
+        # pure function of its inputs, so the split keeps the sweep
+        # byte-identical for every worker count.
         healthy = run_cluster_tasks(
-            [(_replay_healthy, None)], base_context + (None,), workers
+            [(_replay_healthy, None)], base_context + (None,), max_workers
         )[0]
         policy = policy.with_hedge_delay(
             float(
@@ -291,12 +283,12 @@ def availability_sweep(
         replays = [healthy] + run_cluster_tasks(
             [(_replay_chaos, count) for count in counts],
             base_context + (policy,),
-            workers,
+            max_workers,
         )
     else:
         tasks = [(_replay_healthy, None)]
         tasks += [(_replay_chaos, count) for count in counts]
-        replays = run_cluster_tasks(tasks, base_context + (policy,), workers)
+        replays = run_cluster_tasks(tasks, base_context + (policy,), max_workers)
 
     healthy = replays[0]
     baseline_p99 = float(np.percentile(healthy.e2e, 99.0))

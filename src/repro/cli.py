@@ -62,7 +62,6 @@ from repro.lint import (
     render_text,
 )
 from repro.experiments.configs import ShardingConfiguration, build_plan
-from repro.experiments.parallel import run_suite_parallel
 from repro.experiments.runner import (
     mix_stream,
     run_configuration,
@@ -92,7 +91,7 @@ from repro.workloads import (
 
 
 def _positive_int(raw: str) -> int:
-    """argparse type for request counts: an integer >= 1."""
+    """argparse type for counts (requests, workers): an integer >= 1."""
     try:
         value = int(raw)
     except ValueError:
@@ -134,6 +133,15 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
         "every other run takes the 'batched' DES.  'batched' and "
         "'reference' (the heap-only event loop) force one DES -- results "
         "are bit-identical (tests/test_kernel_equivalence.py)",
+    )
+
+
+def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers", type=_positive_int, default=None,
+        help="worker-process cap for the sweep's cluster replays (default: "
+        "REPRO_SWEEP_WORKERS, else the usable CPUs); output is "
+        "byte-identical for every count, and 1 replays in-process",
     )
 
 
@@ -333,12 +341,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         kernel=args.kernel,
     )
 
-    def sweep():
-        if args.parallel or args.workers is not None:
-            return run_suite_parallel(model, settings, max_workers=args.workers)
-        return run_suite(model, settings)
-
-    if getattr(args, "profile", False):
+    if args.profile:
         import cProfile
         import pstats
         import time
@@ -347,7 +350,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
         start = time.perf_counter()  # detlint: disable=DET003 -- profiling host wall time, not simulated time
         profiler.enable()
         try:
-            results = sweep()
+            # One worker, so the profile sees the replay, not a pool wait.
+            results = run_suite(model, settings, max_workers=1)
         finally:
             profiler.disable()
         elapsed = time.perf_counter() - start  # detlint: disable=DET003 -- profiling host wall time, not simulated time
@@ -355,7 +359,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats("cumulative").print_stats(25)
     else:
-        results = sweep()
+        results = run_suite(model, settings, max_workers=args.workers)
     base = results[SINGULAR]
     rows = []
     for label, result in results.items():
@@ -520,11 +524,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         ),
         slack=args.slack,
     )
-    plan = planner.plan(
-        mix,
-        parallel=args.parallel or args.workers is not None,
-        max_workers=args.workers,
-    )
+    plan = planner.plan(mix, max_workers=args.workers)
     print(
         f"SLA window: {plan.policy.target_latency * 1e3:.3f} ms "
         + ("(explicit)" if args.target_ms else f"(singular P99 x {args.slack})")
@@ -574,7 +574,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
             domains=args.domains,
             placement=args.placement,
             policy=_resilience_policy(args),
-            parallel=args.parallel or args.workers is not None,
             max_workers=args.workers,
         )
         print(
@@ -653,7 +652,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         slo_latency=args.slo_ms / 1e3 if args.slo_ms else None,
         slo_slack=args.slack,
         window=args.window,
-        parallel=args.parallel or args.workers is not None,
         max_workers=args.workers,
     )
     title = (
@@ -707,8 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Capacity-driven scale-out recommendation inference (ISPASS 2021 reproduction)",
         epilog="Every verb above replays deterministically: identical "
-        "inputs give byte-identical results across serial/parallel "
-        "sweeps, trace modes, and chaos baselines (the contract in "
+        "inputs give byte-identical results across --workers counts, "
+        "trace modes, and chaos baselines (the contract in "
         "repro/core/rng.py).  'repro lint' enforces that contract "
         "statically -- run it (like CI does, next to 'repro plan' and "
         "'repro chaos' smokes) before landing changes to simulation, "
@@ -746,21 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--seed", type=int, default=1)
     _add_trace_mode_argument(suite)
     _add_kernel_argument(suite)
-    suite.add_argument(
-        "--parallel", action="store_true",
-        help="fan configurations out over worker processes "
-        "(identical results to the serial sweep)",
-    )
-    suite.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-process cap; implies --parallel (default: CPU count "
-        "or REPRO_SWEEP_WORKERS)",
-    )
+    _add_workers_argument(suite)
     suite.add_argument(
         "--profile", action="store_true",
         help="profile the sweep with cProfile and print the top 25 "
         "functions by cumulative time to stderr (results are unchanged; "
-        "profiling only observes the host process)",
+        "the sweep runs on one worker so the profile sees the replay)",
     )
     suite.set_defaults(func=cmd_suite)
 
@@ -875,15 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate utilization ceilings, headroom-first (ties resolve "
         "toward the first listed)",
     )
-    plan.add_argument(
-        "--parallel", action="store_true",
-        help="evaluate candidate configurations over worker processes "
-        "(identical plan to the serial search)",
-    )
-    plan.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-process cap; implies --parallel",
-    )
+    _add_workers_argument(plan)
     plan.add_argument(
         "--assess-availability", action="store_true",
         help="after choosing a plan, re-simulate it under a chaos suite "
@@ -1003,12 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_mode_argument(chaos)
     _add_kernel_argument(chaos)
-    chaos.add_argument(
-        "--parallel", action="store_true",
-        help="fan replica counts out over worker processes "
-        "(byte-identical to the serial sweep)",
-    )
-    chaos.add_argument("--workers", type=int, default=None)
+    _add_workers_argument(chaos)
     chaos.add_argument(
         "--report", default=None,
         help="also write the availability report to this path",

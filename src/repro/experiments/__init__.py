@@ -9,10 +9,13 @@ Sizing and throughput knobs
   samples to stabilize; the simulation fast path (vectorized request
   generation, the DES plain-delay yield, columnar ``RunResult`` storage)
   exists so raising this knob is cheap.
-* ``REPRO_SWEEP_WORKERS`` -- worker processes for
-  :func:`~repro.experiments.parallel.run_suite_parallel`, which fans the
-  configuration matrix out over ``multiprocessing`` and is byte-identical
-  to the serial :func:`~repro.experiments.runner.run_suite`.
+* ``REPRO_SWEEP_WORKERS`` -- worker-process cap for every configuration
+  sweep (default: the usable CPUs).  :func:`run_suite`,
+  :func:`run_mix_suite`, the capacity planner and the availability sweep
+  all fan their cluster replays out over one ``multiprocessing`` pool
+  (:func:`~repro.experiments.parallel.run_cluster_tasks`); results are
+  byte-identical for every worker count, and ``max_workers=1`` (or the
+  CLI's ``--workers 1``) replays in-process.
 * ``SuiteSettings.trace_mode`` / ``ServingConfig.trace_mode`` --
   :class:`~repro.tracing.aggregate.TraceMode.AGGREGATE` runs sweeps with
   the span-free tracer: identical e2e/cpu/stack *and per-shard demand*
@@ -27,7 +30,7 @@ Sizing and throughput knobs
 * ``SuiteSettings.arrivals`` / ``repro.workloads`` -- any
   :class:`~repro.workloads.arrivals.ArrivalProcess` (diurnal, MMPP,
   constant-rate) can drive a classic suite; multi-model co-location runs
-  through :func:`run_mix_suite` / :func:`run_mix_suite_parallel` over a
+  through :func:`run_mix_suite` over a
   :class:`~repro.workloads.workload.WorkloadMix`, producing
   per-workload-labeled :class:`RunResult` columns in both trace modes.
 """
@@ -42,8 +45,6 @@ from repro.experiments.configs import (
 from repro.experiments.parallel import (
     default_workers,
     run_cluster_tasks,
-    run_mix_suite_parallel,
-    run_suite_parallel,
 )
 from repro.experiments.runner import (
     RunResult,
@@ -76,8 +77,6 @@ __all__ = [
     "run_mix_configuration",
     "run_mix_suite",
     "run_cluster_tasks",
-    "run_mix_suite_parallel",
     "run_suite",
-    "run_suite_parallel",
     "suite_requests",
 ]

@@ -9,11 +9,12 @@ and raw spans are freed, so full sweeps stay memory-bounded.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.host import env_positive_int
+from repro.experiments.parallel import run_cluster_tasks, worker_context
 from repro.models.config import ModelConfig
 from repro.requests.generator import Request, RequestGenerator
 from repro.requests.replayer import ReplayMode, ReplaySchedule
@@ -49,23 +50,6 @@ CHUNK_ENV = "REPRO_CHUNK"
 DEFAULT_CHUNK = 2048
 
 
-def _env_positive_int(env: str, default: int) -> int:
-    raw = os.environ.get(env)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{env} must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"{env} must be >= 1, got {raw!r}"
-        )
-    return value
-
-
 def default_num_requests() -> int:
     """Request count per configuration: ``REPRO_REQUESTS`` if set.
 
@@ -73,7 +57,7 @@ def default_num_requests() -> int:
     variable and the offending value, instead of a bare ``ValueError``
     surfacing from ``int()`` deep inside a sweep.
     """
-    return _env_positive_int(REQUESTS_ENV, DEFAULT_REQUESTS)
+    return env_positive_int(REQUESTS_ENV, DEFAULT_REQUESTS)
 
 
 def default_chunk_size() -> int:
@@ -82,7 +66,7 @@ def default_chunk_size() -> int:
     Validated exactly like ``REPRO_REQUESTS``.  Chunking changes only
     how many requests are columnarized per numpy pass, never the replay
     arithmetic, so any chunk size yields bit-identical results."""
-    return _env_positive_int(CHUNK_ENV, DEFAULT_CHUNK)
+    return env_positive_int(CHUNK_ENV, DEFAULT_CHUNK)
 
 
 class RunResult:
@@ -628,15 +612,31 @@ def suite_requests(model: ModelConfig, settings: SuiteSettings) -> list[Request]
     return generator.generate_many(count)
 
 
+def _replay_configuration(
+    configuration: ShardingConfiguration,
+) -> tuple[str, RunResult]:
+    """Sweep task: build one configuration's plan and replay it."""
+    model, pooling, requests, serving, schedule = worker_context()
+    plan = build_plan(model, configuration, pooling)
+    return plan.label, run_configuration(model, plan, requests, serving, schedule)
+
+
 def run_suite(
     model: ModelConfig,
     settings: SuiteSettings | None = None,
     configurations: tuple[ShardingConfiguration, ...] | None = None,
+    max_workers: int | None = None,
 ) -> dict[str, RunResult]:
     """Run the paper's configuration matrix for one model.
 
     Every configuration replays the *same* request sample (the paper's
-    replayer preprocesses and caches requests before sending).
+    replayer preprocesses and caches requests before sending): it is
+    generated, and the pooling factors estimated, once before the
+    configurations fan out over
+    :func:`~repro.experiments.parallel.run_cluster_tasks` -- ``max_workers``
+    processes, :func:`~repro.experiments.parallel.default_workers` when
+    None.  The result is byte-identical for every worker count and keeps
+    the configuration order.
     """
     settings = settings or SuiteSettings()
     configurations = configurations or paper_configurations(model.name)
@@ -644,15 +644,12 @@ def run_suite(
     pooling = estimate_pooling_factors(
         model, num_requests=settings.pooling_requests, seed=settings.pooling_seed
     )
-    serving = settings.resolved_serving()
-    schedule = settings.resolved_schedule()
-    results: dict[str, RunResult] = {}
-    for configuration in configurations:
-        plan = build_plan(model, configuration, pooling)
-        results[plan.label] = run_configuration(
-            model, plan, requests, serving, schedule
-        )
-    return results
+    context = (
+        model, pooling, requests,
+        settings.resolved_serving(), settings.resolved_schedule(),
+    )
+    tasks = [(_replay_configuration, config) for config in configurations]
+    return dict(run_cluster_tasks(tasks, context, max_workers))
 
 
 # -- multi-model workload mixes ----------------------------------------------
@@ -751,16 +748,34 @@ def mix_stream(mix: "WorkloadMix", settings: SuiteSettings) -> "MixedStream":
     return mix.sample(settings.resolved_requests())
 
 
-def _mix_sweep_context(
-    mix: "WorkloadMix",
-    settings: SuiteSettings | None,
-    configurations: tuple[ShardingConfiguration, ...] | None,
-):
-    """Shared sweep preamble of the serial and parallel mix runners.
+def _replay_mix_configuration(
+    configuration: ShardingConfiguration,
+) -> tuple[str, RunResult]:
+    """Sweep task: shard every tenant by one configuration, replay co-located."""
+    mix, poolings, stream, serving = worker_context()
+    plans = [
+        build_plan(workload.model, configuration, pooling)
+        for workload, pooling in zip(mix.workloads, poolings)
+    ]
+    result = run_mix_configuration(
+        mix, plans, stream, serving, label=configuration.label
+    )
+    return configuration.label, result
 
-    One definition on purpose: the serial == parallel identity holds only
-    while both runners default configurations, sample the stream, and
-    estimate poolings identically.
+
+def run_mix_suite(
+    mix: "WorkloadMix",
+    settings: SuiteSettings | None = None,
+    configurations: tuple[ShardingConfiguration, ...] | None = None,
+    max_workers: int | None = None,
+) -> dict[str, RunResult]:
+    """Run a configuration sweep for a co-located workload mix.
+
+    Each configuration is applied to *every* workload's model (so it must
+    be valid for all of them); every configuration replays the same
+    merged stream, sampled once before the fan-out, mirroring
+    :func:`run_suite` (``max_workers`` included).
+    ``settings.num_requests`` is the per-workload request count.
     """
     settings = settings or SuiteSettings()
     configurations = configurations or mix_configurations(
@@ -775,31 +790,6 @@ def _mix_sweep_context(
         )
         for workload in mix.workloads
     ]
-    return configurations, stream, poolings, settings.resolved_serving()
-
-
-def run_mix_suite(
-    mix: "WorkloadMix",
-    settings: SuiteSettings | None = None,
-    configurations: tuple[ShardingConfiguration, ...] | None = None,
-) -> dict[str, RunResult]:
-    """Run a configuration sweep for a co-located workload mix.
-
-    Each configuration is applied to *every* workload's model (so it must
-    be valid for all of them); every configuration replays the same
-    merged stream, mirroring :func:`run_suite`.  ``settings.num_requests``
-    is the per-workload request count.
-    """
-    configurations, stream, poolings, serving = _mix_sweep_context(
-        mix, settings, configurations
-    )
-    results: dict[str, RunResult] = {}
-    for configuration in configurations:
-        plans = [
-            build_plan(workload.model, configuration, pooling)
-            for workload, pooling in zip(mix.workloads, poolings)
-        ]
-        results[configuration.label] = run_mix_configuration(
-            mix, plans, stream, serving, label=configuration.label
-        )
-    return results
+    context = (mix, poolings, stream, settings.resolved_serving())
+    tasks = [(_replay_mix_configuration, config) for config in configurations]
+    return dict(run_cluster_tasks(tasks, context, max_workers))

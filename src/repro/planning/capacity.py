@@ -22,7 +22,7 @@ SLA under real traffic.  This module closes that loop:
    targets headroom-first makes ties resolve conservatively).
 
 The search is deterministic: identical inputs produce bit-identical
-plans across trace modes and across serial/parallel candidate
+plans across trace modes and across worker counts of the candidate
 evaluation (regression-tested).
 """
 
@@ -215,16 +215,16 @@ class CapacityPlanner:
     def plan(
         self,
         workload: "Workload | WorkloadMix",
-        parallel: bool = False,
         max_workers: int | None = None,
         results_sink: "dict[str, RunResult] | None" = None,
     ) -> MixPlan:
         """Run the closed loop: simulate, check SLA, size, choose.
 
-        ``parallel`` fans the candidate simulations out over worker
-        processes -- one process per simulated cluster, via the shared
-        :func:`repro.experiments.parallel.run_cluster_tasks` pool --
-        with byte-identical results, hence an identical plan.  Candidate
+        The candidate simulations fan out over ``max_workers`` worker
+        processes (default: the usable CPUs) -- one process per simulated
+        cluster, via :func:`~repro.experiments.runner.run_mix_suite` --
+        with byte-identical results, hence an identical plan, for every
+        worker count.  Candidate
         simulations are co-located open-loop mixes, outside the columnar
         path's eligible regime, so the default kernel runs them on the
         batched DES (the fallback and its reason are recorded on every
@@ -234,7 +234,6 @@ class CapacityPlanner:
         day-long elasticity sizing) without re-simulating.
         """
         from repro.experiments.configs import mix_configurations
-        from repro.experiments.parallel import run_mix_suite_parallel
         from repro.experiments.runner import SuiteSettings, run_mix_suite
         from repro.sharding.plan import SINGULAR
 
@@ -256,12 +255,9 @@ class CapacityPlanner:
         configurations = self.space.configurations or mix_configurations(
             tenant.model.name for tenant in mix.workloads
         )
-        if parallel:
-            results = run_mix_suite_parallel(
-                mix, settings, tuple(configurations), max_workers=max_workers
-            )
-        else:
-            results = run_mix_suite(mix, settings, tuple(configurations))
+        results = run_mix_suite(
+            mix, settings, tuple(configurations), max_workers=max_workers
+        )
         if results_sink is not None:
             results_sink.update(results)
 
@@ -321,7 +317,6 @@ class CapacityPlanner:
         placement: str = "spread",
         policy: "ResiliencePolicy | None" = None,
         window: float = 0.5,
-        parallel: bool = False,
         max_workers: int | None = None,
     ) -> "AvailabilityAssessment":
         """Re-simulate a chosen candidate under a chaos suite.
@@ -343,9 +338,9 @@ class CapacityPlanner:
         domain-aware replica layout the faulted replays use, and
         ``policy`` is a :class:`~repro.resilience.ResiliencePolicy`
         applied to the faulted replays only (a ``hedge_quantile`` is
-        resolved against the healthy baseline).  With ``parallel=True``
-        the healthy baseline replay and every replica-count replay run
-        as one pooled batch of cluster simulations.
+        resolved against the healthy baseline).  The healthy baseline
+        replay and every replica-count replay run as one pooled batch of
+        cluster simulations over ``max_workers`` processes.
         """
         from repro.chaos.experiment import availability_sweep
         from repro.experiments.configs import mix_configurations
@@ -385,7 +380,6 @@ class CapacityPlanner:
             slo_latency=slo,
             slo_slack=self.slack,
             window=window,
-            parallel=parallel,
             max_workers=max_workers,
         )
 

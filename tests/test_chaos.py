@@ -392,6 +392,7 @@ class TestAvailabilitySweep:
             (HostCrash(shard=0, at=0.1),),
             replica_counts=(1, 2, 3),
             settings=SuiteSettings(num_requests=80, pooling_requests=100),
+            max_workers=1,
         )
 
     def test_slo_retention_monotone_in_replicas(self, assessment):
@@ -427,7 +428,6 @@ class TestAvailabilitySweep:
             (HostCrash(shard=0, at=0.1),),
             replica_counts=(1, 2, 3),
             settings=SuiteSettings(num_requests=80, pooling_requests=100),
-            parallel=True,
             max_workers=2,
         )
         for serial_out, parallel_out in zip(assessment.outcomes, parallel.outcomes):

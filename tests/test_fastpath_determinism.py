@@ -4,14 +4,16 @@ The fast path must be *exactly* the slow path, faster:
 
 * the vectorized bulk request generator and the scalar reference path
   must draw identical requests from the same seed;
-* a parallel sweep must be byte-identical to a serial one (same e2e/cpu
-  arrays, same attribution stacks) for the same settings;
+* a sweep must be byte-identical for every worker count (same e2e/cpu
+  arrays, same attribution stacks) for the same settings, including
+  the default count and a sweep started inside a pool worker;
 * the pooling-factor sample must be the same bits on any thread count
   and chunk size, and memoization must not change estimates;
 * columnar ``RunResult`` storage must agree with the retained
   per-request attributions.
 """
 
+import multiprocessing.pool
 import sys
 
 import numpy as np
@@ -19,9 +21,10 @@ import pytest
 
 from repro.experiments import (
     SuiteSettings,
+    paper_configurations,
     run_suite,
-    run_suite_parallel,
 )
+import repro.experiments.parallel as parallel_module
 import repro.requests.generator as generator_module
 from repro.core.rng import substream
 from repro.models import FeatureScope, drm1, drm2, drm3
@@ -149,13 +152,19 @@ class TestPoolingMemoization:
         assert a != b and a != c
 
 
+def _two_configuration_suite(max_workers):
+    """A sweep run from inside a pool worker (module level: pickled)."""
+    configurations = paper_configurations("DRM1")[:2]
+    return run_suite(drm1(), SETTINGS, configurations, max_workers=max_workers)
+
+
 class TestParallelSerialIdentity:
     @pytest.fixture(scope="class")
     def serial_results(self):
-        return run_suite(drm1(), SETTINGS)
+        return run_suite(drm1(), SETTINGS, max_workers=1)
 
     def test_parallel_matches_serial_exactly(self, serial_results):
-        parallel_results = run_suite_parallel(drm1(), SETTINGS, max_workers=2)
+        parallel_results = run_suite(drm1(), SETTINGS, max_workers=2)
         assert list(parallel_results) == list(serial_results)
         for label, serial in serial_results.items():
             parallel = parallel_results[label]
@@ -175,10 +184,42 @@ class TestParallelSerialIdentity:
                 assert a.cpu_stack == b.cpu_stack
                 assert a.per_shard_op_time == b.per_shard_op_time
 
-    def test_in_process_fallback_matches(self, serial_results):
-        fallback = run_suite_parallel(drm1(), SETTINGS, max_workers=1)
+    def test_in_process_fallback_matches(self, serial_results, monkeypatch):
+        """``REPRO_SWEEP_WORKERS=1`` replays in-process: no pool is made."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker sweep created a pool")
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        monkeypatch.setenv(parallel_module.WORKERS_ENV, "1")
+        fallback = run_suite(drm1(), SETTINGS)
         for label, serial in serial_results.items():
             assert np.array_equal(serial.e2e, fallback[label].e2e), label
+
+    def test_default_workers_match_serial(self, serial_results, monkeypatch):
+        """The default (``max_workers=None``) fans out over the usable
+        CPUs -- two here -- and is byte-identical to one worker."""
+        monkeypatch.delenv(parallel_module.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
+        assert parallel_module.default_workers() == 2
+        default = run_suite(drm1(), SETTINGS)
+        assert list(default) == list(serial_results)
+        for label, serial in serial_results.items():
+            assert np.array_equal(serial.e2e, default[label].e2e), label
+            assert np.array_equal(serial.cpu, default[label].cpu), label
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="fork start method is Linux-only here"
+    )
+    def test_sweep_inside_a_pool_worker(self, serial_results):
+        """A daemonic pool worker may not fork: its sweep runs in-process
+        instead of dying, with the serial result."""
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            nested = pool.apply(_two_configuration_suite, (2,))
+        assert list(nested) == list(serial_results)[:2]
+        for label, result in nested.items():
+            assert np.array_equal(serial_results[label].e2e, result.e2e), label
+            assert np.array_equal(serial_results[label].cpu, result.cpu), label
 
 
 class TestColumnarRunResult:

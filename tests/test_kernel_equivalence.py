@@ -34,7 +34,6 @@ from repro.experiments import (
     run_configuration,
     run_mix_suite,
     run_suite,
-    run_suite_parallel,
 )
 from repro.experiments.runner import suite_requests
 from repro.models import drm1, drm2, drm3
@@ -221,8 +220,8 @@ class TestPaperConfigurationEquivalence:
         model = drm1()
         batched = settings(kernel="batched", trace_mode=TraceMode.AGGREGATE)
         assert_suites_identical(
-            run_suite(model, batched),
-            run_suite_parallel(model, batched, max_workers=2),
+            run_suite(model, batched, max_workers=1),
+            run_suite(model, batched, max_workers=2),
         )
 
 
@@ -303,8 +302,8 @@ class TestVectorizedEquivalence:
     def test_parallel_matches_serial(self):
         model = drm1()
         vectorized = settings(kernel="vectorized", trace_mode=TraceMode.AGGREGATE)
-        serial = run_suite(model, vectorized)
-        parallel = run_suite_parallel(model, vectorized, max_workers=2)
+        serial = run_suite(model, vectorized, max_workers=1)
+        parallel = run_suite(model, vectorized, max_workers=2)
         for result in parallel.values():
             assert result.kernel_used == "vectorized"
         assert_suites_identical(serial, parallel)

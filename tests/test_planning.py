@@ -307,10 +307,8 @@ class TestCapacityPlanner:
         mix = small_mix()
         return {
             "full": build(None).plan(mix),
-            "aggregate": build(TraceMode.AGGREGATE).plan(mix),
-            "parallel": build(TraceMode.AGGREGATE).plan(
-                mix, parallel=True, max_workers=2
-            ),
+            "aggregate": build(TraceMode.AGGREGATE).plan(mix, max_workers=1),
+            "parallel": build(TraceMode.AGGREGATE).plan(mix, max_workers=2),
         }
 
     def test_returns_a_feasible_sla_meeting_plan(self, planned):

@@ -303,12 +303,11 @@ class TestDeterminism:
         )
         serial = availability_sweep(
             workload, ShardingConfiguration("load-bal", 4),
-            (CorrelatedFailure(domain=0, at=0.05),), **kwargs,
+            (CorrelatedFailure(domain=0, at=0.05),), max_workers=1, **kwargs,
         )
         parallel = availability_sweep(
             workload, ShardingConfiguration("load-bal", 4),
-            (CorrelatedFailure(domain=0, at=0.05),),
-            parallel=True, max_workers=2, **kwargs,
+            (CorrelatedFailure(domain=0, at=0.05),), max_workers=2, **kwargs,
         )
         assert serial.slo_latency == parallel.slo_latency
         assert serial.policy == parallel.policy

@@ -1,6 +1,7 @@
 """Regression tests for runner/replayer edge cases fixed alongside the
 trace-mode fast path: empty-run per-shard means, REPRO_REQUESTS /
-REPRO_SWEEP_WORKERS / SuiteSettings / CLI request-count validation,
+REPRO_SWEEP_WORKERS / SuiteSettings / CLI request- and worker-count
+validation, the CLI profile's one-worker pin,
 replay-schedule seeding, and the degenerate behaviors of the
 median-window stack means.
 """
@@ -119,6 +120,25 @@ class TestRequestCountValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "requests" in err and argv[-1] in err
+
+    @pytest.mark.parametrize(
+        "verb", [["suite"], ["plan", "--models", "DRM1"], ["chaos"]]
+    )
+    @pytest.mark.parametrize("bad", ["0", "-4"])
+    def test_cli_rejects_non_positive_workers(self, verb, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*verb, "--workers", bad])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and bad in err
+
+
+def test_cli_profile_sees_the_replay(capsys):
+    """``--profile`` pins one worker, so cProfile sees the replay itself,
+    not a pool wait -- even when ``--workers`` asks for more."""
+    argv = ["suite", "--model", "DRM3", "--requests", "5", "--workers", "2"]
+    assert main([*argv, "--profile"]) == 0
+    assert "run_configuration" in capsys.readouterr().err
 
 
 class TestReplayScheduleSeeding:

@@ -11,7 +11,7 @@ consumption finishes.
 import numpy as np
 import pytest
 
-from repro.experiments import SuiteSettings, run_suite, run_suite_parallel
+from repro.experiments import SuiteSettings, run_suite
 from repro.models import drm1, drm2, drm3
 from repro.requests import RequestGenerator, ReplaySchedule
 from repro.serving import ClusterSimulation, ServingConfig, TraceMode
@@ -73,8 +73,8 @@ class TestAggregateEquivalence:
     def test_parallel_aggregate_matches_serial_aggregate(self):
         model = drm1()
         assert_results_identical(
-            run_suite(model, AGGREGATE),
-            run_suite_parallel(model, AGGREGATE, max_workers=2),
+            run_suite(model, AGGREGATE, max_workers=1),
+            run_suite(model, AGGREGATE, max_workers=2),
         )
 
     def test_aggregate_retains_no_attributions(self):

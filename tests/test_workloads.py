@@ -2,7 +2,7 @@
 
 Covers the refactor's compatibility contract (ReplaySchedule is a thin
 facade with byte-identical classic streams), arrival-stream determinism
-across rate spellings and across serial/parallel sweeps, stable mix
+across rate spellings and across sweep worker counts, stable mix
 merging, the FULL == AGGREGATE bit-for-bit guarantee for co-located
 multi-model runs (including the per-workload label column), and the
 correlated sparse-ID stream feeding the caching analysis.
@@ -22,9 +22,7 @@ from repro.experiments import (
     paper_configurations,
     run_mix_configuration,
     run_mix_suite,
-    run_mix_suite_parallel,
     run_suite,
-    run_suite_parallel,
     TraceMode,
 )
 from repro.experiments.configs import build_plan
@@ -197,11 +195,11 @@ class TestArrivalDeterminism:
         ids=["poisson", "diurnal"],
     )
     def test_suite_matches_parallel_suite(self, arrivals):
-        """Satellite: run_suite == run_suite_parallel under any process."""
+        """Satellite: one worker == two workers under any arrival process."""
         model = drm1()
         settings = dataclasses.replace(SETTINGS, arrivals=arrivals)
-        serial = run_suite(model, settings, TWO_CONFIGS)
-        parallel = run_suite_parallel(model, settings, TWO_CONFIGS, max_workers=2)
+        serial = run_suite(model, settings, TWO_CONFIGS, max_workers=1)
+        parallel = run_suite(model, settings, TWO_CONFIGS, max_workers=2)
         assert list(serial) == list(parallel)
         for label in serial:
             assert np.array_equal(serial[label].e2e, parallel[label].e2e), label
@@ -364,8 +362,8 @@ class TestColocatedCluster:
 
     def test_mix_serial_matches_parallel(self):
         mix = small_mix()
-        serial = run_mix_suite(mix, SETTINGS, TWO_CONFIGS)
-        parallel = run_mix_suite_parallel(mix, SETTINGS, TWO_CONFIGS, max_workers=2)
+        serial = run_mix_suite(mix, SETTINGS, TWO_CONFIGS, max_workers=1)
+        parallel = run_mix_suite(mix, SETTINGS, TWO_CONFIGS, max_workers=2)
         assert list(serial) == list(parallel)
         for label in serial:
             assert np.array_equal(serial[label].e2e, parallel[label].e2e)
