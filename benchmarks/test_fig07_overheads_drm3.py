@@ -32,5 +32,4 @@ def test_fig07_overheads_drm3(benchmark, suites):
     # dominant table.
     for label in ("NSBP 4 shards", "NSBP 8 shards"):
         result = results[label]
-        for attribution in result.attributions:
-            assert attribution.rpcs == 2 * attribution.num_batches, label
+        assert np.array_equal(result.rpcs, 2 * result.num_batches), label

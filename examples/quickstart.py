@@ -75,7 +75,7 @@ def main() -> None:
         np.percentile(dist.cpu, 50) - np.percentile(base.cpu, 50)
     ) / np.percentile(base.cpu, 50)
     print(f"aggregate CPU overhead at P50: {cpu_overhead:+.1%} "
-          f"(the cost of {int(np.mean([a.rpcs for a in dist.attributions]))} RPCs/request)")
+          f"(the cost of {int(np.mean(dist.rpcs))} RPCs/request)")
 
 
 if __name__ == "__main__":

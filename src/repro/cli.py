@@ -30,6 +30,7 @@ Exposes the library's main workflows without writing code:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -77,7 +78,6 @@ from repro.simulation.engine import DEFAULT_KERNEL, KERNELS
 from repro.sharding.plan import SINGULAR
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.sharding.serialization import dump_plan
-from repro.tracing import TraceMode
 from repro.tracing.visualize import render_trace
 from repro.workloads import (
     ConstantRateArrivals,
@@ -103,6 +103,20 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _positive_float(raw: str) -> float:
+    """argparse type for rates and multipliers (qps, slack): a finite
+    number > 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number, got {raw!r}"
+        ) from None
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw!r}")
+    return value
+
+
 def _add_model_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model", default="DRM1", choices=sorted(MODEL_FACTORIES),
@@ -110,26 +124,12 @@ def _add_model_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_trace_mode_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace-mode", default=TraceMode.FULL.value,
-        choices=[mode.value for mode in TraceMode],
-        help="'full' materializes spans (per-shard breakdowns available); "
-        "'aggregate' is the span-free fast path with identical "
-        "latency/CPU/stack columns",
-    )
-
-
-def _trace_mode(args: argparse.Namespace) -> TraceMode:
-    return TraceMode(args.trace_mode)
-
-
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel", default=DEFAULT_KERNEL, choices=list(KERNELS),
         help="debug override of the replay kernel.  The default, "
         "'vectorized', chooses per run: eligible runs (serial closed-loop, "
-        "chaos-free, aggregate tracing) replay as columnar numpy programs, "
+        "chaos-free) replay as columnar numpy programs, "
         "every other run takes the 'batched' DES.  'batched' and "
         "'reference' (the heap-only event loop) force one DES -- results "
         "are bit-identical (tests/test_kernel_equivalence.py)",
@@ -310,9 +310,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     requests = RequestGenerator(model, seed=args.seed).generate_many(args.requests)
     result = run_configuration(
         model, plan, requests,
-        ServingConfig(
-            seed=args.seed, trace_mode=_trace_mode(args), kernel=args.kernel
-        ),
+        ServingConfig(seed=args.seed, kernel=args.kernel),
     )
     rows = [
         (
@@ -337,7 +335,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
     settings = SuiteSettings(
         num_requests=args.requests,
         serving=ServingConfig(seed=args.seed),
-        trace_mode=_trace_mode(args),
         kernel=args.kernel,
     )
 
@@ -430,7 +427,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
         num_requests=args.requests,
         pooling_requests=args.pooling_requests,
         serving=ServingConfig(seed=args.seed),
-        trace_mode=_trace_mode(args),
         kernel=args.kernel,
     )
     stream = mix_stream(mix, settings)
@@ -519,7 +515,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
             num_requests=args.requests,
             pooling_requests=args.pooling_requests,
             serving=ServingConfig(seed=args.seed),
-            trace_mode=_trace_mode(args),
             kernel=args.kernel,
         ),
         slack=args.slack,
@@ -646,7 +641,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             num_requests=args.requests,
             pooling_requests=args.pooling_requests,
             serving=ServingConfig(seed=args.seed),
-            trace_mode=_trace_mode(args),
             kernel=args.kernel,
         ),
         slo_latency=args.slo_ms / 1e3 if args.slo_ms else None,
@@ -706,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Capacity-driven scale-out recommendation inference (ISPASS 2021 reproduction)",
         epilog="Every verb above replays deterministically: identical "
         "inputs give byte-identical results across --workers counts, "
-        "trace modes, and chaos baselines (the contract in "
+        "--kernel overrides, and chaos baselines (the contract in "
         "repro/core/rng.py).  'repro lint' enforces that contract "
         "statically -- run it (like CI does, next to 'repro plan' and "
         "'repro chaos' smokes) before landing changes to simulation, "
@@ -722,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--strategy", default="load-bal",
             choices=[SINGULAR, "1-shard", "load-bal", "cap-bal", "NSBP"],
         )
-        sub.add_argument("--shards", type=int, default=8)
+        sub.add_argument("--shards", type=_positive_int, default=8)
         sub.add_argument("--pooling-requests", type=_positive_int, default=300)
         sub.add_argument("--seed", type=int, default=1)
 
@@ -734,7 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser("simulate", help="simulate one configuration")
     add_plan_arguments(simulate)
     simulate.add_argument("--requests", type=_positive_int, default=150)
-    _add_trace_mode_argument(simulate)
     _add_kernel_argument(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -742,7 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_argument(suite)
     suite.add_argument("--requests", type=_positive_int, default=120)
     suite.add_argument("--seed", type=int, default=1)
-    _add_trace_mode_argument(suite)
     _add_kernel_argument(suite)
     _add_workers_argument(suite)
     suite.add_argument(
@@ -780,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Poisson alternating qps/2 and 2*qps states",
         )
         sub.add_argument(
-            "--qps", type=float, default=40.0,
+            "--qps", type=_positive_float, default=40.0,
             help="rate per workload: the fixed/constant rate, the diurnal peak, "
             "or the MMPP anchor rate",
         )
@@ -789,7 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="diurnal trough as a fraction of peak QPS",
         )
         sub.add_argument(
-            "--hours", type=int, default=24, help="length of the diurnal curve"
+            "--hours", type=_positive_int, default=24,
+            help="length of the diurnal curve",
         )
         sub.add_argument(
             "--dwell-seconds", type=float, default=60.0,
@@ -802,14 +795,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[SINGULAR, "1-shard", "load-bal", "cap-bal", "NSBP"],
         help="sharding strategy applied to every workload's model",
     )
-    workload.add_argument("--shards", type=int, default=4)
+    workload.add_argument("--shards", type=_positive_int, default=4)
     workload.add_argument(
         "--requests", type=_positive_int, default=120,
         help="request count per workload",
     )
     workload.add_argument("--pooling-requests", type=_positive_int, default=300)
     workload.add_argument("--seed", type=int, default=1)
-    _add_trace_mode_argument(workload)
     _add_kernel_argument(workload)
     workload.add_argument(
         "--cache-summary", action="store_true",
@@ -847,7 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument("--pooling-requests", type=_positive_int, default=300)
     plan.add_argument("--seed", type=int, default=1)
-    _add_trace_mode_argument(plan)
     _add_kernel_argument(plan)
     plan.add_argument(
         "--target-ms", type=float, default=None,
@@ -855,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the mix's own singular baseline (P99 x slack)",
     )
     plan.add_argument(
-        "--slack", type=float, default=1.5,
+        "--slack", type=_positive_float, default=1.5,
         help="headroom multiplier for the derived SLA window (ignored with "
         "--target-ms)",
     )
@@ -901,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharding strategy (chaos needs remote sparse shards, so "
         "singular is excluded)",
     )
-    chaos.add_argument("--shards", type=int, default=4)
+    chaos.add_argument("--shards", type=_positive_int, default=4)
     chaos.add_argument("--pooling-requests", type=_positive_int, default=300)
     chaos.add_argument("--requests", type=_positive_int, default=120)
     chaos.add_argument("--seed", type=int, default=1)
@@ -909,9 +900,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--arrivals", default="poisson",
         choices=["poisson", "constant", "diurnal", "mmpp"],
     )
-    chaos.add_argument("--qps", type=float, default=80.0)
+    chaos.add_argument("--qps", type=_positive_float, default=80.0)
     chaos.add_argument("--trough-fraction", type=float, default=0.35)
-    chaos.add_argument("--hours", type=int, default=24)
+    chaos.add_argument("--hours", type=_positive_int, default=24)
     chaos.add_argument("--dwell-seconds", type=float, default=60.0)
     chaos.add_argument(
         "--replicas", nargs="+", type=int, default=[1, 2, 3],
@@ -970,19 +961,18 @@ def build_parser() -> argparse.ArgumentParser:
         "re-replication)",
     )
     chaos.add_argument("--check-interval", type=float, default=0.05)
-    chaos.add_argument("--misses", type=int, default=2)
+    chaos.add_argument("--misses", type=_positive_int, default=2)
     chaos.add_argument("--recovery-lag", type=float, default=0.25)
     chaos.add_argument(
         "--slo-ms", type=float, default=None,
         help="explicit latency SLO in milliseconds (default: healthy p99 "
         "x --slack)",
     )
-    chaos.add_argument("--slack", type=float, default=1.5)
+    chaos.add_argument("--slack", type=_positive_float, default=1.5)
     chaos.add_argument(
         "--window", type=float, default=0.5,
         help="availability-timeline bin width in seconds",
     )
-    _add_trace_mode_argument(chaos)
     _add_kernel_argument(chaos)
     _add_workers_argument(chaos)
     chaos.add_argument(

@@ -10,8 +10,8 @@ Determinism contract
 ====================
 
 The library guarantees byte-identical results for identical inputs --
-across runs, across serial/parallel sweeps, and across FULL/AGGREGATE
-trace modes.  Three rules make that hold:
+across runs, across serial/parallel sweeps, and across kernels.  Three
+rules make that hold:
 
 1. **Every random draw comes from a named substream.**  A component
    never shares a generator with another component; it derives its own
@@ -62,8 +62,8 @@ trace modes.  Three rules make that hold:
    configuration in ``tests/test_kernel_equivalence.py``.
 
    *Vectorized equivalence.*  The ``vectorized`` kernel is the extreme
-   case: it replays eligible runs (serial closed-loop, chaos-free,
-   AGGREGATE tracing) with no event loop at all, so the canonical order
+   case: it replays eligible runs (serial closed-loop, chaos-free) with
+   no event loop at all, so the canonical order
    has to be *reconstructed* rather than followed.  That is legal under
    this rule because in the eligible regime every draw position is a
    pure function of the precomputed plans: requests replay one at a

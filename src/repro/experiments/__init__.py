@@ -16,14 +16,15 @@ Sizing and throughput knobs
   (:func:`~repro.experiments.parallel.run_cluster_tasks`); results are
   byte-identical for every worker count, and ``max_workers=1`` (or the
   CLI's ``--workers 1``) replays in-process.
-* ``SuiteSettings.trace_mode`` / ``ServingConfig.trace_mode`` --
-  :class:`~repro.tracing.aggregate.TraceMode.AGGREGATE` runs sweeps with
-  the span-free tracer: identical e2e/cpu/stack *and per-shard demand*
-  columns, no retained per-request attributions (only the per-(shard,
-  net) breakdown of Figure 10 still needs FULL), and markedly faster
-  large sweeps.  The CLI exposes it as ``--trace-mode``.
+* Attribution -- every replay is attributed by the span-free aggregate
+  accumulator (:class:`~repro.tracing.aggregate.AggregatingTracer`), so
+  every :class:`RunResult` carries the same columns: e2e/cpu/stacks,
+  operator CPU, RPC and batch counts, and per-shard (and per-(shard,
+  net)) demand.  ``SuiteSettings.trace_mode`` / ``ServingConfig.trace_mode``
+  only pick the tracer of a bare ``ClusterSimulation``; no ``RunResult``
+  depends on them.
 * ``results/BENCH_throughput.json`` -- simulated-requests-per-second
-  trajectory (full + aggregate trace modes, plus the co-located diurnal
+  trajectory (its "full" and aggregate rungs, plus the co-located diurnal
   ``mix_sweep`` entry), rewritten by
   ``benchmarks/test_perf_throughput.py`` via
   :func:`repro.analysis.bench.record_benchmark`.
@@ -32,7 +33,7 @@ Sizing and throughput knobs
   constant-rate) can drive a classic suite; multi-model co-location runs
   through :func:`run_mix_suite` over a
   :class:`~repro.workloads.workload.WorkloadMix`, producing
-  per-workload-labeled :class:`RunResult` columns in both trace modes.
+  per-workload-labeled :class:`RunResult` columns.
 """
 
 from repro.experiments.configs import (

@@ -22,7 +22,7 @@ from repro.compression.pipeline import CompressionReport
 from repro.core.types import GIB, OpCategory
 from repro.models.config import ModelConfig
 from repro.models.growth import growth_factor, growth_series
-from repro.experiments.runner import RunResult
+from repro.experiments.runner import RunResult, sequential_sum
 from repro.sharding.plan import SINGULAR, ShardingPlan
 from repro.sharding.pooling import pooling_by_shard
 from repro.tracing.attribution import (
@@ -83,8 +83,8 @@ def fig4_operator_attribution(
     """
     shares: dict[str, dict[str, float]] = {}
     for name, result in singular_results.items():
-        sparse = sum(a.sparse_op_cpu for a in result.attributions)
-        dense = sum(a.dense_op_cpu for a in result.attributions)
+        sparse = sequential_sum(result.sparse_op_cpu)
+        dense = sequential_sum(result.dense_op_cpu)
         total = sparse + dense
         mix = models[name].nets[0].op_mix
         model_shares = {"Sparse": sparse / total}

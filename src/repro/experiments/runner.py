@@ -1,10 +1,11 @@
 """Experiment runner: simulate configurations, collect attributed results.
 
 One :class:`RunResult` holds everything the figure generators need for one
-(model, sharding configuration, serving configuration) cell: per-request
-E2E latency, per-request aggregate CPU, and the full per-request
-attributions.  Traces are attributed incrementally as requests complete
-and raw spans are freed, so full sweeps stay memory-bounded.
+(model, sharding configuration, serving configuration) cell, as columns:
+per-request E2E latency, aggregate CPU, the latency/embedded/CPU stacks,
+operator CPU, RPC and batch counts, and per-shard demand.  Requests are
+attributed by the aggregate accumulator as they complete, so sweeps stay
+memory-bounded.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from repro.requests.replayer import ReplayMode, ReplaySchedule
 from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.sharding.plan import ShardingPlan
 from repro.sharding.pooling import estimate_pooling_factors
-from repro.tracing.aggregate import AggregatingTracer, TraceMode
-from repro.tracing.attribution import (
-    CPU_BUCKETS,
-    E2E_BUCKETS,
-    EMBEDDED_BUCKETS,
-    RequestAttribution,
-    attribute_request,
-)
+from repro.tracing.aggregate import STACK_BUCKETS, AggregatingTracer, TraceMode
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.workload import MixedStream, WorkloadMix
 from repro.experiments.configs import (
@@ -72,28 +66,20 @@ def default_chunk_size() -> int:
 class RunResult:
     """Attributed measurements for one simulated configuration.
 
-    Storage is **columnar**: E2E latency, aggregate CPU, and the three
-    per-request stacks live in preallocated numpy arrays that are filled
-    incrementally as requests complete (grown by doubling).  Figure
-    generation therefore reads ready-made arrays instead of rebuilding
-    them from the list of :class:`RequestAttribution` dataclasses on
-    every access.  Per-shard CPU-demand and sparse-op-time columns are
-    filled in both trace modes; the full attributions are retained (FULL
-    mode only) for the per-(shard, net) breakdown and ad-hoc inspection.
+    Storage is **columnar**: every per-request measurement -- E2E
+    latency, aggregate CPU, the three stacks, operator CPU, RPC and batch
+    counts, the chaos and resilience flags -- and the per-shard demand
+    columns are numpy arrays adopted from the
+    :class:`~repro.tracing.aggregate.AggregatingTracer` that attributed
+    the replay (:meth:`adopt_aggregate`).  Figure generation reads these
+    ready-made arrays; no per-request dataclass is kept.
     """
-
-    _COLUMN_BUCKETS = {
-        "latency": E2E_BUCKETS,
-        "embedded": EMBEDDED_BUCKETS,
-        "cpu": CPU_BUCKETS,
-    }
 
     def __init__(
         self,
         model_name: str,
         label: str,
         plan: ShardingPlan,
-        expected_requests: int = 0,
         workload_labels: tuple[str, ...] | None = None,
         plans: list[ShardingPlan] | None = None,
     ):
@@ -108,7 +94,6 @@ class RunResult:
         self.workload_labels = (
             tuple(workload_labels) if workload_labels else (model_name,)
         )
-        self.attributions: list[RequestAttribution] = []
         #: DES kernel that actually produced these columns ("reference",
         #: "batched", or "vectorized"); None until the runner sets it.
         self.kernel_used: str | None = None
@@ -129,110 +114,21 @@ class RunResult:
         #: In-flight RPC attempts aborted by mid-service crashes
         #: (0 on healthy runs).
         self.aborted_rpcs: int = 0
-        capacity = max(int(expected_requests), 16)
-        self._count = 0
-        self._e2e = np.empty(capacity)
-        self._cpu = np.empty(capacity)
-        self._workload = np.zeros(capacity, dtype=np.int64)
-        # Chaos columns (see the accessors below); all-zero statuses on
-        # healthy runs, and the id column maps completion-order rows back
-        # to arrival order.
-        self._rid = np.empty(capacity, dtype=np.int64)
-        self._status = np.zeros(capacity, dtype=np.int64)
-        self._degraded = np.zeros(capacity, dtype=np.int64)
-        self._retries = np.zeros(capacity, dtype=np.int64)
-        # Resilience columns; all-zero without an active policy.
-        self._attempts = np.zeros(capacity, dtype=np.int64)
-        self._hedged = np.zeros(capacity, dtype=np.int64)
-        self._deadline = np.zeros(capacity, dtype=np.int64)
-        self._stack_cols: dict[tuple[str, str], np.ndarray] = {
-            (kind, bucket): np.empty(capacity)
-            for kind, buckets in self._COLUMN_BUCKETS.items()
-            for bucket in buckets
-        }
-        # Per-shard demand columns, keyed by shard index (MAIN_SHARD = -1):
-        # per-request CPU-seconds by shard, and per-request sparse-operator
-        # time by sparse shard.  Lazily created, zero-filled (a request that
-        # never touched a shard contributes exactly 0.0), populated in both
-        # FULL and AGGREGATE trace modes -- the replication planner's
-        # demand signal.
-        self._shard_cpu_cols: dict[int, np.ndarray] = {}
-        self._shard_op_cols: dict[int, np.ndarray] = {}
+        # An empty result is an empty tracer's (zero-row) columns.
+        self.adopt_aggregate(AggregatingTracer())
 
-    def _grow(self, capacity: int) -> None:
-        def grown(array: np.ndarray) -> np.ndarray:
-            out = np.empty(capacity, dtype=array.dtype)
-            out[: self._count] = array[: self._count]
-            return out
+    def adopt_aggregate(self, tracer: AggregatingTracer) -> None:
+        """Take over an :class:`AggregatingTracer`'s columnar output.
 
-        def grown_zeros(array: np.ndarray) -> np.ndarray:
-            out = np.zeros(capacity, dtype=array.dtype)
-            out[: self._count] = array[: self._count]
-            return out
+        The tracer attributed every completed request straight into the
+        column layout this class reads, so adoption is a pointer handoff.
+        """
+        self._count, self._columns, self._stack_cols, self._shard_cols = (
+            tracer.export_columns()
+        )
 
-        self._e2e = grown(self._e2e)
-        self._cpu = grown(self._cpu)
-        self._workload = grown(self._workload)
-        self._rid = grown(self._rid)
-        self._status = grown_zeros(self._status)
-        self._degraded = grown_zeros(self._degraded)
-        self._retries = grown_zeros(self._retries)
-        self._attempts = grown_zeros(self._attempts)
-        self._hedged = grown_zeros(self._hedged)
-        self._deadline = grown_zeros(self._deadline)
-        self._stack_cols = {key: grown(col) for key, col in self._stack_cols.items()}
-        self._shard_cpu_cols = {
-            key: grown_zeros(col) for key, col in self._shard_cpu_cols.items()
-        }
-        self._shard_op_cols = {
-            key: grown_zeros(col) for key, col in self._shard_op_cols.items()
-        }
-
-    def _shard_column(self, cols: dict[int, np.ndarray], shard: int) -> np.ndarray:
-        col = cols.get(shard)
-        if col is None:
-            col = cols[shard] = np.zeros(len(self._e2e))
-        return col
-
-    def add(
-        self,
-        attribution: RequestAttribution,
-        workload: int = 0,
-        degraded: int = 0,
-        retries: int = 0,
-        attempts: int = 0,
-        hedged: int = 0,
-        deadline_exceeded: int = 0,
-    ) -> None:
-        """Append one completed request's attribution."""
-        index = self._count
-        if index == len(self._e2e):
-            self._grow(2 * index)
-        self.attributions.append(attribution)
-        self._e2e[index] = attribution.e2e
-        self._cpu[index] = attribution.cpu_total
-        self._workload[index] = workload
-        self._rid[index] = attribution.request_id
-        if degraded or retries:
-            self._status[index] = 1 if degraded else 0
-            self._degraded[index] = degraded
-            self._retries[index] = retries
-        if attempts or hedged or deadline_exceeded:
-            self._attempts[index] = attempts
-            self._hedged[index] = hedged
-            self._deadline[index] = deadline_exceeded
-        cols = self._stack_cols
-        for bucket, value in attribution.latency_stack.items():
-            cols["latency", bucket][index] = value
-        for bucket, value in attribution.embedded_stack.items():
-            cols["embedded", bucket][index] = value
-        for bucket, value in attribution.cpu_stack.items():
-            cols["cpu", bucket][index] = value
-        for shard, value in attribution.per_shard_cpu.items():
-            self._shard_column(self._shard_cpu_cols, shard)[index] = value
-        for shard, value in attribution.per_shard_op_time.items():
-            self._shard_column(self._shard_op_cols, shard)[index] = value
-        self._count = index + 1
+    def _column(self, name: str) -> np.ndarray:
+        return self._columns[name][: self._count]
 
     def __len__(self) -> int:
         return self._count
@@ -240,64 +136,93 @@ class RunResult:
     # -- columnar accessors (no per-access rebuild) -----------------------
     @property
     def e2e(self) -> np.ndarray:
-        return self._e2e[: self._count]
+        return self._column("e2e")
 
     @property
     def cpu(self) -> np.ndarray:
-        return self._cpu[: self._count]
+        return self._column("cpu")
 
-    # -- chaos columns (both trace modes) ----------------------------------
+    @property
+    def sparse_op_cpu(self) -> np.ndarray:
+        """Per-request CPU-seconds in sparse (SLS) operators, all shards."""
+        return self._column("sparse_op_cpu")
+
+    @property
+    def dense_op_cpu(self) -> np.ndarray:
+        """Per-request CPU-seconds in every non-sparse operator."""
+        return self._column("dense_op_cpu")
+
+    @property
+    def rpcs(self) -> np.ndarray:
+        """Per-request count of completed sparse RPCs (0 when singular)."""
+        return self._column("rpcs")
+
+    @property
+    def num_batches(self) -> np.ndarray:
+        """Per-request count of batches the request was split into."""
+        return self._column("num_batches")
+
+    # -- chaos columns -----------------------------------------------------
     @property
     def request_ids(self) -> np.ndarray:
         """Per-row request id, in completion order.  Under fault injection
         completion order diverges from arrival order, and this column is
         what maps a row back to its arrival time (availability timelines
         index ``arrival_times[request_ids]``)."""
-        return self._rid[: self._count]
+        return self._column("request_ids")
 
     @property
     def status(self) -> np.ndarray:
         """Per-request outcome: 0 = full response, 1 = degraded (at least
         one sparse RPC found no live replica and the request was served
         dense-only for that net).  All zeros on healthy runs."""
-        return self._status[: self._count]
+        return self._column("status")
 
     @property
     def degraded(self) -> np.ndarray:
         """Per-request count of degraded (dense-only) sparse RPCs."""
-        return self._degraded[: self._count]
+        return self._column("degraded")
 
     @property
     def retries(self) -> np.ndarray:
         """Per-request count of RPC failovers (dead host -> live replica),
         including mid-service aborts."""
-        return self._retries[: self._count]
+        return self._column("retries")
 
-    # -- resilience columns (both trace modes) -----------------------------
+    # -- resilience columns ------------------------------------------------
     @property
     def attempts(self) -> np.ndarray:
         """Per-request count of policy-issued RPC attempts (first sends,
         hedges, and timeout retries).  All zeros without an active
         :class:`~repro.resilience.ResiliencePolicy`."""
-        return self._attempts[: self._count]
+        return self._column("attempts")
 
     @property
     def hedged(self) -> np.ndarray:
         """Per-request count of hedged (speculative duplicate) attempts
         actually issued."""
-        return self._hedged[: self._count]
+        return self._column("hedged")
 
     @property
     def deadline_exceeded(self) -> np.ndarray:
         """Per-request flag: 1 when the request completed past the
         policy's deadline."""
-        return self._deadline[: self._count]
+        return self._column("deadline_exceeded")
 
     def stack_columns(self, kind: str) -> dict[str, np.ndarray]:
         """One array per bucket for ``kind`` in {latency, embedded, cpu}."""
         return {
             bucket: self._stack_cols[kind, bucket][: self._count]
-            for bucket in self._COLUMN_BUCKETS[kind]
+            for bucket in STACK_BUCKETS[kind]
+        }
+
+    def shard_columns(self, kind: str) -> dict:
+        """Per-request per-shard columns for ``kind`` in
+        :data:`~repro.tracing.aggregate.SHARD_KINDS`: ``"cpu"`` by shard
+        index, ``"op"`` by sparse shard, ``"net_op"`` by (sparse shard,
+        net name).  A request that never touched a key reads 0.0."""
+        return {
+            key: col[: self._count] for key, col in self._shard_cols[kind].items()
         }
 
     # -- per-workload views ------------------------------------------------
@@ -305,7 +230,7 @@ class RunResult:
     def workloads(self) -> np.ndarray:
         """Per-request workload index (into ``workload_labels``), in
         completion order -- all zeros for single-workload runs."""
-        return self._workload[: self._count]
+        return self._column("workload")
 
     def workload_mask(self, label: str) -> np.ndarray:
         """Boolean mask selecting one workload's requests."""
@@ -335,7 +260,7 @@ class RunResult:
     # -- row-oriented views (compatibility with pre-columnar callers) -----
     def _stacks(self, kind: str) -> list[dict[str, float]]:
         columns = self.stack_columns(kind)
-        buckets = self._COLUMN_BUCKETS[kind]
+        buckets = STACK_BUCKETS[kind]
         return [
             {bucket: float(columns[bucket][i]) for bucket in buckets}
             for i in range(self._count)
@@ -350,92 +275,61 @@ class RunResult:
     def cpu_stacks(self) -> list[dict[str, float]]:
         return self._stacks("cpu")
 
-    def adopt_aggregate(self, tracer: AggregatingTracer) -> None:
-        """Take over an :class:`AggregatingTracer`'s columnar output.
-
-        The tracer attributed every completed request straight into the
-        same column layout this class preallocates, so adoption is a
-        pointer handoff -- no per-request dataclasses were ever built.
-        ``attributions`` stays empty; the per-shard demand columns are
-        adopted too, so :meth:`mean_cpu_by_shard` and
-        :meth:`mean_per_shard_op_time` work identically in both trace
-        modes (only the per-(shard, net) breakdown still needs FULL).
-        """
-        (
-            count, e2e, cpu, stack_cols, workload, shard_cpu, shard_op,
-            rid, status, degraded, retries, attempts, hedged, deadline,
-        ) = tracer.export_columns()
-        if set(stack_cols) != set(self._stack_cols):
-            raise ValueError("aggregate tracer columns do not match RunResult layout")
-        self._count = count
-        self._e2e = e2e
-        self._cpu = cpu
-        self._workload = workload
-        self._stack_cols = stack_cols
-        self._shard_cpu_cols = shard_cpu
-        self._shard_op_cols = shard_op
-        self._rid = rid
-        self._status = status
-        self._degraded = degraded
-        self._retries = retries
-        self._attempts = attempts
-        self._hedged = hedged
-        self._deadline = deadline
-
-    # -- per-shard demand (both trace modes) -------------------------------
+    # -- per-shard demand --------------------------------------------------
     def _mean_shard_columns(
-        self, cols: dict[int, np.ndarray], workload: str | None
-    ) -> dict[int, float]:
-        """Per-shard column means over completed requests, sorted by shard.
+        self, kind: str, workload: str | None = None
+    ) -> dict:
+        """Per-shard column means over completed requests, sorted by key.
 
-        Sums are strictly sequential in completion order (``np.cumsum``),
-        reproducing the historical per-attribution Python accumulation
-        bit-for-bit; untouched requests contribute exact ``+0.0`` terms,
-        which never perturb a float sum.
+        Sums are strictly sequential in completion order
+        (:func:`sequential_sum`), reproducing a per-request Python
+        accumulation bit-for-bit; untouched requests contribute exact
+        ``+0.0`` terms, which never perturb a float sum.
         """
+        cols = self._shard_cols[kind]
         count = self._count
         if count == 0 or not cols:
             return {}
         if workload is None:
             return {
-                shard: float(np.cumsum(cols[shard][:count])[-1]) / count
-                for shard in sorted(cols)
+                key: sequential_sum(cols[key][:count]) / count
+                for key in sorted(cols)
             }
         mask = self.workload_mask(workload)
         selected = int(np.count_nonzero(mask))
         if selected == 0:
             return {}
         return {
-            shard: float(np.cumsum(cols[shard][:count][mask])[-1]) / selected
-            for shard in sorted(cols)
+            key: sequential_sum(cols[key][:count][mask]) / selected
+            for key in sorted(cols)
         }
 
     def mean_cpu_by_shard(self, workload: str | None = None) -> dict[int, float]:
         """Mean per-request CPU-seconds by shard (``MAIN_SHARD`` = -1).
 
-        The replication planner's demand signal, available in FULL *and*
-        AGGREGATE trace modes.  With ``workload`` set, only that tenant's
-        requests (label column) are averaged -- the per-tenant demand of a
-        co-located mix.  ``{}`` when no matching request completed.
+        The replication planner's demand signal.  With ``workload`` set,
+        only that tenant's requests (label column) are averaged -- the
+        per-tenant demand of a co-located mix.  ``{}`` when no matching
+        request completed.
         """
-        return self._mean_shard_columns(self._shard_cpu_cols, workload)
+        return self._mean_shard_columns("cpu", workload)
 
     def mean_per_shard_op_time(self, workload: str | None = None) -> dict[int, float]:
-        """Mean per-shard sparse-operator time (both trace modes); ``{}``
-        when no matching request completed."""
-        return self._mean_shard_columns(self._shard_op_cols, workload)
+        """Mean per-shard sparse-operator time; ``{}`` when no matching
+        request completed."""
+        return self._mean_shard_columns("op", workload)
 
     def mean_per_shard_net_op_time(self) -> dict[tuple[int, str], float]:
-        """Mean per-(shard, net) operator time; ``{}`` without attributions
-        (zero completed requests, or AGGREGATE trace mode -- the one
-        breakdown that still requires retained FULL attributions)."""
-        if not self.attributions:
-            return {}
-        totals: dict[tuple[int, str], float] = {}
-        for attribution in self.attributions:
-            for key, value in attribution.per_shard_net_op_time.items():
-                totals[key] = totals.get(key, 0.0) + value
-        return {key: v / len(self.attributions) for key, v in sorted(totals.items())}
+        """Mean per-(shard, net) sparse-operator time (Fig 10); ``{}`` when
+        no request completed."""
+        return self._mean_shard_columns("net_op")
+
+
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum (``np.cumsum``, never the pairwise
+    ``np.sum``): bit-identical to a Python ``sum`` over the values, so
+    figure totals keep their exact bytes.  ``0.0`` when empty."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def run_configuration(
@@ -447,21 +341,20 @@ def run_configuration(
 ) -> RunResult:
     """Simulate one configuration and attribute every request.
 
-    In ``TraceMode.FULL`` every completed request's spans are popped and
-    attributed into a retained :class:`RequestAttribution`; in
-    ``TraceMode.AGGREGATE`` the tracer attributes bucket sums straight
-    into the columnar arrays and the result adopts them wholesale --
-    identical columns, no span or dataclass retention.
+    Every replay is attributed by an
+    :class:`~repro.tracing.aggregate.AggregatingTracer`, which folds each
+    completed request straight into columns the result adopts; no span
+    is built and ``serving.trace_mode`` plays no part.
 
     ``serving.kernel == "vectorized"`` (the default) dispatches eligible
-    runs (serial closed-loop, chaos-free, AGGREGATE) to the columnar
-    replay engine (:func:`repro.serving.columnar.run_vectorized`) --
-    bit-identical columns, no event loop; ineligible runs fall back to
-    the batched kernel with the reason recorded on
-    ``RunResult.kernel_fallback``.
+    runs (serial closed-loop, chaos-free) to the columnar replay engine
+    (:func:`repro.serving.columnar.run_vectorized`) -- bit-identical
+    columns, no event loop; ineligible runs fall back to the batched
+    kernel with the reason recorded on ``RunResult.kernel_fallback``.
     """
     schedule = schedule or ReplaySchedule.serial()
     serving = serving or ServingConfig()
+    result = RunResult(model_name=model.name, label=plan.label, plan=plan)
     kernel_fallback: str | None = None
     if serving.kernel == "vectorized":
         from repro.serving.columnar import run_vectorized, vectorized_ineligibility
@@ -471,70 +364,40 @@ def run_configuration(
             collector, cluster = run_vectorized(
                 model, plan, requests, serving, default_chunk_size()
             )
-            result = RunResult(
-                model_name=model.name,
-                label=plan.label,
-                plan=plan,
-                expected_requests=0,
-            )
             result.adopt_aggregate(collector)
             result.kernel_used = "vectorized"
             result.chaos_timeline = cluster.chaos_timeline
             return result
         serving = serving.with_kernel("batched")
-    aggregate = serving.trace_mode is TraceMode.AGGREGATE
-    cluster = ClusterSimulation(
-        model, plan, serving,
-        tracer=AggregatingTracer(expected_requests=len(requests)) if aggregate else None,
-    )
-    result = RunResult(
-        model_name=model.name,
-        label=plan.label,
-        plan=plan,
-        # In aggregate mode the tracer owns the (right-sized) columns and
-        # the result adopts them, so don't preallocate a second set here.
-        expected_requests=0 if aggregate else len(requests),
-    )
-
-    tracer = cluster.tracer
-    chaos_flags = cluster.chaos_flags
-    res_flags = cluster.resilience_flags
-    if isinstance(tracer, AggregatingTracer):
-        tracer.chaos_flags = chaos_flags
-        tracer.resilience_flags = res_flags
-        cluster.on_complete = tracer.finalize_request
-    elif chaos_flags is None and res_flags is None:
-        def on_complete(request_id: int) -> None:
-            result.add(attribute_request(tracer.pop_request(request_id)))
-
-        cluster.on_complete = on_complete
-    else:
-        def on_complete(request_id: int) -> None:
-            flags = chaos_flags.get(request_id) if chaos_flags else None
-            rflags = res_flags.get(request_id) if res_flags else None
-            result.add(
-                attribute_request(tracer.pop_request(request_id)),
-                degraded=flags[0] if flags else 0,
-                retries=flags[1] if flags else 0,
-                attempts=rflags[0] if rflags else 0,
-                hedged=rflags[1] if rflags else 0,
-                deadline_exceeded=rflags[2] if rflags else 0,
-            )
-
-        cluster.on_complete = on_complete
+    tracer = AggregatingTracer(expected_requests=len(requests))
+    cluster = ClusterSimulation(model, plan, serving, tracer=tracer)
     if schedule.mode is ReplayMode.SERIAL:
-        cluster.run_serial(requests)
+        _replay(cluster, tracer, result, cluster.run_serial, requests)
     else:
-        cluster.run_open_loop(requests, schedule)
-    if isinstance(tracer, AggregatingTracer):
-        result.adopt_aggregate(tracer)
+        _replay(cluster, tracer, result, cluster.run_open_loop, requests, schedule)
     result.kernel_used = serving.kernel
     result.kernel_fallback = kernel_fallback
+    return result
+
+
+def _replay(
+    cluster: ClusterSimulation,
+    tracer: AggregatingTracer,
+    result: RunResult,
+    run,
+    *args,
+) -> None:
+    """Replay on the DES with ``tracer`` attributing every completion,
+    then move the columns and the replay's outcome onto ``result``."""
+    tracer.chaos_flags = cluster.chaos_flags
+    tracer.resilience_flags = cluster.resilience_flags
+    cluster.on_complete = tracer.finalize_request
+    run(*args)
+    result.adopt_aggregate(tracer)
     result.incomplete_requests = tuple(cluster.dropped_requests)
     result.chaos_timeline = cluster.chaos_timeline
     result.resilience_stats = cluster.resilience_stats
     result.aborted_rpcs = cluster.chaos_aborted
-    return result
 
 
 @dataclass(frozen=True)
@@ -665,10 +528,7 @@ def run_mix_configuration(
     ``plans[w]`` shards workload ``w``'s model; all tenants share the
     simulated hosts (``ClusterSimulation.colocated``), so the mix's
     queueing contention is simulated.  The returned :class:`RunResult`
-    carries a per-workload label column in completion order -- filled by
-    the attribution hook in FULL mode and by the aggregating tracer in
-    AGGREGATE mode, bit-identically (``stream.workload_ids`` is indexed
-    by request id either way, since merged ids are stream positions).
+    carries a per-workload label column in completion order.
     """
     if len(plans) != len(mix.workloads):
         raise ValueError(
@@ -684,61 +544,25 @@ def run_mix_configuration(
 
         kernel_fallback = REASON_MIX
         serving = serving.with_kernel("batched")
-    aggregate = serving.trace_mode is TraceMode.AGGREGATE
+    tracer = AggregatingTracer(expected_requests=len(stream))
+    # Merged request ids are stream positions, so the stream's workload
+    # ids label each completed row.
+    tracer.workload_ids = stream.workload_ids
     cluster = ClusterSimulation.colocated(
         [(workload.model, plan) for workload, plan in zip(mix.workloads, plans)],
         serving,
-        tracer=AggregatingTracer(expected_requests=len(stream)) if aggregate else None,
+        tracer=tracer,
     )
     result = RunResult(
         model_name="+".join(workload.model.name for workload in mix.workloads),
         label=label or " + ".join(plan.label for plan in plans),
         plan=plans[0],
-        expected_requests=0 if aggregate else len(stream),
         workload_labels=mix.labels(),
         plans=plans,
     )
-    workload_ids = stream.workload_ids
-    tracer = cluster.tracer
-    chaos_flags = cluster.chaos_flags
-    res_flags = cluster.resilience_flags
-    if isinstance(tracer, AggregatingTracer):
-        tracer.workload_ids = workload_ids
-        tracer.chaos_flags = chaos_flags
-        tracer.resilience_flags = res_flags
-        cluster.on_complete = tracer.finalize_request
-    elif chaos_flags is None and res_flags is None:
-        def on_complete(request_id: int) -> None:
-            result.add(
-                attribute_request(tracer.pop_request(request_id)),
-                workload=int(workload_ids[request_id]),
-            )
-
-        cluster.on_complete = on_complete
-    else:
-        def on_complete(request_id: int) -> None:
-            flags = chaos_flags.get(request_id) if chaos_flags else None
-            rflags = res_flags.get(request_id) if res_flags else None
-            result.add(
-                attribute_request(tracer.pop_request(request_id)),
-                workload=int(workload_ids[request_id]),
-                degraded=flags[0] if flags else 0,
-                retries=flags[1] if flags else 0,
-                attempts=rflags[0] if rflags else 0,
-                hedged=rflags[1] if rflags else 0,
-                deadline_exceeded=rflags[2] if rflags else 0,
-            )
-
-        cluster.on_complete = on_complete
-    cluster.run_stream(stream)
-    if isinstance(tracer, AggregatingTracer):
-        result.adopt_aggregate(tracer)
+    _replay(cluster, tracer, result, cluster.run_stream, stream)
     result.kernel_used = serving.kernel
     result.kernel_fallback = kernel_fallback
-    result.incomplete_requests = tuple(cluster.dropped_requests)
-    result.chaos_timeline = cluster.chaos_timeline
-    result.resilience_stats = cluster.resilience_stats
-    result.aborted_rpcs = cluster.chaos_aborted
     return result
 
 

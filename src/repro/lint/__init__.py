@@ -2,7 +2,7 @@
 
 Every result this repository reproduces rests on the contract documented
 in :mod:`repro.core.rng`: byte-identical replays across serial/parallel
-sweeps, FULL/AGGREGATE trace modes, and chaos-on/chaos-off baselines.
+sweeps, kernels, and chaos-on/chaos-off baselines.
 The regression tests enforce that contract *dynamically* -- they catch a
 violation only on the inputs they happen to replay.  This package
 enforces it *statically*: an ``ast``-based pass (no third-party

@@ -7,9 +7,8 @@ kept there as thin deprecation re-export shims) and adds the closed loop
 on top: :class:`CapacityPlanner` simulates candidate deployments of a
 :class:`~repro.workloads.workload.WorkloadMix` under its real arrival
 processes, checks the SLA per workload, sizes each candidate from the
-measured per-shard CPU-demand columns (FULL and AGGREGATE trace modes
-alike), enforces per-server DRAM capacity, and returns the cheapest
-feasible plan.
+measured per-shard CPU-demand columns, enforces per-server DRAM
+capacity, and returns the cheapest feasible plan.
 """
 
 from repro.planning.capacity import (

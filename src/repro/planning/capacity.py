@@ -7,8 +7,7 @@ SLA under real traffic.  This module closes that loop:
 
 1. **Simulate** every candidate sharding configuration under the mix's
    actual arrival processes (``run_mix_suite``; contention between
-   co-located tenants is simulated on shared hosts, in FULL or AGGREGATE
-   trace mode -- the columns are bit-identical either way);
+   co-located tenants is simulated on shared hosts);
 2. **Check the SLA per workload** on the simulated latencies (the label
    column splits a mix's latencies by tenant);
 3. **Size** each feasible candidate from the measured per-shard CPU
@@ -22,8 +21,8 @@ SLA under real traffic.  This module closes that loop:
    targets headroom-first makes ties resolve conservatively).
 
 The search is deterministic: identical inputs produce bit-identical
-plans across trace modes and across worker counts of the candidate
-evaluation (regression-tested).
+plans across worker counts of the candidate evaluation
+(regression-tested).
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ replicas carry only dense parameters, sparse-shard replicas carry only
 their tables and replicate by their own (much lower) compute demand.
 
 This planner sizes a deployment from measured per-request CPU demand (the
-per-shard columns of a :class:`~repro.experiments.runner.RunResult`,
-available in FULL *and* AGGREGATE trace modes), a QPS target, and a
-utilization ceiling, and reports the replica counts and the total DRAM
-the deployment pins -- the efficiency argument of Section VII-C.  For a
+per-shard columns of a :class:`~repro.experiments.runner.RunResult`), a
+QPS target, and a utilization ceiling, and reports the replica counts
+and the total DRAM the deployment pins -- the efficiency argument of
+Section VII-C.  For a
 co-located mix, ``workload=`` sizes one tenant from its own label-column
 rows and its own sharding plan.
 """

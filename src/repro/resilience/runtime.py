@@ -7,7 +7,7 @@ about:
 
 * **per-request accounting** -- ``flags`` maps request id to
   ``[attempts, hedged, deadline_exceeded]``, which the tracing layer
-  folds into result columns in both trace modes;
+  folds into result columns;
 * the **token-bucket retry budget** -- one shared bucket per cluster
   replay, refilled in simulated time, spent by every retry and hedge;
   exhaustion is counted (``budget_denied``), never queued, so

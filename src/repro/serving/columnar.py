@@ -62,7 +62,6 @@ from repro.simulation.vectorized import (
     TargetColumns,
     VectorizedColumns,
 )
-from repro.tracing.aggregate import TraceMode
 
 __all__ = [
     "build_chunk_plans",
@@ -74,7 +73,6 @@ __all__ = [
 REASON_OPEN_LOOP = "open-loop replay (queueing contention)"
 REASON_CHAOS = "chaos fault schedule"
 REASON_RESILIENCE = "resilience policy active"
-REASON_FULL_TRACE = "FULL trace mode (span retention)"
 REASON_SHALLOW_MAIN = "main worker pool shallower than max_batches"
 REASON_SHALLOW_SPARSE = "sparse worker pool shallower than max_batches"
 REASON_MIX = "co-located workload mix"
@@ -88,11 +86,11 @@ def vectorized_ineligibility(
     The vectorized evaluator assumes the serial closed-loop regime the
     paper's figures are produced in: exactly one request in flight (so
     worker pools never queue as long as they are at least
-    ``max_batches`` deep), no fault injection, and AGGREGATE tracing
-    (the evaluator folds straight into aggregate columns; FULL span
-    retention has no columnar equivalent).  Everything here is a pure
-    function of the *configuration* -- never of the request sample --
-    so the same sweep always takes the same path.
+    ``max_batches`` deep) and no fault injection or live resilience
+    policy.  The trace mode plays no part: every run is attributed by
+    the aggregate accumulator the evaluator folds into.  Everything here
+    is a pure function of the *configuration* -- never of the request
+    sample -- so the same sweep always takes the same path.
     """
     if schedule.mode is not ReplayMode.SERIAL:
         return REASON_OPEN_LOOP
@@ -102,8 +100,6 @@ def vectorized_ineligibility(
         # A live policy supervises per-attempt timers on the event loop;
         # an *empty* policy installs no runtime and stays eligible.
         return REASON_RESILIENCE
-    if serving.trace_mode is not TraceMode.AGGREGATE:
-        return REASON_FULL_TRACE
     if min(serving.service_workers, serving.main_platform.cores) < serving.max_batches:
         return REASON_SHALLOW_MAIN
     if min(serving.service_workers, serving.sparse_platform.cores) < serving.max_batches:
@@ -504,7 +500,9 @@ def run_vectorized(
     holds the finished aggregate columns (``RunResult.adopt_aggregate``
     consumes it); the cluster is returned for its timeline accessors.
     """
-    collector = VectorizedColumns(expected_requests=len(requests))
+    collector = VectorizedColumns(
+        len(requests), [net_cfg.name for net_cfg in model.nets]
+    )
     cluster = ClusterSimulation(model, plan, serving, tracer=collector)
     tenant = cluster.tenants[0]
     evaluator = SweepEvaluator(

@@ -16,9 +16,10 @@ DES kernel:
   with no active lookups are skipped entirely, which is why DRM3 touches
   only two shards per request regardless of shard count (Section VI-E1);
 * the cross-layer tracer records every instrumented interval, exactly
-  like the paper's instrumentation hooks.  ``TraceMode.FULL`` materializes
-  spans; ``TraceMode.AGGREGATE`` folds intervals into columnar bucket sums
-  span-free (bit-identical results, much cheaper sweeps).
+  like the paper's instrumentation hooks.  Experiment runs pass the
+  aggregate accumulator, which folds intervals into columnar bucket sums
+  span-free; a bare cluster in ``TraceMode.FULL`` (the default) records
+  :class:`~repro.tracing.span.Span` objects instead, for trace rendering.
 
 The simulator consumes *count-level* requests (no real ids): all costs are
 functions of id counts, table metadata, and bytes.
@@ -116,9 +117,10 @@ class ServingConfig:
     stamped with it, and attribution must stay skew-invariant."""
 
     trace_mode: TraceMode = TraceMode.FULL
-    """FULL materializes spans (per-shard breakdowns available);
-    AGGREGATE accumulates columnar bucket sums span-free -- identical
-    e2e/cpu/stack columns, no retained attributions."""
+    """The tracer a bare :class:`ClusterSimulation` installs when none is
+    passed: FULL records spans (trace rendering), AGGREGATE the span-free
+    accumulator.  Experiment runs always pass the accumulator, so no
+    ``RunResult`` depends on this."""
 
     chaos: "FaultSchedule | None" = None
     """Optional fault-injection schedule (see :mod:`repro.chaos.faults`).
@@ -137,10 +139,9 @@ class ServingConfig:
     kernel: str = DEFAULT_KERNEL
     """Kernel selector (see :data:`repro.simulation.engine.KERNELS`).
     The default, ``"vectorized"``, chooses per run: eligible runs
-    (serial closed-loop, chaos-free, AGGREGATE tracing) replay as
-    columnar numpy programs with no event loop
-    (:mod:`repro.serving.columnar`), and every other run takes the
-    ``"batched"`` DES, recording the reason on
+    (serial closed-loop, chaos-free) replay as columnar numpy programs
+    with no event loop (:mod:`repro.serving.columnar`), and every other
+    run takes the ``"batched"`` DES, recording the reason on
     ``RunResult.kernel_fallback``.  ``"batched"`` (FIFO now-queue,
     synchronous resource grants, fused serving generators with chaos
     off) and ``"reference"`` (the historical heap-only event loop) force

@@ -61,13 +61,13 @@ therefore not touch cross-process shared state (fabric jitter draws,
 egress reservations) -- the serving layer obeys this, and the
 old-kernel == new-kernel regression tests in
 ``tests/test_kernel_equivalence.py`` pin the result columns bit-identical
-on every paper configuration, in both trace modes, chaos included.
+on every paper configuration, chaos included.
 
 Vectorized equivalence
 ----------------------
 
 The ``vectorized`` kernel replays eligible runs (serial closed-loop,
-chaos-free, AGGREGATE tracing) with no event loop at all, yet commits to
+chaos-free) with no event loop at all, yet commits to
 the *same* canonical ordering: in that regime every event's timestamp
 and sequence position is a pure function of the precomputed per-request
 plan, so the columnar evaluator (:mod:`repro.simulation.vectorized`)
@@ -583,10 +583,10 @@ class BatchedEngine(Engine):
 
 #: Selectable DES kernels (``ServingConfig.kernel`` / ``--kernel``).
 #: ``"vectorized"`` is the columnar replay fast path: eligible runs
-#: (serial closed-loop, chaos-free, AGGREGATE tracing) bypass the event
-#: loop entirely (see :mod:`repro.simulation.vectorized` /
-#: :mod:`repro.serving.columnar`); everything else falls back to the
-#: batched kernel with a recorded reason (``RunResult.kernel_fallback``).
+#: (serial closed-loop, chaos-free) bypass the event loop entirely (see
+#: :mod:`repro.simulation.vectorized` / :mod:`repro.serving.columnar`);
+#: everything else falls back to the batched kernel with a recorded
+#: reason (``RunResult.kernel_fallback``).
 KERNELS = ("reference", "batched", "vectorized")
 
 #: The kernel every surface defaults to.  ``"vectorized"`` chooses per

@@ -1,8 +1,8 @@
 """Columnar replay: the ``vectorized`` kernel's evaluator and collector.
 
-The serial closed-loop, chaos-free, AGGREGATE-mode regime -- the one the
-paper's figures are produced in -- admits a much stronger optimization
-than a faster event loop: every per-request cost is a pure function of
+The serial closed-loop, chaos-free regime -- the one the paper's figures
+are produced in -- admits a much stronger optimization than a faster
+event loop: every per-request cost is a pure function of
 (request, plan, cost model) that the serving layer already precomputes
 (:meth:`~repro.serving.simulator.ClusterSimulation._request_plans`), and
 requests are strictly sequential (request ``i+1`` starts at the exact
@@ -28,10 +28,12 @@ array programs:
    selection (batch-record order == ``(end, batch)`` order) -- is
    computed inline, in the engine's own operand order;
 3. only the accumulations whose order *interleaves across chains* --
-   the four request-level CPU sums, the per-shard CPU demand, and the
-   per-shard sparse op time -- travel as compact record tuples, sorted
-   by the reference kernel's ``(time, batch, net, slot-position)``
-   recording order and folded through :class:`VectorizedColumns`, an
+   the request-level CPU sums (the three CPU buckets and the sparse and
+   dense operator CPU), the per-shard CPU demand, and the per-shard and
+   per-(shard, net) sparse op time -- travel as compact record tuples,
+   sorted by the reference kernel's ``(time, batch, net,
+   slot-position)`` recording order and folded through
+   :class:`VectorizedColumns`, an
    :class:`~repro.tracing.aggregate.AggregatingTracer` subclass whose
    attribution math and column writes are the real ones -- so
    ``RunResult.adopt_aggregate`` consumes it unchanged.
@@ -93,12 +95,13 @@ from repro.tracing.span import MAIN_SHARD
 # op before the client request serialization (the one same-sort-rank
 # pair: both use slot-position ``(k+1)*8+2``), matching the reference
 # tie order.
-_K_OPS_SLW = 0  # sls_remote (shard): cpu_ops + per-shard op time (dur)
+_K_OPS_SLW = 0  # sls_remote (shard): sparse op cpu + per-shard op time (dur)
 _K_SERDE = 1  # rpc_request_ser / rpc_deser / rpc_resp_ser / rpc_response_deser
-_K_OPS = 2  # dense_pre / dense_post / sls_local (main)
+_K_OPS = 2  # dense_pre / dense_post (main): dense op cpu
 _K_SERVICE = 3  # net_sched (main and shard)
 _K_SRS_SVC = 4  # rpc_resp_ser fused with rpc_e2e (always sort-adjacent:
 #                 same timestamp, consecutive slot-positions)
+_K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
 
 # One record: (time, key, kind, shard, cpu, dur), where ``key`` packs
 # ``batch << 26 | net << 20 | slot-position``.  (time, key) is the
@@ -113,7 +116,8 @@ _K_SRS_SVC = 4  # rpc_resp_ser fused with rpc_e2e (always sort-adjacent:
 # positions stay below 8, so the packed int orders exactly like the
 # pair).  ``dur`` is only populated for _K_OPS_SLW (the one folded
 # accumulation that needs a duration); every other duration is consumed
-# inline by the evaluator.
+# inline by the evaluator.  The per-(shard, net) op time takes its net
+# from the key's net bits.
 _Record = tuple[float, int, int, int, float, float]
 
 # Per-request heap events: (time, code, t_client, entry) where ``code``
@@ -213,6 +217,11 @@ class VectorizedColumns(AggregatingTracer):
     float-accumulation order is the reference order.
     """
 
+    def __init__(self, expected_requests: int, net_names: list[str]) -> None:
+        super().__init__(expected_requests)
+        #: Net names by index -- the net bits of a record key.
+        self.net_names = net_names
+
     #: Per-RPC fixed service cost (the rpc_e2e record's cpu, fused into
     #: the _K_SRS_SVC record) and the main request+response handler cpu
     #: (the request_e2e record's cpu, charged after the tail serde).
@@ -261,6 +270,8 @@ class VectorizedColumns(AggregatingTracer):
 
         shard_cpu = state.shard_cpu
         shard_op = state.shard_op
+        shard_net_op = state.shard_net_op
+        net_names = self.net_names
         service_fixed = self.service_fixed
         # The request deserialization is always the first record (its
         # reference time precedes every batch-chain record) and the
@@ -270,16 +281,19 @@ class VectorizedColumns(AggregatingTracer):
         cpu_main = 0.0 + head_cpu
         cpu_ops = 0.0
         cpu_service = 0.0
+        sparse_op_cpu = 0.0
+        dense_op_cpu = 0.0
         # Seed the MAIN slot first so the dict's key order matches the
         # reference (head record inserts it before any shard key).
         shard_cpu[MAIN_SHARD] = 0.0
 
         shard_get = shard_cpu.get
         op_get = shard_op.get
+        net_op_get = shard_net_op.get
         # Shard-side records outnumber main-side ones on every
         # multi-shard plan (4 vs ~2.4 per RPC), so they take the first
         # branch; MAIN_SHARD is -1, making ``shard >= 0`` the test.
-        for _t, _key, kind, shard, cpu, dur in records:
+        for _t, key, kind, shard, cpu, dur in records:
             if shard >= 0:
                 if kind == 1:
                     shard_cpu[shard] = shard_get(shard, 0.0) + cpu
@@ -287,7 +301,10 @@ class VectorizedColumns(AggregatingTracer):
                 elif kind == 0:
                     shard_cpu[shard] = shard_get(shard, 0.0) + cpu
                     cpu_ops += cpu
+                    sparse_op_cpu += cpu
                     shard_op[shard] = op_get(shard, 0.0) + dur
+                    net_key = (shard, net_names[(key >> 20) & 63])
+                    shard_net_op[net_key] = net_op_get(net_key, 0.0) + dur
                 elif kind == 4:
                     # rpc_resp_ser (serde cpu) + rpc_e2e (fixed service
                     # cpu) -- always adjacent in reference order, so the
@@ -307,6 +324,10 @@ class VectorizedColumns(AggregatingTracer):
                     cpu_serde += cpu
                 elif kind == 2:
                     cpu_ops += cpu
+                    dense_op_cpu += cpu
+                elif kind == 5:
+                    cpu_ops += cpu
+                    sparse_op_cpu += cpu
                 else:
                     cpu_service += cpu
 
@@ -320,6 +341,8 @@ class VectorizedColumns(AggregatingTracer):
         state.cpu_ops = cpu_ops
         state.cpu_serde = cpu_serde
         state.cpu_service = cpu_service
+        state.sparse_op_cpu = sparse_op_cpu
+        state.dense_op_cpu = dense_op_cpu
         state.head_serde = head
         state.tail_serde = tail
         state.e2e = e2e
@@ -474,7 +497,7 @@ class SweepEvaluator:
                     work = net.local[i][b]
                     t0 = t
                     t = t0 + work
-                    add((t, rkey | 2, _K_OPS, MAIN_SHARD, work, 0.0))
+                    add((t, rkey | 2, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
                     # The embedded window wraps the local SLS op: both
                     # buckets receive the same duration float.
                     d = t - t0 if no_skew else (t + skm) - (t0 + skm)

@@ -1,9 +1,11 @@
 """Cross-layer distributed tracing: spans, tracer, attribution.
 
-Two trace modes (:class:`~repro.tracing.aggregate.TraceMode`): ``FULL``
-materializes spans and retains per-request attributions; ``AGGREGATE``
-accumulates bucket sums span-free and emits bit-identical columnar
-results -- the sweep fast path.
+Every experiment run is attributed by the span-free aggregate
+accumulator (:class:`~repro.tracing.aggregate.AggregatingTracer`), which
+produces every column a figure reads.  Spans (:class:`Span`,
+:class:`Tracer`) are an opt-in sink for code that reads them -- trace
+rendering and Fig 3 -- and :func:`attribute_request` over them is the
+independent oracle the accumulator is tested against.
 """
 
 from repro.tracing.aggregate import AggregatingTracer, TraceMode

@@ -1,24 +1,28 @@
-"""Span-free aggregate tracing: the sweep fast path (ROADMAP perf rung).
+"""The aggregate accumulator: the one way a replay is attributed.
 
-Full tracing materializes ~180 :class:`~repro.tracing.span.Span` objects
-per request and attributes them post-hoc with several passes per request
-(:func:`~repro.tracing.attribution.attribute_request`).  That is the right
-tool for per-shard breakdowns (paper Figures 10-12) and trace rendering,
-but it dominates the cost of large configuration sweeps that only consume
-the per-request E2E/CPU/stack *columns*.
+The paper attributes latency and CPU from distributed traces (Sec. IV-B).
+:class:`AggregatingTracer` computes exactly those breakdowns without
+building a trace: it implements the ``record_interval`` entry point the
+simulator drives, folds each interval straight into per-request bucket
+accumulators (pooled per in-flight request and reused) and, on request
+completion, attributes those sums into preallocated columnar numpy
+arrays -- the columns :class:`~repro.experiments.runner.RunResult`
+adopts.  Every breakdown a figure reads is a column: the E2E/CPU/stack
+columns, per-shard CPU demand and sparse-op time, the per-(shard, net)
+sparse-op time (Fig 10), sparse and dense operator CPU (Fig 4), and the
+RPC and batch counts.  No ``Span`` is constructed and no per-request
+dataclass is retained.
 
-:class:`AggregatingTracer` is the span-free alternative: it implements the
-same ``record_interval`` entry point the simulator drives, but folds each
-interval straight into per-request bucket accumulators (ring-buffered
-per in-flight request and reused) and, on request completion, attributes
-those sums directly into preallocated columnar numpy arrays -- the exact
-columns :class:`~repro.experiments.runner.RunResult` stores.  No ``Span``
-is ever constructed and no per-request dataclass is retained.
+Spans are an opt-in sink for code that reads them (trace rendering,
+Fig 3): a bare :class:`~repro.serving.simulator.ClusterSimulation` in
+``TraceMode.FULL`` records :class:`~repro.tracing.span.Span` objects, and
+:func:`~repro.tracing.attribution.attribute_request` over them is the
+independent oracle the accumulator is tested against.
 
-Equivalence contract (regression-tested): for any simulation, AGGREGATE
-mode produces **bit-identical** ``e2e``/``cpu``/stack columns to FULL
-mode.  Every accumulation below therefore mirrors the float-operation
-*order* of ``attribute_request``:
+Equivalence contract (regression-tested against that oracle): for any
+simulation, every column is **bit-identical** to attributing the spans.
+Every accumulation below therefore mirrors the float-operation *order*
+of ``attribute_request``:
 
 * intervals are folded in recording order, which is the order
   ``attribute_request`` iterates the span list;
@@ -49,17 +53,47 @@ from repro.tracing.span import MAIN_SHARD, Layer
 
 
 class TraceMode(enum.Enum):
-    """How much trace detail a simulation records."""
+    """Which tracer a bare :class:`~repro.serving.simulator.ClusterSimulation`
+    installs when none is passed.  Experiment runs always attribute through
+    the aggregate accumulator, whatever the mode."""
 
     FULL = "full"
-    """Materialize every span; per-request attributions are retained, so
-    per-shard breakdowns and trace rendering are available."""
+    """Record every interval as a :class:`~repro.tracing.span.Span` -- the
+    sink for trace rendering and span-level inspection."""
 
     AGGREGATE = "aggregate"
-    """Span-free: the per-request E2E/CPU/stack columns plus the per-shard
-    CPU-demand and sparse-op-time columns are produced (bit-identical to
-    FULL).  Only per-(shard, net) breakdowns (Figure 10) still require
-    FULL's retained attributions."""
+    """Install an :class:`AggregatingTracer`: span-free, every column
+    produced directly."""
+
+
+#: Per-request columns of an attributed run, by name and dtype.
+COLUMNS: dict[str, type] = {
+    "e2e": np.float64,
+    "cpu": np.float64,
+    "sparse_op_cpu": np.float64,
+    "dense_op_cpu": np.float64,
+    "rpcs": np.int64,
+    "num_batches": np.int64,
+    "workload": np.int64,
+    "request_ids": np.int64,
+    "status": np.int64,
+    "degraded": np.int64,
+    "retries": np.int64,
+    "attempts": np.int64,
+    "hedged": np.int64,
+    "deadline_exceeded": np.int64,
+}
+
+#: Stack-column buckets by kind.
+STACK_BUCKETS: dict[str, tuple[str, ...]] = {
+    "latency": E2E_BUCKETS,
+    "embedded": EMBEDDED_BUCKETS,
+    "cpu": CPU_BUCKETS,
+}
+
+#: Per-shard column kinds: CPU-seconds by shard, sparse-op time by sparse
+#: shard, and sparse-op time by (sparse shard, net name).
+SHARD_KINDS = ("cpu", "op", "net_op")
 
 
 # Hot-loop locals: enum attribute lookups are not free in CPython.
@@ -83,8 +117,11 @@ class _RequestState:
         "cpu_ops",
         "cpu_serde",
         "cpu_service",
+        "sparse_op_cpu",
+        "dense_op_cpu",
         "shard_cpu",
         "shard_op",
+        "shard_net_op",
         "head_serde",
         "tail_serde",
         "e2e",
@@ -107,6 +144,7 @@ class _RequestState:
     def __init__(self):
         self.shard_cpu: dict[int, float] = {}
         self.shard_op: dict[int, float] = {}
+        self.shard_net_op: dict[tuple[int, str], float] = {}
         self.batch_dense: list[float] = []
         self.batch_embedded: list[float] = []
         self.batch_serde: list[float] = []
@@ -119,9 +157,12 @@ class _RequestState:
     def reset(self) -> None:
         self.shard_cpu.clear()
         self.shard_op.clear()
+        self.shard_net_op.clear()
         self.cpu_ops = 0.0
         self.cpu_serde = 0.0
         self.cpu_service = 0.0
+        self.sparse_op_cpu = 0.0
+        self.dense_op_cpu = 0.0
         self.head_serde = 0.0
         self.tail_serde = 0.0
         self.e2e = 0.0
@@ -173,7 +214,7 @@ class AggregatingTracer:
     Drop-in replacement for :class:`~repro.tracing.span.Tracer` on the
     simulator side (same ``record_interval`` signature, same drain/assert
     API).  Completion is driven by :meth:`finalize_request`, which plays
-    the role ``pop_request`` + ``attribute_request`` play in FULL mode:
+    the role ``pop_request`` + ``attribute_request`` play over spans:
     it attributes the request's accumulated sums into the next row of the
     preallocated output columns and recycles the in-flight state.
     """
@@ -202,36 +243,25 @@ class AggregatingTracer:
         self._last_state: _RequestState | None = None
         capacity = max(int(expected_requests), 16)
         self._count = 0
-        self._e2e = np.empty(capacity)
-        self._cpu = np.empty(capacity)
-        self._workload = np.zeros(capacity, dtype=np.int64)
-        # Chaos columns (request id, status, degraded, retries): rows are
-        # in completion order, and under fault injection completion order
-        # is not request order, so the id column is what maps a row back
-        # to its arrival time for availability timelines.
-        self._rid = np.empty(capacity, dtype=np.int64)
-        self._status = np.zeros(capacity, dtype=np.int64)
-        self._degraded = np.zeros(capacity, dtype=np.int64)
-        self._retries = np.zeros(capacity, dtype=np.int64)
-        # Resilience columns (attempts, hedged, deadline_exceeded), all
-        # zero without an active policy.
-        self._attempts = np.zeros(capacity, dtype=np.int64)
-        self._hedged = np.zeros(capacity, dtype=np.int64)
-        self._deadline = np.zeros(capacity, dtype=np.int64)
+        # Per-request columns, one row per completed request in completion
+        # order, zero-filled so flag columns a run never sets read 0.
+        # Under fault injection completion order is not request order, so
+        # "request_ids" is what maps a row back to its arrival time.
+        self._columns: dict[str, np.ndarray] = {
+            name: np.zeros(capacity, dtype=dtype)
+            for name, dtype in COLUMNS.items()
+        }
         self._stack_cols: dict[tuple[str, str], np.ndarray] = {
-            (kind, bucket): np.empty(capacity)
-            for kind, buckets in (
-                ("latency", E2E_BUCKETS),
-                ("embedded", EMBEDDED_BUCKETS),
-                ("cpu", CPU_BUCKETS),
-            )
+            (kind, bucket): np.zeros(capacity)
+            for kind, buckets in STACK_BUCKETS.items()
             for bucket in buckets
         }
-        # Per-shard demand columns, keyed by shard index (MAIN_SHARD = -1).
-        # Created lazily on first touch and zero-filled: a request that
-        # never reaches a shard contributes exactly 0.0 to its column.
-        self._shard_cpu_cols: dict[int, np.ndarray] = {}
-        self._shard_op_cols: dict[int, np.ndarray] = {}
+        # Per-shard columns by kind: "cpu" (CPU-seconds by shard index,
+        # MAIN_SHARD = -1), "op" (sparse-op time by sparse shard) and
+        # "net_op" (sparse-op time by (sparse shard, net)).  Created
+        # lazily on first touch and zero-filled: a request that never
+        # reaches a shard contributes exactly 0.0 to its column.
+        self._shard_cols: dict[str, dict] = {kind: {} for kind in SHARD_KINDS}
 
     # -- recording (hot path) ---------------------------------------------
     def record_interval(
@@ -264,7 +294,7 @@ class AggregatingTracer:
             self._last_state = state
         # Durations from wall-stamped endpoints, exactly as a Span stores
         # them -- with nonzero skew, (end+skew)-(start+skew) can differ
-        # from end-start in the last ulp, and FULL mode sees the former.
+        # from end-start in the last ulp, and a Span sees the former.
         skew = server.clock_skew
         duration = (end + skew) - (start + skew)
         if duration < 0.0:
@@ -272,7 +302,7 @@ class AggregatingTracer:
         self.spans_recorded += 1
         # Per-shard CPU demand, accumulated in recording order -- the same
         # float-addition order attribute_request uses over the span list,
-        # so the per-shard columns are bit-identical to FULL mode.
+        # so the per-shard columns are bit-identical to the span oracle.
         shard_cpu = state.shard_cpu
         shard_cpu[shard] = shard_cpu.get(shard, 0.0) + cpu
 
@@ -294,6 +324,10 @@ class AggregatingTracer:
                 state.rpc_entry(rpc_id)[_R_SERDE] += duration
         elif layer is _OPERATOR:
             state.cpu_ops += cpu
+            if category is _SPARSE:
+                state.sparse_op_cpu += cpu
+            else:
+                state.dense_op_cpu += cpu
             if shard == MAIN_SHARD:
                 if batch is not None:
                     if batch >= len(state.batch_dense):
@@ -306,6 +340,9 @@ class AggregatingTracer:
                 state.rpc_entry(rpc_id)[_R_OPS] += duration
                 shard_op = state.shard_op
                 shard_op[shard] = shard_op.get(shard, 0.0) + duration
+                net_op = state.shard_net_op
+                key = (shard, net)
+                net_op[key] = net_op.get(key, 0.0) + duration
         elif layer is _NET_OVERHEAD:
             state.cpu_service += cpu
             if shard == MAIN_SHARD:
@@ -399,31 +436,36 @@ class AggregatingTracer:
             cpu_total = 0 + cpu_ops + cpu_serde + cpu_service
 
             index = self._count
-            if index == len(self._e2e):
+            columns = self._columns
+            if index == len(columns["e2e"]):
                 self._grow(2 * index)
-            self._e2e[index] = e2e
-            self._cpu[index] = cpu_total
+                columns = self._columns
+            columns["e2e"][index] = e2e
+            columns["cpu"][index] = cpu_total
+            columns["sparse_op_cpu"][index] = state.sparse_op_cpu
+            columns["dense_op_cpu"][index] = state.dense_op_cpu
+            columns["rpcs"][index] = state.rpcs
+            columns["num_batches"][index] = state.num_batches
             workload_ids = self.workload_ids
-            self._workload[index] = (
-                0 if workload_ids is None else int(workload_ids[request_id])
-            )
-            self._rid[index] = request_id
+            if workload_ids is not None:
+                columns["workload"][index] = int(workload_ids[request_id])
+            columns["request_ids"][index] = request_id
             chaos_flags = self.chaos_flags
             if chaos_flags is not None:
                 flags = chaos_flags.get(request_id)
                 if flags is not None:
                     degraded, retried = flags
-                    self._status[index] = 1 if degraded else 0
-                    self._degraded[index] = degraded
-                    self._retries[index] = retried
+                    columns["status"][index] = 1 if degraded else 0
+                    columns["degraded"][index] = degraded
+                    columns["retries"][index] = retried
             resilience_flags = self.resilience_flags
             if resilience_flags is not None:
                 rflags = resilience_flags.get(request_id)
                 if rflags is not None:
                     attempts, hedged, deadline_exceeded = rflags
-                    self._attempts[index] = attempts
-                    self._hedged[index] = hedged
-                    self._deadline[index] = deadline_exceeded
+                    columns["attempts"][index] = attempts
+                    columns["hedged"][index] = hedged
+                    columns["deadline_exceeded"][index] = deadline_exceeded
             cols = self._stack_cols
             cols["latency", E2E_BUCKETS[0]][index] = dense
             cols["latency", E2E_BUCKETS[1]][index] = embedded
@@ -438,50 +480,36 @@ class AggregatingTracer:
             cols["cpu", CPU_BUCKETS[0]][index] = cpu_ops
             cols["cpu", CPU_BUCKETS[1]][index] = cpu_serde
             cols["cpu", CPU_BUCKETS[2]][index] = cpu_service
-            capacity = len(self._e2e)
-            shard_cpu_cols = self._shard_cpu_cols
-            for shard, value in state.shard_cpu.items():
-                col = shard_cpu_cols.get(shard)
-                if col is None:
-                    col = shard_cpu_cols[shard] = np.zeros(capacity)
-                col[index] = value
-            shard_op_cols = self._shard_op_cols
-            for shard, value in state.shard_op.items():
-                col = shard_op_cols.get(shard)
-                if col is None:
-                    col = shard_op_cols[shard] = np.zeros(capacity)
-                col[index] = value
+            shard_cols = self._shard_cols
+            capacity = len(columns["e2e"])
+            for kind, values in (
+                ("cpu", state.shard_cpu),
+                ("op", state.shard_op),
+                ("net_op", state.shard_net_op),
+            ):
+                kind_cols = shard_cols[kind]
+                for key, value in values.items():
+                    col = kind_cols.get(key)
+                    if col is None:
+                        col = kind_cols[key] = np.zeros(capacity)
+                    col[index] = value
             self._count = index + 1
         finally:
             self._pool.append(state)
 
     def _grow(self, capacity: int) -> None:
+        count = self._count
+
         def grown(array: np.ndarray) -> np.ndarray:
-            out = np.empty(capacity, dtype=array.dtype)
-            out[: self._count] = array[: self._count]
-            return out
-
-        def grown_zeros(array: np.ndarray) -> np.ndarray:
             out = np.zeros(capacity, dtype=array.dtype)
-            out[: self._count] = array[: self._count]
+            out[:count] = array[:count]
             return out
 
-        self._e2e = grown(self._e2e)
-        self._cpu = grown(self._cpu)
-        self._workload = grown(self._workload)
-        self._rid = grown(self._rid)
-        self._status = grown_zeros(self._status)
-        self._degraded = grown_zeros(self._degraded)
-        self._retries = grown_zeros(self._retries)
-        self._attempts = grown_zeros(self._attempts)
-        self._hedged = grown_zeros(self._hedged)
-        self._deadline = grown_zeros(self._deadline)
+        self._columns = {name: grown(col) for name, col in self._columns.items()}
         self._stack_cols = {key: grown(col) for key, col in self._stack_cols.items()}
-        self._shard_cpu_cols = {
-            key: grown_zeros(col) for key, col in self._shard_cpu_cols.items()
-        }
-        self._shard_op_cols = {
-            key: grown_zeros(col) for key, col in self._shard_op_cols.items()
+        self._shard_cols = {
+            kind: {key: grown(col) for key, col in cols.items()}
+            for kind, cols in self._shard_cols.items()
         }
 
     # -- column export -----------------------------------------------------
@@ -493,45 +521,19 @@ class AggregatingTracer:
         self,
     ) -> tuple[
         int,
-        np.ndarray,
-        np.ndarray,
+        dict[str, np.ndarray],
         dict[tuple[str, str], np.ndarray],
-        np.ndarray,
-        dict[int, np.ndarray],
-        dict[int, np.ndarray],
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
+        dict[str, dict],
     ]:
-        """Hand over the backing arrays (count, e2e, cpu, stack columns,
-        workload indices, per-shard CPU columns, per-shard op-time columns,
-        the chaos columns: request ids, status, degraded, retries, then
-        the resilience columns: attempts, hedged, deadline_exceeded).
+        """Hand over the backing arrays: the row count, the per-request
+        columns by name (:data:`COLUMNS`), the stack columns by (kind,
+        bucket), and the per-shard columns by kind (:data:`SHARD_KINDS`).
 
         The caller (``RunResult.adopt_aggregate``) slices by count; the
         arrays are *not* copied, so a tracer must not be reused after
         export.
         """
-        return (
-            self._count,
-            self._e2e,
-            self._cpu,
-            self._stack_cols,
-            self._workload,
-            self._shard_cpu_cols,
-            self._shard_op_cols,
-            self._rid,
-            self._status,
-            self._degraded,
-            self._retries,
-            self._attempts,
-            self._hedged,
-            self._deadline,
-        )
+        return self._count, self._columns, self._stack_cols, self._shard_cols
 
     # -- lifecycle / parity with Tracer ------------------------------------
     def in_flight(self) -> int:

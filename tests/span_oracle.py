@@ -1,0 +1,101 @@
+"""Span oracle: attribute a replay from spans, independently of the columns.
+
+Every :class:`~repro.experiments.runner.RunResult` is attributed by the
+aggregate accumulator.  The oracle replays the *same* inputs on a
+:class:`~repro.serving.simulator.ClusterSimulation` that records real
+:class:`~repro.tracing.span.Span` objects, attributes each popped request
+with :func:`~repro.tracing.attribution.attribute_request`, and the tests
+compare the two bit for bit, column by column.
+"""
+
+from __future__ import annotations
+
+from repro.requests.replayer import ReplayMode, ReplaySchedule
+from repro.serving.simulator import ClusterSimulation
+from repro.tracing import Tracer, attribute_request
+from repro.tracing.aggregate import SHARD_KINDS, STACK_BUCKETS
+
+
+def _replay(cluster: ClusterSimulation, run, *args):
+    tracer = cluster.tracer
+    chaos_flags = cluster.chaos_flags
+    res_flags = cluster.resilience_flags
+    rows = []
+
+    def on_complete(request_id: int) -> None:
+        rows.append((
+            attribute_request(tracer.pop_request(request_id)),
+            chaos_flags.get(request_id) if chaos_flags else None,
+            res_flags.get(request_id) if res_flags else None,
+        ))
+
+    cluster.on_complete = on_complete
+    run(*args)
+    return rows, tuple(cluster.dropped_requests)
+
+
+def oracle_configuration(model, plan, requests, serving, schedule=None):
+    """Span-attributed rows of one configuration, in completion order,
+    and the ids of the requests that never completed."""
+    schedule = schedule or ReplaySchedule.serial()
+    cluster = ClusterSimulation(model, plan, serving, tracer=Tracer())
+    if schedule.mode is ReplayMode.SERIAL:
+        return _replay(cluster, cluster.run_serial, requests)
+    return _replay(cluster, cluster.run_open_loop, requests, schedule)
+
+
+def oracle_mix(mix, plans, stream, serving):
+    """Span-attributed rows of one co-located mix replay."""
+    cluster = ClusterSimulation.colocated(
+        [(workload.model, plan) for workload, plan in zip(mix.workloads, plans)],
+        serving,
+        tracer=Tracer(),
+    )
+    return _replay(cluster, cluster.run_stream, stream)
+
+
+def assert_matches_oracle(result, oracle, workload_ids=None, label=""):
+    """Every column of ``result`` equals the span attribution, bit for bit."""
+    rows, dropped = oracle
+    assert len(result) == len(rows), label
+    assert result.incomplete_requests == dropped, label
+    stacks = {kind: result.stack_columns(kind) for kind in STACK_BUCKETS}
+    shard_cols = {kind: result.shard_columns(kind) for kind in SHARD_KINDS}
+    touched = {kind: set() for kind in SHARD_KINDS}
+    for i, (a, flags, rflags) in enumerate(rows):
+        where = (label, i, a.request_id)
+        assert result.request_ids[i] == a.request_id, where
+        assert result.e2e[i] == a.e2e, where
+        assert result.cpu[i] == a.cpu_total, where
+        assert result.sparse_op_cpu[i] == a.sparse_op_cpu, where
+        assert result.dense_op_cpu[i] == a.dense_op_cpu, where
+        assert result.rpcs[i] == a.rpcs, where
+        assert result.num_batches[i] == a.num_batches, where
+        workload = 0 if workload_ids is None else workload_ids[a.request_id]
+        assert result.workloads[i] == workload, where
+        for kind, stack in (
+            ("latency", a.latency_stack),
+            ("embedded", a.embedded_stack),
+            ("cpu", a.cpu_stack),
+        ):
+            assert list(stack) == list(stacks[kind]), where
+            for bucket, value in stack.items():
+                assert stacks[kind][bucket][i] == value, (where, kind, bucket)
+        degraded, retries = flags or (0, 0)
+        assert result.degraded[i] == degraded, where
+        assert result.retries[i] == retries, where
+        assert result.status[i] == (1 if degraded else 0), where
+        attempts, hedged, deadline = rflags or (0, 0, 0)
+        assert result.attempts[i] == attempts, where
+        assert result.hedged[i] == hedged, where
+        assert result.deadline_exceeded[i] == deadline, where
+        for kind, values in (
+            ("cpu", a.per_shard_cpu),
+            ("op", a.per_shard_op_time),
+            ("net_op", a.per_shard_net_op_time),
+        ):
+            touched[kind].update(values)
+            for key, col in shard_cols[kind].items():
+                assert col[i] == values.get(key, 0.0), (where, kind, key)
+    for kind in SHARD_KINDS:
+        assert set(shard_cols[kind]) == touched[kind], (label, kind)

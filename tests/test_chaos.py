@@ -27,6 +27,7 @@ from repro.experiments import (
 from repro.experiments.runner import suite_requests
 from repro.models import drm1
 from repro.serving import ServingConfig, TraceMode
+from span_oracle import assert_matches_oracle, oracle_configuration
 from repro.serving.simulator import ClusterSimulation, SimServer
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel
@@ -217,23 +218,13 @@ class TestFailoverAndDegradation:
         ],
         ids=["degrade", "failover", "retry"],
     )
-    def test_full_equals_aggregate_under_chaos(self, chaos):
+    def test_columns_match_span_oracle_under_chaos(self, chaos):
         model, plan, requests, schedule = open_loop_inputs()
-        results = {
-            mode: run_configuration(
-                model, plan, requests,
-                ServingConfig(trace_mode=mode, chaos=chaos),
-                schedule,
-            )
-            for mode in (TraceMode.FULL, TraceMode.AGGREGATE)
-        }
-        full, aggregate = results[TraceMode.FULL], results[TraceMode.AGGREGATE]
-        assert np.array_equal(full.e2e, aggregate.e2e)
-        assert np.array_equal(full.cpu, aggregate.cpu)
-        assert np.array_equal(full.request_ids, aggregate.request_ids)
-        assert np.array_equal(full.status, aggregate.status)
-        assert np.array_equal(full.degraded, aggregate.degraded)
-        assert np.array_equal(full.retries, aggregate.retries)
+        serving = ServingConfig(chaos=chaos)
+        result = run_configuration(model, plan, requests, serving, schedule)
+        assert_matches_oracle(
+            result, oracle_configuration(model, plan, requests, serving, schedule)
+        )
 
     def test_straggler_and_spike_raise_latency(self):
         model, plan, requests, schedule = open_loop_inputs()

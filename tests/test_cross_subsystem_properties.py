@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from span_oracle import assert_matches_oracle, oracle_configuration
 
 from repro.analysis import overhead_vs_baseline, quantile
 from repro.models import drm1, drm2, drm3
@@ -151,17 +152,15 @@ class TestEndToEndDeterminism:
         requests = RequestGenerator(model, seed=3).generate_many(10)
 
         def run_once():
-            result = run_configuration(
-                model, plan, requests, ServingConfig(seed=1)
-            )
-            return [a.e2e for a in result.attributions], [
-                a.cpu_total for a in result.attributions
-            ]
+            return run_configuration(model, plan, requests, ServingConfig(seed=1))
 
-        first_e2e, first_cpu = run_once()
-        second_e2e, second_cpu = run_once()
-        assert first_e2e == second_e2e
-        assert first_cpu == second_cpu
+        first, second = run_once(), run_once()
+        assert first.e2e.tolist() == second.e2e.tolist()
+        assert first.cpu.tolist() == second.cpu.tolist()
+        # ...and the columns are the span attribution of the same replay.
+        assert_matches_oracle(
+            first, oracle_configuration(model, plan, requests, ServingConfig(seed=1))
+        )
 
     def test_request_sample_independent_of_plan(self, models, poolings):
         """Plans must not perturb the request stream (same draws seen)."""

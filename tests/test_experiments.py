@@ -67,12 +67,12 @@ class TestRunner:
     def test_suite_covers_all_configs(self, drm1_results):
         assert len(drm1_results) == 11
         for result in drm1_results.values():
-            assert len(result.attributions) == 40
+            assert len(result) == 40
 
     def test_same_requests_all_configs(self, drm1_results):
         """Every config replays the identical request sample."""
         batch_counts = {
-            label: [a.num_batches for a in r.attributions]
+            label: r.num_batches.tolist()
             for label, r in drm1_results.items()
         }
         reference = batch_counts[SINGULAR]
@@ -87,7 +87,7 @@ class TestRunner:
             ServingConfig(seed=1, service_workers=2),
             ReplaySchedule.open_loop(qps=100.0, seed=5),
         )
-        assert len(result.attributions) == len(requests)
+        assert len(result) == len(requests)
 
     def test_result_arrays(self, drm1_results):
         result = drm1_results[SINGULAR]

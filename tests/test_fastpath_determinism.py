@@ -9,7 +9,7 @@ The fast path must be *exactly* the slow path, faster:
   the default count and a sweep started inside a pool worker;
 * the pooling-factor sample must be the same bits on any thread count
   and chunk size, and memoization must not change estimates;
-* columnar ``RunResult`` storage must agree with the retained
+* columnar ``RunResult`` storage must agree with the span oracle's
   per-request attributions.
 """
 
@@ -19,10 +19,16 @@ import sys
 import numpy as np
 import pytest
 
+from span_oracle import assert_matches_oracle, oracle_configuration
+
 from repro.experiments import (
+    RunResult,
+    ShardingConfiguration,
     SuiteSettings,
+    build_plan,
     paper_configurations,
     run_suite,
+    suite_requests,
 )
 import repro.experiments.parallel as parallel_module
 import repro.requests.generator as generator_module
@@ -30,9 +36,10 @@ from repro.core.rng import substream
 from repro.models import FeatureScope, drm1, drm2, drm3
 from repro.requests import RequestGenerator
 from repro.requests.generator import _DAY_SECONDS
-from repro.serving import ServingConfig
+from repro.serving import ClusterSimulation, ServingConfig
 from repro.sharding import estimate_pooling_factors
 from repro.sharding.pooling import clear_pooling_cache
+from repro.tracing.aggregate import SHARD_KINDS, AggregatingTracer
 
 SETTINGS = SuiteSettings(
     num_requests=25, pooling_requests=120, serving=ServingConfig(seed=1)
@@ -178,11 +185,18 @@ class TestParallelSerialIdentity:
                     assert np.array_equal(
                         serial_cols[bucket], parallel_cols[bucket]
                     ), (label, kind, bucket)
-            for a, b in zip(serial.attributions, parallel.attributions):
-                assert a.latency_stack == b.latency_stack
-                assert a.embedded_stack == b.embedded_stack
-                assert a.cpu_stack == b.cpu_stack
-                assert a.per_shard_op_time == b.per_shard_op_time
+            for name in ("sparse_op_cpu", "dense_op_cpu", "rpcs", "num_batches"):
+                assert np.array_equal(
+                    getattr(serial, name), getattr(parallel, name)
+                ), (label, name)
+            for kind in SHARD_KINDS:
+                serial_cols = serial.shard_columns(kind)
+                parallel_cols = parallel.shard_columns(kind)
+                assert serial_cols.keys() == parallel_cols.keys()
+                for key in serial_cols:
+                    assert np.array_equal(
+                        serial_cols[key], parallel_cols[key]
+                    ), (label, kind, key)
 
     def test_in_process_fallback_matches(self, serial_results, monkeypatch):
         """``REPRO_SWEEP_WORKERS=1`` replays in-process: no pool is made."""
@@ -224,53 +238,52 @@ class TestParallelSerialIdentity:
 
 class TestColumnarRunResult:
     @pytest.fixture(scope="class")
-    def result(self):
-        results = run_suite(drm1(), SETTINGS)
-        return results["load-bal 2 shards"]
-
-    def test_columns_match_attributions(self, result):
-        assert len(result) == len(result.attributions) == 25
-        assert np.array_equal(
-            result.e2e, np.array([a.e2e for a in result.attributions])
+    def run(self):
+        """One distributed configuration and its span-oracle rows."""
+        model = drm1()
+        results = run_suite(model, SETTINGS)
+        result = results["load-bal 2 shards"]
+        pooling = estimate_pooling_factors(model, num_requests=120, seed=42)
+        plan = build_plan(model, ShardingConfiguration("load-bal", 2), pooling)
+        assert plan.label == result.label
+        oracle = oracle_configuration(
+            model, plan, suite_requests(model, SETTINGS), SETTINGS.serving
         )
-        assert np.array_equal(
-            result.cpu, np.array([a.cpu_total for a in result.attributions])
-        )
-        columns = result.stack_columns("latency")
-        for i, attribution in enumerate(result.attributions):
-            for bucket, value in attribution.latency_stack.items():
-                assert columns[bucket][i] == value
+        return result, oracle
 
-    def test_embedded_totals_match(self, result):
-        expected = np.array([a.embedded_total for a in result.attributions])
+    def test_columns_match_span_oracle(self, run):
+        result, oracle = run
+        assert len(result) == 25
+        assert_matches_oracle(result, oracle)
+
+    def test_embedded_totals_match(self, run):
+        result, (rows, _) = run
+        expected = np.array([a.embedded_total for a, _, _ in rows])
         assert np.allclose(result.embedded_totals, expected, rtol=1e-12, atol=0.0)
 
-    def test_row_views_rebuild_equal_dicts(self, result):
+    def test_row_views_rebuild_equal_dicts(self, run):
+        result, (rows, _) = run
         stacks = result.cpu_stacks()
         assert len(stacks) == 25
-        for stack, attribution in zip(stacks, result.attributions):
+        for stack, (attribution, _, _) in zip(stacks, rows):
             assert stack == attribution.cpu_stack
 
     def test_growth_beyond_initial_capacity(self):
+        """An accumulator sized for 4 requests grows to 40 by doubling
+        without disturbing a column."""
         small = SuiteSettings(
             num_requests=40, pooling_requests=120, serving=ServingConfig(seed=1)
         )
-        from repro.experiments import ShardingConfiguration, build_plan, run_configuration, suite_requests
-        from repro.experiments.runner import RunResult
-
         model = drm1()
         requests = suite_requests(model, small)
         plan = build_plan(model, ShardingConfiguration("singular"))
-        result = RunResult(model.name, plan.label, plan, expected_requests=4)
-        from repro.serving.simulator import ClusterSimulation
-        from repro.tracing.attribution import attribute_request
-
-        cluster = ClusterSimulation(model, plan, ServingConfig(seed=1))
-        cluster.on_complete = lambda rid: result.add(
-            attribute_request(cluster.tracer.pop_request(rid))
-        )
+        tracer = AggregatingTracer(expected_requests=4)
+        cluster = ClusterSimulation(model, plan, small.serving, tracer=tracer)
+        cluster.on_complete = tracer.finalize_request
         cluster.run_serial(requests)
+        result = RunResult(model.name, plan.label, plan)
+        result.adopt_aggregate(tracer)
         assert len(result) == 40
-        assert np.array_equal(
-            result.e2e, np.array([a.e2e for a in result.attributions])
+        assert_matches_oracle(
+            result, oracle_configuration(model, plan, requests, small.serving)
         )

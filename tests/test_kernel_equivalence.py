@@ -2,8 +2,8 @@
 
 The batched DES kernel (``BatchedEngine`` + ``SyncResource`` + fused
 ``At`` yields in the serving fast path) must replay every paper
-configuration *bit-identically* to the reference kernel, in both trace
-modes, serial and open-loop, healthy and under a chaos schedule.  This
+configuration *bit-identically* to the reference kernel, serial and
+open-loop, healthy and under a chaos schedule.  This
 is the determinism story the kernel selector ships with (see the
 "Canonical event ordering" section in ``repro/simulation/engine.py`` and
 rule 2 of the determinism contract in ``repro/core/rng.py``): the
@@ -13,9 +13,9 @@ earlier within a timestamp -- so every recorded value, every column, and
 every accumulator sum lands on the same floats.
 
 The vectorized kernel extends the same contract to the columnar replay
-path: eligible runs (serial closed-loop, chaos-free, AGGREGATE tracing)
-bypass the event loop entirely yet land on the same floats (the
-"vectorized equivalence" clauses in ``engine.py``/``rng.py``), and every
+path: eligible runs (serial closed-loop, chaos-free) bypass the event
+loop entirely yet land on the same floats (the "vectorized equivalence"
+clauses in ``engine.py``/``rng.py``), and every
 ineligible run falls back to the batched kernel with the reason recorded
 on ``RunResult.kernel_fallback`` -- both pinned here.
 """
@@ -29,6 +29,7 @@ import pytest
 from repro.chaos import FaultSchedule, HealingPolicy, HostCrash, NetworkSpike, StragglerShard
 from repro.experiments import (
     ShardingConfiguration,
+    paper_configurations,
     SuiteSettings,
     build_plan,
     run_configuration,
@@ -39,11 +40,12 @@ from repro.experiments.runner import suite_requests
 from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule
 from repro.serving import ServingConfig, TraceMode
+from repro.tracing.aggregate import SHARD_KINDS
 from repro.serving.columnar import (
     REASON_CHAOS,
-    REASON_FULL_TRACE,
     REASON_MIX,
     REASON_OPEN_LOOP,
+    REASON_SHALLOW_MAIN,
 )
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
@@ -74,7 +76,19 @@ def assert_run_identical(ref, new, label=""):
     assert np.array_equal(ref.degraded, new.degraded), label
     assert np.array_equal(ref.retries, new.retries), label
     assert np.array_equal(ref.workloads, new.workloads), label
+    for name in (
+        "sparse_op_cpu", "dense_op_cpu", "rpcs", "num_batches",
+        "attempts", "hedged", "deadline_exceeded",
+    ):
+        assert np.array_equal(getattr(ref, name), getattr(new, name)), (label, name)
+    for kind in SHARD_KINDS:
+        ref_cols = ref.shard_columns(kind)
+        new_cols = new.shard_columns(kind)
+        assert ref_cols.keys() == new_cols.keys(), (label, kind)
+        for key in ref_cols:
+            assert np.array_equal(ref_cols[key], new_cols[key]), (label, kind, key)
     assert ref.mean_cpu_by_shard() == new.mean_cpu_by_shard(), label
+    assert ref.mean_per_shard_net_op_time() == new.mean_per_shard_net_op_time(), label
     assert ref.chaos_timeline == new.chaos_timeline, label
     assert ref.incomplete_requests == new.incomplete_requests, label
 
@@ -85,18 +99,17 @@ def assert_suites_identical(ref, new):
         assert_run_identical(ref[label], new[label], label)
 
 
-def settings(kernel=None, trace_mode=None, num_requests=20, **serving_kwargs):
+def settings(kernel=None, num_requests=20, **serving_kwargs):
     return SuiteSettings(
         num_requests=num_requests,
         pooling_requests=150,
         serving=ServingConfig(seed=1, **serving_kwargs),
-        trace_mode=trace_mode,
         kernel=kernel,
     )
 
 
 def _mix_results(kernel=None):
-    """A two-model co-located mix, one configuration, AGGREGATE."""
+    """A two-model co-located mix, one configuration."""
     mix = WorkloadMix(
         (
             Workload(
@@ -113,8 +126,7 @@ def _mix_results(kernel=None):
         mix,
         SuiteSettings(
             num_requests=10, pooling_requests=150,
-            serving=ServingConfig(seed=1),
-            trace_mode=TraceMode.AGGREGATE, kernel=kernel,
+            serving=ServingConfig(seed=1), kernel=kernel,
         ),
         (ShardingConfiguration("load-bal", 2),),
     )
@@ -161,23 +173,11 @@ class TestKernelSelection:
 
 class TestPaperConfigurationEquivalence:
     @pytest.mark.parametrize("factory", [drm1, drm2, drm3])
-    def test_every_paper_configuration_full_trace(self, factory):
+    def test_every_paper_configuration(self, factory):
         model = factory()
         assert_suites_identical(
             run_suite(model, settings(kernel="reference")),
             run_suite(model, settings(kernel="batched")),
-        )
-
-    @pytest.mark.parametrize("factory", [drm1, drm2, drm3])
-    def test_every_paper_configuration_aggregate_trace(self, factory):
-        model = factory()
-        assert_suites_identical(
-            run_suite(
-                model, settings(kernel="reference", trace_mode=TraceMode.AGGREGATE)
-            ),
-            run_suite(
-                model, settings(kernel="batched", trace_mode=TraceMode.AGGREGATE)
-            ),
         )
 
     def test_open_loop_contended_with_clock_skew(self):
@@ -200,25 +200,9 @@ class TestPaperConfigurationEquivalence:
             run_suite(model, contended("batched")),
         )
 
-    def test_full_equals_aggregate_on_batched_kernel(self):
-        model = drm1()
-        full = run_suite(model, settings(kernel="batched"))
-        aggregate = run_suite(
-            model, settings(kernel="batched", trace_mode=TraceMode.AGGREGATE)
-        )
-        assert list(full) == list(aggregate)
-        for label in full:
-            f, a = full[label], aggregate[label]
-            assert np.array_equal(f.e2e, a.e2e), label
-            assert np.array_equal(f.cpu, a.cpu), label
-            for kind in ("latency", "embedded", "cpu"):
-                fc, ac = f.stack_columns(kind), a.stack_columns(kind)
-                for bucket in fc:
-                    assert np.array_equal(fc[bucket], ac[bucket]), (label, bucket)
-
     def test_parallel_batched_matches_serial_batched(self):
         model = drm1()
-        batched = settings(kernel="batched", trace_mode=TraceMode.AGGREGATE)
+        batched = settings(kernel="batched")
         assert_suites_identical(
             run_suite(model, batched, max_workers=1),
             run_suite(model, batched, max_workers=2),
@@ -244,10 +228,7 @@ class TestChaosEquivalence:
         healing=HealingPolicy(check_interval=0.05, consecutive_misses=2),
     )
 
-    @pytest.mark.parametrize(
-        "trace_mode", [None, TraceMode.AGGREGATE], ids=["full", "aggregate"]
-    )
-    def test_chaos_replay_matches_reference(self, trace_mode):
+    def test_chaos_replay_matches_reference(self):
         model = drm1()
         pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
         plan = build_plan(model, ShardingConfiguration("load-bal", 4), pooling)
@@ -258,10 +239,7 @@ class TestChaosEquivalence:
         schedule = base.resolved_schedule()
 
         def replay(kernel):
-            serving = ServingConfig(
-                seed=1, chaos=self.SCHEDULE, kernel=kernel,
-                trace_mode=trace_mode or TraceMode.FULL,
-            )
+            serving = ServingConfig(seed=1, chaos=self.SCHEDULE, kernel=kernel)
             return run_configuration(model, plan, requests, serving, schedule)
 
         ref = replay("reference")
@@ -286,12 +264,8 @@ class TestVectorizedEquivalence:
     @pytest.mark.parametrize("factory", [drm1, drm2, drm3])
     def test_every_paper_configuration(self, factory):
         model = factory()
-        ref = run_suite(
-            model, settings(kernel="reference", trace_mode=TraceMode.AGGREGATE)
-        )
-        vec = run_suite(
-            model, settings(kernel="vectorized", trace_mode=TraceMode.AGGREGATE)
-        )
+        ref = run_suite(model, settings(kernel="reference"))
+        vec = run_suite(model, settings(kernel="vectorized"))
         for label, result in vec.items():
             assert result.kernel_used == "vectorized", (
                 label, result.kernel_fallback,
@@ -301,7 +275,7 @@ class TestVectorizedEquivalence:
 
     def test_parallel_matches_serial(self):
         model = drm1()
-        vectorized = settings(kernel="vectorized", trace_mode=TraceMode.AGGREGATE)
+        vectorized = settings(kernel="vectorized")
         serial = run_suite(model, vectorized, max_workers=1)
         parallel = run_suite(model, vectorized, max_workers=2)
         for result in parallel.values():
@@ -313,10 +287,7 @@ class TestVectorizedEquivalence:
         model = drm1()
 
         def skewed(kernel):
-            return settings(
-                kernel=kernel, trace_mode=TraceMode.AGGREGATE,
-                clock_skew_sigma=0.002,
-            )
+            return settings(kernel=kernel, clock_skew_sigma=0.002)
 
         assert_suites_identical(
             run_suite(model, skewed("reference")),
@@ -343,7 +314,7 @@ class TestVectorizedFallback:
 
     def test_open_loop_falls_back(self):
         result = self._replay(
-            ServingConfig(seed=1, kernel="vectorized", trace_mode=TraceMode.AGGREGATE),
+            ServingConfig(seed=1, kernel="vectorized"),
             ReplaySchedule.open_loop(25.0, seed=2),
         )
         assert result.kernel_used == "batched"
@@ -352,17 +323,21 @@ class TestVectorizedFallback:
     def test_chaos_falls_back(self):
         result = self._replay(
             ServingConfig(
-                seed=1, kernel="vectorized", trace_mode=TraceMode.AGGREGATE,
+                seed=1, kernel="vectorized",
                 chaos=FaultSchedule(experiments=(HostCrash(shard=0, at=0.05),)),
             ),
         )
         assert result.kernel_used == "batched"
         assert result.kernel_fallback == REASON_CHAOS
 
-    def test_full_trace_falls_back(self):
-        result = self._replay(ServingConfig(seed=1, kernel="vectorized"))
-        assert result.kernel_used == "batched"
-        assert result.kernel_fallback == REASON_FULL_TRACE
+    def test_full_trace_takes_the_fast_path(self):
+        """FULL tracing no longer forks attribution, so it no longer
+        blocks the columnar replay."""
+        result = self._replay(
+            ServingConfig(seed=1, kernel="vectorized", trace_mode=TraceMode.FULL)
+        )
+        assert result.kernel_used == "vectorized"
+        assert result.kernel_fallback is None
 
     def test_mix_falls_back(self):
         for result in _mix_results(kernel="vectorized").values():
@@ -370,23 +345,15 @@ class TestVectorizedFallback:
             assert result.kernel_fallback == REASON_MIX
 
     def test_eligible_run_takes_the_fast_path(self):
-        result = self._replay(
-            ServingConfig(seed=1, kernel="vectorized", trace_mode=TraceMode.AGGREGATE),
-        )
+        result = self._replay(ServingConfig(seed=1, kernel="vectorized"))
         assert result.kernel_used == "vectorized"
         assert result.kernel_fallback is None
 
     def test_fallback_result_matches_batched(self):
         """The fallback is not merely labeled batched -- it *is* batched."""
         schedule = ReplaySchedule.open_loop(25.0, seed=2)
-        fallback = self._replay(
-            ServingConfig(seed=1, kernel="vectorized", trace_mode=TraceMode.AGGREGATE),
-            schedule,
-        )
-        batched = self._replay(
-            ServingConfig(seed=1, kernel="batched", trace_mode=TraceMode.AGGREGATE),
-            schedule,
-        )
+        fallback = self._replay(ServingConfig(seed=1, kernel="vectorized"), schedule)
+        batched = self._replay(ServingConfig(seed=1, kernel="batched"), schedule)
         assert_run_identical(fallback, batched, "fallback")
 
 
@@ -398,8 +365,13 @@ class TestDefaultKernel:
         ShardingConfiguration("load-bal", 2),
     )
 
-    def test_serial_aggregate_runs_are_vectorized(self):
-        results = run_suite(drm1(), settings(trace_mode=TraceMode.AGGREGATE))
+    def test_default_sweep_is_columnar(self):
+        """A sweep with no kernel or trace-mode override takes the
+        columnar replay on every serial paper configuration."""
+        results = run_suite(
+            drm1(), SuiteSettings(num_requests=25, pooling_requests=150)
+        )
+        assert len(results) == len(paper_configurations("DRM1"))
         for label, result in results.items():
             assert result.kernel_used == "vectorized", (
                 label, result.kernel_fallback,
@@ -414,13 +386,12 @@ class TestDefaultKernel:
                     num_requests=15, pooling_requests=150,
                     serving=ServingConfig(seed=1),
                     schedule=ReplaySchedule.open_loop(25.0, seed=2),
-                    trace_mode=TraceMode.AGGREGATE,
                 ),
                 REASON_OPEN_LOOP,
             ),
-            (settings(num_requests=15), REASON_FULL_TRACE),
+            (settings(num_requests=15, service_workers=2), REASON_SHALLOW_MAIN),
         ],
-        ids=["open-loop", "full-trace"],
+        ids=["open-loop", "shallow-worker-pool"],
     )
     def test_ineligible_runs_take_the_batched_des(self, suite_settings, reason):
         results = run_suite(drm1(), suite_settings, self.TWO_CONFIGURATIONS)
@@ -447,7 +418,7 @@ class TestChunkedReplay:
 
     def test_chunk_size_invariance(self, monkeypatch):
         model = drm1()
-        vectorized = settings(kernel="vectorized", trace_mode=TraceMode.AGGREGATE)
+        vectorized = settings(kernel="vectorized")
         base = run_suite(model, vectorized)
         monkeypatch.setenv("REPRO_CHUNK", "7")
         chunked = run_suite(model, vectorized)
@@ -464,8 +435,7 @@ class TestChunkedReplay:
             model,
             SuiteSettings(num_requests=num_requests, pooling_requests=150),
         )
-        serving = ServingConfig(seed=1, trace_mode=TraceMode.AGGREGATE)
-        return model, plan, requests, serving
+        return model, plan, requests, ServingConfig(seed=1)
 
     def test_replay_memory_bounded_by_chunk(self, monkeypatch):
         from repro.serving import columnar

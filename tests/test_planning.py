@@ -4,6 +4,7 @@ deprecation shims over the historical repro.serving.* paths."""
 
 import numpy as np
 import pytest
+from span_oracle import oracle_configuration
 
 import repro.planning as planning
 import repro.serving.elasticity as serving_elasticity
@@ -14,8 +15,11 @@ from repro.experiments import (
     RunResult,
     ShardingConfiguration,
     SuiteSettings,
+    build_plan,
+    paper_configurations,
     run_mix_suite,
     run_suite,
+    suite_requests,
 )
 from repro.models import drm1, drm2
 from repro.planning import (
@@ -31,7 +35,7 @@ from repro.planning import (
     plan_replication,
 )
 from repro.serving import ServingConfig, TraceMode
-from repro.sharding import singular_plan
+from repro.sharding import estimate_pooling_factors, singular_plan
 from repro.workloads import (
     PiecewiseRateArrivals,
     PoissonArrivals,
@@ -99,16 +103,22 @@ class TestPerShardColumns:
     def test_matches_historical_attribution_accumulation(self, suite_pair):
         """The columnar means reproduce the per-attribution Python-loop
         accumulation bit-for-bit (sequential sums, exact +0.0 padding)."""
-        _, full, _ = suite_pair
-        for label, result in full.items():
+        model, full, _ = suite_pair
+        requests = suite_requests(model, SETTINGS)
+        pooling = estimate_pooling_factors(model, num_requests=100, seed=42)
+        for configuration in paper_configurations(model.name):
+            plan = build_plan(model, configuration, pooling)
+            result = full[plan.label]
+            rows, _ = oracle_configuration(model, plan, requests, SETTINGS.serving)
             cpu_totals: dict[int, float] = {}
             op_totals: dict[int, float] = {}
-            for attribution in result.attributions:
+            for attribution, _, _ in rows:
                 for shard, value in attribution.per_shard_cpu.items():
                     cpu_totals[shard] = cpu_totals.get(shard, 0.0) + value
                 for shard, value in attribution.per_shard_op_time.items():
                     op_totals[shard] = op_totals.get(shard, 0.0) + value
-            count = len(result.attributions)
+            count = len(rows)
+            label = plan.label
             assert result.mean_cpu_by_shard() == {
                 shard: total / count for shard, total in sorted(cpu_totals.items())
             }, label
@@ -415,7 +425,7 @@ class TestPlanCli:
         code = main(
             [
                 "plan", "--models", "DRM1", "DRM2", "--requests", "15",
-                "--pooling-requests", "100", "--trace-mode", "aggregate",
+                "--pooling-requests", "100",
             ]
         )
         assert code == 0

@@ -26,6 +26,7 @@ from repro.experiments.runner import suite_requests
 from repro.models import drm1
 from repro.resilience import ResiliencePolicy
 from repro.serving import ServingConfig, TraceMode
+from span_oracle import assert_matches_oracle, oracle_configuration
 from repro.serving.columnar import REASON_RESILIENCE
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.workloads import PoissonArrivals, Workload
@@ -246,9 +247,7 @@ class TestDeterminism:
         assert first.resilience_stats == second.resilience_stats
         assert first.aborted_rpcs == second.aborted_rpcs
 
-    @pytest.mark.parametrize("mode", [TraceMode.FULL, TraceMode.AGGREGATE])
-    def test_full_equals_aggregate_under_policy_and_chaos(self, mode):
-        del mode  # both built below; parametrization documents intent
+    def test_columns_match_span_oracle_under_policy_and_chaos(self):
         model, plan, requests, schedule = open_loop_inputs(40)
         chaos = FaultSchedule(
             experiments=(
@@ -257,18 +256,11 @@ class TestDeterminism:
             ),
             replicas=2,
         )
-        results = {
-            mode: run_configuration(
-                model, plan, requests,
-                ServingConfig(
-                    trace_mode=mode, chaos=chaos, resilience=RETRY_POLICY
-                ),
-                schedule,
-            )
-            for mode in (TraceMode.FULL, TraceMode.AGGREGATE)
-        }
-        _assert_columns_equal(
-            results[TraceMode.FULL], results[TraceMode.AGGREGATE]
+        serving = ServingConfig(chaos=chaos, resilience=RETRY_POLICY)
+        result = run_configuration(model, plan, requests, serving, schedule)
+        assert result.attempts.sum() > 0
+        assert_matches_oracle(
+            result, oracle_configuration(model, plan, requests, serving, schedule)
         )
 
     def test_reference_equals_batched_kernel_under_policy(self):

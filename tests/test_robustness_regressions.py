@@ -1,7 +1,8 @@
 """Regression tests for runner/replayer edge cases fixed alongside the
 trace-mode fast path: empty-run per-shard means, REPRO_REQUESTS /
 REPRO_SWEEP_WORKERS / SuiteSettings / CLI request- and worker-count
-validation, the CLI profile's one-worker pin,
+validation, CLI shard/rate/slack/hours/misses validation, the CLI
+profile's one-worker pin,
 replay-schedule seeding, and the degenerate behaviors of the
 median-window stack means.
 """
@@ -131,6 +132,38 @@ class TestRequestCountValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--workers" in err and bad in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shard", "--shards", "0"],
+            ["chaos", "--qps", "-5"],
+            ["plan", "--slack", "-1"],
+            ["chaos", "--hours", "0"],
+            ["chaos", "--misses", "-1"],
+            ["workload", "--qps", "nan"],
+        ],
+    )
+    def test_cli_rejects_invalid_values(self, argv, capsys):
+        """Out-of-range shard counts, rates, slack, hours and heartbeat
+        misses are usage errors (exit 2), not a traceback or a silent
+        run."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-2] in err and argv[-1] in err
+
+    @pytest.mark.parametrize(
+        "verb", ["simulate", "suite", "workload", "plan", "chaos"]
+    )
+    def test_cli_has_no_trace_mode_flag(self, verb, capsys):
+        """Every run is attributed by the aggregate accumulator, so the
+        run verbs no longer take ``--trace-mode``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--trace-mode", "aggregate"])
+        assert excinfo.value.code == 2
+        assert "--trace-mode" in capsys.readouterr().err
 
 
 def test_cli_profile_sees_the_replay(capsys):

@@ -1,95 +1,237 @@
-"""Trace-mode regression tests: AGGREGATE == FULL, drained tracers.
+"""Attribution regression tests: the columns against the span oracle.
 
-The aggregate tracing fast path must be *exactly* the full-trace path,
-minus the spans: for every paper configuration the span-free
-:class:`~repro.tracing.aggregate.AggregatingTracer` has to produce
-bit-identical e2e/cpu/stack columns to full tracing + attribution, and
-no tracer may retain state once a replay with incremental completion
-consumption finishes.
+Every :class:`~repro.experiments.runner.RunResult` is attributed by the
+span-free aggregate accumulator (on the columnar replay or the DES).  The
+independent oracle replays the same inputs on a cluster that records
+real spans and attributes each popped request with
+:func:`~repro.tracing.attribution.attribute_request`; every column --
+e2e/cpu, the three stacks, operator CPU, RPC and batch counts, chaos and
+resilience flags, workload labels, and the per-shard and per-(shard,
+net) columns -- must match it bit for bit.  No tracer may retain state
+once a replay with incremental completion consumption finishes.
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments import SuiteSettings, run_suite
+from span_oracle import assert_matches_oracle, oracle_configuration, oracle_mix
+
+from repro.chaos import FaultSchedule, HostCrash, NetworkSpike
+from repro.experiments import (
+    ShardingConfiguration,
+    SuiteSettings,
+    build_plan,
+    paper_configurations,
+    run_configuration,
+    run_mix_suite,
+    run_suite,
+)
+from repro.experiments.runner import mix_stream, sequential_sum, suite_requests
 from repro.models import drm1, drm2, drm3
 from repro.requests import RequestGenerator, ReplaySchedule
+from repro.resilience import ResiliencePolicy
 from repro.serving import ClusterSimulation, ServingConfig, TraceMode
-from repro.sharding import singular_plan
+from repro.sharding import estimate_pooling_factors, singular_plan
 from repro.tracing import AggregatingTracer, MAIN_SHARD, Layer, Span, Tracer
+from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
 
 SERIAL = SuiteSettings(num_requests=25, pooling_requests=150, serving=ServingConfig(seed=1))
-AGGREGATE = SuiteSettings(
-    num_requests=25,
-    pooling_requests=150,
-    serving=ServingConfig(seed=1),
-    trace_mode=TraceMode.AGGREGATE,
-)
 
 
-def assert_results_identical(full, aggregate):
-    """Bitwise equality of every column, for every configuration."""
-    assert list(full) == list(aggregate)
-    for label in full:
-        f, a = full[label], aggregate[label]
-        assert len(f) == len(a)
-        assert np.array_equal(f.e2e, a.e2e), label
-        assert np.array_equal(f.cpu, a.cpu), label
-        for kind in ("latency", "embedded", "cpu"):
-            full_cols = f.stack_columns(kind)
-            agg_cols = a.stack_columns(kind)
-            for bucket in full_cols:
-                assert np.array_equal(full_cols[bucket], agg_cols[bucket]), (
-                    label, kind, bucket,
-                )
+def assert_suite_matches_oracle(model, settings, results):
+    """Replay every configuration of ``results`` on the span oracle."""
+    requests = suite_requests(model, settings)
+    pooling = estimate_pooling_factors(
+        model, num_requests=settings.pooling_requests, seed=settings.pooling_seed
+    )
+    serving = settings.resolved_serving()
+    schedule = settings.resolved_schedule()
+    configurations = paper_configurations(model.name)
+    assert list(results) == [
+        build_plan(model, c, pooling).label for c in configurations
+    ]
+    for configuration in configurations:
+        plan = build_plan(model, configuration, pooling)
+        oracle = oracle_configuration(model, plan, requests, serving, schedule)
+        assert_matches_oracle(results[plan.label], oracle, label=plan.label)
 
 
-class TestAggregateEquivalence:
+class TestColumnsMatchSpanOracle:
     @pytest.mark.parametrize("factory", [drm1, drm2, drm3])
-    def test_matches_full_for_every_paper_configuration(self, factory):
+    def test_every_paper_configuration(self, factory):
         model = factory()
-        assert_results_identical(run_suite(model, SERIAL), run_suite(model, AGGREGATE))
+        results = run_suite(model, SERIAL)
+        assert {r.kernel_used for r in results.values()} == {"vectorized"}
+        assert_suite_matches_oracle(model, SERIAL, results)
 
-    def test_matches_full_open_loop_with_clock_skew(self):
+    def test_open_loop_with_clock_skew(self):
         """Queueing overlap + skewed wall clocks exercise every stack path."""
         model = drm1()
+        settings = SuiteSettings(
+            num_requests=40,
+            pooling_requests=150,
+            serving=ServingConfig(seed=1, service_workers=2, clock_skew_sigma=0.002),
+            schedule=ReplaySchedule.open_loop(25.0, seed=2),
+        )
+        results = run_suite(model, settings)
+        assert {r.kernel_used for r in results.values()} == {"batched"}
+        assert_suite_matches_oracle(model, settings, results)
 
-        def settings(mode):
-            return SuiteSettings(
-                num_requests=40,
-                pooling_requests=150,
-                serving=ServingConfig(
-                    seed=1, service_workers=2, clock_skew_sigma=0.002
+    @pytest.mark.parametrize(
+        "replicas, crash, resilience",
+        [
+            # In-flight RPCs caught by the crash fail over: retries.
+            (2, HostCrash(shard=0, at=0.2, restart_after=0.3), None),
+            # No replica to fail over to: degraded responses, while the
+            # policy retries on timeouts, hedges and flags deadlines.
+            (
+                1,
+                HostCrash(shard=1, at=0.1, restart_after=0.1),
+                ResiliencePolicy(
+                    rpc_timeout=5e-3, max_attempts=3, hedge_delay=2e-3,
+                    deadline=0.02,
                 ),
-                schedule=ReplaySchedule.open_loop(25.0, seed=2),
-                trace_mode=mode,
-            )
-
-        assert_results_identical(
-            run_suite(model, settings(None)),
-            run_suite(model, settings(TraceMode.AGGREGATE)),
-        )
-
-    def test_parallel_aggregate_matches_serial_aggregate(self):
+            ),
+        ],
+        ids=["chaos-retries", "chaos-resilience"],
+    )
+    def test_chaos_and_resilience_flags(self, replicas, crash, resilience):
+        """Failovers, degraded responses, policy attempts, hedges and
+        deadline flags land in the flag columns exactly as the span
+        replay sees them."""
         model = drm1()
-        assert_results_identical(
-            run_suite(model, AGGREGATE, max_workers=1),
-            run_suite(model, AGGREGATE, max_workers=2),
+        pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
+        plan = build_plan(model, ShardingConfiguration("load-bal", 4), pooling)
+        settings = SuiteSettings(
+            num_requests=50, schedule=ReplaySchedule.open_loop(120.0, seed=2)
+        )
+        requests = suite_requests(model, settings)
+        serving = ServingConfig(
+            seed=1,
+            chaos=FaultSchedule(
+                experiments=(
+                    NetworkSpike(start=0.1, duration=0.4, extra_latency=0.05),
+                    crash,
+                ),
+                replicas=replicas,
+            ),
+            resilience=resilience,
+        )
+        schedule = settings.resolved_schedule()
+        result = run_configuration(model, plan, requests, serving, schedule)
+        # The schedule and the policy actually bit.
+        if resilience is None:
+            assert result.retries.sum() > 0
+        else:
+            assert result.degraded.sum() > 0 and result.hedged.sum() > 0
+            assert result.attempts.sum() > 0
+            assert result.deadline_exceeded.sum() > 0
+        assert_matches_oracle(
+            result, oracle_configuration(model, plan, requests, serving, schedule)
         )
 
-    def test_aggregate_retains_no_attributions(self):
+    def test_colocated_mix(self):
+        mix = WorkloadMix(
+            (
+                Workload(
+                    "drm1-mix", drm1(),
+                    PiecewiseRateArrivals.diurnal(50.0, seed=7), request_seed=3,
+                ),
+                Workload(
+                    "drm2-mix", drm2(),
+                    PiecewiseRateArrivals.diurnal(30.0, seed=8), request_seed=4,
+                ),
+            )
+        )
+        settings = SuiteSettings(
+            num_requests=15, pooling_requests=150, serving=ServingConfig(seed=1)
+        )
+        configuration = ShardingConfiguration("load-bal", 2)
+        results = run_mix_suite(mix, settings, (configuration,))
+        stream = mix_stream(mix, settings)
+        plans = [
+            build_plan(
+                workload.model, configuration,
+                estimate_pooling_factors(workload.model, num_requests=150, seed=42),
+            )
+            for workload in mix.workloads
+        ]
+        result = results[configuration.label]
+        assert set(result.workloads.tolist()) == {0, 1}
+        assert_matches_oracle(
+            result,
+            oracle_mix(mix, plans, stream, settings.serving),
+            workload_ids=stream.workload_ids,
+        )
+
+    def test_figure_totals_match_span_sums(self):
+        """Fig 4's operator-CPU totals and Fig 10's per-(shard, net) means
+        are sequential sums: the bytes a per-request Python loop over the
+        span attributions produces."""
         model = drm3()
-        full = run_suite(model, SERIAL)
-        results = run_suite(model, AGGREGATE)
-        for label, result in results.items():
-            assert result.attributions == []
-            # Per-shard demand now comes from columns, so the per-shard
-            # means are available (and bit-identical to FULL) even
-            # without retained attributions...
-            assert result.mean_per_shard_op_time() == full[label].mean_per_shard_op_time()
-            assert result.mean_cpu_by_shard() == full[label].mean_cpu_by_shard()
-            # ...while the per-(shard, net) breakdown still needs FULL.
-            assert result.mean_per_shard_net_op_time() == {}
+        pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
+        requests = suite_requests(model, SERIAL)
+        for configuration in (
+            ShardingConfiguration("singular"),
+            ShardingConfiguration("NSBP", 4),
+        ):
+            plan = build_plan(model, configuration, pooling)
+            result = run_configuration(model, plan, requests, SERIAL.serving)
+            rows, _ = oracle_configuration(model, plan, requests, SERIAL.serving)
+            attributions = [row[0] for row in rows]
+            assert sequential_sum(result.sparse_op_cpu) == sum(
+                a.sparse_op_cpu for a in attributions
+            )
+            assert sequential_sum(result.dense_op_cpu) == sum(
+                a.dense_op_cpu for a in attributions
+            )
+            totals: dict = {}
+            for a in attributions:
+                for key, value in a.per_shard_net_op_time.items():
+                    totals[key] = totals.get(key, 0.0) + value
+            expected = {
+                key: value / len(attributions)
+                for key, value in sorted(totals.items())
+            }
+            assert result.mean_per_shard_net_op_time() == expected
+            assert list(result.mean_per_shard_net_op_time()) == list(expected)
+            assert (expected == {}) == plan.is_singular
+
+    def test_trace_mode_does_not_change_results(self):
+        """``trace_mode`` no longer forks attribution: a FULL and an
+        AGGREGATE sweep are the same accumulator run."""
+        model = drm1()
+        full = run_suite(
+            model, SuiteSettings(
+                num_requests=15, pooling_requests=150,
+                serving=ServingConfig(seed=1), trace_mode=TraceMode.FULL,
+            ),
+        )
+        aggregate = run_suite(
+            model, SuiteSettings(
+                num_requests=15, pooling_requests=150,
+                serving=ServingConfig(seed=1), trace_mode=TraceMode.AGGREGATE,
+            ),
+        )
+        assert list(full) == list(aggregate)
+        for label in full:
+            f, a = full[label], aggregate[label]
+            assert f.kernel_used == a.kernel_used == "vectorized", label
+            assert np.array_equal(f.e2e, a.e2e), label
+            assert np.array_equal(f.cpu, a.cpu), label
+            assert f.mean_per_shard_net_op_time() == a.mean_per_shard_net_op_time()
+
+    def test_parallel_matches_serial(self):
+        model = drm1()
+        serial = run_suite(model, SERIAL, max_workers=1)
+        parallel = run_suite(model, SERIAL, max_workers=2)
+        assert list(serial) == list(parallel)
+        for label in serial:
+            s, p = serial[label], parallel[label]
+            assert np.array_equal(s.e2e, p.e2e), label
+            assert np.array_equal(s.sparse_op_cpu, p.sparse_op_cpu), label
+            assert np.array_equal(s.rpcs, p.rpcs), label
+            assert s.mean_per_shard_net_op_time() == p.mean_per_shard_net_op_time()
 
     def test_trace_mode_threads_through_serving_config(self):
         config = ServingConfig(seed=1, trace_mode=TraceMode.AGGREGATE)
@@ -101,6 +243,9 @@ class TestAggregateEquivalence:
         model = drm1()
         cluster = ClusterSimulation(model, singular_plan(model), config)
         assert isinstance(cluster.tracer, AggregatingTracer)
+        # A bare cluster in the default mode is the span sink.
+        bare = ClusterSimulation(model, singular_plan(model), ServingConfig(seed=1))
+        assert isinstance(bare.tracer, Tracer)
 
 
 class TestTracerDrained:

@@ -12,6 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from span_oracle import assert_matches_oracle, oracle_mix
 
 from repro.analysis.caching import cache_curve, cache_curves, trace_hit_summary
 from repro.core.rng import substream
@@ -23,9 +24,9 @@ from repro.experiments import (
     run_mix_configuration,
     run_mix_suite,
     run_suite,
-    TraceMode,
 )
 from repro.experiments.configs import build_plan
+from repro.experiments.runner import mix_stream
 from repro.models import drm1, drm2
 from repro.requests import (
     CorrelatedStream,
@@ -36,7 +37,7 @@ from repro.requests import (
 )
 from repro.serving import ClusterSimulation, ServingConfig
 from repro.serving.elasticity import diurnal_qps_curve as elasticity_curve
-from repro.sharding import singular_plan
+from repro.sharding import estimate_pooling_factors, singular_plan
 from repro.workloads import (
     ConstantRateArrivals,
     MMPPArrivals,
@@ -331,34 +332,31 @@ class TestColocatedCluster:
         colocated.run_serial(requests2)
         assert classic.completed == colocated.completed
 
-    def test_mix_full_and_aggregate_agree_bit_for_bit(self):
-        """Acceptance: two-model diurnal mix, FULL == AGGREGATE columns
-        including the per-workload label column."""
+    def test_mix_columns_match_span_oracle(self):
+        """Acceptance: two-model diurnal mix, every column -- the
+        per-workload label column included -- equals the span
+        attribution of the same co-located replay."""
         mix = small_mix()
-        full = run_mix_suite(mix, SETTINGS, TWO_CONFIGS)
-        aggregate = run_mix_suite(
-            mix,
-            dataclasses.replace(SETTINGS, trace_mode=TraceMode.AGGREGATE),
-            TWO_CONFIGS,
-        )
-        assert list(full) == list(aggregate)
-        for label in full:
-            f, a = full[label], aggregate[label]
-            assert len(f) == len(a) == 24
-            assert np.array_equal(f.e2e, a.e2e), label
-            assert np.array_equal(f.cpu, a.cpu), label
-            assert np.array_equal(f.workloads, a.workloads), label
-            assert f.workload_labels == a.workload_labels == ("ranking", "retrieval")
-            for kind in ("latency", "embedded", "cpu"):
-                full_cols = f.stack_columns(kind)
-                agg_cols = a.stack_columns(kind)
-                for bucket in full_cols:
-                    assert np.array_equal(
-                        full_cols[bucket], agg_cols[bucket]
-                    ), (label, kind, bucket)
-            # AGGREGATE retains no attributions, FULL retains all.
-            assert a.attributions == []
-            assert len(f.attributions) == 24
+        results = run_mix_suite(mix, SETTINGS, TWO_CONFIGS)
+        stream = mix_stream(mix, SETTINGS)
+        poolings = [
+            estimate_pooling_factors(workload.model, num_requests=120, seed=42)
+            for workload in mix.workloads
+        ]
+        for configuration in TWO_CONFIGS:
+            result = results[configuration.label]
+            assert len(result) == 24
+            assert result.workload_labels == ("ranking", "retrieval")
+            plans = [
+                build_plan(workload.model, configuration, pooling)
+                for workload, pooling in zip(mix.workloads, poolings)
+            ]
+            assert_matches_oracle(
+                result,
+                oracle_mix(mix, plans, stream, SETTINGS.serving),
+                workload_ids=stream.workload_ids,
+                label=configuration.label,
+            )
 
     def test_mix_serial_matches_parallel(self):
         mix = small_mix()
