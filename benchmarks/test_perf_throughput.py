@@ -326,7 +326,7 @@ def test_perf_throughput(bench_dir):
 
     # 8. Batched DES kernel: the same 11-config DRM1 AGGREGATE sweep on
     # kernel="batched" (deque-merged event loop, synchronous resource
-    # grants, fused At yields), serial and parallel, anchored on the
+    # grants), serial and parallel, anchored on the
     # committed PR 2 aggregate baseline.  The columns must be
     # bit-identical to the reference kernel (spot-checked here;
     # exhaustively pinned in tests/test_kernel_equivalence.py).  The raw

@@ -54,12 +54,12 @@ rules make that hold:
    module docstring of :mod:`repro.simulation.engine`).  Selectable
    kernels (``ServingConfig.kernel``) may only reorder *within* a
    timestamp in ways that provably cannot move a draw or a recorded
-   float: the batched kernel's synchronous resource grants run pure
-   computation earlier within the same instant, and its fused ``At``
-   yields reproduce the exact sequential float additions of the chained
-   yields they replace.  Anything beyond that must preserve the
-   reference order bit for bit -- regression-pinned across every paper
-   configuration in ``tests/test_kernel_equivalence.py``.
+   float: both DES kernels drive the same serving generators, and the
+   batched kernel's synchronous resource grants only run pure
+   computation earlier within the same instant.  Anything beyond that
+   must preserve the reference order bit for bit -- regression-pinned
+   across every paper configuration in
+   ``tests/test_kernel_equivalence.py``.
 
    *Vectorized equivalence.*  The ``vectorized`` kernel is the extreme
    case: it replays eligible runs (serial closed-loop, chaos-free) with

@@ -1,17 +1,9 @@
 """Serving substrate: simulated servers, services, and replay.
 
-The planners that historically lived here (SLA accounting, replication
-sizing, elasticity) moved to :mod:`repro.planning`; their old
-``repro.serving.*`` paths and the names below keep working as
-deprecation re-exports of the identical objects.
+The planners (SLA accounting, replication sizing, elasticity) live in
+:mod:`repro.planning`.
 """
 
-from repro.serving.replication import (
-    ReplicationDemand,
-    ReplicationPlan,
-    memory_efficiency_vs_singular,
-    plan_replication,
-)
 from repro.serving.paging import (
     PagingAssessment,
     SsdSpec,
@@ -20,7 +12,6 @@ from repro.serving.paging import (
     paging_vs_distributed_stall,
 )
 from repro.serving.simulator import ClusterSimulation, ServingConfig, SimServer
-from repro.serving.sla import SlaPolicy, SlaReport, evaluate_sla, sla_sweep
 from repro.tracing.aggregate import TraceMode
 
 __all__ = [
@@ -30,15 +21,7 @@ __all__ = [
     "assess_paging",
     "coverage_for_budget",
     "paging_vs_distributed_stall",
-    "ReplicationDemand",
-    "ReplicationPlan",
     "ServingConfig",
     "SimServer",
-    "SlaPolicy",
-    "SlaReport",
     "TraceMode",
-    "evaluate_sla",
-    "memory_efficiency_vs_singular",
-    "plan_replication",
-    "sla_sweep",
 ]

@@ -61,8 +61,6 @@ from repro.simulation.costmodel import CostModel, ranking_response_bytes
 from repro.simulation.engine import (
     DEFAULT_KERNEL,
     KERNELS,
-    At,
-    BatchedEngine,
     Engine,
     Event,
     make_engine,
@@ -143,10 +141,11 @@ class ServingConfig:
     with no event loop (:mod:`repro.serving.columnar`), and every other
     run takes the ``"batched"`` DES, recording the reason on
     ``RunResult.kernel_fallback``.  ``"batched"`` (FIFO now-queue,
-    synchronous resource grants, fused serving generators with chaos
-    off) and ``"reference"`` (the historical heap-only event loop) force
-    one DES and exist as debug overrides -- all three are
-    regression-pinned bit-identical on every paper configuration
+    synchronous resource grants) and ``"reference"`` (the historical
+    heap-only event loop, kept as the test oracle) force one DES and
+    exist as debug overrides.  Both DES kernels drive the same serving
+    generators, and all three kernels are regression-pinned
+    bit-identical on every paper configuration
     (``tests/test_kernel_equivalence.py``)."""
 
     def __post_init__(self):
@@ -406,18 +405,6 @@ class ClusterSimulation:
         #: the ``record_interval`` signature (engine times + server).
         self._record = self.tracer.record_interval
         self.engine = make_engine(self.config.kernel)
-        # The fused serving generators require the batched kernel (At
-        # yields are cheap there, grants are synchronous) and no chaos:
-        # ChaosRuntime.scale_service reads straggler state *at call time*,
-        # so fusing a service segment would move mid-segment straggler
-        # transitions -- chaos replays use the reference generators on
-        # whichever kernel is selected (identical events either way).
-        policy = self.config.resilience
-        self._fast = (
-            self.config.chaos is None
-            and (policy is None or policy.is_empty)
-            and isinstance(self.engine, BatchedEngine)
-        )
         self._rpc_ids = itertools.count()
         # Single-tenant keys are the historical (model, label) pair --
         # streams must stay byte-identical; co-located clusters key on the
@@ -500,6 +487,7 @@ class ClusterSimulation:
         # ``resilience=None``; backoff jitter draws from the dedicated
         # "resilience" substream so healthy streams are never consumed.
         self._resilience = None
+        policy = self.config.resilience
         if policy is not None and not policy.is_empty:
             from repro.resilience.runtime import ResilienceRuntime
 
@@ -508,10 +496,12 @@ class ClusterSimulation:
                 self.engine,
                 substream(self.config.seed, "resilience", *cluster_key),
             )
-        #: RPC spawn override for _run_batch: ``None`` keeps the default
-        #: :meth:`_rpc` (byte-identical historical path).
+        #: The RPC driver every remote lookup spawns: the policy
+        #: supervisor when a runtime is installed, else the inline
+        #: failover loop; both drive the one attempt body,
+        #: :meth:`_rpc_attempt`.
         self._rpc_spawn = (
-            self._rpc_resilient if self._resilience is not None else None
+            self._rpc_resilient if self._resilience is not None else self._rpc
         )
         self.tenants = [
             _Tenant(index, model, plan, self.config)
@@ -761,10 +751,6 @@ class ClusterSimulation:
     def submit(self, request: Request, tenant: int = 0) -> Event:
         """Inject one request now (for ``tenant``); returns its completion
         event.  Request ids must be unique across all tenants of a run."""
-        if self._fast:
-            return self.engine.process(
-                self._serve_request_fast(self.tenants[tenant], request)
-            )
         return self.engine.process(
             self._serve_request(self.tenants[tenant], request)
         )
@@ -794,9 +780,8 @@ class ClusterSimulation:
 
         batches = self._batches(tenant, request)
         plans = self._request_plans(tenant, request, batches)
-        rpc = self._rpc_spawn
         batch_events = [
-            engine.process(self._run_batch(tenant, request, batch, plans, rpc))
+            engine.process(self._run_batch(tenant, request, batch, plans))
             for batch in batches
         ]
         yield engine.all_of(batch_events)
@@ -822,73 +807,12 @@ class ClusterSimulation:
         if self.on_complete is not None:
             self.on_complete(rid)
 
-    def _serve_request_fast(self, tenant: _Tenant, request: Request):
-        """Fused-yield variant of :meth:`_serve_request` (batched kernel,
-        chaos off).
-
-        The request-handling segments are single-unit windows -- no other
-        span of this request can be recorded while they run -- so the
-        deserialization+handler and serialization+handler pairs collapse
-        into one :class:`At` yield each.  Intermediate times are computed
-        with the exact sequential float additions the kernel would have
-        performed, and every record keeps its reference (start, end, cpu)
-        values and its per-request recording position, which is what the
-        bit-identity regression in ``tests/test_kernel_equivalence.py``
-        pins.  Fan-out reuses :meth:`_run_batch` (no fusable windows
-        there: every yield boundary carries a record) with the chaos-free
-        :meth:`_rpc_fast`.
-        """
-        engine, cm, main = self.engine, self.config.cost_model, self.main
-        record = self._record
-        rid = request.request_id
-        t_start = engine.now
-
-        yield main.workers.acquire()
-        t0 = engine.now
-        deser = cm.serde_time(
-            request_payload_bytes(tenant.model, request),
-            main.platform,
-            tables=len(request.draws),
-        )
-        t1 = t0 + deser
-        yield At(t1 + cm.request_handler_fixed)
-        record(rid, MAIN_SHARD, main, _SERDE, "request_deser", t0, t1, deser)
-        handler_cpu = cm.request_handler_fixed
-        main.workers.release()
-
-        batches = self._batches(tenant, request)
-        plans = self._request_plans(tenant, request, batches)
-        rpc = self._rpc_fast
-        batch_events = [
-            engine.process(self._run_batch(tenant, request, batch, plans, rpc))
-            for batch in batches
-        ]
-        yield engine.all_of(batch_events)
-
-        yield main.workers.acquire()
-        t0 = engine.now
-        ser = cm.serde_time(ranking_response_bytes(request.num_items), main.platform)
-        t1 = t0 + ser
-        yield At(t1 + cm.response_handler_fixed)
-        record(rid, MAIN_SHARD, main, _SERDE, "response_ser", t0, t1, ser)
-        handler_cpu += cm.response_handler_fixed
-        main.workers.release()
-
-        record(
-            rid, MAIN_SHARD, main, _SERVICE, "request_e2e",
-            t_start, engine.now, handler_cpu,
-        )
-        self.completed[rid] = engine.now - t_start
-        if self.on_complete is not None:
-            self.on_complete(rid)
-
     def _run_batch(
         self,
         tenant: _Tenant,
         request: Request,
         batch: _Batch,
         plans: dict[str, list[_NetBatchPlan]],
-        rpc: Callable | None = None,
     ):
         engine, cm, main = self.engine, self.config.cost_model, self.main
         record = self._record
@@ -922,7 +846,7 @@ class ClusterSimulation:
                 yield from self._local_sparse(request, bindex, net_name, plan.local_work)
             else:
                 yield from self._remote_sparse(
-                    request, bindex, net_name, plan.targets, rpc
+                    request, bindex, net_name, plan.targets
                 )
 
             t0 = engine.now
@@ -960,13 +884,12 @@ class ClusterSimulation:
         bindex: int,
         net_name: str,
         targets: list[_ShardLookups],
-        rpc: Callable | None = None,
     ):
         """Distributed: serialize + issue async RPCs, wait, deserialize."""
         engine, main = self.engine, self.main
         record = self._record
         rid = request.request_id
-        spawn = self._rpc if rpc is None else rpc
+        spawn = self._rpc_spawn
         t_embedded = engine.now
         responses = []
         for target in targets:
@@ -992,6 +915,14 @@ class ClusterSimulation:
             t_embedded, engine.now, 0.0, None, net_name, bindex,
         )
 
+    def _route(self, shard_index: int) -> SimServer | None:
+        """The host an attempt on ``shard_index`` goes to: the shard's
+        only server, or with chaos the next live replica (``None`` when
+        every replica is down)."""
+        if self._chaos is None:
+            return self.sparse_servers[shard_index]
+        return self._chaos.route(shard_index)
+
     def _rpc(
         self,
         request: Request,
@@ -999,152 +930,35 @@ class ClusterSimulation:
         net_name: str,
         target: _ShardLookups,
     ):
-        """One remote call: network out, shard service, network back.
+        """One remote call without a resilience policy: inline failover.
 
-        With a chaos runtime, the target host is chosen by replica-aware
-        round-robin routing; a host found dead on arrival costs the
-        failover timeout and the call retries the next live replica, or
-        -- with no replica left -- degrades to a dense-only partial
-        result (the request completes without this shard's embeddings,
-        exactly like an inactive shard: downstream layers read
-        zero-filled blobs).  A host that crashes *mid-service* aborts
-        the in-flight attempt at the next segment boundary: the worker
-        is released, the attempt's already-recorded spans stay orphaned
-        (no ``rpc_outstanding`` span ever binds them, identically in
-        both trace modes), and the client fails over like a DOA retry.
-        Each attempt carries its own ``rpc_id`` so aborted spans can
-        never be confused with the winning attempt's.  Without chaos,
-        every step below is the historical healthy path, byte for byte.
+        Drives :meth:`_rpc_attempt` with ``yield from`` (no extra process,
+        no extra event).  With a chaos runtime, the target host is chosen
+        by replica-aware round-robin routing; an attempt that finds its
+        host dead -- on arrival or mid-service -- costs the failover
+        timeout, and the call retries the next live replica, or -- with
+        no replica left -- degrades to a dense-only partial result (the
+        request completes without this shard's embeddings, exactly like
+        an inactive shard: downstream layers read zero-filled blobs).
+        Without chaos the first attempt always delivers.
         """
-        engine, cm = self.engine, self.config.cost_model
-        main = self.main
-        record = self._record
-        rid = request.request_id
-        shard_index = target.shard.index
         chaos = self._chaos
-        if chaos is None:
-            server = self.sparse_servers[shard_index]
-        else:
-            server = chaos.route(shard_index)
-        t_client = engine.now
-
+        shard_index = target.shard.index
+        t_client = self.engine.now
         while True:
+            server = self._route(shard_index)
             if server is None:
                 # No live replica at all: pay the connection timeout,
                 # then serve this net dense-only (degraded).
-                chaos.mark_degraded(rid)
+                chaos.mark_degraded(request.request_id)
                 yield chaos.failover_timeout
                 return
-            rpc_id = next(self._rpc_ids)
-            out_delay = main.egress_delay(target.req_bytes) + self.fabric.one_way_delay(
-                main.platform, server.platform, 0.0
+            delivered = yield from self._rpc_attempt(
+                request, bindex, net_name, target, server, t_client
             )
-            if chaos is not None:
-                out_delay = chaos.network_delay(out_delay)
-            yield out_delay
-            if chaos is not None and not chaos.is_live(server):
-                # The host died while the request was in flight: the
-                # client times out and fails over to the next replica.
-                chaos.count_retry(rid)
-                yield chaos.failover_timeout
-                server = chaos.route(shard_index)
-                continue
-
-            t_service = engine.now
-            yield server.workers.acquire()
-            t0 = engine.now
-            deser = target.server_deser
-            service_fixed = cm.rpc_service_fixed
-            if chaos is not None:
-                deser = chaos.scale_service(shard_index, deser, server)
-            yield deser
-            record(
-                rid, shard_index, server, _SERDE, "rpc_deser",
-                t0, engine.now, deser, None, net_name, bindex, rpc_id,
-            )
-            if chaos is not None and not chaos.is_live(server):
-                server.workers.release()
-                chaos.count_abort(rid)
-                yield chaos.failover_timeout
-                server = chaos.route(shard_index)
-                continue
-            if chaos is not None:
-                service_fixed = chaos.scale_service(
-                    shard_index, service_fixed, server
-                )
-            yield service_fixed
-
-            t0 = engine.now
-            overhead = target.server_overhead
-            if chaos is not None:
-                overhead = chaos.scale_service(shard_index, overhead, server)
-            yield overhead
-            record(
-                rid, shard_index, server, _NET_OVERHEAD, "net_sched",
-                t0, engine.now, overhead, None, net_name, bindex, rpc_id,
-            )
-            if chaos is not None and not chaos.is_live(server):
-                server.workers.release()
-                chaos.count_abort(rid)
-                yield chaos.failover_timeout
-                server = chaos.route(shard_index)
-                continue
-
-            t0 = engine.now
-            work = target.sls_work
-            if chaos is not None:
-                work = chaos.scale_service(shard_index, work, server)
-            yield work
-            record(
-                rid, shard_index, server, _OPERATOR, "sls_remote",
-                t0, engine.now, work, _SPARSE, net_name, bindex, rpc_id,
-            )
-            if chaos is not None and not chaos.is_live(server):
-                server.workers.release()
-                chaos.count_abort(rid)
-                yield chaos.failover_timeout
-                server = chaos.route(shard_index)
-                continue
-
-            t0 = engine.now
-            ser = target.server_resp_ser
-            if chaos is not None:
-                ser = chaos.scale_service(shard_index, ser, server)
-            yield ser
-            record(
-                rid, shard_index, server, _SERDE, "rpc_resp_ser",
-                t0, engine.now, ser, None, net_name, bindex, rpc_id,
-            )
-            # The response is serialized and on the wire: the work is
-            # committed and delivers even if the host dies right after.
-            server.workers.release()
-            record(
-                rid, shard_index, server, _SERVICE, "rpc_e2e",
-                t_service, engine.now, service_fixed, None, net_name, bindex, rpc_id,
-            )
-            break
-
-        back_delay = server.egress_delay(target.resp_bytes) + self.fabric.one_way_delay(
-            server.platform, main.platform, 0.0
-        )
-        if chaos is not None:
-            back_delay = chaos.network_delay(back_delay)
-        yield back_delay
-        record(
-            rid, MAIN_SHARD, main, _RPC_CLIENT, "rpc_outstanding",
-            t_client, engine.now, 0.0, None, net_name, bindex, rpc_id,
-        )
-        # Response tensors deserialize on the client's IO threads, off the
-        # request workers, overlapping the waits for slower RPCs.
-        yield main.io_threads.acquire()
-        t0 = engine.now
-        deser = target.client_resp_deser
-        yield deser
-        record(
-            rid, MAIN_SHARD, main, _SERDE, "rpc_response_deser",
-            t0, engine.now, deser, None, net_name, bindex, rpc_id,
-        )
-        main.io_threads.release()
+            if delivered:
+                return
+            yield chaos.failover_timeout
 
     def _rpc_resilient(
         self,
@@ -1155,9 +969,10 @@ class ClusterSimulation:
     ):
         """Policy-supervised remote call: retries, hedging, deadline.
 
-        Replaces :meth:`_rpc` when a non-empty
+        The RPC driver when a non-empty
         :class:`~repro.resilience.policy.ResiliencePolicy` is active.
-        The first attempt is issued immediately; this orchestrator then
+        Each attempt runs :meth:`_rpc_attempt` as its own process.  The
+        first attempt is issued immediately; this orchestrator then
         supervises the outstanding attempts:
 
         * a **hedge** issues one speculative duplicate ``hedge_delay``
@@ -1189,10 +1004,7 @@ class ClusterSimulation:
         def launch() -> bool:
             nonlocal attempts_made
             attempts_made += 1
-            if chaos is None:
-                server = self.sparse_servers[shard_index]
-            else:
-                server = chaos.route(shard_index)
+            server = self._route(shard_index)
             if server is None:
                 return False
             res.count_attempt(rid)
@@ -1304,36 +1116,42 @@ class ClusterSimulation:
         target: _ShardLookups,
         server: SimServer,
         t_client: float,
-        state: dict,
+        state: dict | None = None,
     ):
-        """One attempt body under :meth:`_rpc_resilient` supervision.
+        """One RPC attempt on ``server``: network out, shard service,
+        network back, client-side deserialization.
 
-        Identical cost structure to one :meth:`_rpc` serving pass --
-        same egress reservation, fabric draw, serde/service/SLS segments
-        and record positions -- with failover decisions lifted out: a
-        dead host (on arrival or mid-service) simply ends the attempt,
-        and the orchestrator decides whether a replacement is issued.
-        The first attempt to finish its network trip back wins the
-        request; late responses are discarded before client-side
-        deserialization (their server-side spans stay orphaned, which
-        both trace modes drop identically).
+        The single attempt body of both RPC drivers.  Returns whether it
+        delivered: a dead host (on arrival or mid-service) simply ends
+        the attempt and returns ``False``, and the driver -- the inline
+        failover loop of :meth:`_rpc`, or the :meth:`_rpc_resilient`
+        supervisor, which passes its shared ``state`` -- decides whether
+        a replacement is issued.  A host that crashes *mid-service*
+        aborts the attempt at the next segment boundary: the worker is
+        released and the attempt's already-recorded spans stay orphaned
+        (no ``rpc_outstanding`` span ever binds them).  Each attempt
+        carries its own ``rpc_id`` so aborted spans can never be
+        confused with the winning attempt's.  Under a supervisor the
+        first attempt to finish its network trip back wins the request;
+        late responses are discarded before client-side deserialization.
         """
         engine, cm = self.engine, self.config.cost_model
         main = self.main
-        res = self._resilience
         rid = request.request_id
-        sim_record = self._record
-        completed = self.completed
+        record: Callable[..., None] = self._record
+        if state is not None:
+            ungated, completed = record, self.completed
 
-        def record(*args: Any) -> None:
-            # A straggling attempt can outlive its request (late response,
-            # or a mid-crash abort observed after the winner delivered):
-            # spans recorded past finalize_request would re-open the
-            # request's accumulator and stale-drain it as incomplete, so
-            # post-completion spans are dropped -- identically in both
-            # trace modes, because the gate sits above the recorder.
-            if rid not in completed:
-                sim_record(*args)
+            def gated(*args: Any) -> None:
+                # A straggling supervised attempt can outlive its request
+                # (late response, or a mid-crash abort observed after the
+                # winner delivered): spans recorded past finalize_request
+                # would re-open the request's accumulator and stale-drain
+                # it as incomplete, so post-completion spans are dropped.
+                if rid not in completed:
+                    ungated(*args)
+
+            record = gated
 
         shard_index = target.shard.index
         chaos = self._chaos
@@ -1348,7 +1166,7 @@ class ClusterSimulation:
         if chaos is not None and not chaos.is_live(server):
             # Dead on arrival: the attempt is spent, nothing recorded.
             chaos.count_retry(rid)
-            return
+            return False
 
         t_service = engine.now
         yield server.workers.acquire()
@@ -1362,11 +1180,8 @@ class ClusterSimulation:
             rid, shard_index, server, _SERDE, "rpc_deser",
             t0, engine.now, deser, None, net_name, bindex, rpc_id,
         )
-        if chaos is not None and not chaos.is_live(server):
-            server.workers.release()
-            chaos.count_abort(rid)
-            res.count_abort()
-            return
+        if chaos is not None and self._abort_if_dead(server, rid):
+            return False
         if chaos is not None:
             service_fixed = chaos.scale_service(
                 shard_index, service_fixed, server
@@ -1382,11 +1197,8 @@ class ClusterSimulation:
             rid, shard_index, server, _NET_OVERHEAD, "net_sched",
             t0, engine.now, overhead, None, net_name, bindex, rpc_id,
         )
-        if chaos is not None and not chaos.is_live(server):
-            server.workers.release()
-            chaos.count_abort(rid)
-            res.count_abort()
-            return
+        if chaos is not None and self._abort_if_dead(server, rid):
+            return False
 
         t0 = engine.now
         work = target.sls_work
@@ -1397,11 +1209,8 @@ class ClusterSimulation:
             rid, shard_index, server, _OPERATOR, "sls_remote",
             t0, engine.now, work, _SPARSE, net_name, bindex, rpc_id,
         )
-        if chaos is not None and not chaos.is_live(server):
-            server.workers.release()
-            chaos.count_abort(rid)
-            res.count_abort()
-            return
+        if chaos is not None and self._abort_if_dead(server, rid):
+            return False
 
         t0 = engine.now
         ser = target.server_resp_ser
@@ -1426,14 +1235,17 @@ class ClusterSimulation:
         if chaos is not None:
             back_delay = chaos.network_delay(back_delay)
         yield back_delay
-        if state["winner"] is not None:
-            # A sibling attempt already won; discard this response.
-            return
-        state["winner"] = rpc_id
+        if state is not None:
+            if state["winner"] is not None:
+                # A sibling attempt already won; discard this response.
+                return False
+            state["winner"] = rpc_id
         record(
             rid, MAIN_SHARD, main, _RPC_CLIENT, "rpc_outstanding",
             t_client, engine.now, 0.0, None, net_name, bindex, rpc_id,
         )
+        # Response tensors deserialize on the client's IO threads, off the
+        # request workers, overlapping the waits for slower RPCs.
         yield main.io_threads.acquire()
         t0 = engine.now
         deser = target.client_resp_deser
@@ -1443,95 +1255,20 @@ class ClusterSimulation:
             t0, engine.now, deser, None, net_name, bindex, rpc_id,
         )
         main.io_threads.release()
-        state["delivered"] = True
+        if state is not None:
+            state["delivered"] = True
+        return True
 
-    def _rpc_fast(
-        self,
-        request: Request,
-        bindex: int,
-        net_name: str,
-        target: _ShardLookups,
-    ):
-        """Chaos-free variant of :meth:`_rpc` (batched kernel).
-
-        Structurally identical to the healthy path of the reference RPC --
-        same egress reservation and fabric draw positions, same record
-        values at the same per-request recording positions -- with the
-        chaos branches dropped and the one record-free yield window
-        (``rpc_service_fixed`` + framework overhead) fused into a single
-        :class:`At` yield.
-        """
-        engine, cm = self.engine, self.config.cost_model
-        main = self.main
-        record = self._record
-        rid = request.request_id
-        shard_index = target.shard.index
-        server = self.sparse_servers[shard_index]
-        rpc_id = next(self._rpc_ids)
-        t_client = engine.now
-
-        out_delay = main.egress_delay(target.req_bytes) + self.fabric.one_way_delay(
-            main.platform, server.platform, 0.0
-        )
-        yield out_delay
-
-        t_service = engine.now
-        yield server.workers.acquire()
-        t0 = engine.now
-        deser = target.server_deser
-        yield deser
-        record(
-            rid, shard_index, server, _SERDE, "rpc_deser",
-            t0, engine.now, deser, None, net_name, bindex, rpc_id,
-        )
-        service_fixed = cm.rpc_service_fixed
-        t1 = engine.now + service_fixed
-        overhead = target.server_overhead
-        t2 = t1 + overhead
-        yield At(t2)
-        record(
-            rid, shard_index, server, _NET_OVERHEAD, "net_sched",
-            t1, t2, overhead, None, net_name, bindex, rpc_id,
-        )
-
-        t0 = engine.now
-        work = target.sls_work
-        yield work
-        record(
-            rid, shard_index, server, _OPERATOR, "sls_remote",
-            t0, engine.now, work, _SPARSE, net_name, bindex, rpc_id,
-        )
-
-        t0 = engine.now
-        ser = target.server_resp_ser
-        yield ser
-        record(
-            rid, shard_index, server, _SERDE, "rpc_resp_ser",
-            t0, engine.now, ser, None, net_name, bindex, rpc_id,
-        )
+    def _abort_if_dead(self, server: SimServer, rid: int) -> bool:
+        """Mid-service crash check at a segment boundary: a dead host
+        releases the attempt's worker and counts the abort."""
+        if self._chaos.is_live(server):
+            return False
         server.workers.release()
-        record(
-            rid, shard_index, server, _SERVICE, "rpc_e2e",
-            t_service, engine.now, service_fixed, None, net_name, bindex, rpc_id,
-        )
-
-        back_delay = server.egress_delay(target.resp_bytes) + self.fabric.one_way_delay(
-            server.platform, main.platform, 0.0
-        )
-        yield back_delay
-        record(
-            rid, MAIN_SHARD, main, _RPC_CLIENT, "rpc_outstanding",
-            t_client, engine.now, 0.0, None, net_name, bindex, rpc_id,
-        )
-        yield main.io_threads.acquire()
-        t0 = engine.now
-        deser = target.client_resp_deser
-        yield deser
-        record(
-            rid, MAIN_SHARD, main, _SERDE, "rpc_response_deser",
-            t0, engine.now, deser, None, net_name, bindex, rpc_id,
-        )
-        main.io_threads.release()
+        self._chaos.count_abort(rid)
+        if self._resilience is not None:
+            self._resilience.count_abort()
+        return True
 
     # -- chaos accessors --------------------------------------------------------
     @property

@@ -5,7 +5,6 @@ from repro.simulation.engine import (
     KERNELS,
     AllOf,
     AnyOf,
-    At,
     BatchedEngine,
     Engine,
     Event,
@@ -22,7 +21,6 @@ from repro.simulation.platform import PLATFORMS, SC_LARGE, SC_SMALL, Platform
 __all__ = [
     "AllOf",
     "AnyOf",
-    "At",
     "BatchedEngine",
     "DEFAULT_KERNEL",
     "Engine",

@@ -17,16 +17,13 @@ Determinism: events scheduled for the same timestamp are processed in
 insertion order (a monotonic sequence number breaks ties), so repeated runs
 with the same seeds produce identical traces.
 
-Fast path: a process may yield a plain ``float``/``int`` delay instead of
-an :class:`Timeout`.  The kernel then schedules the generator's resumption
+Plain delays: a process may yield a ``float``/``int`` delay instead of a
+:class:`Timeout`.  The kernel then schedules the generator's resumption
 directly -- no Event allocation, no callback registration, no trigger
 dispatch -- which roughly halves the per-hop cost of the simulator's hot
 loop.  The sequence number is taken at the same point either way, so a
 ``yield delay`` is scheduled identically to ``yield engine.timeout(delay)``
-and replacing one with the other cannot reorder a simulation.  A process
-may also yield :class:`At` to resume at an *absolute* time: fused
-multi-segment waits compute intermediate times with the exact same float
-additions the kernel would have performed hop by hop, then sleep once.
+and replacing one with the other cannot reorder a simulation.
 
 Kernel selection (:func:`make_engine`)
 ======================================
@@ -51,17 +48,17 @@ Both kernels order events by ``(time, sequence)`` with one monotonic
 sequence counter, so *scheduling order at equal timestamps is execution
 order* -- this is the canonical ordering the determinism contract in
 :mod:`repro.core.rng` (rule 2) relies on: every RNG draw made from inside
-the simulation happens at a position fixed by that ordering.  The batched
-kernel preserves the canonical ordering exactly (the now-queue is FIFO and
-sequence numbers are assigned at the same points), with one documented
-exception: a synchronous resource grant runs the acquiring continuation
-*earlier within the same timestamp* than the reference kernel would.
-Code between an ``acquire()`` and its next positive-delay yield must
-therefore not touch cross-process shared state (fabric jitter draws,
-egress reservations) -- the serving layer obeys this, and the
-old-kernel == new-kernel regression tests in
-``tests/test_kernel_equivalence.py`` pin the result columns bit-identical
-on every paper configuration, chaos included.
+the simulation happens at a position fixed by that ordering.  Both kernels
+drive the same serving generators; the batched kernel preserves the
+canonical ordering exactly (the now-queue is FIFO and sequence numbers are
+assigned at the same points), with one documented exception: a
+synchronous resource grant runs the acquiring continuation *earlier
+within the same timestamp* than the reference kernel would.  Code between
+an ``acquire()`` and its next positive-delay yield must therefore not
+touch cross-process shared state (fabric jitter draws, egress
+reservations) -- the serving layer obeys this, and
+``tests/test_kernel_equivalence.py`` pins the result columns of the two
+kernels bit-identical on every paper configuration, chaos included.
 
 Vectorized equivalence
 ----------------------
@@ -147,24 +144,6 @@ class Event:
             callback(self)
 
 
-class At:
-    """Absolute-time yield target: resume the process at exactly ``time``.
-
-    The fused fast paths compute a segment's end time with the same
-    sequential float additions the kernel performs for chained plain-delay
-    yields (``t1 = t0 + d1; t2 = t1 + d2; ...``) and then yield
-    ``At(t2)`` once.  Yielding the *summed delay* instead would not be
-    bit-identical (``t0 + (d1 + d2)`` associates differently), which is
-    why this marker exists.  Scheduling takes the same sequence slot a
-    plain-delay yield would, so fusing cannot reorder a simulation.
-    """
-
-    __slots__ = ("time",)
-
-    def __init__(self, time: float):
-        self.time = time
-
-
 class Timeout(Event):
     """An event that triggers after a fixed delay."""
 
@@ -224,15 +203,6 @@ class Process(Event):
             heappush(
                 engine._heap, (engine.now + target, engine._sequence, self._step_ref)
             )
-        elif cls is At:
-            at = target.time
-            engine = self.engine
-            if at < engine.now:
-                raise SimulationError(
-                    f"At({at}) is in the past (now={engine.now})"
-                )
-            engine._sequence += 1
-            heappush(engine._heap, (at, engine._sequence, self._step_ref))
         elif isinstance(target, Event):
             target.add_callback(self._resume)
         elif isinstance(target, numbers.Real) and not isinstance(target, bool):
@@ -305,9 +275,7 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self._in_use = 0
-        # Events here; SyncResource.acquire_call also queues bare
-        # callables, so the element type is Any.
-        self._queue: deque[Any] = deque()
+        self._queue: deque[Event] = deque()
 
     @property
     def in_use(self) -> int:
@@ -383,6 +351,12 @@ class Engine:
         return Resource(self, capacity)
 
     # -- execution -------------------------------------------------------
+    def _check_until(self, until: Optional[float]) -> None:
+        if until is not None and not until >= self.now:  # also rejects NaN
+            raise SimulationError(
+                f"run(until={until!r}) is in the past (now={self.now})"
+            )
+
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the queue drains or the clock reaches ``until``.
 
@@ -400,9 +374,12 @@ class Engine:
           the early-stop branch.
         * Without ``until``, ``now`` reads the time of the last processed
           event.
+        * An ``until`` in the past (``until < now``) or NaN raises
+          :class:`SimulationError`: the clock never moves backwards.
 
         Returns the final simulation time.
         """
+        self._check_until(until)
         heap = self._heap
         pop = heapq.heappop
         while heap:
@@ -435,10 +412,6 @@ class SyncResource(Resource):
     timestamp* than under the reference :class:`Resource` (see "Canonical
     event ordering" in the module docstring).  Callers must not touch
     cross-process shared state between the acquire and their next yield.
-
-    :meth:`acquire_call` is the allocation-free variant for callback-style
-    state machines: it either grants synchronously (returns ``True``) or
-    queues the callback for :meth:`release` to schedule.
     """
 
     __slots__ = ("_granted",)
@@ -462,31 +435,6 @@ class SyncResource(Resource):
         event = Event(self.engine)
         self._queue.append(event)
         return event
-
-    def acquire_call(self, fn: Callable[[Any], None]) -> bool:
-        """Callback-style acquire: ``True`` = granted now, caller holds a
-        unit and continues inline; ``False`` = ``fn`` queued FIFO and will
-        be scheduled (holding a unit) when a release hands one over."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        self._queue.append(fn)
-        return False
-
-    def release(self) -> None:
-        if self._in_use == 0:
-            raise SimulationError("release() without a matching acquire()")
-        if self._queue:
-            # Hand the unit to the next waiter; _in_use is unchanged.  The
-            # wake-up is deferred (delay-0) exactly like the reference
-            # kernel's, so hand-off order is preserved across kernels.
-            waiter = self._queue.popleft()
-            if waiter.__class__ is Event:
-                waiter.succeed(self)
-            else:
-                self.engine._schedule_call(0.0, waiter)
-        else:
-            self._in_use -= 1
 
 
 class BatchedEngine(Engine):
@@ -527,22 +475,12 @@ class BatchedEngine(Engine):
         else:
             heapq.heappush(self._heap, (self.now + delay, self._sequence, fn))
 
-    def schedule_call_at(self, at: float, fn: Callable[[Any], None]) -> None:
-        """Schedule ``fn`` at absolute time ``at`` (the callback-machine
-        analogue of yielding :class:`At`)."""
-        if at < self.now:
-            raise SimulationError(f"At({at}) is in the past (now={self.now})")
-        self._sequence += 1
-        if at == self.now:
-            self._now_queue.append((at, self._sequence, fn))
-        else:
-            heapq.heappush(self._heap, (at, self._sequence, fn))
-
     def resource(self, capacity: int) -> Resource:
         return SyncResource(self, capacity)
 
     def run(self, until: Optional[float] = None) -> float:
         """Same contract and boundary semantics as :meth:`Engine.run`."""
+        self._check_until(until)
         heap = self._heap
         queue = self._now_queue
         pop = heapq.heappop

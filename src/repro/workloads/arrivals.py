@@ -50,8 +50,8 @@ def diurnal_qps_curve(
 ) -> np.ndarray:
     """A smooth stretch of traffic: sinusoid between trough and peak QPS.
 
-    The generalized form of the curve ``serving/elasticity.py`` introduced
-    (and still re-exports): ``samples`` decouples the resolution from the
+    The generalized form of the curve the elasticity study introduced
+    (:mod:`repro.planning.elasticity` re-exports it): ``samples`` decouples the resolution from the
     covered ``hours`` (defaults keep one sample per hour, bit-identical to
     the historical output), and ``period_hours`` sets the cycle length
     (defaults to ``hours``, i.e. exactly one full day over the window).

@@ -7,12 +7,8 @@ from repro.cli import main
 from repro.experiments import SuiteSettings, run_configuration, suite_requests
 from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.models import drm1
+from repro.planning import assess_elasticity, diurnal_qps_curve, dram_hours_saved
 from repro.serving import ServingConfig
-from repro.serving.elasticity import (
-    assess_elasticity,
-    diurnal_qps_curve,
-    dram_hours_saved,
-)
 from repro.sharding import estimate_pooling_factors, load_plan
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simulation.engine import (
-    At,
     BatchedEngine,
     Engine,
     SimulationError,
@@ -398,51 +397,22 @@ class TestRunUntilBoundary:
         engine.run()
         assert log == [(1.0, "a"), (2.0, "b"), (2.0, "c")]
 
-
-class TestAtMarker:
-    def test_at_resumes_at_absolute_time(self, kernel_engine):
-        engine = kernel_engine
-        seen = []
-
-        def proc():
-            yield At(2.5)
-            seen.append(engine.now)
-            yield At(engine.now)  # At(now) is legal: a zero-length hop
-            seen.append(engine.now)
-
-        engine.process(proc())
-        engine.run()
-        assert seen == [2.5, 2.5]
-
-    def test_at_in_the_past_raises(self, kernel_engine):
+    @pytest.mark.parametrize("until", [2.0, float("nan")])
+    def test_until_in_the_past_or_nan_rejected(self, kernel_engine, until):
         engine = kernel_engine
 
         def proc():
-            yield 3.0
-            yield At(1.0)
+            yield 5.0
+            yield 5.0
 
         engine.process(proc())
+        assert engine.run(until=5.0) == 5.0
         with pytest.raises(SimulationError, match="in the past"):
-            engine.run()
-
-    def test_at_orders_like_plain_delay(self, kernel_engine):
-        """At(now + d) takes the same sequence slot as ``yield d``."""
-        engine = kernel_engine
-        order = []
-
-        def via_delay(tag):
-            yield 1.0
-            order.append(tag)
-
-        def via_at(tag):
-            yield At(1.0)
-            order.append(tag)
-
-        engine.process(via_delay("a"))
-        engine.process(via_at("b"))
-        engine.process(via_delay("c"))
-        engine.run()
-        assert order == ["a", "b", "c"]
+            engine.run(until=until)
+        # the clock never moved backwards, and nothing was lost
+        assert engine.now == 5.0
+        assert engine.run(until=5.0) == 5.0
+        assert engine.run() == 10.0
 
 
 class TestResourceBothKernels:
@@ -568,18 +538,6 @@ class TestSyncResource:
         engine.run()
         assert second.triggered
         assert resource.in_use == 1  # handed over, still held
-
-    def test_acquire_call_grant_and_queue(self):
-        engine = BatchedEngine()
-        resource = engine.resource(1)
-        woken = []
-        assert resource.acquire_call(woken.append) is True  # inline grant
-        assert resource.acquire_call(woken.append) is False  # queued
-        assert woken == []
-        resource.release()
-        engine.run()
-        assert woken == [None]  # scheduled with the unit handed over
-        assert resource.in_use == 1
 
     def test_reference_engine_keeps_deferred_grants(self):
         """The reference kernel's Resource must stay deferred: its grant

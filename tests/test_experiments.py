@@ -17,12 +17,12 @@ from repro.experiments import (
 )
 from repro.models import drm1, drm3
 from repro.requests import ReplaySchedule
-from repro.serving import (
+from repro.planning import (
     ReplicationDemand,
-    ServingConfig,
     memory_efficiency_vs_singular,
     plan_replication,
 )
+from repro.serving import ServingConfig
 from repro.sharding import SINGULAR, estimate_pooling_factors
 
 

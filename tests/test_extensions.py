@@ -7,13 +7,8 @@ import pytest
 from repro.core.types import GIB
 from repro.models import drm1, drm3
 from repro.requests import RequestGenerator
-from repro.serving import (
-    ClusterSimulation,
-    ServingConfig,
-    SlaPolicy,
-    evaluate_sla,
-    sla_sweep,
-)
+from repro.planning import SlaPolicy, evaluate_sla, sla_sweep
+from repro.serving import ClusterSimulation, ServingConfig
 from repro.sharding import (
     AutoShardObjective,
     STRATEGIES,

@@ -1,9 +1,9 @@
 """Kernel-equivalence regression pins: batched == reference, bit for bit.
 
-The batched DES kernel (``BatchedEngine`` + ``SyncResource`` + fused
-``At`` yields in the serving fast path) must replay every paper
-configuration *bit-identically* to the reference kernel, serial and
-open-loop, healthy and under a chaos schedule.  This
+The batched DES kernel (``BatchedEngine`` + ``SyncResource``) drives the
+same serving generators as the reference kernel and must replay every
+paper configuration *bit-identically* to it, serial and open-loop,
+healthy and under a chaos schedule.  This
 is the determinism story the kernel selector ships with (see the
 "Canonical event ordering" section in ``repro/simulation/engine.py`` and
 rule 2 of the determinism contract in ``repro/core/rng.py``): the
@@ -212,10 +212,9 @@ class TestPaperConfigurationEquivalence:
 class TestChaosEquivalence:
     """Chaos replays must run identically on both kernels.
 
-    A chaos schedule disables the fused serving fast path (straggler
-    multipliers are read at call time), but the BatchedEngine still
-    drives the replay -- failover routing, heartbeat healing, and the
-    fault timers all schedule through the deque-merged loop.
+    Failover routing, mid-service aborts, heartbeat healing, and the
+    fault timers all schedule through the batched kernel's deque-merged
+    loop, and must land on the reference kernel's floats.
     """
 
     SCHEDULE = FaultSchedule(

@@ -195,20 +195,40 @@ class TestVectorizedFallback:
 
 
 class TestHealthyClusterUnderPolicy:
-    def test_generous_policy_matches_base_on_healthy_cluster(self):
+    @pytest.mark.parametrize("kernel", ["reference", "batched"])
+    @pytest.mark.parametrize(
+        "open_loop, skew", [(False, 0.0), (True, 0.002)],
+        ids=["serial", "open-loop-skewed"],
+    )
+    def test_generous_policy_matches_base_on_healthy_cluster(
+        self, kernel, open_loop, skew
+    ):
         # Timeout and hedge thresholds no healthy RPC reaches: the
-        # supervised path must reproduce the plain path's latencies.
+        # supervisor (one process per attempt) and the inline no-policy
+        # driver run the one attempt body and must land on the same
+        # latencies, CPU, and stacks.
         model, plan, requests, schedule = open_loop_inputs(40)
-        base = run_configuration(model, plan, requests, None, schedule)
+        if not open_loop:
+            schedule = None
+        serving = ServingConfig(kernel=kernel, clock_skew_sigma=skew)
+        base = run_configuration(model, plan, requests, serving, schedule)
         policy = ResiliencePolicy(rpc_timeout=10.0, max_attempts=3,
                                   hedge_delay=10.0)
         supervised = run_configuration(
             model, plan, requests,
-            ServingConfig(resilience=policy),
+            serving.with_resilience(policy),
             schedule,
         )
         assert np.array_equal(base.e2e, supervised.e2e)
         assert np.array_equal(base.cpu, supervised.cpu)
+        for kind in ("latency", "embedded", "cpu"):
+            base_stack = base.stack_columns(kind)
+            supervised_stack = supervised.stack_columns(kind)
+            assert base_stack.keys() == supervised_stack.keys()
+            for bucket, column in base_stack.items():
+                assert np.array_equal(column, supervised_stack[bucket]), (
+                    kind, bucket,
+                )
         assert supervised.attempts.sum() > 0  # first attempts counted
         assert not supervised.hedged.any()
         assert supervised.resilience_stats["hedges"] == 0

@@ -36,7 +36,7 @@ from repro.requests import (
     collect_correlated_trace,
 )
 from repro.serving import ClusterSimulation, ServingConfig
-from repro.serving.elasticity import diurnal_qps_curve as elasticity_curve
+from repro.planning.elasticity import diurnal_qps_curve as elasticity_curve
 from repro.sharding import estimate_pooling_factors, singular_plan
 from repro.workloads import (
     ConstantRateArrivals,
