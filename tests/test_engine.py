@@ -415,6 +415,55 @@ class TestRunUntilBoundary:
         assert engine.run() == 10.0
 
 
+class TestPlainDelayBothKernels:
+    """The serving bodies yield plain delays on both kernels: a float
+    resumes at ``now + delay``, rejects a negative delay, and takes the
+    same sequence slot as an explicit Timeout."""
+
+    def test_plain_delay_resumes_at_now_plus_delay(self, kernel_engine):
+        engine = kernel_engine
+        seen = []
+
+        def proc():
+            yield 2.5
+            seen.append(engine.now)
+            yield 0.0  # a zero-length hop is legal
+            seen.append(engine.now)
+
+        engine.process(proc())
+        engine.run()
+        assert seen == [2.5, 2.5]
+
+    def test_negative_delay_raises(self, kernel_engine):
+        engine = kernel_engine
+
+        def proc():
+            yield 3.0
+            yield -2.0
+
+        engine.process(proc())
+        with pytest.raises(SimulationError):
+            engine.run()
+
+    def test_plain_delay_orders_like_timeout(self, kernel_engine):
+        engine = kernel_engine
+        order = []
+
+        def via_timeout(tag):
+            yield engine.timeout(1.0)
+            order.append(tag)
+
+        def via_float(tag):
+            yield 1.0
+            order.append(tag)
+
+        engine.process(via_timeout("a"))
+        engine.process(via_float("b"))
+        engine.process(via_timeout("c"))
+        engine.run()
+        assert order == ["a", "b", "c"]
+
+
 class TestResourceBothKernels:
     """Fairness and edge cases, pinned identically on both kernels."""
 

@@ -1,6 +1,8 @@
 """Tests for the repro.planning package: per-shard columnar demand, the
 closed-loop CapacityPlanner, and SLA/elasticity validation."""
 
+import importlib
+
 import numpy as np
 import pytest
 from span_oracle import oracle_configuration
@@ -252,6 +254,27 @@ class TestElasticity:
             peak_servers=4, trough_servers=0,
         )
         assert report.elasticity_ratio == 4.0
+
+
+class TestPlannersLiveInPlanning:
+    """The planners have one home: the historical ``repro.serving``
+    paths are gone rather than silently re-exporting."""
+
+    @pytest.mark.parametrize("module", ["sla", "replication", "elasticity"])
+    def test_serving_module_is_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.serving.{module}")
+        assert importlib.import_module(f"repro.planning.{module}")
+
+    def test_serving_package_does_not_reexport_planners(self):
+        import repro.planning as planning
+        import repro.serving as serving
+
+        for name in ("SlaPolicy", "evaluate_sla", "sla_sweep",
+                     "plan_replication", "ReplicationDemand",
+                     "assess_elasticity", "diurnal_qps_curve"):
+            assert hasattr(planning, name), name
+            assert not hasattr(serving, name), name
 
 
 class TestArrivalRates:
