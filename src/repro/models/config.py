@@ -147,6 +147,10 @@ class RequestProfile:
             raise ValueError("invalid item-count distribution")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 1 <= self.min_items <= self.max_items:
+            # A zero-item request would hand its ITEM-scoped tables an
+            # empty ``reduceat`` segment in the bulk generator.
+            raise ValueError("need 1 <= min_items <= max_items")
 
     def sample_items(self, rng: np.random.Generator) -> int:
         """Sample the number of candidate items for one request."""

@@ -32,16 +32,28 @@ Because each stream is consumed in request order with a fixed number of
 draws per request, a bulk array draw of ``N`` requests consumes each
 stream identically to ``N`` sequential scalar draws.  That is what makes
 the vectorized :meth:`RequestGenerator.generate_many` byte-identical to
-the scalar :meth:`RequestGenerator.generate` reference path (regression
-tested), while doing one RNG call per *table* instead of one per
-(request, table).
+the scalar :meth:`RequestGenerator.generate` path (regression tested),
+while doing one RNG call per *table* instead of one per (request, table).
 
-The same property lets :meth:`RequestGenerator.table_totals` (the
-pooling-factor sample) cut each item-scoped table's draw into fixed-size
-chunks -- consecutive ``poisson(size=a)`` and ``poisson(size=b)`` calls
-consume a stream exactly like one ``poisson(size=a + b)`` -- and, since
-no table's streams are shared with another's, draw the tables
-concurrently on every usable CPU and still return the same bits.
+The two item-scoped bulk draws -- the per-item counts in
+:meth:`RequestGenerator.generate_batch` and the pooling sample in
+:meth:`RequestGenerator.table_totals` -- go through
+:func:`repro.core.rng.poisson` instead of ``Generator.poisson``.  At
+these rates (2e-6 to 6e-3 in DRM1/2) numpy draws each count by Knuth's
+method, and over 99% of draws are a single uniform at or below
+``exp(-rate)``; the sampler fills those uniforms in bulk and walks only
+the rare exceedances, returning numpy's array and leaving the stream
+where numpy leaves it.  USER-scoped counts (rates up to ~19) stay on
+``Generator.poisson``, and so does the scalar :meth:`generate` on
+purpose: it is the independent oracle the bulk path, and with it the
+sampler, is pinned against.
+
+The same property lets :meth:`RequestGenerator.table_totals` cut each
+item-scoped table's draw into fixed-size chunks -- consecutive draws of
+``a`` and ``b`` counts consume a stream exactly like one draw of
+``a + b`` -- and, since no table's streams are shared with another's,
+draw the tables concurrently on every usable CPU and still return the
+same bits.
 
 The same bulk-draw-equals-scalar-draws property is what the
 ``vectorized`` replay kernel leans on one layer up: a sweep generates
@@ -61,7 +73,7 @@ import numpy as np
 
 from repro.core.dlrm import NumericRequest, SparseInput
 from repro.core.host import usable_cpus
-from repro.core.rng import substream
+from repro.core.rng import poisson, substream
 from repro.models.config import FeatureScope, ModelConfig, TableConfig
 
 _DAY_SECONDS = 86_400.0
@@ -150,7 +162,9 @@ class RequestGenerator:
 
         Consumes exactly the same per-component draws as the vectorized
         path, so ``[g.generate(i, t) for i, t in ...]`` equals
-        ``g.generate_many(...)`` for the same fresh seed.
+        ``g.generate_many(...)`` for the same fresh seed.  Item-scoped
+        counts stay on ``Generator.poisson`` here on purpose: this path
+        is the oracle the bulk path's sparse sampler is tested against.
         """
         profile = self.model.profile
         base_items = profile.sample_items(self._items_rng)
@@ -235,7 +249,7 @@ class RequestGenerator:
                         requests[i].draws[name] = SparseFeatureDraw(name, total)
             else:
                 rate = table.activation_prob * table.mean_ids
-                flat = self._rng(name, "per-item").poisson(rate, size=total_items)
+                flat = poisson(self._rng(name, "per-item"), rate, total_items)
                 totals = np.add.reduceat(flat, offsets[:-1])
                 present = totals > 0
                 for i, total in zip(
@@ -287,12 +301,14 @@ class RequestGenerator:
         fan-out (``_rng`` mutates the stream dict); totals are collected
         in table order.
 
-        Item-scoped tables draw in chunks of ``_POOLING_CHUNK`` and sum
-        the chunks as exact integers.  ``poisson(size=a)`` followed by
-        ``poisson(size=b)`` consumes a stream exactly like one
-        ``poisson(size=a + b)`` -- the bulk-equals-scalar property of
-        the draw scheme -- so chunk boundaries (which fall mid-request)
-        change no draw, and peak memory stays flat in the sample size.
+        Item-scoped tables draw through the exact sparse sampler
+        :func:`repro.core.rng.poisson` in chunks of ``_POOLING_CHUNK``
+        and sum the chunks as exact integers.  Drawing ``a`` counts and
+        then ``b`` consumes a stream exactly like drawing ``a + b`` --
+        the bulk-equals-scalar property of the draw scheme -- so chunk
+        boundaries (which fall mid-request) change no draw, and peak
+        memory stays flat in the sample size.  USER-scoped tables draw
+        on ``Generator.poisson``.
         """
         timestamps = np.linspace(0.0, window_days * _DAY_SECONDS, count, endpoint=False)
         total_items = int(self._bulk_items(timestamps).sum())
@@ -325,10 +341,11 @@ class RequestGenerator:
         return {table.name: value for table, value in zip(self.model.tables, values)}
 
 
-#: Draws per ``poisson`` call when :meth:`RequestGenerator.table_totals`
-#: sums an item-scoped table: bounds each thread's scratch array at
-#: 64 KiB however many requests are sampled.
-_POOLING_CHUNK = 8192
+#: Draws per sampler call when :meth:`RequestGenerator.table_totals`
+#: sums an item-scoped table: bounds each thread's scratch arrays at
+#: 256 KiB apiece however many requests are sampled.  Matches the
+#: sampler's refill size, so a chunk costs one full refill.
+_POOLING_CHUNK = 32768
 
 
 def _user_total(
@@ -351,7 +368,7 @@ def _item_total(rng: np.random.Generator, rate: float, size: int) -> float:
     chunk = _POOLING_CHUNK
     total = 0
     for start in range(0, size, chunk):
-        total += int(rng.poisson(rate, size=min(chunk, size - start)).sum())
+        total += int(poisson(rng, rate, min(chunk, size - start)).sum())
     return float(total)
 
 

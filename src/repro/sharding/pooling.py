@@ -10,9 +10,12 @@ observed ids per table, giving Table-II-scale aggregate pooling factors.
 The sum comes from
 :meth:`~repro.requests.generator.RequestGenerator.table_totals`, which
 never materializes a request: it draws each table from its own
-substreams, item-scoped tables in fixed-size chunks summed as exact
-integers, with the tables spread over a thread pool sized to the usable
-CPUs.  Neither the chunking nor the threading moves a draw, so the
+substreams, with the tables spread over a thread pool sized to the
+usable CPUs.  Item-scoped tables -- nearly all of the sample's draws --
+go through the exact sparse sampler :func:`repro.core.rng.poisson` in
+fixed-size chunks summed as exact integers.  The sampler returns
+``Generator.poisson``'s bits and leaves each stream where numpy would;
+neither it, the chunking nor the threading moves a draw, so the
 estimate is bit-identical to summing the generated requests, on any
 number of CPUs.
 

@@ -90,6 +90,22 @@ class TestRequestProfile:
         p50, p99 = np.percentile(samples, [50, 99])
         assert p99 / p50 > 4.0  # heavy tail drives the paper's P99/P50 ratios
 
+    @pytest.mark.parametrize("bounds", [
+        {"min_items": 0},
+        {"min_items": -3},
+        {"min_items": 50, "max_items": 40},
+    ])
+    def test_invalid_item_bounds_rejected(self, bounds):
+        """A zero-item request would break the bulk generator's per-request
+        ``reduceat``; an inverted range has no valid count."""
+        with pytest.raises(ValueError, match="min_items"):
+            RequestProfile(median_items=100, sigma_items=1.0, batch_size=10, **bounds)
+
+    def test_single_valued_item_range_accepted(self):
+        profile = RequestProfile(median_items=100, sigma_items=1.0, batch_size=10,
+                                 min_items=7, max_items=7)
+        assert profile.sample_items(substream(0, "items")) == 7
+
     def test_mean_items_above_median(self):
         profile = RequestProfile(median_items=100, sigma_items=0.9, batch_size=10)
         assert profile.mean_items > 100

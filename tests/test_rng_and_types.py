@@ -1,11 +1,14 @@
 """Unit tests for seeded RNG substreams, units, and dtypes."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.rng import derive_seed, substream
+import repro.core.rng as rng_module
+from repro.core.rng import _SPARSE_RATE, derive_seed, poisson, substream
 from repro.core.types import (
     GIB,
     KIB,
@@ -46,6 +49,68 @@ class TestRng:
     def test_seed_in_64bit_range(self, root, key):
         seed = derive_seed(root, key)
         assert 0 <= seed < 2**64
+
+
+def _twins(seed):
+    """Two independent generators on one stream."""
+    return substream(seed, "poisson"), substream(seed, "poisson")
+
+
+def _assert_same_draw(ours, ours_rng, numpy_draw, numpy_rng):
+    assert ours.dtype == numpy_draw.dtype
+    assert np.array_equal(ours, numpy_draw)
+    assert ours_rng.bit_generator.state == numpy_rng.bit_generator.state
+
+
+class TestSparsePoisson:
+    """``poisson`` is ``Generator.poisson``: same array, same dtype, and
+    the stream left in the same place, at every rate and size."""
+
+    @pytest.mark.parametrize("lam", [
+        0.0, 1e-7, 1e-4, 6.1e-3,
+        float(np.nextafter(_SPARSE_RATE, 0.0)), _SPARSE_RATE,
+        0.5, 3.0, 9.99, 10.0, 25.0,
+    ])
+    @pytest.mark.parametrize("size", [0, 1, 7, 8192, 300_000])
+    def test_matches_numpy(self, lam, size):
+        for seed in (0, 1, 2):
+            ours_rng, numpy_rng = _twins(seed)
+            ours = poisson(ours_rng, lam, size)
+            _assert_same_draw(
+                ours, ours_rng, numpy_rng.poisson(lam, size=size), numpy_rng
+            )
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 9.99])
+    @pytest.mark.parametrize("size", [1, 7, 50, 8197])
+    def test_walk_matches_numpy_at_any_knuth_rate(self, lam, size, monkeypatch):
+        """Dense rates through the walk itself, on a 4-uniform buffer:
+        most draws read several uniforms and many straddle a refill."""
+        monkeypatch.setattr(rng_module, "_SPARSE_RATE", 10.0)
+        monkeypatch.setattr(rng_module, "_UNIFORM_BUFFER", 4)
+        for seed in (0, 1, 2):
+            ours_rng, numpy_rng = _twins(seed)
+            ours = poisson(ours_rng, lam, size)
+            _assert_same_draw(
+                ours, ours_rng, numpy_rng.poisson(lam, size=size), numpy_rng
+            )
+
+    @pytest.mark.parametrize("lam", [1e-4, 6.1e-3, 3.0])
+    def test_back_to_back_equals_one_call(self, lam):
+        ours_rng, numpy_rng = _twins(5)
+        ours = np.concatenate(
+            [poisson(ours_rng, lam, 8195), poisson(ours_rng, lam, 7)]
+        )
+        _assert_same_draw(
+            ours, ours_rng, numpy_rng.poisson(lam, size=8202), numpy_rng
+        )
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-9, float("nan")])
+    def test_invalid_rate_raises_numpys_error(self, lam):
+        ours_rng, numpy_rng = _twins(0)
+        with pytest.raises(ValueError) as numpy_error:
+            numpy_rng.poisson(lam, size=3)
+        with pytest.raises(ValueError, match=re.escape(str(numpy_error.value))):
+            poisson(ours_rng, lam, 3)
 
 
 class TestDType:
