@@ -87,9 +87,8 @@ def measure_fresh(
     def settings(kernel="reference", trace_mode=TraceMode.AGGREGATE):
         return SuiteSettings(
             num_requests=bench_requests,
-            serving=ServingConfig(seed=1),
+            serving=ServingConfig(seed=1, kernel=kernel),
             trace_mode=trace_mode,
-            kernel=kernel,
         )
 
     # Warm the shared one-time caches so every timing below is warm.

@@ -60,7 +60,7 @@ from repro.experiments import (
     run_suite,
     suite_requests,
 )
-from repro.experiments.runner import default_chunk_size
+from repro.experiments.runner import CHUNK_SIZE
 from repro.experiments.parallel import default_workers
 from repro.planning import CandidateSpace, CapacityPlanner
 from repro.sharding.pooling import estimate_pooling_factors
@@ -141,15 +141,14 @@ def _span_bytes_per_instance(count: int = 10_000) -> float:
 def test_perf_throughput(bench_dir):
     model = drm1()
     settings = SuiteSettings(
-        num_requests=BENCH_REQUESTS, serving=ServingConfig(seed=1),
-        kernel="reference",
+        num_requests=BENCH_REQUESTS,
+        serving=ServingConfig(seed=1, kernel="reference"),
     )
     trace_mode = TraceMode(os.environ.get("REPRO_TRACE_MODE", "full"))
     aggregate_settings = SuiteSettings(
         num_requests=BENCH_REQUESTS,
-        serving=ServingConfig(seed=1),
+        serving=ServingConfig(seed=1, kernel="reference"),
         trace_mode=TraceMode.AGGREGATE,
-        kernel="reference",
     )
 
     # 1. Request generation: vectorized bulk path vs scalar reference.
@@ -335,9 +334,8 @@ def test_perf_throughput(bench_dir):
     # normalizes the committed baseline with.
     batched_settings = SuiteSettings(
         num_requests=BENCH_REQUESTS,
-        serving=ServingConfig(seed=1),
+        serving=ServingConfig(seed=1, kernel="batched"),
         trace_mode=TraceMode.AGGREGATE,
-        kernel="batched",
     )
     batched_results, batched_s = _time(
         lambda: run_suite(model, batched_settings, max_workers=1)
@@ -368,9 +366,8 @@ def test_perf_throughput(bench_dir):
     # run does.
     vectorized_settings = SuiteSettings(
         num_requests=BENCH_REQUESTS,
-        serving=ServingConfig(seed=1),
+        serving=ServingConfig(seed=1, kernel="vectorized"),
         trace_mode=TraceMode.AGGREGATE,
-        kernel="vectorized",
     )
     vectorized_results, vectorized_suite_s = _time(
         lambda: run_suite(model, vectorized_settings, max_workers=1)
@@ -537,7 +534,7 @@ def test_perf_throughput(bench_dir):
                 # `kernel_sweep`.
                 "kernel": "vectorized",
                 "simulated_requests": simulated,
-                "chunk_size": default_chunk_size(),
+                "chunk_size": CHUNK_SIZE,
                 "serial_wall_s": vectorized_suite_s,
                 "serial_rps": vectorized_rps,
                 "parallel_wall_s": vectorized_parallel_s,

@@ -166,25 +166,14 @@ def _replay_healthy(_item: None) -> RunResult:
     return run_mix_configuration(mix, plans, stream, serving)
 
 
-def _replay_chaos(replicas: int) -> RunResult:
+def _replay_chaos(schedule: FaultSchedule) -> RunResult:
     """Worker body: one replica count's faulted replay (also in-process).
 
     Returns the raw :class:`RunResult`; the availability report is
     computed in the parent, because the SLO it is measured against may
     itself derive from the healthy baseline running in the same pool.
     """
-    (
-        mix, plans, stream, serving, experiments, failover_timeout,
-        healing, domains, placement, policy,
-    ) = worker_context()
-    schedule = FaultSchedule(
-        experiments=experiments,
-        replicas=replicas,
-        failover_timeout=failover_timeout,
-        healing=healing,
-        domains=domains,
-        placement=placement,
-    )
+    mix, plans, stream, serving, policy = worker_context()
     serving = serving.with_chaos(schedule)
     if policy is not None:
         serving = serving.with_resilience(policy)
@@ -232,6 +221,25 @@ def availability_sweep(
     """
     if not replica_counts:
         raise ValueError("replica_counts must name at least one count")
+    if not float(window) > 0.0:
+        raise ValueError(f"window must be positive, got {window!r}")
+    if slo_latency is not None and not float(slo_latency) > 0.0:
+        raise ValueError(f"slo_latency must be positive, got {slo_latency!r}")
+    if not float(slo_slack) > 0.0:
+        raise ValueError(f"slo_slack must be positive, got {slo_slack!r}")
+    # Every replica count's schedule is built (and so validated) before
+    # the first replay; the workers only replay them.
+    schedules = [
+        FaultSchedule(
+            experiments=tuple(experiments),
+            replicas=int(count),
+            failover_timeout=failover_timeout,
+            healing=healing,
+            domains=int(domains),
+            placement=placement,
+        )
+        for count in replica_counts
+    ]
     mix = _as_mix(workload)
     settings = settings or SuiteSettings()
     serving = settings.resolved_serving()
@@ -260,11 +268,7 @@ def availability_sweep(
         for wl in mix.workloads
     ]
 
-    counts = tuple(int(count) for count in replica_counts)
-    base_context = (
-        mix, plans, stream, serving, tuple(experiments), failover_timeout,
-        healing, int(domains), placement,
-    )
+    base_context = (mix, plans, stream, serving)
 
     if policy is not None and policy.hedge_quantile is not None:
         # Resolve the hedge trigger against the healthy baseline first:
@@ -281,13 +285,13 @@ def availability_sweep(
             )
         )
         replays = [healthy] + run_cluster_tasks(
-            [(_replay_chaos, count) for count in counts],
+            [(_replay_chaos, schedule) for schedule in schedules],
             base_context + (policy,),
             max_workers,
         )
     else:
         tasks = [(_replay_healthy, None)]
-        tasks += [(_replay_chaos, count) for count in counts]
+        tasks += [(_replay_chaos, schedule) for schedule in schedules]
         replays = run_cluster_tasks(tasks, base_context + (policy,), max_workers)
 
     healthy = replays[0]
@@ -296,13 +300,13 @@ def availability_sweep(
         slo_latency = baseline_p99 * slo_slack
 
     outcomes = []
-    for count, result in zip(counts, replays[1:]):
+    for schedule, result in zip(schedules, replays[1:]):
         report = availability_report(
             result, stream.times, float(slo_latency), float(window)
         )
         outcomes.append(
             ChaosOutcome(
-                replicas=count,
+                replicas=schedule.replicas,
                 report=report,
                 timeline=result.chaos_timeline,
                 result=result,

@@ -34,10 +34,14 @@ def _require_nonnegative(name: str, value: float) -> float:
 
 
 def _require_shard(shard: int) -> int:
-    if int(shard) < 0:
+    """A sparse shard index: an integral value >= 0 (``2.0`` passes as
+    ``2``; ``2.7``, ``True`` and NaN are rejected)."""
+    if isinstance(shard, bool) or not (
+        float(shard).is_integer() and shard >= 0
+    ):
         raise ValueError(
-            f"fault experiments target sparse shard indices (>= 0), got "
-            f"{shard!r}; main-tier faults are not modeled"
+            f"fault experiments target sparse shard indices (integers "
+            f">= 0), got {shard!r}; main-tier faults are not modeled"
         )
     return int(shard)
 
@@ -61,7 +65,7 @@ class HostCrash:
     ``k`` the ``sparse-{shard}-r{k}`` replica."""
 
     def __post_init__(self):
-        _require_shard(self.shard)
+        object.__setattr__(self, "shard", _require_shard(self.shard))
         _require_nonnegative("at", self.at)
         if self.restart_after is not None:
             _require_nonnegative("restart_after", self.restart_after)
@@ -87,7 +91,7 @@ class ReplicaLoss:
     replica: int = -1
 
     def __post_init__(self):
-        _require_shard(self.shard)
+        object.__setattr__(self, "shard", _require_shard(self.shard))
         _require_nonnegative("at", self.at)
 
     def end_time(self) -> float:
@@ -117,7 +121,7 @@ class StragglerShard:
     shard; ``k`` slows only slot ``k`` (0 = the primary)."""
 
     def __post_init__(self):
-        _require_shard(self.shard)
+        object.__setattr__(self, "shard", _require_shard(self.shard))
         _require_nonnegative("start", self.start)
         _require_nonnegative("duration", self.duration)
         if not self.multiplier >= 1.0:

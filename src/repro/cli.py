@@ -25,13 +25,20 @@ Exposes the library's main workflows without writing code:
   substream key paths, env reads in the simulation core) before a
   sweep can silently diverge; exits 1 on findings;
 * ``trace``    -- replay one request and render the Figure-3 timeline.
+
+Each shared flag is declared once and each config object has one
+builder.  A verb builds every config it needs before its first replay,
+inside :func:`_usage`: a value the constructors reject exits 2 with a
+one-line message; a replay's own ``ValueError`` keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -66,7 +73,7 @@ from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.experiments.runner import (
     mix_stream,
     run_configuration,
-    run_mix_configuration,
+    run_mix_suite,
     run_suite,
     SuiteSettings,
 )
@@ -74,7 +81,6 @@ from repro.models.zoo import MODEL_FACTORIES, build
 from repro.planning import CandidateSpace, CapacityPlanner, SlaPolicy
 from repro.requests.generator import RequestGenerator
 from repro.serving.simulator import ClusterSimulation, ServingConfig
-from repro.simulation.engine import DEFAULT_KERNEL, KERNELS
 from repro.sharding.plan import SINGULAR
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.sharding.serialization import dump_plan
@@ -89,59 +95,126 @@ from repro.workloads import (
     WorkloadMix,
 )
 
+STRATEGIES = [SINGULAR, "1-shard", "load-bal", "cap-bal", "NSBP"]
 
-def _positive_int(raw: str) -> int:
-    """argparse type for counts (requests, workers): an integer >= 1."""
+
+def _checked(
+    cast: Callable[[str], float], rule: str, ok: Callable[[float], bool]
+) -> Callable[[str], float]:
+    """An argparse type: ``cast`` the raw string, then require ``ok``."""
+
+    def parse(raw: str) -> float:
+        try:
+            value = cast(raw)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw!r}")
+        return value
+
+    return parse
+
+
+#: Counts (requests, shards, replicas, workers): an integer >= 1.
+_positive_int = _checked(int, "an integer >= 1", lambda value: value >= 1)
+#: Rates, multipliers and durations: a finite number > 0.
+_positive_float = _checked(
+    float, "a finite number > 0",
+    lambda value: value > 0.0 and math.isfinite(value),
+)
+#: Fractions of a whole (cache size, diurnal trough): a number in (0, 1].
+_fraction = _checked(float, "a number in (0, 1]", lambda value: 0.0 < value <= 1.0)
+
+
+@contextlib.contextmanager
+def _usage(args: argparse.Namespace) -> Iterator[None]:
+    """Wrap a verb's config building: a ``ValueError`` raised here is a
+    bad flag value, so it exits 2 through the verb's parser.  Replays run
+    outside this block, so their errors keep their tracebacks."""
     try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {raw!r}")
-    return value
+        yield
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
-def _positive_float(raw: str) -> float:
-    """argparse type for rates and multipliers (qps, slack): a finite
-    number > 0."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {raw!r}"
-        ) from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw!r}")
-    return value
+def _add_run_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    models: list[str] | None = None,
+    shards: int | None = None,
+    strategies: list[str] = STRATEGIES,
+    pooling: bool = True,
+    requests: int | None = None,
+    workers: bool = False,
+) -> None:
+    """The run flags the simulating verbs share, with the verb's own
+    defaults.  ``models`` declares ``--models`` (one workload each)
+    instead of ``--model``; ``shards=None`` leaves out ``--strategy`` and
+    ``--shards``, ``requests=None`` leaves out ``--requests``."""
+    if models is None:
+        parser.add_argument(
+            "--model", default="DRM1", choices=sorted(MODEL_FACTORIES),
+            help="zoo model to operate on",
+        )
+    else:
+        parser.add_argument(
+            "--models", nargs="+", default=models,
+            choices=sorted(MODEL_FACTORIES),
+            help="one workload per named model (repeat a name to co-locate "
+            "two instances of the same model)",
+        )
+    if shards is not None:
+        parser.add_argument(
+            "--strategy", default="load-bal", choices=strategies,
+            help="sharding strategy"
+            + (" applied to every workload's model" if models else ""),
+        )
+        parser.add_argument("--shards", type=_positive_int, default=shards)
+    if pooling:
+        parser.add_argument("--pooling-requests", type=_positive_int, default=300)
+    if requests is not None:
+        parser.add_argument(
+            "--requests", type=_positive_int, default=requests,
+            help="request count per workload" if models else None,
+        )
+    parser.add_argument("--seed", type=int, default=1)
+    if workers:
+        parser.add_argument(
+            "--workers", type=_positive_int, default=None,
+            help="worker-process cap for the sweep's cluster replays "
+            "(default: REPRO_SWEEP_WORKERS, else the usable CPUs); output "
+            "is byte-identical for every count, and 1 replays in-process",
+        )
 
 
-def _add_model_argument(parser: argparse.ArgumentParser) -> None:
+def _add_arrival_arguments(
+    parser: argparse.ArgumentParser, arrivals: str, qps: float
+) -> None:
+    """The arrival-process flags of the open-loop verbs."""
     parser.add_argument(
-        "--model", default="DRM1", choices=sorted(MODEL_FACTORIES),
-        help="zoo model to operate on",
+        "--arrivals", default=arrivals,
+        choices=["poisson", "constant", "diurnal", "mmpp"],
+        help="arrival process per workload: 'poisson' fixed-QPS open loop, "
+        "'constant' deterministic gaps, 'diurnal' non-homogeneous Poisson "
+        "over the sinusoidal day curve, 'mmpp' bursty Markov-modulated "
+        "Poisson alternating qps/2 and 2*qps states",
     )
-
-
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--kernel", default=DEFAULT_KERNEL, choices=list(KERNELS),
-        help="debug override of the replay kernel.  The default, "
-        "'vectorized', chooses per run: eligible runs (serial closed-loop, "
-        "chaos-free) replay as columnar numpy programs, "
-        "every other run takes the 'batched' DES.  'batched' and "
-        "'reference' (the heap-only event loop) force one DES -- results "
-        "are bit-identical (tests/test_kernel_equivalence.py)",
+        "--qps", type=_positive_float, default=qps,
+        help="rate per workload: the fixed/constant rate, the diurnal peak, "
+        "or the MMPP anchor rate",
     )
-
-
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="worker-process cap for the sweep's cluster replays (default: "
-        "REPRO_SWEEP_WORKERS, else the usable CPUs); output is "
-        "byte-identical for every count, and 1 replays in-process",
+        "--trough-fraction", type=_fraction, default=0.35,
+        help="diurnal trough as a fraction of peak QPS",
+    )
+    parser.add_argument(
+        "--hours", type=_positive_int, default=24,
+        help="length of the diurnal curve",
+    )
+    parser.add_argument(
+        "--dwell-seconds", type=_positive_float, default=60.0,
+        help="mean MMPP state dwell time",
     )
 
 
@@ -151,6 +224,75 @@ def _configuration(args: argparse.Namespace) -> ShardingConfiguration:
     if args.strategy == "1-shard":
         return ShardingConfiguration("1-shard", 1)
     return ShardingConfiguration(args.strategy, args.shards)
+
+
+def _plan(args: argparse.Namespace):
+    """The ``--model``'s zoo config and its sharding plan, from a pooling
+    sample of ``--pooling-requests`` (shard, simulate, trace)."""
+    model = build(args.model)
+    pooling = estimate_pooling_factors(model, num_requests=args.pooling_requests)
+    return model, build_plan(model, _configuration(args), pooling)
+
+
+def _settings(args: argparse.Namespace) -> SuiteSettings:
+    """The sweep settings of every verb that replays through the runner;
+    ``suite`` has no ``--pooling-requests`` and keeps the library's
+    pooling sample."""
+    return SuiteSettings(
+        num_requests=args.requests,
+        pooling_requests=getattr(
+            args, "pooling_requests", SuiteSettings.pooling_requests
+        ),
+        serving=ServingConfig(seed=args.seed),
+    )
+
+
+def _arrival_process(args: argparse.Namespace, seed: int):
+    if args.arrivals == "poisson":
+        return PoissonArrivals(args.qps, seed=seed)
+    if args.arrivals == "constant":
+        return ConstantRateArrivals(args.qps)
+    if args.arrivals == "diurnal":
+        return PiecewiseRateArrivals.diurnal(
+            args.qps, trough_fraction=args.trough_fraction,
+            hours=args.hours, seed=seed,
+        )
+    return MMPPArrivals(
+        (args.qps / 2.0, 2.0 * args.qps),
+        mean_dwell_seconds=args.dwell_seconds, seed=seed,
+    )
+
+
+def _mix(args: argparse.Namespace) -> WorkloadMix:
+    """One workload per ``--models`` entry (chaos: its one ``--model``).
+
+    Workload ``index`` seeds its arrivals, requests and (with
+    ``--cache-summary``) correlated id stream at ``--seed + index``, so
+    co-located tenants draw independent streams."""
+    names = args.models if "models" in args else [args.model]
+    correlated = getattr(args, "cache_summary", False)
+    workloads = []
+    for index, name in enumerate(names):
+        seed = args.seed + index
+        workloads.append(
+            Workload(
+                name=f"{name.lower()}-{index}" if names.count(name) > 1 else name,
+                model=build(name),
+                arrivals=_arrival_process(args, seed),
+                request_seed=seed,
+                id_stream=(
+                    CorrelatedStream(recency_weight=args.recency_weight, seed=seed)
+                    if correlated
+                    else None
+                ),
+            )
+        )
+    return WorkloadMix(tuple(workloads))
+
+
+def _seconds(ms: float | None) -> float | None:
+    """An optional millisecond flag in seconds."""
+    return None if ms is None else ms / 1e3
 
 
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
@@ -220,26 +362,27 @@ def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
         # deadline changes accounting but not the attempt cap.
         max_attempts = 2 if hedging else 1
     return ResiliencePolicy(
-        rpc_timeout=(
-            args.retry_timeout_ms / 1e3
-            if args.retry_timeout_ms is not None else None
-        ),
+        rpc_timeout=_seconds(args.retry_timeout_ms),
         max_attempts=max_attempts,
         backoff_base=args.retry_backoff_ms / 1e3,
         backoff_jitter=args.retry_jitter,
-        hedge_delay=args.hedge_ms / 1e3 if args.hedge_ms is not None else None,
+        hedge_delay=_seconds(args.hedge_ms),
         hedge_quantile=args.hedge_quantile,
-        deadline=(
-            args.deadline_ms / 1e3 if args.deadline_ms is not None else None
-        ),
+        deadline=_seconds(args.deadline_ms),
         retry_budget=args.retry_budget,
         retry_refill_rate=args.retry_refill,
     )
 
 
-def _add_domain_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
+    """The fault-suite flags of ``plan --assess-availability`` and
+    ``chaos``."""
     parser.add_argument(
-        "--domains", type=int, default=1,
+        "--crash-at", type=float, default=0.1,
+        help="crash time in simulated seconds",
+    )
+    parser.add_argument(
+        "--domains", type=_positive_int, default=1,
         help="fault domains to place sparse replicas across (racks/zones); "
         "1 disables domain-aware placement",
     )
@@ -276,9 +419,7 @@ def cmd_models(args: argparse.Namespace) -> int:
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
-    model = build(args.model)
-    pooling = estimate_pooling_factors(model, num_requests=args.pooling_requests)
-    plan = build_plan(model, _configuration(args), pooling)
+    model, plan = _plan(args)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(dump_plan(plan))
@@ -304,14 +445,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    model = build(args.model)
-    pooling = estimate_pooling_factors(model, num_requests=args.pooling_requests)
-    plan = build_plan(model, _configuration(args), pooling)
+    model, plan = _plan(args)
     requests = RequestGenerator(model, seed=args.seed).generate_many(args.requests)
-    result = run_configuration(
-        model, plan, requests,
-        ServingConfig(seed=args.seed, kernel=args.kernel),
-    )
+    result = run_configuration(model, plan, requests, ServingConfig(seed=args.seed))
     rows = [
         (
             f"P{q}",
@@ -332,12 +468,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     model = build(args.model)
-    settings = SuiteSettings(
-        num_requests=args.requests,
-        serving=ServingConfig(seed=args.seed),
-        kernel=args.kernel,
-    )
-
+    settings = _settings(args)
     if args.profile:
         import cProfile
         import pstats
@@ -383,70 +514,16 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _arrival_process(args: argparse.Namespace, index: int):
-    """One workload's arrival process; seeds are offset per workload so
-    co-located streams are independent."""
-    seed = args.seed + index
-    if args.arrivals == "poisson":
-        return PoissonArrivals(args.qps, seed=seed)
-    if args.arrivals == "constant":
-        return ConstantRateArrivals(args.qps)
-    if args.arrivals == "diurnal":
-        return PiecewiseRateArrivals.diurnal(
-            args.qps, trough_fraction=args.trough_fraction,
-            hours=args.hours, seed=seed,
-        )
-    return MMPPArrivals(
-        (args.qps / 2.0, 2.0 * args.qps),
-        mean_dwell_seconds=args.dwell_seconds, seed=seed,
-    )
-
-
 def cmd_workload(args: argparse.Namespace) -> int:
-    workloads = []
-    for index, name in enumerate(args.models):
-        workloads.append(
-            Workload(
-                name=f"{name.lower()}-{index}" if args.models.count(name) > 1 else name,
-                model=build(name),
-                arrivals=_arrival_process(args, index),
-                request_seed=args.seed + index,
-                # Seeded per workload (like arrivals and requests) so
-                # co-located tenants draw independent id streams.
-                id_stream=(
-                    CorrelatedStream(
-                        recency_weight=args.recency_weight, seed=args.seed + index
-                    )
-                    if args.cache_summary
-                    else None
-                ),
-            )
-        )
-    mix = WorkloadMix(tuple(workloads))
-    settings = SuiteSettings(
-        num_requests=args.requests,
-        pooling_requests=args.pooling_requests,
-        serving=ServingConfig(seed=args.seed),
-        kernel=args.kernel,
-    )
-    stream = mix_stream(mix, settings)
-    plans = [
-        build_plan(
-            workload.model,
-            _configuration(args),
-            estimate_pooling_factors(
-                workload.model, num_requests=settings.pooling_requests,
-                seed=settings.pooling_seed,
-            ),
-        )
-        for workload in mix.workloads
-    ]
-    result = run_mix_configuration(
-        mix, plans, stream, settings.resolved_serving()
-    )
+    with _usage(args):
+        mix = _mix(args)
+        settings = _settings(args)
+        configuration = _configuration(args)
+    # One configuration: the sweep replays it in-process.
+    (result,) = run_mix_suite(mix, settings, (configuration,)).values()
     rows = []
     per_workload = result.per_workload_e2e()
-    for workload, plan in zip(mix.workloads, plans):
+    for workload, plan in zip(mix.workloads, result.plans):
         latencies = per_workload[workload.name]
         rows.append(
             (
@@ -477,6 +554,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
     )
     if args.cache_summary:
         cache_rows = []
+        stream = mix_stream(mix, settings)
         for name, trace in mix.access_traces(stream).items():
             summary = trace_hit_summary(trace, cache_fraction=args.cache_fraction)
             cache_rows.append(
@@ -497,33 +575,26 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    workloads = []
-    for index, name in enumerate(args.models):
-        workloads.append(
-            Workload(
-                name=f"{name.lower()}-{index}" if args.models.count(name) > 1 else name,
-                model=build(name),
-                arrivals=_arrival_process(args, index),
-                request_seed=args.seed + index,
-            )
+    with _usage(args):
+        mix = _mix(args)
+        planner = CapacityPlanner(
+            policy=None if args.target_ms is None else SlaPolicy(args.target_ms / 1e3),
+            space=CandidateSpace(utilization_targets=tuple(args.utilization)),
+            settings=_settings(args),
+            slack=args.slack,
         )
-    mix = WorkloadMix(tuple(workloads))
-    planner = CapacityPlanner(
-        policy=SlaPolicy(args.target_ms / 1e3) if args.target_ms else None,
-        space=CandidateSpace(utilization_targets=tuple(args.utilization)),
-        settings=SuiteSettings(
-            num_requests=args.requests,
-            pooling_requests=args.pooling_requests,
-            serving=ServingConfig(seed=args.seed),
-            kernel=args.kernel,
-        ),
-        slack=args.slack,
-    )
+        experiments = (
+            CorrelatedFailure(domain=0, at=args.crash_at)
+            if args.domains > 1
+            else HostCrash(shard=0, at=args.crash_at),
+        )
+        policy = _resilience_policy(args)
     plan = planner.plan(mix, max_workers=args.workers)
-    print(
-        f"SLA window: {plan.policy.target_latency * 1e3:.3f} ms "
-        + ("(explicit)" if args.target_ms else f"(singular P99 x {args.slack})")
+    origin = (
+        "explicit" if args.target_ms is not None
+        else f"singular P99 x {args.slack}"
     )
+    print(f"SLA window: {plan.policy.target_latency * 1e3:.3f} ms ({origin})")
     print(
         format_table(
             CAPACITY_CANDIDATE_HEADERS,
@@ -555,12 +626,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         )
     )
     if args.assess_availability:
-        if args.domains > 1:
-            experiments: tuple = (
-                CorrelatedFailure(domain=0, at=args.crash_at),
-            )
-        else:
-            experiments = (HostCrash(shard=0, at=args.crash_at),)
         assessment = planner.assess_availability(
             mix,
             chosen,
@@ -568,7 +633,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             tuple(args.assess_replicas),
             domains=args.domains,
             placement=args.placement,
-            policy=_resilience_policy(args),
+            policy=policy,
             max_workers=args.workers,
         )
         print(
@@ -581,75 +646,58 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    model = build(args.model)
-    workload = Workload(
-        name=args.model.lower(),
-        model=model,
-        arrivals=_arrival_process(args, 0),
-        request_seed=args.seed,
-    )
-    experiments = []
-    if not args.no_crash:
-        experiments.append(
-            HostCrash(
-                shard=args.crash_shard,
-                at=args.crash_at,
-                restart_after=args.restart_after,
+    with _usage(args):
+        mix = _mix(args)
+        configuration = _configuration(args)
+        experiments: list = []
+        if not args.no_crash:
+            experiments.append(
+                HostCrash(args.crash_shard, args.crash_at, args.restart_after)
             )
-        )
-    if args.straggler is not None:
-        shard, start, duration, multiplier = args.straggler
-        experiments.append(
-            StragglerShard(
-                shard=int(shard), start=start, duration=duration,
-                multiplier=multiplier,
+        if args.straggler is not None:
+            experiments.append(StragglerShard(*args.straggler))
+        if args.spike is not None:
+            start, duration, extra_ms = args.spike
+            experiments.append(
+                NetworkSpike(start, duration, extra_latency=extra_ms / 1e3)
             )
-        )
-    if args.spike is not None:
-        start, duration, extra_ms = args.spike
-        experiments.append(
-            NetworkSpike(start=start, duration=duration, extra_latency=extra_ms / 1e3)
-        )
-    if args.correlated_domain is not None:
-        experiments.append(
-            CorrelatedFailure(
-                domain=args.correlated_domain,
-                at=args.correlated_at,
-                restart_after=args.correlated_restart,
-                stagger=args.correlated_stagger,
+        if args.correlated_domain is not None:
+            experiments.append(
+                CorrelatedFailure(
+                    domain=args.correlated_domain,
+                    at=args.correlated_at,
+                    restart_after=args.correlated_restart,
+                    stagger=args.correlated_stagger,
+                )
             )
+        healing = (
+            HealingPolicy(
+                check_interval=args.check_interval,
+                consecutive_misses=args.misses,
+                recovery_lag=args.recovery_lag,
+            )
+            if args.heal
+            else None
         )
-    healing = (
-        HealingPolicy(
-            check_interval=args.check_interval,
-            consecutive_misses=args.misses,
-            recovery_lag=args.recovery_lag,
-        )
-        if args.heal
-        else None
-    )
+        policy = _resilience_policy(args)
+        settings = _settings(args)
     assessment = availability_sweep(
-        workload,
-        _configuration(args),
+        mix,
+        configuration,
         tuple(experiments),
         tuple(args.replicas),
         healing=healing,
         domains=args.domains,
         placement=args.placement,
-        policy=_resilience_policy(args),
-        settings=SuiteSettings(
-            num_requests=args.requests,
-            pooling_requests=args.pooling_requests,
-            serving=ServingConfig(seed=args.seed),
-            kernel=args.kernel,
-        ),
-        slo_latency=args.slo_ms / 1e3 if args.slo_ms else None,
+        policy=policy,
+        settings=settings,
+        slo_latency=_seconds(args.slo_ms),
         slo_slack=args.slack,
         window=args.window,
         max_workers=args.workers,
     )
     title = (
-        f"chaos sweep: {model.name} / {_configuration(args).label} under "
+        f"chaos sweep: {mix.workloads[0].model.name} / {configuration.label} under "
         + ", ".join(type(experiment).__name__ for experiment in experiments)
         + (" with healing" if healing else "")
     )
@@ -684,9 +732,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    model = build(args.model)
-    pooling = estimate_pooling_factors(model, num_requests=args.pooling_requests)
-    plan = build_plan(model, _configuration(args), pooling)
+    model, plan = _plan(args)
     request = RequestGenerator(model, seed=args.seed).generate(args.request_id)
     cluster = ClusterSimulation(model, plan, ServingConfig(seed=args.seed))
     cluster.run_serial([request])
@@ -699,54 +745,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Capacity-driven scale-out recommendation inference (ISPASS 2021 reproduction)",
         epilog="Every verb above replays deterministically: identical "
-        "inputs give byte-identical results across --workers counts, "
-        "--kernel overrides, and chaos baselines (the contract in "
-        "repro/core/rng.py).  'repro lint' enforces that contract "
-        "statically -- run it (like CI does, next to 'repro plan' and "
-        "'repro chaos' smokes) before landing changes to simulation, "
-        "serving, or chaos code.",
+        "inputs give byte-identical results across --workers counts and "
+        "chaos baselines (the contract in repro/core/rng.py).  'repro "
+        "lint' enforces that contract statically -- run it (like CI does, "
+        "next to 'repro plan' and 'repro chaos' smokes) before landing "
+        "changes to simulation, serving, or chaos code.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("models", help="list the model zoo").set_defaults(func=cmd_models)
+    def verb(name, func, **kwargs) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, **kwargs)
+        sub.set_defaults(func=func, parser=sub)
+        return sub
 
-    def add_plan_arguments(sub: argparse.ArgumentParser) -> None:
-        _add_model_argument(sub)
-        sub.add_argument(
-            "--strategy", default="load-bal",
-            choices=[SINGULAR, "1-shard", "load-bal", "cap-bal", "NSBP"],
-        )
-        sub.add_argument("--shards", type=_positive_int, default=8)
-        sub.add_argument("--pooling-requests", type=_positive_int, default=300)
-        sub.add_argument("--seed", type=int, default=1)
+    verb("models", cmd_models, help="list the model zoo")
 
-    shard = commands.add_parser("shard", help="build and print a sharding plan")
-    add_plan_arguments(shard)
+    shard = verb("shard", cmd_shard, help="build and print a sharding plan")
+    _add_run_arguments(shard, shards=8)
     shard.add_argument("--output", help="write the plan as JSON to this path")
-    shard.set_defaults(func=cmd_shard)
 
-    simulate = commands.add_parser("simulate", help="simulate one configuration")
-    add_plan_arguments(simulate)
-    simulate.add_argument("--requests", type=_positive_int, default=150)
-    _add_kernel_argument(simulate)
-    simulate.set_defaults(func=cmd_simulate)
+    simulate = verb("simulate", cmd_simulate, help="simulate one configuration")
+    _add_run_arguments(simulate, shards=8, requests=150)
 
-    suite = commands.add_parser("suite", help="run the paper's config matrix")
-    _add_model_argument(suite)
-    suite.add_argument("--requests", type=_positive_int, default=120)
-    suite.add_argument("--seed", type=int, default=1)
-    _add_kernel_argument(suite)
-    _add_workers_argument(suite)
+    suite = verb("suite", cmd_suite, help="run the paper's config matrix")
+    _add_run_arguments(suite, pooling=False, requests=120, workers=True)
     suite.add_argument(
         "--profile", action="store_true",
         help="profile the sweep with cProfile and print the top 25 "
         "functions by cumulative time to stderr (results are unchanged; "
         "the sweep runs on one worker so the profile sees the replay)",
     )
-    suite.set_defaults(func=cmd_suite)
 
-    workload = commands.add_parser(
-        "workload",
+    workload = verb(
+        "workload", cmd_workload,
         help="co-locate models under a chosen arrival process",
         description="Run a multi-model workload mix on one shared simulated "
         "cluster: each model gets its own sharding plan, requests "
@@ -754,55 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
         "models is simulated on shared hosts.  Prints per-workload and "
         "overall latency quantiles.",
     )
-    def add_mix_arguments(sub: argparse.ArgumentParser) -> None:
-        """Multi-model + arrival-process arguments shared by the workload
-        and plan commands."""
-        sub.add_argument(
-            "--models", nargs="+", default=["DRM1", "DRM2"],
-            choices=sorted(MODEL_FACTORIES),
-            help="one workload per named model (repeat a name to co-locate "
-            "two instances of the same model)",
-        )
-        sub.add_argument(
-            "--arrivals", default="diurnal",
-            choices=["poisson", "constant", "diurnal", "mmpp"],
-            help="arrival process per workload: 'poisson' fixed-QPS open loop, "
-            "'constant' deterministic gaps, 'diurnal' non-homogeneous Poisson "
-            "over the sinusoidal day curve, 'mmpp' bursty Markov-modulated "
-            "Poisson alternating qps/2 and 2*qps states",
-        )
-        sub.add_argument(
-            "--qps", type=_positive_float, default=40.0,
-            help="rate per workload: the fixed/constant rate, the diurnal peak, "
-            "or the MMPP anchor rate",
-        )
-        sub.add_argument(
-            "--trough-fraction", type=float, default=0.35,
-            help="diurnal trough as a fraction of peak QPS",
-        )
-        sub.add_argument(
-            "--hours", type=_positive_int, default=24,
-            help="length of the diurnal curve",
-        )
-        sub.add_argument(
-            "--dwell-seconds", type=float, default=60.0,
-            help="mean MMPP state dwell time",
-        )
-
-    add_mix_arguments(workload)
-    workload.add_argument(
-        "--strategy", default="load-bal",
-        choices=[SINGULAR, "1-shard", "load-bal", "cap-bal", "NSBP"],
-        help="sharding strategy applied to every workload's model",
-    )
-    workload.add_argument("--shards", type=_positive_int, default=4)
-    workload.add_argument(
-        "--requests", type=_positive_int, default=120,
-        help="request count per workload",
-    )
-    workload.add_argument("--pooling-requests", type=_positive_int, default=300)
-    workload.add_argument("--seed", type=int, default=1)
-    _add_kernel_argument(workload)
+    _add_run_arguments(workload, models=["DRM1", "DRM2"], shards=4, requests=120)
+    _add_arrival_arguments(workload, "diurnal", 40.0)
     workload.add_argument(
         "--cache-summary", action="store_true",
         help="also emit each workload's temporally-correlated "
@@ -810,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache hit rates",
     )
     workload.add_argument(
-        "--cache-fraction", type=float, default=0.10,
+        "--cache-fraction", type=_fraction, default=0.10,
         help="cache size for --cache-summary, as a fraction of each "
         "table's observed working set",
     )
@@ -819,10 +803,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="probability an access re-references a recently touched row "
         "(--cache-summary streams)",
     )
-    workload.set_defaults(func=cmd_workload)
 
-    plan = commands.add_parser(
-        "plan",
+    plan = verb(
+        "plan", cmd_plan,
         help="closed-loop SLA-driven capacity planning over a workload mix",
         description="Search the deployment space (sharding configuration x "
         "utilization target) for the cheapest deployment that meets a "
@@ -832,16 +815,10 @@ def build_parser() -> argparse.ArgumentParser:
         "required to fit every server's pinned bytes in platform DRAM.  "
         "Exits 1 when no candidate qualifies.",
     )
-    add_mix_arguments(plan)
+    _add_run_arguments(plan, models=["DRM1", "DRM2"], requests=60, workers=True)
+    _add_arrival_arguments(plan, "diurnal", 40.0)
     plan.add_argument(
-        "--requests", type=_positive_int, default=60,
-        help="request count per workload",
-    )
-    plan.add_argument("--pooling-requests", type=_positive_int, default=300)
-    plan.add_argument("--seed", type=int, default=1)
-    _add_kernel_argument(plan)
-    plan.add_argument(
-        "--target-ms", type=float, default=None,
+        "--target-ms", type=_positive_float, default=None,
         help="explicit SLA window in milliseconds; default derives it from "
         "the mix's own singular baseline (P99 x slack)",
     )
@@ -855,7 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate utilization ceilings, headroom-first (ties resolve "
         "toward the first listed)",
     )
-    _add_workers_argument(plan)
     plan.add_argument(
         "--assess-availability", action="store_true",
         help="after choosing a plan, re-simulate it under a chaos suite "
@@ -863,19 +839,14 @@ def build_parser() -> argparse.ArgumentParser:
         "otherwise) and report replicas-for-N-nines sizing",
     )
     plan.add_argument(
-        "--assess-replicas", nargs="+", type=int, default=[1, 2, 3],
+        "--assess-replicas", nargs="+", type=_positive_int, default=[1, 2, 3],
         help="sparse replica counts the availability assessment sweeps",
     )
-    plan.add_argument(
-        "--crash-at", type=float, default=0.1,
-        help="fault time (simulated seconds) for the assessment suite",
-    )
-    _add_domain_arguments(plan)
+    _add_fault_arguments(plan)
     _add_resilience_arguments(plan)
-    plan.set_defaults(func=cmd_plan)
 
-    chaos = commands.add_parser(
-        "chaos",
+    chaos = verb(
+        "chaos", cmd_chaos,
         help="fault-injection availability sweep over replica counts",
         description="Replay one sharded configuration under a deterministic "
         "fault suite (host crash, straggler shard, network spike) at "
@@ -885,36 +856,18 @@ def build_parser() -> argparse.ArgumentParser:
         "count, the replica count needed for the retention targets, and "
         "the crash/heal timeline.",
     )
-    _add_model_argument(chaos)
-    chaos.add_argument(
-        "--strategy", default="load-bal",
-        choices=["1-shard", "load-bal", "cap-bal", "NSBP"],
-        help="sharding strategy (chaos needs remote sparse shards, so "
-        "singular is excluded)",
+    # Chaos needs remote sparse shards, so singular is excluded.
+    _add_run_arguments(
+        chaos, shards=4, strategies=STRATEGIES[1:], requests=120, workers=True
     )
-    chaos.add_argument("--shards", type=_positive_int, default=4)
-    chaos.add_argument("--pooling-requests", type=_positive_int, default=300)
-    chaos.add_argument("--requests", type=_positive_int, default=120)
-    chaos.add_argument("--seed", type=int, default=1)
+    _add_arrival_arguments(chaos, "poisson", 80.0)
     chaos.add_argument(
-        "--arrivals", default="poisson",
-        choices=["poisson", "constant", "diurnal", "mmpp"],
-    )
-    chaos.add_argument("--qps", type=_positive_float, default=80.0)
-    chaos.add_argument("--trough-fraction", type=float, default=0.35)
-    chaos.add_argument("--hours", type=_positive_int, default=24)
-    chaos.add_argument("--dwell-seconds", type=float, default=60.0)
-    chaos.add_argument(
-        "--replicas", nargs="+", type=int, default=[1, 2, 3],
+        "--replicas", nargs="+", type=_positive_int, default=[1, 2, 3],
         help="sparse replica counts to sweep",
     )
     chaos.add_argument(
         "--crash-shard", type=int, default=0,
         help="shard whose replica 0 crashes (see --no-crash)",
-    )
-    chaos.add_argument(
-        "--crash-at", type=float, default=0.1,
-        help="crash time in simulated seconds",
     )
     chaos.add_argument(
         "--restart-after", type=float, default=None,
@@ -953,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="spread the per-host crash instants over this window "
         "(deterministic draws from the chaos/correlated substream)",
     )
-    _add_domain_arguments(chaos)
+    _add_fault_arguments(chaos)
     _add_resilience_arguments(chaos)
     chaos.add_argument(
         "--heal", action="store_true",
@@ -964,25 +917,22 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--misses", type=_positive_int, default=2)
     chaos.add_argument("--recovery-lag", type=float, default=0.25)
     chaos.add_argument(
-        "--slo-ms", type=float, default=None,
+        "--slo-ms", type=_positive_float, default=None,
         help="explicit latency SLO in milliseconds (default: healthy p99 "
         "x --slack)",
     )
     chaos.add_argument("--slack", type=_positive_float, default=1.5)
     chaos.add_argument(
-        "--window", type=float, default=0.5,
+        "--window", type=_positive_float, default=0.5,
         help="availability-timeline bin width in seconds",
     )
-    _add_kernel_argument(chaos)
-    _add_workers_argument(chaos)
     chaos.add_argument(
         "--report", default=None,
         help="also write the availability report to this path",
     )
-    chaos.set_defaults(func=cmd_chaos)
 
-    lint = commands.add_parser(
-        "lint",
+    lint = verb(
+        "lint", cmd_lint,
         help="statically enforce the determinism contract (exit 1 on findings)",
         description="AST-based determinism lint over the given files or "
         "directories.  Rules DET001-DET007 reject RNG/replay-contract "
@@ -1015,13 +965,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-default-allow", action="store_true",
         help="drop the built-in allowlist (DET003 under benchmarks/*)",
     )
-    lint.set_defaults(func=cmd_lint)
 
-    trace = commands.add_parser("trace", help="render one request's trace")
-    add_plan_arguments(trace)
+    trace = verb("trace", cmd_trace, help="render one request's trace")
+    _add_run_arguments(trace, shards=8)
     trace.add_argument("--request-id", type=int, default=0)
     trace.add_argument("--width", type=int, default=96)
-    trace.set_defaults(func=cmd_trace)
     return parser
 
 

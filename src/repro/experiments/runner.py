@@ -36,12 +36,13 @@ from repro.experiments.configs import (
 REQUESTS_ENV = "REPRO_REQUESTS"
 DEFAULT_REQUESTS = 200
 
-#: Environment knob: vectorized-kernel chunk size (requests per columnar
-#: batch).  The fast path materializes per-request cost arrays one chunk
-#: at a time, so peak memory is O(chunk), not O(sweep) -- the default
-#: keeps million-request sweeps flat while amortizing numpy dispatch.
-CHUNK_ENV = "REPRO_CHUNK"
-DEFAULT_CHUNK = 2048
+#: Vectorized-kernel chunk size (requests per columnar batch).  The fast
+#: path materializes per-request cost arrays one chunk at a time, so peak
+#: memory is O(chunk), not O(sweep) -- 2048 keeps million-request sweeps
+#: flat while amortizing numpy dispatch.  Chunking changes only how many
+#: requests are columnarized per numpy pass, never the replay arithmetic,
+#: so any chunk size yields bit-identical results.
+CHUNK_SIZE = 2048
 
 
 def default_num_requests() -> int:
@@ -52,15 +53,6 @@ def default_num_requests() -> int:
     surfacing from ``int()`` deep inside a sweep.
     """
     return env_positive_int(REQUESTS_ENV, DEFAULT_REQUESTS)
-
-
-def default_chunk_size() -> int:
-    """Vectorized-kernel chunk size: ``REPRO_CHUNK`` if set.
-
-    Validated exactly like ``REPRO_REQUESTS``.  Chunking changes only
-    how many requests are columnarized per numpy pass, never the replay
-    arithmetic, so any chunk size yields bit-identical results."""
-    return env_positive_int(CHUNK_ENV, DEFAULT_CHUNK)
 
 
 class RunResult:
@@ -362,7 +354,7 @@ def run_configuration(
         kernel_fallback = vectorized_ineligibility(serving, schedule)
         if kernel_fallback is None:
             collector, cluster = run_vectorized(
-                model, plan, requests, serving, default_chunk_size()
+                model, plan, requests, serving, CHUNK_SIZE
             )
             result.adopt_aggregate(collector)
             result.kernel_used = "vectorized"
@@ -402,7 +394,10 @@ def _replay(
 
 @dataclass(frozen=True)
 class SuiteSettings:
-    """Shared settings for a paper-style sweep over configurations."""
+    """Shared settings for a paper-style sweep over configurations.
+
+    The replay kernel is ``serving.kernel``
+    (:data:`repro.simulation.engine.KERNELS`)."""
 
     num_requests: int = 0  # 0 -> default_num_requests()
     request_seed: int = 3
@@ -412,13 +407,6 @@ class SuiteSettings:
     schedule: ReplaySchedule = field(default_factory=ReplaySchedule.serial)
     trace_mode: TraceMode | None = None
     """Overrides ``serving.trace_mode`` when set; None keeps it."""
-
-    kernel: str | None = None
-    """Overrides ``serving.kernel`` when set (one of
-    :data:`repro.simulation.engine.KERNELS`); None keeps it.  Every
-    kernel replays bit-identical results (see
-    ``tests/test_kernel_equivalence.py``), so an override only forces
-    which code path produces them."""
 
     arrivals: ArrivalProcess | None = None
     """Overrides ``schedule`` with any workload-subsystem arrival process
@@ -445,13 +433,11 @@ class SuiteSettings:
         return self.num_requests or default_num_requests()
 
     def resolved_serving(self) -> ServingConfig:
-        """The serving config with the suite-level trace-mode and kernel
-        overrides applied."""
+        """The serving config with the suite-level trace-mode override
+        applied."""
         serving = self.serving
         if self.trace_mode is not None and self.trace_mode is not serving.trace_mode:
             serving = serving.with_trace_mode(self.trace_mode)
-        if self.kernel is not None and self.kernel != serving.kernel:
-            serving = serving.with_kernel(self.kernel)
         return serving
 
     def resolved_schedule(self) -> ReplaySchedule:

@@ -109,7 +109,9 @@ class CorrelatedStream:
 
     def __post_init__(self):
         if not 0.0 <= self.recency_weight < 1.0:
-            raise ValueError("recency_weight must be in [0, 1)")
+            raise ValueError(
+                f"recency_weight must be in [0, 1), got {self.recency_weight!r}"
+            )
         if self.window < 1:
             raise ValueError("window must be >= 1")
         object.__setattr__(self, "recency_weight", float(self.recency_weight))

@@ -37,8 +37,9 @@ request's rows into Python lists, so boxed floats exist for one request
 at a time.  Only the integer count matrices are kept, in a small
 bounded LRU (so a multi-configuration sweep over one request sample
 reuses them across configurations without holding every chunk; entry
-size is bounded by ``REPRO_CHUNK``), and -- unlike the scalar builder
--- nothing is memoized *on* the request objects.
+size is bounded by ``repro.experiments.runner.CHUNK_SIZE``), and --
+unlike the scalar builder -- nothing is memoized *on* the request
+objects.
 """
 
 from __future__ import annotations

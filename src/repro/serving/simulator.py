@@ -142,8 +142,8 @@ class ServingConfig:
     run takes the ``"batched"`` DES, recording the reason on
     ``RunResult.kernel_fallback``.  ``"batched"`` (FIFO now-queue,
     synchronous resource grants) and ``"reference"`` (the historical
-    heap-only event loop, kept as the test oracle) force one DES and
-    exist as debug overrides.  Both DES kernels drive the same serving
+    heap-only event loop, kept as the test oracle) force one DES; the
+    CLI has no kernel switch.  Both DES kernels drive the same serving
     generators, and all three kernels are regression-pinned
     bit-identical on every paper configuration
     (``tests/test_kernel_equivalence.py``)."""

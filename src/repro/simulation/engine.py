@@ -519,12 +519,12 @@ class BatchedEngine(Engine):
         return self.now
 
 
-#: Selectable DES kernels (``ServingConfig.kernel`` / ``--kernel``).
-#: ``"vectorized"`` is the columnar replay fast path: eligible runs
-#: (serial closed-loop, chaos-free) bypass the event loop entirely (see
-#: :mod:`repro.simulation.vectorized` / :mod:`repro.serving.columnar`);
-#: everything else falls back to the batched kernel with a recorded
-#: reason (``RunResult.kernel_fallback``).
+#: Selectable DES kernels (``ServingConfig.kernel``; the CLI always
+#: runs the default).  ``"vectorized"`` is the columnar replay fast
+#: path: eligible runs (serial closed-loop, chaos-free) bypass the event
+#: loop entirely (see :mod:`repro.simulation.vectorized` /
+#: :mod:`repro.serving.columnar`); everything else falls back to the
+#: batched kernel with a recorded reason (``RunResult.kernel_fallback``).
 KERNELS = ("reference", "batched", "vectorized")
 
 #: The kernel every surface defaults to.  ``"vectorized"`` chooses per
@@ -532,7 +532,7 @@ KERNELS = ("reference", "batched", "vectorized")
 #: the batched DES with the reason on ``RunResult.kernel_fallback``.
 #: All three kernels are regression-pinned bit-identical, so the
 #: committed artifacts do not depend on this choice; ``"reference"``
-#: and ``"batched"`` stay selectable as debug overrides.
+#: stays selectable as the test oracle the batched kernel is pinned to.
 DEFAULT_KERNEL = "vectorized"
 
 

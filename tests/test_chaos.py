@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import (
+    CorrelatedFailure,
     FaultSchedule,
     HealingPolicy,
     HostCrash,
@@ -69,6 +70,29 @@ class TestFaultValidation:
     def test_main_tier_faults_rejected(self):
         with pytest.raises(ValueError, match="main-tier"):
             HostCrash(shard=-1, at=0.0)
+
+    @pytest.mark.parametrize("shard", [2.7, float("nan"), True])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda shard: HostCrash(shard=shard, at=0.0),
+            lambda shard: ReplicaLoss(shard=shard, at=0.0),
+            lambda shard: StragglerShard(shard=shard, start=0.0, duration=1.0),
+        ],
+        ids=["crash", "loss", "straggler"],
+    )
+    def test_non_integral_shard_rejected(self, make, shard):
+        """A fractional shard used to build, then miss every runtime
+        lookup (``KeyError 2.7``) after the healthy replay had run."""
+        with pytest.raises(ValueError, match="integers >= 0"):
+            make(shard)
+
+    def test_integral_float_shard_is_stored_as_int(self):
+        for experiment in (
+            HostCrash(shard=2.0, at=0.0),
+            StragglerShard(shard=1.0, start=0.0, duration=1.0),
+        ):
+            assert type(experiment.shard) is int
 
     def test_straggler_needs_slowdown(self):
         with pytest.raises(ValueError, match="multiplier"):
@@ -453,6 +477,42 @@ class TestAvailabilitySweep:
                 settings=SuiteSettings(
                     serving=ServingConfig(chaos=FaultSchedule())
                 ),
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"replica_counts": (1, 0)}, "replicas"),
+            ({"domains": 0}, "domains"),
+            ({"experiments": (CorrelatedFailure(domain=2, at=0.1),), "domains": 2},
+             "domain 2"),
+            ({"window": 0.0}, "window"),
+            ({"slo_latency": 0.0}, "slo_latency"),
+            ({"slo_slack": -1.0}, "slo_slack"),
+        ],
+        ids=["replicas", "domains", "correlated-domain", "window", "slo", "slack"],
+    )
+    def test_validates_before_any_replay(self, monkeypatch, kwargs, match):
+        """Every bad input fails before the first replay, in the parent:
+        no cluster task is ever handed to the pool."""
+        from repro.chaos import experiment
+
+        def no_replays(*args, **kw):
+            raise AssertionError("a replay started before validation")
+
+        monkeypatch.setattr(experiment, "run_cluster_tasks", no_replays)
+        workload = Workload(
+            "ranking", drm1(), PoissonArrivals(120.0, seed=7), request_seed=3
+        )
+        call = {"experiments": (HostCrash(shard=0, at=0.1),), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            availability_sweep(
+                workload,
+                ShardingConfiguration("load-bal", 4),
+                call.pop("experiments"),
+                settings=SuiteSettings(num_requests=10, pooling_requests=20),
+                max_workers=1,
+                **call,
             )
 
 

@@ -20,6 +20,7 @@ ineligible run falls back to the batched kernel with the reason recorded
 on ``RunResult.kernel_fallback`` -- both pinned here.
 """
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -36,6 +37,7 @@ from repro.experiments import (
     run_mix_suite,
     run_suite,
 )
+from repro.experiments import runner
 from repro.experiments.runner import suite_requests
 from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule
@@ -99,16 +101,15 @@ def assert_suites_identical(ref, new):
         assert_run_identical(ref[label], new[label], label)
 
 
-def settings(kernel=None, num_requests=20, **serving_kwargs):
+def settings(kernel=DEFAULT_KERNEL, num_requests=20, **serving_kwargs):
     return SuiteSettings(
         num_requests=num_requests,
         pooling_requests=150,
-        serving=ServingConfig(seed=1, **serving_kwargs),
-        kernel=kernel,
+        serving=ServingConfig(seed=1, kernel=kernel, **serving_kwargs),
     )
 
 
-def _mix_results(kernel=None):
+def _mix_results(kernel=DEFAULT_KERNEL):
     """A two-model co-located mix, one configuration."""
     mix = WorkloadMix(
         (
@@ -126,7 +127,7 @@ def _mix_results(kernel=None):
         mix,
         SuiteSettings(
             num_requests=10, pooling_requests=150,
-            serving=ServingConfig(seed=1), kernel=kernel,
+            serving=ServingConfig(seed=1, kernel=kernel),
         ),
         (ShardingConfiguration("load-bal", 2),),
     )
@@ -158,10 +159,12 @@ class TestKernelSelection:
         with pytest.raises(ValueError):
             ServingConfig(kernel="bogus")
 
-    def test_suite_override_applies_kernel(self):
+    def test_suite_settings_defer_to_serving_kernel(self):
+        """The kernel lives on ``ServingConfig`` alone: ``SuiteSettings``
+        has no override, and resolving keeps the serving config."""
+        assert "kernel" not in {f.name for f in dataclasses.fields(SuiteSettings)}
         resolved = settings(kernel="batched").resolved_serving()
         assert resolved.kernel == "batched"
-        # no override keeps the serving config object untouched
         base = settings()
         assert base.resolved_serving() is base.serving
 
@@ -189,10 +192,10 @@ class TestPaperConfigurationEquivalence:
                 num_requests=40,
                 pooling_requests=150,
                 serving=ServingConfig(
-                    seed=1, service_workers=2, clock_skew_sigma=0.002
+                    seed=1, service_workers=2, clock_skew_sigma=0.002,
+                    kernel=kernel,
                 ),
                 schedule=ReplaySchedule.open_loop(25.0, seed=2),
-                kernel=kernel,
             )
 
         assert_suites_identical(
@@ -405,7 +408,7 @@ class TestDefaultKernel:
 
 
 class TestChunkedReplay:
-    """``REPRO_CHUNK`` bounds builder memory without changing a bit.
+    """``CHUNK_SIZE`` bounds builder memory without changing a bit.
 
     Chunking only splits the columnarization pass; the replay arithmetic
     and every substream walk are chunk-size invariant.  The memory
@@ -419,7 +422,7 @@ class TestChunkedReplay:
         model = drm1()
         vectorized = settings(kernel="vectorized")
         base = run_suite(model, vectorized)
-        monkeypatch.setenv("REPRO_CHUNK", "7")
+        monkeypatch.setattr(runner, "CHUNK_SIZE", 7)
         chunked = run_suite(model, vectorized)
         for result in chunked.values():
             assert result.kernel_used == "vectorized"
@@ -448,7 +451,7 @@ class TestChunkedReplay:
         monkeypatch.setattr(columnar, "_BUNDLE_CACHE_MAX", 0)
 
         def peak_bytes(chunk_size):
-            monkeypatch.setenv("REPRO_CHUNK", str(chunk_size))
+            monkeypatch.setattr(runner, "CHUNK_SIZE", chunk_size)
             columnar._BUNDLE_CACHE.clear()
             tracemalloc.start()
             result = run_configuration(model, plan, requests, serving)
@@ -478,9 +481,19 @@ class TestChunkedReplay:
             return plans
 
         monkeypatch.setattr(columnar, "build_chunk_plans", tracked_build)
-        monkeypatch.setenv("REPRO_CHUNK", "32")
+        monkeypatch.setattr(runner, "CHUNK_SIZE", 32)
         run_configuration(model, plan, requests, serving)
         assert len(built) == 4
+
+    def test_chunk_size_is_not_an_env_knob(self, monkeypatch):
+        """``REPRO_CHUNK`` is not read: a value the old knob would have
+        rejected changes nothing."""
+        monkeypatch.setenv("REPRO_CHUNK", "0")
+        model, plan, requests, serving = self._inputs(
+            ShardingConfiguration("singular"), 8
+        )
+        result = run_configuration(model, plan, requests, serving)
+        assert result.kernel_used == "vectorized"
 
     def test_no_cost_columns_survive_the_run(self):
         from repro.serving import columnar

@@ -1,8 +1,8 @@
 """Regression tests for runner/replayer edge cases fixed alongside the
 trace-mode fast path: empty-run per-shard means, REPRO_REQUESTS /
 REPRO_SWEEP_WORKERS / SuiteSettings / CLI request- and worker-count
-validation, CLI shard/rate/slack/hours/misses validation, the CLI
-profile's one-worker pin,
+validation, CLI flag-value validation before any replay, the removed
+``--trace-mode``/``--kernel`` flags, the CLI profile's one-worker pin,
 replay-schedule seeding, and the degenerate behaviors of the
 median-window stack means.
 """
@@ -18,6 +18,7 @@ from repro.experiments.parallel import WORKERS_ENV
 from repro.experiments.runner import REQUESTS_ENV, RunResult
 from repro.models import drm1
 from repro.requests import ReplaySchedule
+from repro.serving.simulator import ClusterSimulation
 from repro.sharding import singular_plan
 
 
@@ -142,17 +143,44 @@ class TestRequestCountValidation:
             ["chaos", "--hours", "0"],
             ["chaos", "--misses", "-1"],
             ["workload", "--qps", "nan"],
+            ["plan", "--models", "DRM1", "--target-ms", "0"],
+            ["chaos", "--slo-ms", "0"],
+            ["plan", "--models", "DRM1", "--utilization", "1.5"],
+            ["workload", "--trough-fraction", "2"],
+            ["workload", "--cache-summary", "--recency-weight", "2"],
+            ["workload", "--cache-summary", "--cache-fraction", "0"],
+            [
+                "plan", "--models", "DRM1", "--assess-availability",
+                "--retry-max-attempts", "0",
+            ],
+            ["chaos", "--retry-max-attempts", "0"],
+            ["chaos", "--replicas", "0"],
+            ["plan", "--models", "DRM1", "--assess-replicas", "0"],
+            ["chaos", "--domains", "0"],
+            ["plan", "--models", "DRM1", "--domains", "0"],
+            ["chaos", "--window", "0"],
+            ["chaos", "--straggler", "1.5", "0", "0.1", "2"],
         ],
     )
-    def test_cli_rejects_invalid_values(self, argv, capsys):
-        """Out-of-range shard counts, rates, slack, hours and heartbeat
-        misses are usage errors (exit 2), not a traceback or a silent
-        run."""
+    def test_cli_rejects_invalid_values(self, argv, capsys, monkeypatch):
+        """Out-of-range flag values are usage errors: exit 2 with one
+        error line naming the value, before any cluster is simulated --
+        not a traceback, a silent fallback, or a failure after the
+        sweep."""
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a cluster was built before validation")
+
+        monkeypatch.setattr(ClusterSimulation, "_setup", no_replay)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert argv[-2] in err and argv[-1] in err
+        assert "Traceback" not in err
+        error_line = err.strip().splitlines()[-1]
+        assert error_line.startswith(f"repro {argv[0]}: error:")
+        bad = "1.5" if "--straggler" in argv else argv[-1]
+        assert bad in error_line
 
     @pytest.mark.parametrize(
         "verb", ["simulate", "suite", "workload", "plan", "chaos"]
@@ -164,6 +192,31 @@ class TestRequestCountValidation:
             main([verb, "--trace-mode", "aggregate"])
         assert excinfo.value.code == 2
         assert "--trace-mode" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "verb", ["simulate", "suite", "workload", "plan", "chaos"]
+    )
+    def test_cli_has_no_kernel_flag(self, verb, capsys):
+        """The CLI always runs the default kernel; the reference and
+        batched kernels are selected only through ``ServingConfig``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--kernel", "reference"])
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
+
+def test_replay_value_error_is_not_a_usage_error(monkeypatch):
+    """Only config building maps ``ValueError`` to exit 2; an error
+    raised once the sweep runs keeps its traceback."""
+    from repro import cli
+
+    def failing_sweep(*args, **kwargs):
+        raise ValueError("raised inside the replay")
+
+    monkeypatch.setattr(cli, "availability_sweep", failing_sweep)
+    with pytest.raises(ValueError, match="inside the replay"):
+        main(["chaos", "--requests", "5"])
 
 
 def test_cli_profile_sees_the_replay(capsys):
