@@ -127,7 +127,7 @@ def measure_fresh(
             for configuration in paper_configurations(model.name)
         ]
         serving = vec_settings.resolved_serving()
-        schedule = vec_settings.resolved_schedule()
+        schedule = vec_settings.schedule
 
         def sweep_once():
             columnar._BUNDLE_CACHE.clear()

@@ -393,7 +393,7 @@ def test_perf_throughput(bench_dir):
         build_plan(model, configuration, sweep_pooling)
         for configuration in paper_configurations(model.name)
     ]
-    sweep_schedule = vectorized_settings.resolved_schedule()
+    sweep_schedule = vectorized_settings.schedule
 
     def kernel_sweep_once(serving):
         # Drop the chunk count matrices the previous sweep left in the

@@ -26,10 +26,10 @@ The combined report is written to
 
 Run:  python examples/capacity_planning.py
 
-Sizing knobs: ``REPRO_REQUESTS`` does not apply here (the request count
-is explicit); ``CapacityPlanner.plan`` fans the candidate simulations
-over worker processes -- the usable CPUs, or ``REPRO_SWEEP_WORKERS`` /
-``max_workers`` -- with an identical plan for every worker count;
+Sizing knobs: the request count is explicit; ``CapacityPlanner.plan``
+fans the candidate simulations over worker processes -- the usable CPUs,
+or ``REPRO_SWEEP_WORKERS`` / ``max_workers`` -- with an identical plan
+for every worker count;
 planner search latency is tracked as the ``plan_sweep`` entry of
 ``results/BENCH_throughput*.json``.
 """

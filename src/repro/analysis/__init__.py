@@ -3,7 +3,6 @@
 from repro.analysis.caching import (
     CachePoint,
     cache_curve,
-    dram_reduction_at_hit_target,
     frequency_hit_rate,
     lru_hit_rate,
     working_set_rows,
@@ -11,13 +10,10 @@ from repro.analysis.caching import (
 from repro.analysis.bench import record_benchmark
 from repro.analysis.quantiles import (
     QUANTILES,
-    OverheadPoint,
     median_window_mean,
     median_window_mean_columns,
-    overhead_series,
     overhead_vs_baseline,
     quantile,
-    quantiles,
 )
 from repro.analysis.report import (
     CAPACITY_CANDIDATE_HEADERS,
@@ -33,11 +29,9 @@ __all__ = [
     "CachePoint",
     "CAPACITY_CANDIDATE_HEADERS",
     "CAPACITY_SIZING_HEADERS",
-    "OverheadPoint",
     "capacity_candidate_rows",
     "capacity_sizing_rows",
     "cache_curve",
-    "dram_reduction_at_hit_target",
     "frequency_hit_rate",
     "lru_hit_rate",
     "working_set_rows",
@@ -46,10 +40,8 @@ __all__ = [
     "format_table",
     "median_window_mean",
     "median_window_mean_columns",
-    "overhead_series",
     "record_benchmark",
     "overhead_vs_baseline",
     "quantile",
-    "quantiles",
     "save_artifact",
 ]

@@ -43,9 +43,3 @@ def record_benchmark(
         f"BENCH_{name}.json", json.dumps(payload, indent=2, sort_keys=True),
         results_dir=results_dir,
     )
-
-
-def load_benchmark(path: str) -> dict[str, object]:
-    """Read back a benchmark artifact written by :func:`record_benchmark`."""
-    with open(path) as handle:
-        return json.load(handle)

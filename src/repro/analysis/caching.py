@@ -111,23 +111,6 @@ def cache_curve(
     return points
 
 
-def cache_curves(
-    trace: AccessTrace,
-    fractions=(0.01, 0.05, 0.10, 0.25, 0.50),
-    policies=("frequency", "lru"),
-) -> dict[str, list[CachePoint]]:
-    """Hit-rate curves for **every** table of a trace.
-
-    The whole-trace consumer for workload-emitted access streams (see
-    ``Workload.access_trace`` / ``RequestGenerator.access_trace``): one
-    call turns a request stream's trace into the full caching study.
-    """
-    return {
-        name: cache_curve(trace, name, fractions=fractions, policies=policies)
-        for name in trace.tables()
-    }
-
-
 def trace_hit_summary(
     trace: AccessTrace, cache_fraction: float = 0.10, policy: str = "lru"
 ) -> dict[str, float]:
@@ -153,26 +136,3 @@ def trace_hit_summary(
         total += accesses.size
     summary["overall"] = hits / total if total else 0.0
     return summary
-
-
-def dram_reduction_at_hit_target(
-    trace: AccessTrace,
-    table_name: str,
-    hit_target: float = 0.9,
-    resolution: int = 64,
-) -> float:
-    """Smallest cache fraction whose frequency hit rate meets the target.
-
-    Returns 1.0 when the full working set is required: the table's
-    accesses are too uniform to benefit (the paper's observation that
-    embedding-table entropy limits compression applies to caching too).
-    """
-    if not 0.0 < hit_target <= 1.0:
-        raise ValueError("hit_target must be in (0, 1]")
-    accesses = trace.accesses[table_name]
-    num_rows = trace.num_rows[table_name]
-    for step in range(1, resolution + 1):
-        fraction = step / resolution
-        if frequency_hit_rate(accesses, num_rows, fraction) >= hit_target:
-            return fraction
-    return 1.0

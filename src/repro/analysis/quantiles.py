@@ -7,8 +7,6 @@ expressed as *relative change versus the singular configuration*
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: The quantiles every figure reports.
@@ -23,39 +21,12 @@ def quantile(values, q: float) -> float:
     return float(np.percentile(arr, q))
 
 
-def quantiles(values, qs=QUANTILES) -> dict[int, float]:
-    return {int(q): quantile(values, q) for q in qs}
-
-
-@dataclass(frozen=True)
-class OverheadPoint:
-    """Relative change vs singular at one quantile (one figure marker)."""
-
-    quantile: int
-    latency_overhead: float
-    compute_overhead: float
-
-
 def overhead_vs_baseline(values, baseline, q: float) -> float:
     """Relative change of a quantile versus the baseline configuration."""
     base = quantile(baseline, q)
     if base <= 0:
         raise ValueError("baseline quantile must be positive")
     return (quantile(values, q) - base) / base
-
-
-def overhead_series(
-    latency, compute, baseline_latency, baseline_compute, qs=QUANTILES
-) -> list[OverheadPoint]:
-    """One config's latency+compute overhead curve (a Figure-6 panel)."""
-    return [
-        OverheadPoint(
-            quantile=int(q),
-            latency_overhead=overhead_vs_baseline(latency, baseline_latency, q),
-            compute_overhead=overhead_vs_baseline(compute, baseline_compute, q),
-        )
-        for q in qs
-    ]
 
 
 def median_window_mean_columns(

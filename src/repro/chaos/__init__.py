@@ -42,13 +42,11 @@ from repro.chaos.experiment import (
 from repro.chaos.faults import (
     PLACEMENTS,
     CorrelatedFailure,
-    FaultDomain,
     FaultExperiment,
     FaultSchedule,
     HealingPolicy,
     HostCrash,
     NetworkSpike,
-    ReplicaLoss,
     StragglerShard,
 )
 from repro.chaos.runtime import ChaosRuntime
@@ -61,14 +59,12 @@ __all__ = [
     "ChaosOutcome",
     "ChaosRuntime",
     "CorrelatedFailure",
-    "FaultDomain",
     "FaultExperiment",
     "FaultSchedule",
     "HealingPolicy",
     "HostCrash",
     "NetworkSpike",
     "PLACEMENTS",
-    "ReplicaLoss",
     "StragglerShard",
     "availability_report",
     "availability_sweep",

@@ -109,10 +109,6 @@ class AvailabilityReport:
             return 1.0
         return self.ok / self.total
 
-    def nines(self) -> float:
-        """Availability expressed as a number of nines (capped at 9)."""
-        return nines(self.availability)
-
 
 def nines(value: float) -> float:
     """``0.999 -> 3.0``; capped at 9 so a perfect replay stays finite."""

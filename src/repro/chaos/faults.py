@@ -1,12 +1,13 @@
 """Fault experiments: *what* breaks, *when*, and for *how long*.
 
 A :class:`FaultSchedule` is a deterministic, composable description of a
-chaos experiment over one simulated replay: host crashes (with optional
-restart), permanently lost replicas, straggler shards (a service-time
-multiplier over an interval), and network latency/jitter spikes.  It is
-attached to a :class:`~repro.serving.simulator.ServingConfig` via its
-``chaos`` field and interpreted by
-:class:`~repro.chaos.runtime.ChaosRuntime`, which hooks the DES replay.
+chaos experiment over one simulated replay: host crashes (permanent, or
+with a restart), straggler shards (a service-time multiplier over an
+interval), network latency/jitter spikes, and correlated crashes of a
+whole fault domain.  It is attached to a
+:class:`~repro.serving.simulator.ServingConfig` via its ``chaos`` field
+and interpreted by :class:`~repro.chaos.runtime.ChaosRuntime`, which
+hooks the DES replay.
 
 Everything here is pure data -- validated, frozen, picklable -- so a
 schedule travels unchanged to parallel sweep workers, and identical
@@ -77,28 +78,6 @@ class HostCrash:
 
 
 @dataclass(frozen=True)
-class ReplicaLoss:
-    """Permanent loss of one replica of a shard at ``at``.
-
-    Equivalent to a :class:`HostCrash` with no restart; kept as its own
-    experiment because it names the *capacity* event (redundancy lost,
-    healing must re-replicate) rather than a transient host failure.
-    ``replica=-1`` (the default) kills the highest replica slot.
-    """
-
-    shard: int
-    at: float
-    replica: int = -1
-
-    def __post_init__(self):
-        object.__setattr__(self, "shard", _require_shard(self.shard))
-        _require_nonnegative("at", self.at)
-
-    def end_time(self) -> float:
-        return self.at
-
-
-@dataclass(frozen=True)
 class StragglerShard:
     """A shard serves slowly for an interval (service-time multiplier).
 
@@ -166,26 +145,6 @@ class NetworkSpike:
 
 
 @dataclass(frozen=True)
-class FaultDomain:
-    """A correlated-failure blast radius (rack, power domain, AZ).
-
-    Built by the chaos runtime from the schedule's ``domains`` count and
-    ``placement`` strategy: every sparse host is assigned to exactly one
-    domain, and a :class:`CorrelatedFailure` kills a whole domain at
-    once.  Pure data -- the runtime's
-    :meth:`~repro.chaos.runtime.ChaosRuntime.fault_domains` snapshot.
-    """
-
-    index: int
-    hosts: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"domain index must be >= 0, got {self.index!r}")
-        object.__setattr__(self, "hosts", tuple(self.hosts))
-
-
-@dataclass(frozen=True)
 class CorrelatedFailure:
     """Every host of one fault domain crashes together at ``at``.
 
@@ -218,9 +177,7 @@ class CorrelatedFailure:
         return self.at + self.stagger + (self.restart_after or 0.0)
 
 
-FaultExperiment = (
-    HostCrash | ReplicaLoss | StragglerShard | NetworkSpike | CorrelatedFailure
-)
+FaultExperiment = HostCrash | StragglerShard | NetworkSpike | CorrelatedFailure
 
 #: Valid domain-aware replica placement strategies: ``"spread"`` places
 #: replica slot ``r`` of shard ``s`` in domain ``(s + r) % domains`` (no
@@ -296,13 +253,7 @@ class FaultSchedule:
         for experiment in self.experiments:
             if not isinstance(
                 experiment,
-                (
-                    HostCrash,
-                    ReplicaLoss,
-                    StragglerShard,
-                    NetworkSpike,
-                    CorrelatedFailure,
-                ),
+                (HostCrash, StragglerShard, NetworkSpike, CorrelatedFailure),
             ):
                 raise TypeError(
                     f"experiments must be FaultExperiment instances, "

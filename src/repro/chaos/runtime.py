@@ -39,11 +39,11 @@ over.  Work already past response serialization is considered committed
 (the response is on the wire) and delivers normally.
 
 Fault domains: with ``schedule.domains > 1`` every host is assigned to
-one :class:`~repro.chaos.faults.FaultDomain` by the schedule's
-``placement`` strategy (spread stripes a shard's replicas across
-domains; packed keeps them together), and a
-:class:`~repro.chaos.faults.CorrelatedFailure` crashes a whole domain
-through the dedicated ``(seed, "chaos", "correlated")`` substream.
+one fault domain by the schedule's ``placement`` strategy (spread
+stripes a shard's replicas across domains; packed keeps them together),
+and a :class:`~repro.chaos.faults.CorrelatedFailure` crashes a whole
+domain through the dedicated ``(seed, "chaos", "correlated")``
+substream.
 """
 
 from __future__ import annotations
@@ -54,12 +54,10 @@ from typing import Callable
 from repro.chaos.availability import ChaosEvent
 from repro.chaos.faults import (
     CorrelatedFailure,
-    FaultDomain,
     FaultSchedule,
     HealingPolicy,
     HostCrash,
     NetworkSpike,
-    ReplicaLoss,
     StragglerShard,
 )
 
@@ -135,19 +133,6 @@ class ChaosRuntime:
             return shard % domains
         return (shard + slot) % domains
 
-    def fault_domains(self) -> tuple[FaultDomain, ...]:
-        """Current domain membership snapshot (includes healed hosts)."""
-        members: dict[int, list[str]] = {
-            domain: [] for domain in range(max(1, self.schedule.domains))
-        }
-        for shard in range(self.num_shards):
-            for server in self.replicas[shard]:
-                members[self._domain_of[server.name]].append(server.name)
-        return tuple(
-            FaultDomain(index=domain, hosts=tuple(hosts))
-            for domain, hosts in sorted(members.items())
-        )
-
     def _validate(self, schedule: FaultSchedule) -> None:
         for experiment in schedule.experiments:
             shard = getattr(experiment, "shard", None)
@@ -158,9 +143,7 @@ class ChaosRuntime:
                     f"shard(s)"
                 )
             replica = getattr(experiment, "replica", None)
-            if replica is not None and not (
-                -schedule.replicas <= replica < schedule.replicas
-            ):
+            if replica is not None and replica >= schedule.replicas:
                 raise ValueError(
                     f"{type(experiment).__name__} targets replica {replica}, "
                     f"but the schedule provisions {schedule.replicas} "
@@ -178,8 +161,6 @@ class ChaosRuntime:
         for experiment in self.schedule.experiments:
             if isinstance(experiment, HostCrash):
                 engine.process(self._run_crash(experiment))
-            elif isinstance(experiment, ReplicaLoss):
-                engine.process(self._run_loss(experiment))
             elif isinstance(experiment, StragglerShard):
                 engine.process(self._run_straggler(experiment))
             elif isinstance(experiment, NetworkSpike):
@@ -210,12 +191,6 @@ class ChaosRuntime:
         if experiment.restart_after is not None:
             yield float(experiment.restart_after)
             self._set_alive(experiment.shard, experiment.replica, True, "restart")
-
-    def _run_loss(self, experiment: ReplicaLoss):
-        yield float(experiment.at)
-        self._set_alive(
-            experiment.shard, experiment.replica, False, "replica-loss"
-        )
 
     def _run_correlated(self, experiment: CorrelatedFailure):
         yield float(experiment.at)

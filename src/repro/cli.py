@@ -228,7 +228,9 @@ def _configuration(args: argparse.Namespace) -> ShardingConfiguration:
 
 def _plan(args: argparse.Namespace):
     """The ``--model``'s zoo config and its sharding plan, from a pooling
-    sample of ``--pooling-requests`` (shard, simulate, trace)."""
+    sample of ``--pooling-requests`` (shard, simulate, trace).  Callers
+    build it inside :func:`_usage`: a plan the strategy cannot build for
+    these flags is a usage error."""
     model = build(args.model)
     pooling = estimate_pooling_factors(model, num_requests=args.pooling_requests)
     return model, build_plan(model, _configuration(args), pooling)
@@ -419,7 +421,8 @@ def cmd_models(args: argparse.Namespace) -> int:
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
-    model, plan = _plan(args)
+    with _usage(args):
+        model, plan = _plan(args)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(dump_plan(plan))
@@ -445,7 +448,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    model, plan = _plan(args)
+    with _usage(args):
+        model, plan = _plan(args)
     requests = RequestGenerator(model, seed=args.seed).generate_many(args.requests)
     result = run_configuration(model, plan, requests, ServingConfig(seed=args.seed))
     rows = [
@@ -732,7 +736,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    model, plan = _plan(args)
+    with _usage(args):
+        model, plan = _plan(args)
     request = RequestGenerator(model, seed=args.seed).generate(args.request_id)
     cluster = ClusterSimulation(model, plan, ServingConfig(seed=args.seed))
     cluster.run_serial([request])
@@ -969,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = verb("trace", cmd_trace, help="render one request's trace")
     _add_run_arguments(trace, shards=8)
     trace.add_argument("--request-id", type=int, default=0)
-    trace.add_argument("--width", type=int, default=96)
+    trace.add_argument("--width", type=_positive_int, default=96)
     return parser
 
 

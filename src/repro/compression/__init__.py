@@ -8,9 +8,7 @@ from repro.compression.pipeline import (
 )
 from repro.compression.pruning import (
     PrunedTable,
-    prune_by_frequency,
     prune_by_magnitude,
-    remap_ids,
 )
 from repro.compression.quantization import (
     QuantizedRows,
@@ -27,9 +25,7 @@ __all__ = [
     "compress_model",
     "compress_table_config",
     "dequantize_rows",
-    "prune_by_frequency",
     "prune_by_magnitude",
     "quantization_error_bound",
     "quantize_rows",
-    "remap_ids",
 ]

@@ -1,13 +1,9 @@
 """Embedding-row pruning (paper Section VII-D).
 
 Production tables are "manually pruned as specified by the model architect
-based on a threshold magnitude or training update frequency".  Both modes
-are implemented over materialized weights:
-
-* magnitude pruning keeps the rows with the largest L2 norms;
-* frequency pruning keeps the most-accessed rows given an access count
-  vector (e.g. from an offline embedding-access trace, the methodology the
-  paper points at via Bandana).
+based on a threshold magnitude or training update frequency".  Magnitude
+pruning is implemented over materialized weights: it keeps the rows with
+the largest L2 norms.
 
 Pruned rows collapse into a shared zero row, so lookups remain valid.
 """
@@ -45,29 +41,3 @@ def prune_by_magnitude(weights: np.ndarray, keep_fraction: float) -> PrunedTable
     """Keep the ``keep_fraction`` of rows with the largest L2 norm."""
     weights = np.asarray(weights, dtype=np.float32)
     return _keep(weights, np.linalg.norm(weights, axis=1), keep_fraction)
-
-
-def prune_by_frequency(
-    weights: np.ndarray, access_counts: np.ndarray, keep_fraction: float
-) -> PrunedTable:
-    """Keep the most frequently accessed rows."""
-    weights = np.asarray(weights, dtype=np.float32)
-    counts = np.asarray(access_counts, dtype=float)
-    if counts.shape[0] != weights.shape[0]:
-        raise ValueError("access_counts must have one entry per row")
-    return _keep(weights, counts, keep_fraction)
-
-
-def remap_ids(pruned: PrunedTable, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map original row ids onto the pruned table.
-
-    Returns ``(local_ids, survived_mask)``: ids of pruned rows are dropped
-    (they pool to the implicit zero row).
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    position = np.full(int(pruned.kept_rows.max(initial=0)) + 1, -1, dtype=np.int64)
-    position[pruned.kept_rows] = np.arange(pruned.num_rows)
-    in_range = ids < position.shape[0]
-    local = np.where(in_range, position[np.clip(ids, 0, position.shape[0] - 1)], -1)
-    mask = local >= 0
-    return local[mask], mask

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.types import OpCategory
 
 if TYPE_CHECKING:
     from repro.core.operators import Operator
@@ -49,9 +48,6 @@ class Net:
         for operator in self.operators:
             produced.update(operator.outputs)
         return produced
-
-    def operators_by_category(self, category: OpCategory) -> list["Operator"]:
-        return [op for op in self.operators if op.category is category]
 
 
 def validate_net(net: Net) -> None:
@@ -82,12 +78,6 @@ class ModelGraph:
 
     name: str
     nets: list[Net] = field(default_factory=list)
-
-    def net(self, name: str) -> Net:
-        for net in self.nets:
-            if net.name == name:
-                return net
-        raise KeyError(f"no net named {name}")
 
     def validate(self) -> None:
         carried: set[str] = set()

@@ -13,12 +13,12 @@ numeric path (correctness tests) and latency-simulated serving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.core.embedding import EmbeddingTable, PartitionedEmbeddingTable
+from repro.core.embedding import EmbeddingTable
 from repro.core.types import OpCategory
 
 
@@ -39,9 +39,6 @@ class Workspace:
 
     def has(self, name: str) -> bool:
         return name in self._blobs
-
-    def blobs(self) -> set[str]:
-        return set(self._blobs)
 
 
 @dataclass
@@ -173,19 +170,6 @@ class SparseLengthsSum(Operator):
         values = workspace.fetch(self.inputs[0])
         lengths = workspace.fetch(self.inputs[1])
         workspace.feed(self.outputs[0], self.table.lookup_sum(values, lengths))
-
-
-@dataclass
-class SparseLengthsSumPartial(Operator):
-    """Partial pooled lookup over one row partition of a huge table."""
-
-    partition: PartitionedEmbeddingTable | None = None
-    category: OpCategory = OpCategory.SPARSE
-
-    def run(self, workspace: Workspace) -> None:
-        values = workspace.fetch(self.inputs[0])
-        lengths = workspace.fetch(self.inputs[1])
-        workspace.feed(self.outputs[0], self.partition.lookup_sum_partial(values, lengths))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Shared units, dtypes, and formatting helpers.
+"""Shared units and dtypes.
 
 All simulation times are expressed in **seconds** (floats) and all sizes in
 **bytes** (floats, so that fractional per-element costs compose cleanly).
@@ -14,13 +14,11 @@ import enum
 KIB = 1024.0
 MIB = 1024.0 * KIB
 GIB = 1024.0 * MIB
-TIB = 1024.0 * GIB
 
 # --- time units -------------------------------------------------------------
 NS = 1e-9
 US = 1e-6
 MS = 1e-3
-SECOND = 1.0
 
 
 class DType(enum.Enum):
@@ -59,10 +57,6 @@ class OpCategory(enum.Enum):
     DENSE = "Dense"
     RPC = "RPC"
 
-    @property
-    def is_sparse(self) -> bool:
-        return self is OpCategory.SPARSE
-
 
 #: Categories executed by dense (non-embedding) portions of the model.
 DENSE_CATEGORIES = (
@@ -74,22 +68,3 @@ DENSE_CATEGORIES = (
     OpCategory.MEMORY_TRANSFORMS,
     OpCategory.DENSE,
 )
-
-
-def format_bytes(n: float) -> str:
-    """Render a byte count with a binary suffix, e.g. ``194.05 GiB``."""
-    for unit, suffix in ((TIB, "TiB"), (GIB, "GiB"), (MIB, "MiB"), (KIB, "KiB")):
-        if abs(n) >= unit:
-            return f"{n / unit:.2f} {suffix}"
-    return f"{n:.0f} B"
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration with the most natural sub-second suffix."""
-    if abs(seconds) >= 1.0:
-        return f"{seconds:.3f} s"
-    if abs(seconds) >= MS:
-        return f"{seconds / MS:.3f} ms"
-    if abs(seconds) >= US:
-        return f"{seconds / US:.1f} us"
-    return f"{seconds / NS:.0f} ns"

@@ -3,12 +3,6 @@
 Sizing and throughput knobs
 ---------------------------
 
-* ``REPRO_REQUESTS`` -- request count per configuration in suites and
-  benchmarks (default 200 for suites, 150 in ``benchmarks/``).  The
-  paper's tail quantiles (P99 overheads, Section VI-B4) need large
-  samples to stabilize; the simulation fast path (vectorized request
-  generation, the DES plain-delay yield, columnar ``RunResult`` storage)
-  exists so raising this knob is cheap.
 * ``REPRO_SWEEP_WORKERS`` -- worker-process cap for every configuration
   sweep (default: the usable CPUs).  :func:`run_suite`,
   :func:`run_mix_suite`, the capacity planner and the availability sweep
@@ -28,12 +22,6 @@ Sizing and throughput knobs
   ``mix_sweep`` entry), rewritten by
   ``benchmarks/test_perf_throughput.py`` via
   :func:`repro.analysis.bench.record_benchmark`.
-* ``SuiteSettings.arrivals`` / ``repro.workloads`` -- any
-  :class:`~repro.workloads.arrivals.ArrivalProcess` (diurnal, MMPP,
-  constant-rate) can drive a classic suite; multi-model co-location runs
-  through :func:`run_mix_suite` over a
-  :class:`~repro.workloads.workload.WorkloadMix`, producing
-  per-workload-labeled :class:`RunResult` columns.
 """
 
 from repro.experiments.configs import (
@@ -50,7 +38,6 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import (
     RunResult,
     SuiteSettings,
-    default_num_requests,
     mix_stream,
     run_configuration,
     run_mix_configuration,
@@ -68,7 +55,6 @@ __all__ = [
     "SuiteSettings",
     "TraceMode",
     "build_plan",
-    "default_num_requests",
     "default_workers",
     "figures",
     "mix_configurations",

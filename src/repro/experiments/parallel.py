@@ -35,8 +35,8 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 def default_workers() -> int:
     """Worker count: ``REPRO_SWEEP_WORKERS`` if set, else the usable CPUs.
 
-    The variable is validated like ``REPRO_REQUESTS``: a malformed or
-    non-positive value fails with a message naming it.  The CPU count is
+    A malformed or non-positive value fails with a message naming the
+    variable.  The CPU count is
     the process's affinity mask (:func:`repro.core.host.usable_cpus`).
     """
     return env_positive_int(WORKERS_ENV, usable_cpus())

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.host import env_positive_int
 from repro.experiments.parallel import run_cluster_tasks, worker_context
 from repro.models.config import ModelConfig
 from repro.requests.generator import Request, RequestGenerator
@@ -23,7 +22,6 @@ from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.sharding.plan import ShardingPlan
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.tracing.aggregate import STACK_BUCKETS, AggregatingTracer, TraceMode
-from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.workload import MixedStream, WorkloadMix
 from repro.experiments.configs import (
     ShardingConfiguration,
@@ -32,10 +30,6 @@ from repro.experiments.configs import (
     paper_configurations,
 )
 
-#: Environment knob: request count per configuration in suites/benches.
-REQUESTS_ENV = "REPRO_REQUESTS"
-DEFAULT_REQUESTS = 200
-
 #: Vectorized-kernel chunk size (requests per columnar batch).  The fast
 #: path materializes per-request cost arrays one chunk at a time, so peak
 #: memory is O(chunk), not O(sweep) -- 2048 keeps million-request sweeps
@@ -43,16 +37,6 @@ DEFAULT_REQUESTS = 200
 #: requests are columnarized per numpy pass, never the replay arithmetic,
 #: so any chunk size yields bit-identical results.
 CHUNK_SIZE = 2048
-
-
-def default_num_requests() -> int:
-    """Request count per configuration: ``REPRO_REQUESTS`` if set.
-
-    Malformed or non-positive values fail fast with a message naming the
-    variable and the offending value, instead of a bare ``ValueError``
-    surfacing from ``int()`` deep inside a sweep.
-    """
-    return env_positive_int(REQUESTS_ENV, DEFAULT_REQUESTS)
 
 
 class RunResult:
@@ -249,24 +233,6 @@ class RunResult:
             total += column
         return total
 
-    # -- row-oriented views (compatibility with pre-columnar callers) -----
-    def _stacks(self, kind: str) -> list[dict[str, float]]:
-        columns = self.stack_columns(kind)
-        buckets = STACK_BUCKETS[kind]
-        return [
-            {bucket: float(columns[bucket][i]) for bucket in buckets}
-            for i in range(self._count)
-        ]
-
-    def latency_stacks(self) -> list[dict[str, float]]:
-        return self._stacks("latency")
-
-    def embedded_stacks(self) -> list[dict[str, float]]:
-        return self._stacks("embedded")
-
-    def cpu_stacks(self) -> list[dict[str, float]]:
-        return self._stacks("cpu")
-
     # -- per-shard demand --------------------------------------------------
     def _mean_shard_columns(
         self, kind: str, workload: str | None = None
@@ -366,7 +332,9 @@ def run_configuration(
     if schedule.mode is ReplayMode.SERIAL:
         _replay(cluster, tracer, result, cluster.run_serial, requests)
     else:
-        _replay(cluster, tracer, result, cluster.run_open_loop, requests, schedule)
+        arrivals = schedule.arrival_times(len(requests))
+        stream = zip(arrivals, [0] * len(requests), requests)
+        _replay(cluster, tracer, result, cluster.run_stream, stream)
     result.kernel_used = serving.kernel
     result.kernel_fallback = kernel_fallback
     return result
@@ -399,7 +367,7 @@ class SuiteSettings:
     The replay kernel is ``serving.kernel``
     (:data:`repro.simulation.engine.KERNELS`)."""
 
-    num_requests: int = 0  # 0 -> default_num_requests()
+    num_requests: int = 200
     request_seed: int = 3
     pooling_requests: int = 1000
     pooling_seed: int = 42
@@ -408,29 +376,13 @@ class SuiteSettings:
     trace_mode: TraceMode | None = None
     """Overrides ``serving.trace_mode`` when set; None keeps it."""
 
-    arrivals: ArrivalProcess | None = None
-    """Overrides ``schedule`` with any workload-subsystem arrival process
-    (diurnal, MMPP, constant-rate, ...) when set; None keeps the
-    schedule.  The classic serial / fixed-QPS spellings stay on
-    ``schedule`` and replay byte-identical streams either way.  With a
-    timed process set, request timestamps are the arrival times
-    themselves (matching ``Workload.sample``), so the generator's
-    diurnal request-size modulation tracks the arrival curve instead of
-    the default 5-day linspace window."""
-
     def __post_init__(self) -> None:
-        if self.num_requests < 0:
-            raise ValueError(
-                "num_requests must be >= 1, or 0 for the REPRO_REQUESTS "
-                f"default, got {self.num_requests}"
-            )
+        if self.num_requests < 1:
+            raise ValueError(f"num_requests must be >= 1, got {self.num_requests}")
         if self.pooling_requests < 1:
             raise ValueError(
                 f"pooling_requests must be >= 1, got {self.pooling_requests}"
             )
-
-    def resolved_requests(self) -> int:
-        return self.num_requests or default_num_requests()
 
     def resolved_serving(self) -> ServingConfig:
         """The serving config with the suite-level trace-mode override
@@ -440,25 +392,10 @@ class SuiteSettings:
             serving = serving.with_trace_mode(self.trace_mode)
         return serving
 
-    def resolved_schedule(self) -> ReplaySchedule:
-        """The replay schedule, with ``arrivals`` applied when set."""
-        if self.arrivals is None:
-            return self.schedule
-        return ReplaySchedule.from_arrivals(self.arrivals)
-
 
 def suite_requests(model: ModelConfig, settings: SuiteSettings) -> list[Request]:
     generator = RequestGenerator(model, seed=settings.request_seed)
-    count = settings.resolved_requests()
-    if settings.arrivals is not None:
-        times = settings.arrivals.arrival_times(count)
-        if times is not None:
-            # Timed arrival process: timestamps are the arrival times, so
-            # the diurnal size modulation tracks the arrival curve
-            # (Workload.sample semantics).  Serial arrivals fall through
-            # to the classic evenly-sampled window.
-            return generator.generate_batch(np.asarray(times, dtype=np.float64))
-    return generator.generate_many(count)
+    return generator.generate_many(settings.num_requests)
 
 
 def _replay_configuration(
@@ -495,7 +432,7 @@ def run_suite(
     )
     context = (
         model, pooling, requests,
-        settings.resolved_serving(), settings.resolved_schedule(),
+        settings.resolved_serving(), settings.schedule,
     )
     tasks = [(_replay_configuration, config) for config in configurations]
     return dict(run_cluster_tasks(tasks, context, max_workers))
@@ -555,7 +492,7 @@ def run_mix_configuration(
 def mix_stream(mix: "WorkloadMix", settings: SuiteSettings) -> "MixedStream":
     """Sample a mix's merged request stream once per sweep (the mix-side
     analogue of :func:`suite_requests`)."""
-    return mix.sample(settings.resolved_requests())
+    return mix.sample(settings.num_requests)
 
 
 def _replay_mix_configuration(

@@ -43,10 +43,6 @@ class LintReport:
             totals[finding.rule] = totals.get(finding.rule, 0) + 1
         return dict(sorted(totals.items()))
 
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
 
 def _normalize(path: str) -> str:
     return os.path.normpath(path).replace(os.sep, "/")

@@ -197,22 +197,15 @@ class ModelConfig:
         for table in self.tables:
             if table.net not in known:
                 raise ValueError(f"table {table.name} references unknown net {table.net}")
-        # Lookup indices: table()/net()/tables_for_net() sit on the serving
+        # Lookup indices: table()/tables_for_net() sit on the serving
         # simulator's per-RPC hot path, so they must not scan.
         by_net: dict[str, tuple[TableConfig, ...]] = {name: () for name in net_names}
         for table in self.tables:
             by_net[table.net] += (table,)
-        object.__setattr__(self, "_net_index", {net.name: net for net in self.nets})
         object.__setattr__(self, "_table_index", {t.name: t for t in self.tables})
         object.__setattr__(self, "_tables_by_net", by_net)
 
     # -- lookups ---------------------------------------------------------
-    def net(self, name: str) -> NetConfig:
-        try:
-            return self._net_index[name]
-        except KeyError:
-            raise KeyError(f"no net named {name} in model {self.name}") from None
-
     def table(self, name: str) -> TableConfig:
         try:
             return self._table_index[name]

@@ -30,10 +30,9 @@ from repro.planning.replication import (
     PerShardDemandError,
     ReplicationDemand,
     ReplicationPlan,
-    memory_efficiency_vs_singular,
     plan_replication,
 )
-from repro.planning.sla import SlaPolicy, SlaReport, evaluate_sla, sla_sweep
+from repro.planning.sla import SlaPolicy, SlaReport, evaluate_sla
 
 __all__ = [
     "CandidatePlan",
@@ -53,7 +52,5 @@ __all__ = [
     "diurnal_qps_curve",
     "dram_hours_saved",
     "evaluate_sla",
-    "memory_efficiency_vs_singular",
     "plan_replication",
-    "sla_sweep",
 ]

@@ -145,12 +145,3 @@ def plan_replication(
         main_memory_bytes=main_replicas * model.dense_param_bytes,
         sparse_memory_bytes=sparse_memory,
     )
-
-
-def memory_efficiency_vs_singular(
-    singular: ReplicationPlan, distributed: ReplicationPlan
-) -> float:
-    """How many times less DRAM the distributed deployment pins."""
-    if distributed.total_memory_bytes <= 0:
-        raise ValueError("distributed plan has no memory accounted")
-    return singular.total_memory_bytes / distributed.total_memory_bytes

@@ -75,15 +75,3 @@ def evaluate_sla(label: str, latencies, policy: SlaPolicy) -> SlaReport:
         met_p99=float(np.percentile(samples, 99)) <= policy.target_latency,
         headroom_p50=policy.target_latency / float(np.percentile(samples, 50)),
     )
-
-
-def sla_sweep(
-    latencies_by_config: dict[str, "np.ndarray"], policy: SlaPolicy
-) -> list[SlaReport]:
-    """Evaluate every configuration under one policy, worst first."""
-    reports = [
-        evaluate_sla(label, latencies, policy)
-        for label, latencies in latencies_by_config.items()
-    ]
-    reports.sort(key=lambda report: -report.drop_rate)
-    return reports

@@ -268,24 +268,6 @@ class RequestGenerator:
         timestamps = np.linspace(0.0, window_days * _DAY_SECONDS, count, endpoint=False)
         return self.generate_batch(timestamps)
 
-    def access_trace(self, requests: list[Request], id_stream=None):
-        """Row-access trace for ``requests``: i.i.d. Zipf by default, or a
-        temporally-correlated (popularity + recency) stream when
-        ``id_stream`` is a
-        :class:`~repro.requests.access_trace.CorrelatedStream`.  The
-        returned :class:`~repro.requests.access_trace.AccessTrace` feeds
-        :mod:`repro.analysis.caching` directly.
-        """
-        # Imported lazily: access_trace imports Request from this module.
-        from repro.requests.access_trace import (
-            collect_access_trace,
-            collect_correlated_trace,
-        )
-
-        if id_stream is None:
-            return collect_access_trace(self.model, requests, seed=self.seed)
-        return collect_correlated_trace(self.model, requests, id_stream)
-
     def table_totals(self, count: int, window_days: float = 5.0) -> dict[str, float]:
         """Aggregate id counts per table over ``count`` requests.
 

@@ -12,10 +12,6 @@ The paper evaluates two request regimes:
 byte-identical arrival streams) as a frozen facade over
 :mod:`repro.workloads.arrivals`, where the arrival-time axis now lives as
 composable processes (Poisson, constant-rate, piecewise/diurnal, MMPP).
-Any open-loop :class:`~repro.workloads.arrivals.ArrivalProcess` can be
-wrapped into a schedule with :meth:`ReplaySchedule.from_arrivals`, which
-is how diurnal or bursty arrivals thread through the existing
-``run_configuration`` / ``run_suite`` machinery unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.arrivals import ArrivalProcess, PoissonArrivals, SerialArrivals
+from repro.workloads.arrivals import PoissonArrivals, SerialArrivals
 
 
 class ReplayMode(enum.Enum):
@@ -40,14 +36,9 @@ class ReplaySchedule:
     mode: ReplayMode = ReplayMode.SERIAL
     qps: float = 0.0
     seed: int = 0
-    process: ArrivalProcess | None = None
-    """Custom open-loop arrival process; ``None`` keeps the classic
-    spellings (serial, fixed-QPS Poisson)."""
 
     def __post_init__(self):
-        if self.process is not None and self.mode is ReplayMode.SERIAL:
-            raise ValueError("a custom arrival process requires open-loop mode")
-        if self.process is None and self.mode is ReplayMode.OPEN_LOOP and self.qps <= 0:
+        if self.mode is ReplayMode.OPEN_LOOP and self.qps <= 0:
             raise ValueError("open-loop replay requires qps > 0")
         # Normalize so open_loop(25), open_loop(25.0), and numpy scalars
         # are the same schedule: the arrival substream is keyed on qps,
@@ -61,32 +52,6 @@ class ReplaySchedule:
     @classmethod
     def open_loop(cls, qps: float, seed: int = 0) -> "ReplaySchedule":
         return cls(mode=ReplayMode.OPEN_LOOP, qps=qps, seed=seed)
-
-    @classmethod
-    def from_arrivals(cls, process: ArrivalProcess) -> "ReplaySchedule":
-        """Wrap any arrival process into a schedule.
-
-        ``SerialArrivals`` maps to the serial schedule; everything else
-        becomes an open-loop schedule driven by the process.  ``qps`` and
-        ``seed`` mirror the process's fields when it has them, so the
-        facade stays inspectable.
-        """
-        if isinstance(process, SerialArrivals):
-            return cls.serial()
-        return cls(
-            mode=ReplayMode.OPEN_LOOP,
-            qps=float(getattr(process, "qps", 0.0)),
-            seed=int(getattr(process, "seed", 0)),
-            process=process,
-        )
-
-    def arrival_process(self) -> ArrivalProcess:
-        """The process this schedule is a facade over."""
-        if self.process is not None:
-            return self.process
-        if self.mode is ReplayMode.SERIAL:
-            return SerialArrivals()
-        return PoissonArrivals(self.qps, self.seed)
 
     def arrival_times(self, count: int) -> np.ndarray | None:
         """First ``count`` arrival times; None for serial replay.
@@ -105,4 +70,6 @@ class ReplaySchedule:
         happens in the process (every ``ArrivalProcess.arrival_times``
         checks, serial included).
         """
-        return self.arrival_process().arrival_times(count)
+        if self.mode is ReplayMode.SERIAL:
+            return SerialArrivals().arrival_times(count)
+        return PoissonArrivals(self.qps, self.seed).arrival_times(count)

@@ -102,12 +102,6 @@ class ResilienceRuntime:
         self.aborted_attempts += 1
 
     # -- retry budget ------------------------------------------------------
-    @property
-    def tokens(self) -> float:
-        """Current bucket level (after refilling to the present)."""
-        self._refill()
-        return self._tokens
-
     def _refill(self) -> None:
         now = self.engine.now
         elapsed = now - self._refilled_at

@@ -8,7 +8,6 @@ from repro.serving.paging import (
     PagingAssessment,
     SsdSpec,
     assess_paging,
-    coverage_for_budget,
     paging_vs_distributed_stall,
 )
 from repro.serving.simulator import ClusterSimulation, ServingConfig, SimServer
@@ -19,7 +18,6 @@ __all__ = [
     "PagingAssessment",
     "SsdSpec",
     "assess_paging",
-    "coverage_for_budget",
     "paging_vs_distributed_stall",
     "ServingConfig",
     "SimServer",

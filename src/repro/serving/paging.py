@@ -12,16 +12,14 @@ inference win?
 The comparison charges paging only where it differs from singular serving:
 cache-miss lookups stall on SSD reads instead of DRAM.  Coverage is
 expressed working-set-relative (see the caching module) because embedding
-tables are sized for hash-collision avoidance; mapping a byte budget onto
-coverage requires a traffic-volume estimate, which
-:func:`coverage_for_budget` makes explicit.
+tables are sized for hash-collision avoidance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.caching import frequency_hit_rate, working_set_rows
+from repro.analysis.caching import frequency_hit_rate
 from repro.core.types import US
 from repro.models.config import ModelConfig
 from repro.requests.access_trace import AccessTrace
@@ -48,9 +46,6 @@ class PagingAssessment:
     hit_rate: float
     expected_misses_per_request: float
     expected_stall_per_request: float
-
-    def meets_budget(self, stall_budget: float) -> bool:
-        return self.expected_stall_per_request <= stall_budget
 
 
 def assess_paging(
@@ -90,31 +85,6 @@ def assess_paging(
         expected_misses_per_request=misses_per_request,
         expected_stall_per_request=stall,
     )
-
-
-def coverage_for_budget(
-    model: ModelConfig,
-    trace: AccessTrace,
-    dram_budget: float,
-    traffic_scale: float = 1.0,
-) -> float:
-    """Working-set coverage a DRAM budget buys.
-
-    ``traffic_scale`` extrapolates the sampled trace to production volume:
-    a day of traffic touches ``traffic_scale`` times the distinct rows this
-    sample does.  The budget is spread across tables proportionally to
-    their (scaled) working-set bytes.
-    """
-    if dram_budget <= 0 or traffic_scale <= 0:
-        raise ValueError("dram_budget and traffic_scale must be positive")
-    working_bytes = 0.0
-    for name, accesses in trace.accesses.items():
-        table = model.table(name)
-        rows = min(working_set_rows(accesses) * traffic_scale, table.num_rows)
-        working_bytes += rows * table.dtype.row_bytes(table.dim)
-    if working_bytes == 0:
-        raise ValueError("access trace is empty")
-    return min(1.0, dram_budget / working_bytes)
 
 
 def paging_vs_distributed_stall(

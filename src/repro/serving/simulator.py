@@ -55,7 +55,6 @@ from repro.core.rng import substream
 from repro.core.types import OpCategory
 from repro.models.config import FeatureScope, ModelConfig, TableConfig
 from repro.requests.generator import Request, request_payload_bytes
-from repro.requests.replayer import ReplayMode, ReplaySchedule
 from repro.sharding.plan import ShardingPlan, ShardSpec
 from repro.simulation.costmodel import CostModel, ranking_response_bytes
 from repro.simulation.engine import (
@@ -216,11 +215,6 @@ class SimServer:
         self.io_threads = engine.resource(io_threads)
         self.clock_skew = clock_skew
         self._egress_free = 0.0
-
-    def wall(self, engine_time: float | None = None) -> float:
-        """This server's wall clock (engine time + skew)."""
-        at = self.engine.now if engine_time is None else engine_time
-        return at + self.clock_skew
 
     def egress_delay(self, nbytes: float) -> float:
         """Reserve the egress NIC for a message; returns total delay until
@@ -1347,31 +1341,12 @@ class ClusterSimulation:
         finally:
             self._finish_replay()
 
-    def run_open_loop(self, requests: list[Request], schedule: ReplaySchedule) -> None:
-        """Open-loop replay at the schedule's QPS (paper Section VII-A)."""
-        if schedule.mode is not ReplayMode.OPEN_LOOP:
-            raise ValueError("use run_serial for serial schedules")
-        arrivals = schedule.arrival_times(len(requests))
-
-        def driver():
-            previous = 0.0
-            for request, at in zip(requests, arrivals):
-                yield float(at - previous)
-                previous = at
-                self.submit(request)
-
-        self.engine.process(driver())
-        try:
-            self.engine.run()
-        finally:
-            self._finish_replay()
-
     def run_stream(self, stream: Iterable[tuple[float, int, Request]]) -> None:
-        """Mixed open-loop replay: inject ``(arrival_time, tenant, request)``
-        triples in nondecreasing time order (a
-        :class:`~repro.workloads.workload.MixedStream` iterates exactly
-        this shape).  This is the multi-model co-location driver: every
-        tenant's requests contend for the same simulated hosts."""
+        """Open-loop replay (paper Section VII-A): inject
+        ``(arrival_time, tenant, request)`` triples in nondecreasing time
+        order.  A :class:`~repro.workloads.workload.MixedStream` iterates
+        exactly this shape, so co-located tenants contend for the same
+        simulated hosts; a single-model schedule passes tenant 0."""
 
         def driver():
             previous = 0.0

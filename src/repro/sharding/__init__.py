@@ -18,9 +18,7 @@ from repro.sharding.plan import (
 from repro.sharding.pooling import estimate_pooling_factors, pooling_by_shard
 from repro.sharding.serialization import (
     SerializationError,
-    dump_model,
     dump_plan,
-    load_model,
     load_plan,
 )
 from repro.sharding.strategies import (
@@ -51,9 +49,7 @@ __all__ = [
     "SerializationError",
     "ShardingStrategy",
     "TableAssignment",
-    "dump_model",
     "dump_plan",
-    "load_model",
     "load_plan",
     "estimate_pooling_factors",
     "pooling_by_shard",

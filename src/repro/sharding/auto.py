@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.models.config import ModelConfig
-from repro.requests.generator import Request, RequestGenerator
+from repro.requests.generator import RequestGenerator
 from repro.serving.simulator import ServingConfig
 from repro.sharding.plan import ShardingError, ShardingPlan, singular_plan
 from repro.sharding.pooling import estimate_pooling_factors
@@ -66,12 +66,6 @@ class AutoShardResult:
 
     chosen: ShardingPlan | None
     evaluations: list[CandidateEvaluation] = field(default_factory=list)
-
-    def evaluation_for(self, label: str) -> CandidateEvaluation:
-        for evaluation in self.evaluations:
-            if evaluation.label == label:
-                return evaluation
-        raise KeyError(label)
 
 
 def _candidate_plans(

@@ -20,13 +20,7 @@ from repro.core.dlrm import MaterializedModel, NumericRequest
 from repro.core.embedding import PartitionedEmbeddingTable, RowShardRouting
 from repro.core.executor import NetExecutor
 from repro.core.graph import ModelGraph, Net
-from repro.core.operators import (
-    Operator,
-    RemoteCall,
-    SparseLengthsSum,
-    SumBlobs,
-    Workspace,
-)
+from repro.core.operators import Operator, RemoteCall, SparseLengthsSum, SumBlobs
 from repro.models.config import ModelConfig
 from repro.sharding.plan import ShardingPlan, TableAssignment
 

@@ -57,9 +57,6 @@ class ShardSpec:
     index: int
     assignments: list[TableAssignment] = field(default_factory=list)
 
-    def table_names(self) -> list[str]:
-        return [assignment.table_name for assignment in self.assignments]
-
     def capacity_bytes(self, model: ModelConfig) -> float:
         return sum(
             model.table(a.table_name).nbytes * a.fraction for a in self.assignments
@@ -102,14 +99,6 @@ class ShardingPlan:
             for assignment in shard.assignments
             if assignment.table_name == table_name
         ]
-
-    def shards_for_net(self, model: ModelConfig, net_name: str) -> list[ShardSpec]:
-        """Shards holding at least one table of ``net_name``.
-
-        This is the fan-out set of the net's RPC operators: one RPC per
-        (net, shard) pair per batch (Section III-B3).
-        """
-        return [shard for shard in self.shards if net_name in shard.nets_present(model)]
 
     def capacity_by_shard(self, model: ModelConfig) -> list[float]:
         return [shard.capacity_bytes(model) for shard in self.shards]

@@ -1,11 +1,11 @@
-"""Serialization of sharding plans and model configs (paper Section III-C).
+"""Serialization of sharding plans (paper Section III-C).
 
 The paper's partitioning tool "employs a user-supplied configuration to
 group embedding tables and their operators, insert RPC operators, generate
 new Caffe2 nets, and then serialize the model to storage."  This module is
-that storage format: plans and model configs round-trip through plain JSON
-so a sharding decision can be published once and loaded by every serving
-tier (and by humans reviewing it).
+that storage format: plans round-trip through plain JSON so a sharding
+decision can be published once and loaded by every serving tier (and by
+humans reviewing it).
 
 The format is versioned; loading verifies structural integrity and -- when
 given the model -- full plan validity, so a stale or hand-edited plan
@@ -16,15 +16,7 @@ from __future__ import annotations
 
 import json
 
-from repro.core.types import DType
-from repro.models.config import (
-    FeatureScope,
-    ModelConfig,
-    NetConfig,
-    RequestProfile,
-    TableConfig,
-)
-from repro.core.types import OpCategory
+from repro.models.config import ModelConfig
 from repro.sharding.plan import ShardingError, ShardingPlan, ShardSpec, TableAssignment
 
 FORMAT_VERSION = 1
@@ -98,96 +90,6 @@ def dump_plan(plan: ShardingPlan) -> str:
 
 def load_plan(text: str, model: ModelConfig | None = None) -> ShardingPlan:
     return plan_from_dict(json.loads(text), model)
-
-
-# -- model configs -----------------------------------------------------------
-def model_to_dict(model: ModelConfig) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "model-config",
-        "name": model.name,
-        "dense_param_bytes": model.dense_param_bytes,
-        "profile": {
-            "median_items": model.profile.median_items,
-            "sigma_items": model.profile.sigma_items,
-            "batch_size": model.profile.batch_size,
-            "min_items": model.profile.min_items,
-            "max_items": model.profile.max_items,
-            "dense_feature_bytes": model.profile.dense_feature_bytes,
-        },
-        "nets": [
-            {
-                "name": net.name,
-                "dense_us_per_item": net.dense_us_per_item,
-                "dense_us_fixed": net.dense_us_fixed,
-                "op_mix": {category.name: value for category, value in net.op_mix.items()},
-            }
-            for net in model.nets
-        ],
-        "tables": [
-            {
-                "name": t.name,
-                "net": t.net,
-                "num_rows": t.num_rows,
-                "dim": t.dim,
-                "dtype": t.dtype.name,
-                "scope": t.scope.value,
-                "activation_prob": t.activation_prob,
-                "mean_ids": t.mean_ids,
-                "deterministic_ids": t.deterministic_ids,
-            }
-            for t in model.tables
-        ],
-    }
-
-
-def model_from_dict(payload: dict) -> ModelConfig:
-    _check_header(payload, "model-config")
-    try:
-        profile = RequestProfile(**payload["profile"])
-        nets = tuple(
-            NetConfig(
-                name=entry["name"],
-                dense_us_per_item=entry["dense_us_per_item"],
-                dense_us_fixed=entry["dense_us_fixed"],
-                op_mix={
-                    OpCategory[name]: value
-                    for name, value in entry["op_mix"].items()
-                },
-            )
-            for entry in payload["nets"]
-        )
-        tables = tuple(
-            TableConfig(
-                name=entry["name"],
-                net=entry["net"],
-                num_rows=entry["num_rows"],
-                dim=entry["dim"],
-                dtype=DType[entry["dtype"]],
-                scope=FeatureScope(entry["scope"]),
-                activation_prob=entry["activation_prob"],
-                mean_ids=entry["mean_ids"],
-                deterministic_ids=entry["deterministic_ids"],
-            )
-            for entry in payload["tables"]
-        )
-        return ModelConfig(
-            name=payload["name"],
-            nets=nets,
-            tables=tables,
-            profile=profile,
-            dense_param_bytes=payload["dense_param_bytes"],
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise SerializationError(f"malformed model payload: {error}") from error
-
-
-def dump_model(model: ModelConfig) -> str:
-    return json.dumps(model_to_dict(model), indent=2, sort_keys=True)
-
-
-def load_model(text: str) -> ModelConfig:
-    return model_from_dict(json.loads(text))
 
 
 def _check_header(payload: dict, expected_kind: str) -> None:

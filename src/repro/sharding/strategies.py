@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 import math
 
-from repro.models.config import ModelConfig, TableConfig
+from repro.models.config import ModelConfig
 from repro.sharding.plan import ShardingError, ShardingPlan, ShardSpec, TableAssignment
 
 
@@ -73,8 +73,9 @@ def _greedy_balance(
     oversized = [t.name for t in model.tables if t.nbytes > 1.5 * budget]
     if oversized and num_shards > 1:
         raise ShardingError(
-            f"{strategy_name}: tables {oversized} exceed the per-shard budget; "
-            "huge tables require row partitioning (use NSBP)"
+            f"{strategy_name}: tables {oversized} exceed the per-shard budget "
+            f"of {num_shards} shards; huge tables require row partitioning "
+            "(use NSBP)"
         )
     loads = [0.0] * num_shards
     byte_loads = [0.0] * num_shards  # tie-break so zero-weight tables spread out

@@ -16,7 +16,7 @@ stamp trace points with skewed wall clocks; see :mod:`repro.tracing`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,32 +84,12 @@ class Fabric:
         jitter = spec.jitter_median * float(self._jitter_factors[pos])
         return spec.propagation + spec.kernel_overhead + wire + jitter
 
-    def next_zero_byte_delay(self) -> float:
-        """Next zero-byte one-way delay, platform-independent.
-
-        Identical stream, order, and float expression to
-        ``one_way_delay(src, dst, 0.0)`` (the wire term of an empty
-        message is ``0.0`` regardless of NIC bandwidths), minus the
-        per-call platform lookups -- the vectorized replay kernel's
-        inlined variant.  Interleaving calls with :meth:`one_way_delay`
-        is well-defined: both consume the same buffered factors in call
-        order.
-        """
-        spec = self.spec
-        pos = self._jitter_pos
-        if pos >= len(self._jitter_factors):
-            self._refill_jitter()
-            pos = 0
-        self._jitter_pos = pos + 1
-        jitter = spec.jitter_median * float(self._jitter_factors[pos])
-        return spec.propagation + spec.kernel_overhead + 0.0 + jitter
-
     def drain_zero_byte_delays(self) -> list[float]:
         """Consume the rest of the jitter buffer as zero-byte delays.
 
         The vectorized kernel's bulk accessor: refills if the buffer is
         exhausted, converts every remaining factor to the zero-byte
-        delay :meth:`next_zero_byte_delay` would have returned for it
+        delay ``one_way_delay(src, dst, 0.0)`` would have returned for it
         (elementwise, so each float is bitwise identical to the scalar
         call), and marks the buffer consumed.  Successive drains walk
         the substream exactly like successive scalar draws.
@@ -123,7 +103,3 @@ class Fabric:
         ).tolist()
         self._jitter_pos = len(self._jitter_factors)
         return out
-
-    def expected_floor(self) -> float:
-        """Deterministic lower bound of a zero-byte message delay."""
-        return self.spec.propagation + self.spec.kernel_overhead

@@ -27,7 +27,7 @@ from repro.tracing.attribution import (
     attribute_request,
 )
 from repro.tracing.span import MAIN_SHARD, Layer, Span, Tracer
-from repro.tracing.visualize import render_trace, trace_summary
+from repro.tracing.visualize import render_trace
 
 __all__ = [
     "AggregatingTracer",
@@ -52,5 +52,4 @@ __all__ = [
     "Tracer",
     "attribute_request",
     "render_trace",
-    "trace_summary",
 ]

@@ -540,9 +540,6 @@ class AggregatingTracer:
         """Number of requests whose accumulators are still live."""
         return len(self._live)
 
-    def request_ids(self) -> list[int]:
-        return sorted(self._live)
-
     def drain_incomplete(self) -> list[int]:
         """Free accumulators of requests that never completed."""
         stale = sorted(self._live)
@@ -560,8 +557,3 @@ class AggregatingTracer:
                 f"tracer still holds accumulators for {len(held)} request(s): "
                 f"{held[:8]}{'...' if len(held) > 8 else ''}"
             )
-
-    def clear(self) -> None:
-        self._live.clear()
-        self._last_id = None
-        self._last_state = None

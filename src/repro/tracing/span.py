@@ -17,7 +17,7 @@ A :class:`Span` is one instrumented interval:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.types import OpCategory
 

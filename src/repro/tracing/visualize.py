@@ -97,11 +97,3 @@ def render_trace(spans: list[Span], width: int = 96) -> str:
     )
     duration_note = f"window: {window * 1e3:.3f} ms"
     return "\n".join([legend, duration_note] + lines)
-
-
-def trace_summary(spans: list[Span]) -> dict[str, float]:
-    """Quick per-layer duration totals for one request (debug helper)."""
-    totals: dict[str, float] = defaultdict(float)
-    for span in spans:
-        totals[span.layer.value] += span.duration
-    return dict(totals)

@@ -93,10 +93,6 @@ class ArrivalProcess:
         which have no intrinsic rate."""
         return None
 
-    def mean_rate(self) -> float | None:
-        """Long-run average QPS, or ``None`` for closed-loop arrivals."""
-        return None
-
     @staticmethod
     def _checked_count(count: int) -> int:
         """Validate a request count: any integer spelling, ``>= 0``."""
@@ -147,9 +143,6 @@ class PoissonArrivals(ArrivalProcess):
     def peak_rate(self) -> float:
         return self.qps
 
-    def mean_rate(self) -> float:
-        return self.qps
-
 
 @dataclass(frozen=True)
 class ConstantRateArrivals(ArrivalProcess):
@@ -170,9 +163,6 @@ class ConstantRateArrivals(ArrivalProcess):
         return np.arange(1, count + 1, dtype=np.float64) / self.qps
 
     def peak_rate(self) -> float:
-        return self.qps
-
-    def mean_rate(self) -> float:
         return self.qps
 
 
@@ -236,11 +226,6 @@ class PiecewiseRateArrivals(ArrivalProcess):
     def peak_rate(self) -> float:
         return max(self.rates)
 
-    def mean_rate(self) -> float:
-        # Segments are equal-length, so the time-weighted mean is the
-        # arithmetic mean of the curve.
-        return sum(self.rates) / len(self.rates)
-
     def arrival_times(self, count: int) -> np.ndarray:
         count = self._checked_count(count)
         rng = substream(self.seed, "arrivals-piecewise", self.rates, self.interval_seconds)
@@ -296,11 +281,6 @@ class MMPPArrivals(ArrivalProcess):
 
     def peak_rate(self) -> float:
         return max(self.rates)
-
-    def mean_rate(self) -> float:
-        # States are visited cyclically with identical mean dwell times,
-        # so each contributes equal expected time.
-        return sum(self.rates) / len(self.rates)
 
     def arrival_times(self, count: int) -> np.ndarray:
         count = self._checked_count(count)

@@ -131,9 +131,6 @@ class WorkloadMix:
     def labels(self) -> tuple[str, ...]:
         return tuple(workload.name for workload in self.workloads)
 
-    def models(self) -> list[ModelConfig]:
-        return [workload.model for workload in self.workloads]
-
     def sample(self, count: int | Sequence[int]) -> MixedStream:
         """Draw every workload's stream and merge by arrival time.
 

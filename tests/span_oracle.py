@@ -41,7 +41,10 @@ def oracle_configuration(model, plan, requests, serving, schedule=None):
     cluster = ClusterSimulation(model, plan, serving, tracer=Tracer())
     if schedule.mode is ReplayMode.SERIAL:
         return _replay(cluster, cluster.run_serial, requests)
-    return _replay(cluster, cluster.run_open_loop, requests, schedule)
+    arrivals = schedule.arrival_times(len(requests))
+    return _replay(
+        cluster, cluster.run_stream, zip(arrivals, [0] * len(requests), requests)
+    )
 
 
 def oracle_mix(mix, plans, stream, serving):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.caching import (
     cache_curve,
-    dram_reduction_at_hit_target,
     frequency_hit_rate,
     lru_hit_rate,
 )
@@ -117,14 +116,3 @@ class TestCurvesAndSizing:
         points = cache_curve(trace, hot_table, fractions=(0.05, 0.25))
         assert len(points) == 4  # 2 fractions x 2 policies
         assert {p.policy for p in points} == {"frequency", "lru"}
-
-    def test_dram_reduction_meets_target(self, trace, hot_table):
-        fraction = dram_reduction_at_hit_target(trace, hot_table, hit_target=0.8)
-        accesses = trace.accesses[hot_table]
-        rows = trace.num_rows[hot_table]
-        assert frequency_hit_rate(accesses, rows, fraction) >= 0.8
-        assert fraction < 0.6  # skew makes a sub-60% cache sufficient
-
-    def test_invalid_target_rejected(self, trace, hot_table):
-        with pytest.raises(ValueError):
-            dram_reduction_at_hit_target(trace, hot_table, hit_target=0.0)

@@ -9,20 +9,16 @@ from repro.analysis import (
     format_stack_bars,
     format_table,
     median_window_mean,
-    overhead_series,
     overhead_vs_baseline,
     quantile,
-    quantiles,
 )
 from repro.compression import (
     CompressionSpec,
     compress_model,
     dequantize_rows,
-    prune_by_frequency,
     prune_by_magnitude,
     quantization_error_bound,
     quantize_rows,
-    remap_ids,
 )
 from repro.core.types import GIB, DType
 from repro.models import drm1, drm3
@@ -32,11 +28,6 @@ class TestQuantiles:
     def test_quantile_basic(self):
         assert quantile([1, 2, 3, 4, 5], 50) == 3.0
 
-    def test_quantiles_keys(self):
-        qs = quantiles(np.arange(100))
-        assert set(qs) == {50, 90, 99}
-        assert qs[50] < qs[90] < qs[99]
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             quantile([], 50)
@@ -45,15 +36,6 @@ class TestQuantiles:
         base = [1.0] * 10
         values = [1.2] * 10
         assert overhead_vs_baseline(values, base, 50) == pytest.approx(0.2)
-
-    def test_overhead_series_points(self):
-        base = np.ones(100)
-        lat = np.full(100, 1.1)
-        cpu = np.full(100, 1.5)
-        points = overhead_series(lat, cpu, base, base)
-        assert [p.quantile for p in points] == [50, 90, 99]
-        assert all(p.latency_overhead == pytest.approx(0.1) for p in points)
-        assert all(p.compute_overhead == pytest.approx(0.5) for p in points)
 
     def test_median_window_mean(self):
         stacks = [{"a": float(i)} for i in range(101)]
@@ -141,27 +123,9 @@ class TestPruning:
         assert pruned.num_rows == 2
         assert set(pruned.kept_rows) == {1, 2}
 
-    def test_frequency_keeps_hottest(self):
-        weights = np.eye(4, dtype=np.float32)
-        pruned = prune_by_frequency(weights, np.array([10, 0, 5, 1]), 0.5)
-        assert set(pruned.kept_rows) == {0, 2}
-
-    def test_remap_ids_drops_pruned(self):
-        weights = np.eye(4, dtype=np.float32)
-        pruned = prune_by_magnitude(weights, 0.5)
-        local, mask = remap_ids(pruned, np.array([0, 1, 2, 3]))
-        assert mask.sum() == 2
-        np.testing.assert_array_equal(
-            pruned.weights[local], weights[pruned.kept_rows][local]
-        )
-
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):
             prune_by_magnitude(np.eye(4), 0.0)
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            prune_by_frequency(np.eye(4), np.array([1.0]), 0.5)
 
 
 class TestCompressionPipeline:

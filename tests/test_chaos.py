@@ -11,7 +11,6 @@ from repro.chaos import (
     HealingPolicy,
     HostCrash,
     NetworkSpike,
-    ReplicaLoss,
     StragglerShard,
     availability_report,
     availability_sweep,
@@ -25,8 +24,8 @@ from repro.experiments import (
     build_plan,
     run_configuration,
 )
-from repro.experiments.runner import suite_requests
 from repro.models import drm1
+from repro.requests import ReplaySchedule
 from repro.serving import ServingConfig, TraceMode
 from span_oracle import assert_matches_oracle, oracle_configuration
 from repro.serving.simulator import ClusterSimulation, SimServer
@@ -46,11 +45,13 @@ def drm1_plan(shards: int = 4):
 
 
 def open_loop_inputs(num_requests: int = 60, qps: float = 80.0):
+    """Requests drawn the way every open-loop verb draws them
+    (``Workload.sample``: timestamps are the arrival times), and the
+    fixed-QPS schedule that replays them at those times."""
     model, plan = drm1_plan()
-    settings = SuiteSettings(
-        num_requests=num_requests, arrivals=PoissonArrivals(qps, seed=7)
-    )
-    return model, plan, suite_requests(model, settings), settings.resolved_schedule()
+    workload = Workload("ranking", model, PoissonArrivals(qps, seed=7))
+    _, requests = workload.sample(num_requests)
+    return model, plan, requests, ReplaySchedule.open_loop(qps, seed=7)
 
 
 CRASH = FaultSchedule(experiments=(HostCrash(shard=0, at=0.2),))
@@ -76,10 +77,10 @@ class TestFaultValidation:
         "make",
         [
             lambda shard: HostCrash(shard=shard, at=0.0),
-            lambda shard: ReplicaLoss(shard=shard, at=0.0),
+            lambda shard: HostCrash(shard=shard, at=0.0, replica=1),
             lambda shard: StragglerShard(shard=shard, start=0.0, duration=1.0),
         ],
-        ids=["crash", "loss", "straggler"],
+        ids=["crash", "replica-crash", "straggler"],
     )
     def test_non_integral_shard_rejected(self, make, shard):
         """A fractional shard used to build, then miss every runtime
@@ -136,7 +137,7 @@ class TestFaultValidation:
         model, plan = drm1_plan(shards=2)
         config = ServingConfig(
             chaos=FaultSchedule(
-                experiments=(ReplicaLoss(shard=0, at=0.1, replica=3),), replicas=2
+                experiments=(HostCrash(shard=0, at=0.1, replica=3),), replicas=2
             )
         )
         with pytest.raises(ValueError, match="replica"):
@@ -577,7 +578,8 @@ class TestDrainOnAbort:
 
         cluster.on_complete = on_complete
         with pytest.raises(Boom):
-            cluster.run_open_loop(requests, schedule)
+            arrivals = schedule.arrival_times(len(requests))
+            cluster.run_stream(zip(arrivals, [0] * len(requests), requests))
         # the abort left in-flight requests; they were drained, recorded,
         # and the tracer holds no leaked state
         assert cluster.dropped_requests

@@ -107,9 +107,10 @@ class TestPayloadSizing:
 class TestFabric:
     def test_delay_above_floor(self):
         fabric = Fabric(seed=0)
+        floor = fabric.spec.propagation + fabric.spec.kernel_overhead
         for _ in range(100):
             delay = fabric.one_way_delay(SC_LARGE, SC_LARGE, 0.0)
-            assert delay > fabric.expected_floor()
+            assert delay > floor
 
     def test_wire_time_uses_slower_nic(self):
         spec = FabricSpec(jitter_median=0.0)
@@ -126,7 +127,7 @@ class TestFabric:
         delays = np.array(
             [fabric.one_way_delay(SC_LARGE, SC_LARGE, 0.0) for _ in range(4000)]
         )
-        jitter = delays - fabric.expected_floor()
+        jitter = delays - (fabric.spec.propagation + fabric.spec.kernel_overhead)
         assert np.percentile(jitter, 99) > 3 * np.percentile(jitter, 50)
 
     def test_deterministic_given_seed(self):

@@ -19,7 +19,6 @@ from repro.models import drm1, drm3
 from repro.requests import ReplaySchedule
 from repro.planning import (
     ReplicationDemand,
-    memory_efficiency_vs_singular,
     plan_replication,
 )
 from repro.serving import ServingConfig
@@ -237,7 +236,7 @@ class TestReplication:
             drm1_model, drm1_results["load-bal 8 shards"], demand
         )
         assert singular.main_replicas > 1
-        efficiency = memory_efficiency_vs_singular(singular, distributed)
+        efficiency = singular.total_memory_bytes / distributed.total_memory_bytes
         assert efficiency > 2.0
 
     def test_sparse_replicas_fewer_than_main(self, drm1_model, drm1_results):

@@ -264,13 +264,6 @@ class TestColumnarRunResult:
         expected = np.array([a.embedded_total for a, _, _ in rows])
         assert np.allclose(result.embedded_totals, expected, rtol=1e-12, atol=0.0)
 
-    def test_row_views_rebuild_equal_dicts(self, run):
-        result, (rows, _) = run
-        stacks = result.cpu_stacks()
-        assert len(stacks) == 25
-        for stack, (attribution, _, _) in zip(stacks, rows):
-            assert stack == attribution.cpu_stack
-
     def test_growth_beyond_initial_capacity(self):
         """An accumulator sized for 4 requests grows to 40 by doubling
         without disturbing a column."""

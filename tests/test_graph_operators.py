@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.embedding import EmbeddingTable
 from repro.core.executor import NetExecutor
-from repro.core.graph import GraphError, ModelGraph, Net, validate_net
+from repro.core.graph import GraphError, Net, validate_net
 from repro.core.operators import (
     Clip,
     Concat,
@@ -185,12 +185,6 @@ class TestGraphValidation:
         net.external_outputs.append("never")
         with pytest.raises(GraphError):
             validate_net(net)
-
-    def test_model_graph_net_lookup(self):
-        graph = ModelGraph("m", [Net("a"), Net("b")])
-        assert graph.net("b").name == "b"
-        with pytest.raises(KeyError):
-            graph.net("c")
 
 
 class TestExecutor:

@@ -238,7 +238,7 @@ class TestChaosEquivalence:
             num_requests=50, schedule=ReplaySchedule.open_loop(120.0, seed=2)
         )
         requests = suite_requests(model, base)
-        schedule = base.resolved_schedule()
+        schedule = base.schedule
 
         def replay(kernel):
             serving = ServingConfig(seed=1, chaos=self.SCHEDULE, kernel=kernel)

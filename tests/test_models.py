@@ -127,10 +127,7 @@ class TestModelConfigValidation:
 
     def test_lookups(self):
         model = drm1(scale=0.01)
-        assert model.net("net1").name == "net1"
         assert model.table(model.tables[0].name) is model.tables[0]
-        with pytest.raises(KeyError):
-            model.net("nope")
         with pytest.raises(KeyError):
             model.table("nope")
 

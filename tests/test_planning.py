@@ -270,7 +270,7 @@ class TestPlannersLiveInPlanning:
         import repro.planning as planning
         import repro.serving as serving
 
-        for name in ("SlaPolicy", "evaluate_sla", "sla_sweep",
+        for name in ("SlaPolicy", "evaluate_sla",
                      "plan_replication", "ReplicationDemand",
                      "assess_elasticity", "diurnal_qps_curve"):
             assert hasattr(planning, name), name
@@ -280,14 +280,11 @@ class TestPlannersLiveInPlanning:
 class TestArrivalRates:
     def test_open_loop_rates(self):
         assert PoissonArrivals(25.0).peak_rate() == 25.0
-        assert PoissonArrivals(25.0).mean_rate() == 25.0
         diurnal = PiecewiseRateArrivals.diurnal(100.0, trough_fraction=0.5)
         assert diurnal.peak_rate() == pytest.approx(100.0, rel=1e-3)
-        assert diurnal.mean_rate() == pytest.approx(75.0, rel=1e-2)
 
     def test_serial_has_no_rate(self):
         assert SerialArrivals().peak_rate() is None
-        assert SerialArrivals().mean_rate() is None
 
 
 class TestCapacityPlanner:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.chaos import (
     CorrelatedFailure,
-    FaultDomain,
     FaultSchedule,
     HostCrash,
     NetworkSpike,
@@ -24,6 +23,7 @@ from repro.experiments import (
 )
 from repro.experiments.runner import suite_requests
 from repro.models import drm1
+from repro.requests import ReplaySchedule
 from repro.resilience import ResiliencePolicy
 from repro.serving import ServingConfig, TraceMode
 from span_oracle import assert_matches_oracle, oracle_configuration
@@ -41,11 +41,13 @@ def drm1_plan(shards: int = 4):
 
 
 def open_loop_inputs(num_requests: int = 60, qps: float = 80.0):
+    """Requests drawn the way every open-loop verb draws them
+    (``Workload.sample``: timestamps are the arrival times), and the
+    fixed-QPS schedule that replays them at those times."""
     model, plan = drm1_plan()
-    settings = SuiteSettings(
-        num_requests=num_requests, arrivals=PoissonArrivals(qps, seed=7)
-    )
-    return model, plan, suite_requests(model, settings), settings.resolved_schedule()
+    workload = Workload("ranking", model, PoissonArrivals(qps, seed=7))
+    _, requests = workload.sample(num_requests)
+    return model, plan, requests, ReplaySchedule.open_loop(qps, seed=7)
 
 
 #: Replica 0 of shard 0 straggles for the whole replay while its sibling
@@ -501,8 +503,6 @@ class TestFaultDomains:
             CorrelatedFailure(domain=0, at=-1.0)
         with pytest.raises(ValueError, match="stagger"):
             CorrelatedFailure(domain=0, at=0.1, stagger=-0.5)
-        with pytest.raises(ValueError, match="index"):
-            FaultDomain(index=-1)
 
     def _domain_crash_sweep(self, placement):
         workload = Workload(

@@ -18,8 +18,6 @@ from repro.core.types import (
     DType,
     OpCategory,
     DENSE_CATEGORIES,
-    format_bytes,
-    format_duration,
 )
 
 
@@ -134,21 +132,6 @@ class TestUnitsAndFormatting:
         assert MIB == 1024 * KIB
         assert GIB == 1024 * MIB
         assert MS == 1000 * US
-
-    def test_format_bytes(self):
-        assert format_bytes(194.05 * GIB) == "194.05 GiB"
-        assert format_bytes(512) == "512 B"
-        assert format_bytes(3.5 * MIB) == "3.50 MiB"
-
-    def test_format_duration(self):
-        assert format_duration(1.5) == "1.500 s"
-        assert format_duration(2.5 * MS) == "2.500 ms"
-        assert format_duration(120 * US) == "120.0 us"
-        assert format_duration(500e-9) == "500 ns"
-
-    def test_sparse_category_flag(self):
-        assert OpCategory.SPARSE.is_sparse
-        assert not OpCategory.DENSE.is_sparse
 
     def test_dense_categories_exclude_sparse_and_rpc(self):
         assert OpCategory.SPARSE not in DENSE_CATEGORIES

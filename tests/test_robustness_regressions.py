@@ -1,8 +1,8 @@
 """Regression tests for runner/replayer edge cases fixed alongside the
-trace-mode fast path: empty-run per-shard means, REPRO_REQUESTS /
-REPRO_SWEEP_WORKERS / SuiteSettings / CLI request- and worker-count
-validation, CLI flag-value validation before any replay, the removed
-``--trace-mode``/``--kernel`` flags, the CLI profile's one-worker pin,
+trace-mode fast path: empty-run per-shard means, REPRO_SWEEP_WORKERS /
+SuiteSettings / CLI request- and worker-count validation, CLI flag-value
+validation before any replay, the removed ``--trace-mode``/``--kernel``
+flags and replay knobs, the CLI profile's one-worker pin,
 replay-schedule seeding, and the degenerate behaviors of the
 median-window stack means.
 """
@@ -13,9 +13,9 @@ import pytest
 from repro.analysis.quantiles import median_window_mean, median_window_mean_columns
 from repro.cli import main
 from repro.core.host import usable_cpus
-from repro.experiments import SuiteSettings, default_num_requests, default_workers
+from repro.experiments import SuiteSettings, default_workers
 from repro.experiments.parallel import WORKERS_ENV
-from repro.experiments.runner import REQUESTS_ENV, RunResult
+from repro.experiments.runner import RunResult
 from repro.models import drm1
 from repro.requests import ReplaySchedule
 from repro.serving.simulator import ClusterSimulation
@@ -44,29 +44,6 @@ class TestEmptyRunResult:
                 assert column.size == 0
 
 
-class TestDefaultNumRequests:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(REQUESTS_ENV, raising=False)
-        assert default_num_requests() == 200
-
-    def test_valid_value(self, monkeypatch):
-        monkeypatch.setenv(REQUESTS_ENV, "123")
-        assert default_num_requests() == 123
-
-    @pytest.mark.parametrize("bad", ["", "ten", "12.5", "1e3"])
-    def test_malformed_value_names_variable_and_value(self, monkeypatch, bad):
-        monkeypatch.setenv(REQUESTS_ENV, bad)
-        with pytest.raises(ValueError, match=REQUESTS_ENV) as excinfo:
-            default_num_requests()
-        assert repr(bad) in str(excinfo.value)
-
-    @pytest.mark.parametrize("bad", ["0", "-5"])
-    def test_non_positive_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(REQUESTS_ENV, bad)
-        with pytest.raises(ValueError, match=f"{REQUESTS_ENV} must be >= 1"):
-            default_num_requests()
-
-
 class TestDefaultWorkers:
     def test_default_is_usable_cpus(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -90,9 +67,32 @@ class TestDefaultWorkers:
             default_workers()
 
 
+class TestRemovedReplayKnobs:
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (SuiteSettings, "arrivals"),
+            (ReplaySchedule, "process"),
+            (ReplaySchedule, "from_arrivals"),
+            (ClusterSimulation, "run_open_loop"),
+        ],
+    )
+    def test_knob_stays_removed(self, owner, name):
+        """Timed arrivals reach a replay only through ``Workload.sample``
+        (every open-loop verb samples that way), and every open-loop
+        replay runs through ``ClusterSimulation.run_stream``."""
+        assert not hasattr(owner, name)
+
+
 class TestRequestCountValidation:
-    @pytest.mark.parametrize("bad", [-1, -3])
-    def test_negative_num_requests_rejected(self, bad):
+    def test_default_num_requests_ignores_the_benchmark_env(self, monkeypatch):
+        """``REPRO_REQUESTS`` sizes the benchmarks only (their conftest
+        reads it); library settings keep their own default."""
+        monkeypatch.setenv("REPRO_REQUESTS", "17")
+        assert SuiteSettings().num_requests == 200
+
+    @pytest.mark.parametrize("bad", [0, -1, -3])
+    def test_non_positive_num_requests_rejected(self, bad):
         with pytest.raises(ValueError, match="num_requests must be >= 1"):
             SuiteSettings(num_requests=bad)
 
@@ -100,10 +100,6 @@ class TestRequestCountValidation:
     def test_non_positive_pooling_requests_rejected(self, bad):
         with pytest.raises(ValueError, match="pooling_requests must be >= 1"):
             SuiteSettings(pooling_requests=bad)
-
-    def test_zero_num_requests_keeps_env_default(self, monkeypatch):
-        monkeypatch.setenv(REQUESTS_ENV, "17")
-        assert SuiteSettings(num_requests=0).resolved_requests() == 17
 
     @pytest.mark.parametrize(
         "argv",
@@ -160,6 +156,10 @@ class TestRequestCountValidation:
             ["plan", "--models", "DRM1", "--domains", "0"],
             ["chaos", "--window", "0"],
             ["chaos", "--straggler", "1.5", "0", "0.1", "2"],
+            ["shard", "--model", "DRM3", "--shards", "2"],
+            ["simulate", "--model", "DRM3", "--strategy", "cap-bal", "--shards", "4"],
+            ["trace", "--width", "0"],
+            ["trace", "--width", "-5"],
         ],
     )
     def test_cli_rejects_invalid_values(self, argv, capsys, monkeypatch):

@@ -1,10 +1,10 @@
-"""Tests for plan/model serialization and the paging-from-disk model."""
+"""Tests for plan serialization and the paging-from-disk model."""
 
 import dataclasses
 
 import pytest
 
-from repro.core.types import GIB, US
+from repro.core.types import US
 from repro.models import drm1, drm3
 from repro.requests import RequestGenerator
 from repro.requests.access_trace import collect_access_trace
@@ -12,15 +12,12 @@ from repro.serving.paging import (
     PagingAssessment,
     SsdSpec,
     assess_paging,
-    coverage_for_budget,
     paging_vs_distributed_stall,
 )
 from repro.sharding import STRATEGIES, estimate_pooling_factors
 from repro.sharding.serialization import (
     SerializationError,
-    dump_model,
     dump_plan,
-    load_model,
     load_plan,
     plan_to_dict,
 )
@@ -78,23 +75,6 @@ class TestPlanSerialization:
         assert restored.num_shards == plan.num_shards
 
 
-class TestModelSerialization:
-    def test_round_trip_equality(self, model):
-        restored = load_model(dump_model(model))
-        assert restored == model
-
-    def test_round_trip_drm3(self):
-        model = drm3()
-        restored = load_model(dump_model(model))
-        assert restored == model
-        dominant = max(restored.tables, key=lambda t: t.nbytes)
-        assert dominant.deterministic_ids
-
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(SerializationError):
-            load_model('{"kind": "model-config", "version": 1}')
-
-
 class TestPaging:
     @pytest.fixture(scope="class")
     def trace(self, model):
@@ -127,23 +107,9 @@ class TestPaging:
             4 * fast.expected_stall_per_request, rel=1e-6
         )
 
-    def test_meets_budget(self, model, trace):
-        assessment = assess_paging(model, trace, resident_coverage=0.5)
-        assert assessment.meets_budget(1.0)
-        assert not assessment.meets_budget(0.0)
-
     def test_invalid_coverage_rejected(self, model, trace):
         with pytest.raises(ValueError):
             assess_paging(model, trace, resident_coverage=0.0)
-
-    def test_coverage_for_budget_monotone(self, model, trace):
-        small = coverage_for_budget(model, trace, dram_budget=1 * GIB,
-                                    traffic_scale=1e4)
-        large = coverage_for_budget(model, trace, dram_budget=8 * GIB,
-                                    traffic_scale=1e4)
-        assert 0.0 < small < large <= 1.0
-        with pytest.raises(ValueError):
-            coverage_for_budget(model, trace, dram_budget=0.0)
 
     def test_comparison_ratio(self, model, trace):
         assessment = assess_paging(model, trace, resident_coverage=0.2)

@@ -141,7 +141,9 @@ class TestDeterminismAndOrdering:
     def test_open_loop_overlaps_under_load(self, model, requests):
         config = ServingConfig(seed=1, service_workers=2)
         sim = ClusterSimulation(model, singular_plan(model), config)
-        sim.run_open_loop(requests, ReplaySchedule.open_loop(qps=2000.0, seed=4))
+        schedule = ReplaySchedule.open_loop(qps=2000.0, seed=4)
+        arrivals = schedule.arrival_times(len(requests))
+        sim.run_stream(zip(arrivals, [0] * len(requests), requests))
         windows = []
         for request in requests:
             spans = sim.tracer.for_request(request.request_id)

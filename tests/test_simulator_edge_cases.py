@@ -106,7 +106,8 @@ class TestBoundaryModels:
         requests = RequestGenerator(model, seed=3).generate_many(40)
         config = ServingConfig(seed=1, service_workers=1)
         sim = ClusterSimulation(model, singular_plan(model), config)
-        sim.run_open_loop(requests, ReplaySchedule.open_loop(qps=50_000.0, seed=2))
+        arrivals = ReplaySchedule.open_loop(qps=50_000.0, seed=2).arrival_times(40)
+        sim.run_stream(zip(arrivals, [0] * 40, requests))
         assert len(sim.completed) == 40
         latencies = np.array(list(sim.completed.values()))
         # The backlog drains in arrival order: late arrivals queue behind

@@ -45,7 +45,7 @@ def assert_suite_matches_oracle(model, settings, results):
         model, num_requests=settings.pooling_requests, seed=settings.pooling_seed
     )
     serving = settings.resolved_serving()
-    schedule = settings.resolved_schedule()
+    schedule = settings.schedule
     configurations = paper_configurations(model.name)
     assert list(results) == [
         build_plan(model, c, pooling).label for c in configurations
@@ -117,7 +117,7 @@ class TestColumnsMatchSpanOracle:
             ),
             resilience=resilience,
         )
-        schedule = settings.resolved_schedule()
+        schedule = settings.schedule
         result = run_configuration(model, plan, requests, serving, schedule)
         # The schedule and the policy actually bit.
         if resilience is None:

@@ -8,13 +8,11 @@ multi-model runs (including the per-workload label column), and the
 correlated sparse-ID stream feeding the caching analysis.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from span_oracle import assert_matches_oracle, oracle_mix
 
-from repro.analysis.caching import cache_curve, cache_curves, trace_hit_summary
+from repro.analysis.caching import cache_curve, trace_hit_summary
 from repro.core.rng import substream
 from repro.experiments import (
     ShardingConfiguration,
@@ -108,26 +106,6 @@ class TestReplayScheduleFacade:
             PoissonArrivals(25.0, seed=2).arrival_times(400), historical
         )
 
-    def test_facade_exposes_its_process(self):
-        assert isinstance(ReplaySchedule.serial().arrival_process(), SerialArrivals)
-        process = ReplaySchedule.open_loop(25, seed=3).arrival_process()
-        assert process == PoissonArrivals(25.0, seed=3)
-        diurnal = PiecewiseRateArrivals.diurnal(40.0, seed=1)
-        wrapped = ReplaySchedule.from_arrivals(diurnal)
-        assert wrapped.arrival_process() is diurnal
-        assert np.array_equal(
-            wrapped.arrival_times(100), diurnal.arrival_times(100)
-        )
-        assert ReplaySchedule.from_arrivals(SerialArrivals()) == ReplaySchedule.serial()
-
-    def test_custom_process_requires_open_loop(self):
-        from repro.requests.replayer import ReplayMode
-
-        with pytest.raises(ValueError, match="open-loop"):
-            ReplaySchedule(
-                mode=ReplayMode.SERIAL, process=ConstantRateArrivals(10.0)
-            )
-
 
 class TestArrivalDeterminism:
     """Satellite: identical streams across int/float/numpy rate spellings."""
@@ -197,10 +175,9 @@ class TestArrivalDeterminism:
     )
     def test_suite_matches_parallel_suite(self, arrivals):
         """Satellite: one worker == two workers under any arrival process."""
-        model = drm1()
-        settings = dataclasses.replace(SETTINGS, arrivals=arrivals)
-        serial = run_suite(model, settings, TWO_CONFIGS, max_workers=1)
-        parallel = run_suite(model, settings, TWO_CONFIGS, max_workers=2)
+        mix = WorkloadMix((Workload("ranking", drm1(), arrivals),))
+        serial = run_mix_suite(mix, SETTINGS, TWO_CONFIGS, max_workers=1)
+        parallel = run_mix_suite(mix, SETTINGS, TWO_CONFIGS, max_workers=2)
         assert list(serial) == list(parallel)
         for label in serial:
             assert np.array_equal(serial[label].e2e, parallel[label].e2e), label
@@ -282,24 +259,6 @@ class TestWorkloadMix:
         stream = small_mix().sample(8)
         for time, _, request in stream:
             assert request.timestamp == pytest.approx(time)
-
-    def test_suite_requests_track_arrivals_when_set(self):
-        """SuiteSettings.arrivals couples request timestamps (and thus
-        size modulation) to the arrival curve, like Workload.sample."""
-        from repro.experiments import suite_requests
-
-        model = drm1()
-        arrivals = PiecewiseRateArrivals.diurnal(80.0, seed=3)
-        settings = dataclasses.replace(SETTINGS, arrivals=arrivals)
-        requests = suite_requests(model, settings)
-        times = arrivals.arrival_times(len(requests))
-        assert [r.timestamp for r in requests] == pytest.approx(times.tolist())
-        # Serial arrivals (and no arrivals) keep the classic window.
-        classic = suite_requests(model, SETTINGS)
-        serial = suite_requests(
-            model, dataclasses.replace(SETTINGS, arrivals=SerialArrivals())
-        )
-        assert [r.timestamp for r in serial] == [r.timestamp for r in classic]
 
 
 class TestMixConfigurations:
@@ -439,22 +398,23 @@ class TestCorrelatedStream:
         correlated_hits = trace_hit_summary(correlated, cache_fraction=0.05)["overall"]
         assert correlated_hits > iid_hits
 
-    def test_generator_and_workload_expose_the_stream_option(self):
+    def test_workload_trace_follows_its_stream_option(self):
         model = drm1()
-        generator = RequestGenerator(model, seed=3)
-        requests = generator.generate_many(20)
+        requests = RequestGenerator(model, seed=3).generate_many(20)
         stream = CorrelatedStream(recency_weight=0.3, seed=3)
-        via_generator = generator.access_trace(requests, id_stream=stream)
         workload = Workload(
             "w", model, ConstantRateArrivals(10.0), request_seed=3, id_stream=stream
         )
-        via_workload = workload.access_trace(requests)
-        for name in via_generator.tables():
+        correlated = workload.access_trace(requests)
+        reference = collect_correlated_trace(model, requests, stream)
+        for name in reference.tables():
             assert np.array_equal(
-                via_generator.accesses[name], via_workload.accesses[name]
+                correlated.accesses[name], reference.accesses[name]
             )
         # Default (no stream) falls back to the i.i.d. collector.
-        iid = generator.access_trace(requests)
+        iid = Workload(
+            "w", model, ConstantRateArrivals(10.0), request_seed=3
+        ).access_trace(requests)
         reference = collect_access_trace(model, requests, seed=3)
         for name in reference.tables():
             assert np.array_equal(iid.accesses[name], reference.accesses[name])
@@ -467,14 +427,14 @@ class TestCorrelatedStream:
         )
         _, requests = workload.sample(25)
         trace = workload.access_trace(requests)
-        curves = cache_curves(trace, fractions=(0.05, 0.25), policies=("lru",))
-        assert set(curves) == set(trace.tables())
-        for points in curves.values():
-            assert [p.cache_fraction for p in points] == [0.05, 0.25]
-            assert all(0.0 <= p.hit_rate <= 1.0 for p in points)
-        # Single-table entry point still works on workload traces.
-        table = trace.tables()[0]
-        assert cache_curve(trace, table, fractions=(0.1,), policies=("lru",))
+        summary = trace_hit_summary(trace, cache_fraction=0.1)
+        assert set(summary) == set(trace.tables()) | {"overall"}
+        assert all(0.0 <= rate <= 1.0 for rate in summary.values())
+        points = cache_curve(
+            trace, trace.tables()[0], fractions=(0.05, 0.25), policies=("lru",)
+        )
+        assert [p.cache_fraction for p in points] == [0.05, 0.25]
+        assert all(0.0 <= p.hit_rate <= 1.0 for p in points)
 
     def test_invalid_stream_parameters_raise(self):
         with pytest.raises(ValueError):
