@@ -37,6 +37,7 @@ from repro.chaos.experiment import (
     AvailabilityAssessment,
     ChaosOutcome,
     availability_sweep,
+    fault_schedules,
     format_assessment,
 )
 from repro.chaos.faults import (
@@ -68,6 +69,7 @@ __all__ = [
     "StragglerShard",
     "availability_report",
     "availability_sweep",
+    "fault_schedules",
     "format_assessment",
     "format_timeline",
     "nines",

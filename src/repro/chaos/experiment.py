@@ -33,15 +33,17 @@ from repro.chaos.faults import FaultExperiment, FaultSchedule, HealingPolicy
 
 if TYPE_CHECKING:
     from repro.resilience.policy import ResiliencePolicy
-from repro.experiments.configs import ShardingConfiguration, build_plan
+from repro.experiments.configs import ShardingConfiguration
 from repro.experiments.parallel import run_cluster_tasks, worker_context
 from repro.experiments.runner import (
     RunResult,
     SuiteSettings,
+    mix_plans,
+    mix_poolings,
     mix_stream,
     run_mix_configuration,
 )
-from repro.sharding.pooling import estimate_pooling_factors
+from repro.sharding.plan import ShardingPlan
 from repro.workloads.workload import Workload, WorkloadMix
 
 
@@ -180,6 +182,37 @@ def _replay_chaos(schedule: FaultSchedule) -> RunResult:
     return run_mix_configuration(mix, plans, stream, serving)
 
 
+def fault_schedules(
+    experiments: Sequence[FaultExperiment],
+    replica_counts: Sequence[int],
+    plans: Sequence[ShardingPlan],
+    *,
+    healing: HealingPolicy | None = None,
+    failover_timeout: float = 2e-3,
+    domains: int = 1,
+    placement: str = "spread",
+) -> list[FaultSchedule]:
+    """One :class:`FaultSchedule` per replica count, each checked against
+    the deployment ``plans`` shard: every targeted shard and replica must
+    exist.  Raises ``ValueError`` otherwise, before anything replays."""
+    if not replica_counts:
+        raise ValueError("replica_counts must name at least one count")
+    num_shards = max(plan.num_shards for plan in plans)
+    schedules = []
+    for count in replica_counts:
+        schedule = FaultSchedule(
+            experiments=tuple(experiments),
+            replicas=int(count),
+            failover_timeout=failover_timeout,
+            healing=healing,
+            domains=int(domains),
+            placement=placement,
+        )
+        schedule.check_deployment(num_shards)
+        schedules.append(schedule)
+    return schedules
+
+
 def availability_sweep(
     workload: Workload | WorkloadMix,
     configuration: ShardingConfiguration,
@@ -217,29 +250,16 @@ def availability_sweep(
     usable CPUs), byte-identically for every worker count: the workers
     return raw :class:`RunResult` objects and the parent derives the SLO
     and the availability reports afterwards, so result values never
-    depend on scheduling.
+    depend on scheduling.  Every schedule is checked against the
+    configuration's plans (:func:`fault_schedules`) before the first
+    replay.
     """
-    if not replica_counts:
-        raise ValueError("replica_counts must name at least one count")
     if not float(window) > 0.0:
         raise ValueError(f"window must be positive, got {window!r}")
     if slo_latency is not None and not float(slo_latency) > 0.0:
         raise ValueError(f"slo_latency must be positive, got {slo_latency!r}")
     if not float(slo_slack) > 0.0:
         raise ValueError(f"slo_slack must be positive, got {slo_slack!r}")
-    # Every replica count's schedule is built (and so validated) before
-    # the first replay; the workers only replay them.
-    schedules = [
-        FaultSchedule(
-            experiments=tuple(experiments),
-            replicas=int(count),
-            failover_timeout=failover_timeout,
-            healing=healing,
-            domains=int(domains),
-            placement=placement,
-        )
-        for count in replica_counts
-    ]
     mix = _as_mix(workload)
     settings = settings or SuiteSettings()
     serving = settings.resolved_serving()
@@ -254,19 +274,15 @@ def availability_sweep(
             "faulted replays only; pass policy= instead of "
             "serving.resilience"
         )
+    plans = mix_plans(mix, configuration, mix_poolings(mix, settings))
+    # Every replica count's schedule is built and checked against the
+    # plans before the first replay; the workers only replay them.
+    schedules = fault_schedules(
+        experiments, replica_counts, plans,
+        healing=healing, failover_timeout=failover_timeout,
+        domains=domains, placement=placement,
+    )
     stream = mix_stream(mix, settings)
-    plans = [
-        build_plan(
-            wl.model,
-            configuration,
-            estimate_pooling_factors(
-                wl.model,
-                num_requests=settings.pooling_requests,
-                seed=settings.pooling_seed,
-            ),
-        )
-        for wl in mix.workloads
-    ]
 
     base_context = (mix, plans, stream, serving)
 

@@ -278,6 +278,24 @@ class FaultSchedule:
                     f"but the schedule provisions {self.domains} domain(s)"
                 )
 
+    def check_deployment(self, num_shards: int) -> None:
+        """Raise ``ValueError`` unless every experiment's shard and
+        replica exist in a deployment of ``num_shards`` sparse shards."""
+        for experiment in self.experiments:
+            shard = getattr(experiment, "shard", None)
+            if shard is not None and shard >= num_shards:
+                raise ValueError(
+                    f"{type(experiment).__name__} targets shard {shard}, but "
+                    f"the deployment has only {num_shards} sparse shard(s)"
+                )
+            replica = getattr(experiment, "replica", None)
+            if replica is not None and replica >= self.replicas:
+                raise ValueError(
+                    f"{type(experiment).__name__} targets replica {replica}, "
+                    f"but the schedule provisions {self.replicas} "
+                    f"replica(s) per shard"
+                )
+
     @property
     def is_empty(self) -> bool:
         """True when the schedule injects nothing at all."""

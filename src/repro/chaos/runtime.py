@@ -79,7 +79,7 @@ class ChaosRuntime:
         self.make_server = make_server
         self.num_shards = len(primaries)
         self.failover_timeout = schedule.failover_timeout
-        self._validate(schedule)
+        schedule.check_deployment(self.num_shards)
 
         #: Replica sets per shard index: slot 0 is the healthy primary
         #: (``sparse-{i}``), slots 1..R-1 the static replicas, and healed
@@ -132,23 +132,6 @@ class ChaosRuntime:
         if self.schedule.placement == "packed":
             return shard % domains
         return (shard + slot) % domains
-
-    def _validate(self, schedule: FaultSchedule) -> None:
-        for experiment in schedule.experiments:
-            shard = getattr(experiment, "shard", None)
-            if shard is not None and shard >= self.num_shards:
-                raise ValueError(
-                    f"{type(experiment).__name__} targets shard {shard}, but "
-                    f"the deployment has only {self.num_shards} sparse "
-                    f"shard(s)"
-                )
-            replica = getattr(experiment, "replica", None)
-            if replica is not None and replica >= schedule.replicas:
-                raise ValueError(
-                    f"{type(experiment).__name__} targets replica {replica}, "
-                    f"but the schedule provisions {schedule.replicas} "
-                    f"replica(s) per shard"
-                )
 
     # -- process wiring ----------------------------------------------------
     def start(self) -> None:

@@ -51,6 +51,7 @@ from repro.chaos import (
     NetworkSpike,
     StragglerShard,
     availability_sweep,
+    fault_schedules,
     format_assessment,
 )
 from repro.resilience import ResiliencePolicy
@@ -71,9 +72,11 @@ from repro.lint import (
 )
 from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.experiments.runner import (
+    mix_plans,
+    mix_poolings,
     mix_stream,
     run_configuration,
-    run_mix_suite,
+    run_mix_configuration,
     run_suite,
     SuiteSettings,
 )
@@ -523,8 +526,11 @@ def cmd_workload(args: argparse.Namespace) -> int:
         mix = _mix(args)
         settings = _settings(args)
         configuration = _configuration(args)
-    # One configuration: the sweep replays it in-process.
-    (result,) = run_mix_suite(mix, settings, (configuration,)).values()
+        plans = mix_plans(mix, configuration, mix_poolings(mix, settings))
+    result = run_mix_configuration(
+        mix, plans, mix_stream(mix, settings), settings.resolved_serving(),
+        label=configuration.label,
+    )
     rows = []
     per_workload = result.per_workload_e2e()
     for workload, plan in zip(mix.workloads, result.plans):
@@ -685,6 +691,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
         policy = _resilience_policy(args)
         settings = _settings(args)
+        # Every fault must target a shard and replica the plans provide.
+        fault_schedules(
+            experiments,
+            args.replicas,
+            mix_plans(mix, configuration, mix_poolings(mix, settings)),
+            healing=healing,
+            domains=args.domains,
+            placement=args.placement,
+        )
     assessment = availability_sweep(
         mix,
         configuration,

@@ -38,6 +38,8 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import (
     RunResult,
     SuiteSettings,
+    mix_plans,
+    mix_poolings,
     mix_stream,
     run_configuration,
     run_mix_configuration,
@@ -58,6 +60,8 @@ __all__ = [
     "default_workers",
     "figures",
     "mix_configurations",
+    "mix_plans",
+    "mix_poolings",
     "mix_stream",
     "paper_configurations",
     "run_configuration",

@@ -77,6 +77,10 @@ class RunResult:
         #: kernel (a stable reason string from
         #: :mod:`repro.serving.columnar`); None when no fallback happened.
         self.kernel_fallback: str | None = None
+        #: Requests the DES replayed: 0 for a serial columnar run, every
+        #: request for a DES kernel, and the busy-period arrivals of an
+        #: open-loop ``vectorized`` run (the rest took the evaluator).
+        self.des_requests: int = 0
         #: Requests that never completed (an aborted or fault-saturated
         #: replay); ids only -- they have no row in the columns.
         self.incomplete_requests: tuple[int, ...] = ()
@@ -304,21 +308,25 @@ def run_configuration(
     completed request straight into columns the result adopts; no span
     is built and ``serving.trace_mode`` plays no part.
 
-    ``serving.kernel == "vectorized"`` (the default) dispatches eligible
-    runs (serial closed-loop, chaos-free) to the columnar replay engine
-    (:func:`repro.serving.columnar.run_vectorized`) -- bit-identical
-    columns, no event loop; ineligible runs fall back to the batched
-    kernel with the reason recorded on ``RunResult.kernel_fallback``.
+    ``serving.kernel == "vectorized"`` (the default) replays an eligible
+    serial run entirely on the columnar engine
+    (:func:`repro.serving.columnar.run_vectorized`), and an eligible
+    open-loop run on the DES with every idle arrival taking the columnar
+    engine (:func:`repro.serving.columnar.idle_arrival_cluster`) --
+    bit-identical columns either way; ineligible runs fall back to the
+    batched kernel with the reason recorded on
+    ``RunResult.kernel_fallback``.
     """
     schedule = schedule or ReplaySchedule.serial()
     serving = serving or ServingConfig()
+    serial = schedule.mode is ReplayMode.SERIAL
     result = RunResult(model_name=model.name, label=plan.label, plan=plan)
     kernel_fallback: str | None = None
     if serving.kernel == "vectorized":
         from repro.serving.columnar import run_vectorized, vectorized_ineligibility
 
-        kernel_fallback = vectorized_ineligibility(serving, schedule)
-        if kernel_fallback is None:
+        kernel_fallback = vectorized_ineligibility(serving, serial)
+        if kernel_fallback is None and serial:
             collector, cluster = run_vectorized(
                 model, plan, requests, serving, CHUNK_SIZE
             )
@@ -326,18 +334,41 @@ def run_configuration(
             result.kernel_used = "vectorized"
             result.chaos_timeline = cluster.chaos_timeline
             return result
-        serving = serving.with_kernel("batched")
-    tracer = AggregatingTracer(expected_requests=len(requests))
-    cluster = ClusterSimulation(model, plan, serving, tracer=tracer)
-    if schedule.mode is ReplayMode.SERIAL:
+        if kernel_fallback is not None:
+            serving = serving.with_kernel("batched")
+    if serial:
+        tracer = AggregatingTracer(expected_requests=len(requests))
+        cluster = ClusterSimulation(model, plan, serving, tracer=tracer)
         _replay(cluster, tracer, result, cluster.run_serial, requests)
     else:
         arrivals = schedule.arrival_times(len(requests))
-        stream = zip(arrivals, [0] * len(requests), requests)
+        tenants = [0] * len(requests)
+        tracer, cluster = _stream_cluster(
+            [(model, plan)], serving, tenants, requests
+        )
+        stream = zip(arrivals, tenants, requests)
         _replay(cluster, tracer, result, cluster.run_stream, stream)
     result.kernel_used = serving.kernel
     result.kernel_fallback = kernel_fallback
     return result
+
+
+def _stream_cluster(
+    tenants: list[tuple[ModelConfig, ShardingPlan]],
+    serving: ServingConfig,
+    stream_tenants: list[int],
+    requests: list[Request],
+) -> tuple[AggregatingTracer, ClusterSimulation]:
+    """The tracer and cluster an open-loop stream replays on; under the
+    ``vectorized`` kernel, idle arrivals take the columnar engine."""
+    if serving.kernel == "vectorized":
+        from repro.serving.columnar import idle_arrival_cluster
+
+        return idle_arrival_cluster(
+            tenants, serving, stream_tenants, requests, CHUNK_SIZE
+        )
+    tracer = AggregatingTracer(expected_requests=len(requests))
+    return tracer, ClusterSimulation.colocated(tenants, serving, tracer=tracer)
 
 
 def _replay(
@@ -354,6 +385,7 @@ def _replay(
     cluster.on_complete = tracer.finalize_request
     run(*args)
     result.adopt_aggregate(tracer)
+    result.des_requests = cluster.des_requests
     result.incomplete_requests = tuple(cluster.dropped_requests)
     result.chaos_timeline = cluster.chaos_timeline
     result.resilience_stats = cluster.resilience_stats
@@ -460,22 +492,20 @@ def run_mix_configuration(
     serving = serving or ServingConfig()
     kernel_fallback: str | None = None
     if serving.kernel == "vectorized":
-        # Co-located tenants share host queues, so per-request costs are
-        # no longer closed-form -- the mix path always takes the batched
-        # kernel and records why.
-        from repro.serving.columnar import REASON_MIX
+        from repro.serving.columnar import vectorized_ineligibility
 
-        kernel_fallback = REASON_MIX
-        serving = serving.with_kernel("batched")
-    tracer = AggregatingTracer(expected_requests=len(stream))
+        kernel_fallback = vectorized_ineligibility(serving, serial=False)
+        if kernel_fallback is not None:
+            serving = serving.with_kernel("batched")
+    tracer, cluster = _stream_cluster(
+        [(workload.model, plan) for workload, plan in zip(mix.workloads, plans)],
+        serving,
+        stream.workload_ids.tolist(),
+        stream.requests,
+    )
     # Merged request ids are stream positions, so the stream's workload
     # ids label each completed row.
     tracer.workload_ids = stream.workload_ids
-    cluster = ClusterSimulation.colocated(
-        [(workload.model, plan) for workload, plan in zip(mix.workloads, plans)],
-        serving,
-        tracer=tracer,
-    )
     result = RunResult(
         model_name="+".join(workload.model.name for workload in mix.workloads),
         label=label or " + ".join(plan.label for plan in plans),
@@ -489,6 +519,35 @@ def run_mix_configuration(
     return result
 
 
+def mix_poolings(
+    mix: "WorkloadMix", settings: SuiteSettings
+) -> list[dict[str, float]]:
+    """Every workload's pooling-factor sample, the input :func:`mix_plans`
+    shards by."""
+    return [
+        estimate_pooling_factors(
+            workload.model,
+            num_requests=settings.pooling_requests,
+            seed=settings.pooling_seed,
+        )
+        for workload in mix.workloads
+    ]
+
+
+def mix_plans(
+    mix: "WorkloadMix",
+    configuration: ShardingConfiguration,
+    poolings: list[dict[str, float]],
+) -> list[ShardingPlan]:
+    """Shard every workload's model by ``configuration`` from its pooling
+    sample (:func:`mix_poolings`) -- the plans one configuration of
+    :func:`run_mix_suite` replays."""
+    return [
+        build_plan(workload.model, configuration, pooling)
+        for workload, pooling in zip(mix.workloads, poolings)
+    ]
+
+
 def mix_stream(mix: "WorkloadMix", settings: SuiteSettings) -> "MixedStream":
     """Sample a mix's merged request stream once per sweep (the mix-side
     analogue of :func:`suite_requests`)."""
@@ -500,12 +559,9 @@ def _replay_mix_configuration(
 ) -> tuple[str, RunResult]:
     """Sweep task: shard every tenant by one configuration, replay co-located."""
     mix, poolings, stream, serving = worker_context()
-    plans = [
-        build_plan(workload.model, configuration, pooling)
-        for workload, pooling in zip(mix.workloads, poolings)
-    ]
     result = run_mix_configuration(
-        mix, plans, stream, serving, label=configuration.label
+        mix, mix_plans(mix, configuration, poolings), stream, serving,
+        label=configuration.label,
     )
     return configuration.label, result
 
@@ -529,14 +585,7 @@ def run_mix_suite(
         workload.model.name for workload in mix.workloads
     )
     stream = mix_stream(mix, settings)
-    poolings = [
-        estimate_pooling_factors(
-            workload.model,
-            num_requests=settings.pooling_requests,
-            seed=settings.pooling_seed,
-        )
-        for workload in mix.workloads
-    ]
-    context = (mix, poolings, stream, settings.resolved_serving())
+    serving = settings.resolved_serving()
+    context = (mix, mix_poolings(mix, settings), stream, serving)
     tasks = [(_replay_mix_configuration, config) for config in configurations]
     return dict(run_cluster_tasks(tasks, context, max_workers))

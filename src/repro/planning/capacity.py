@@ -224,10 +224,10 @@ class CapacityPlanner:
         cluster, via :func:`~repro.experiments.runner.run_mix_suite` --
         with byte-identical results, hence an identical plan, for every
         worker count.  Candidate
-        simulations are co-located open-loop mixes, outside the columnar
-        path's eligible regime, so the default kernel runs them on the
-        batched DES (the fallback and its reason are recorded on every
-        candidate's ``RunResult.kernel_used`` / ``kernel_fallback``).
+        simulations are co-located open-loop mixes: the default kernel
+        replays their busy periods on the batched DES and every idle
+        arrival on the columnar evaluator (each candidate's
+        ``RunResult.des_requests`` counts the DES share).
         ``results_sink`` receives the candidate simulations keyed by
         configuration label, so callers can reuse the measurements (e.g.
         day-long elasticity sizing) without re-simulating.

@@ -2,11 +2,21 @@
 
 This module is the serving-side half of the vectorized fast path (the
 evaluator half lives in :mod:`repro.simulation.vectorized`): it decides
-*whether* a run is eligible for columnar replay
-(:func:`vectorized_ineligibility`), transposes per-request execution
-plans into per-chunk numpy columns (:func:`build_chunk_plans`), and
-drives whole request lists through the evaluator
-(:func:`run_vectorized`).
+*whether* a run may use the evaluator (:func:`vectorized_ineligibility`),
+transposes per-request execution plans into per-chunk numpy columns
+(:func:`build_chunk_plans`), and drives requests through the evaluator
+in two ways:
+
+* a serial closed-loop run replays every request, chunk by chunk
+  (:func:`run_vectorized`);
+* an open-loop run or a co-located mix replays on the DES, and every
+  request that arrives at an idle cluster is offered to the evaluator
+  first (:func:`idle_arrival_cluster`).  Plans are built per tenant over
+  chunks of stream positions, only for the batch-count groups that fit
+  the worker pools; the evaluator commits a request only if it
+  completes strictly before the next arrival, and the DES replays the
+  busy periods.  One :class:`VectorizedColumns` collector is the run's
+  tracer, so both paths fill one set of columns in completion order.
 
 Bit-exactness
 =============
@@ -31,7 +41,8 @@ Memory flatness
 
 Chunking bounds peak memory at O(chunk_size), not O(num_requests): a
 chunk's cost columns are built, replayed and released before the next
-chunk is built, and no cost column outlives the run.  The per-target
+chunk is built (for an open-loop stream: when the stream moves past the
+chunk's positions), and no cost column outlives the run.  The per-target
 RPC costs stay float64 numpy planes until the evaluator turns one
 request's rows into Python lists, so boxed floats exist for one request
 at a time.  Only the integer count matrices are kept, in a small
@@ -52,7 +63,6 @@ import numpy as np
 from repro.core.types import US
 from repro.models.config import FeatureScope, ModelConfig
 from repro.requests.generator import Request, request_payload_bytes
-from repro.requests.replayer import ReplayMode, ReplaySchedule
 from repro.serving.simulator import ClusterSimulation, ServingConfig, _Tenant
 from repro.sharding.plan import ShardingPlan
 from repro.simulation.costmodel import ranking_response_bytes
@@ -66,41 +76,42 @@ from repro.simulation.vectorized import (
 
 __all__ = [
     "build_chunk_plans",
+    "idle_arrival_cluster",
     "run_vectorized",
     "vectorized_ineligibility",
 ]
 
 #: Stable fallback-reason strings, asserted by the gating tests.
-REASON_OPEN_LOOP = "open-loop replay (queueing contention)"
 REASON_CHAOS = "chaos fault schedule"
 REASON_RESILIENCE = "resilience policy active"
 REASON_SHALLOW_MAIN = "main worker pool shallower than max_batches"
 REASON_SHALLOW_SPARSE = "sparse worker pool shallower than max_batches"
-REASON_MIX = "co-located workload mix"
 
 
-def vectorized_ineligibility(
-    serving: ServingConfig, schedule: ReplaySchedule
-) -> str | None:
-    """Why this run cannot take the columnar path (``None`` = eligible).
+def vectorized_ineligibility(serving: ServingConfig, serial: bool) -> str | None:
+    """Why this run cannot use the columnar evaluator (``None`` = it can).
 
-    The vectorized evaluator assumes the serial closed-loop regime the
-    paper's figures are produced in: exactly one request in flight (so
-    worker pools never queue as long as they are at least
-    ``max_batches`` deep) and no fault injection or live resilience
-    policy.  The trace mode plays no part: every run is attributed by
+    No run with fault injection or a live resilience policy can: both
+    schedule timers on the event loop.  A ``serial`` (closed-loop) run
+    replays every request through the evaluator, so its worker pools
+    must also be at least ``max_batches`` deep -- with one request in
+    flight no ``acquire`` can then block.  An open-loop run or a
+    co-located mix needs no pool gate: its replay sends only the
+    requests that arrive at an idle cluster and fit the pools through
+    the evaluator (:func:`idle_arrival_cluster`), and the DES replays
+    the rest.  The trace mode plays no part: every run is attributed by
     the aggregate accumulator the evaluator folds into.  Everything here
     is a pure function of the *configuration* -- never of the request
     sample -- so the same sweep always takes the same path.
     """
-    if schedule.mode is not ReplayMode.SERIAL:
-        return REASON_OPEN_LOOP
     if serving.chaos is not None:
         return REASON_CHAOS
     if serving.resilience is not None and not serving.resilience.is_empty:
         # A live policy supervises per-attempt timers on the event loop;
         # an *empty* policy installs no runtime and stays eligible.
         return REASON_RESILIENCE
+    if not serial:
+        return None
     if min(serving.service_workers, serving.main_platform.cores) < serving.max_batches:
         return REASON_SHALLOW_MAIN
     if min(serving.service_workers, serving.sparse_platform.cores) < serving.max_batches:
@@ -116,13 +127,19 @@ class _ChunkBundle:
     per-request item counts, per-table per-batch id-count matrices, and
     the batch-count grouping.  Cost columns (which depend on the
     sharding plan and platforms) are rebuilt per configuration from
-    these exact integers.
+    these exact integers.  A group's matrices are built on first use, so
+    groups no configuration replays through the evaluator are never
+    built.
     """
 
-    __slots__ = ("first", "model", "items", "total_ids", "ndraws", "groups")
+    __slots__ = (
+        "requests", "first", "model", "items", "total_ids", "ndraws",
+        "by_count", "_groups",
+    )
 
     def __init__(self, requests: list[Request], model: ModelConfig,
                  size: int, max_batches: int) -> None:
+        self.requests = requests
         self.first = requests[0]
         self.model = model
         count = len(requests)
@@ -139,17 +156,20 @@ class _ChunkBundle:
         by_count: dict[int, list[int]] = {}
         for position, batches in enumerate(nb.tolist()):
             by_count.setdefault(batches, []).append(position)
-        #: One entry per distinct batch count B, ascending:
-        #: (positions, items_g, edges (Rg, B+1), items_pb (Rg, B),
-        #:  counts {table -> (Rg, B) int64; absent tables omitted}).
-        self.groups = [
-            self._build_group(requests, batches, positions)
-            for batches, positions in sorted(by_count.items())
-        ]
+        #: (batch count B, chunk positions), ascending by B.
+        self.by_count = sorted(by_count.items())
+        self._groups: dict[int, tuple] = {}
 
-    def _build_group(
-        self, requests: list[Request], batches: int, positions: list[int]
-    ):
+    def group(self, batches: int, positions: list[int]) -> tuple:
+        """The batch-count-``batches`` group: (items_pb (Rg, B), counts
+        {table -> (Rg, B) int64; absent tables omitted})."""
+        group = self._groups.get(batches)
+        if group is None:
+            group = self._groups[batches] = self._build_group(batches, positions)
+        return group
+
+    def _build_group(self, batches: int, positions: list[int]) -> tuple:
+        requests = self.requests
         group_requests = [requests[position] for position in positions]
         items_g = self.items[np.array(positions, dtype=np.int64)]
         # Batch edges: round(index * num_items / B) is int-exact in
@@ -199,7 +219,7 @@ class _ChunkBundle:
             np.cumsum(flat, out=prefix[1:])
             at_edges = prefix[offsets[:-1, None] + edges[row_index]]
             matrix[row_index] = at_edges[:, 1:] - at_edges[:, :-1]
-        return positions, items_g, edges, items_pb, counts
+        return items_pb, counts
 
 
 _BUNDLE_CACHE: OrderedDict[tuple, _ChunkBundle] = OrderedDict()
@@ -247,6 +267,8 @@ def build_chunk_plans(
     Bit-for-bit equal to calling ``sim._request_plans`` per request (see
     the module docstring); requests are grouped by batch count so every
     numpy expression runs over rectangular (request, batch) matrices.
+    Only the groups whose batches fit the worker pools are built; the
+    other requests keep ``nb == 0`` (see :func:`_pool_fit`).
     """
     config = sim.config
     model = tenant.model
@@ -254,6 +276,7 @@ def build_chunk_plans(
     size = config.batch_size or model.profile.batch_size
     bundle = _chunk_bundle(requests, model, size, config.max_batches)
     count = len(requests)
+    fit = _pool_fit(sim, tenant)
 
     rc_main = config.main_platform.relative_clock
     denom_main = sim._serde_denom_main
@@ -284,8 +307,9 @@ def build_chunk_plans(
             ]
     placeholder: list = [None] * count
     for net_columns in nets:
-        # Every position is scattered exactly once (the groups partition
-        # the chunk), so plain placeholders beat per-request empties.
+        # Every fitting position is scattered exactly once (the groups
+        # partition the chunk), so plain placeholders beat per-request
+        # empties.
         net_columns.overhead = placeholder.copy()
         net_columns.dense = placeholder.copy()
         net_columns.local = placeholder.copy()
@@ -300,8 +324,10 @@ def build_chunk_plans(
     per_id_main = tenant.per_id_main
     per_id_sparse = tenant.per_id_sparse
 
-    for positions, _items_g, _edges, items_pb, counts in bundle.groups:
-        batches = items_pb.shape[1]
+    for batches, positions in bundle.by_count:
+        if batches > fit:
+            continue
+        items_pb, counts = bundle.group(batches, positions)
         for position in positions:
             nb_list[position] = batches
         items_pb_f = items_pb.astype(np.float64)
@@ -393,7 +419,19 @@ def build_chunk_plans(
         head.tolist(),
         tail.tolist(),
         nets,
+        [net_cfg.name for net_cfg in model.nets],
     )
+
+
+def _pool_fit(sim: ClusterSimulation, tenant: _Tenant) -> int:
+    """The largest batch count no ``acquire`` can block on when a
+    request runs alone: every batch holds one main worker, and at most
+    one RPC per batch is in service on any sparse host."""
+    fit = sim.main.workers.capacity
+    if not tenant.plan.is_singular:
+        for server in sim.sparse_servers:
+            fit = min(fit, server.workers.capacity)
+    return fit
 
 
 #: _ShardLookups attributes in evaluator row order (rows 1-8; row 0 is
@@ -414,9 +452,11 @@ def _scalar_chunk_plans(
     at a time is exactly the reference computation; only the
     transposition into evaluator columns is new.  (Not memory-flat to
     the same degree: ``_request_plans`` memoizes slice counts on the
-    request objects, like every scalar-kernel sweep does.)
+    request objects, like every scalar-kernel sweep does.)  Requests
+    whose batches do not fit the pools get ``nb == 0`` and no plan.
     """
     model = tenant.model
+    fit = _pool_fit(sim, tenant)
     cm = sim.config.cost_model
     main_platform = sim.config.main_platform
     names = [net_cfg.name for net_cfg in model.nets]
@@ -438,9 +478,22 @@ def _scalar_chunk_plans(
     tails: list[float] = []
     for request in requests:
         batches = sim._batches(tenant, request)
-        plans = sim._request_plans(tenant, request, batches)
         num_batches = len(batches)
         rids.append(request.request_id)
+        if num_batches > fit:
+            nb_list.append(0)
+            heads.append(0.0)
+            tails.append(0.0)
+            for net_columns in nets:
+                net_columns.dense.append(None)
+                if singular:
+                    net_columns.local.append(None)
+                    continue
+                net_columns.overhead.append(None)
+                for target in net_columns.targets:
+                    target.rows.append(None)
+            continue
+        plans = sim._request_plans(tenant, request, batches)
         nb_list.append(num_batches)
         heads.append(
             cm.serde_time(
@@ -472,7 +525,7 @@ def _scalar_chunk_plans(
                         row[field, batch_index] = getattr(lookup, attr)
             for target, row in zip(net_columns.targets, rows):
                 target.rows.append(row)
-    return ChunkPlans(singular, rids, nb_list, heads, tails, nets)
+    return ChunkPlans(singular, rids, nb_list, heads, tails, nets, names)
 
 
 def _has_partitions(plan: ShardingPlan) -> bool:
@@ -485,7 +538,25 @@ def _has_partitions(plan: ShardingPlan) -> bool:
     )
 
 
-# -- driver -------------------------------------------------------------------
+# -- drivers ------------------------------------------------------------------
+def _plan_builder(plan: ShardingPlan):
+    # Looked up at call time, so a replaced module attribute is honoured.
+    return _scalar_chunk_plans if _has_partitions(plan) else build_chunk_plans
+
+
+def _evaluator(
+    cluster: ClusterSimulation, collector: VectorizedColumns
+) -> SweepEvaluator:
+    return SweepEvaluator(
+        cluster.fabric,
+        cluster.main,
+        cluster.sparse_servers,
+        cluster.config.cost_model,
+        collector,
+        cluster.completed,
+    )
+
+
 def run_vectorized(
     model: ModelConfig,
     plan: ShardingPlan,
@@ -499,23 +570,14 @@ def run_vectorized(
     every substream -- clock skews, fabric jitter -- is primed
     identically), then replays chunk by chunk.  The returned collector
     holds the finished aggregate columns (``RunResult.adopt_aggregate``
-    consumes it); the cluster is returned for its timeline accessors.
+    consumes it); the cluster is returned for its timeline accessors,
+    with the clock at the last completion, as the DES would leave it.
     """
-    collector = VectorizedColumns(
-        len(requests), [net_cfg.name for net_cfg in model.nets]
-    )
+    collector = VectorizedColumns(len(requests))
     cluster = ClusterSimulation(model, plan, serving, tracer=collector)
     tenant = cluster.tenants[0]
-    evaluator = SweepEvaluator(
-        cluster.fabric,
-        cluster.config.main_platform,
-        cluster.config.sparse_platform,
-        cluster.config.cost_model,
-        cluster.main.clock_skew,
-        [server.clock_skew for server in cluster.sparse_servers],
-        collector,
-    )
-    build = _scalar_chunk_plans if _has_partitions(plan) else build_chunk_plans
+    evaluator = _evaluator(cluster, collector)
+    build = _plan_builder(plan)
     now = 0.0
     for start in range(0, len(requests), chunk_size):
         # No name binds a chunk's plans, so they are freed as soon as
@@ -523,4 +585,103 @@ def run_vectorized(
         now = evaluator.replay_chunk(
             build(cluster, tenant, requests[start : start + chunk_size]), now
         )
+    cluster.engine.now = now
+    return collector, cluster
+
+
+class _IdleArrivals:
+    """The evaluator hook :meth:`ClusterSimulation.run_stream` calls.
+
+    Called with the cluster, a stream position, the tenant and request
+    the stream holds there, the driver's clock and the next arrival's
+    clock (the horizon) when a request arrives at an idle cluster.
+    Plans are built per chunk of ``chunk_size`` stream positions, per
+    tenant, when the first idle arrival of the chunk asks for one, and
+    released when the stream moves to the next chunk.  Returns the
+    completion time of a committed request, or ``None`` when the DES
+    must replay it (the stream's request is not the one planned at that
+    position, its batches do not fit the pools, or it would not finish
+    strictly before the next arrival).  The hook holds no reference to
+    the cluster, so a finished cluster is freed at once.
+    """
+
+    def __init__(
+        self,
+        evaluator: SweepEvaluator,
+        tenants: list[int],
+        requests: list[Request],
+        chunk_size: int,
+    ) -> None:
+        self.evaluator = evaluator
+        self.tenants = tenants
+        self.requests = requests
+        self.chunk_size = chunk_size
+        self._chunk = -1
+        #: Chunk offset -> (the tenant's plans, row in them).
+        self._rows: list[tuple[ChunkPlans, int]] = []
+
+    def _build(self, cluster: ClusterSimulation, chunk: int) -> None:
+        start = chunk * self.chunk_size
+        stop = start + self.chunk_size
+        offsets_of: dict[int, list[int]] = {}
+        for offset, tenant in enumerate(self.tenants[start:stop]):
+            offsets_of.setdefault(tenant, []).append(offset)
+        requests = self.requests[start:stop]
+        rows: list = [None] * len(requests)
+        # Release the previous chunk's plans before building this one.
+        self._rows = rows
+        for tenant_index, offsets in sorted(offsets_of.items()):
+            tenant = cluster.tenants[tenant_index]
+            plans = _plan_builder(tenant.plan)(
+                cluster, tenant, [requests[offset] for offset in offsets]
+            )
+            for row, offset in enumerate(offsets):
+                rows[offset] = (plans, row)
+        self._chunk = chunk
+
+    def __call__(
+        self, cluster: ClusterSimulation, position: int, tenant: int,
+        request: Request, now: float, horizon: float,
+    ) -> float | None:
+        # Plans exist only for the requests the cluster was built with;
+        # any other stream entry is the DES's to replay.
+        if (
+            position >= len(self.requests)
+            or self.requests[position] is not request
+            or self.tenants[position] != tenant
+        ):
+            return None
+        chunk, offset = divmod(position, self.chunk_size)
+        if chunk != self._chunk:
+            self._build(cluster, chunk)
+        plans, row = self._rows[offset]
+        if not plans.nb[row]:
+            return None
+        t_end = self.evaluator.replay_chunk(plans, now, row, horizon)
+        return t_end if t_end < horizon else None
+
+
+def idle_arrival_cluster(
+    tenants: list[tuple[ModelConfig, ShardingPlan]],
+    serving: ServingConfig,
+    stream_tenants: list[int],
+    requests: list[Request],
+    chunk_size: int,
+) -> tuple[VectorizedColumns, ClusterSimulation]:
+    """A cluster whose open-loop replay is columnar at idle arrivals.
+
+    ``requests[p]`` (of tenant ``stream_tenants[p]``) is the request at
+    stream position ``p`` of the stream the caller then passes to
+    :meth:`ClusterSimulation.run_stream`; a stream entry that is not
+    that request object of that tenant is left to the DES.  The returned
+    collector is the
+    cluster's tracer, so the DES's spans and the evaluator's folds land
+    in one set of columns in completion order; the caller wires
+    ``on_complete`` to its ``finalize_request`` as for any DES replay.
+    """
+    collector = VectorizedColumns(len(requests))
+    cluster = ClusterSimulation.colocated(tenants, serving, tracer=collector)
+    cluster.idle_arrival = _IdleArrivals(
+        _evaluator(cluster, collector), stream_tenants, requests, chunk_size
+    )
     return collector, cluster

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -135,17 +136,21 @@ class ServingConfig:
 
     kernel: str = DEFAULT_KERNEL
     """Kernel selector (see :data:`repro.simulation.engine.KERNELS`).
-    The default, ``"vectorized"``, chooses per run: eligible runs
-    (serial closed-loop, chaos-free) replay as columnar numpy programs
-    with no event loop (:mod:`repro.serving.columnar`), and every other
-    run takes the ``"batched"`` DES, recording the reason on
+    The default, ``"vectorized"``, chooses per run: a serial closed-loop
+    run with deep enough worker pools replays as columnar numpy programs
+    with no event loop, and an open-loop run or a co-located mix replays
+    on the batched DES with every idle arrival that fits the pools taken
+    by the columnar evaluator (:mod:`repro.serving.columnar`;
+    ``RunResult.des_requests`` counts the rest).  Runs with chaos or a
+    live resilience policy, and serial runs on shallow pools, take the
+    ``"batched"`` DES, recording the reason on
     ``RunResult.kernel_fallback``.  ``"batched"`` (FIFO now-queue,
     synchronous resource grants) and ``"reference"`` (the historical
-    heap-only event loop, kept as the test oracle) force one DES; the
-    CLI has no kernel switch.  Both DES kernels drive the same serving
-    generators, and all three kernels are regression-pinned
-    bit-identical on every paper configuration
-    (``tests/test_kernel_equivalence.py``)."""
+    heap-only event loop, kept as the test oracle) force one DES for
+    every request; the CLI has no kernel switch.  Both DES kernels drive
+    the same serving generators, and all three kernels are
+    regression-pinned bit-identical (``tests/test_kernel_equivalence.py``,
+    ``tests/test_idle_arrival_replay.py``)."""
 
     def __post_init__(self):
         if self.service_workers < 1:
@@ -214,14 +219,15 @@ class SimServer:
         self.workers = engine.resource(min(workers, platform.cores))
         self.io_threads = engine.resource(io_threads)
         self.clock_skew = clock_skew
-        self._egress_free = 0.0
+        #: When the last byte reserved on the egress NIC leaves.
+        self.egress_free = 0.0
 
     def egress_delay(self, nbytes: float) -> float:
         """Reserve the egress NIC for a message; returns total delay until
         the last byte leaves (queueing behind in-flight messages + wire)."""
         wire = nbytes / self.platform.nic_bandwidth
-        start = max(self.engine.now, self._egress_free)
-        self._egress_free = start + wire
+        start = max(self.engine.now, self.egress_free)
+        self.egress_free = start + wire
         return (start - self.engine.now) + wire
 
 
@@ -434,6 +440,22 @@ class ClusterSimulation:
         self.completed: dict[int, float] = {}
         self.on_complete: Callable[[int], None] | None = None
         self.dropped_requests: list[int] = []
+        #: Requests handed to the DES (:meth:`submit`) so far.
+        self.des_requests = 0
+        #: Optional columnar hook for :meth:`run_stream`, installed by
+        #: :func:`repro.serving.columnar.idle_arrival_cluster`: called as
+        #: ``(cluster, position, tenant, request, now, horizon)`` for a
+        #: request that arrives at an idle cluster; returns the
+        #: completion time when it replayed and committed the request
+        #: (its row, ``completed`` entry and every cluster state the DES
+        #: would have left), ``None`` when the DES must replay it.
+        self.idle_arrival: (
+            Callable[
+                ["ClusterSimulation", int, int, Request, float, float],
+                float | None,
+            ]
+            | None
+        ) = None
         # Chaos layer: replica routing, fault injection, self-healing.
         # Lazily imported so serving never depends on chaos unless a
         # schedule is configured; every chaos RNG draw (replica clock
@@ -490,13 +512,6 @@ class ClusterSimulation:
                 self.engine,
                 substream(self.config.seed, "resilience", *cluster_key),
             )
-        #: The RPC driver every remote lookup spawns: the policy
-        #: supervisor when a runtime is installed, else the inline
-        #: failover loop; both drive the one attempt body,
-        #: :meth:`_rpc_attempt`.
-        self._rpc_spawn = (
-            self._rpc_resilient if self._resilience is not None else self._rpc
-        )
         self.tenants = [
             _Tenant(index, model, plan, self.config)
             for index, (model, plan) in enumerate(tenants)
@@ -745,6 +760,7 @@ class ClusterSimulation:
     def submit(self, request: Request, tenant: int = 0) -> Event:
         """Inject one request now (for ``tenant``); returns its completion
         event.  Request ids must be unique across all tenants of a run."""
+        self.des_requests += 1
         return self.engine.process(
             self._serve_request(self.tenants[tenant], request)
         )
@@ -883,7 +899,12 @@ class ClusterSimulation:
         engine, main = self.engine, self.main
         record = self._record
         rid = request.request_id
-        spawn = self._rpc_spawn
+        # The RPC driver: the policy supervisor when a runtime is
+        # installed, else the inline failover loop; both drive the one
+        # attempt body, :meth:`_rpc_attempt`.  Chosen per call, not
+        # bound on the cluster, so a finished cluster holds no reference
+        # cycle and is freed as soon as its last user lets go.
+        spawn = self._rpc if self._resilience is None else self._rpc_resilient
         t_embedded = engine.now
         responses = []
         for target in targets:
@@ -1346,11 +1367,27 @@ class ClusterSimulation:
         ``(arrival_time, tenant, request)`` triples in nondecreasing time
         order.  A :class:`~repro.workloads.workload.MixedStream` iterates
         exactly this shape, so co-located tenants contend for the same
-        simulated hosts; a single-model schedule passes tenant 0."""
+        simulated hosts; a single-model schedule passes tenant 0.
+
+        With an :attr:`idle_arrival` hook, a request that arrives while
+        the engine holds no event and no request is in flight is offered
+        to the hook first, with the next arrival's clock as its horizon;
+        the DES replays it only when the hook declines.  A committed
+        request finished strictly before the next arrival, so no event
+        of the DES could have interleaved with it."""
+        engine = self.engine
+        completed = self.completed
+        idle_arrival = self.idle_arrival
+        last_end = 0.0
 
         def driver():
+            nonlocal last_end
             previous = 0.0
-            for at, tenant, request in stream:
+            items = iter(stream)
+            item = next(items, None)
+            position = 0
+            while item is not None:
+                at, tenant, request = item
                 delay = float(at) - previous
                 if delay < 0.0:
                     raise ValueError(
@@ -1359,10 +1396,35 @@ class ClusterSimulation:
                     )
                 yield delay
                 previous = float(at)
+                item = next(items, None)
+                if (
+                    idle_arrival is not None
+                    and engine.idle()
+                    and len(completed) == position
+                ):
+                    # The next arrival's clock, computed exactly as the
+                    # engine will compute it from this driver's delay.
+                    horizon = (
+                        math.inf if item is None
+                        else engine.now + (float(item[0]) - previous)
+                    )
+                    t_end = idle_arrival(
+                        self, position, int(tenant), request, engine.now,
+                        horizon,
+                    )
+                    if t_end is not None:
+                        last_end = t_end
+                        position += 1
+                        continue
                 self.submit(request, int(tenant))
+                position += 1
 
-        self.engine.process(driver())
+        engine.process(driver())
         try:
-            self.engine.run()
+            engine.run()
+            # A request committed last completes after the driver's last
+            # event; the DES clock would stop at that completion.
+            if last_end > engine.now:
+                engine.now = last_end
         finally:
             self._finish_replay()

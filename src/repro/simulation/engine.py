@@ -63,8 +63,8 @@ kernels bit-identical on every paper configuration, chaos included.
 Vectorized equivalence
 ----------------------
 
-The ``vectorized`` kernel replays eligible runs (serial closed-loop,
-chaos-free) with no event loop at all, yet commits to
+The ``vectorized`` kernel replays a serial closed-loop, chaos-free run
+with no event loop at all, yet commits to
 the *same* canonical ordering: in that regime every event's timestamp
 and sequence position is a pure function of the precomputed per-request
 plan, so the columnar evaluator (:mod:`repro.simulation.vectorized`)
@@ -75,9 +75,13 @@ accumulator is reduced with the same left-associated sequential adds the
 chained DES yields perform (cumulative per-shard adds, never
 ``np.sum``, whose pairwise tree reassociates), and every RNG substream
 (fabric jitter, clock skew) is drawn bulk-bufferedly in the same global
-time order the scalar calls consume it.  The same regression suite pins
-vectorized == reference on every eligible paper configuration, serial
-and parallel.
+time order the scalar calls consume it.  An open-loop run keeps the
+event loop for its busy periods and hands the evaluator only the
+requests that arrive at an idle engine (:meth:`Engine.idle`) and finish
+strictly before the next arrival -- requests no other event can
+interleave with.  The same regression suites pin vectorized == reference
+on every eligible paper configuration, serial and parallel, and
+vectorized == batched on open-loop and co-located replays.
 """
 
 from __future__ import annotations
@@ -350,6 +354,11 @@ class Engine:
     def resource(self, capacity: int) -> Resource:
         return Resource(self, capacity)
 
+    def idle(self) -> bool:
+        """Whether no event is scheduled (a running process's own next
+        resumption is not scheduled until it yields)."""
+        return not self._heap
+
     # -- execution -------------------------------------------------------
     def _check_until(self, until: Optional[float]) -> None:
         if until is not None and not until >= self.now:  # also rejects NaN
@@ -478,6 +487,9 @@ class BatchedEngine(Engine):
     def resource(self, capacity: int) -> Resource:
         return SyncResource(self, capacity)
 
+    def idle(self) -> bool:
+        return not self._heap and not self._now_queue
+
     def run(self, until: Optional[float] = None) -> float:
         """Same contract and boundary semantics as :meth:`Engine.run`."""
         self._check_until(until)
@@ -521,30 +533,30 @@ class BatchedEngine(Engine):
 
 #: Selectable DES kernels (``ServingConfig.kernel``; the CLI always
 #: runs the default).  ``"vectorized"`` is the columnar replay fast
-#: path: eligible runs (serial closed-loop, chaos-free) bypass the event
-#: loop entirely (see :mod:`repro.simulation.vectorized` /
-#: :mod:`repro.serving.columnar`); everything else falls back to the
-#: batched kernel with a recorded reason (``RunResult.kernel_fallback``).
+#: path: a serial closed-loop run bypasses the event loop entirely, and
+#: an open-loop run or co-located mix runs the batched loop with every
+#: idle arrival replayed by the evaluator (see
+#: :mod:`repro.simulation.vectorized` / :mod:`repro.serving.columnar`);
+#: runs with chaos or a live resilience policy, and serial runs on
+#: shallow pools, fall back to the batched kernel with a recorded reason
+#: (``RunResult.kernel_fallback``).
 KERNELS = ("reference", "batched", "vectorized")
 
 #: The kernel every surface defaults to.  ``"vectorized"`` chooses per
-#: run: eligible runs take the columnar replay, every other run takes
-#: the batched DES with the reason on ``RunResult.kernel_fallback``.
-#: All three kernels are regression-pinned bit-identical, so the
-#: committed artifacts do not depend on this choice; ``"reference"``
-#: stays selectable as the test oracle the batched kernel is pinned to.
+#: run (see :data:`KERNELS`).  All three kernels are regression-pinned
+#: bit-identical, so the committed artifacts do not depend on this
+#: choice; ``"reference"`` stays selectable as the test oracle the
+#: batched kernel is pinned to.
 DEFAULT_KERNEL = "vectorized"
 
 
 def make_engine(kernel: str = DEFAULT_KERNEL) -> Engine:
     """Construct the selected DES kernel (see ``KERNELS``).
 
-    ``"vectorized"`` returns a :class:`BatchedEngine`: the columnar fast
-    path never runs a DES loop (the experiment runner dispatches
-    eligible runs to :func:`repro.serving.columnar.run_vectorized`
-    before an engine turns over), so an *engine* constructed for the
-    vectorized kernel is by definition the fallback path -- which is
-    the batched kernel, bit-identical to the reference.
+    ``"vectorized"`` returns a :class:`BatchedEngine`: the event loop a
+    vectorized run keeps -- an open-loop run's busy periods, or a
+    fallback run entirely -- is the batched kernel, bit-identical to the
+    reference.
     """
     if kernel == "reference":
         return Engine()

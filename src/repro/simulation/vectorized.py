@@ -53,11 +53,13 @@ Why this reproduces the chained-yield float order bit for bit:
   recursions over heap-ordered events, which is precisely what
   ``SimServer.egress_delay`` and the FIFO resource implement.
 * **Draw order.**  The only stochastic input, fabric jitter, is
-  consumed through the *simulation's own* :class:`Fabric` stream
-  (:meth:`~repro.simulation.network.Fabric.drain_zero_byte_delays`) in
-  heap order -- the same ``(time, kickoff-sequence)`` order the DES
-  dispatches, with equal-time kickoffs ordered by batch index exactly
-  as the engine's scheduling counter orders them.
+  consumed through the *simulation's own* :class:`Fabric` cursor
+  (:meth:`~repro.simulation.network.Fabric.zero_byte_delays` /
+  :meth:`~repro.simulation.network.Fabric.seek`, the windows
+  ``one_way_delay`` reads too) in heap order -- the same ``(time,
+  kickoff-sequence)`` order the DES dispatches, with equal-time kickoffs
+  ordered by batch index exactly as the engine's scheduling counter
+  orders them.
 * **Accumulation order.**  Per-accumulator operand order is what must
   match, not the global interleave: an accumulator only sees its own
   records' terms, so any accumulator fed by exactly one ordered chain
@@ -70,20 +72,63 @@ Why this reproduces the chained-yield float order bit for bit:
   (with zero skew ``end-start`` is bitwise identical: ``+0.0`` is an
   exact no-op on the non-negative timestamps involved).
 
-The regression pin for all of this is
+Idle arrivals
+-------------
+
+An open-loop run (or a co-located mix) is not serial, but most of its
+requests arrive at an idle cluster and finish before the next arrival.
+``ClusterSimulation.run_stream`` offers exactly those to the evaluator
+(:func:`repro.serving.columnar.idle_arrival_cluster`), one request at a
+time, starting at the driver's own ``engine.now``; the DES replays the
+busy periods.  A request is committed under three conditions:
+
+* **The engine holds no event and no request is in flight.**  Every
+  earlier request has completed, so every worker and IO thread is free,
+  and every egress reservation lies at or before ``now`` (each precedes
+  its own request's completion).  The evaluator starts its Lindley
+  recursions from the servers' reservations, so its NIC floats are the
+  DES's.
+* **Its batches fit the pools** (``nb`` no larger than the main pool
+  and, for a distributed plan, every sparse pool: each batch holds one
+  main worker, and at most one RPC per batch is in service on a host).
+  Then no ``acquire`` blocks, and each chain's timestamps are the same
+  running sums ``t += cost`` from ``now`` that a serial replay sums from
+  the previous completion -- the serial computation shifted to the
+  arrival float.  No chaos and no live resilience policy run, so
+  nothing else schedules events (``vectorized_ineligibility``).
+* **It completes strictly before the next arrival's clock** (the float
+  the engine will compute, ``now + (next - previous)``).  Then every
+  event of the request precedes the driver's next resumption, in the DES
+  as here: the request's rows, ``completed`` entry, jitter draws and
+  egress reservations are the ones the DES would record, in the same
+  completion order.  A *tie* is different: at equal times the engine
+  resumes the driver first (its resumption was scheduled at the
+  previous arrival, before the request's final events), so the next
+  request arrives while this one still holds its tail -- and may queue
+  on a worker.  Ties, and later completions, therefore go to the DES.
+
+A declined evaluation leaves no trace: the evaluator reads the jitter
+cursor ahead without moving it, writes reservations, rows and
+``completed`` only on commit, and the DES, replaying the same request,
+consumes every window the evaluator read ahead -- so ``_jitter_pos`` and
+the fabric RNG state end where a pure-DES run leaves them.
+
+The regression pins for all of this are
 ``tests/test_kernel_equivalence.py`` (vectorized == reference on every
-paper configuration, all ``RunResult`` columns, serial and parallel).
+paper configuration, all ``RunResult`` columns, serial and parallel)
+and ``tests/test_idle_arrival_replay.py`` (open-loop and mix replays ==
+the batched DES across the busy-period range, ties, cluster state).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
 from repro.simulation.costmodel import CostModel
 from repro.simulation.network import Fabric
-from repro.simulation.platform import Platform
 from repro.tracing.aggregate import AggregatingTracer, _RequestState
 from repro.tracing.span import MAIN_SHARD
 
@@ -180,9 +225,17 @@ class NetColumns:
 
 
 class ChunkPlans:
-    """One chunk's transposed execution plans (see :class:`NetColumns`)."""
+    """One chunk's transposed execution plans (see :class:`NetColumns`).
 
-    __slots__ = ("singular", "rids", "nb", "head_deser", "tail_ser", "nets")
+    ``nb[i]`` is request ``i``'s batch count, or 0 when the builder left
+    the request out (its batches do not fit the worker pools, so only
+    the DES can replay it).  ``net_names`` names the tenant's nets by
+    index -- the net bits of a record key.
+    """
+
+    __slots__ = (
+        "singular", "rids", "nb", "head_deser", "tail_ser", "nets", "net_names",
+    )
 
     def __init__(
         self,
@@ -192,6 +245,7 @@ class ChunkPlans:
         head_deser: list[float],
         tail_ser: list[float],
         nets: list[NetColumns],
+        net_names: list[str],
     ) -> None:
         self.singular = singular
         self.rids = rids
@@ -199,6 +253,7 @@ class ChunkPlans:
         self.head_deser = head_deser
         self.tail_ser = tail_ser
         self.nets = nets
+        self.net_names = net_names
 
 
 class VectorizedColumns(AggregatingTracer):
@@ -215,12 +270,13 @@ class VectorizedColumns(AggregatingTracer):
     Every ``+=`` below textually mirrors a ``record_interval`` branch;
     the record list arrives sorted in reference recording order, so the
     float-accumulation order is the reference order.
-    """
 
-    def __init__(self, expected_requests: int, net_names: list[str]) -> None:
-        super().__init__(expected_requests)
-        #: Net names by index -- the net bits of a record key.
-        self.net_names = net_names
+    It is also a complete tracer: an open-loop run installs it on the
+    cluster, so the DES's ``record_interval`` calls and the evaluator's
+    folds land in one collector, one row per request in completion
+    order.  Folds name their nets per call, so one collector serves
+    every tenant of a co-located mix.
+    """
 
     #: Per-RPC fixed service cost (the rpc_e2e record's cpu, fused into
     #: the _K_SRS_SVC record) and the main request+response handler cpu
@@ -232,6 +288,7 @@ class VectorizedColumns(AggregatingTracer):
     def fold_request(
         self,
         request_id: int,
+        net_names: list[str],
         records: list[_Record],
         num_batches: int,
         spans: int,
@@ -258,7 +315,8 @@ class VectorizedColumns(AggregatingTracer):
         best-RPC and bounding-batch selections, the per-batch bucket
         lists -- passed as reusable scratch lists, copied into the
         pooled state).  ``records`` carries only the order-sensitive
-        rest: CPU charges in reference recording order.
+        rest: CPU charges in reference recording order; ``net_names``
+        decodes their net bits.
         """
         pool = self._pool
         if pool:
@@ -271,7 +329,6 @@ class VectorizedColumns(AggregatingTracer):
         shard_cpu = state.shard_cpu
         shard_op = state.shard_op
         shard_net_op = state.shard_net_op
-        net_names = self.net_names
         service_fixed = self.service_fixed
         # The request deserialization is always the first record (its
         # reference time precedes every batch-chain record) and the
@@ -364,48 +421,53 @@ class VectorizedColumns(AggregatingTracer):
 
 
 class SweepEvaluator:
-    """Replays plan chunks analytically; carries the jitter stream.
+    """Replays plan requests analytically on one simulated cluster.
 
-    One evaluator per simulated cluster: it owns the cross-request carry
-    state (the fabric's partially-consumed jitter buffer travels inside
-    ``fabric`` itself) while all per-request queueing state (main/shard
-    egress NICs, the IO-thread pool) is provably quiescent between
-    serial requests -- every in-request completion precedes the
-    bounding-batch maximum that gates the response path, so fresh
-    Lindley state per request is exact.
+    The evaluator keeps no replay state of its own: everything a request
+    leaves behind that a later request (or the DES) reads lives on the
+    cluster objects it is handed -- the fabric's jitter cursor, the
+    servers' egress reservations and the ``completed`` map -- and is
+    written back only when a request *commits*.  A request's egress
+    Lindley recursions start from the servers' own reservations, and its
+    IO-thread pool starts idle: in the regime the evaluator runs in,
+    every earlier request has completed, so every thread is free and
+    every reservation (each precedes its own request's completion) lies
+    at or before the request's start -- exactly where the DES starts.
     """
 
     __slots__ = (
-        "fabric", "main_platform", "sparse_platform", "collector",
+        "fabric", "main", "shards", "completed", "collector",
         "skew_main", "shard_skews", "no_skew", "main_nic", "sparse_nic",
         "pre_fraction", "request_fixed", "response_fixed", "service_fixed",
-        "io_threads", "_delays", "_dpos", "_recs", "_entry_free",
+        "io_threads", "_recs", "_entry_free",
         "_b_dense", "_b_embedded", "_b_serde", "_b_overhead", "_b_sparse",
     )
 
     def __init__(
         self,
         fabric: Fabric,
-        main_platform: Platform,
-        sparse_platform: Platform,
+        main,
+        shards: list,
         cost_model: CostModel,
-        skew_main: float,
-        shard_skews: list[float],
         collector: VectorizedColumns,
+        completed: dict[int, float],
     ) -> None:
+        # ``main``/``shards`` are the cluster's SimServers (platform,
+        # clock skew and egress reservation are read from them).
         self.fabric = fabric
-        self.main_platform = main_platform
-        self.sparse_platform = sparse_platform
+        self.main = main
+        self.shards = shards
+        self.completed = completed
         self.collector = collector
-        self.skew_main = skew_main
-        self.shard_skews = shard_skews
+        self.skew_main = main.clock_skew
+        self.shard_skews = [server.clock_skew for server in shards]
         # Zero skew (the default) makes every ``(end+skew)-(start+skew)``
         # bitwise equal to ``end-start`` (the operands are non-negative,
         # so ``+0.0`` is an exact no-op) -- the replay loops branch to
         # the plain subtraction.
-        self.no_skew = skew_main == 0.0 and not any(shard_skews)
-        self.main_nic = main_platform.nic_bandwidth
-        self.sparse_nic = sparse_platform.nic_bandwidth
+        self.no_skew = self.skew_main == 0.0 and not any(self.shard_skews)
+        self.main_nic = main.platform.nic_bandwidth
+        self.sparse_nic = shards[0].platform.nic_bandwidth if shards else 0.0
         self.pre_fraction = cost_model.dense_pre_fraction
         self.request_fixed = cost_model.request_handler_fixed
         self.response_fixed = cost_model.response_handler_fixed
@@ -416,11 +478,6 @@ class SweepEvaluator:
         collector.handler_cpu = (
             cost_model.request_handler_fixed + cost_model.response_handler_fixed
         )
-        # Bulk-drained zero-byte fabric delays (see
-        # Fabric.drain_zero_byte_delays).  The buffer must outlive chunks:
-        # unused tail factors are the *next* chunk's first draws.
-        self._delays: list[float] = []
-        self._dpos = 0
         # Reusable per-request scratch: the record list, the RPC-entry
         # free list, and the five per-batch bucket lists fold_request
         # copies out of.
@@ -432,16 +489,37 @@ class SweepEvaluator:
         self._b_overhead: list[float] = []
         self._b_sparse: list[float] = []
 
-    def replay_chunk(self, plans: ChunkPlans, t_start: float) -> float:
-        """Replay one chunk serially; returns the final completion time."""
+    def replay_chunk(
+        self,
+        plans: ChunkPlans,
+        t_start: float,
+        index: int | None = None,
+        horizon: float = math.inf,
+    ) -> float:
+        """Replay requests of one chunk; returns the last completion time.
+
+        With ``index`` None every request of the chunk replays serially,
+        request ``i+1`` starting at request ``i``'s completion.  With an
+        ``index``, only that request replays, starting at ``t_start``,
+        and it *commits* -- folds its row, moves the jitter cursor and the
+        egress reservations, enters ``completed`` -- only if it completes
+        strictly before ``horizon``; otherwise the cluster is left
+        untouched and the caller hands the request to the DES.  Either
+        way the returned float is the request's completion time.
+        """
+        rows = range(len(plans.rids)) if index is None else (index,)
         if plans.singular:
-            return self._replay_singular(plans, t_start)
-        return self._replay_distributed(plans, t_start)
+            return self._replay_singular(plans, t_start, rows, horizon)
+        return self._replay_distributed(plans, t_start, rows, horizon)
 
     # -- singular plans: fully analytic lockstep chains --------------------
-    def _replay_singular(self, plans: ChunkPlans, t_start: float) -> float:
+    def _replay_singular(
+        self, plans: ChunkPlans, t_start: float, rows, horizon: float
+    ) -> float:
         collector = self.collector
         fold = collector.fold_request
+        completed = self.completed
+        net_names = plans.net_names
         skm = self.skew_main
         no_skew = self.no_skew
         pre_fraction = self.pre_fraction
@@ -456,7 +534,7 @@ class SweepEvaluator:
         b_overhead = self._b_overhead
         b_sparse = self._b_sparse
         now = t_start
-        for i in range(len(plans.rids)):
+        for i in rows:
             t0_req = now
             deser = plans.head_deser[i]
             t1 = t0_req + deser
@@ -526,22 +604,32 @@ class SweepEvaluator:
             t1 = last_end + ser
             tail = t1 - last_end if no_skew else (t1 + skm) - (last_end + skm)
             t_end = t1 + response_fixed
+            if t_end >= horizon:
+                return t_end
             e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
             recs.sort()
+            rid = plans.rids[i]
             fold(
-                plans.rids[i], recs, nb, 3 + nb + 5 * nb * num_nets,
+                rid, net_names, recs, nb, 3 + nb + 5 * nb * num_nets,
                 deser, head, ser, tail, e2e, 0, None, -1.0,
                 best_batch, best_batch_dur,
                 b_dense, b_embedded, b_serde, b_overhead, b_sparse,
             )
+            completed[rid] = t_end - t0_req
             now = t_end
         return now
 
     # -- distributed plans: analytic chains + per-request event heap -----
-    def _replay_distributed(self, plans: ChunkPlans, t_start: float) -> float:
+    def _replay_distributed(
+        self, plans: ChunkPlans, t_start: float, rows, horizon: float
+    ) -> float:
         collector = self.collector
         fold = collector.fold_request
+        completed = self.completed
+        net_names = plans.net_names
         fabric = self.fabric
+        main = self.main
+        servers = self.shards
         skm = self.skew_main
         shard_skews = self.shard_skews
         no_skew = self.no_skew
@@ -558,9 +646,6 @@ class SweepEvaluator:
         # is anywhere near them.
         if num_nets > 64 or any(len(net.targets) > 16384 for net in nets):
             raise ValueError("plan exceeds packed event-code field widths")
-        num_shards = 1 + max(
-            target.shard for net in nets for target in net.targets
-        )
         # Rows no longer carry the shard index -- look it up by slot.
         shard_of = [[target.shard for target in net.targets] for net in nets]
         heappush = heapq.heappush
@@ -572,15 +657,9 @@ class SweepEvaluator:
         b_serde = self._b_serde
         b_overhead = self._b_overhead
         b_sparse = self._b_sparse
-        # Zero-byte fabric delays, drained in bulk from the simulation's
-        # own jitter substream (bitwise the per-call values, consumed in
-        # the same heap order the DES dispatches); carried across chunks.
-        delays = self._delays
-        num_delays = len(delays)
-        dpos = self._dpos
         now = t_start
 
-        for i in range(len(plans.rids)):
+        for i in rows:
             t0_req = now
             deser = plans.head_deser[i]
             t1 = t0_req + deser
@@ -599,11 +678,18 @@ class SweepEvaluator:
             b_serde.extend([head] * nb)
             b_overhead.extend([0.0] * nb)
             b_sparse.extend([0.0] * nb)
+            # Zero-byte fabric delays, read from the simulation's own
+            # jitter cursor (bitwise the per-call values, consumed in the
+            # same heap order the DES dispatches); later windows are read
+            # ahead, and the cursor moves only when the request commits.
+            delays, dpos = fabric.jitter_cursor()
+            num_delays = len(delays)
+            window = 0
             # Per-request row prefetch: list this request's (9, batches)
             # plane per (net, slot), so the hot heap branches do one
             # list index per field instead of attribute + [i][b] chains
             # or numpy scalar indexing.
-            rows = [
+            rows_i = [
                 [tg.rows[i].tolist() for tg in nets[n].targets]
                 for n in range(num_nets)
             ]
@@ -611,8 +697,8 @@ class SweepEvaluator:
             dn_i = [net.dense[i] for net in nets]
             heap: list[tuple[float, int, float, list[float] | None]] = []
             io_free = [0.0] * io_threads
-            main_free = 0.0
-            shard_free = [0.0] * num_shards
+            main_free = main.egress_free
+            shard_free = [server.egress_free for server in servers]
             joins: dict[int, list[float]] = {}
             ends: list[float] = [0.0] * nb
             pend: list[float] = [0.0] * nb
@@ -622,7 +708,7 @@ class SweepEvaluator:
             groups = 0
 
             def advance(
-                b: int, t: float, n0: int, rows: list = rows,
+                b: int, t: float, n0: int, rows: list = rows_i,
                 ov_i: list = ov_i, dn_i: list = dn_i,
             ) -> None:
                 # One batch chain's lockstep walk, from net ``n0`` until
@@ -682,14 +768,15 @@ class SweepEvaluator:
                     k = code & 16383
                     n = (code >> 14) & 63
                     b = code >> 20
-                    row = rows[n][k]
+                    row = rows_i[n][k]
                     # Main egress reservation (Lindley over heap order ==
                     # engine order), then the outbound fabric hop.
                     wire = row[7][b] / main_nic
                     begin = t if t >= main_free else main_free
                     main_free = begin + wire
                     if dpos == num_delays:
-                        delays = fabric.drain_zero_byte_delays()
+                        window += 1
+                        delays = fabric.zero_byte_delays(window)
                         num_delays = len(delays)
                         dpos = 0
                     out_delay = ((begin - t) + wire) + delays[dpos]
@@ -740,12 +827,13 @@ class SweepEvaluator:
                     n = (code >> 14) & 63
                     b = (code >> 20) & 2097151
                     shard = shard_of[n][k]
-                    wire = rows[n][k][8][b] / sparse_nic
+                    wire = rows_i[n][k][8][b] / sparse_nic
                     free = shard_free[shard]
                     begin = t if t >= free else free
                     shard_free[shard] = begin + wire
                     if dpos == num_delays:
-                        delays = fabric.drain_zero_byte_delays()
+                        window += 1
+                        delays = fabric.zero_byte_delays(window)
                         num_delays = len(delays)
                         dpos = 0
                     back_delay = ((begin - t) + wire) + delays[dpos]
@@ -762,7 +850,7 @@ class SweepEvaluator:
                     # yields the same begin float.
                     free = min(io_free)
                     begin = t if t >= free else free
-                    crd = rows[n][k][6][b]
+                    crd = rows_i[n][k][6][b]
                     done = begin + crd
                     io_free[io_free.index(free)] = done
                     add(
@@ -833,10 +921,17 @@ class SweepEvaluator:
             t1 = last_end + ser
             tail = t1 - last_end if no_skew else (t1 + skm) - (last_end + skm)
             t_end = t1 + response_fixed
+            if t_end >= horizon:
+                # Not committed: the cursor, the reservations and the
+                # collector are untouched (the read-ahead windows stay
+                # drawn; the DES consumes them when it replays this
+                # request).
+                return t_end
             e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
             recs.sort()
+            rid = plans.rids[i]
             fold(
-                plans.rids[i], recs, nb,
+                rid, net_names, recs, nb,
                 3 + nb + 3 * nb * num_nets + groups + 8 * rpcs,
                 deser, head, ser, tail, e2e, rpcs, best_rpc, best_rpc_dur,
                 best_batch, best_batch_dur,
@@ -846,7 +941,10 @@ class SweepEvaluator:
             # reclaim it for the next request.
             if best_rpc is not None:
                 efree.append(best_rpc)
+            fabric.seek(window, dpos)
+            main.egress_free = main_free
+            for server, free in zip(servers, shard_free):
+                server.egress_free = free
+            completed[rid] = t_end - t0_req
             now = t_end
-        self._delays = delays
-        self._dpos = dpos
         return now

@@ -6,7 +6,8 @@ The fast path must be *exactly* the slow path, faster:
   must draw identical requests from the same seed;
 * a sweep must be byte-identical for every worker count (same e2e/cpu
   arrays, same attribution stacks) for the same settings, including
-  the default count and a sweep started inside a pool worker;
+  the default count, a sweep started inside a pool worker, and a
+  co-located mix sweep (idle arrivals columnar, busy periods on the DES);
 * the pooling-factor sample must be the same bits on any thread count
   and chunk size, and memoization must not change estimates;
 * columnar ``RunResult`` storage must agree with the span oracle's
@@ -27,6 +28,7 @@ from repro.experiments import (
     SuiteSettings,
     build_plan,
     paper_configurations,
+    run_mix_suite,
     run_suite,
     suite_requests,
 )
@@ -40,6 +42,7 @@ from repro.serving import ClusterSimulation, ServingConfig
 from repro.sharding import estimate_pooling_factors
 from repro.sharding.pooling import clear_pooling_cache
 from repro.tracing.aggregate import SHARD_KINDS, AggregatingTracer
+from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
 
 SETTINGS = SuiteSettings(
     num_requests=25, pooling_requests=120, serving=ServingConfig(seed=1)
@@ -168,6 +171,31 @@ def _two_configuration_suite(max_workers):
     return run_suite(drm1(), SETTINGS, configurations, max_workers=max_workers)
 
 
+def _assert_columns_equal(serial, parallel, label):
+    assert np.array_equal(serial.e2e, parallel.e2e), label
+    assert np.array_equal(serial.cpu, parallel.cpu), label
+    for kind in ("latency", "embedded", "cpu"):
+        serial_cols = serial.stack_columns(kind)
+        parallel_cols = parallel.stack_columns(kind)
+        assert serial_cols.keys() == parallel_cols.keys()
+        for bucket in serial_cols:
+            assert np.array_equal(
+                serial_cols[bucket], parallel_cols[bucket]
+            ), (label, kind, bucket)
+    for name in ("sparse_op_cpu", "dense_op_cpu", "rpcs", "num_batches"):
+        assert np.array_equal(
+            getattr(serial, name), getattr(parallel, name)
+        ), (label, name)
+    for kind in SHARD_KINDS:
+        serial_cols = serial.shard_columns(kind)
+        parallel_cols = parallel.shard_columns(kind)
+        assert serial_cols.keys() == parallel_cols.keys()
+        for key in serial_cols:
+            assert np.array_equal(
+                serial_cols[key], parallel_cols[key]
+            ), (label, kind, key)
+
+
 class TestParallelSerialIdentity:
     @pytest.fixture(scope="class")
     def serial_results(self):
@@ -177,29 +205,38 @@ class TestParallelSerialIdentity:
         parallel_results = run_suite(drm1(), SETTINGS, max_workers=2)
         assert list(parallel_results) == list(serial_results)
         for label, serial in serial_results.items():
-            parallel = parallel_results[label]
-            assert np.array_equal(serial.e2e, parallel.e2e), label
-            assert np.array_equal(serial.cpu, parallel.cpu), label
-            for kind in ("latency", "embedded", "cpu"):
-                serial_cols = serial.stack_columns(kind)
-                parallel_cols = parallel.stack_columns(kind)
-                assert serial_cols.keys() == parallel_cols.keys()
-                for bucket in serial_cols:
-                    assert np.array_equal(
-                        serial_cols[bucket], parallel_cols[bucket]
-                    ), (label, kind, bucket)
-            for name in ("sparse_op_cpu", "dense_op_cpu", "rpcs", "num_batches"):
-                assert np.array_equal(
-                    getattr(serial, name), getattr(parallel, name)
-                ), (label, name)
-            for kind in SHARD_KINDS:
-                serial_cols = serial.shard_columns(kind)
-                parallel_cols = parallel.shard_columns(kind)
-                assert serial_cols.keys() == parallel_cols.keys()
-                for key in serial_cols:
-                    assert np.array_equal(
-                        serial_cols[key], parallel_cols[key]
-                    ), (label, kind, key)
+            _assert_columns_equal(serial, parallel_results[label], label)
+
+    def test_mix_sweep_parallel_matches_serial(self):
+        """A co-located mix replays idle arrivals on the columnar engine
+        and busy periods on the DES; both halves are byte-identical on
+        one worker and two."""
+        mix = WorkloadMix(
+            (
+                Workload(
+                    "drm1-mix", drm1(),
+                    PiecewiseRateArrivals.diurnal(50.0, seed=7), request_seed=3,
+                ),
+                Workload(
+                    "drm2-mix", drm2(),
+                    PiecewiseRateArrivals.diurnal(30.0, seed=8), request_seed=4,
+                ),
+            )
+        )
+        configurations = (
+            ShardingConfiguration("singular"),
+            ShardingConfiguration("load-bal", 2),
+        )
+        serial = run_mix_suite(mix, SETTINGS, configurations, max_workers=1)
+        parallel = run_mix_suite(mix, SETTINGS, configurations, max_workers=2)
+        assert list(parallel) == list(serial)
+        for label, result in serial.items():
+            assert result.kernel_used == "vectorized", label
+            assert result.des_requests < len(result), label
+            assert parallel[label].des_requests == result.des_requests, label
+            assert np.array_equal(result.workloads, parallel[label].workloads)
+            assert np.array_equal(result.request_ids, parallel[label].request_ids)
+            _assert_columns_equal(result, parallel[label], label)
 
     def test_in_process_fallback_matches(self, serial_results, monkeypatch):
         """``REPRO_SWEEP_WORKERS=1`` replays in-process: no pool is made."""

@@ -43,12 +43,7 @@ from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule
 from repro.serving import ServingConfig, TraceMode
 from repro.tracing.aggregate import SHARD_KINDS
-from repro.serving.columnar import (
-    REASON_CHAOS,
-    REASON_MIX,
-    REASON_OPEN_LOOP,
-    REASON_SHALLOW_MAIN,
-)
+from repro.serving.columnar import REASON_CHAOS, REASON_SHALLOW_MAIN
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
 from repro.simulation.engine import (
@@ -314,13 +309,21 @@ class TestVectorizedFallback:
         )
         return run_configuration(model, plan, requests, serving, schedule)
 
-    def test_open_loop_falls_back(self):
+    def test_open_loop_takes_the_idle_arrival_path(self):
+        """An open-loop run stays on the vectorized kernel: idle
+        arrivals take the evaluator, the rest the DES."""
+        schedule = ReplaySchedule.open_loop(25.0, seed=2)
         result = self._replay(
-            ServingConfig(seed=1, kernel="vectorized"),
-            ReplaySchedule.open_loop(25.0, seed=2),
+            ServingConfig(seed=1, kernel="vectorized"), schedule, num_requests=60
         )
-        assert result.kernel_used == "batched"
-        assert result.kernel_fallback == REASON_OPEN_LOOP
+        assert result.kernel_used == "vectorized"
+        assert result.kernel_fallback is None
+        assert 0 < result.des_requests < len(result)
+        batched = self._replay(
+            ServingConfig(seed=1, kernel="batched"), schedule, num_requests=60
+        )
+        assert batched.des_requests == len(batched)
+        assert_run_identical(batched, result, "open-loop")
 
     def test_chaos_falls_back(self):
         result = self._replay(
@@ -341,21 +344,33 @@ class TestVectorizedFallback:
         assert result.kernel_used == "vectorized"
         assert result.kernel_fallback is None
 
-    def test_mix_falls_back(self):
-        for result in _mix_results(kernel="vectorized").values():
-            assert result.kernel_used == "batched"
-            assert result.kernel_fallback == REASON_MIX
+    def test_mix_takes_the_idle_arrival_path(self):
+        batched = _mix_results(kernel="batched")
+        mixed = _mix_results(kernel="vectorized")
+        for label, result in mixed.items():
+            assert result.kernel_used == "vectorized"
+            assert result.kernel_fallback is None
+            assert result.des_requests < len(result)
+            assert_run_identical(batched[label], result, label)
 
     def test_eligible_run_takes_the_fast_path(self):
         result = self._replay(ServingConfig(seed=1, kernel="vectorized"))
         assert result.kernel_used == "vectorized"
         assert result.kernel_fallback is None
+        assert result.des_requests == 0
 
     def test_fallback_result_matches_batched(self):
         """The fallback is not merely labeled batched -- it *is* batched."""
+        chaos = FaultSchedule(experiments=(HostCrash(shard=0, at=0.05),))
         schedule = ReplaySchedule.open_loop(25.0, seed=2)
-        fallback = self._replay(ServingConfig(seed=1, kernel="vectorized"), schedule)
-        batched = self._replay(ServingConfig(seed=1, kernel="batched"), schedule)
+        fallback = self._replay(
+            ServingConfig(seed=1, kernel="vectorized", chaos=chaos), schedule
+        )
+        batched = self._replay(
+            ServingConfig(seed=1, kernel="batched", chaos=chaos), schedule
+        )
+        assert fallback.kernel_fallback == REASON_CHAOS
+        assert fallback.des_requests == batched.des_requests == len(batched)
         assert_run_identical(fallback, batched, "fallback")
 
 
@@ -380,31 +395,41 @@ class TestDefaultKernel:
             )
             assert result.kernel_fallback is None, label
 
-    @pytest.mark.parametrize(
-        "suite_settings, reason",
-        [
-            (
-                SuiteSettings(
-                    num_requests=15, pooling_requests=150,
-                    serving=ServingConfig(seed=1),
-                    schedule=ReplaySchedule.open_loop(25.0, seed=2),
-                ),
-                REASON_OPEN_LOOP,
-            ),
-            (settings(num_requests=15, service_workers=2), REASON_SHALLOW_MAIN),
-        ],
-        ids=["open-loop", "shallow-worker-pool"],
-    )
-    def test_ineligible_runs_take_the_batched_des(self, suite_settings, reason):
-        results = run_suite(drm1(), suite_settings, self.TWO_CONFIGURATIONS)
+    def test_ineligible_runs_take_the_batched_des(self):
+        results = run_suite(
+            drm1(), settings(num_requests=15, service_workers=2),
+            self.TWO_CONFIGURATIONS,
+        )
         for result in results.values():
             assert result.kernel_used == "batched"
-            assert result.kernel_fallback == reason
+            assert result.kernel_fallback == REASON_SHALLOW_MAIN
+            assert result.des_requests == len(result)
 
-    def test_mix_runs_take_the_batched_des(self):
-        for result in _mix_results().values():
-            assert result.kernel_used == "batched"
-            assert result.kernel_fallback == REASON_MIX
+    def test_open_loop_runs_take_the_idle_arrival_path(self):
+        """Open-loop sweeps need no pool gate: even on 2-worker hosts the
+        requests that fit take the evaluator."""
+        def open_loop(kernel):
+            return SuiteSettings(
+                num_requests=40, pooling_requests=150,
+                serving=ServingConfig(seed=1, service_workers=2, kernel=kernel),
+                schedule=ReplaySchedule.open_loop(25.0, seed=2),
+            )
+
+        batched = run_suite(drm1(), open_loop("batched"), self.TWO_CONFIGURATIONS)
+        results = run_suite(drm1(), open_loop(DEFAULT_KERNEL), self.TWO_CONFIGURATIONS)
+        for result in results.values():
+            assert result.kernel_used == "vectorized"
+            assert result.kernel_fallback is None
+            assert 0 < result.des_requests < len(result)
+        assert_suites_identical(batched, results)
+
+    def test_mix_runs_take_the_idle_arrival_path(self):
+        batched = _mix_results(kernel="batched")
+        results = _mix_results()
+        for result in results.values():
+            assert result.kernel_used == "vectorized"
+            assert result.kernel_fallback is None
+        assert_suites_identical(batched, results)
 
 
 class TestChunkedReplay:

@@ -158,6 +158,11 @@ class TestRequestCountValidation:
             ["chaos", "--straggler", "1.5", "0", "0.1", "2"],
             ["shard", "--model", "DRM3", "--shards", "2"],
             ["simulate", "--model", "DRM3", "--strategy", "cap-bal", "--shards", "4"],
+            # Plans the strategy cannot build, and a fault on a shard the
+            # plans lack, are caught before the sweep too.
+            ["workload", "--models", "DRM1", "DRM3", "--shards", "2"],
+            ["chaos", "--model", "DRM3", "--shards", "2"],
+            ["chaos", "--requests", "10", "--shards", "2", "--crash-shard", "5"],
             ["trace", "--width", "0"],
             ["trace", "--width", "-5"],
         ],

@@ -74,7 +74,12 @@ class TestColumnsMatchSpanOracle:
             schedule=ReplaySchedule.open_loop(25.0, seed=2),
         )
         results = run_suite(model, settings)
-        assert {r.kernel_used for r in results.values()} == {"batched"}
+        # The hybrid replay: idle arrivals that fit the 2-worker pools
+        # take the evaluator, the rest the DES -- both attributed into
+        # one collector.
+        assert {r.kernel_used for r in results.values()} == {"vectorized"}
+        for result in results.values():
+            assert 0 < result.des_requests < len(result), result.label
         assert_suite_matches_oracle(model, settings, results)
 
     @pytest.mark.parametrize(
