@@ -8,13 +8,15 @@ the healthy serving path must not know about:
 * the **replica sets** -- each sparse shard index is served by
   ``schedule.replicas`` hosts (plus any healed ones), round-robin routed
   via :meth:`route`;
-* **liveness** -- crash/restart/loss experiments run as ordinary engine
-  processes flipping per-host alive bits, so fault transitions interleave
-  deterministically with request events (same-time ordering follows
-  process creation order, and all chaos processes are created before the
-  replay driver);
-* **degradation accounting** -- per-request ``degraded``/``retries``
-  counters the tracing layer folds into result columns;
+* **liveness** -- crash/restart and correlated domain-crash experiments
+  run as ordinary engine processes flipping per-host alive bits, so fault
+  transitions interleave deterministically with request events
+  (same-time ordering follows process creation order, and all chaos
+  processes are created before the replay driver);
+* **degradation accounting** -- writes the ``degraded``/``retries``
+  fields of the cluster's per-request
+  :class:`~repro.tracing.aggregate.OutcomeLedger`, which the tracing
+  layer folds into result columns;
 * the **healing controller** -- a heartbeat process that detects shards
   below their replica target, and re-replicates after a configurable
   detection + recovery lag, emitting ``detected``/``healed`` timeline
@@ -30,7 +32,7 @@ Fault model granularity: a crash aborts in-flight work at *segment
 boundaries* -- an RPC in service on a crashed host completes the segment
 it is in (deserialization, SLS gather, ...), then notices the host is
 dead at the next instrumented boundary, releases the worker, and aborts
-(counted in :attr:`ChaosRuntime.aborted`); the client pays
+(counted in ``ClusterSimulation.aborted_rpcs``); the client pays
 ``failover_timeout`` and retries the next live replica, or -- with none
 left -- degrades to a dense-only partial result.  Dead-on-arrival hosts
 are still discovered by the client at arrival time: the RPC pays the
@@ -60,6 +62,7 @@ from repro.chaos.faults import (
     NetworkSpike,
     StragglerShard,
 )
+from repro.tracing.aggregate import DEGRADED, RETRIES, OutcomeLedger
 
 
 class ChaosRuntime:
@@ -71,12 +74,16 @@ class ChaosRuntime:
         engine,
         primaries: list,
         make_server: Callable[[str], object],
+        outcomes: OutcomeLedger,
         spike_rng=None,
         corr_rng=None,
     ):
         self.schedule = schedule
         self.engine = engine
         self.make_server = make_server
+        #: The cluster's per-request outcome ledger (shared with the
+        #: resilience runtime); this runtime writes degraded/retries.
+        self.outcomes = outcomes
         self.num_shards = len(primaries)
         self.failover_timeout = schedule.failover_timeout
         schedule.check_deployment(self.num_shards)
@@ -100,12 +107,8 @@ class ChaosRuntime:
         }
         self._round_robin = [0] * self.num_shards
 
-        #: Per-request fault accounting: request id -> [degraded, retries].
-        self.flags: dict[int, list[int]] = {}
         #: Fault/heal transitions in simulation-time order.
         self.timeline: list[ChaosEvent] = []
-        #: In-flight RPC attempts aborted by a mid-service crash.
-        self.aborted = 0
 
         self._active_stragglers: list[StragglerShard] = []
         self._active_spikes: list[NetworkSpike] = []
@@ -240,23 +243,10 @@ class ChaosRuntime:
         return None
 
     def count_retry(self, request_id: int) -> None:
-        entry = self.flags.get(request_id)
-        if entry is None:
-            entry = self.flags[request_id] = [0, 0]
-        entry[1] += 1
-
-    def count_abort(self, request_id: int) -> None:
-        """One in-flight attempt aborted by a mid-service crash; the
-        abort is also a failover (the client retries a live replica), so
-        it counts into the request's ``retries`` column too."""
-        self.aborted += 1
-        self.count_retry(request_id)
+        self.outcomes[request_id][RETRIES] += 1
 
     def mark_degraded(self, request_id: int) -> None:
-        entry = self.flags.get(request_id)
-        if entry is None:
-            entry = self.flags[request_id] = [0, 0]
-        entry[0] += 1
+        self.outcomes[request_id][DEGRADED] += 1
 
     # -- service & network perturbation -----------------------------------
     def _run_straggler(self, experiment: StragglerShard):

@@ -44,8 +44,9 @@ class RunResult:
 
     Storage is **columnar**: every per-request measurement -- E2E
     latency, aggregate CPU, the three stacks, operator CPU, RPC and batch
-    counts, the chaos and resilience flags -- and the per-shard demand
-    columns are numpy arrays adopted from the
+    counts, the status and fault-outcome columns
+    (:data:`~repro.tracing.aggregate.OUTCOME_FIELDS`) -- and the
+    per-shard demand columns are numpy arrays adopted from the
     :class:`~repro.tracing.aggregate.AggregatingTracer` that attributed
     the replay (:meth:`adopt_aggregate`).  Figure generation reads these
     ready-made arrays; no per-request dataclass is kept.
@@ -380,8 +381,7 @@ def _replay(
 ) -> None:
     """Replay on the DES with ``tracer`` attributing every completion,
     then move the columns and the replay's outcome onto ``result``."""
-    tracer.chaos_flags = cluster.chaos_flags
-    tracer.resilience_flags = cluster.resilience_flags
+    tracer.outcomes = cluster.outcomes
     cluster.on_complete = tracer.finalize_request
     run(*args)
     result.adopt_aggregate(tracer)
@@ -389,7 +389,7 @@ def _replay(
     result.incomplete_requests = tuple(cluster.dropped_requests)
     result.chaos_timeline = cluster.chaos_timeline
     result.resilience_stats = cluster.resilience_stats
-    result.aborted_rpcs = cluster.chaos_aborted
+    result.aborted_rpcs = cluster.aborted_rpcs
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Capacity planning: SLA policies, replication sizing, elasticity, and
 the closed-loop deployment search.
 
-This package absorbs and supersedes the open-loop planners that lived in
-``repro.serving`` (``sla.py``, ``replication.py``, ``elasticity.py`` --
-kept there as thin deprecation re-export shims) and adds the closed loop
-on top: :class:`CapacityPlanner` simulates candidate deployments of a
+This package holds the open-loop planners that once lived in
+``repro.serving`` (``sla.py``, ``replication.py``, ``elasticity.py``)
+and adds the closed loop on top: :class:`CapacityPlanner` simulates candidate deployments of a
 :class:`~repro.workloads.workload.WorkloadMix` under its real arrival
 processes, checks the SLA per workload, sizes each candidate from the
 measured per-shard CPU-demand columns, enforces per-server DRAM

@@ -5,9 +5,11 @@
 replay.  It owns everything the healthy serving path must not know
 about:
 
-* **per-request accounting** -- ``flags`` maps request id to
-  ``[attempts, hedged, deadline_exceeded]``, which the tracing layer
-  folds into result columns;
+* **per-request accounting** -- the ``attempts``/``hedged``/
+  ``deadline_exceeded`` fields of the cluster's per-request
+  :class:`~repro.tracing.aggregate.OutcomeLedger`, which the tracing
+  layer folds into result columns and the cluster sums into
+  ``RunResult.resilience_stats``;
 * the **token-bucket retry budget** -- one shared bucket per cluster
   replay, refilled in simulated time, spent by every retry and hedge;
   exhaustion is counted (``budget_denied``), never queued, so
@@ -26,12 +28,20 @@ all event scheduling stays in the serving generators.
 from __future__ import annotations
 
 from repro.resilience.policy import ResiliencePolicy
+from repro.tracing.aggregate import (
+    ATTEMPTS,
+    DEADLINE_EXCEEDED,
+    HEDGED,
+    OutcomeLedger,
+)
 
 
 class ResilienceRuntime:
     """Interprets a :class:`ResiliencePolicy` for one cluster replay."""
 
-    def __init__(self, policy: ResiliencePolicy, engine, rng):
+    def __init__(
+        self, policy: ResiliencePolicy, engine, rng, outcomes: OutcomeLedger
+    ):
         if policy.hedge_quantile is not None:
             raise ValueError(
                 "hedge_quantile is unresolved; derive a concrete hedge_delay "
@@ -41,10 +51,10 @@ class ResilienceRuntime:
         self.policy = policy
         self.engine = engine
         self._rng = rng
-
-        #: Per-request accounting: request id ->
-        #: ``[attempts, hedged, deadline_exceeded]``.
-        self.flags: dict[int, list[int]] = {}
+        #: The cluster's per-request outcome ledger (shared with the
+        #: chaos runtime); this runtime writes attempts/hedged/
+        #: deadline_exceeded.
+        self.outcomes = outcomes
         #: Request arrival times (engine time), for deadline checks.
         self._starts: dict[int, float] = {}
 
@@ -52,20 +62,11 @@ class ResilienceRuntime:
         self._tokens = float(policy.retry_budget)
         self._refilled_at = 0.0
 
-        # Replay-level counters (surfaced as RunResult.resilience_stats).
-        self.attempts_total = 0
-        self.hedges = 0
+        #: Retries and hedges the empty bucket denied: a replay-level
+        #: count, not a per-request outcome.
         self.budget_denied = 0
-        self.deadline_exceeded_total = 0
-        self.aborted_attempts = 0
 
     # -- per-request accounting -------------------------------------------
-    def _entry(self, request_id: int) -> list[int]:
-        entry = self.flags.get(request_id)
-        if entry is None:
-            entry = self.flags[request_id] = [0, 0, 0]
-        return entry
-
     def start_request(self, request_id: int) -> float:
         """Record a request's arrival time; returns it (deadline base)."""
         start = self.engine.now
@@ -77,8 +78,7 @@ class ResilienceRuntime:
         self._starts.pop(request_id, None)
         deadline = self.policy.deadline
         if deadline is not None and e2e > deadline:
-            self._entry(request_id)[2] = 1
-            self.deadline_exceeded_total += 1
+            self.outcomes[request_id][DEADLINE_EXCEEDED] = 1
 
     def deadline_at(self, request_id: int) -> float | None:
         """Absolute engine time of this request's deadline (or None)."""
@@ -91,15 +91,10 @@ class ResilienceRuntime:
         return start + deadline
 
     def count_attempt(self, request_id: int) -> None:
-        self.attempts_total += 1
-        self._entry(request_id)[0] += 1
+        self.outcomes[request_id][ATTEMPTS] += 1
 
     def count_hedge(self, request_id: int) -> None:
-        self.hedges += 1
-        self._entry(request_id)[1] += 1
-
-    def count_abort(self) -> None:
-        self.aborted_attempts += 1
+        self.outcomes[request_id][HEDGED] += 1
 
     # -- retry budget ------------------------------------------------------
     def _refill(self) -> None:
@@ -138,14 +133,3 @@ class ResilienceRuntime:
         if delay > 0.0 and policy.backoff_jitter > 0.0:
             delay *= 1.0 + policy.backoff_jitter * float(self._rng.random())
         return delay
-
-    # -- replay summary ----------------------------------------------------
-    def stats(self) -> dict[str, int]:
-        """Replay-level counters (``RunResult.resilience_stats``)."""
-        return {
-            "attempts": self.attempts_total,
-            "hedges": self.hedges,
-            "budget_denied": self.budget_denied,
-            "deadline_exceeded": self.deadline_exceeded_total,
-            "aborted_attempts": self.aborted_attempts,
-        }

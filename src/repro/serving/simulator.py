@@ -67,7 +67,7 @@ from repro.simulation.engine import (
 )
 from repro.simulation.network import Fabric, FabricSpec
 from repro.simulation.platform import SC_LARGE, Platform
-from repro.tracing.aggregate import AggregatingTracer, TraceMode
+from repro.tracing.aggregate import AggregatingTracer, OutcomeLedger, TraceMode
 from repro.tracing.span import MAIN_SHARD, Layer, Tracer
 
 if TYPE_CHECKING:
@@ -456,6 +456,18 @@ class ClusterSimulation:
             ]
             | None
         ) = None
+        policy = self.config.resilience
+        live_policy = policy is not None and not policy.is_empty
+        #: Per-request outcome ledger both fault runtimes write (the
+        #: tracer folds it into the outcome columns); ``None`` on healthy
+        #: runs, which install neither runtime.
+        self.outcomes: OutcomeLedger | None = (
+            OutcomeLedger()
+            if self.config.chaos is not None or live_policy
+            else None
+        )
+        #: In-flight RPC attempts aborted by mid-service crashes.
+        self.aborted_rpcs = 0
         # Chaos layer: replica routing, fault injection, self-healing.
         # Lazily imported so serving never depends on chaos unless a
         # schedule is configured; every chaos RNG draw (replica clock
@@ -487,6 +499,7 @@ class ClusterSimulation:
                 self.engine,
                 self.sparse_servers,
                 make_server,
+                self.outcomes,
                 spike_rng=substream(
                     self.config.seed, "chaos", "network", *cluster_key
                 ),
@@ -503,14 +516,14 @@ class ClusterSimulation:
         # ``resilience=None``; backoff jitter draws from the dedicated
         # "resilience" substream so healthy streams are never consumed.
         self._resilience = None
-        policy = self.config.resilience
-        if policy is not None and not policy.is_empty:
+        if live_policy:
             from repro.resilience.runtime import ResilienceRuntime
 
             self._resilience = ResilienceRuntime(
                 policy,
                 self.engine,
                 substream(self.config.seed, "resilience", *cluster_key),
+                self.outcomes,
             )
         self.tenants = [
             _Tenant(index, model, plan, self.config)
@@ -811,7 +824,7 @@ class ClusterSimulation:
         )
         if res is not None:
             # Stamp the deadline flag before on_complete folds this
-            # request's flags into result columns.
+            # request's outcome row into result columns.
             res.finish_request(rid, engine.now - t_start)
         self.completed[rid] = engine.now - t_start
         if self.on_complete is not None:
@@ -1276,23 +1289,17 @@ class ClusterSimulation:
 
     def _abort_if_dead(self, server: SimServer, rid: int) -> bool:
         """Mid-service crash check at a segment boundary: a dead host
-        releases the attempt's worker and counts the abort."""
+        releases the attempt's worker and counts the abort.  The abort
+        is also a failover (the client retries a live replica), so it
+        counts into the request's ``retries`` too."""
         if self._chaos.is_live(server):
             return False
         server.workers.release()
-        self._chaos.count_abort(rid)
-        if self._resilience is not None:
-            self._resilience.count_abort()
+        self.aborted_rpcs += 1
+        self._chaos.count_retry(rid)
         return True
 
-    # -- chaos accessors --------------------------------------------------------
-    @property
-    def chaos_flags(self) -> dict[int, list[int]] | None:
-        """Per-request ``[degraded, retries]`` counters, keyed by request
-        id; ``None`` without a chaos runtime.  The tracing layer folds
-        these into the ``status``/``degraded``/``retries`` columns."""
-        return None if self._chaos is None else self._chaos.flags
-
+    # -- fault accessors --------------------------------------------------------
     @property
     def chaos_timeline(self) -> tuple:
         """Fault/heal transitions in simulation-time order (empty without
@@ -1300,25 +1307,20 @@ class ClusterSimulation:
         return () if self._chaos is None else tuple(self._chaos.timeline)
 
     @property
-    def chaos_aborted(self) -> int:
-        """In-flight RPC attempts aborted by mid-service crashes (0
-        without a chaos runtime)."""
-        return 0 if self._chaos is None else self._chaos.aborted
-
-    # -- resilience accessors ---------------------------------------------------
-    @property
-    def resilience_flags(self) -> dict[int, list[int]] | None:
-        """Per-request ``[attempts, hedged, deadline_exceeded]`` counters,
-        keyed by request id; ``None`` without an active resilience
-        runtime.  The tracing layer folds these into the
-        ``attempts``/``hedged``/``deadline_exceeded`` columns."""
-        return None if self._resilience is None else self._resilience.flags
-
-    @property
     def resilience_stats(self) -> dict[str, int]:
-        """Replay-level resilience counters (empty dict without an
-        active runtime)."""
-        return {} if self._resilience is None else self._resilience.stats()
+        """Replay-level resilience counters, summed from the outcome
+        ledger (empty dict without an active runtime)."""
+        res = self._resilience
+        if res is None:
+            return {}
+        totals = res.outcomes.totals()
+        return {
+            "attempts": totals["attempts"],
+            "hedges": totals["hedged"],
+            "budget_denied": res.budget_denied,
+            "deadline_exceeded": totals["deadline_exceeded"],
+            "aborted_attempts": self.aborted_rpcs,
+        }
 
     # -- replay drivers ---------------------------------------------------------
     def drain_incomplete(self) -> list[int]:

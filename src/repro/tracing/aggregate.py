@@ -66,6 +66,39 @@ class TraceMode(enum.Enum):
     produced directly."""
 
 
+#: Fields of one :class:`OutcomeLedger` row, in row order: the chaos
+#: runtime writes ``degraded``/``retries``, the resilience runtime
+#: ``attempts``/``hedged``/``deadline_exceeded``.  Each is also a column.
+OUTCOME_FIELDS = (
+    "degraded", "retries", "attempts", "hedged", "deadline_exceeded",
+)
+DEGRADED, RETRIES, ATTEMPTS, HEDGED, DEADLINE_EXCEEDED = range(
+    len(OUTCOME_FIELDS)
+)
+
+
+class OutcomeLedger(dict[int, list[int]]):
+    """Per-request outcomes of one faulty replay: request id -> a row of
+    :data:`OUTCOME_FIELDS` counters, created zeroed on the first write.
+
+    Rows are kept for the whole replay.  A straggling supervised attempt
+    can still write after its request completed (a late abort, or a
+    dead-on-arrival retry): that write reaches :meth:`totals` but not
+    the columns the tracer folded at completion.
+    """
+
+    def __missing__(self, request_id: int) -> list[int]:
+        row = self[request_id] = [0] * len(OUTCOME_FIELDS)
+        return row
+
+    def totals(self) -> dict[str, int]:
+        """Each field summed over every row."""
+        return {
+            name: sum(row[index] for row in self.values())
+            for index, name in enumerate(OUTCOME_FIELDS)
+        }
+
+
 #: Per-request columns of an attributed run, by name and dtype.
 COLUMNS: dict[str, type] = {
     "e2e": np.float64,
@@ -77,11 +110,7 @@ COLUMNS: dict[str, type] = {
     "workload": np.int64,
     "request_ids": np.int64,
     "status": np.int64,
-    "degraded": np.int64,
-    "retries": np.int64,
-    "attempts": np.int64,
-    "hedged": np.int64,
-    "deadline_exceeded": np.int64,
+    **dict.fromkeys(OUTCOME_FIELDS, np.int64),
 }
 
 #: Stack-column buckets by kind.
@@ -228,14 +257,10 @@ class AggregatingTracer:
         #: positions are request ids).  ``None`` labels every request as
         #: workload 0 -- the single-workload suites.
         self.workload_ids = None
-        #: Optional request-id -> ``[degraded, retries]`` mapping (the
-        #: chaos runtime's flags dict).  ``None`` -- the healthy case --
-        #: leaves the status/degraded/retries columns all-zero.
-        self.chaos_flags = None
-        #: Optional request-id -> ``[attempts, hedged, deadline_exceeded]``
-        #: mapping (the resilience runtime's flags dict).  ``None`` -- no
-        #: active policy -- leaves those columns all-zero.
-        self.resilience_flags = None
+        #: Optional :class:`OutcomeLedger` of the replay, folded into the
+        #: status and outcome columns at completion.  ``None`` -- the
+        #: healthy case -- leaves those columns all-zero.
+        self.outcomes: OutcomeLedger | None = None
         # One-entry lookup cache: spans arrive in per-request bursts
         # (serial replay is a 100% hit), and the dict probe per span is
         # measurable at millions of spans per sweep.
@@ -450,22 +475,12 @@ class AggregatingTracer:
             if workload_ids is not None:
                 columns["workload"][index] = int(workload_ids[request_id])
             columns["request_ids"][index] = request_id
-            chaos_flags = self.chaos_flags
-            if chaos_flags is not None:
-                flags = chaos_flags.get(request_id)
-                if flags is not None:
-                    degraded, retried = flags
-                    columns["status"][index] = 1 if degraded else 0
-                    columns["degraded"][index] = degraded
-                    columns["retries"][index] = retried
-            resilience_flags = self.resilience_flags
-            if resilience_flags is not None:
-                rflags = resilience_flags.get(request_id)
-                if rflags is not None:
-                    attempts, hedged, deadline_exceeded = rflags
-                    columns["attempts"][index] = attempts
-                    columns["hedged"][index] = hedged
-                    columns["deadline_exceeded"][index] = deadline_exceeded
+            outcomes = self.outcomes
+            row = None if outcomes is None else outcomes.get(request_id)
+            if row is not None:
+                columns["status"][index] = 1 if row[DEGRADED] else 0
+                for name, value in zip(OUTCOME_FIELDS, row):
+                    columns[name][index] = value
             cols = self._stack_cols
             cols["latency", E2E_BUCKETS[0]][index] = dense
             cols["latency", E2E_BUCKETS[1]][index] = embedded

@@ -10,23 +10,33 @@ compare the two bit for bit, column by column.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.requests.replayer import ReplayMode, ReplaySchedule
 from repro.serving.simulator import ClusterSimulation
 from repro.tracing import Tracer, attribute_request
-from repro.tracing.aggregate import SHARD_KINDS, STACK_BUCKETS
+from repro.tracing.aggregate import (
+    DEGRADED,
+    OUTCOME_FIELDS,
+    SHARD_KINDS,
+    STACK_BUCKETS,
+)
+
+_NO_OUTCOME = (0,) * len(OUTCOME_FIELDS)
 
 
 def _replay(cluster: ClusterSimulation, run, *args):
     tracer = cluster.tracer
-    chaos_flags = cluster.chaos_flags
-    res_flags = cluster.resilience_flags
+    outcomes = cluster.outcomes
     rows = []
 
     def on_complete(request_id: int) -> None:
+        # Snapshot the outcome row now, the moment the aggregate folds
+        # it: a straggling attempt may still write the row later.
+        row = None if outcomes is None else outcomes.get(request_id)
         rows.append((
             attribute_request(tracer.pop_request(request_id)),
-            chaos_flags.get(request_id) if chaos_flags else None,
-            res_flags.get(request_id) if res_flags else None,
+            _NO_OUTCOME if row is None else tuple(row),
         ))
 
     cluster.on_complete = on_complete
@@ -65,7 +75,7 @@ def assert_matches_oracle(result, oracle, workload_ids=None, label=""):
     stacks = {kind: result.stack_columns(kind) for kind in STACK_BUCKETS}
     shard_cols = {kind: result.shard_columns(kind) for kind in SHARD_KINDS}
     touched = {kind: set() for kind in SHARD_KINDS}
-    for i, (a, flags, rflags) in enumerate(rows):
+    for i, (a, outcome) in enumerate(rows):
         where = (label, i, a.request_id)
         assert result.request_ids[i] == a.request_id, where
         assert result.e2e[i] == a.e2e, where
@@ -84,14 +94,9 @@ def assert_matches_oracle(result, oracle, workload_ids=None, label=""):
             assert list(stack) == list(stacks[kind]), where
             for bucket, value in stack.items():
                 assert stacks[kind][bucket][i] == value, (where, kind, bucket)
-        degraded, retries = flags or (0, 0)
-        assert result.degraded[i] == degraded, where
-        assert result.retries[i] == retries, where
-        assert result.status[i] == (1 if degraded else 0), where
-        attempts, hedged, deadline = rflags or (0, 0, 0)
-        assert result.attempts[i] == attempts, where
-        assert result.hedged[i] == hedged, where
-        assert result.deadline_exceeded[i] == deadline, where
+        for name, value in zip(OUTCOME_FIELDS, outcome):
+            assert getattr(result, name)[i] == value, (where, name)
+        assert result.status[i] == (1 if outcome[DEGRADED] else 0), where
         for kind, values in (
             ("cpu", a.per_shard_cpu),
             ("op", a.per_shard_op_time),
@@ -102,3 +107,21 @@ def assert_matches_oracle(result, oracle, workload_ids=None, label=""):
                 assert col[i] == values.get(key, 0.0), (where, kind, key)
     for kind in SHARD_KINDS:
         assert set(shard_cols[kind]) == touched[kind], (label, kind)
+
+
+def assert_outcomes_conserved(result):
+    """A replay with no incomplete request: its replay-level totals are
+    the sums of its outcome columns, and every row is self-consistent."""
+    assert result.incomplete_requests == ()
+    assert np.array_equal(result.status, (result.degraded > 0).astype(np.int64))
+    assert (result.hedged <= result.attempts).all()
+    stats = result.resilience_stats
+    if not stats:
+        # No resilience runtime: nothing writes those fields.
+        assert not (result.attempts.any() or result.hedged.any())
+        assert not result.deadline_exceeded.any()
+        return
+    assert stats["attempts"] == result.attempts.sum()
+    assert stats["hedges"] == result.hedged.sum()
+    assert stats["deadline_exceeded"] == result.deadline_exceeded.sum()
+    assert stats["aborted_attempts"] == result.aborted_rpcs

@@ -298,7 +298,7 @@ class TestColumnarRunResult:
 
     def test_embedded_totals_match(self, run):
         result, (rows, _) = run
-        expected = np.array([a.embedded_total for a, _, _ in rows])
+        expected = np.array([a.embedded_total for a, _ in rows])
         assert np.allclose(result.embedded_totals, expected, rtol=1e-12, atol=0.0)
 
     def test_growth_beyond_initial_capacity(self):

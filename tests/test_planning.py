@@ -110,7 +110,7 @@ class TestPerShardColumns:
             rows, _ = oracle_configuration(model, plan, requests, SETTINGS.serving)
             cpu_totals: dict[int, float] = {}
             op_totals: dict[int, float] = {}
-            for attribution, _, _ in rows:
+            for attribution, _ in rows:
                 for shard, value in attribution.per_shard_cpu.items():
                     cpu_totals[shard] = cpu_totals.get(shard, 0.0) + value
                 for shard, value in attribution.per_shard_op_time.items():

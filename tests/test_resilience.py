@@ -25,8 +25,12 @@ from repro.experiments.runner import suite_requests
 from repro.models import drm1
 from repro.requests import ReplaySchedule
 from repro.resilience import ResiliencePolicy
-from repro.serving import ServingConfig, TraceMode
-from span_oracle import assert_matches_oracle, oracle_configuration
+from repro.serving import ClusterSimulation, ServingConfig, TraceMode
+from span_oracle import (
+    assert_matches_oracle,
+    assert_outcomes_conserved,
+    oracle_configuration,
+)
 from repro.serving.columnar import REASON_RESILIENCE
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.workloads import PoissonArrivals, Workload
@@ -420,7 +424,9 @@ class TestCrashAborts:
         return requests, result
 
     @pytest.mark.parametrize(
-        "resilience", [None, RETRY_POLICY], ids=["no-policy", "policy"]
+        "resilience",
+        [None, RETRY_POLICY, HEDGE_POLICY],
+        ids=["no-policy", "policy", "hedge-policy"],
     )
     def test_mid_service_crash_aborts_and_retries(self, resilience):
         requests, result = self._crash_mid_flight(resilience)
@@ -429,28 +435,37 @@ class TestCrashAborts:
         # Aborted attempts fail over to the live replica: nothing is
         # dropped and nothing silently completes on the dead host.
         assert len(result) == len(requests)
-        assert result.incomplete_requests == ()
+        assert_outcomes_conserved(result)
         if resilience is None:
             # The no-policy failover path retries until a live replica
             # answers: nothing degrades.
             assert not (result.status == 1).any()
         else:
             assert result.resilience_stats["aborted_attempts"] > 0
-            # Under the policy, a request degrades only when every
-            # permitted attempt died AND the token-bucket budget denied
-            # a replacement -- the anti-retry-storm valve working as
+            # Under the policy, an RPC degrades only when every attempt
+            # it made died: either all ``max_attempts`` of them (each
+            # death counts a retry), or the token-bucket budget denied a
+            # replacement -- the anti-retry-storm valve working as
             # designed, not a silent drop.
-            degraded = int((result.status == 1).sum())
-            if degraded:
-                assert result.resilience_stats["budget_denied"] > 0
+            degraded = result.status == 1
+            if degraded.any():
+                assert (
+                    result.resilience_stats["budget_denied"] > 0
+                    or (result.retries[degraded] >= resilience.max_attempts).all()
+                )
 
     def test_healthy_replay_never_aborts(self):
         model, plan, requests, schedule = open_loop_inputs(40)
-        for serving in (
-            None,
-            ServingConfig(chaos=FaultSchedule()),
-            ServingConfig(resilience=RETRY_POLICY),
+        for serving, has_ledger in (
+            (None, False),
+            (ServingConfig(resilience=ResiliencePolicy()), False),
+            (ServingConfig(chaos=FaultSchedule()), True),
+            (ServingConfig(resilience=RETRY_POLICY), True),
         ):
+            # Only a fault runtime installs the outcome ledger: healthy
+            # runs pay nothing for it.
+            cluster = ClusterSimulation(model, plan, serving)
+            assert (cluster.outcomes is not None) == has_ledger, serving
             result = run_configuration(
                 model, plan, requests, serving, schedule
             )

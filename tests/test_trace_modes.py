@@ -14,7 +14,12 @@ once a replay with incremental completion consumption finishes.
 import numpy as np
 import pytest
 
-from span_oracle import assert_matches_oracle, oracle_configuration, oracle_mix
+from span_oracle import (
+    assert_matches_oracle,
+    assert_outcomes_conserved,
+    oracle_configuration,
+    oracle_mix,
+)
 
 from repro.chaos import FaultSchedule, HostCrash, NetworkSpike
 from repro.experiments import (
@@ -131,6 +136,7 @@ class TestColumnsMatchSpanOracle:
             assert result.degraded.sum() > 0 and result.hedged.sum() > 0
             assert result.attempts.sum() > 0
             assert result.deadline_exceeded.sum() > 0
+        assert_outcomes_conserved(result)
         assert_matches_oracle(
             result, oracle_configuration(model, plan, requests, serving, schedule)
         )
