@@ -352,9 +352,11 @@ def test_perf_throughput(bench_dir):
     kernel_ops = measure_kernel_ops()
 
     # 9. Vectorized columnar replay: the same 11-config DRM1 AGGREGATE
-    # sweep on kernel="vectorized" (no event loop -- per-request costs
-    # transposed into per-chunk numpy columns and replayed as array
-    # programs), bit-identical to the batched kernel (spot-checked here;
+    # sweep on kernel="vectorized" (the DES driver offers every request
+    # to the columnar evaluator, which replays it from per-request costs
+    # transposed into per-chunk numpy columns; on these default pools no
+    # request reaches the event loop), bit-identical to the batched
+    # kernel (spot-checked here;
     # exhaustively pinned in tests/test_kernel_equivalence.py).  The
     # headline ratio times the *sweep phase* both kernels share: the
     # paper's replayer preprocesses and caches requests before sending

@@ -62,12 +62,12 @@ rules make that hold:
    ``tests/test_kernel_equivalence.py``.
 
    *Vectorized equivalence.*  The ``vectorized`` kernel is the extreme
-   case: it replays eligible runs (serial closed-loop, chaos-free) with
-   no event loop at all, so the canonical order
-   has to be *reconstructed* rather than followed.  That is legal under
-   this rule because in the eligible regime every draw position is a
-   pure function of the precomputed plans: requests replay one at a
-   time in id order, shard RPCs complete in a global time order the
+   case: it replays every chaos-free request that arrives at an idle
+   cluster with no event loop at all, so the canonical order has to be
+   *reconstructed* rather than followed.  That is legal under this rule
+   because for such a request every draw position is a pure function of
+   the precomputed plans: no other request is in flight, its shard
+   RPCs complete in a global time order the
    evaluator reproduces with an explicit heap, fabric jitter is drawn
    from its substream in bulk (a ``normal(size=N)`` draw consumes the
    bit stream exactly like ``N`` scalar draws) and dealt out in that

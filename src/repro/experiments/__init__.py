@@ -19,9 +19,10 @@ Sizing and throughput knobs
   depends on them.
 * ``results/BENCH_throughput.json`` -- simulated-requests-per-second
   trajectory (its "full" and aggregate rungs, plus the co-located diurnal
-  ``mix_sweep`` entry), rewritten by
-  ``benchmarks/test_perf_throughput.py`` via
-  :func:`repro.analysis.bench.record_benchmark`.
+  ``mix_sweep`` entry), written by ``benchmarks/test_perf_throughput.py``
+  via :func:`repro.analysis.bench.record_benchmark` -- into the test's
+  tmp dir on a plain run; only ``REPRO_BENCH_RECORD=1`` rewrites the
+  committed file.
 """
 
 from repro.experiments.configs import (

@@ -78,9 +78,11 @@ class RunResult:
         #: kernel (a stable reason string from
         #: :mod:`repro.serving.columnar`); None when no fallback happened.
         self.kernel_fallback: str | None = None
-        #: Requests the DES replayed: 0 for a serial columnar run, every
-        #: request for a DES kernel, and the busy-period arrivals of an
-        #: open-loop ``vectorized`` run (the rest took the evaluator).
+        #: Requests the DES replayed: every request for a DES kernel;
+        #: under ``vectorized``, the requests that did not fit the worker
+        #: pools plus, in an open-loop run, the busy-period arrivals (the
+        #: rest took the evaluator -- every request of a serial run on
+        #: deep enough pools).
         self.des_requests: int = 0
         #: Requests that never completed (an aborted or fault-saturated
         #: replay); ids only -- they have no row in the columns.
@@ -310,64 +312,58 @@ def run_configuration(
     is built and ``serving.trace_mode`` plays no part.
 
     ``serving.kernel == "vectorized"`` (the default) replays an eligible
-    serial run entirely on the columnar engine
-    (:func:`repro.serving.columnar.run_vectorized`), and an eligible
-    open-loop run on the DES with every idle arrival taking the columnar
-    engine (:func:`repro.serving.columnar.idle_arrival_cluster`) --
-    bit-identical columns either way; ineligible runs fall back to the
-    batched kernel with the reason recorded on
-    ``RunResult.kernel_fallback``.
+    run -- serial or open-loop -- on the DES with every idle arrival
+    taking the columnar engine
+    (:func:`repro.serving.columnar.idle_arrival_cluster`; a serial run on
+    deep enough pools never reaches the DES), bit-identical to the
+    batched kernel; ineligible runs fall back to the batched kernel with
+    the reason recorded on ``RunResult.kernel_fallback``.
     """
     schedule = schedule or ReplaySchedule.serial()
     serving = serving or ServingConfig()
-    serial = schedule.mode is ReplayMode.SERIAL
     result = RunResult(model_name=model.name, label=plan.label, plan=plan)
-    kernel_fallback: str | None = None
-    if serving.kernel == "vectorized":
-        from repro.serving.columnar import run_vectorized, vectorized_ineligibility
-
-        kernel_fallback = vectorized_ineligibility(serving, serial)
-        if kernel_fallback is None and serial:
-            collector, cluster = run_vectorized(
-                model, plan, requests, serving, CHUNK_SIZE
-            )
-            result.adopt_aggregate(collector)
-            result.kernel_used = "vectorized"
-            result.chaos_timeline = cluster.chaos_timeline
-            return result
-        if kernel_fallback is not None:
-            serving = serving.with_kernel("batched")
-    if serial:
-        tracer = AggregatingTracer(expected_requests=len(requests))
-        cluster = ClusterSimulation(model, plan, serving, tracer=tracer)
+    tenants = [0] * len(requests)
+    tracer, cluster = _replay_cluster(
+        result, [(model, plan)], serving, tenants, requests
+    )
+    if schedule.mode is ReplayMode.SERIAL:
         _replay(cluster, tracer, result, cluster.run_serial, requests)
     else:
         arrivals = schedule.arrival_times(len(requests))
-        tenants = [0] * len(requests)
-        tracer, cluster = _stream_cluster(
-            [(model, plan)], serving, tenants, requests
-        )
         stream = zip(arrivals, tenants, requests)
         _replay(cluster, tracer, result, cluster.run_stream, stream)
-    result.kernel_used = serving.kernel
-    result.kernel_fallback = kernel_fallback
     return result
 
 
-def _stream_cluster(
+def _replay_cluster(
+    result: RunResult,
     tenants: list[tuple[ModelConfig, ShardingPlan]],
     serving: ServingConfig,
     stream_tenants: list[int],
     requests: list[Request],
 ) -> tuple[AggregatingTracer, ClusterSimulation]:
-    """The tracer and cluster an open-loop stream replays on; under the
-    ``vectorized`` kernel, idle arrivals take the columnar engine."""
-    if serving.kernel == "vectorized":
-        from repro.serving.columnar import idle_arrival_cluster
+    """The tracer and cluster a run replays on, with the kernel that
+    replays it recorded on ``result``.
 
-        return idle_arrival_cluster(
-            tenants, serving, stream_tenants, requests, CHUNK_SIZE
+    Under the ``vectorized`` kernel idle arrivals take the columnar
+    engine; a run the evaluator cannot serve
+    (:func:`~repro.serving.columnar.vectorized_ineligibility`) falls back
+    to the batched DES, with the reason on ``result.kernel_fallback``.
+    """
+    if serving.kernel == "vectorized":
+        from repro.serving.columnar import (
+            idle_arrival_cluster,
+            vectorized_ineligibility,
         )
+
+        result.kernel_fallback = vectorized_ineligibility(serving)
+        if result.kernel_fallback is None:
+            result.kernel_used = "vectorized"
+            return idle_arrival_cluster(
+                tenants, serving, stream_tenants, requests, CHUNK_SIZE
+            )
+        serving = serving.with_kernel("batched")
+    result.kernel_used = serving.kernel
     tracer = AggregatingTracer(expected_requests=len(requests))
     return tracer, ClusterSimulation.colocated(tenants, serving, tracer=tracer)
 
@@ -489,23 +485,6 @@ def run_mix_configuration(
         raise ValueError(
             f"got {len(plans)} plans for {len(mix.workloads)} workloads"
         )
-    serving = serving or ServingConfig()
-    kernel_fallback: str | None = None
-    if serving.kernel == "vectorized":
-        from repro.serving.columnar import vectorized_ineligibility
-
-        kernel_fallback = vectorized_ineligibility(serving, serial=False)
-        if kernel_fallback is not None:
-            serving = serving.with_kernel("batched")
-    tracer, cluster = _stream_cluster(
-        [(workload.model, plan) for workload, plan in zip(mix.workloads, plans)],
-        serving,
-        stream.workload_ids.tolist(),
-        stream.requests,
-    )
-    # Merged request ids are stream positions, so the stream's workload
-    # ids label each completed row.
-    tracer.workload_ids = stream.workload_ids
     result = RunResult(
         model_name="+".join(workload.model.name for workload in mix.workloads),
         label=label or " + ".join(plan.label for plan in plans),
@@ -513,9 +492,17 @@ def run_mix_configuration(
         workload_labels=mix.labels(),
         plans=plans,
     )
+    tracer, cluster = _replay_cluster(
+        result,
+        [(workload.model, plan) for workload, plan in zip(mix.workloads, plans)],
+        serving or ServingConfig(),
+        stream.workload_ids.tolist(),
+        stream.requests,
+    )
+    # Merged request ids are stream positions, so the stream's workload
+    # ids label each completed row.
+    tracer.workload_ids = stream.workload_ids
     _replay(cluster, tracer, result, cluster.run_stream, stream)
-    result.kernel_used = serving.kernel
-    result.kernel_fallback = kernel_fallback
     return result
 
 

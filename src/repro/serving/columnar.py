@@ -1,22 +1,20 @@
-"""Columnar plan builder and driver for the ``vectorized`` replay kernel.
+"""Columnar plan builder and idle-arrival hook for the ``vectorized`` kernel.
 
 This module is the serving-side half of the vectorized fast path (the
 evaluator half lives in :mod:`repro.simulation.vectorized`): it decides
 *whether* a run may use the evaluator (:func:`vectorized_ineligibility`),
 transposes per-request execution plans into per-chunk numpy columns
-(:func:`build_chunk_plans`), and drives requests through the evaluator
-in two ways:
-
-* a serial closed-loop run replays every request, chunk by chunk
-  (:func:`run_vectorized`);
-* an open-loop run or a co-located mix replays on the DES, and every
-  request that arrives at an idle cluster is offered to the evaluator
-  first (:func:`idle_arrival_cluster`).  Plans are built per tenant over
-  chunks of stream positions, only for the batch-count groups that fit
-  the worker pools; the evaluator commits a request only if it
-  completes strictly before the next arrival, and the DES replays the
-  busy periods.  One :class:`VectorizedColumns` collector is the run's
-  tracer, so both paths fill one set of columns in completion order.
+(:func:`build_chunk_plans`), and installs the hook through which the
+DES offers the evaluator every request that arrives at an idle cluster
+(:func:`idle_arrival_cluster`).  Every replay -- serial closed-loop,
+open-loop, or a co-located mix -- runs on the DES driver; plans are
+built per tenant over chunks of stream positions, only for the
+batch-count groups that fit the worker pools.  The evaluator commits a
+request only if it completes strictly before the next arrival (for a
+serial run the next arrival is the request's own completion, so the
+horizon is ``+inf``), and the DES replays the rest.  One
+:class:`VectorizedColumns` collector is the run's tracer, so both
+replay paths fill one set of columns in completion order.
 
 Bit-exactness
 =============
@@ -40,12 +38,11 @@ Memory flatness
 ===============
 
 Chunking bounds peak memory at O(chunk_size), not O(num_requests): a
-chunk's cost columns are built, replayed and released before the next
-chunk is built (for an open-loop stream: when the stream moves past the
-chunk's positions), and no cost column outlives the run.  The per-target
-RPC costs stay float64 numpy planes until the evaluator turns one
-request's rows into Python lists, so boxed floats exist for one request
-at a time.  Only the integer count matrices are kept, in a small
+chunk's cost columns are built, replayed and released when the replay
+moves past the chunk's positions, before the next chunk is built, and
+no cost column outlives the run.  The per-target RPC costs stay
+float64 numpy planes until the evaluator turns one request's rows into
+Python lists, so boxed floats exist for one request at a time.  Only the integer count matrices are kept, in a small
 bounded LRU (so a multi-configuration sweep over one request sample
 reuses them across configurations without holding every chunk; entry
 size is bounded by ``repro.experiments.runner.CHUNK_SIZE``), and --
@@ -77,32 +74,26 @@ from repro.simulation.vectorized import (
 __all__ = [
     "build_chunk_plans",
     "idle_arrival_cluster",
-    "run_vectorized",
     "vectorized_ineligibility",
 ]
 
 #: Stable fallback-reason strings, asserted by the gating tests.
 REASON_CHAOS = "chaos fault schedule"
 REASON_RESILIENCE = "resilience policy active"
-REASON_SHALLOW_MAIN = "main worker pool shallower than max_batches"
-REASON_SHALLOW_SPARSE = "sparse worker pool shallower than max_batches"
 
 
-def vectorized_ineligibility(serving: ServingConfig, serial: bool) -> str | None:
+def vectorized_ineligibility(serving: ServingConfig) -> str | None:
     """Why this run cannot use the columnar evaluator (``None`` = it can).
 
     No run with fault injection or a live resilience policy can: both
-    schedule timers on the event loop.  A ``serial`` (closed-loop) run
-    replays every request through the evaluator, so its worker pools
-    must also be at least ``max_batches`` deep -- with one request in
-    flight no ``acquire`` can then block.  An open-loop run or a
-    co-located mix needs no pool gate: its replay sends only the
-    requests that arrive at an idle cluster and fit the pools through
-    the evaluator (:func:`idle_arrival_cluster`), and the DES replays
-    the rest.  The trace mode plays no part: every run is attributed by
-    the aggregate accumulator the evaluator folds into.  Everything here
-    is a pure function of the *configuration* -- never of the request
-    sample -- so the same sweep always takes the same path.
+    schedule timers on the event loop.  No pool gate is needed: the
+    replay sends only the requests that arrive at an idle cluster and
+    fit the pools through the evaluator (:func:`idle_arrival_cluster`),
+    and the DES replays the rest.  The trace mode plays no part: every
+    run is attributed by the aggregate accumulator the evaluator folds
+    into.  Everything here is a pure function of the *configuration* --
+    never of the request sample -- so the same sweep always takes the
+    same path.
     """
     if serving.chaos is not None:
         return REASON_CHAOS
@@ -110,12 +101,6 @@ def vectorized_ineligibility(serving: ServingConfig, serial: bool) -> str | None
         # A live policy supervises per-attempt timers on the event loop;
         # an *empty* policy installs no runtime and stays eligible.
         return REASON_RESILIENCE
-    if not serial:
-        return None
-    if min(serving.service_workers, serving.main_platform.cores) < serving.max_batches:
-        return REASON_SHALLOW_MAIN
-    if min(serving.service_workers, serving.sparse_platform.cores) < serving.max_batches:
-        return REASON_SHALLOW_SPARSE
     return None
 
 
@@ -538,59 +523,15 @@ def _has_partitions(plan: ShardingPlan) -> bool:
     )
 
 
-# -- drivers ------------------------------------------------------------------
+# -- the idle-arrival hook ----------------------------------------------------
 def _plan_builder(plan: ShardingPlan):
     # Looked up at call time, so a replaced module attribute is honoured.
     return _scalar_chunk_plans if _has_partitions(plan) else build_chunk_plans
 
 
-def _evaluator(
-    cluster: ClusterSimulation, collector: VectorizedColumns
-) -> SweepEvaluator:
-    return SweepEvaluator(
-        cluster.fabric,
-        cluster.main,
-        cluster.sparse_servers,
-        cluster.config.cost_model,
-        collector,
-        cluster.completed,
-    )
-
-
-def run_vectorized(
-    model: ModelConfig,
-    plan: ShardingPlan,
-    requests: list[Request],
-    serving: ServingConfig,
-    chunk_size: int,
-) -> tuple[VectorizedColumns, ClusterSimulation]:
-    """Replay ``requests`` serially through the columnar evaluator.
-
-    Constructs the same :class:`ClusterSimulation` a DES run would (so
-    every substream -- clock skews, fabric jitter -- is primed
-    identically), then replays chunk by chunk.  The returned collector
-    holds the finished aggregate columns (``RunResult.adopt_aggregate``
-    consumes it); the cluster is returned for its timeline accessors,
-    with the clock at the last completion, as the DES would leave it.
-    """
-    collector = VectorizedColumns(len(requests))
-    cluster = ClusterSimulation(model, plan, serving, tracer=collector)
-    tenant = cluster.tenants[0]
-    evaluator = _evaluator(cluster, collector)
-    build = _plan_builder(plan)
-    now = 0.0
-    for start in range(0, len(requests), chunk_size):
-        # No name binds a chunk's plans, so they are freed as soon as
-        # the chunk is replayed -- before the next chunk is built.
-        now = evaluator.replay_chunk(
-            build(cluster, tenant, requests[start : start + chunk_size]), now
-        )
-    cluster.engine.now = now
-    return collector, cluster
-
-
 class _IdleArrivals:
-    """The evaluator hook :meth:`ClusterSimulation.run_stream` calls.
+    """The evaluator hook :meth:`ClusterSimulation.run_serial` and
+    :meth:`ClusterSimulation.run_stream` call.
 
     Called with the cluster, a stream position, the tenant and request
     the stream holds there, the driver's clock and the next arrival's
@@ -668,20 +609,29 @@ def idle_arrival_cluster(
     requests: list[Request],
     chunk_size: int,
 ) -> tuple[VectorizedColumns, ClusterSimulation]:
-    """A cluster whose open-loop replay is columnar at idle arrivals.
+    """A cluster whose replay is columnar at idle arrivals.
 
     ``requests[p]`` (of tenant ``stream_tenants[p]``) is the request at
-    stream position ``p`` of the stream the caller then passes to
-    :meth:`ClusterSimulation.run_stream`; a stream entry that is not
-    that request object of that tenant is left to the DES.  The returned
-    collector is the
-    cluster's tracer, so the DES's spans and the evaluator's folds land
-    in one set of columns in completion order; the caller wires
-    ``on_complete`` to its ``finalize_request`` as for any DES replay.
+    position ``p`` of the sequence the caller then passes to
+    :meth:`ClusterSimulation.run_serial` or (as a stream)
+    :meth:`ClusterSimulation.run_stream`; an entry that is not that
+    request object of that tenant is left to the DES.  The returned
+    collector is the cluster's tracer, so the DES's spans and the
+    evaluator's folds land in one set of columns in completion order;
+    the caller wires ``on_complete`` to its ``finalize_request`` as for
+    any DES replay.
     """
     collector = VectorizedColumns(len(requests))
     cluster = ClusterSimulation.colocated(tenants, serving, tracer=collector)
+    evaluator = SweepEvaluator(
+        cluster.fabric,
+        cluster.main,
+        cluster.sparse_servers,
+        cluster.config.cost_model,
+        collector,
+        cluster.completed,
+    )
     cluster.idle_arrival = _IdleArrivals(
-        _evaluator(cluster, collector), stream_tenants, requests, chunk_size
+        evaluator, stream_tenants, requests, chunk_size
     )
     return collector, cluster

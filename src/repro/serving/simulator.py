@@ -136,14 +136,13 @@ class ServingConfig:
 
     kernel: str = DEFAULT_KERNEL
     """Kernel selector (see :data:`repro.simulation.engine.KERNELS`).
-    The default, ``"vectorized"``, chooses per run: a serial closed-loop
-    run with deep enough worker pools replays as columnar numpy programs
-    with no event loop, and an open-loop run or a co-located mix replays
-    on the batched DES with every idle arrival that fits the pools taken
-    by the columnar evaluator (:mod:`repro.serving.columnar`;
-    ``RunResult.des_requests`` counts the rest).  Runs with chaos or a
-    live resilience policy, and serial runs on shallow pools, take the
-    ``"batched"`` DES, recording the reason on
+    The default, ``"vectorized"``, chooses per run: every run -- serial
+    closed-loop, open-loop, or a co-located mix -- replays on the
+    batched DES with every idle arrival that fits the pools taken by the
+    columnar evaluator (:mod:`repro.serving.columnar`;
+    ``RunResult.des_requests`` counts the rest, 0 for a serial run on
+    deep enough pools).  Runs with chaos or a live resilience policy
+    take the ``"batched"`` DES, recording the reason on
     ``RunResult.kernel_fallback``.  ``"batched"`` (FIFO now-queue,
     synchronous resource grants) and ``"reference"`` (the historical
     heap-only event loop, kept as the test oracle) force one DES for
@@ -442,7 +441,8 @@ class ClusterSimulation:
         self.dropped_requests: list[int] = []
         #: Requests handed to the DES (:meth:`submit`) so far.
         self.des_requests = 0
-        #: Optional columnar hook for :meth:`run_stream`, installed by
+        #: Optional columnar hook for :meth:`run_serial` and
+        #: :meth:`run_stream` (see :meth:`_offer`), installed by
         #: :func:`repro.serving.columnar.idle_arrival_cluster`: called as
         #: ``(cluster, position, tenant, request, now, horizon)`` for a
         #: request that arrives at an idle cluster; returns the
@@ -1350,17 +1350,50 @@ class ClusterSimulation:
         if self.on_complete is not None:
             self.drain_incomplete()
 
+    def _offer(
+        self, position: int, tenant: int, request: Request, horizon: float
+    ) -> float | None:
+        """Offer the request at ``position`` to :attr:`idle_arrival`.
+
+        Only a request that arrives while the engine holds no event and
+        every earlier request has completed is offered, with the next
+        arrival's clock as its ``horizon``.  Returns the completion time
+        of a request the hook committed, ``None`` when the DES must
+        replay it."""
+        idle_arrival = self.idle_arrival
+        if (
+            idle_arrival is None
+            or not self.engine.idle()
+            or len(self.completed) != position
+        ):
+            return None
+        return idle_arrival(
+            self, position, tenant, request, self.engine.now, horizon
+        )
+
     def run_serial(self, requests: Iterable[Request]) -> None:
         """Serial blocking replay: next request sent after the previous
-        response returns (paper Section VI)."""
+        response returns (paper Section VI).
+
+        Every request is offered to the :attr:`idle_arrival` hook first
+        (:meth:`_offer`); the next arrival is the request's own
+        completion, so the horizon is ``+inf``."""
+        engine = self.engine
 
         def driver():
-            for request in requests:
-                yield self.submit(request)
+            for position, request in enumerate(requests):
+                t_end = self._offer(position, 0, request, math.inf)
+                if t_end is None:
+                    yield self.submit(request)
+                else:
+                    # The engine holds no event, so moving the clock to
+                    # the committed completion reorders nothing: it is
+                    # the float the DES driver would resume at.
+                    engine.now = t_end
 
-        self.engine.process(driver())
+        engine.process(driver())
         try:
-            self.engine.run()
+            engine.run()
         finally:
             self._finish_replay()
 
@@ -1371,15 +1404,11 @@ class ClusterSimulation:
         exactly this shape, so co-located tenants contend for the same
         simulated hosts; a single-model schedule passes tenant 0.
 
-        With an :attr:`idle_arrival` hook, a request that arrives while
-        the engine holds no event and no request is in flight is offered
-        to the hook first, with the next arrival's clock as its horizon;
-        the DES replays it only when the hook declines.  A committed
-        request finished strictly before the next arrival, so no event
-        of the DES could have interleaved with it."""
+        Every request is offered to the :attr:`idle_arrival` hook first
+        (:meth:`_offer`); the DES replays it only when the hook declines.
+        A committed request finished strictly before the next arrival,
+        so no event of the DES could have interleaved with it."""
         engine = self.engine
-        completed = self.completed
-        idle_arrival = self.idle_arrival
         last_end = 0.0
 
         def driver():
@@ -1399,26 +1428,17 @@ class ClusterSimulation:
                 yield delay
                 previous = float(at)
                 item = next(items, None)
-                if (
-                    idle_arrival is not None
-                    and engine.idle()
-                    and len(completed) == position
-                ):
-                    # The next arrival's clock, computed exactly as the
-                    # engine will compute it from this driver's delay.
-                    horizon = (
-                        math.inf if item is None
-                        else engine.now + (float(item[0]) - previous)
-                    )
-                    t_end = idle_arrival(
-                        self, position, int(tenant), request, engine.now,
-                        horizon,
-                    )
-                    if t_end is not None:
-                        last_end = t_end
-                        position += 1
-                        continue
-                self.submit(request, int(tenant))
+                # The next arrival's clock, computed exactly as the
+                # engine will compute it from this driver's delay.
+                horizon = (
+                    math.inf if item is None
+                    else engine.now + (float(item[0]) - previous)
+                )
+                t_end = self._offer(position, int(tenant), request, horizon)
+                if t_end is None:
+                    self.submit(request, int(tenant))
+                else:
+                    last_end = t_end
                 position += 1
 
         engine.process(driver())

@@ -63,25 +63,27 @@ kernels bit-identical on every paper configuration, chaos included.
 Vectorized equivalence
 ----------------------
 
-The ``vectorized`` kernel replays a serial closed-loop, chaos-free run
-with no event loop at all, yet commits to
-the *same* canonical ordering: in that regime every event's timestamp
-and sequence position is a pure function of the precomputed per-request
-plan, so the columnar evaluator (:mod:`repro.simulation.vectorized`)
-can walk requests in arrival order and shard RPCs in issue order --
-exactly the order the reference loop would pop them -- while computing
-durations from numpy columns.  Floats stay bit-identical because every
+The ``vectorized`` kernel replays every request of a chaos-free run
+that arrives at an idle engine (:meth:`Engine.idle`) with no event loop
+at all, yet commits to the *same* canonical ordering: for such a request
+every event's timestamp and sequence position is a pure function of the
+precomputed per-request plan, so the columnar evaluator
+(:mod:`repro.simulation.vectorized`) can walk its shard RPCs in issue
+order -- exactly the order the reference loop would pop them -- while
+computing durations from numpy columns.  Floats stay bit-identical because every
 accumulator is reduced with the same left-associated sequential adds the
 chained DES yields perform (cumulative per-shard adds, never
 ``np.sum``, whose pairwise tree reassociates), and every RNG substream
 (fabric jitter, clock skew) is drawn bulk-bufferedly in the same global
-time order the scalar calls consume it.  An open-loop run keeps the
-event loop for its busy periods and hands the evaluator only the
-requests that arrive at an idle engine (:meth:`Engine.idle`) and finish
-strictly before the next arrival -- requests no other event can
-interleave with.  The same regression suites pin vectorized == reference
-on every eligible paper configuration, serial and parallel, and
-vectorized == batched on open-loop and co-located replays.
+time order the scalar calls consume it.  A run keeps the event loop for
+its busy periods and hands the evaluator only the requests that fit the
+worker pools and finish strictly before the next arrival -- requests no
+other event can interleave with.  In a serial closed loop the next
+arrival is the request's own completion, so every request that fits the
+pools takes the evaluator.  The same regression suites pin vectorized
+== reference on every eligible paper configuration, serial and
+parallel, and vectorized == batched on shallow pools, open-loop and
+co-located replays.
 """
 
 from __future__ import annotations
@@ -533,12 +535,11 @@ class BatchedEngine(Engine):
 
 #: Selectable DES kernels (``ServingConfig.kernel``; the CLI always
 #: runs the default).  ``"vectorized"`` is the columnar replay fast
-#: path: a serial closed-loop run bypasses the event loop entirely, and
-#: an open-loop run or co-located mix runs the batched loop with every
-#: idle arrival replayed by the evaluator (see
-#: :mod:`repro.simulation.vectorized` / :mod:`repro.serving.columnar`);
-#: runs with chaos or a live resilience policy, and serial runs on
-#: shallow pools, fall back to the batched kernel with a recorded reason
+#: path: every run -- serial closed-loop, open-loop or a co-located mix
+#: -- runs the batched loop with every idle arrival that fits the pools
+#: replayed by the evaluator (see :mod:`repro.simulation.vectorized` /
+#: :mod:`repro.serving.columnar`); runs with chaos or a live resilience
+#: policy fall back to the batched kernel with a recorded reason
 #: (``RunResult.kernel_fallback``).
 KERNELS = ("reference", "batched", "vectorized")
 

@@ -7,8 +7,8 @@ event loop: every per-request cost is a pure function of
 (:meth:`~repro.serving.simulator.ClusterSimulation._request_plans`), and
 requests are strictly sequential (request ``i+1`` starts at the exact
 completion float of request ``i``).  So instead of scheduling ~180 DES
-events per request, this module replays whole *chunks* of requests as
-array programs:
+events per request, this module replays requests from array programs
+built a *chunk* of requests at a time:
 
 1. :mod:`repro.serving.columnar` transposes the per-request plans into
    per-chunk numpy columns (one vectorized pass per (net, shard) over
@@ -43,8 +43,9 @@ Vectorized equivalence
 
 Why this reproduces the chained-yield float order bit for bit:
 
-* **Timing.**  Under the eligibility gate (serial replay, worker pools
-  at least ``max_batches`` deep, no chaos) no resource wait ever blocks:
+* **Timing.**  For a request the evaluator commits (it arrives at an
+  idle cluster, its batches fit the worker pools, no chaos -- see "Idle
+  arrivals" below) no resource wait ever blocks:
   every ``acquire`` is granted at its request time, so each batch
   chain's timestamps are the running sums ``t += cost`` of its
   precomputed costs -- exactly the floats the DES produces, because the
@@ -75,12 +76,18 @@ Why this reproduces the chained-yield float order bit for bit:
 Idle arrivals
 -------------
 
-An open-loop run (or a co-located mix) is not serial, but most of its
-requests arrive at an idle cluster and finish before the next arrival.
-``ClusterSimulation.run_stream`` offers exactly those to the evaluator
+Every replay runs on the DES driver, and both drivers --
+``ClusterSimulation.run_serial`` and ``ClusterSimulation.run_stream`` --
+offer the evaluator every request that arrives at an idle cluster
 (:func:`repro.serving.columnar.idle_arrival_cluster`), one request at a
 time, starting at the driver's own ``engine.now``; the DES replays the
-busy periods.  A request is committed under three conditions:
+rest.  In a serial closed loop every request arrives at an idle cluster
+and the next arrival is the request's own completion, so the horizon is
+``+inf`` and only a pool misfit goes to the DES; on a commit the driver
+moves ``engine.now`` to the completion float, where the DES driver
+would resume.  In an open-loop run (or a co-located mix) the DES
+replays the busy periods.  A request is committed under three
+conditions:
 
 * **The engine holds no event and no request is in flight.**  Every
   earlier request has completed, so every worker and IO thread is free,
@@ -91,17 +98,16 @@ busy periods.  A request is committed under three conditions:
 * **Its batches fit the pools** (``nb`` no larger than the main pool
   and, for a distributed plan, every sparse pool: each batch holds one
   main worker, and at most one RPC per batch is in service on a host).
-  Then no ``acquire`` blocks, and each chain's timestamps are the same
-  running sums ``t += cost`` from ``now`` that a serial replay sums from
-  the previous completion -- the serial computation shifted to the
-  arrival float.  No chaos and no live resilience policy run, so
-  nothing else schedules events (``vectorized_ineligibility``).
+  Then no ``acquire`` blocks, and each chain's timestamps are the
+  running sums ``t += cost`` from ``now``.  No chaos and no live
+  resilience policy run, so nothing else schedules events
+  (``vectorized_ineligibility``).
 * **It completes strictly before the next arrival's clock** (the float
-  the engine will compute, ``now + (next - previous)``).  Then every
-  event of the request precedes the driver's next resumption, in the DES
-  as here: the request's rows, ``completed`` entry, jitter draws and
-  egress reservations are the ones the DES would record, in the same
-  completion order.  A *tie* is different: at equal times the engine
+  the engine will compute, ``now + (next - previous)``; ``+inf`` in a
+  serial closed loop).  Then every event of the request precedes the
+  driver's next resumption, in the DES as here: the request's rows,
+  ``completed`` entry, jitter draws and egress reservations are the
+  ones the DES would record, in the same completion order.  A *tie* is different: at equal times the engine
   resumes the driver first (its resumption was scheduled at the
   previous arrival, before the request's final events), so the next
   request arrives while this one still holds its tail -- and may queue
@@ -116,14 +122,14 @@ the fabric RNG state end where a pure-DES run leaves them.
 The regression pins for all of this are
 ``tests/test_kernel_equivalence.py`` (vectorized == reference on every
 paper configuration, all ``RunResult`` columns, serial and parallel)
-and ``tests/test_idle_arrival_replay.py`` (open-loop and mix replays ==
-the batched DES across the busy-period range, ties, cluster state).
+and ``tests/test_idle_arrival_replay.py`` (serial, open-loop and mix
+replays == the batched DES across the busy-period range and on
+2-worker hosts, ties, cluster state).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 
 import numpy as np
 
@@ -235,6 +241,7 @@ class ChunkPlans:
 
     __slots__ = (
         "singular", "rids", "nb", "head_deser", "tail_ser", "nets", "net_names",
+        "shard_of",
     )
 
     def __init__(
@@ -254,6 +261,13 @@ class ChunkPlans:
         self.tail_ser = tail_ser
         self.nets = nets
         self.net_names = net_names
+        # Packed event codes assume these widths; no paper configuration
+        # is anywhere near them.
+        if len(nets) > 64 or any(len(net.targets) > 16384 for net in nets):
+            raise ValueError("plan exceeds packed event-code field widths")
+        #: ``shard_of[n][k]``: the shard index of net ``n``'s routing slot
+        #: ``k`` (the evaluator's rows do not carry it).
+        self.shard_of = [[target.shard for target in net.targets] for net in nets]
 
 
 class VectorizedColumns(AggregatingTracer):
@@ -490,31 +504,23 @@ class SweepEvaluator:
         self._b_sparse: list[float] = []
 
     def replay_chunk(
-        self,
-        plans: ChunkPlans,
-        t_start: float,
-        index: int | None = None,
-        horizon: float = math.inf,
+        self, plans: ChunkPlans, t_start: float, index: int, horizon: float
     ) -> float:
-        """Replay requests of one chunk; returns the last completion time.
+        """Replay request ``index`` of one chunk, starting at ``t_start``;
+        returns its completion time.
 
-        With ``index`` None every request of the chunk replays serially,
-        request ``i+1`` starting at request ``i``'s completion.  With an
-        ``index``, only that request replays, starting at ``t_start``,
-        and it *commits* -- folds its row, moves the jitter cursor and the
-        egress reservations, enters ``completed`` -- only if it completes
-        strictly before ``horizon``; otherwise the cluster is left
-        untouched and the caller hands the request to the DES.  Either
-        way the returned float is the request's completion time.
+        The request *commits* -- folds its row, moves the jitter cursor
+        and the egress reservations, enters ``completed`` -- only if it
+        completes strictly before ``horizon``; otherwise the cluster is
+        left untouched and the caller hands the request to the DES.
         """
-        rows = range(len(plans.rids)) if index is None else (index,)
         if plans.singular:
-            return self._replay_singular(plans, t_start, rows, horizon)
-        return self._replay_distributed(plans, t_start, rows, horizon)
+            return self._replay_singular(plans, t_start, index, horizon)
+        return self._replay_distributed(plans, t_start, index, horizon)
 
     # -- singular plans: fully analytic lockstep chains --------------------
     def _replay_singular(
-        self, plans: ChunkPlans, t_start: float, rows, horizon: float
+        self, plans: ChunkPlans, t_start: float, i: int, horizon: float
     ) -> float:
         collector = self.collector
         fold = collector.fold_request
@@ -533,95 +539,92 @@ class SweepEvaluator:
         b_serde = self._b_serde
         b_overhead = self._b_overhead
         b_sparse = self._b_sparse
-        now = t_start
-        for i in rows:
-            t0_req = now
-            deser = plans.head_deser[i]
-            t1 = t0_req + deser
-            t2 = t1 + request_fixed
-            head = t1 - t0_req if no_skew else (t1 + skm) - (t0_req + skm)
-            nb = plans.nb[i]
-            del recs[:]
-            add = recs.append
-            del b_dense[:]
-            del b_embedded[:]
-            del b_serde[:]
-            del b_overhead[:]
-            del b_sparse[:]
-            b_dense.extend([0.0] * nb)
-            b_embedded.extend([0.0] * nb)
-            b_serde.extend([head] * nb)
-            b_overhead.extend([0.0] * nb)
-            b_sparse.extend([0.0] * nb)
-            ends = [0.0] * nb
-            for b in range(nb):
-                t = t2
-                for n in range(num_nets):
-                    net = nets[n]
-                    rkey = (b << 26) | (n << 20)
-                    overhead = net.singular_overhead
-                    t0 = t
-                    t = t0 + overhead
-                    add((t, rkey, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
-                    b_overhead[b] += (
-                        t - t0 if no_skew else (t + skm) - (t0 + skm)
-                    )
-                    dense = net.dense[i][b]
-                    pre = dense * pre_fraction
-                    t0 = t
-                    t = t0 + pre
-                    add((t, rkey | 1, _K_OPS, MAIN_SHARD, pre, 0.0))
-                    b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
-                    work = net.local[i][b]
-                    t0 = t
-                    t = t0 + work
-                    add((t, rkey | 2, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
-                    # The embedded window wraps the local SLS op: both
-                    # buckets receive the same duration float.
-                    d = t - t0 if no_skew else (t + skm) - (t0 + skm)
-                    b_sparse[b] += d
-                    b_embedded[b] += d
-                    post = dense - pre
-                    t0 = t
-                    t = t0 + post
-                    add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
-                    b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
-                ends[b] = t
-            # Bounding batch: batch records fold in (end, batch) order
-            # with a strict > keeping the first-recorded maximum.
-            best_batch = -1
-            best_batch_dur = -1.0
-            for e, b in sorted(zip(ends, range(nb))):
-                d = e - t2 if no_skew else (e + skm) - (t2 + skm)
-                if d > best_batch_dur:
-                    best_batch_dur = d
-                    best_batch = b
-            last_end = ends[0]
-            for b in range(1, nb):
-                if ends[b] > last_end:
-                    last_end = ends[b]
-            ser = plans.tail_ser[i]
-            t1 = last_end + ser
-            tail = t1 - last_end if no_skew else (t1 + skm) - (last_end + skm)
-            t_end = t1 + response_fixed
-            if t_end >= horizon:
-                return t_end
-            e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
-            recs.sort()
-            rid = plans.rids[i]
-            fold(
-                rid, net_names, recs, nb, 3 + nb + 5 * nb * num_nets,
-                deser, head, ser, tail, e2e, 0, None, -1.0,
-                best_batch, best_batch_dur,
-                b_dense, b_embedded, b_serde, b_overhead, b_sparse,
-            )
-            completed[rid] = t_end - t0_req
-            now = t_end
-        return now
+        t0_req = t_start
+        deser = plans.head_deser[i]
+        t1 = t0_req + deser
+        t2 = t1 + request_fixed
+        head = t1 - t0_req if no_skew else (t1 + skm) - (t0_req + skm)
+        nb = plans.nb[i]
+        del recs[:]
+        add = recs.append
+        del b_dense[:]
+        del b_embedded[:]
+        del b_serde[:]
+        del b_overhead[:]
+        del b_sparse[:]
+        b_dense.extend([0.0] * nb)
+        b_embedded.extend([0.0] * nb)
+        b_serde.extend([head] * nb)
+        b_overhead.extend([0.0] * nb)
+        b_sparse.extend([0.0] * nb)
+        ends = [0.0] * nb
+        for b in range(nb):
+            t = t2
+            for n in range(num_nets):
+                net = nets[n]
+                rkey = (b << 26) | (n << 20)
+                overhead = net.singular_overhead
+                t0 = t
+                t = t0 + overhead
+                add((t, rkey, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
+                b_overhead[b] += (
+                    t - t0 if no_skew else (t + skm) - (t0 + skm)
+                )
+                dense = net.dense[i][b]
+                pre = dense * pre_fraction
+                t0 = t
+                t = t0 + pre
+                add((t, rkey | 1, _K_OPS, MAIN_SHARD, pre, 0.0))
+                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
+                work = net.local[i][b]
+                t0 = t
+                t = t0 + work
+                add((t, rkey | 2, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
+                # The embedded window wraps the local SLS op: both
+                # buckets receive the same duration float.
+                d = t - t0 if no_skew else (t + skm) - (t0 + skm)
+                b_sparse[b] += d
+                b_embedded[b] += d
+                post = dense - pre
+                t0 = t
+                t = t0 + post
+                add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
+                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
+            ends[b] = t
+        # Bounding batch: batch records fold in (end, batch) order
+        # with a strict > keeping the first-recorded maximum.
+        best_batch = -1
+        best_batch_dur = -1.0
+        for e, b in sorted(zip(ends, range(nb))):
+            d = e - t2 if no_skew else (e + skm) - (t2 + skm)
+            if d > best_batch_dur:
+                best_batch_dur = d
+                best_batch = b
+        last_end = ends[0]
+        for b in range(1, nb):
+            if ends[b] > last_end:
+                last_end = ends[b]
+        ser = plans.tail_ser[i]
+        t1 = last_end + ser
+        tail = t1 - last_end if no_skew else (t1 + skm) - (last_end + skm)
+        t_end = t1 + response_fixed
+        if t_end >= horizon:
+            return t_end
+        e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
+        recs.sort()
+        rid = plans.rids[i]
+        fold(
+            rid, net_names, recs, nb, 3 + nb + 5 * nb * num_nets,
+            deser, head, ser, tail, e2e, 0, None, -1.0,
+            best_batch, best_batch_dur,
+            b_dense, b_embedded, b_serde, b_overhead, b_sparse,
+        )
+        completed[rid] = t_end - t0_req
+        return t_end
 
     # -- distributed plans: analytic chains + per-request event heap -----
     def _replay_distributed(
-        self, plans: ChunkPlans, t_start: float, rows, horizon: float
+        self, plans: ChunkPlans, t_start: float, i: int, horizon: float
     ) -> float:
         collector = self.collector
         fold = collector.fold_request
@@ -642,12 +645,7 @@ class SweepEvaluator:
         io_threads = self.io_threads
         nets = plans.nets
         num_nets = len(nets)
-        # Packed event codes assume these widths; no paper configuration
-        # is anywhere near them.
-        if num_nets > 64 or any(len(net.targets) > 16384 for net in nets):
-            raise ValueError("plan exceeds packed event-code field widths")
-        # Rows no longer carry the shard index -- look it up by slot.
-        shard_of = [[target.shard for target in net.targets] for net in nets]
+        shard_of = plans.shard_of
         heappush = heapq.heappush
         heappop = heapq.heappop
         recs = self._recs
@@ -657,294 +655,291 @@ class SweepEvaluator:
         b_serde = self._b_serde
         b_overhead = self._b_overhead
         b_sparse = self._b_sparse
-        now = t_start
 
-        for i in rows:
-            t0_req = now
-            deser = plans.head_deser[i]
-            t1 = t0_req + deser
-            t2 = t1 + request_fixed
-            head = t1 - t0_req if no_skew else (t1 + skm) - (t0_req + skm)
-            nb = plans.nb[i]
-            del recs[:]
-            add = recs.append
-            del b_dense[:]
-            del b_embedded[:]
-            del b_serde[:]
-            del b_overhead[:]
-            del b_sparse[:]
-            b_dense.extend([0.0] * nb)
-            b_embedded.extend([0.0] * nb)
-            b_serde.extend([head] * nb)
-            b_overhead.extend([0.0] * nb)
-            b_sparse.extend([0.0] * nb)
-            # Zero-byte fabric delays, read from the simulation's own
-            # jitter cursor (bitwise the per-call values, consumed in the
-            # same heap order the DES dispatches); later windows are read
-            # ahead, and the cursor moves only when the request commits.
-            delays, dpos = fabric.jitter_cursor()
-            num_delays = len(delays)
-            window = 0
-            # Per-request row prefetch: list this request's (9, batches)
-            # plane per (net, slot), so the hot heap branches do one
-            # list index per field instead of attribute + [i][b] chains
-            # or numpy scalar indexing.
-            rows_i = [
-                [tg.rows[i].tolist() for tg in nets[n].targets]
-                for n in range(num_nets)
-            ]
-            ov_i = [net.overhead[i] for net in nets]
-            dn_i = [net.dense[i] for net in nets]
-            heap: list[tuple[float, int, float, list[float] | None]] = []
-            io_free = [0.0] * io_threads
-            main_free = main.egress_free
-            shard_free = [server.egress_free for server in servers]
-            joins: dict[int, list[float]] = {}
-            ends: list[float] = [0.0] * nb
-            pend: list[float] = [0.0] * nb
-            rpcs = 0
-            best_rpc: list[float] | None = None
-            best_rpc_dur = -1.0
-            groups = 0
+        t0_req = t_start
+        deser = plans.head_deser[i]
+        t1 = t0_req + deser
+        t2 = t1 + request_fixed
+        head = t1 - t0_req if no_skew else (t1 + skm) - (t0_req + skm)
+        nb = plans.nb[i]
+        del recs[:]
+        add = recs.append
+        del b_dense[:]
+        del b_embedded[:]
+        del b_serde[:]
+        del b_overhead[:]
+        del b_sparse[:]
+        b_dense.extend([0.0] * nb)
+        b_embedded.extend([0.0] * nb)
+        b_serde.extend([head] * nb)
+        b_overhead.extend([0.0] * nb)
+        b_sparse.extend([0.0] * nb)
+        # Zero-byte fabric delays, read from the simulation's own
+        # jitter cursor (bitwise the per-call values, consumed in the
+        # same heap order the DES dispatches); later windows are read
+        # ahead, and the cursor moves only when the request commits.
+        delays, dpos = fabric.jitter_cursor()
+        num_delays = len(delays)
+        window = 0
+        # Per-request row prefetch: list this request's (9, batches)
+        # plane per (net, slot), so the hot heap branches do one
+        # list index per field instead of attribute + [i][b] chains
+        # or numpy scalar indexing.
+        rows_i = [
+            [tg.rows[i].tolist() for tg in nets[n].targets]
+            for n in range(num_nets)
+        ]
+        ov_i = [net.overhead[i] for net in nets]
+        dn_i = [net.dense[i] for net in nets]
+        heap: list[tuple[float, int, float, list[float] | None]] = []
+        io_free = [0.0] * io_threads
+        main_free = main.egress_free
+        shard_free = [server.egress_free for server in servers]
+        joins: dict[int, list[float]] = {}
+        ends: list[float] = [0.0] * nb
+        pend: list[float] = [0.0] * nb
+        rpcs = 0
+        best_rpc: list[float] | None = None
+        best_rpc_dur = -1.0
+        groups = 0
 
-            def advance(
-                b: int, t: float, n0: int, rows: list = rows_i,
-                ov_i: list = ov_i, dn_i: list = dn_i,
-            ) -> None:
-                # One batch chain's lockstep walk, from net ``n0`` until
-                # it either spawns an RPC group (state parks in ``pend``
-                # / ``joins``; the join completion at _EV_ARRIVE resumes
-                # it) or runs out of nets (``ends[b]`` is final).
-                for n in range(n0, num_nets):
-                    rkey = (b << 26) | (n << 20)
-                    overhead = ov_i[n][b]
+        def advance(
+            b: int, t: float, n0: int, rows: list = rows_i,
+            ov_i: list = ov_i, dn_i: list = dn_i,
+        ) -> None:
+            # One batch chain's lockstep walk, from net ``n0`` until
+            # it either spawns an RPC group (state parks in ``pend``
+            # / ``joins``; the join completion at _EV_ARRIVE resumes
+            # it) or runs out of nets (``ends[b]`` is final).
+            for n in range(n0, num_nets):
+                rkey = (b << 26) | (n << 20)
+                overhead = ov_i[n][b]
+                t0 = t
+                t = t0 + overhead
+                add((t, rkey, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
+                b_overhead[b] += (
+                    t - t0 if no_skew else (t + skm) - (t0 + skm)
+                )
+                dense = dn_i[n][b]
+                pre = dense * pre_fraction
+                t0 = t
+                t = t0 + pre
+                add((t, rkey | 1, _K_OPS, MAIN_SHARD, pre, 0.0))
+                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
+                t_embedded = t
+                spawned = 0
+                code_base = (b << 20) | (n << 14)
+                for k, row in enumerate(rows[n]):
+                    if not row[0][b]:
+                        continue
+                    cst = row[1][b]
                     t0 = t
-                    t = t0 + overhead
-                    add((t, rkey, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
-                    b_overhead[b] += (
+                    t = t0 + cst
+                    add(
+                        (t, rkey | (((k + 1) << 3) + 2), _K_SERDE,
+                         MAIN_SHARD, cst, 0.0)
+                    )
+                    b_serde[b] += (
                         t - t0 if no_skew else (t + skm) - (t0 + skm)
+                    )
+                    heappush(heap, (t, code_base | k, 0.0, None))
+                    spawned += 1
+                if spawned:
+                    joins[(b << 6) | n] = [float(spawned), -1.0]
+                    pend[b] = t_embedded
+                    return
+                post = dense - pre
+                t0 = t
+                t = t0 + post
+                add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
+                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
+            ends[b] = t
+
+        for b in range(nb):
+            advance(b, t2, 0)
+
+        while heap:
+            t, code, tcl, entry = heappop(heap)
+            if code < _EV_SEND_BIT:  # issue
+                k = code & 16383
+                n = (code >> 14) & 63
+                b = code >> 20
+                row = rows_i[n][k]
+                # Main egress reservation (Lindley over heap order ==
+                # engine order), then the outbound fabric hop.
+                wire = row[7][b] / main_nic
+                begin = t if t >= main_free else main_free
+                main_free = begin + wire
+                if dpos == num_delays:
+                    window += 1
+                    delays = fabric.zero_byte_delays(window)
+                    num_delays = len(delays)
+                    dpos = 0
+                out_delay = ((begin - t) + wire) + delays[dpos]
+                dpos += 1
+                arrive = t + out_delay
+                shard = shard_of[n][k]
+                sdes = row[2][b]
+                x = arrive + sdes
+                x1 = x + service_fixed
+                sov = row[3][b]
+                x2 = x1 + sov
+                slw = row[4][b]
+                x3 = x2 + slw
+                srs = row[5][b]
+                s_done = x3 + srs
+                if no_skew:
+                    d_sdes = x - arrive
+                    d_sov = x2 - x1
+                    d_slw = x3 - x2
+                    d_srs = s_done - x3
+                    d_svc = s_done - arrive
+                else:
+                    sk = shard_skews[shard]
+                    d_sdes = (x + sk) - (arrive + sk)
+                    d_sov = (x2 + sk) - (x1 + sk)
+                    d_slw = (x3 + sk) - (x2 + sk)
+                    d_srs = (s_done + sk) - (x3 + sk)
+                    d_svc = (s_done + sk) - (arrive + sk)
+                # The RPC's attribution entry, complete at issue
+                # time: each slot is fed only by this RPC's own
+                # spans, in chain order (serde = deser + resp ser).
+                if efree:
+                    entry = efree.pop()
+                else:
+                    entry = [0.0, 0.0, 0.0, 0.0]
+                entry[0] = d_slw
+                entry[1] = d_sdes + d_srs
+                entry[2] = d_sov
+                entry[3] = d_svc
+                rk = ((b << 26) | (n << 20)) + ((k + 1) << 3)
+                add((x, rk, _K_SERDE, shard, sdes, 0.0))
+                add((x2, rk + 1, _K_SERVICE, shard, sov, 0.0))
+                add((x3, rk + 2, _K_OPS_SLW, shard, slw, d_slw))
+                add((s_done, rk + 3, _K_SRS_SVC, shard, srs, 0.0))
+                heappush(heap, (s_done, code + _EV_SEND_BIT, t, entry))
+            elif code < _EV_ARRIVE_BIT:  # send
+                k = code & 16383
+                n = (code >> 14) & 63
+                b = (code >> 20) & 2097151
+                shard = shard_of[n][k]
+                wire = rows_i[n][k][8][b] / sparse_nic
+                free = shard_free[shard]
+                begin = t if t >= free else free
+                shard_free[shard] = begin + wire
+                if dpos == num_delays:
+                    window += 1
+                    delays = fabric.zero_byte_delays(window)
+                    num_delays = len(delays)
+                    dpos = 0
+                back_delay = ((begin - t) + wire) + delays[dpos]
+                dpos += 1
+                arrive = t + back_delay
+                heappush(heap, (arrive, code + _EV_SEND_BIT, tcl, entry))
+            else:  # arrive: FIFO IO-thread pool, then the join
+                k = code & 16383
+                n = (code >> 14) & 63
+                b = (code >> 20) & 2097151
+                # FIFO IO-thread pool: the earliest-free thread
+                # serves next.  min + index over the tiny pool list
+                # beat the two heap sifts; at a tie any thread
+                # yields the same begin float.
+                free = min(io_free)
+                begin = t if t >= free else free
+                crd = rows_i[n][k][6][b]
+                done = begin + crd
+                io_free[io_free.index(free)] = done
+                add(
+                    (done, ((b << 26) | (n << 20)) + ((k + 1) << 3) + 6,
+                     _K_SERDE, MAIN_SHARD, crd, 0.0)
+                )
+                # rpc_outstanding: arrival order == heap pop order,
+                # strict > keeps the first-recorded maximum.
+                d = t - tcl if no_skew else (t + skm) - (tcl + skm)
+                rpcs += 1
+                if d > best_rpc_dur:
+                    if best_rpc is not None:
+                        efree.append(best_rpc)
+                    best_rpc_dur = d
+                    best_rpc = entry
+                else:
+                    assert entry is not None
+                    efree.append(entry)
+                join = joins[(b << 6) | n]
+                join[0] -= 1.0
+                if done > join[1]:
+                    join[1] = done
+                if join[0] == 0.0:
+                    del joins[(b << 6) | n]
+                    groups += 1
+                    # Resume the parked chain: the embedded window
+                    # closes at the join maximum, the dense post
+                    # half runs (its operands recompute to the same
+                    # floats the pre half derived them from), and
+                    # the walk continues from the next net.
+                    t = join[1]
+                    t_embedded = pend[b]
+                    b_embedded[b] += (
+                        t - t_embedded
+                        if no_skew
+                        else (t + skm) - (t_embedded + skm)
                     )
                     dense = dn_i[n][b]
                     pre = dense * pre_fraction
-                    t0 = t
-                    t = t0 + pre
-                    add((t, rkey | 1, _K_OPS, MAIN_SHARD, pre, 0.0))
-                    b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
-                    t_embedded = t
-                    spawned = 0
-                    code_base = (b << 20) | (n << 14)
-                    for k, row in enumerate(rows[n]):
-                        if not row[0][b]:
-                            continue
-                        cst = row[1][b]
-                        t0 = t
-                        t = t0 + cst
-                        add(
-                            (t, rkey | (((k + 1) << 3) + 2), _K_SERDE,
-                             MAIN_SHARD, cst, 0.0)
-                        )
-                        b_serde[b] += (
-                            t - t0 if no_skew else (t + skm) - (t0 + skm)
-                        )
-                        heappush(heap, (t, code_base | k, 0.0, None))
-                        spawned += 1
-                    if spawned:
-                        joins[(b << 6) | n] = [float(spawned), -1.0]
-                        pend[b] = t_embedded
-                        return
                     post = dense - pre
                     t0 = t
                     t = t0 + post
-                    add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
-                    b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
-                ends[b] = t
-
-            for b in range(nb):
-                advance(b, t2, 0)
-
-            while heap:
-                t, code, tcl, entry = heappop(heap)
-                if code < _EV_SEND_BIT:  # issue
-                    k = code & 16383
-                    n = (code >> 14) & 63
-                    b = code >> 20
-                    row = rows_i[n][k]
-                    # Main egress reservation (Lindley over heap order ==
-                    # engine order), then the outbound fabric hop.
-                    wire = row[7][b] / main_nic
-                    begin = t if t >= main_free else main_free
-                    main_free = begin + wire
-                    if dpos == num_delays:
-                        window += 1
-                        delays = fabric.zero_byte_delays(window)
-                        num_delays = len(delays)
-                        dpos = 0
-                    out_delay = ((begin - t) + wire) + delays[dpos]
-                    dpos += 1
-                    arrive = t + out_delay
-                    shard = shard_of[n][k]
-                    sdes = row[2][b]
-                    x = arrive + sdes
-                    x1 = x + service_fixed
-                    sov = row[3][b]
-                    x2 = x1 + sov
-                    slw = row[4][b]
-                    x3 = x2 + slw
-                    srs = row[5][b]
-                    s_done = x3 + srs
-                    if no_skew:
-                        d_sdes = x - arrive
-                        d_sov = x2 - x1
-                        d_slw = x3 - x2
-                        d_srs = s_done - x3
-                        d_svc = s_done - arrive
-                    else:
-                        sk = shard_skews[shard]
-                        d_sdes = (x + sk) - (arrive + sk)
-                        d_sov = (x2 + sk) - (x1 + sk)
-                        d_slw = (x3 + sk) - (x2 + sk)
-                        d_srs = (s_done + sk) - (x3 + sk)
-                        d_svc = (s_done + sk) - (arrive + sk)
-                    # The RPC's attribution entry, complete at issue
-                    # time: each slot is fed only by this RPC's own
-                    # spans, in chain order (serde = deser + resp ser).
-                    if efree:
-                        entry = efree.pop()
-                    else:
-                        entry = [0.0, 0.0, 0.0, 0.0]
-                    entry[0] = d_slw
-                    entry[1] = d_sdes + d_srs
-                    entry[2] = d_sov
-                    entry[3] = d_svc
-                    rk = ((b << 26) | (n << 20)) + ((k + 1) << 3)
-                    add((x, rk, _K_SERDE, shard, sdes, 0.0))
-                    add((x2, rk + 1, _K_SERVICE, shard, sov, 0.0))
-                    add((x3, rk + 2, _K_OPS_SLW, shard, slw, d_slw))
-                    add((s_done, rk + 3, _K_SRS_SVC, shard, srs, 0.0))
-                    heappush(heap, (s_done, code + _EV_SEND_BIT, t, entry))
-                elif code < _EV_ARRIVE_BIT:  # send
-                    k = code & 16383
-                    n = (code >> 14) & 63
-                    b = (code >> 20) & 2097151
-                    shard = shard_of[n][k]
-                    wire = rows_i[n][k][8][b] / sparse_nic
-                    free = shard_free[shard]
-                    begin = t if t >= free else free
-                    shard_free[shard] = begin + wire
-                    if dpos == num_delays:
-                        window += 1
-                        delays = fabric.zero_byte_delays(window)
-                        num_delays = len(delays)
-                        dpos = 0
-                    back_delay = ((begin - t) + wire) + delays[dpos]
-                    dpos += 1
-                    arrive = t + back_delay
-                    heappush(heap, (arrive, code + _EV_SEND_BIT, tcl, entry))
-                else:  # arrive: FIFO IO-thread pool, then the join
-                    k = code & 16383
-                    n = (code >> 14) & 63
-                    b = (code >> 20) & 2097151
-                    # FIFO IO-thread pool: the earliest-free thread
-                    # serves next.  min + index over the tiny pool list
-                    # beat the two heap sifts; at a tie any thread
-                    # yields the same begin float.
-                    free = min(io_free)
-                    begin = t if t >= free else free
-                    crd = rows_i[n][k][6][b]
-                    done = begin + crd
-                    io_free[io_free.index(free)] = done
                     add(
-                        (done, ((b << 26) | (n << 20)) + ((k + 1) << 3) + 6,
-                         _K_SERDE, MAIN_SHARD, crd, 0.0)
+                        (t, (b << 26) | (n << 20) | 5, _K_OPS,
+                         MAIN_SHARD, post, 0.0)
                     )
-                    # rpc_outstanding: arrival order == heap pop order,
-                    # strict > keeps the first-recorded maximum.
-                    d = t - tcl if no_skew else (t + skm) - (tcl + skm)
-                    rpcs += 1
-                    if d > best_rpc_dur:
-                        if best_rpc is not None:
-                            efree.append(best_rpc)
-                        best_rpc_dur = d
-                        best_rpc = entry
+                    b_dense[b] += (
+                        t - t0 if no_skew else (t + skm) - (t0 + skm)
+                    )
+                    n += 1
+                    if n < num_nets:
+                        advance(b, t, n)
                     else:
-                        assert entry is not None
-                        efree.append(entry)
-                    join = joins[(b << 6) | n]
-                    join[0] -= 1.0
-                    if done > join[1]:
-                        join[1] = done
-                    if join[0] == 0.0:
-                        del joins[(b << 6) | n]
-                        groups += 1
-                        # Resume the parked chain: the embedded window
-                        # closes at the join maximum, the dense post
-                        # half runs (its operands recompute to the same
-                        # floats the pre half derived them from), and
-                        # the walk continues from the next net.
-                        t = join[1]
-                        t_embedded = pend[b]
-                        b_embedded[b] += (
-                            t - t_embedded
-                            if no_skew
-                            else (t + skm) - (t_embedded + skm)
-                        )
-                        dense = dn_i[n][b]
-                        pre = dense * pre_fraction
-                        post = dense - pre
-                        t0 = t
-                        t = t0 + post
-                        add(
-                            (t, (b << 26) | (n << 20) | 5, _K_OPS,
-                             MAIN_SHARD, post, 0.0)
-                        )
-                        b_dense[b] += (
-                            t - t0 if no_skew else (t + skm) - (t0 + skm)
-                        )
-                        n += 1
-                        if n < num_nets:
-                            advance(b, t, n)
-                        else:
-                            ends[b] = t
+                        ends[b] = t
 
-            best_batch = -1
-            best_batch_dur = -1.0
-            for e, b in sorted(zip(ends, range(nb))):
-                d = e - t2 if no_skew else (e + skm) - (t2 + skm)
-                if d > best_batch_dur:
-                    best_batch_dur = d
-                    best_batch = b
-            last_end = ends[0]
-            for b in range(1, nb):
-                if ends[b] > last_end:
-                    last_end = ends[b]
-            ser = plans.tail_ser[i]
-            t1 = last_end + ser
-            tail = t1 - last_end if no_skew else (t1 + skm) - (last_end + skm)
-            t_end = t1 + response_fixed
-            if t_end >= horizon:
-                # Not committed: the cursor, the reservations and the
-                # collector are untouched (the read-ahead windows stay
-                # drawn; the DES consumes them when it replays this
-                # request).
-                return t_end
-            e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
-            recs.sort()
-            rid = plans.rids[i]
-            fold(
-                rid, net_names, recs, nb,
-                3 + nb + 3 * nb * num_nets + groups + 8 * rpcs,
-                deser, head, ser, tail, e2e, rpcs, best_rpc, best_rpc_dur,
-                best_batch, best_batch_dur,
-                b_dense, b_embedded, b_serde, b_overhead, b_sparse,
-            )
-            # The winning entry was consumed by finalize inside fold;
-            # reclaim it for the next request.
-            if best_rpc is not None:
-                efree.append(best_rpc)
-            fabric.seek(window, dpos)
-            main.egress_free = main_free
-            for server, free in zip(servers, shard_free):
-                server.egress_free = free
-            completed[rid] = t_end - t0_req
-            now = t_end
-        return now
+        best_batch = -1
+        best_batch_dur = -1.0
+        for e, b in sorted(zip(ends, range(nb))):
+            d = e - t2 if no_skew else (e + skm) - (t2 + skm)
+            if d > best_batch_dur:
+                best_batch_dur = d
+                best_batch = b
+        last_end = ends[0]
+        for b in range(1, nb):
+            if ends[b] > last_end:
+                last_end = ends[b]
+        ser = plans.tail_ser[i]
+        t1 = last_end + ser
+        tail = t1 - last_end if no_skew else (t1 + skm) - (last_end + skm)
+        t_end = t1 + response_fixed
+        if t_end >= horizon:
+            # Not committed: the cursor, the reservations and the
+            # collector are untouched (the read-ahead windows stay
+            # drawn; the DES consumes them when it replays this
+            # request).
+            return t_end
+        e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
+        recs.sort()
+        rid = plans.rids[i]
+        fold(
+            rid, net_names, recs, nb,
+            3 + nb + 3 * nb * num_nets + groups + 8 * rpcs,
+            deser, head, ser, tail, e2e, rpcs, best_rpc, best_rpc_dur,
+            best_batch, best_batch_dur,
+            b_dense, b_embedded, b_serde, b_overhead, b_sparse,
+        )
+        # The winning entry was consumed by finalize inside fold;
+        # reclaim it for the next request.
+        if best_rpc is not None:
+            efree.append(best_rpc)
+        fabric.seek(window, dpos)
+        main.egress_free = main_free
+        for server, free in zip(servers, shard_free):
+            server.egress_free = free
+        completed[rid] = t_end - t0_req
+        return t_end

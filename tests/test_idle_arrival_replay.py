@@ -1,14 +1,15 @@
 """Idle-arrival columnar replay == the batched DES, bit for bit.
 
-Under the default ``vectorized`` kernel an open-loop run or a co-located
-mix replays on the DES, but every request that arrives at an idle
-cluster, fits the worker pools and finishes strictly before the next
-arrival is replayed by the columnar evaluator instead (see "Idle
-arrivals" in ``repro/simulation/vectorized.py``).  The matrix below
-sweeps the busy-period share from about 0% (5 QPS) to about 100%
-(1000 QPS) on roomy and 2-worker hosts, with and without clock skew;
-the rest pins the tie rule, the cluster state a hybrid replay leaves
-behind, and the ``des_requests`` count.
+Under the default ``vectorized`` kernel every run -- serial closed-loop,
+open-loop, or a co-located mix -- replays on the DES, but every request
+that arrives at an idle cluster, fits the worker pools and finishes
+strictly before the next arrival is replayed by the columnar evaluator
+instead (see "Idle arrivals" in ``repro/simulation/vectorized.py``).
+The matrix below sweeps the busy-period share from about 0% (5 QPS) to
+about 100% (1000 QPS), plus the serial closed loop, on roomy and
+2-worker hosts, with and without clock skew; the rest pins the tie
+rule, the cluster state a hybrid replay leaves behind, and the
+``des_requests`` count.
 """
 
 import numpy as np
@@ -49,13 +50,17 @@ def _inputs(name, num_requests=20):
     return model, plans, requests
 
 
-@pytest.mark.parametrize("qps", [5.0, 25.0, 200.0, 1000.0])
+@pytest.mark.parametrize("qps", [None, 5.0, 25.0, 200.0, 1000.0])
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_hybrid_matches_batched(name, qps):
     """Every paper configuration on roomy hosts, on the 2-worker hosts
-    of the Fig. 16 replay, and on those with skewed clocks."""
+    of the Fig. 16 replay, and on those with skewed clocks; ``qps`` None
+    is the serial closed loop."""
     model, plans, requests = _inputs(name)
-    schedule = ReplaySchedule.open_loop(qps, seed=2)
+    if qps is None:
+        schedule = ReplaySchedule.serial()
+    else:
+        schedule = ReplaySchedule.open_loop(qps, seed=2)
     des = total = 0
     for workers, skew in ((32, 0.0), (2, 0.0), (2, 0.002)):
         for plan in plans:
@@ -73,6 +78,13 @@ def test_hybrid_matches_batched(name, qps):
             assert hybrid.kernel_fallback is None, label
             assert batched.des_requests == len(batched), label
             assert_run_identical(batched, hybrid, label)
+            if qps is None:
+                # A serial request always arrives at an idle cluster
+                # with an infinite horizon: only a pool misfit goes to
+                # the DES.
+                assert hybrid.des_requests == int(
+                    (hybrid.num_batches > workers).sum()
+                ), label
             des += hybrid.des_requests
             total += len(hybrid)
     # The matrix spans the regimes it claims: nearly every request takes
@@ -123,18 +135,24 @@ def test_diurnal_mix_matches_batched():
         assert_run_identical(batched[label], result, label)
 
 
-def _replay_stream(model, plan, stream, kernel, planned=None):
+def _replay_stream(
+    model, plan, stream, kernel, planned=None, serial=False, **serving_kwargs
+):
     """Replay an explicit ``(time, tenant, request)`` stream the way
     ``run_configuration`` replays a schedule; returns the result and the
     cluster it ran on.  The cluster is built for the ``planned`` requests
-    (default: the stream's own)."""
-    serving = ServingConfig(seed=1, kernel=kernel)
-    requests = planned or [request for _, _, request in stream]
-    tracer, cluster = runner._stream_cluster(
-        [(model, plan)], serving, [0] * len(requests), requests
+    (default: the stream's own).  With ``serial``, ``stream`` is a plain
+    request list replayed in a closed loop."""
+    serving = ServingConfig(seed=1, kernel=kernel, **serving_kwargs)
+    requests = planned or (
+        stream if serial else [request for _, _, request in stream]
     )
     result = RunResult(model_name=model.name, label=plan.label, plan=plan)
-    runner._replay(cluster, tracer, result, cluster.run_stream, stream)
+    tracer, cluster = runner._replay_cluster(
+        result, [(model, plan)], serving, [0] * len(requests), requests
+    )
+    run = cluster.run_serial if serial else cluster.run_stream
+    runner._replay(cluster, tracer, result, run, stream)
     return result, cluster
 
 
@@ -184,17 +202,26 @@ class TestCommitRule:
         assert planned.des_requests == 0
 
 
-@pytest.mark.parametrize("qps", [25.0, 400.0])
+@pytest.mark.parametrize("qps", [None, 25.0, 400.0])
 def test_hybrid_leaves_the_des_cluster_state(qps):
     """Every cluster state a later reader sees -- the fabric's jitter
     cursor and RNG state, the egress reservations, the clock and the
-    completion map -- is what the batched replay leaves."""
+    completion map -- is what the batched replay leaves.  ``qps`` None
+    is the serial closed loop on 2-worker hosts, where the requests
+    with more than two batches go to the DES."""
     model, plans, requests = _inputs("DRM1", num_requests=200)
     plan = next(plan for plan in plans if plan.num_shards >= 4)
-    arrivals = ReplaySchedule.open_loop(qps, seed=2).arrival_times(len(requests))
-    stream = list(zip(arrivals.tolist(), [0] * len(requests), requests))
-    batched, des = _replay_stream(model, plan, stream, "batched")
-    hybrid, mixed = _replay_stream(model, plan, stream, "vectorized")
+    if qps is None:
+        stream = requests
+        options = {"serial": True, "service_workers": 2}
+    else:
+        arrivals = ReplaySchedule.open_loop(qps, seed=2).arrival_times(
+            len(requests)
+        )
+        stream = list(zip(arrivals.tolist(), [0] * len(requests), requests))
+        options = {}
+    batched, des = _replay_stream(model, plan, stream, "batched", **options)
+    hybrid, mixed = _replay_stream(model, plan, stream, "vectorized", **options)
     assert 0 < hybrid.des_requests < len(hybrid)
     assert_run_identical(batched, hybrid, qps)
     # Two jitter draws per RPC: the replay reads past the first jitter

@@ -13,9 +13,9 @@ earlier within a timestamp -- so every recorded value, every column, and
 every accumulator sum lands on the same floats.
 
 The vectorized kernel extends the same contract to the columnar replay
-path: eligible runs (serial closed-loop, chaos-free) bypass the event
-loop entirely yet land on the same floats (the "vectorized equivalence"
-clauses in ``engine.py``/``rng.py``), and every
+path: in eligible (chaos-free) runs every request that arrives at an
+idle cluster skips the event loop yet lands on the same floats (the
+"vectorized equivalence" clauses in ``engine.py``/``rng.py``), and every
 ineligible run falls back to the batched kernel with the reason recorded
 on ``RunResult.kernel_fallback`` -- both pinned here.
 """
@@ -43,7 +43,7 @@ from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule
 from repro.serving import ServingConfig, TraceMode
 from repro.tracing.aggregate import SHARD_KINDS
-from repro.serving.columnar import REASON_CHAOS, REASON_SHALLOW_MAIN
+from repro.serving.columnar import REASON_CHAOS
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
 from repro.simulation.engine import (
@@ -395,15 +395,22 @@ class TestDefaultKernel:
             )
             assert result.kernel_fallback is None, label
 
-    def test_ineligible_runs_take_the_batched_des(self):
+    def test_shallow_serial_runs_take_the_idle_arrival_path(self):
+        """Serial runs need no pool gate either: on 2-worker hosts the
+        DES replays exactly the requests with more than two batches."""
+        batched = run_suite(
+            drm1(), settings("batched", num_requests=15, service_workers=2),
+            self.TWO_CONFIGURATIONS,
+        )
         results = run_suite(
             drm1(), settings(num_requests=15, service_workers=2),
             self.TWO_CONFIGURATIONS,
         )
         for result in results.values():
-            assert result.kernel_used == "batched"
-            assert result.kernel_fallback == REASON_SHALLOW_MAIN
-            assert result.des_requests == len(result)
+            assert result.kernel_used == "vectorized"
+            assert result.kernel_fallback is None
+            assert result.des_requests == int((result.num_batches > 2).sum())
+        assert_suites_identical(batched, results)
 
     def test_open_loop_runs_take_the_idle_arrival_path(self):
         """Open-loop sweeps need no pool gate: even on 2-worker hosts the
