@@ -17,6 +17,7 @@ composable processes (Poisson, constant-rate, piecewise/diurnal, MMPP).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,11 @@ class ReplaySchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode is ReplayMode.OPEN_LOOP and self.qps <= 0:
-            raise ValueError("open-loop replay requires qps > 0")
+        open_loop = self.mode is ReplayMode.OPEN_LOOP
+        if open_loop and not 0.0 < float(self.qps) < math.inf:  # NaN too
+            raise ValueError(
+                f"open-loop replay requires a finite qps > 0, got {self.qps!r}"
+            )
         # Normalize so open_loop(25), open_loop(25.0), and numpy scalars
         # are the same schedule: the arrival substream is keyed on qps,
         # and equal rates must replay identical arrival processes.

@@ -8,13 +8,15 @@ transposes per-request execution plans into per-chunk numpy columns
 DES offers the evaluator every request that arrives at an idle cluster
 (:func:`idle_arrival_cluster`).  Every replay -- serial closed-loop,
 open-loop, or a co-located mix -- runs on the DES driver; plans are
-built per tenant over chunks of stream positions, only for the
-batch-count groups that fit the worker pools.  The evaluator commits a
-request only if it completes strictly before the next arrival (for a
-serial run the next arrival is the request's own completion, so the
-horizon is ``+inf``), and the DES replays the rest.  One
-:class:`VectorizedColumns` collector is the run's tracer, so both
-replay paths fill one set of columns in completion order.
+built per tenant over chunks of stream positions, for every request.
+The evaluator commits a request only if its batches fit the worker
+pools and it completes strictly before the next arrival (for a serial
+run the next arrival is the request's own completion, so the horizon is
+``+inf``), and the DES replays the rest -- reading each request's plans
+from the same chunk rows (:meth:`_IdleArrivals.plans`), so one build
+serves both paths.  One :class:`VectorizedColumns` collector is the
+run's tracer, so both replay paths fill one set of columns in
+completion order.
 
 Bit-exactness
 =============
@@ -24,15 +26,22 @@ shard-slot), the *same float64 bits* as
 :meth:`ClusterSimulation._request_plans
 <repro.serving.simulator.ClusterSimulation._request_plans>`: every numpy
 expression below keeps the exact left-associated operation order of the
-scalar code it mirrors, integer accumulators stay integers until the
-same int->float points, and zero-count terms contribute exact ``+0.0``
-no-ops precisely where the scalar code *skips* them (adding ``+0.0`` to
-a non-negative float accumulator never changes its bits).  Plans with
-row-partitioned tables (``TableAssignment.num_parts > 1``) fall back to
-calling the scalar plan builder per request -- the partition-split
-multinomials are keyed per-(request, table) substreams, so the scalar
-path is already vectorization-agnostic -- and only the transposition is
-columnar.
+scalar code it mirrors, and integer sums (ids, active tables, response
+bytes, distinct tables, active targets) stay integers until the same
+int->float points, so they may be reduced over the table axis in any
+order.  The one float sum, the SLS gather, is
+``np.add.accumulate`` along the table axis -- the scalar builder's
+sequential left-to-right adds, in pair order -- and its last element is
+the gather.  A table a request does not draw, a table absent from the
+whole group (a zero plane of the count stack) and the padding of a
+routing slot's table index (the trailing zero plane) all contribute
+exact ``+0.0`` terms precisely where the scalar code *skips* them
+(adding ``+0.0`` to a non-negative float accumulator never changes its
+bits).  Plans with row-partitioned tables (``TableAssignment.num_parts >
+1``) fall back to calling the scalar plan builder per request -- the
+partition-split multinomials are keyed per-(request, table) substreams,
+so the scalar path is already vectorization-agnostic -- and only the
+transposition is columnar.
 
 Memory flatness
 ===============
@@ -41,12 +50,18 @@ Chunking bounds peak memory at O(chunk_size), not O(num_requests): a
 chunk's cost columns are built, replayed and released when the replay
 moves past the chunk's positions, before the next chunk is built, and
 no cost column outlives the run.  The per-target RPC costs stay
-float64 numpy planes until the evaluator turns one request's rows into
-Python lists, so boxed floats exist for one request at a time.  Only the integer count matrices are kept, in a small
-bounded LRU (so a multi-configuration sweep over one request sample
-reuses them across configurations without holding every chunk; entry
-size is bounded by ``repro.experiments.runner.CHUNK_SIZE``), and --
-unlike the scalar builder -- nothing is memoized *on* the request
+float64 numpy planes until the evaluator (or, for a request the DES
+replays, :meth:`_IdleArrivals.plans`) turns one request's rows into
+Python floats, so boxed floats exist only for the requests in flight.
+Only the integer counts are kept: per batch-count group, one int64
+stack per net of shape (tables + 1, requests, batches) -- a plane per
+table in ``tables_for_net`` order, zero for a table the group never
+draws, plus one zero padding plane -- in a small bounded LRU (so a
+multi-configuration sweep over one request sample reuses them across
+configurations without holding every chunk; entry size is bounded by
+``repro.experiments.runner.CHUNK_SIZE``).  The (slot, table, request,
+batch) temporaries of one (group, net) pass are released before the
+next.  Unlike the scalar builder, nothing is memoized *on* the request
 objects.
 """
 
@@ -60,7 +75,13 @@ import numpy as np
 from repro.core.types import US
 from repro.models.config import FeatureScope, ModelConfig
 from repro.requests.generator import Request, request_payload_bytes
-from repro.serving.simulator import ClusterSimulation, ServingConfig, _Tenant
+from repro.serving.simulator import (
+    ClusterSimulation,
+    ServingConfig,
+    _NetBatchPlan,
+    _ShardLookups,
+    _Tenant,
+)
 from repro.sharding.plan import ShardingPlan
 from repro.simulation.costmodel import ranking_response_bytes
 from repro.simulation.vectorized import (
@@ -109,22 +130,17 @@ class _ChunkBundle:
     """Per-chunk integer data shared by every configuration of a sweep.
 
     Everything here is a pure function of (requests, batch policy):
-    per-request item counts, per-table per-batch id-count matrices, and
-    the batch-count grouping.  Cost columns (which depend on the
-    sharding plan and platforms) are rebuilt per configuration from
-    these exact integers.  A group's matrices are built on first use, so
-    groups no configuration replays through the evaluator are never
-    built.
+    per-request item counts, per-batch id-count stacks, and the
+    batch-count grouping.  Cost columns (which depend on the sharding
+    plan and platforms) are rebuilt per configuration from these exact
+    integers.  Every batch-count group is built: the evaluator reads the
+    groups that fit the worker pools, the DES reads the rest.
     """
 
-    __slots__ = (
-        "requests", "first", "model", "items", "total_ids", "ndraws",
-        "by_count", "_groups",
-    )
+    __slots__ = ("first", "model", "items", "total_ids", "ndraws", "groups")
 
     def __init__(self, requests: list[Request], model: ModelConfig,
                  size: int, max_batches: int) -> None:
-        self.requests = requests
         self.first = requests[0]
         self.model = model
         count = len(requests)
@@ -141,21 +157,22 @@ class _ChunkBundle:
         by_count: dict[int, list[int]] = {}
         for position, batches in enumerate(nb.tolist()):
             by_count.setdefault(batches, []).append(position)
-        #: (batch count B, chunk positions), ascending by B.
-        self.by_count = sorted(by_count.items())
-        self._groups: dict[int, tuple] = {}
+        #: (batch count B, chunk positions, items_pb (Rg, B), stacks),
+        #: ascending by B.  ``stacks[n]`` is net ``n``'s (T+1, Rg, B)
+        #: int64 id counts, one plane per table in ``tables_for_net``
+        #: order (zero for a table no request of the group draws), then
+        #: one zero plane that pads the routing-slot table index.
+        self.groups = [
+            (batches, positions)
+            + self._build_group(requests, batches, positions)
+            for batches, positions in sorted(by_count.items())
+        ]
 
-    def group(self, batches: int, positions: list[int]) -> tuple:
-        """The batch-count-``batches`` group: (items_pb (Rg, B), counts
-        {table -> (Rg, B) int64; absent tables omitted})."""
-        group = self._groups.get(batches)
-        if group is None:
-            group = self._groups[batches] = self._build_group(batches, positions)
-        return group
-
-    def _build_group(self, batches: int, positions: list[int]) -> tuple:
-        requests = self.requests
+    def _build_group(
+        self, requests: list[Request], batches: int, positions: list[int]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
         group_requests = [requests[position] for position in positions]
+        rows = len(group_requests)
         items_g = self.items[np.array(positions, dtype=np.int64)]
         # Batch edges: round(index * num_items / B) is int-exact in
         # float64 (the dividend is far below 2**53) and np.round is the
@@ -165,7 +182,16 @@ class _ChunkBundle:
         edges = np.concatenate([left, items_g[:, None]], axis=1)
         items_pb = edges[:, 1:] - edges[:, :-1]
 
-        # Per-table count matrices, one pass over the chunk's draws.
+        stacks = []
+        plane_of: dict[str, np.ndarray] = {}
+        for net_cfg in self.model.nets:
+            tables = self.model.tables_for_net(net_cfg.name)
+            stack = np.zeros((len(tables) + 1, rows, batches), np.int64)
+            for plane, table in zip(stack, tables):
+                plane_of[table.name] = plane
+            stacks.append(stack)
+
+        # Per-table count planes, one pass over the chunk's draws.
         # USER-scoped draws broadcast their total over every batch;
         # ITEM-scoped draws slice a per-item cumsum at the batch edges
         # (identical integers to ClusterSimulation._slice_counts).
@@ -177,25 +203,17 @@ class _ChunkBundle:
                 if draw.per_item_counts is None:
                     column = user_totals.get(name)
                     if column is None:
-                        column = user_totals[name] = np.zeros(
-                            len(group_requests), np.int64
-                        )
+                        column = user_totals[name] = np.zeros(rows, np.int64)
                     column[row] = draw.total_ids
                 else:
                     item_rows.setdefault(name, []).append(row)
                     item_counts.setdefault(name, []).append(draw.per_item_counts)
-        counts: dict[str, np.ndarray] = {}
         for name, column in user_totals.items():
-            counts[name] = np.repeat(column[:, None], batches, axis=1)
-        for name, rows in item_rows.items():
-            matrix = counts.get(name)
-            if matrix is None:
-                matrix = counts[name] = np.zeros(
-                    (len(group_requests), batches), np.int64
-                )
-            row_index = np.array(rows, dtype=np.int64)
+            plane_of[name][...] = column[:, None]
+        for name, item_row_list in item_rows.items():
+            row_index = np.array(item_row_list, dtype=np.int64)
             lengths = items_g[row_index]
-            offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+            offsets = np.zeros(len(item_row_list) + 1, dtype=np.int64)
             np.cumsum(lengths, out=offsets[1:])
             flat = np.concatenate(
                 [np.asarray(c, dtype=np.int64) for c in item_counts[name]]
@@ -203,8 +221,8 @@ class _ChunkBundle:
             prefix = np.zeros(int(offsets[-1]) + 1, dtype=np.int64)
             np.cumsum(flat, out=prefix[1:])
             at_edges = prefix[offsets[:-1, None] + edges[row_index]]
-            matrix[row_index] = at_edges[:, 1:] - at_edges[:, :-1]
-        return items_pb, counts
+            plane_of[name][row_index] = at_edges[:, 1:] - at_edges[:, :-1]
+        return items_pb, stacks
 
 
 _BUNDLE_CACHE: OrderedDict[tuple, _ChunkBundle] = OrderedDict()
@@ -244,16 +262,57 @@ def _scatter(destination: list, positions: list[int], rows: Iterable) -> None:
 _consume = deque(maxlen=0).extend
 
 
+def _slot_tables(
+    tenant: _Tenant, net_name: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Net ``net_name``'s routing slots as a padded (slots, kmax) table
+    index into its count stack, in pair order, with per-entry constants:
+    the sparse per-id SLS cost, the ITEM-scope flag, and ``dim * 4`` split
+    into its ITEM and USER parts.  Padding points at the stack's trailing
+    zero plane and carries zero constants."""
+    model = tenant.model
+    plane_of = {
+        table.name: plane
+        for plane, table in enumerate(model.tables_for_net(net_name))
+    }
+    routing = tenant.net_routing[net_name]
+    shape = (len(routing), max((len(pairs) for _, pairs in routing), default=1))
+    index = np.full(shape, len(plane_of), np.int64)
+    per_id = np.zeros(shape)
+    is_item = np.zeros(shape, bool)
+    dim4_item = np.zeros(shape, np.int64)
+    dim4_user = np.zeros(shape, np.int64)
+    for slot, (_shard, pairs) in enumerate(routing):
+        for entry, (table, _assignment) in enumerate(pairs):
+            index[slot, entry] = plane_of[table.name]
+            per_id[slot, entry] = tenant.per_id_sparse[table.name]
+            if table.scope is FeatureScope.ITEM:
+                is_item[slot, entry] = True
+                dim4_item[slot, entry] = table.dim * 4
+            else:
+                dim4_user[slot, entry] = table.dim * 4
+    # Trailing (Rg, B) axes, so every constant broadcasts over a group.
+    return (
+        index,
+        per_id[..., None, None],
+        is_item[..., None, None],
+        dim4_item[..., None, None],
+        dim4_user[..., None, None],
+    )
+
+
 def build_chunk_plans(
     sim: ClusterSimulation, tenant: _Tenant, requests: list[Request]
 ) -> ChunkPlans:
     """Transpose one chunk's execution plans into evaluator columns.
 
     Bit-for-bit equal to calling ``sim._request_plans`` per request (see
-    the module docstring); requests are grouped by batch count so every
-    numpy expression runs over rectangular (request, batch) matrices.
-    Only the groups whose batches fit the worker pools are built; the
-    other requests keep ``nb == 0`` (see :func:`_pool_fit`).
+    the module docstring); requests are grouped by batch count, and one
+    numpy pass per (group, net) computes every routing slot at once over
+    (slot, table, request, batch) arrays.  Every group is built: the
+    DES reads the rows of the requests the evaluator cannot take, whose
+    ``nb`` stays 0 (their batches do not fit the pools, see
+    :func:`_pool_fit`).
     """
     config = sim.config
     model = tenant.model
@@ -284,17 +343,27 @@ def build_chunk_plans(
     singular = tenant.plan.is_singular
     nb_list = [0] * count
     nets = [NetColumns() for _ in model.nets]
-    if not singular:
+    slot_tables = []
+    net_tables = [model.tables_for_net(net_cfg.name) for net_cfg in model.nets]
+    if singular:
+        # The main per-id costs in stack order, padding plane included.
+        per_id_main = [
+            np.array(
+                [tenant.per_id_main[table.name] for table in tables] + [0.0]
+            )[:, None, None]
+            for tables in net_tables
+        ]
+    else:
         for net_index, net_cfg in enumerate(model.nets):
             nets[net_index].targets = [
                 TargetColumns(shard.index)
                 for shard, _ in tenant.net_routing[net_cfg.name]
             ]
+            slot_tables.append(_slot_tables(tenant, net_cfg.name))
     placeholder: list = [None] * count
     for net_columns in nets:
-        # Every fitting position is scattered exactly once (the groups
-        # partition the chunk), so plain placeholders beat per-request
-        # empties.
+        # Every position is scattered exactly once (the groups partition
+        # the chunk), so plain placeholders beat per-request empties.
         net_columns.overhead = placeholder.copy()
         net_columns.dense = placeholder.copy()
         net_columns.local = placeholder.copy()
@@ -306,93 +375,69 @@ def build_chunk_plans(
     sls_dispatch = cm.sls_dispatch_per_table
     tbl_client = np.asarray(tenant.serde_tbl_client, dtype=np.float64)
     tbl_server = np.asarray(tenant.serde_tbl_server, dtype=np.float64)
-    per_id_main = tenant.per_id_main
-    per_id_sparse = tenant.per_id_sparse
 
-    for batches, positions in bundle.by_count:
-        if batches > fit:
-            continue
-        items_pb, counts = bundle.group(batches, positions)
-        for position in positions:
-            nb_list[position] = batches
+    for batches, positions, items_pb, stacks in bundle.groups:
+        if batches <= fit:
+            for position in positions:
+                nb_list[position] = batches
         items_pb_f = items_pb.astype(np.float64)
         for net_index, net_cfg in enumerate(model.nets):
             net_columns = nets[net_index]
-            net_tables = model.tables_for_net(net_cfg.name)
-            n_net = len(net_tables)
+            stack = stacks[net_index]
+            n_net = len(net_tables[net_index])
             micros = net_cfg.dense_us_fixed + net_cfg.dense_us_per_item * items_pb_f
             dense = micros * US / rc_main
             _scatter(net_columns.dense, positions, dense.tolist())
 
             if singular:
                 net_columns.singular_overhead = cm.net_overhead(n_net + 12)
-                gather = np.zeros(items_pb.shape)
-                # Tables outer, batches inner -- the scalar builder's
-                # transposed accumulation order; absent tables are
-                # skipped identically, zero counts add exact +0.0.
-                for table in net_tables:
-                    table_counts = counts.get(table.name)
-                    if table_counts is None:
-                        continue
-                    gather += table_counts * per_id_main[table.name]
+                # The scalar builder's per-batch gather adds tables left
+                # to right; accumulate runs the same sequential adds.
+                gather = np.add.accumulate(
+                    stack * per_id_main[net_index], axis=0
+                )[-1]
                 local = sls_dispatch * n_net + gather
                 _scatter(net_columns.local, positions, local.tolist())
                 continue
 
-            n_names = np.zeros(items_pb.shape, np.int64)
-            for table in net_tables:
-                table_counts = counts.get(table.name)
-                if table_counts is None:
-                    continue
-                n_names += table_counts > 0
-            active_targets = np.zeros(items_pb.shape, np.int64)
-            for slot, (_shard, pairs) in enumerate(tenant.net_routing[net_cfg.name]):
-                ids = np.zeros(items_pb.shape, np.int64)
-                ntab = np.zeros(items_pb.shape, np.int64)
-                resp_extra = np.zeros(items_pb.shape, np.int64)
-                gather = np.zeros(items_pb.shape)
-                has_item = np.zeros(items_pb.shape, bool)
-                for table, _assignment in pairs:
-                    table_counts = counts.get(table.name)
-                    if table_counts is None:
-                        continue
-                    mask = table_counts > 0
-                    ids += table_counts
-                    ntab += mask
-                    gather += table_counts * per_id_sparse[table.name]
-                    dim4 = table.dim * 4
-                    if table.scope is FeatureScope.ITEM:
-                        has_item |= mask
-                        resp_extra += mask * (24 + items_pb * dim4)
-                    else:
-                        resp_extra += mask * (24 + dim4)
-                active = ntab > 0
-                segments = np.where(has_item, items_pb, 1)
-                req_bytes = 64.0 + ids * 8.0 + ntab * (segments * 4.0 + 24.0)
-                resp_bytes = 64.0 + resp_extra
-                client_tbl = tbl_client[ntab]
-                server_tbl = tbl_server[ntab]
-                cst = serde_fixed + client_tbl + req_bytes / denom_main + dispatch_fixed
-                sdes = serde_fixed + server_tbl + req_bytes / denom_sparse
-                sov = cm.net_overhead_fixed + cm.net_overhead_per_op * (ntab + 2)
-                slw = sls_dispatch * ntab + gather
-                srs = serde_fixed + server_tbl + resp_bytes / denom_sparse
-                crd = serde_fixed + client_tbl + resp_bytes / denom_main
-                active_targets += active
-                target = net_columns.targets[slot]
-                # One evaluator row per request: stack the nine per-batch
-                # cost planes request-major (axis=1 keeps each request's
-                # (9, batches) row a contiguous view).  The rows stay
-                # float64 until the evaluator lists one request at a
-                # time.  The active plane becomes float 0.0/1.0 -- the
-                # evaluator only tests its truthiness.
-                stacked = np.stack((
-                    active, cst, sdes, sov, slw, srs, crd,
-                    req_bytes, resp_bytes,
-                ), axis=1)
-                _scatter(target.rows, positions, stacked)
+            index, per_id, is_item, dim4_item, dim4_user = slot_tables[net_index]
+            # (slot, table, request, batch) counts; padding reads zeros.
+            counts = stack[index]
+            mask = counts > 0
+            ids = counts.sum(axis=1)
+            ntab = mask.sum(axis=1)
+            # Per active table 24 + dim*4 bytes, times the batch's items
+            # for an ITEM table (integer-exact in any order).
+            resp_extra = (mask * (24 + dim4_user)).sum(axis=1) + items_pb * (
+                mask * dim4_item
+            ).sum(axis=1)
+            has_item = (mask & is_item).any(axis=1)
+            gather = np.add.accumulate(counts * per_id, axis=1)[:, -1]
+            active = ntab > 0
+            segments = np.where(has_item, items_pb, 1)
+            req_bytes = 64.0 + ids * 8.0 + ntab * (segments * 4.0 + 24.0)
+            resp_bytes = 64.0 + resp_extra
+            client_tbl = tbl_client[ntab]
+            server_tbl = tbl_server[ntab]
+            cst = serde_fixed + client_tbl + req_bytes / denom_main + dispatch_fixed
+            sdes = serde_fixed + server_tbl + req_bytes / denom_sparse
+            sov = cm.net_overhead_fixed + cm.net_overhead_per_op * (ntab + 2)
+            slw = sls_dispatch * ntab + gather
+            srs = serde_fixed + server_tbl + resp_bytes / denom_sparse
+            crd = serde_fixed + client_tbl + resp_bytes / denom_main
+            # One evaluator row per (slot, request): the nine per-batch
+            # cost planes stacked request-major (axis=2 keeps each
+            # request's (9, batches) row a contiguous view).  The rows
+            # stay float64 until a request is listed.  The active plane
+            # becomes float 0.0/1.0 -- only its truthiness is read.
+            stacked = np.stack((
+                active, cst, sdes, sov, slw, srs, crd, req_bytes, resp_bytes,
+            ), axis=2)
+            for target, rows in zip(net_columns.targets, stacked):
+                _scatter(target.rows, positions, rows)
+            n_names = (stack > 0).sum(axis=0)
             overhead = cm.net_overhead_fixed + cm.net_overhead_per_op * (
-                n_net + 12 + active_targets
+                n_net + 12 + active.sum(axis=0)
             )
             overhead = overhead + cm.fill_per_table * (n_net - n_names)
             _scatter(net_columns.overhead, positions, overhead.tolist())
@@ -420,7 +465,7 @@ def _pool_fit(sim: ClusterSimulation, tenant: _Tenant) -> int:
 
 
 #: _ShardLookups attributes in evaluator row order (rows 1-8; row 0 is
-#: the active plane).
+#: the active plane), which is also its constructor's argument order.
 _PLAN_FIELDS = (
     "client_ser_total", "server_deser", "server_overhead", "sls_work",
     "server_resp_ser", "client_resp_deser", "req_bytes", "resp_bytes",
@@ -438,7 +483,8 @@ def _scalar_chunk_plans(
     transposition into evaluator columns is new.  (Not memory-flat to
     the same degree: ``_request_plans`` memoizes slice counts on the
     request objects, like every scalar-kernel sweep does.)  Requests
-    whose batches do not fit the pools get ``nb == 0`` and no plan.
+    whose batches do not fit the pools get ``nb == 0`` and no plan; the
+    DES builds theirs itself.
     """
     model = tenant.model
     fit = _pool_fit(sim, tenant)
@@ -530,20 +576,21 @@ def _plan_builder(plan: ShardingPlan):
 
 
 class _IdleArrivals:
-    """The evaluator hook :meth:`ClusterSimulation.run_serial` and
-    :meth:`ClusterSimulation.run_stream` call.
+    """The columnar hook :meth:`ClusterSimulation.run_serial` and
+    :meth:`ClusterSimulation.run_stream` consult at every arrival.
 
-    Called with the cluster, a stream position, the tenant and request
-    the stream holds there, the driver's clock and the next arrival's
-    clock (the horizon) when a request arrives at an idle cluster.
     Plans are built per chunk of ``chunk_size`` stream positions, per
-    tenant, when the first idle arrival of the chunk asks for one, and
-    released when the stream moves to the next chunk.  Returns the
-    completion time of a committed request, or ``None`` when the DES
-    must replay it (the stream's request is not the one planned at that
-    position, its batches do not fit the pools, or it would not finish
-    strictly before the next arrival).  The hook holds no reference to
-    the cluster, so a finished cluster is freed at once.
+    tenant, when the first request of the chunk asks for one, and
+    released when the stream moves to the next chunk.  Called with the
+    cluster, a stream position, the tenant and request the stream holds
+    there, the driver's clock and the next arrival's clock (the horizon)
+    when a request arrives at an idle cluster, it returns the completion
+    time of a committed request, or ``None`` when the DES must replay it
+    (the stream's request is not the one planned at that position, its
+    batches do not fit the pools, or it would not finish strictly before
+    the next arrival).  :meth:`plans` then hands the DES that request's
+    plans, read from the same rows.  The hook holds no reference to the
+    cluster, so a finished cluster is freed at once.
     """
 
     def __init__(
@@ -580,12 +627,15 @@ class _IdleArrivals:
                 rows[offset] = (plans, row)
         self._chunk = chunk
 
-    def __call__(
+    def _row(
         self, cluster: ClusterSimulation, position: int, tenant: int,
-        request: Request, now: float, horizon: float,
-    ) -> float | None:
+        request: Request,
+    ) -> tuple[ChunkPlans, int] | None:
+        """The plans and row of the request at ``position``, building its
+        chunk first if needed; ``None`` for a stream entry that is not
+        the request planned there."""
         # Plans exist only for the requests the cluster was built with;
-        # any other stream entry is the DES's to replay.
+        # any other stream entry is the DES's to plan.
         if (
             position >= len(self.requests)
             or self.requests[position] is not request
@@ -595,11 +645,69 @@ class _IdleArrivals:
         chunk, offset = divmod(position, self.chunk_size)
         if chunk != self._chunk:
             self._build(cluster, chunk)
-        plans, row = self._rows[offset]
+        return self._rows[offset]
+
+    def __call__(
+        self, cluster: ClusterSimulation, position: int, tenant: int,
+        request: Request, now: float, horizon: float,
+    ) -> float | None:
+        located = self._row(cluster, position, tenant, request)
+        if located is None:
+            return None
+        plans, row = located
         if not plans.nb[row]:
             return None
         t_end = self.evaluator.replay_chunk(plans, now, row, horizon)
         return t_end if t_end < horizon else None
+
+    def plans(
+        self, cluster: ClusterSimulation, position: int, tenant: int,
+        request: Request,
+    ) -> dict[str, list[_NetBatchPlan]] | None:
+        """The DES's per-net, per-batch plans for the request at
+        ``position``, equal field by field to
+        ``ClusterSimulation._request_plans``; ``None`` when the chunk
+        holds no row for it (an unplanned stream entry, or a request
+        :func:`_scalar_chunk_plans` left out), so the DES builds them."""
+        located = self._row(cluster, position, tenant, request)
+        if located is None:
+            return None
+        chunk, row = located
+        routing = cluster.tenants[tenant].net_routing
+        plans: dict[str, list[_NetBatchPlan]] = {}
+        for name, net in zip(chunk.net_names, chunk.nets):
+            dense = net.dense[row]
+            if dense is None:
+                return None
+            if chunk.singular:
+                overhead = net.singular_overhead
+                plans[name] = [
+                    _NetBatchPlan(overhead, dense_total, (), local)
+                    for dense_total, local in zip(dense, net.local[row])
+                ]
+                continue
+            # Slots outer, batches inner: each batch lists its targets
+            # in routing order, as the scalar builder does.  A row is the
+            # active plane, then the eight _PLAN_FIELDS planes in order
+            # (the _ShardLookups argument order).
+            batch_targets: list[list[_ShardLookups]] = [[] for _ in dense]
+            for (shard, _pairs), target in zip(routing[name], net.targets):
+                active, cst, sdes, sov, slw, srs, crd, reqb, respb = (
+                    target.rows[row].tolist()
+                )
+                for b, targets in enumerate(batch_targets):
+                    if active[b]:
+                        targets.append(_ShardLookups(
+                            shard, cst[b], sdes[b], sov[b], slw[b], srs[b],
+                            crd[b], reqb[b], respb[b],
+                        ))
+            plans[name] = [
+                _NetBatchPlan(overhead, dense_total, targets, 0.0)
+                for overhead, dense_total, targets in zip(
+                    net.overhead[row], dense, batch_targets
+                )
+            ]
+        return plans
 
 
 def idle_arrival_cluster(

@@ -36,10 +36,12 @@ substream key and is byte-identical to the pre-tenant implementation.
 Fast path: every cost a request will be charged is a pure function of
 (request, plan, cost model) -- none depends on simulation time -- so the
 per-(batch, net) RPC fan-outs, payload sizes, serde times, and SLS times
-are precomputed once per request (:meth:`ClusterSimulation._request_plans`)
-instead of being rediscovered inside the DES hot loop.  Precomputation
-reproduces the original per-span float-operation order exactly, so the
-refactor is byte-identical to the per-batch path it replaced.
+are precomputed once per request instead of being rediscovered inside
+the DES hot loop: under the default kernel from the columnar chunk the
+idle-arrival hook builds (:mod:`repro.serving.columnar`), otherwise by
+the scalar :meth:`ClusterSimulation._request_plans`.  Both reproduce the
+original per-span float-operation order exactly, so the plans are
+byte-identical to the per-batch path they replaced.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -73,6 +76,7 @@ from repro.tracing.span import MAIN_SHARD, Layer, Tracer
 if TYPE_CHECKING:
     from repro.chaos.faults import FaultSchedule
     from repro.resilience.policy import ResiliencePolicy
+    from repro.serving.columnar import _IdleArrivals
 
 _SERDE = Layer.SERDE
 _OPERATOR = Layer.OPERATOR
@@ -152,21 +156,15 @@ class ServingConfig:
     ``tests/test_idle_arrival_replay.py``)."""
 
     def __post_init__(self):
-        if self.service_workers < 1:
+        for name in ("service_workers", "max_batches", "batch_size"):
+            value = getattr(self, name)
+            if value is None and name == "batch_size":
+                continue
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0.0 <= float(self.clock_skew_sigma) < math.inf:  # also rejects NaN
             raise ValueError(
-                f"service_workers must be >= 1, got {self.service_workers!r}"
-            )
-        if self.max_batches < 1:
-            raise ValueError(
-                f"max_batches must be >= 1, got {self.max_batches!r}"
-            )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1 (or None), got {self.batch_size!r}"
-            )
-        if not float(self.clock_skew_sigma) >= 0.0:  # also rejects NaN
-            raise ValueError(
-                f"clock_skew_sigma must be non-negative, got "
+                f"clock_skew_sigma must be finite and non-negative, got "
                 f"{self.clock_skew_sigma!r}"
             )
         if self.kernel not in KERNELS:
@@ -246,18 +244,37 @@ class _ShardLookups:
 
     __slots__ = (
         "shard",
-        "req_bytes",
-        "resp_bytes",
         "client_ser_total",
         "server_deser",
         "server_overhead",
         "sls_work",
         "server_resp_ser",
         "client_resp_deser",
+        "req_bytes",
+        "resp_bytes",
     )
 
-    def __init__(self, shard: ShardSpec):
+    def __init__(
+        self,
+        shard: ShardSpec,
+        client_ser_total: float,
+        server_deser: float,
+        server_overhead: float,
+        sls_work: float,
+        server_resp_ser: float,
+        client_resp_deser: float,
+        req_bytes: float,
+        resp_bytes: float,
+    ):
         self.shard = shard
+        self.client_ser_total = client_ser_total
+        self.server_deser = server_deser
+        self.server_overhead = server_overhead
+        self.sls_work = sls_work
+        self.server_resp_ser = server_resp_ser
+        self.client_resp_deser = client_resp_deser
+        self.req_bytes = req_bytes
+        self.resp_bytes = resp_bytes
 
 
 class _NetBatchPlan:
@@ -442,20 +459,17 @@ class ClusterSimulation:
         #: Requests handed to the DES (:meth:`submit`) so far.
         self.des_requests = 0
         #: Optional columnar hook for :meth:`run_serial` and
-        #: :meth:`run_stream` (see :meth:`_offer`), installed by
+        #: :meth:`run_stream` (see :meth:`_offer` and :meth:`_submit_at`),
+        #: installed by
         #: :func:`repro.serving.columnar.idle_arrival_cluster`: called as
         #: ``(cluster, position, tenant, request, now, horizon)`` for a
         #: request that arrives at an idle cluster; returns the
         #: completion time when it replayed and committed the request
         #: (its row, ``completed`` entry and every cluster state the DES
-        #: would have left), ``None`` when the DES must replay it.
-        self.idle_arrival: (
-            Callable[
-                ["ClusterSimulation", int, int, Request, float, float],
-                float | None,
-            ]
-            | None
-        ) = None
+        #: would have left), ``None`` when the DES must replay it.  Its
+        #: ``plans(cluster, position, tenant, request)`` gives the DES a
+        #: request's plans (``None``: build them here).
+        self.idle_arrival: _IdleArrivals | None = None
         policy = self.config.resilience
         live_policy = policy is not None and not policy.is_empty
         #: Per-request outcome ledger both fault runtimes write (the
@@ -602,6 +616,17 @@ class ClusterSimulation:
         sizes, serde/SLS/overhead times.  The partition-split substreams
         are keyed (stateless), so drawing them here consumes no shared RNG
         state and yields exactly the values the per-batch path drew.
+
+        The scalar reference builder.  Where an experiment run installs
+        the idle-arrival hook (the default kernel) the DES reads its
+        plans from the columnar chunk instead
+        (:meth:`repro.serving.columnar._IdleArrivals.plans`,
+        bit-identical), so this runs only for the ``batched`` and
+        ``reference`` oracles, for chaos/resilience runs (which fall back
+        to ``batched``), for plans with row-partitioned tables
+        (:func:`repro.serving.columnar._scalar_chunk_plans`, and the DES
+        requests those chunks leave out), and on a bare cluster driven
+        without the hook (trace rendering).
         """
         cm = self.config.cost_model
         singular = tenant.plan.is_singular
@@ -736,27 +761,20 @@ class ClusterSimulation:
                         segments * 4.0 + 24.0
                     )
                     resp_bytes = 64.0 + resp_extra[b]
-                    target = _ShardLookups(shard)
-                    target.req_bytes = req_bytes
-                    target.resp_bytes = resp_bytes
-                    target.client_ser_total = (
+                    batch_targets[b].append(_ShardLookups(
+                        shard,
                         serde_fixed
                         + tbl_client[n_tables]
                         + req_bytes / denom_main
-                        + dispatch_fixed
-                    )
-                    target.server_deser = (
-                        serde_fixed + tbl_server[n_tables] + req_bytes / denom_sparse
-                    )
-                    target.server_overhead = cm.net_overhead(n_tables + 2)
-                    target.sls_work = sls_dispatch * n_tables + gather[b]
-                    target.server_resp_ser = (
-                        serde_fixed + tbl_server[n_tables] + resp_bytes / denom_sparse
-                    )
-                    target.client_resp_deser = (
-                        serde_fixed + tbl_client[n_tables] + resp_bytes / denom_main
-                    )
-                    batch_targets[b].append(target)
+                        + dispatch_fixed,
+                        serde_fixed + tbl_server[n_tables] + req_bytes / denom_sparse,
+                        cm.net_overhead(n_tables + 2),
+                        sls_dispatch * n_tables + gather[b],
+                        serde_fixed + tbl_server[n_tables] + resp_bytes / denom_sparse,
+                        serde_fixed + tbl_client[n_tables] + resp_bytes / denom_main,
+                        req_bytes,
+                        resp_bytes,
+                    ))
             per_batch = []
             for b in batch_range:
                 targets = batch_targets[b]
@@ -770,15 +788,27 @@ class ClusterSimulation:
         return plans
 
     # -- request lifecycle -------------------------------------------------------
-    def submit(self, request: Request, tenant: int = 0) -> Event:
+    def submit(
+        self,
+        request: Request,
+        tenant: int = 0,
+        plans: dict[str, list[_NetBatchPlan]] | None = None,
+    ) -> Event:
         """Inject one request now (for ``tenant``); returns its completion
-        event.  Request ids must be unique across all tenants of a run."""
+        event.  Request ids must be unique across all tenants of a run.
+        ``plans`` are the request's precomputed (net -> per-batch) plans;
+        ``None`` builds them with :meth:`_request_plans`."""
         self.des_requests += 1
         return self.engine.process(
-            self._serve_request(self.tenants[tenant], request)
+            self._serve_request(self.tenants[tenant], request, plans)
         )
 
-    def _serve_request(self, tenant: _Tenant, request: Request):
+    def _serve_request(
+        self,
+        tenant: _Tenant,
+        request: Request,
+        plans: dict[str, list[_NetBatchPlan]] | None,
+    ):
         engine, cm, main = self.engine, self.config.cost_model, self.main
         record = self._record
         rid = request.request_id
@@ -802,7 +832,8 @@ class ClusterSimulation:
         main.workers.release()
 
         batches = self._batches(tenant, request)
-        plans = self._request_plans(tenant, request, batches)
+        if plans is None:
+            plans = self._request_plans(tenant, request, batches)
         batch_events = [
             engine.process(self._run_batch(tenant, request, batch, plans))
             for batch in batches
@@ -1371,6 +1402,16 @@ class ClusterSimulation:
             self, position, tenant, request, self.engine.now, horizon
         )
 
+    def _submit_at(self, position: int, tenant: int, request: Request) -> Event:
+        """:meth:`submit` the request at stream ``position``, with the
+        plans :attr:`idle_arrival` holds for it, if any."""
+        idle_arrival = self.idle_arrival
+        plans = (
+            None if idle_arrival is None
+            else idle_arrival.plans(self, position, tenant, request)
+        )
+        return self.submit(request, tenant, plans)
+
     def run_serial(self, requests: Iterable[Request]) -> None:
         """Serial blocking replay: next request sent after the previous
         response returns (paper Section VI).
@@ -1384,7 +1425,7 @@ class ClusterSimulation:
             for position, request in enumerate(requests):
                 t_end = self._offer(position, 0, request, math.inf)
                 if t_end is None:
-                    yield self.submit(request)
+                    yield self._submit_at(position, 0, request)
                 else:
                     # The engine holds no event, so moving the clock to
                     # the committed completion reorders nothing: it is
@@ -1436,7 +1477,7 @@ class ClusterSimulation:
                 )
                 t_end = self._offer(position, int(tenant), request, horizon)
                 if t_end is None:
-                    self.submit(request, int(tenant))
+                    self._submit_at(position, int(tenant), request)
                 else:
                     last_end = t_end
                 position += 1

@@ -3,18 +3,20 @@
 The serial closed-loop, chaos-free regime -- the one the paper's figures
 are produced in -- admits a much stronger optimization than a faster
 event loop: every per-request cost is a pure function of
-(request, plan, cost model) that the serving layer already precomputes
-(:meth:`~repro.serving.simulator.ClusterSimulation._request_plans`), and
-requests are strictly sequential (request ``i+1`` starts at the exact
+(request, plan, cost model) that the serving layer precomputes per
+chunk (:func:`repro.serving.columnar.build_chunk_plans`, which also
+feeds the DES its plans), and requests are strictly sequential (request ``i+1`` starts at the exact
 completion float of request ``i``).  So instead of scheduling ~180 DES
 events per request, this module replays requests from array programs
 built a *chunk* of requests at a time:
 
-1. :mod:`repro.serving.columnar` transposes the per-request plans into
-   per-chunk numpy columns (one vectorized pass per (net, shard) over
-   all requests of the chunk), bit-for-bit equal to the scalar plan
-   builder because every elementwise expression keeps the exact
-   left-associated float order of the code it mirrors;
+1. :mod:`repro.serving.columnar` builds the per-request plans as
+   per-chunk numpy columns (one vectorized pass per (batch group, net)
+   over every routing slot and all requests of the group), bit-for-bit
+   equal to the scalar plan builder
+   (:meth:`~repro.serving.simulator.ClusterSimulation._request_plans`)
+   because every elementwise expression keeps the exact left-associated
+   float order of the code it mirrors;
 2. :class:`SweepEvaluator` walks each request's batch chains
    analytically -- cumulative scalar adds in the exact order the chained
    DES yields would have performed them, *not* ``np.sum`` -- and
@@ -117,14 +119,18 @@ A declined evaluation leaves no trace: the evaluator reads the jitter
 cursor ahead without moving it, writes reservations, rows and
 ``completed`` only on commit, and the DES, replaying the same request,
 consumes every window the evaluator read ahead -- so ``_jitter_pos`` and
-the fabric RNG state end where a pure-DES run leaves them.
+the fabric RNG state end where a pure-DES run leaves them.  The DES
+takes a request's plans from the same chunk rows the evaluator reads
+(a pool misfit included), so the replay builds each plan once.
 
 The regression pins for all of this are
 ``tests/test_kernel_equivalence.py`` (vectorized == reference on every
 paper configuration, all ``RunResult`` columns, serial and parallel)
 and ``tests/test_idle_arrival_replay.py`` (serial, open-loop and mix
 replays == the batched DES across the busy-period range and on
-2-worker hosts, ties, cluster state).
+2-worker hosts, ties, cluster state); ``tests/test_chunk_plan_builder.py``
+pins the chunk columns, and the DES plans read from them, to the scalar
+builder field by field.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ equality/hashing treat them as the same process.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -130,8 +131,10 @@ class PoissonArrivals(ArrivalProcess):
     seed: int = 0
 
     def __post_init__(self):
-        if self.qps <= 0:
-            raise ValueError("Poisson arrivals require qps > 0")
+        if not 0.0 < float(self.qps) < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"Poisson arrivals require a finite qps > 0, got {self.qps!r}"
+            )
         object.__setattr__(self, "qps", float(self.qps))
 
     def arrival_times(self, count: int) -> np.ndarray:

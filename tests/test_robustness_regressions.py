@@ -3,9 +3,11 @@ trace-mode fast path: empty-run per-shard means, REPRO_SWEEP_WORKERS /
 SuiteSettings / CLI request- and worker-count validation, CLI flag-value
 validation before any replay, the removed ``--trace-mode``/``--kernel``
 flags and replay knobs, the CLI profile's one-worker pin,
-replay-schedule seeding, and the degenerate behaviors of the
-median-window stack means.
+replay-schedule seeding, non-finite and non-integral library inputs,
+and the degenerate behaviors of the median-window stack means.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ from repro.experiments.parallel import WORKERS_ENV
 from repro.experiments.runner import RunResult
 from repro.models import drm1
 from repro.requests import ReplaySchedule
-from repro.serving.simulator import ClusterSimulation
+from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.sharding import singular_plan
+from repro.workloads.arrivals import PoissonArrivals
 
 
 class TestEmptyRunResult:
@@ -251,6 +254,41 @@ class TestReplayScheduleSeeding:
 
     def test_schedules_compare_equal_across_spellings(self):
         assert ReplaySchedule.open_loop(25) == ReplaySchedule.open_loop(25.0)
+
+
+class TestLibraryInputsFailLoudly:
+    """Values the CLI's parsers reject fail at the library constructors
+    too, instead of deep inside a replay (or not at all)."""
+
+    @pytest.mark.parametrize("qps", [math.nan, math.inf])
+    def test_open_loop_rejects_non_finite_qps(self, qps):
+        with pytest.raises(ValueError, match="finite qps"):
+            ReplaySchedule.open_loop(qps)
+
+    @pytest.mark.parametrize("qps", [math.nan, math.inf])
+    def test_poisson_arrivals_reject_non_finite_qps(self, qps):
+        with pytest.raises(ValueError, match="finite qps"):
+            PoissonArrivals(qps)
+
+    @pytest.mark.parametrize("skew", [math.nan, math.inf])
+    def test_serving_config_rejects_non_finite_skew(self, skew):
+        with pytest.raises(ValueError, match="clock_skew_sigma"):
+            ServingConfig(clock_skew_sigma=skew)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize(
+        "name", ["service_workers", "max_batches", "batch_size"]
+    )
+    def test_serving_config_rejects_non_integral_counts(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ServingConfig(**{name: bad})
+
+    def test_serving_config_accepts_numpy_integers(self):
+        config = ServingConfig(
+            service_workers=np.int64(2), max_batches=np.int32(4),
+            batch_size=np.int64(16), clock_skew_sigma=np.float64(0.001),
+        )
+        assert config.service_workers == 2
 
 
 class TestMedianWindowMeanEquivalence:
