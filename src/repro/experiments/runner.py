@@ -79,10 +79,10 @@ class RunResult:
         #: :mod:`repro.serving.columnar`); None when no fallback happened.
         self.kernel_fallback: str | None = None
         #: Requests the DES replayed: every request for a DES kernel;
-        #: under ``vectorized``, the requests that did not fit the worker
-        #: pools plus, in an open-loop run, the busy-period arrivals (the
-        #: rest took the evaluator -- every request of a serial run on
-        #: deep enough pools).
+        #: under ``vectorized``, the busy-period arrivals of an open-loop
+        #: run plus the rare request whose acquires tie on a worker pool
+        #: (the rest took the evaluator, batches queueing FIFO for the
+        #: workers -- every request of a serial run without such a tie).
         self.des_requests: int = 0
         #: Requests that never completed (an aborted or fault-saturated
         #: replay); ids only -- they have no row in the columns.
@@ -314,8 +314,9 @@ def run_configuration(
     ``serving.kernel == "vectorized"`` (the default) replays an eligible
     run -- serial or open-loop -- on the DES with every idle arrival
     taking the columnar engine
-    (:func:`repro.serving.columnar.idle_arrival_cluster`; a serial run on
-    deep enough pools never reaches the DES), bit-identical to the
+    (:func:`repro.serving.columnar.idle_arrival_cluster`; a serial run
+    reaches the DES only for a request whose acquires tie on a worker
+    pool), bit-identical to the
     batched kernel; ineligible runs fall back to the batched kernel with
     the reason recorded on ``RunResult.kernel_fallback``.
     """

@@ -31,6 +31,8 @@ byte-identical to ``resilience=None``.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -105,11 +107,21 @@ class ResiliencePolicy:
     def __post_init__(self):
         if self.rpc_timeout is not None:
             _require_positive("rpc_timeout", self.rpc_timeout)
-        if int(self.max_attempts) < 1:
+        # An integer count: a fractional bound would validate as its
+        # floor but let ``attempts < max_attempts`` issue one more.
+        if (
+            not isinstance(self.max_attempts, numbers.Integral)
+            or isinstance(self.max_attempts, bool)
+            or self.max_attempts < 1
+        ):
             raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts!r}"
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
             )
-        _require_nonnegative("backoff_base", self.backoff_base)
+        if not 0.0 <= float(self.backoff_base) < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"backoff_base must be finite and non-negative, got "
+                f"{self.backoff_base!r}"
+            )
         if not float(self.backoff_factor) >= 1.0:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
@@ -139,7 +151,7 @@ class ResiliencePolicy:
         _require_nonnegative("retry_refill_rate", self.retry_refill_rate)
         if (
             self.hedge_delay is not None or self.hedge_quantile is not None
-        ) and int(self.max_attempts) < 2:
+        ) and self.max_attempts < 2:
             raise ValueError(
                 "hedging issues a second attempt, so max_attempts must be "
                 f">= 2, got {self.max_attempts!r}"

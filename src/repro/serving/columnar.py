@@ -9,11 +9,12 @@ DES offers the evaluator every request that arrives at an idle cluster
 (:func:`idle_arrival_cluster`).  Every replay -- serial closed-loop,
 open-loop, or a co-located mix -- runs on the DES driver; plans are
 built per tenant over chunks of stream positions, for every request.
-The evaluator commits a request only if its batches fit the worker
-pools and it completes strictly before the next arrival (for a serial
-run the next arrival is the request's own completion, so the horizon is
-``+inf``), and the DES replays the rest -- reading each request's plans
-from the same chunk rows (:meth:`_IdleArrivals.plans`), so one build
+The evaluator commits a request if it completes strictly before the
+next arrival (for a serial run the next arrival is the request's own
+completion, so the horizon is ``+inf``) -- its batches queueing FIFO for
+the worker pools, unless two acquires on one pool tie at one exact time
+and one waits -- and the DES replays the rest, reading each request's
+plans from the same chunk rows (:meth:`_IdleArrivals.plans`), so one build
 serves both paths.  One :class:`VectorizedColumns` collector is the
 run's tracer, so both replay paths fill one set of columns in
 completion order.
@@ -108,13 +109,13 @@ def vectorized_ineligibility(serving: ServingConfig) -> str | None:
 
     No run with fault injection or a live resilience policy can: both
     schedule timers on the event loop.  No pool gate is needed: the
-    replay sends only the requests that arrive at an idle cluster and
-    fit the pools through the evaluator (:func:`idle_arrival_cluster`),
-    and the DES replays the rest.  The trace mode plays no part: every
-    run is attributed by the aggregate accumulator the evaluator folds
-    into.  Everything here is a pure function of the *configuration* --
-    never of the request sample -- so the same sweep always takes the
-    same path.
+    evaluator models FIFO worker queueing, the replay sends only the
+    requests that arrive at an idle cluster through it
+    (:func:`idle_arrival_cluster`), and the DES replays the rest.  The
+    trace mode plays no part: every run is attributed by the aggregate
+    accumulator the evaluator folds into.  Everything here is a pure
+    function of the *configuration* -- never of the request sample -- so
+    the same sweep always takes the same path.
     """
     if serving.chaos is not None:
         return REASON_CHAOS
@@ -133,8 +134,8 @@ class _ChunkBundle:
     per-request item counts, per-batch id-count stacks, and the
     batch-count grouping.  Cost columns (which depend on the sharding
     plan and platforms) are rebuilt per configuration from these exact
-    integers.  Every batch-count group is built: the evaluator reads the
-    groups that fit the worker pools, the DES reads the rest.
+    integers.  Every batch-count group is built, and both replay paths
+    read every group.
     """
 
     __slots__ = ("first", "model", "items", "total_ids", "ndraws", "groups")
@@ -309,10 +310,8 @@ def build_chunk_plans(
     Bit-for-bit equal to calling ``sim._request_plans`` per request (see
     the module docstring); requests are grouped by batch count, and one
     numpy pass per (group, net) computes every routing slot at once over
-    (slot, table, request, batch) arrays.  Every group is built: the
-    DES reads the rows of the requests the evaluator cannot take, whose
-    ``nb`` stays 0 (their batches do not fit the pools, see
-    :func:`_pool_fit`).
+    (slot, table, request, batch) arrays.  Every request gets a row, read
+    by the evaluator or, for a request it declines, by the DES.
     """
     config = sim.config
     model = tenant.model
@@ -320,7 +319,6 @@ def build_chunk_plans(
     size = config.batch_size or model.profile.batch_size
     bundle = _chunk_bundle(requests, model, size, config.max_batches)
     count = len(requests)
-    fit = _pool_fit(sim, tenant)
 
     rc_main = config.main_platform.relative_clock
     denom_main = sim._serde_denom_main
@@ -377,9 +375,8 @@ def build_chunk_plans(
     tbl_server = np.asarray(tenant.serde_tbl_server, dtype=np.float64)
 
     for batches, positions, items_pb, stacks in bundle.groups:
-        if batches <= fit:
-            for position in positions:
-                nb_list[position] = batches
+        for position in positions:
+            nb_list[position] = batches
         items_pb_f = items_pb.astype(np.float64)
         for net_index, net_cfg in enumerate(model.nets):
             net_columns = nets[net_index]
@@ -453,17 +450,6 @@ def build_chunk_plans(
     )
 
 
-def _pool_fit(sim: ClusterSimulation, tenant: _Tenant) -> int:
-    """The largest batch count no ``acquire`` can block on when a
-    request runs alone: every batch holds one main worker, and at most
-    one RPC per batch is in service on any sparse host."""
-    fit = sim.main.workers.capacity
-    if not tenant.plan.is_singular:
-        for server in sim.sparse_servers:
-            fit = min(fit, server.workers.capacity)
-    return fit
-
-
 #: _ShardLookups attributes in evaluator row order (rows 1-8; row 0 is
 #: the active plane), which is also its constructor's argument order.
 _PLAN_FIELDS = (
@@ -482,12 +468,9 @@ def _scalar_chunk_plans(
     at a time is exactly the reference computation; only the
     transposition into evaluator columns is new.  (Not memory-flat to
     the same degree: ``_request_plans`` memoizes slice counts on the
-    request objects, like every scalar-kernel sweep does.)  Requests
-    whose batches do not fit the pools get ``nb == 0`` and no plan; the
-    DES builds theirs itself.
+    request objects, like every scalar-kernel sweep does.)
     """
     model = tenant.model
-    fit = _pool_fit(sim, tenant)
     cm = sim.config.cost_model
     main_platform = sim.config.main_platform
     names = [net_cfg.name for net_cfg in model.nets]
@@ -511,19 +494,6 @@ def _scalar_chunk_plans(
         batches = sim._batches(tenant, request)
         num_batches = len(batches)
         rids.append(request.request_id)
-        if num_batches > fit:
-            nb_list.append(0)
-            heads.append(0.0)
-            tails.append(0.0)
-            for net_columns in nets:
-                net_columns.dense.append(None)
-                if singular:
-                    net_columns.local.append(None)
-                    continue
-                net_columns.overhead.append(None)
-                for target in net_columns.targets:
-                    target.rows.append(None)
-            continue
         plans = sim._request_plans(tenant, request, batches)
         nb_list.append(num_batches)
         heads.append(
@@ -587,9 +557,9 @@ class _IdleArrivals:
     when a request arrives at an idle cluster, it returns the completion
     time of a committed request, or ``None`` when the DES must replay it
     (the stream's request is not the one planned at that position, its
-    batches do not fit the pools, or it would not finish strictly before
-    the next arrival).  :meth:`plans` then hands the DES that request's
-    plans, read from the same rows.  The hook holds no reference to the
+    acquires tie on a worker pool, or it would not finish strictly
+    before the next arrival).  :meth:`plans` then hands the DES that
+    request's plans, read from the same rows.  The hook holds no reference to the
     cluster, so a finished cluster is freed at once.
     """
 
@@ -655,8 +625,6 @@ class _IdleArrivals:
         if located is None:
             return None
         plans, row = located
-        if not plans.nb[row]:
-            return None
         t_end = self.evaluator.replay_chunk(plans, now, row, horizon)
         return t_end if t_end < horizon else None
 
@@ -666,9 +634,8 @@ class _IdleArrivals:
     ) -> dict[str, list[_NetBatchPlan]] | None:
         """The DES's per-net, per-batch plans for the request at
         ``position``, equal field by field to
-        ``ClusterSimulation._request_plans``; ``None`` when the chunk
-        holds no row for it (an unplanned stream entry, or a request
-        :func:`_scalar_chunk_plans` left out), so the DES builds them."""
+        ``ClusterSimulation._request_plans``; ``None`` for a stream entry
+        the chunk holds no row for, so the DES builds them."""
         located = self._row(cluster, position, tenant, request)
         if located is None:
             return None
@@ -677,8 +644,6 @@ class _IdleArrivals:
         plans: dict[str, list[_NetBatchPlan]] = {}
         for name, net in zip(chunk.net_names, chunk.nets):
             dense = net.dense[row]
-            if dense is None:
-                return None
             if chunk.singular:
                 overhead = net.singular_overhead
                 plans[name] = [

@@ -142,10 +142,12 @@ class ServingConfig:
     """Kernel selector (see :data:`repro.simulation.engine.KERNELS`).
     The default, ``"vectorized"``, chooses per run: every run -- serial
     closed-loop, open-loop, or a co-located mix -- replays on the
-    batched DES with every idle arrival that fits the pools taken by the
-    columnar evaluator (:mod:`repro.serving.columnar`;
-    ``RunResult.des_requests`` counts the rest, 0 for a serial run on
-    deep enough pools).  Runs with chaos or a live resilience policy
+    batched DES with every idle arrival that finishes before the next
+    taken by the columnar evaluator, its batches queueing FIFO for the
+    workers (:mod:`repro.serving.columnar`; ``RunResult.des_requests``
+    counts the rest: the busy periods, and the rare request whose
+    acquires tie on a worker pool -- 0 for the serial runs the tests
+    pin).  Runs with chaos or a live resilience policy
     take the ``"batched"`` DES, recording the reason on
     ``RunResult.kernel_fallback``.  ``"batched"`` (FIFO now-queue,
     synchronous resource grants) and ``"reference"`` (the historical

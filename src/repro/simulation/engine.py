@@ -76,13 +76,18 @@ chained DES yields perform (cumulative per-shard adds, never
 ``np.sum``, whose pairwise tree reassociates), and every RNG substream
 (fabric jitter, clock skew) is drawn bulk-bufferedly in the same global
 time order the scalar calls consume it.  A run keeps the event loop for
-its busy periods and hands the evaluator only the requests that fit the
-worker pools and finish strictly before the next arrival -- requests no
-other event can interleave with.  In a serial closed loop the next
-arrival is the request's own completion, so every request that fits the
-pools takes the evaluator.  The same regression suites pin vectorized
-== reference on every eligible paper configuration, serial and
-parallel, and vectorized == batched on shallow pools, open-loop and
+its busy periods and hands the evaluator only the requests that finish
+strictly before the next arrival -- requests no other event can
+interleave with.  Their batches queue FIFO for the worker pools: the
+evaluator replays each :class:`Resource` as a free list of release
+times, since every hold is known when its unit is granted, and declines
+a request to the event loop when two acquires on one pool tie at one
+exact time and one of them waits (the sequence counter would decide
+which).  In a serial closed loop the next arrival is the request's own
+completion, so every request without such a tie takes the evaluator,
+whatever the pool depth.  The same regression suites pin vectorized ==
+reference on every eligible paper configuration, serial and parallel,
+and vectorized == batched on 2- and 1-worker pools, open-loop and
 co-located replays.
 """
 
@@ -536,8 +541,9 @@ class BatchedEngine(Engine):
 #: Selectable DES kernels (``ServingConfig.kernel``; the CLI always
 #: runs the default).  ``"vectorized"`` is the columnar replay fast
 #: path: every run -- serial closed-loop, open-loop or a co-located mix
-#: -- runs the batched loop with every idle arrival that fits the pools
-#: replayed by the evaluator (see :mod:`repro.simulation.vectorized` /
+#: -- runs the batched loop with every idle arrival that finishes before
+#: the next replayed by the evaluator, worker queueing included (see
+#: :mod:`repro.simulation.vectorized` /
 #: :mod:`repro.serving.columnar`); runs with chaos or a live resilience
 #: policy fall back to the batched kernel with a recorded reason
 #: (``RunResult.kernel_fallback``).

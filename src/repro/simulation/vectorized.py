@@ -22,7 +22,8 @@ built a *chunk* of requests at a time:
    DES yields would have performed them, *not* ``np.sum`` -- and
    resolves the only genuinely dynamic parts (main-NIC egress
    serialization, the per-shard response NICs, the 4-way IO-thread pool,
-   and RPC join maxima) with a tiny per-request event heap.  Every
+   the main and per-shard worker pools, and RPC join maxima) with a tiny
+   per-request event heap.  Every
    accumulation whose operand order is fixed by construction -- the
    per-batch bucket lists (one ordered chain per batch), the per-RPC
    attribution entries (one RPC per entry), the best-RPC selection
@@ -46,23 +47,28 @@ Vectorized equivalence
 Why this reproduces the chained-yield float order bit for bit:
 
 * **Timing.**  For a request the evaluator commits (it arrives at an
-  idle cluster, its batches fit the worker pools, no chaos -- see "Idle
-  arrivals" below) no resource wait ever blocks:
-  every ``acquire`` is granted at its request time, so each batch
+  idle cluster, no chaos -- see "Idle arrivals" below) each batch
   chain's timestamps are the running sums ``t += cost`` of its
-  precomputed costs -- exactly the floats the DES produces, because the
-  DES computes them with the *same* sequential additions.  The dynamic
-  exceptions (NIC egress queues, the IO-thread pool) are Lindley
-  recursions over heap-ordered events, which is precisely what
-  ``SimServer.egress_delay`` and the FIFO resource implement.
+  precomputed costs from the moment its worker is granted -- exactly the
+  floats the DES produces, because the DES computes them with the
+  *same* sequential additions.  The dynamic parts (NIC egress queues,
+  the IO-thread pool, the worker pools) are Lindley / Kiefer-Wolfowitz
+  recursions over heap-ordered acquires, which is precisely what
+  ``SimServer.egress_delay`` and the FIFO resource implement: a chain
+  holds its worker for a span known when the worker is granted (a main
+  chain until it parks on an RPC group or ends, an RPC until its
+  response is serialized), so each FIFO grant is ``max(t, min(free))``
+  over the pool's release times, with no waiter queue at all.
 * **Draw order.**  The only stochastic input, fabric jitter, is
   consumed through the *simulation's own* :class:`Fabric` cursor
   (:meth:`~repro.simulation.network.Fabric.zero_byte_delays` /
   :meth:`~repro.simulation.network.Fabric.seek`, the windows
   ``one_way_delay`` reads too) in heap order -- the same ``(time,
-  kickoff-sequence)`` order the DES dispatches, with equal-time kickoffs
-  ordered by batch index exactly as the engine's scheduling counter
-  orders them.
+  kickoff-sequence)`` order the DES dispatches, with equal-time events
+  of lockstep chains ordered by their *lane*: the batch index for
+  chains started at one instant, FIFO order for chains handed workers
+  at one instant after a wait -- exactly as the engine's scheduling
+  counter orders them.
 * **Accumulation order.**  Per-accumulator operand order is what must
   match, not the global interleave: an accumulator only sees its own
   records' terms, so any accumulator fed by exactly one ordered chain
@@ -85,9 +91,9 @@ offer the evaluator every request that arrives at an idle cluster
 time, starting at the driver's own ``engine.now``; the DES replays the
 rest.  In a serial closed loop every request arrives at an idle cluster
 and the next arrival is the request's own completion, so the horizon is
-``+inf`` and only a pool misfit goes to the DES; on a commit the driver
-moves ``engine.now`` to the completion float, where the DES driver
-would resume.  In an open-loop run (or a co-located mix) the DES
+``+inf`` and only a pool tie (below) goes to the DES; on a commit the
+driver moves ``engine.now`` to the completion float, where the DES
+driver would resume.  In an open-loop run (or a co-located mix) the DES
 replays the busy periods.  A request is committed under three
 conditions:
 
@@ -97,12 +103,21 @@ conditions:
   its own request's completion).  The evaluator starts its Lindley
   recursions from the servers' reservations, so its NIC floats are the
   DES's.
-* **Its batches fit the pools** (``nb`` no larger than the main pool
-  and, for a distributed plan, every sparse pool: each batch holds one
-  main worker, and at most one RPC per batch is in service on a host).
-  Then no ``acquire`` blocks, and each chain's timestamps are the
-  running sums ``t += cost`` from ``now``.  No chaos and no live
-  resilience policy run, so nothing else schedules events
+* **Every worker-pool order is provable.**  Batches queue FIFO for the
+  main pool (the kickoffs acquire at one instant in batch order, and a
+  chain re-acquires a worker when its RPC group joins) and RPCs for
+  their shard's pool (acquired on arrival), each pool replayed as a
+  free list of release times in heap order.  A pool no larger than
+  ``nb`` can queue (each batch holds at most one main worker, and has
+  at most one RPC in service on a host); a larger one grants every
+  acquire at its request time and keeps no list.  Two acquires on one
+  pool at one exact time -- other than the kickoffs -- are ordered by
+  the engine's sequence counter, which the evaluator does not replay;
+  if either waits, the order decides who does, so the evaluator
+  *declines* the request to the DES (a wait-free tie grants both at
+  that time, in either order).  Two grants at one exact time after
+  waits resume in FIFO order, which the lanes follow.  No chaos and no
+  live resilience policy run, so nothing else schedules events
   (``vectorized_ineligibility``).
 * **It completes strictly before the next arrival's clock** (the float
   the engine will compute, ``now + (next - previous)``; ``+inf`` in a
@@ -115,27 +130,31 @@ conditions:
   request arrives while this one still holds its tail -- and may queue
   on a worker.  Ties, and later completions, therefore go to the DES.
 
-A declined evaluation leaves no trace: the evaluator reads the jitter
-cursor ahead without moving it, writes reservations, rows and
-``completed`` only on commit, and the DES, replaying the same request,
-consumes every window the evaluator read ahead -- so ``_jitter_pos`` and
-the fabric RNG state end where a pure-DES run leaves them.  The DES
-takes a request's plans from the same chunk rows the evaluator reads
-(a pool misfit included), so the replay builds each plan once.
+A declined evaluation -- a pool tie, or a completion at or after the
+horizon -- leaves no trace: the evaluator reads the jitter cursor ahead
+without moving it, writes reservations, rows and ``completed`` only on
+commit, and the DES, replaying the same request, consumes every window
+the evaluator read ahead -- so ``_jitter_pos`` and the fabric RNG state
+end where a pure-DES run leaves them.  The DES takes a request's plans
+from the same chunk rows the evaluator reads, so the replay builds each
+plan once.
 
 The regression pins for all of this are
 ``tests/test_kernel_equivalence.py`` (vectorized == reference on every
 paper configuration, all ``RunResult`` columns, serial and parallel)
 and ``tests/test_idle_arrival_replay.py`` (serial, open-loop and mix
-replays == the batched DES across the busy-period range and on
-2-worker hosts, ties, cluster state); ``tests/test_chunk_plan_builder.py``
-pins the chunk columns, and the DES plans read from them, to the scalar
-builder field by field.
+replays == the batched DES across the busy-period range and on 2- and
+1-worker hosts, horizon and pool ties, cluster state);
+``tests/test_queueing_oracles.py`` checks queued batches against a
+closed form, and ``tests/test_chunk_plan_builder.py`` pins the chunk
+columns, and the DES plans read from them, to the scalar builder field
+by field.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -179,20 +198,63 @@ _Record = tuple[float, int, int, int, float, float]
 
 # Per-request heap events: (time, code, t_client, entry) where ``code``
 # packs the dispatch rank and the event's identity as
-# ``rank << 41 | batch << 20 | net << 14 | slot``.  With every field in
-# its fixed width, integer comparison of two codes equals lexicographic
-# comparison of the (rank, batch, net, slot) tuples -- so at equal
-# times, RPC kickoffs dispatch before any jitter-laden completion could
-# coincide (measure zero), and equal-time events of one rank dispatch
-# in batch order, the engine's sequence order for processes spawned at
-# the same instant.  The trailing two payload fields are never
-# compared: (time, code) is unique per event.  Ranks: 0 = issue (client
-# serde done -> egress + outbound network + shard chain), 1 = send
-# (shard response serialized -> egress + return network), 2 = arrive
-# (response at main -> IO-thread deserialization + join); advancing a
-# rank is ``code + _EV_SEND_BIT``.
-_EV_SEND_BIT = 1 << 41
-_EV_ARRIVE_BIT = 2 << 41
+# ``rank * unit | lane << 41 | batch << 20 | net << 14 | slot``.  With
+# every field in its fixed width, integer comparison of two codes equals
+# lexicographic comparison of the (rank, lane, batch, net, slot) tuples
+# -- so at equal times, RPC kickoffs dispatch before any jitter-laden
+# completion could coincide (measure zero), and equal-time events of
+# one rank dispatch in lane order.  A chain segment's *lane* is its
+# place in the engine's sequence order among segments that start at
+# one instant: the batch index for the kickoffs (processes spawned at
+# one instant run in spawn order, and a kickoff that waits is handed a
+# worker in that order too) and for every re-acquire granted at its
+# request time; a re-acquire handed a worker after a wait resumes in
+# FIFO order, behind every kickoff, and takes a lane above every batch
+# index (at most ``batches * (nets + 1)``, which fits the lane field
+# whenever the batch fits its own).  Lanes differ from batch order only
+# where the main pool queues; elsewhere the lane field stays 0 and the
+# rank ``unit`` is ``_EV_RANK`` (codes below 2**60 stay two-digit ints
+# in the hot loop), else ``_EV_RANK_LANED``, above the lane field.  The
+# trailing two payload fields are never compared: (time, code) is unique
+# per event.  Ranks: 0 = issue (client serde done -> egress + outbound
+# network + shard chain; with a queueing shard pool, only up to the
+# shard), 1 = send (shard response serialized -> egress + return
+# network), 2 = arrive (response at main -> IO-thread deserialization +
+# join); advancing a rank is ``code + unit``.  Two more ranks exist only
+# where a worker pool can queue (more batches than workers): 3 = serve
+# (the RPC reaches its shard and acquires a shard worker) and 4 = resume
+# (a joined chain re-acquires a main worker; slot bits 0).
+_EV_LANE = 41
+_EV_RANK = 1 << 41
+_EV_RANK_LANED = 1 << 69
+
+
+def _tie_declines(last: list, t: float, grant: float, key: int) -> bool:
+    """Whether an acquire at ``t``, granted at ``grant`` on a pool that
+    can queue, has a DES order the evaluator cannot prove.
+
+    ``last`` is the pool's previous acquire in FIFO order -- ``[time,
+    grant, key, waited]`` -- and is advanced to this one unless the
+    request is declined.  Two acquires at one exact time are ordered by
+    the engine's sequence counter, which decides who waits; so a tie
+    declines once either waits.  Two grants at one exact time after
+    waits resume in FIFO order, and the heap breaks equal-time ties by
+    ``key``, so such a tie must ascend in ``key``; a grant at its
+    request time that ties a handed-over one may resume before or after
+    it, so it declines.
+    """
+    waited = grant > t
+    if waited and t == last[0]:
+        return True
+    if grant == last[1] and (
+        waited != last[3] or (waited and key < last[2])
+    ):
+        return True
+    last[0] = t
+    last[1] = grant
+    last[2] = key
+    last[3] = waited
+    return False
 
 
 class TargetColumns:
@@ -239,10 +301,10 @@ class NetColumns:
 class ChunkPlans:
     """One chunk's transposed execution plans (see :class:`NetColumns`).
 
-    ``nb[i]`` is request ``i``'s batch count, or 0 when the builder left
-    the request out (its batches do not fit the worker pools, so only
-    the DES can replay it).  ``net_names`` names the tenant's nets by
-    index -- the net bits of a record key.
+    ``nb[i]`` is request ``i``'s batch count (every request of the
+    chunk has a row, whatever its batches' queueing for the worker
+    pools).  ``net_names`` names the tenant's nets by index -- the net
+    bits of a record key.
     """
 
     __slots__ = (
@@ -449,17 +511,18 @@ class SweepEvaluator:
     servers' egress reservations and the ``completed`` map -- and is
     written back only when a request *commits*.  A request's egress
     Lindley recursions start from the servers' own reservations, and its
-    IO-thread pool starts idle: in the regime the evaluator runs in,
-    every earlier request has completed, so every thread is free and
-    every reservation (each precedes its own request's completion) lies
-    at or before the request's start -- exactly where the DES starts.
+    IO-thread and worker pools start idle: in the regime the evaluator
+    runs in, every earlier request has completed, so every thread and
+    worker is free and every reservation (each precedes its own
+    request's completion) lies at or before the request's start --
+    exactly where the DES starts.
     """
 
     __slots__ = (
         "fabric", "main", "shards", "completed", "collector",
         "skew_main", "shard_skews", "no_skew", "main_nic", "sparse_nic",
         "pre_fraction", "request_fixed", "response_fixed", "service_fixed",
-        "io_threads", "_recs", "_entry_free",
+        "io_threads", "main_cap", "sparse_cap", "_recs", "_entry_free",
         "_b_dense", "_b_embedded", "_b_serde", "_b_overhead", "_b_sparse",
     )
 
@@ -493,6 +556,10 @@ class SweepEvaluator:
         self.response_fixed = cost_model.response_handler_fixed
         self.service_fixed = cost_model.rpc_service_fixed
         self.io_threads = cost_model.io_threads
+        self.main_cap = main.workers.capacity
+        self.sparse_cap = min(
+            (server.workers.capacity for server in shards), default=0
+        )
         collector.service_fixed = cost_model.rpc_service_fixed
         # request_handler_fixed then += response_handler_fixed: one add.
         collector.handler_cpu = (
@@ -513,7 +580,9 @@ class SweepEvaluator:
         self, plans: ChunkPlans, t_start: float, index: int, horizon: float
     ) -> float:
         """Replay request ``index`` of one chunk, starting at ``t_start``;
-        returns its completion time.
+        returns its completion time, or ``+inf`` when a tie on a worker
+        pool leaves its order unproven (see "Idle arrivals" in the module
+        docstring).
 
         The request *commits* -- folds its row, moves the jitter cursor
         and the egress reservations, enters ``completed`` -- only if it
@@ -564,8 +633,17 @@ class SweepEvaluator:
         b_overhead.extend([0.0] * nb)
         b_sparse.extend([0.0] * nb)
         ends = [0.0] * nb
+        # Each chain holds one main worker from its grant to its end;
+        # the kickoffs acquire at t2 in batch order, so with more
+        # batches than workers the FIFO grant is the earliest release.
+        capacity = self.main_cap
+        free = [t2] * capacity if nb > capacity else None
         for b in range(nb):
-            t = t2
+            if free is None:
+                t = t2
+            else:
+                f = min(free)
+                t = t2 if t2 >= f else f
             for n in range(num_nets):
                 net = nets[n]
                 rkey = (b << 26) | (n << 20)
@@ -597,6 +675,8 @@ class SweepEvaluator:
                 add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
                 b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
             ends[b] = t
+            if free is not None:
+                free[free.index(f)] = t
         # Bounding batch: batch records fold in (end, batch) order
         # with a strict > keeping the first-recorded maximum.
         best_batch = -1
@@ -703,20 +783,71 @@ class SweepEvaluator:
         shard_free = [server.egress_free for server in servers]
         joins: dict[int, list[float]] = {}
         ends: list[float] = [0.0] * nb
+        end_lanes: list[int] = [0] * nb
         pend: list[float] = [0.0] * nb
         rpcs = 0
         best_rpc: list[float] | None = None
         best_rpc_dur = -1.0
         groups = 0
+        # Worker pools.  A batch chain holds one main worker from its
+        # grant until it parks on an RPC group or ends, and an RPC holds
+        # one shard worker from its grant until its response is
+        # serialized; every hold is known when its worker is granted.
+        # So FIFO grants are the free-list (Kiefer-Wolfowitz)
+        # recursion over acquires in heap order: begin at
+        # ``max(t, min(free))``.  At most ``nb`` chains hold a pool's
+        # workers at once (a batch has at most one RPC in service on a
+        # host), so a pool of at least ``nb`` workers never queues and
+        # keeps no list.  ``m_last``/``s_last`` hold a queueing
+        # pool's previous acquire (time, grant, lane or code, waited),
+        # and ``handed`` counts the main grants after a wait (their
+        # lanes are ``nb + handed``).
+        m_free = s_free = s_last = None
+        ev_send = _EV_RANK
+        if nb > self.main_cap:
+            m_free = [t2] * self.main_cap
+            ev_send = _EV_RANK_LANED
+        if nb > self.sparse_cap:
+            s_free = [[t0_req] * server.workers.capacity for server in servers]
+            s_last = [[-1.0, -1.0, -1, False] for _ in servers]
+        handed = 0
+        ev_arrive = 2 * ev_send
+        ev_serve = 3 * ev_send
+        ev_resume = 4 * ev_send
+        ev_identity = ev_send - 1
 
         def advance(
-            b: int, t: float, n0: int, rows: list = rows_i,
-            ov_i: list = ov_i, dn_i: list = dn_i,
-        ) -> None:
-            # One batch chain's lockstep walk, from net ``n0`` until
-            # it either spawns an RPC group (state parks in ``pend``
-            # / ``joins``; the join completion at _EV_ARRIVE resumes
-            # it) or runs out of nets (``ends[b]`` is final).
+            b: int, t: float, n0: int, lane: int, joined: bool,
+            rows: list = rows_i, ov_i: list = ov_i, dn_i: list = dn_i,
+        ) -> float:
+            # One batch chain's lockstep walk from its worker's grant
+            # ``t``, until it either spawns an RPC group (state parks in
+            # ``pend`` / ``joins``; the join resumes it) or runs out of
+            # nets (``ends[b]`` is final).  Returns when the chain
+            # releases its main worker: after the last client
+            # serialization of the group, or at its end.  A ``joined``
+            # chain resumes net ``n0``'s RPC group: the embedded window
+            # closes at the grant and the dense post half runs (its
+            # operands recompute to the same floats the pre half
+            # derived them from) before the walk goes on to the next net.
+            if joined:
+                t_embedded = pend[b]
+                b_embedded[b] += (
+                    t - t_embedded
+                    if no_skew
+                    else (t + skm) - (t_embedded + skm)
+                )
+                dense = dn_i[n0][b]
+                pre = dense * pre_fraction
+                post = dense - pre
+                t0 = t
+                t = t0 + post
+                add((
+                    t, (b << 26) | (n0 << 20) | 5, _K_OPS, MAIN_SHARD, post,
+                    0.0,
+                ))
+                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
+                n0 += 1
             for n in range(n0, num_nets):
                 rkey = (b << 26) | (n << 20)
                 overhead = ov_i[n][b]
@@ -734,7 +865,7 @@ class SweepEvaluator:
                 b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
                 t_embedded = t
                 spawned = 0
-                code_base = (b << 20) | (n << 14)
+                code_base = (lane << _EV_LANE) | (b << 20) | (n << 14)
                 for k, row in enumerate(rows[n]):
                     if not row[0][b]:
                         continue
@@ -753,23 +884,35 @@ class SweepEvaluator:
                 if spawned:
                     joins[(b << 6) | n] = [float(spawned), -1.0]
                     pend[b] = t_embedded
-                    return
+                    return t
                 post = dense - pre
                 t0 = t
                 t = t0 + post
                 add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
                 b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
             ends[b] = t
+            end_lanes[b] = lane
+            return t
 
-        for b in range(nb):
-            advance(b, t2, 0)
+        # The kickoffs acquire at t2 in batch order (the engine's
+        # sequence order for processes spawned at one instant).
+        m_last = [t2, t2, -1, False]
+        if m_free is None:
+            for b in range(nb):
+                advance(b, t2, 0, 0, False)
+        else:
+            for b in range(nb):
+                f = min(m_free)
+                g = t2 if t2 >= f else f
+                m_free[m_free.index(f)] = advance(b, g, 0, b, False)
+                m_last[1:] = g, b, g > t2
 
         while heap:
             t, code, tcl, entry = heappop(heap)
-            if code < _EV_SEND_BIT:  # issue
+            if code < ev_send:  # issue
                 k = code & 16383
                 n = (code >> 14) & 63
-                b = code >> 20
+                b = (code >> 20) & 2097151
                 row = rows_i[n][k]
                 # Main egress reservation (Lindley over heap order ==
                 # engine order), then the outbound fabric hop.
@@ -784,47 +927,14 @@ class SweepEvaluator:
                 out_delay = ((begin - t) + wire) + delays[dpos]
                 dpos += 1
                 arrive = t + out_delay
-                shard = shard_of[n][k]
-                sdes = row[2][b]
-                x = arrive + sdes
-                x1 = x + service_fixed
-                sov = row[3][b]
-                x2 = x1 + sov
-                slw = row[4][b]
-                x3 = x2 + slw
-                srs = row[5][b]
-                s_done = x3 + srs
-                if no_skew:
-                    d_sdes = x - arrive
-                    d_sov = x2 - x1
-                    d_slw = x3 - x2
-                    d_srs = s_done - x3
-                    d_svc = s_done - arrive
-                else:
-                    sk = shard_skews[shard]
-                    d_sdes = (x + sk) - (arrive + sk)
-                    d_sov = (x2 + sk) - (x1 + sk)
-                    d_slw = (x3 + sk) - (x2 + sk)
-                    d_srs = (s_done + sk) - (x3 + sk)
-                    d_svc = (s_done + sk) - (arrive + sk)
-                # The RPC's attribution entry, complete at issue
-                # time: each slot is fed only by this RPC's own
-                # spans, in chain order (serde = deser + resp ser).
-                if efree:
-                    entry = efree.pop()
-                else:
-                    entry = [0.0, 0.0, 0.0, 0.0]
-                entry[0] = d_slw
-                entry[1] = d_sdes + d_srs
-                entry[2] = d_sov
-                entry[3] = d_svc
-                rk = ((b << 26) | (n << 20)) + ((k + 1) << 3)
-                add((x, rk, _K_SERDE, shard, sdes, 0.0))
-                add((x2, rk + 1, _K_SERVICE, shard, sov, 0.0))
-                add((x3, rk + 2, _K_OPS_SLW, shard, slw, d_slw))
-                add((s_done, rk + 3, _K_SRS_SVC, shard, srs, 0.0))
-                heappush(heap, (s_done, code + _EV_SEND_BIT, t, entry))
-            elif code < _EV_ARRIVE_BIT:  # send
+                if s_free is not None:
+                    # The shard worker is acquired at arrival, in heap
+                    # order with every other acquire on that shard.
+                    heappush(heap, (arrive, code + ev_serve, t, None))
+                    continue
+                tcl = t
+                grant = arrive
+            elif code < ev_arrive:  # send
                 k = code & 16383
                 n = (code >> 14) & 63
                 b = (code >> 20) & 2097151
@@ -841,8 +951,9 @@ class SweepEvaluator:
                 back_delay = ((begin - t) + wire) + delays[dpos]
                 dpos += 1
                 arrive = t + back_delay
-                heappush(heap, (arrive, code + _EV_SEND_BIT, tcl, entry))
-            else:  # arrive: FIFO IO-thread pool, then the join
+                heappush(heap, (arrive, code + ev_send, tcl, entry))
+                continue
+            elif code < ev_serve:  # arrive: IO-thread pool, then join
                 k = code & 16383
                 n = (code >> 14) & 63
                 b = (code >> 20) & 2097151
@@ -878,39 +989,92 @@ class SweepEvaluator:
                 if join[0] == 0.0:
                     del joins[(b << 6) | n]
                     groups += 1
-                    # Resume the parked chain: the embedded window
-                    # closes at the join maximum, the dense post
-                    # half runs (its operands recompute to the same
-                    # floats the pre half derived them from), and
-                    # the walk continues from the next net.
-                    t = join[1]
-                    t_embedded = pend[b]
-                    b_embedded[b] += (
-                        t - t_embedded
-                        if no_skew
-                        else (t + skm) - (t_embedded + skm)
-                    )
-                    dense = dn_i[n][b]
-                    pre = dense * pre_fraction
-                    post = dense - pre
-                    t0 = t
-                    t = t0 + post
-                    add(
-                        (t, (b << 26) | (n << 20) | 5, _K_OPS,
-                         MAIN_SHARD, post, 0.0)
-                    )
-                    b_dense[b] += (
-                        t - t0 if no_skew else (t + skm) - (t0 + skm)
-                    )
-                    n += 1
-                    if n < num_nets:
-                        advance(b, t, n)
+                    if m_free is None:
+                        advance(b, join[1], n, 0, True)
                     else:
-                        ends[b] = t
+                        # The re-acquire joins the main pool's FIFO in
+                        # heap order at the join maximum.
+                        heappush(heap, (
+                            join[1], ev_resume | (b << 20) | (n << 14),
+                            0.0, None,
+                        ))
+                continue
+            elif code < ev_resume:  # serve: the shard's FIFO pool
+                k = code & 16383
+                n = (code >> 14) & 63
+                b = (code >> 20) & 2097151
+                shard = shard_of[n][k]
+                pool = s_free[shard]
+                f = min(pool)
+                grant = t if t >= f else f
+                if _tie_declines(s_last[shard], t, grant, code):
+                    return math.inf
+                arrive = t
+                row = rows_i[n][k]
+            else:  # resume: a joined chain re-acquires a main worker
+                n = (code >> 14) & 63
+                b = (code >> 20) & 2097151
+                f = min(m_free)
+                grant = t if t >= f else f
+                lane = b
+                if grant > t:
+                    lane = nb + handed
+                    handed += 1
+                if _tie_declines(m_last, t, grant, lane):
+                    return math.inf
+                m_free[m_free.index(f)] = advance(b, grant, n, lane, True)
+                continue
+            # The RPC's shard chain, from its granted worker (the
+            # rpc_e2e service window opens at arrival).
+            shard = shard_of[n][k]
+            sdes = row[2][b]
+            x = grant + sdes
+            x1 = x + service_fixed
+            sov = row[3][b]
+            x2 = x1 + sov
+            slw = row[4][b]
+            x3 = x2 + slw
+            srs = row[5][b]
+            s_done = x3 + srs
+            if no_skew:
+                d_sdes = x - grant
+                d_sov = x2 - x1
+                d_slw = x3 - x2
+                d_srs = s_done - x3
+                d_svc = s_done - arrive
+            else:
+                sk = shard_skews[shard]
+                d_sdes = (x + sk) - (grant + sk)
+                d_sov = (x2 + sk) - (x1 + sk)
+                d_slw = (x3 + sk) - (x2 + sk)
+                d_srs = (s_done + sk) - (x3 + sk)
+                d_svc = (s_done + sk) - (arrive + sk)
+            if s_free is not None:
+                pool[pool.index(f)] = s_done
+            # The RPC's attribution entry, complete at grant time:
+            # each slot is fed only by this RPC's own spans, in chain
+            # order (serde = deser + resp ser).
+            if efree:
+                entry = efree.pop()
+            else:
+                entry = [0.0, 0.0, 0.0, 0.0]
+            entry[0] = d_slw
+            entry[1] = d_sdes + d_srs
+            entry[2] = d_sov
+            entry[3] = d_svc
+            rk = ((b << 26) | (n << 20)) + ((k + 1) << 3)
+            add((x, rk, _K_SERDE, shard, sdes, 0.0))
+            add((x2, rk + 1, _K_SERVICE, shard, sov, 0.0))
+            add((x3, rk + 2, _K_OPS_SLW, shard, slw, d_slw))
+            add((s_done, rk + 3, _K_SRS_SVC, shard, srs, 0.0))
+            heappush(heap, (
+                s_done, (code & ev_identity) | ev_send, tcl, entry,
+            ))
 
         best_batch = -1
         best_batch_dur = -1.0
-        for e, b in sorted(zip(ends, range(nb))):
+        # Batch records fold in chain-end order: (end, lane) order.
+        for e, _lane, b in sorted(zip(ends, end_lanes, range(nb))):
             d = e - t2 if no_skew else (e + skm) - (t2 + skm)
             if d > best_batch_dur:
                 best_batch_dur = d

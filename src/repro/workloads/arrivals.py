@@ -190,11 +190,16 @@ class PiecewiseRateArrivals(ArrivalProcess):
 
     def __post_init__(self):
         rates = tuple(float(rate) for rate in np.asarray(self.rates).ravel())
-        if not rates or min(rates) <= 0:
-            raise ValueError("piecewise arrivals require a non-empty, positive rate curve")
+        # ``not 0 < x < inf`` also rejects NaN, which every ordered
+        # comparison answers False.
+        if not rates or not all(0.0 < rate < math.inf for rate in rates):
+            raise ValueError(
+                "piecewise arrivals require a non-empty rate curve of "
+                "finite, positive rates"
+            )
         object.__setattr__(self, "rates", rates)
-        if self.interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
+        if not 0.0 < float(self.interval_seconds) < math.inf:
+            raise ValueError("interval_seconds must be finite and positive")
         object.__setattr__(self, "interval_seconds", float(self.interval_seconds))
 
     @classmethod

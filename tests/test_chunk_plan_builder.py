@@ -5,9 +5,9 @@ net) in one numpy pass over padded (slot, table, request, batch) count
 arrays; the DES reads its per-request plans back out of those rows
 (``_IdleArrivals.plans``).  Both must equal
 ``ClusterSimulation._request_plans`` exactly, for every request --
-including the requests whose batches do not fit the worker pools (the
-DES replays them from the same rows), tables no request of a group
-draws (zero planes), and slots with no active table in a batch.
+including the requests with more batches than a worker pool has
+workers (their batches queue), tables no request of a group draws
+(zero planes), and slots with no active table in a batch.
 
 The second half pins which path builds the DES's plans: under the
 default kernel an open-loop replay never calls the scalar builder, the
@@ -32,7 +32,7 @@ from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule
 from repro.serving import ServingConfig
 from repro.serving import columnar
-from repro.serving.columnar import _IdleArrivals, _chunk_bundle, _pool_fit
+from repro.serving.columnar import _IdleArrivals, _chunk_bundle
 from repro.serving.simulator import ClusterSimulation
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import ranking_response_bytes
@@ -86,14 +86,13 @@ def test_chunk_columns_match_the_scalar_builder(name, workers):
     chunk's columns, and the DES plans read from them, against
     ``_request_plans``."""
     model, plans, requests = _configurations(name)
-    seen = {"beyond_fit": 0, "absent_table": 0, "idle_slot": 0}
+    seen = {"queued": 0, "absent_table": 0, "idle_slot": 0}
     for plan in plans:
         sim = ClusterSimulation(
             model, plan, ServingConfig(seed=1, service_workers=workers)
         )
         tenant = sim.tenants[0]
         chunk = columnar.build_chunk_plans(sim, tenant, requests)
-        fit = _pool_fit(sim, tenant)
         hook = _IdleArrivals(None, [0] * len(requests), requests, len(requests))
         cm = sim.config.cost_model
         main = sim.config.main_platform
@@ -103,8 +102,8 @@ def test_chunk_columns_match_the_scalar_builder(name, workers):
             scalar = sim._request_plans(tenant, request, batches)
             nb = len(batches)
             assert chunk.rids[row] == request.request_id, label
-            assert chunk.nb[row] == (nb if nb <= fit else 0), label
-            seen["beyond_fit"] += nb > fit
+            assert chunk.nb[row] == nb, label
+            seen["queued"] += nb > sim.main.workers.capacity
             assert _bits([chunk.head_deser[row], chunk.tail_ser[row]]) == _bits([
                 cm.serde_time(
                     request_payload_bytes(model, request), main,
@@ -162,7 +161,7 @@ def test_chunk_columns_match_the_scalar_builder(name, workers):
     assert seen["absent_table"] > 0, seen
     if name != "DRM3":
         assert seen["idle_slot"] > 0, seen
-        assert seen["beyond_fit"] > 0 or workers == 32, seen
+        assert seen["queued"] > 0 or workers == 32, seen
 
 
 def _count_scalar_builds(monkeypatch):

@@ -2,15 +2,19 @@
 
 Under the default ``vectorized`` kernel every run -- serial closed-loop,
 open-loop, or a co-located mix -- replays on the DES, but every request
-that arrives at an idle cluster, fits the worker pools and finishes
-strictly before the next arrival is replayed by the columnar evaluator
-instead (see "Idle arrivals" in ``repro/simulation/vectorized.py``).
-The matrix below sweeps the busy-period share from about 0% (5 QPS) to
-about 100% (1000 QPS), plus the serial closed loop, on roomy and
-2-worker hosts, with and without clock skew; the rest pins the tie
-rule, the cluster state a hybrid replay leaves behind, and the
-``des_requests`` count.
+that arrives at an idle cluster and finishes strictly before the next
+arrival is replayed by the columnar evaluator instead, its batches
+queueing FIFO for the worker pools (see "Idle arrivals" in
+``repro/simulation/vectorized.py``).  The matrix below sweeps the
+busy-period share from about 0% (5 QPS) to about 100% (1000 QPS), plus
+the serial closed loop, on roomy, 2-worker and 1-worker hosts, with and
+without clock skew; the rest pins the horizon and pool tie rules, the
+cluster state a hybrid replay leaves behind, and the ``des_requests``
+count.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +36,8 @@ from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule
 from repro.serving import ServingConfig
 from repro.sharding.pooling import estimate_pooling_factors
-from repro.simulation.network import Fabric
+from repro.simulation.network import Fabric, FabricSpec
+from repro.simulation.platform import SC_LARGE
 from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -54,15 +59,16 @@ def _inputs(name, num_requests=20):
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_hybrid_matches_batched(name, qps):
     """Every paper configuration on roomy hosts, on the 2-worker hosts
-    of the Fig. 16 replay, and on those with skewed clocks; ``qps`` None
-    is the serial closed loop."""
+    of the Fig. 16 replay, on those with skewed clocks, and on 1-worker
+    hosts, where every batch queues; ``qps`` None is the serial closed
+    loop."""
     model, plans, requests = _inputs(name)
     if qps is None:
         schedule = ReplaySchedule.serial()
     else:
         schedule = ReplaySchedule.open_loop(qps, seed=2)
     des = total = 0
-    for workers, skew in ((32, 0.0), (2, 0.0), (2, 0.002)):
+    for workers, skew in ((32, 0.0), (2, 0.0), (2, 0.002), (1, 0.0)):
         for plan in plans:
             def replay(kernel):
                 serving = ServingConfig(
@@ -80,11 +86,10 @@ def test_hybrid_matches_batched(name, qps):
             assert_run_identical(batched, hybrid, label)
             if qps is None:
                 # A serial request always arrives at an idle cluster
-                # with an infinite horizon: only a pool misfit goes to
-                # the DES.
-                assert hybrid.des_requests == int(
-                    (hybrid.num_batches > workers).sum()
-                ), label
+                # with an infinite horizon, and no request of these
+                # inputs ties two acquires on a pool: the evaluator
+                # replays every one, whatever the pool depth.
+                assert hybrid.des_requests == 0, label
             des += hybrid.des_requests
             total += len(hybrid)
     # The matrix spans the regimes it claims: nearly every request takes
@@ -202,13 +207,106 @@ class TestCommitRule:
         assert planned.des_requests == 0
 
 
+def _hosts(bandwidth, main_cores):
+    """Serving options for hosts whose NICs run at ``bandwidth``, with a
+    ``main_cores``-worker main pool."""
+    return {
+        "main_platform": dataclasses.replace(
+            SC_LARGE, cores=main_cores, nic_bandwidth=bandwidth
+        ),
+        "sparse_platform": dataclasses.replace(SC_LARGE, nic_bandwidth=bandwidth),
+    }
+
+
+def _float_bits(value):
+    return int(np.array(value, dtype=np.float64).view(np.int64))
+
+
+def _bits_float(bits):
+    return float(np.array(bits, dtype=np.int64).view(np.float64))
+
+
+class TestPoolTies:
+    """Two acquires on one pool at one exact time are ordered by the
+    engine's sequence counter, which decides who waits, so the evaluator
+    declines such a request to the DES.  On a jitter-free fabric with
+    infinitely fast NICs, equal batches of a request run in lockstep and
+    their RPC groups rejoin at one instant; on a 2-worker main pool the
+    second re-acquire waits."""
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        model, plans, requests = _inputs("DRM1")
+        plan = next(plan for plan in plans if plan.num_shards == 2)
+
+        def replay(request, bandwidth, kernel="vectorized"):
+            result, _ = _replay_stream(
+                model, plan, [(0.0, 0, request)], kernel,
+                fabric_spec=FabricSpec(jitter_sigma=0.0),
+                **_hosts(bandwidth, main_cores=2),
+            )
+            return result
+
+        request = next(r for r in requests if replay(r, math.inf).des_requests)
+        return replay, request
+
+    def test_acquire_tie_goes_to_the_des(self, tied):
+        replay, request = tied
+        hybrid = replay(request, math.inf)
+        assert hybrid.des_requests == 1
+        assert_run_identical(replay(request, math.inf, "batched"), hybrid, "tie")
+
+    def test_one_ulp_of_bandwidth_either_side_of_the_tie(self, tied):
+        """A finite bandwidth queues the second RPC behind the first's
+        wire on the egress NIC; once that wire survives rounding, the
+        re-acquires no longer tie.  Bisecting the bandwidth over
+        adjacent floats finds the two bandwidths, ``np.nextafter`` apart,
+        either side of that edge: the lower commits, the upper ties, and
+        both equal the DES."""
+        replay, request = tied
+        low, high = _float_bits(1e18), _float_bits(math.inf)
+        assert replay(request, _bits_float(low)).des_requests == 0
+        while high - low > 1:
+            middle = (low + high) // 2
+            if replay(request, _bits_float(middle)).des_requests:
+                high = middle
+            else:
+                low = middle
+        below, above = _bits_float(low), _bits_float(high)
+        assert above == np.nextafter(below, np.inf)
+        for bandwidth, des in ((below, 0), (above, 1)):
+            hybrid = replay(request, bandwidth)
+            assert hybrid.des_requests == des, bandwidth
+            assert_run_identical(
+                replay(request, bandwidth, "batched"), hybrid, bandwidth
+            )
+
+    def test_handed_over_workers_resume_in_fifo_order(self):
+        """Re-acquires that waited are handed workers in FIFO order, and
+        lockstep chains granted at one instant keep that order -- not
+        batch order -- for their later equal-time events.  This
+        configuration hands two waiting re-acquires of equal batches
+        their workers at one instant, out of batch order."""
+        model, plans, requests = _inputs("DRM1", num_requests=40)
+        plan = next(plan for plan in plans if plan.label == "cap-bal 8 shards")
+        options = _hosts(math.inf, main_cores=3)
+        batched, _ = _replay_stream(
+            model, plan, requests, "batched", serial=True, **options
+        )
+        hybrid, _ = _replay_stream(
+            model, plan, requests, "vectorized", serial=True, **options
+        )
+        assert hybrid.des_requests == 0
+        assert_run_identical(batched, hybrid, "handover")
+
+
 @pytest.mark.parametrize("qps", [None, 25.0, 400.0])
 def test_hybrid_leaves_the_des_cluster_state(qps):
     """Every cluster state a later reader sees -- the fabric's jitter
     cursor and RNG state, the egress reservations, the clock and the
     completion map -- is what the batched replay leaves.  ``qps`` None
-    is the serial closed loop on 2-worker hosts, where the requests
-    with more than two batches go to the DES."""
+    is the serial closed loop on 2-worker hosts, where every request
+    takes the evaluator and most of them queue batches."""
     model, plans, requests = _inputs("DRM1", num_requests=200)
     plan = next(plan for plan in plans if plan.num_shards >= 4)
     if qps is None:
@@ -222,7 +320,11 @@ def test_hybrid_leaves_the_des_cluster_state(qps):
         options = {}
     batched, des = _replay_stream(model, plan, stream, "batched", **options)
     hybrid, mixed = _replay_stream(model, plan, stream, "vectorized", **options)
-    assert 0 < hybrid.des_requests < len(hybrid)
+    if qps is None:
+        assert hybrid.des_requests == 0
+        assert (hybrid.num_batches > 2).any()
+    else:
+        assert 0 < hybrid.des_requests < len(hybrid)
     assert_run_identical(batched, hybrid, qps)
     # Two jitter draws per RPC: the replay reads past the first jitter
     # window, so the cursor has crossed a window boundary on both paths.

@@ -20,9 +20,10 @@ from repro.experiments.parallel import WORKERS_ENV
 from repro.experiments.runner import RunResult
 from repro.models import drm1
 from repro.requests import ReplaySchedule
+from repro.resilience import ResiliencePolicy
 from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.sharding import singular_plan
-from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.arrivals import PiecewiseRateArrivals, PoissonArrivals
 
 
 class TestEmptyRunResult:
@@ -289,6 +290,36 @@ class TestLibraryInputsFailLoudly:
             batch_size=np.int64(16), clock_skew_sigma=np.float64(0.001),
         )
         assert config.service_workers == 2
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_piecewise_arrivals_reject_non_finite_rates(self, rate):
+        with pytest.raises(ValueError, match="finite, positive rates"):
+            PiecewiseRateArrivals(rates=(5.0, rate))
+
+    @pytest.mark.parametrize("peak", [math.nan, math.inf])
+    def test_diurnal_rejects_non_finite_peak(self, peak):
+        with pytest.raises(ValueError, match="finite, positive rates"):
+            PiecewiseRateArrivals.diurnal(peak)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_piecewise_arrivals_reject_non_finite_interval(self, interval):
+        with pytest.raises(ValueError, match="interval_seconds"):
+            PiecewiseRateArrivals(rates=(5.0,), interval_seconds=interval)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_resilience_policy_rejects_non_integral_attempts(self, bad):
+        with pytest.raises(ValueError, match="max_attempts must be an integer"):
+            ResiliencePolicy(max_attempts=bad)
+
+    def test_resilience_policy_rejects_infinite_backoff(self):
+        # NaN was already rejected; an infinite base scheduled the retry
+        # at t=inf.
+        with pytest.raises(ValueError, match="backoff_base must be finite"):
+            ResiliencePolicy(max_attempts=2, backoff_base=math.inf)
+
+    def test_resilience_policy_accepts_numpy_integers(self):
+        policy = ResiliencePolicy(max_attempts=np.int64(3), backoff_base=1e-4)
+        assert policy.max_attempts == 3
 
 
 class TestMedianWindowMeanEquivalence:
