@@ -107,16 +107,17 @@ conditions:
   main pool (the kickoffs acquire at one instant in batch order, and a
   chain re-acquires a worker when its RPC group joins) and RPCs for
   their shard's pool (acquired on arrival), each pool replayed as a
-  free list of release times in heap order.  A pool no larger than
-  ``nb`` can queue (each batch holds at most one main worker, and has
-  at most one RPC in service on a host); a larger one grants every
-  acquire at its request time and keeps no list.  Two acquires on one
-  pool at one exact time -- other than the kickoffs -- are ordered by
-  the engine's sequence counter, which the evaluator does not replay;
-  if either waits, the order decides who does, so the evaluator
-  *declines* the request to the DES (a wait-free tie grants both at
-  that time, in either order).  Two grants at one exact time after
-  waits resume in FIFO order, which the lanes follow.  No chaos and no
+  free list of release times in heap order.  Only a pool no larger
+  than ``nb`` can queue (each batch holds at most one main worker, and
+  has at most one RPC in service on a host), so a deeper one is
+  replayed as ``nb`` workers.  Two acquires on one pool at one exact
+  time -- other than the kickoffs -- are ordered by the engine's
+  sequence counter, which the evaluator does not replay; if either
+  waits, the order decides who does, so the evaluator *declines* the
+  request to the DES (a wait-free tie grants both at that time, in
+  either order).  Two grants at one exact time after waits resume in
+  FIFO order, and a wait-free re-acquire resumes in its group's join
+  order; the lanes follow both.  No chaos and no
   live resilience policy run, so nothing else schedules events
   (``vectorized_ineligibility``).
 * **It completes strictly before the next arrival's clock** (the float
@@ -182,10 +183,12 @@ _K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
 # One record: (time, key, kind, shard, cpu, dur), where ``key`` packs
 # ``batch << 26 | net << 20 | slot-position``.  (time, key) is the
 # reference recording order -- the time the reference kernel calls
-# record_interval, then structural tie-breaks reproducing the engine's
-# scheduling-sequence order at shared timestamps (lockstep batch chains
-# resume in batch order; same-chain records at one timestamp keep their
-# call positions); with each field in its fixed width, comparing keys
+# record_interval, then structural tie-breaks standing in for the
+# engine's scheduling-sequence order at shared timestamps (lockstep
+# chains of equal batches record equal charges at one timestamp, so
+# batch order folds them to the floats their lane order does; same-chain
+# records at one timestamp keep their call positions); with each field
+# in its fixed width, comparing keys
 # equals comparing (batch, net, slot-position) tuples.  slot-position
 # packs the reference (slot, position) pair as ``(slot+1)*8 + position``
 # (main-side records use slot -1, shard-side records slot >= 0, and
@@ -198,7 +201,7 @@ _Record = tuple[float, int, int, int, float, float]
 
 # Per-request heap events: (time, code, t_client, entry) where ``code``
 # packs the dispatch rank and the event's identity as
-# ``rank * unit | lane << 41 | batch << 20 | net << 14 | slot``.  With
+# ``rank << 57 | lane << 35 | batch << 20 | net << 14 | slot``.  With
 # every field in its fixed width, integer comparison of two codes equals
 # lexicographic comparison of the (rank, lane, batch, net, slot) tuples
 # -- so at equal times, RPC kickoffs dispatch before any jitter-laden
@@ -207,26 +210,22 @@ _Record = tuple[float, int, int, int, float, float]
 # place in the engine's sequence order among segments that start at
 # one instant: the batch index for the kickoffs (processes spawned at
 # one instant run in spawn order, and a kickoff that waits is handed a
-# worker in that order too) and for every re-acquire granted at its
-# request time; a re-acquire handed a worker after a wait resumes in
-# FIFO order, behind every kickoff, and takes a lane above every batch
-# index (at most ``batches * (nets + 1)``, which fits the lane field
-# whenever the batch fits its own).  Lanes differ from batch order only
-# where the main pool queues; elsewhere the lane field stays 0 and the
-# rank ``unit`` is ``_EV_RANK`` (codes below 2**60 stay two-digit ints
-# in the hot loop), else ``_EV_RANK_LANED``, above the lane field.  The
-# trailing two payload fields are never compared: (time, code) is unique
-# per event.  Ranks: 0 = issue (client serde done -> egress + outbound
-# network + shard chain; with a queueing shard pool, only up to the
-# shard), 1 = send (shard response serialized -> egress + return
-# network), 2 = arrive (response at main -> IO-thread deserialization +
-# join); advancing a rank is ``code + unit``.  Two more ranks exist only
-# where a worker pool can queue (more batches than workers): 3 = serve
-# (the RPC reaches its shard and acquires a shard worker) and 4 = resume
-# (a joined chain re-acquires a main worker; slot bits 0).
-_EV_LANE = 41
-_EV_RANK = 1 << 41
-_EV_RANK_LANED = 1 << 69
+# worker in that order too); a re-acquire handed a worker after a wait
+# resumes in FIFO order, behind every kickoff, and takes a lane above
+# every batch index (at most ``batches * (nets + 1)``, which fits the
+# lane field whenever the batch fits its own); a re-acquire granted at
+# its request time keeps the lane its chain's RPCs carried, since its
+# group's join completes in their order.  The trailing two payload
+# fields are never compared: (time, code) is unique per event.  Ranks:
+# 0 = issue (client serde done -> egress + outbound network), 1 = send
+# (shard response serialized -> egress + return network), 2 = arrive
+# (response at main -> IO-thread deserialization + join), 3 = serve (the
+# RPC reaches its shard, acquires a shard worker and runs its shard
+# chain) and 4 = resume (a joined chain re-acquires a main worker; slot
+# bits 0); advancing a rank is ``code + _EV_RANK``.  Every code stays
+# below 2**60, a two-digit int.
+_EV_LANE = 35
+_EV_RANK = 1 << 57
 
 
 def _tie_declines(last: list, t: float, grant: float, key: int) -> bool:
@@ -331,7 +330,11 @@ class ChunkPlans:
         self.net_names = net_names
         # Packed event codes assume these widths; no paper configuration
         # is anywhere near them.
-        if len(nets) > 64 or any(len(net.targets) > 16384 for net in nets):
+        if (
+            len(nets) > 64
+            or any(len(net.targets) > 16384 for net in nets)
+            or max(nb, default=0) > 32768
+        ):
             raise ValueError("plan exceeds packed event-code field widths")
         #: ``shard_of[n][k]``: the shard index of net ``n``'s routing slot
         #: ``k`` (the evaluator's rows do not carry it).
@@ -522,7 +525,7 @@ class SweepEvaluator:
         "fabric", "main", "shards", "completed", "collector",
         "skew_main", "shard_skews", "no_skew", "main_nic", "sparse_nic",
         "pre_fraction", "request_fixed", "response_fixed", "service_fixed",
-        "io_threads", "main_cap", "sparse_cap", "_recs", "_entry_free",
+        "io_threads", "main_cap", "shard_caps", "_recs", "_entry_free",
         "_b_dense", "_b_embedded", "_b_serde", "_b_overhead", "_b_sparse",
     )
 
@@ -557,9 +560,7 @@ class SweepEvaluator:
         self.service_fixed = cost_model.rpc_service_fixed
         self.io_threads = cost_model.io_threads
         self.main_cap = main.workers.capacity
-        self.sparse_cap = min(
-            (server.workers.capacity for server in shards), default=0
-        )
+        self.shard_caps = [server.workers.capacity for server in shards]
         collector.service_fixed = cost_model.rpc_service_fixed
         # request_handler_fixed then += response_handler_fixed: one add.
         collector.handler_cpu = (
@@ -633,17 +634,13 @@ class SweepEvaluator:
         b_overhead.extend([0.0] * nb)
         b_sparse.extend([0.0] * nb)
         ends = [0.0] * nb
-        # Each chain holds one main worker from its grant to its end;
-        # the kickoffs acquire at t2 in batch order, so with more
-        # batches than workers the FIFO grant is the earliest release.
-        capacity = self.main_cap
-        free = [t2] * capacity if nb > capacity else None
+        # Each chain holds one main worker from its grant to its end,
+        # and the kickoffs acquire at t2 in batch order: the FIFO grant
+        # is the earliest release (see the distributed pools below).
+        free = [t2] * min(self.main_cap, nb)
         for b in range(nb):
-            if free is None:
-                t = t2
-            else:
-                f = min(free)
-                t = t2 if t2 >= f else f
+            f = min(free)
+            t = t2 if t2 >= f else f
             for n in range(num_nets):
                 net = nets[n]
                 rkey = (b << 26) | (n << 20)
@@ -675,8 +672,7 @@ class SweepEvaluator:
                 add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
                 b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
             ends[b] = t
-            if free is not None:
-                free[free.index(f)] = t
+            free[free.index(f)] = t
         # Bounding batch: batch records fold in (end, batch) order
         # with a strict > keeping the first-recorded maximum.
         best_batch = -1
@@ -797,24 +793,20 @@ class SweepEvaluator:
         # recursion over acquires in heap order: begin at
         # ``max(t, min(free))``.  At most ``nb`` chains hold a pool's
         # workers at once (a batch has at most one RPC in service on a
-        # host), so a pool of at least ``nb`` workers never queues and
-        # keeps no list.  ``m_last``/``s_last`` hold a queueing
-        # pool's previous acquire (time, grant, lane or code, waited),
-        # and ``handed`` counts the main grants after a wait (their
-        # lanes are ``nb + handed``).
-        m_free = s_free = s_last = None
-        ev_send = _EV_RANK
-        if nb > self.main_cap:
-            m_free = [t2] * self.main_cap
-            ev_send = _EV_RANK_LANED
-        if nb > self.sparse_cap:
-            s_free = [[t0_req] * server.workers.capacity for server in servers]
-            s_last = [[-1.0, -1.0, -1, False] for _ in servers]
+        # host), so a list of ``min(capacity, nb)`` release times is the
+        # whole pool.  ``m_last``/``s_last`` hold a pool's previous
+        # acquire (time, grant, lane or code, waited), and ``handed``
+        # counts the main grants after a wait (their lanes are
+        # ``nb + handed``).
+        m_free = [t2] * min(self.main_cap, nb)
+        s_free = [[t0_req] * min(cap, nb) for cap in self.shard_caps]
+        s_last = [[-1.0, -1.0, -1, False] for _ in servers]
         handed = 0
-        ev_arrive = 2 * ev_send
-        ev_serve = 3 * ev_send
-        ev_resume = 4 * ev_send
-        ev_identity = ev_send - 1
+        ev_send = _EV_RANK
+        ev_arrive = 2 * _EV_RANK
+        ev_serve = 3 * _EV_RANK
+        ev_resume = 4 * _EV_RANK
+        ev_identity = _EV_RANK - 1
 
         def advance(
             b: int, t: float, n0: int, lane: int, joined: bool,
@@ -897,22 +889,18 @@ class SweepEvaluator:
         # The kickoffs acquire at t2 in batch order (the engine's
         # sequence order for processes spawned at one instant).
         m_last = [t2, t2, -1, False]
-        if m_free is None:
-            for b in range(nb):
-                advance(b, t2, 0, 0, False)
-        else:
-            for b in range(nb):
-                f = min(m_free)
-                g = t2 if t2 >= f else f
-                m_free[m_free.index(f)] = advance(b, g, 0, b, False)
-                m_last[1:] = g, b, g > t2
+        for b in range(nb):
+            f = min(m_free)
+            g = t2 if t2 >= f else f
+            m_free[m_free.index(f)] = advance(b, g, 0, b, False)
+            m_last[1:] = g, b, g > t2
 
         while heap:
             t, code, tcl, entry = heappop(heap)
             if code < ev_send:  # issue
                 k = code & 16383
                 n = (code >> 14) & 63
-                b = (code >> 20) & 2097151
+                b = (code >> 20) & 32767
                 row = rows_i[n][k]
                 # Main egress reservation (Lindley over heap order ==
                 # engine order), then the outbound fabric hop.
@@ -926,18 +914,14 @@ class SweepEvaluator:
                     dpos = 0
                 out_delay = ((begin - t) + wire) + delays[dpos]
                 dpos += 1
-                arrive = t + out_delay
-                if s_free is not None:
-                    # The shard worker is acquired at arrival, in heap
-                    # order with every other acquire on that shard.
-                    heappush(heap, (arrive, code + ev_serve, t, None))
-                    continue
-                tcl = t
-                grant = arrive
+                # The shard worker is acquired at arrival, in heap
+                # order with every other acquire on that shard.
+                heappush(heap, (t + out_delay, code + ev_serve, t, None))
+                continue
             elif code < ev_arrive:  # send
                 k = code & 16383
                 n = (code >> 14) & 63
-                b = (code >> 20) & 2097151
+                b = (code >> 20) & 32767
                 shard = shard_of[n][k]
                 wire = rows_i[n][k][8][b] / sparse_nic
                 free = shard_free[shard]
@@ -956,7 +940,7 @@ class SweepEvaluator:
             elif code < ev_serve:  # arrive: IO-thread pool, then join
                 k = code & 16383
                 n = (code >> 14) & 63
-                b = (code >> 20) & 2097151
+                b = (code >> 20) & 32767
                 # FIFO IO-thread pool: the earliest-free thread
                 # serves next.  min + index over the tiny pool list
                 # beat the two heap sifts; at a tie any thread
@@ -989,44 +973,40 @@ class SweepEvaluator:
                 if join[0] == 0.0:
                     del joins[(b << 6) | n]
                     groups += 1
-                    if m_free is None:
-                        advance(b, join[1], n, 0, True)
-                    else:
-                        # The re-acquire joins the main pool's FIFO in
-                        # heap order at the join maximum.
-                        heappush(heap, (
-                            join[1], ev_resume | (b << 20) | (n << 14),
-                            0.0, None,
-                        ))
+                    # The re-acquire joins the main pool's FIFO in heap
+                    # order at the join maximum, in its chain's lane.
+                    heappush(heap, (
+                        join[1], (code & ev_identity) - k + ev_resume,
+                        0.0, None,
+                    ))
                 continue
-            elif code < ev_resume:  # serve: the shard's FIFO pool
-                k = code & 16383
+            elif code >= ev_resume:  # resume: re-acquire a main worker
                 n = (code >> 14) & 63
-                b = (code >> 20) & 2097151
-                shard = shard_of[n][k]
-                pool = s_free[shard]
-                f = min(pool)
-                grant = t if t >= f else f
-                if _tie_declines(s_last[shard], t, grant, code):
-                    return math.inf
-                arrive = t
-                row = rows_i[n][k]
-            else:  # resume: a joined chain re-acquires a main worker
-                n = (code >> 14) & 63
-                b = (code >> 20) & 2097151
+                b = (code >> 20) & 32767
                 f = min(m_free)
                 grant = t if t >= f else f
-                lane = b
                 if grant > t:
                     lane = nb + handed
                     handed += 1
+                else:
+                    lane = (code & ev_identity) >> _EV_LANE
                 if _tie_declines(m_last, t, grant, lane):
                     return math.inf
                 m_free[m_free.index(f)] = advance(b, grant, n, lane, True)
                 continue
-            # The RPC's shard chain, from its granted worker (the
-            # rpc_e2e service window opens at arrival).
+            # serve: the RPC acquires a worker from its shard's FIFO pool
+            # and runs its shard chain from the grant (the rpc_e2e
+            # service window opens at arrival).
+            k = code & 16383
+            n = (code >> 14) & 63
+            b = (code >> 20) & 32767
             shard = shard_of[n][k]
+            pool = s_free[shard]
+            f = min(pool)
+            grant = t if t >= f else f
+            if _tie_declines(s_last[shard], t, grant, code):
+                return math.inf
+            row = rows_i[n][k]
             sdes = row[2][b]
             x = grant + sdes
             x1 = x + service_fixed
@@ -1041,16 +1021,15 @@ class SweepEvaluator:
                 d_sov = x2 - x1
                 d_slw = x3 - x2
                 d_srs = s_done - x3
-                d_svc = s_done - arrive
+                d_svc = s_done - t
             else:
                 sk = shard_skews[shard]
                 d_sdes = (x + sk) - (grant + sk)
                 d_sov = (x2 + sk) - (x1 + sk)
                 d_slw = (x3 + sk) - (x2 + sk)
                 d_srs = (s_done + sk) - (x3 + sk)
-                d_svc = (s_done + sk) - (arrive + sk)
-            if s_free is not None:
-                pool[pool.index(f)] = s_done
+                d_svc = (s_done + sk) - (t + sk)
+            pool[pool.index(f)] = s_done
             # The RPC's attribution entry, complete at grant time:
             # each slot is fed only by this RPC's own spans, in chain
             # order (serde = deser + resp ser).

@@ -33,7 +33,7 @@ from repro.experiments import (
 from repro.experiments import runner
 from repro.experiments.runner import suite_requests
 from repro.models import drm1, drm2, drm3
-from repro.requests import ReplaySchedule
+from repro.requests import ReplaySchedule, Request, SparseFeatureDraw
 from repro.serving import ServingConfig
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.network import Fabric, FabricSpec
@@ -298,6 +298,47 @@ class TestPoolTies:
         )
         assert hybrid.des_requests == 0
         assert_run_identical(batched, hybrid, "handover")
+
+    def test_handed_over_chains_rejoin_in_lane_order(self):
+        """Chains handed workers at one instant keep their FIFO lanes
+        through a wait-free re-acquire.  DRM1 with its item-scoped net
+        first, four 72-item batches on a 2-core main host, a jitter-free
+        fabric and infinitely fast NICs: batches 0 and 1 are equal and
+        heavy in the item net, batch 3 lighter than batch 2, so batch 3
+        overtakes batch 2, and both re-acquires wait behind batches 0
+        and 1 and are handed workers at one instant, 3 before 2.  The
+        user net is equal for all batches, so 3 and 2 then run in
+        lockstep, rejoin at one instant with both workers free, and
+        resume in lane order, not batch order; their ends tie, and the
+        bounding batch is the one recorded first."""
+        base = drm1()
+        model = dataclasses.replace(base, nets=tuple(reversed(base.nets)))
+        pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
+        plan = build_plan(model, ShardingConfiguration("load-bal", 2), pooling)
+        sample = suite_requests(
+            model, SuiteSettings(num_requests=1, pooling_requests=150)
+        )[0]
+        batch = model.profile.batch_size
+        per_batch = np.repeat(np.array([200, 200, 196, 193]), batch)
+        draws = {
+            name: SparseFeatureDraw(name, 40 * draw.total_ids)
+            if draw.per_item_counts is None
+            else SparseFeatureDraw(name, int(per_batch.sum()), per_batch)
+            for name, draw in sample.draws.items()
+        }
+        request = Request(sample.request_id, 0.0, 4 * batch, draws)
+        options = {
+            "fabric_spec": FabricSpec(jitter_sigma=0.0),
+            **_hosts(math.inf, main_cores=2),
+        }
+        batched, _ = _replay_stream(
+            model, plan, [(0.0, 0, request)], "batched", **options
+        )
+        hybrid, _ = _replay_stream(
+            model, plan, [(0.0, 0, request)], "vectorized", **options
+        )
+        assert hybrid.des_requests == 0
+        assert_run_identical(batched, hybrid, "rejoin")
 
 
 @pytest.mark.parametrize("qps", [None, 25.0, 400.0])
