@@ -8,12 +8,12 @@ fraction of traffic still gets a full, in-SLO response.  The resulting
 :class:`AvailabilityAssessment` answers the production sizing question
 directly: ``assessment.replicas_for(0.999)``.
 
-Determinism: the request stream is sampled once in the parent and shared
-by every replica count; each replay's RNG substreams are pure functions
-of (seed, configuration), and chaos draws use dedicated substreams -- so
-the sweep (fork pool, one process per cluster replay: the healthy
-baseline and every replica count together) is byte-identical for every
-worker count, exactly like the suite runners on
+Determinism: the request stream is sampled once in the parent (or
+handed in with the healthy replay that already ran on it) and shared by
+every replica count; each replay's RNG substreams are pure functions of
+(seed, configuration), and chaos draws use dedicated substreams -- so
+the sweep (fork pool, one process per cluster replay) is byte-identical
+for every worker count, exactly like the suite runners on
 :mod:`repro.experiments.parallel`.
 """
 
@@ -33,6 +33,7 @@ from repro.chaos.faults import FaultExperiment, FaultSchedule, HealingPolicy
 
 if TYPE_CHECKING:
     from repro.resilience.policy import ResiliencePolicy
+    from repro.workloads.workload import MixedStream
 from repro.experiments.configs import ShardingConfiguration
 from repro.experiments.parallel import run_cluster_tasks, worker_context
 from repro.experiments.runner import (
@@ -202,10 +203,10 @@ def fault_schedules(
     for count in replica_counts:
         schedule = FaultSchedule(
             experiments=tuple(experiments),
-            replicas=int(count),
+            replicas=count,
             failover_timeout=failover_timeout,
             healing=healing,
-            domains=int(domains),
+            domains=domains,
             placement=placement,
         )
         schedule.check_deployment(num_shards)
@@ -229,6 +230,7 @@ def availability_sweep(
     slo_slack: float = 1.5,
     window: float = 0.5,
     max_workers: int | None = None,
+    healthy: "tuple[MixedStream, RunResult] | None" = None,
 ) -> AvailabilityAssessment:
     """Sweep replica counts under one fault suite; measure SLO retention.
 
@@ -243,14 +245,24 @@ def availability_sweep(
     derivation never shifts; a policy with ``hedge_quantile`` set is
     resolved here to that percentile of the healthy replay's per-request
     embedded-window totals (the tail-at-scale recipe: hedge when the
-    sparse fan-out is slower than its usual pXX).  Every cluster replay
-    -- the healthy baseline *and* the per-replica-count faulted replays
-    -- fans out over one shared pool of ``max_workers`` processes
-    (:func:`repro.experiments.parallel.run_cluster_tasks`, default: the
-    usable CPUs), byte-identically for every worker count: the workers
-    return raw :class:`RunResult` objects and the parent derives the SLO
-    and the availability reports afterwards, so result values never
-    depend on scheduling.  Every schedule is checked against the
+    sparse fan-out is slower than its usual pXX).
+
+    ``healthy`` is ``(stream, result)``: a stream :func:`mix_stream`
+    sampled for this mix and settings, and the healthy replay of this
+    configuration on it (:meth:`CapacityPlanner.plan
+    <repro.planning.CapacityPlanner.plan>` keeps both on each
+    candidate).  The sweep then replays neither again; a result whose
+    row count differs from the stream's raises ``ValueError``.
+
+    The cluster replays fan out over
+    :func:`repro.experiments.parallel.run_cluster_tasks` with
+    ``max_workers`` processes (default: the usable CPUs).  The faulted
+    replays always share one pool.  A healthy replay still to run joins
+    that pool, unless the hedge delay needs its result first, in which
+    case it runs alone ahead of it.  Workers return raw
+    :class:`RunResult` objects and the parent derives the SLO and the
+    availability reports afterwards, so the sweep is byte-identical for
+    every worker count.  Every schedule is checked against the
     configuration's plans (:func:`fault_schedules`) before the first
     replay.
     """
@@ -282,41 +294,43 @@ def availability_sweep(
         healing=healing, failover_timeout=failover_timeout,
         domains=domains, placement=placement,
     )
-    stream = mix_stream(mix, settings)
+    baseline: RunResult | None = None
+    if healthy is None:
+        stream = mix_stream(mix, settings)
+    else:
+        stream, baseline = healthy
+        if len(baseline) != len(stream):
+            raise ValueError(
+                f"the healthy replay has {len(baseline)} rows for a stream "
+                f"of {len(stream)} requests"
+            )
 
     base_context = (mix, plans, stream, serving)
-
     if policy is not None and policy.hedge_quantile is not None:
-        # Resolve the hedge trigger against the healthy baseline first:
-        # the faulted replays need the concrete delay, so the healthy
-        # replay runs in its own batch ahead of them.  Each replay is a
-        # pure function of its inputs, so the split keeps the sweep
-        # byte-identical for every worker count.
-        healthy = run_cluster_tasks(
-            [(_replay_healthy, None)], base_context + (None,), max_workers
-        )[0]
+        if baseline is None:
+            # The faulted replays need the concrete hedge delay, so the
+            # healthy replay runs in its own batch ahead of them.
+            baseline = run_cluster_tasks(
+                [(_replay_healthy, None)], base_context + (None,), max_workers
+            )[0]
         policy = policy.with_hedge_delay(
             float(
-                np.percentile(healthy.embedded_totals, policy.hedge_quantile)
+                np.percentile(baseline.embedded_totals, policy.hedge_quantile)
             )
         )
-        replays = [healthy] + run_cluster_tasks(
-            [(_replay_chaos, schedule) for schedule in schedules],
-            base_context + (policy,),
-            max_workers,
-        )
-    else:
-        tasks = [(_replay_healthy, None)]
-        tasks += [(_replay_chaos, schedule) for schedule in schedules]
-        replays = run_cluster_tasks(tasks, base_context + (policy,), max_workers)
+    tasks: list = [(_replay_chaos, schedule) for schedule in schedules]
+    if baseline is None:
+        tasks.insert(0, (_replay_healthy, None))
+    replays = run_cluster_tasks(tasks, base_context + (policy,), max_workers)
+    if baseline is None:
+        baseline, replays = replays[0], replays[1:]
 
-    healthy = replays[0]
-    baseline_p99 = float(np.percentile(healthy.e2e, 99.0))
+    baseline_p99 = float(np.percentile(baseline.e2e, 99.0))
     if slo_latency is None:
         slo_latency = baseline_p99 * slo_slack
 
     outcomes = []
-    for schedule, result in zip(schedules, replays[1:]):
+    for schedule, result in zip(schedules, replays):
         report = availability_report(
             result, stream.times, float(slo_latency), float(window)
         )

@@ -24,7 +24,20 @@ is byte-identical to running without a schedule at all
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+
+
+def _require_count(name: str, value: int) -> int:
+    """A count: an integer >= 1 (numpy integers pass; ``1.5``, ``2.0``
+    and ``True`` are rejected rather than truncated)."""
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or value < 1
+    ):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _require_nonnegative(name: str, value: float) -> float:
@@ -259,11 +272,13 @@ class FaultSchedule:
                     f"experiments must be FaultExperiment instances, "
                     f"got {experiment!r}"
                 )
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas!r}")
+        object.__setattr__(
+            self, "replicas", _require_count("replicas", self.replicas)
+        )
         _require_nonnegative("failover_timeout", self.failover_timeout)
-        if self.domains < 1:
-            raise ValueError(f"domains must be >= 1, got {self.domains!r}")
+        object.__setattr__(
+            self, "domains", _require_count("domains", self.domains)
+        )
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"placement must be one of {PLACEMENTS}, got {self.placement!r}"

@@ -559,6 +559,8 @@ def run_mix_suite(
     settings: SuiteSettings | None = None,
     configurations: tuple[ShardingConfiguration, ...] | None = None,
     max_workers: int | None = None,
+    *,
+    stream: "MixedStream | None" = None,
 ) -> dict[str, RunResult]:
     """Run a configuration sweep for a co-located workload mix.
 
@@ -566,13 +568,17 @@ def run_mix_suite(
     be valid for all of them); every configuration replays the same
     merged stream, sampled once before the fan-out, mirroring
     :func:`run_suite` (``max_workers`` included).
-    ``settings.num_requests`` is the per-workload request count.
+    ``settings.num_requests`` is the per-workload request count.  A
+    caller that already holds the sample (:func:`mix_stream` of the same
+    mix and settings) passes it as ``stream``; it is sampled here only
+    when none is given.
     """
     settings = settings or SuiteSettings()
     configurations = configurations or mix_configurations(
         workload.model.name for workload in mix.workloads
     )
-    stream = mix_stream(mix, settings)
+    if stream is None:
+        stream = mix_stream(mix, settings)
     serving = settings.resolved_serving()
     context = (mix, mix_poolings(mix, settings), stream, serving)
     tasks = [(_replay_mix_configuration, config) for config in configurations]

@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # heavy imports stay lazy: repro.experiments imports serving
     from repro.experiments.configs import ShardingConfiguration
     from repro.experiments.runner import RunResult, SuiteSettings
     from repro.resilience.policy import ResiliencePolicy
+    from repro.workloads.workload import MixedStream
 
 
 class PlanningError(ValueError):
@@ -106,6 +107,24 @@ class WorkloadSizing:
 
 
 @dataclass(frozen=True)
+class CandidateSweep:
+    """The healthy replay that sized a candidate, with its inputs.
+
+    :meth:`CapacityPlanner.assess_availability` reuses ``stream`` and
+    ``result`` as its healthy baseline when it assesses the candidate
+    under the same ``mix``, ``settings`` and ``configuration``.
+    """
+
+    mix: WorkloadMix
+    settings: "SuiteSettings"
+    """The resolved settings (never ``None``) the sweep replayed with."""
+    configuration: "ShardingConfiguration"
+    stream: "MixedStream"
+    """The merged request stream, sampled once for the whole sweep."""
+    result: "RunResult"
+
+
+@dataclass(frozen=True)
 class CandidatePlan:
     """One evaluated point of the deployment space, fully sized.
 
@@ -125,6 +144,9 @@ class CandidatePlan:
     sparse_bytes_per_host: dict[int, float]
     main_dram_capacity: float
     sparse_dram_capacity: float
+    sweep: CandidateSweep | None = field(default=None, compare=False, repr=False)
+    """The sweep that sized this candidate (``None`` when built by hand);
+    left out of ``==`` and ``repr``."""
 
     @property
     def total_servers(self) -> int:
@@ -227,13 +249,19 @@ class CapacityPlanner:
         simulations are co-located open-loop mixes: the default kernel
         replays their busy periods on the batched DES and every idle
         arrival on the columnar evaluator (each candidate's
-        ``RunResult.des_requests`` counts the DES share).
-        ``results_sink`` receives the candidate simulations keyed by
-        configuration label, so callers can reuse the measurements (e.g.
-        day-long elasticity sizing) without re-simulating.
+        ``RunResult.des_requests`` counts the DES share).  Every candidate
+        keeps the replay that sized it, with the stream and settings it
+        ran on, as :attr:`CandidatePlan.sweep`;
+        :meth:`assess_availability` reuses it as its healthy baseline.
+        ``results_sink`` also receives the candidate simulations, keyed
+        by configuration label.
         """
         from repro.experiments.configs import mix_configurations
-        from repro.experiments.runner import SuiteSettings, run_mix_suite
+        from repro.experiments.runner import (
+            SuiteSettings,
+            mix_stream,
+            run_mix_suite,
+        )
         from repro.sharding.plan import SINGULAR
 
         mix = (
@@ -254,8 +282,10 @@ class CapacityPlanner:
         configurations = self.space.configurations or mix_configurations(
             tenant.model.name for tenant in mix.workloads
         )
+        stream = mix_stream(mix, settings)
         results = run_mix_suite(
-            mix, settings, tuple(configurations), max_workers=max_workers
+            mix, settings, tuple(configurations), max_workers=max_workers,
+            stream=stream,
         )
         if results_sink is not None:
             results_sink.update(results)
@@ -273,8 +303,15 @@ class CapacityPlanner:
             )
 
         serving = settings.resolved_serving()
+        by_label = {
+            configuration.label: configuration
+            for configuration in configurations
+        }
         candidates: list[CandidatePlan] = []
         for result in results.values():
+            sweep = CandidateSweep(
+                mix, settings, by_label[result.label], stream, result
+            )
             per_workload_e2e = result.per_workload_e2e()
             demand = {
                 tenant.name: result.mean_cpu_by_shard(workload=tenant.name)
@@ -289,7 +326,7 @@ class CapacityPlanner:
             for utilization in self.space.utilization_targets:
                 candidates.append(
                     self._size_candidate(
-                        mix, result, utilization, qps, demand, reports, serving
+                        sweep, utilization, qps, demand, reports, serving
                     )
                 )
 
@@ -337,19 +374,27 @@ class CapacityPlanner:
         domain-aware replica layout the faulted replays use, and
         ``policy`` is a :class:`~repro.resilience.ResiliencePolicy`
         applied to the faulted replays only (a ``hedge_quantile`` is
-        resolved against the healthy baseline).  The healthy baseline
-        replay and every replica-count replay run as one pooled batch of
-        cluster simulations over ``max_workers`` processes.
+        resolved against the healthy baseline).
+
+        The healthy baseline is the candidate's own
+        :attr:`CandidatePlan.sweep` when that sweep replayed this mix,
+        configuration and settings: its stream and result are reused,
+        and only the faulted replays run, as one pool of cluster
+        simulations over ``max_workers`` processes.  Any other input
+        replays the baseline too (:func:`availability_sweep`).
         """
         from repro.chaos.experiment import availability_sweep
         from repro.experiments.configs import mix_configurations
+        from repro.experiments.runner import SuiteSettings
 
         mix = (
             WorkloadMix((workload,)) if isinstance(workload, Workload) else workload
         )
+        sweep: CandidateSweep | None = None
         if isinstance(configuration, MixPlan):
             configuration = configuration.require()
         if isinstance(configuration, CandidatePlan):
+            sweep = configuration.sweep
             label = configuration.label
             matches = [
                 candidate
@@ -364,6 +409,14 @@ class CapacityPlanner:
                     "candidate configuration matrix"
                 )
             configuration = matches[0]
+        healthy = None
+        if (
+            sweep is not None
+            and sweep.configuration == configuration
+            and sweep.mix == mix
+            and sweep.settings == (self.settings or SuiteSettings())
+        ):
+            healthy = (sweep.stream, sweep.result)
         slo = self.policy.target_latency if self.policy is not None else None
         return availability_sweep(
             mix,
@@ -380,12 +433,12 @@ class CapacityPlanner:
             slo_slack=self.slack,
             window=window,
             max_workers=max_workers,
+            healthy=healthy,
         )
 
     def _size_candidate(
         self,
-        mix: WorkloadMix,
-        result: "RunResult",
+        sweep: CandidateSweep,
         utilization: float,
         qps: Mapping[str, float],
         demand: Mapping[str, Mapping[int, float]],
@@ -393,6 +446,7 @@ class CapacityPlanner:
         serving,
     ) -> CandidatePlan:
         """Size one (configuration, utilization) candidate."""
+        mix, result = sweep.mix, sweep.result
         capacity = self.workers_per_replica * utilization
 
         sizings = []
@@ -460,4 +514,5 @@ class CapacityPlanner:
             sparse_bytes_per_host=host_bytes,
             main_dram_capacity=serving.main_platform.dram_capacity,
             sparse_dram_capacity=serving.sparse_platform.dram_capacity,
+            sweep=sweep,
         )

@@ -2,6 +2,8 @@
 byte-identity, failover/degradation accounting, healing, availability
 sweeps, abort draining, and the input-validation satellite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,15 +21,19 @@ from repro.chaos import (
     nines,
 )
 from repro.experiments import (
+    RunResult,
     ShardingConfiguration,
     SuiteSettings,
     build_plan,
     run_configuration,
 )
 from repro.models import drm1
+from repro.planning import CandidateSpace, CapacityPlanner, SlaPolicy
+from repro.resilience import ResiliencePolicy
 from repro.requests import ReplaySchedule
 from repro.serving import ServingConfig, TraceMode
 from span_oracle import assert_matches_oracle, oracle_configuration
+from test_kernel_equivalence import assert_run_identical
 from repro.serving.simulator import ClusterSimulation, SimServer
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel
@@ -517,10 +523,84 @@ class TestAvailabilitySweep:
             )
 
 
+REUSE_CONFIGURATION = ShardingConfiguration("load-bal", 4)
+REUSE_CRASH = (HostCrash(shard=0, at=0.1),)
+REUSE_HEDGE = ResiliencePolicy(
+    rpc_timeout=5e-3, max_attempts=3, hedge_quantile=95.0
+)
+
+
+def reuse_workload(arrival_seed: int = 7) -> Workload:
+    return Workload(
+        "ranking", drm1(), PoissonArrivals(120.0, seed=arrival_seed),
+        request_seed=3,
+    )
+
+
+def reuse_planner(serving_seed: int = 1) -> CapacityPlanner:
+    return CapacityPlanner(
+        policy=SlaPolicy(10.0),  # generous: the candidate qualifies
+        space=CandidateSpace(configurations=(REUSE_CONFIGURATION,)),
+        settings=SuiteSettings(
+            num_requests=60, pooling_requests=100,
+            serving=ServingConfig(seed=serving_seed),
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def planned():
+    """A planned deployment whose chosen candidate keeps its sweep."""
+    workload, planner = reuse_workload(), reuse_planner()
+    return workload, planner, planner.plan(workload)
+
+
+@pytest.fixture
+def sweep_tasks(monkeypatch):
+    """Names of the worker bodies every availability sweep hands to the
+    pool, in task order."""
+    import repro.chaos.experiment as experiment
+
+    names: list[str] = []
+    run_tasks = experiment.run_cluster_tasks
+
+    def counting(tasks, context, max_workers=None):
+        names.extend(fn.__name__ for fn, _ in tasks)
+        return run_tasks(tasks, context, max_workers)
+
+    monkeypatch.setattr(experiment, "run_cluster_tasks", counting)
+    return names
+
+
+def fresh_sweep(workload, planner, policy):
+    """The from-scratch sweep an assessment of the chosen plan stands for."""
+    return availability_sweep(
+        workload, REUSE_CONFIGURATION, REUSE_CRASH, (1, 2),
+        policy=policy,
+        settings=planner.settings,
+        slo_latency=(
+            planner.policy.target_latency if planner.policy is not None else None
+        ),
+        slo_slack=planner.slack,
+    )
+
+
+def assert_same_assessment(got, want):
+    assert got.slo_latency == want.slo_latency
+    assert got.baseline_p99 == want.baseline_p99
+    assert got.policy == want.policy
+    assert [o.replicas for o in got.outcomes] == [o.replicas for o in want.outcomes]
+    for ours, theirs in zip(got.outcomes, want.outcomes):
+        assert ours.report == theirs.report
+        assert ours.timeline == theirs.timeline
+        assert_run_identical(ours.result, theirs.result, ours.replicas)
+        assert ours.result.resilience_stats == theirs.result.resilience_stats
+        assert ours.result.aborted_rpcs == theirs.result.aborted_rpcs
+    assert format_assessment(got) == format_assessment(want)
+
+
 class TestPlannerAvailability:
     def test_assess_availability_on_chosen_plan(self):
-        from repro.planning import CandidateSpace, CapacityPlanner, SlaPolicy
-
         workload = Workload(
             "ranking", drm1(), PoissonArrivals(120.0, seed=7), request_seed=3
         )
@@ -541,8 +621,6 @@ class TestPlannerAvailability:
         assert retention[0] <= retention[1]
 
     def test_singular_choice_cannot_be_chaos_assessed(self):
-        from repro.planning import CandidateSpace, CapacityPlanner, SlaPolicy
-
         workload = Workload(
             "ranking", drm1(), PoissonArrivals(25.0, seed=2), request_seed=3
         )
@@ -558,6 +636,74 @@ class TestPlannerAvailability:
             planner.assess_availability(
                 workload, plan, (HostCrash(shard=0, at=0.1),), replica_counts=(1,)
             )
+
+    @pytest.mark.parametrize("slo_from", ["planner", "baseline"])
+    @pytest.mark.parametrize("policy", [None, REUSE_HEDGE], ids=["plain", "hedged"])
+    def test_reused_baseline_equals_a_fresh_sweep(
+        self, planned, sweep_tasks, policy, slo_from
+    ):
+        workload, planner, plan = planned
+        if slo_from == "baseline":
+            # Same settings, so the sweep is still reused; the SLO now
+            # derives from the reused baseline's p99.
+            planner = dataclasses.replace(planner, policy=None)
+        reused = planner.assess_availability(
+            workload, plan.chosen, REUSE_CRASH, (1, 2), policy=policy
+        )
+        assert sweep_tasks == ["_replay_chaos", "_replay_chaos"]
+        fresh = fresh_sweep(workload, planner, policy)
+        assert sweep_tasks.count("_replay_healthy") == 1
+        assert_same_assessment(reused, fresh)
+        if policy is not None:
+            assert reused.policy.hedge_delay is not None
+
+    def test_a_mix_plan_reuses_its_chosen_sweep(self, planned, sweep_tasks):
+        workload, planner, plan = planned
+        planner.assess_availability(workload, plan, REUSE_CRASH, (1,))
+        assert sweep_tasks == ["_replay_chaos"]
+
+    def test_an_explicit_configuration_replays_its_baseline(
+        self, planned, sweep_tasks
+    ):
+        workload, planner, _ = planned
+        planner.assess_availability(workload, REUSE_CONFIGURATION, REUSE_CRASH, (1,))
+        assert sweep_tasks == ["_replay_healthy", "_replay_chaos"]
+
+    @pytest.mark.parametrize("other", ["serving-seed", "mix"])
+    def test_other_inputs_replay_their_own_baseline(
+        self, planned, sweep_tasks, other
+    ):
+        workload, planner, plan = planned
+        if other == "serving-seed":
+            planner = reuse_planner(serving_seed=2)
+        else:
+            workload = reuse_workload(arrival_seed=8)
+        assessed = planner.assess_availability(
+            workload, plan.chosen, REUSE_CRASH, (1, 2), policy=REUSE_HEDGE
+        )
+        # The hedge delay needs the baseline first: it runs alone.
+        assert sweep_tasks == ["_replay_healthy", "_replay_chaos", "_replay_chaos"]
+        assert_same_assessment(assessed, fresh_sweep(workload, planner, REUSE_HEDGE))
+
+    def test_healthy_replay_must_cover_the_stream(self, planned, sweep_tasks):
+        workload, planner, plan = planned
+        sweep = plan.chosen.sweep
+        empty = RunResult(
+            sweep.result.model_name, sweep.result.label, sweep.result.plan
+        )
+        with pytest.raises(ValueError, match="0 rows for a stream of 60"):
+            availability_sweep(
+                workload, REUSE_CONFIGURATION, REUSE_CRASH, (1,),
+                settings=planner.settings, healthy=(sweep.stream, empty),
+            )
+        assert sweep_tasks == []
+
+    def test_the_sweep_is_not_part_of_the_plan_value(self, planned):
+        chosen = planned[2].chosen
+        assert chosen.sweep is not None
+        assert chosen.sweep.result.label == chosen.label
+        assert dataclasses.replace(chosen, sweep=None) == chosen
+        assert "sweep" not in repr(chosen)
 
 
 class TestDrainOnAbort:

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.quantiles import median_window_mean, median_window_mean_columns
+from repro.chaos import FaultSchedule
+from repro.chaos.experiment import fault_schedules
 from repro.cli import main
 from repro.core.host import usable_cpus
 from repro.experiments import SuiteSettings, default_workers
@@ -320,6 +322,34 @@ class TestLibraryInputsFailLoudly:
     def test_resilience_policy_accepts_numpy_integers(self):
         policy = ResiliencePolicy(max_attempts=np.int64(3), backoff_base=1e-4)
         assert policy.max_attempts == 3
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", 0])
+    @pytest.mark.parametrize("name", ["replicas", "domains"])
+    def test_fault_schedule_rejects_non_integral_counts(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            FaultSchedule(**{name: bad})
+
+    def test_fault_schedule_accepts_numpy_integers(self):
+        schedule = FaultSchedule(replicas=np.int64(2), domains=np.int32(3))
+        assert (schedule.replicas, schedule.domains) == (2, 3)
+        assert type(schedule.replicas) is int and type(schedule.domains) is int
+
+    @pytest.mark.parametrize("counts", [(1.9, 2), (2, True)])
+    def test_fault_schedules_reject_fractional_replica_counts(self, counts):
+        # These were truncated to replicas [1, 2] and [2, 1].
+        plans = [singular_plan(drm1())]
+        with pytest.raises(ValueError, match="replicas must be an integer"):
+            fault_schedules((), counts, plans)
+
+    def test_fault_schedules_reject_fractional_domains(self):
+        # ``domains=2.7`` was truncated to 2.
+        plans = [singular_plan(drm1())]
+        with pytest.raises(ValueError, match="domains must be an integer"):
+            fault_schedules((), (1,), plans, domains=2.7)
+        schedules = fault_schedules(
+            (), (np.int64(2),), plans, domains=np.int64(2)
+        )
+        assert [(s.replicas, s.domains) for s in schedules] == [(2, 2)]
 
 
 class TestMedianWindowMeanEquivalence:
