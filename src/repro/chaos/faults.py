@@ -24,20 +24,9 @@ is byte-identical to running without a schedule at all
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
-
-def _require_count(name: str, value: int) -> int:
-    """A count: an integer >= 1 (numpy integers pass; ``1.5``, ``2.0``
-    and ``True`` are rejected rather than truncated)."""
-    if (
-        not isinstance(value, numbers.Integral)
-        or isinstance(value, bool)
-        or value < 1
-    ):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
+from repro.core.types import require_count
 
 
 def _require_nonnegative(name: str, value: float) -> float:
@@ -273,11 +262,11 @@ class FaultSchedule:
                     f"got {experiment!r}"
                 )
         object.__setattr__(
-            self, "replicas", _require_count("replicas", self.replicas)
+            self, "replicas", require_count("replicas", self.replicas)
         )
         _require_nonnegative("failover_timeout", self.failover_timeout)
         object.__setattr__(
-            self, "domains", _require_count("domains", self.domains)
+            self, "domains", require_count("domains", self.domains)
         )
         if self.placement not in PLACEMENTS:
             raise ValueError(

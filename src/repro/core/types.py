@@ -9,6 +9,7 @@ The constants below exist so that call sites read naturally, e.g.
 from __future__ import annotations
 
 import enum
+import numbers
 
 # --- size units -------------------------------------------------------------
 KIB = 1024.0
@@ -19,6 +20,18 @@ GIB = 1024.0 * MIB
 NS = 1e-9
 US = 1e-6
 MS = 1e-3
+
+
+def require_count(name: str, value: int) -> int:
+    """A count: an integer >= 1 (numpy integers pass; ``1.5``, ``2.0``,
+    ``NaN`` and ``True`` are rejected rather than truncated)."""
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or value < 1
+    ):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 class DType(enum.Enum):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.types import require_count
 from repro.experiments.parallel import run_cluster_tasks, worker_context
 from repro.models.config import ModelConfig
 from repro.requests.generator import Request, RequestGenerator
@@ -311,12 +312,12 @@ def run_configuration(
     completed request straight into columns the result adopts; no span
     is built and ``serving.trace_mode`` plays no part.
 
+    Every kernel reads its plans from the columnar chunks of
+    :func:`repro.serving.columnar.idle_arrival_cluster`.
     ``serving.kernel == "vectorized"`` (the default) replays an eligible
     run -- serial or open-loop -- on the DES with every idle arrival
-    taking the columnar engine
-    (:func:`repro.serving.columnar.idle_arrival_cluster`; a serial run
-    reaches the DES only for a request whose acquires tie on a worker
-    pool), bit-identical to the
+    taking the columnar engine (a serial run reaches the DES only for a
+    request whose acquires tie on a worker pool), bit-identical to the
     batched kernel; ineligible runs fall back to the batched kernel with
     the reason recorded on ``RunResult.kernel_fallback``.
     """
@@ -346,27 +347,26 @@ def _replay_cluster(
     """The tracer and cluster a run replays on, with the kernel that
     replays it recorded on ``result``.
 
-    Under the ``vectorized`` kernel idle arrivals take the columnar
-    engine; a run the evaluator cannot serve
+    Every run reads its plans from columnar chunks
+    (:func:`~repro.serving.columnar.idle_arrival_cluster`).  Under the
+    ``vectorized`` kernel idle arrivals take the columnar engine; a run
+    the evaluator cannot serve
     (:func:`~repro.serving.columnar.vectorized_ineligibility`) falls back
     to the batched DES, with the reason on ``result.kernel_fallback``.
     """
-    if serving.kernel == "vectorized":
-        from repro.serving.columnar import (
-            idle_arrival_cluster,
-            vectorized_ineligibility,
-        )
+    from repro.serving.columnar import (
+        idle_arrival_cluster,
+        vectorized_ineligibility,
+    )
 
+    if serving.kernel == "vectorized":
         result.kernel_fallback = vectorized_ineligibility(serving)
-        if result.kernel_fallback is None:
-            result.kernel_used = "vectorized"
-            return idle_arrival_cluster(
-                tenants, serving, stream_tenants, requests, CHUNK_SIZE
-            )
-        serving = serving.with_kernel("batched")
+        if result.kernel_fallback is not None:
+            serving = serving.with_kernel("batched")
     result.kernel_used = serving.kernel
-    tracer = AggregatingTracer(expected_requests=len(requests))
-    return tracer, ClusterSimulation.colocated(tenants, serving, tracer=tracer)
+    return idle_arrival_cluster(
+        tenants, serving, stream_tenants, requests, CHUNK_SIZE
+    )
 
 
 def _replay(
@@ -406,12 +406,8 @@ class SuiteSettings:
     """Overrides ``serving.trace_mode`` when set; None keeps it."""
 
     def __post_init__(self) -> None:
-        if self.num_requests < 1:
-            raise ValueError(f"num_requests must be >= 1, got {self.num_requests}")
-        if self.pooling_requests < 1:
-            raise ValueError(
-                f"pooling_requests must be >= 1, got {self.pooling_requests}"
-            )
+        require_count("num_requests", self.num_requests)
+        require_count("pooling_requests", self.pooling_requests)
 
     def resolved_serving(self) -> ServingConfig:
         """The serving config with the suite-level trace-mode override

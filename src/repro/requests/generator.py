@@ -107,14 +107,6 @@ class Request:
     timestamp: float
     num_items: int
     draws: dict[str, SparseFeatureDraw] = field(default_factory=dict)
-    slice_count_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    """Memoized per-batch id counts, keyed ``(batch_size, max_batches) ->
-    {table: [count per batch]}``.  A sweep replays the same request sample
-    against every configuration with the same batching policy, so the
-    counts are computed once and shared across all plans (pure integer
-    data; identical whichever configuration fills it first)."""
 
     def total_ids_for_net(self, model: ModelConfig, net_name: str) -> int:
         return sum(

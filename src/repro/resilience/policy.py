@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
+
+from repro.core.types import require_count
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -109,14 +110,7 @@ class ResiliencePolicy:
             _require_positive("rpc_timeout", self.rpc_timeout)
         # An integer count: a fractional bound would validate as its
         # floor but let ``attempts < max_attempts`` issue one more.
-        if (
-            not isinstance(self.max_attempts, numbers.Integral)
-            or isinstance(self.max_attempts, bool)
-            or self.max_attempts < 1
-        ):
-            raise ValueError(
-                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
-            )
+        require_count("max_attempts", self.max_attempts)
         if not 0.0 <= float(self.backoff_base) < math.inf:  # also rejects NaN
             raise ValueError(
                 f"backoff_base must be finite and non-negative, got "

@@ -1,14 +1,17 @@
-"""Columnar plan builder and idle-arrival hook for the ``vectorized`` kernel.
+"""The plan builder, and the idle-arrival hook of the ``vectorized`` kernel.
 
 This module is the serving-side half of the vectorized fast path (the
 evaluator half lives in :mod:`repro.simulation.vectorized`): it decides
 *whether* a run may use the evaluator (:func:`vectorized_ineligibility`),
-transposes per-request execution plans into per-chunk numpy columns
-(:func:`build_chunk_plans`), and installs the hook through which the
-DES offers the evaluator every request that arrives at an idle cluster
-(:func:`idle_arrival_cluster`).  Every replay -- serial closed-loop,
-open-loop, or a co-located mix -- runs on the DES driver; plans are
-built per tenant over chunks of stream positions, for every request.
+builds every execution plan as per-chunk numpy columns
+(:func:`build_chunk_plans`, the only plan builder; :func:`row_plans`
+reads one request's plans back for the DES), and installs the hook
+through which the DES offers the evaluator every request that arrives
+at an idle cluster (:func:`idle_arrival_cluster`).  Every replay --
+serial closed-loop, open-loop, or a co-located mix, under any kernel --
+runs on the DES driver; plans are built per tenant over chunks of
+stream positions, for every request, and a request no chunk holds (a
+bare cluster's) gets a one-request chunk.
 The evaluator commits a request if it completes strictly before the
 next arrival (for a serial run the next arrival is the request's own
 completion, so the horizon is ``+inf``) -- its batches queueing FIFO for
@@ -23,26 +26,27 @@ Bit-exactness
 =============
 
 :func:`build_chunk_plans` produces, for every (request, net, batch,
-shard-slot), the *same float64 bits* as
-:meth:`ClusterSimulation._request_plans
-<repro.serving.simulator.ClusterSimulation._request_plans>`: every numpy
-expression below keeps the exact left-associated operation order of the
-scalar code it mirrors, and integer sums (ids, active tables, response
+shard-slot), the *same float64 bits* as building each request's plans
+one table and one batch at a time in Python floats (the scalar oracle
+``tests/plan_oracle.py`` pins it): every numpy expression below keeps
+the exact left-associated operation order of that scalar computation,
+and integer sums (ids, active tables, response
 bytes, distinct tables, active targets) stay integers until the same
 int->float points, so they may be reduced over the table axis in any
 order.  The one float sum, the SLS gather, is
-``np.add.accumulate`` along the table axis -- the scalar builder's
-sequential left-to-right adds, in pair order -- and its last element is
-the gather.  A table a request does not draw, a table absent from the
-whole group (a zero plane of the count stack) and the padding of a
-routing slot's table index (the trailing zero plane) all contribute
-exact ``+0.0`` terms precisely where the scalar code *skips* them
-(adding ``+0.0`` to a non-negative float accumulator never changes its
-bits).  Plans with row-partitioned tables (``TableAssignment.num_parts >
-1``) fall back to calling the scalar plan builder per request -- the
-partition-split multinomials are keyed per-(request, table) substreams,
-so the scalar path is already vectorization-agnostic -- and only the
-transposition is columnar.
+``np.add.accumulate`` along the table axis -- the scalar sequential
+left-to-right adds, in pair order -- and its last element is the
+gather.  A table a request does not draw, a table absent from the whole
+group (a zero plane of the count stack) and the padding of a routing
+slot's table index (the trailing zero plane) all contribute exact
+``+0.0`` terms precisely where the scalar code *skips* them (adding
+``+0.0`` to a non-negative float accumulator never changes its bits).
+A row-partitioned table (``TableAssignment.num_parts > 1``) gets one
+count plane per part, each positive (request, batch) count split by the
+keyed multinomial
+:meth:`~repro.serving.simulator.ClusterSimulation._partition_split`
+(stateless, so any draw order gives the same integers); a part the split
+leaves empty is a zero, skipped like any other.
 
 Memory flatness
 ===============
@@ -62,8 +66,7 @@ multi-configuration sweep over one request sample reuses them across
 configurations without holding every chunk; entry size is bounded by
 ``repro.experiments.runner.CHUNK_SIZE``).  The (slot, table, request,
 batch) temporaries of one (group, net) pass are released before the
-next.  Unlike the scalar builder, nothing is memoized *on* the request
-objects.
+next.  Nothing is memoized *on* the request objects.
 """
 
 from __future__ import annotations
@@ -74,8 +77,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.types import US
-from repro.models.config import FeatureScope, ModelConfig
-from repro.requests.generator import Request, request_payload_bytes
+from repro.models.config import FeatureScope, ModelConfig, TableConfig
+from repro.requests.generator import Request
 from repro.serving.simulator import (
     ClusterSimulation,
     ServingConfig,
@@ -83,8 +86,7 @@ from repro.serving.simulator import (
     _ShardLookups,
     _Tenant,
 )
-from repro.sharding.plan import ShardingPlan
-from repro.simulation.costmodel import ranking_response_bytes
+from repro.sharding.plan import ShardingPlan, ShardSpec
 from repro.simulation.vectorized import (
     ChunkPlans,
     NetColumns,
@@ -96,6 +98,7 @@ from repro.simulation.vectorized import (
 __all__ = [
     "build_chunk_plans",
     "idle_arrival_cluster",
+    "row_plans",
     "vectorized_ineligibility",
 ]
 
@@ -194,8 +197,7 @@ class _ChunkBundle:
 
         # Per-table count planes, one pass over the chunk's draws.
         # USER-scoped draws broadcast their total over every batch;
-        # ITEM-scoped draws slice a per-item cumsum at the batch edges
-        # (identical integers to ClusterSimulation._slice_counts).
+        # ITEM-scoped draws slice a per-item cumsum at the batch edges.
         user_totals: dict[str, np.ndarray] = {}
         item_rows: dict[str, list[int]] = {}
         item_counts: dict[str, list[np.ndarray]] = {}
@@ -265,12 +267,20 @@ _consume = deque(maxlen=0).extend
 
 def _slot_tables(
     tenant: _Tenant, net_name: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+    list[tuple[TableConfig, int, int]],
+]:
     """Net ``net_name``'s routing slots as a padded (slots, kmax) table
     index into its count stack, in pair order, with per-entry constants:
     the sparse per-id SLS cost, the ITEM-scope flag, and ``dim * 4`` split
     into its ITEM and USER parts.  Padding points at the stack's trailing
-    zero plane and carries zero constants."""
+    zero plane and carries zero constants.
+
+    A row-partitioned pair points at its part's plane: every
+    ``(table, num_parts)`` of the routing, in first-use order, appends
+    ``num_parts`` planes after the padding plane, listed as
+    ``(table, num_parts, table's stack plane)`` (:func:`_part_planes`)."""
     model = tenant.model
     plane_of = {
         table.name: plane
@@ -283,9 +293,21 @@ def _slot_tables(
     is_item = np.zeros(shape, bool)
     dim4_item = np.zeros(shape, np.int64)
     dim4_user = np.zeros(shape, np.int64)
+    partitions: list[tuple[TableConfig, int, int]] = []
+    first_part: dict[tuple[str, int], int] = {}
+    next_plane = len(plane_of) + 1  # past the padding plane
     for slot, (_shard, pairs) in enumerate(routing):
-        for entry, (table, _assignment) in enumerate(pairs):
-            index[slot, entry] = plane_of[table.name]
+        for entry, (table, assignment) in enumerate(pairs):
+            plane = plane_of[table.name]
+            parts = assignment.num_parts
+            if parts > 1:
+                key = (table.name, parts)
+                if key not in first_part:
+                    first_part[key] = next_plane
+                    next_plane += parts
+                    partitions.append((table, parts, plane))
+                plane = first_part[key] + assignment.part_index
+            index[slot, entry] = plane
             per_id[slot, entry] = tenant.per_id_sparse[table.name]
             if table.scope is FeatureScope.ITEM:
                 is_item[slot, entry] = True
@@ -299,19 +321,41 @@ def _slot_tables(
         is_item[..., None, None],
         dim4_item[..., None, None],
         dim4_user[..., None, None],
+        partitions,
     )
+
+
+def _part_planes(
+    sim: ClusterSimulation,
+    requests: list[Request],
+    counts: np.ndarray,
+    table: TableConfig,
+    parts: int,
+) -> np.ndarray:
+    """A row-partitioned table's (parts, Rg, B) id counts: every positive
+    (request, batch) count of ``counts`` split across the parts by the
+    keyed multinomial :meth:`ClusterSimulation._partition_split`; a zero
+    count stays zero on every part."""
+    planes = np.zeros((parts,) + counts.shape, np.int64)
+    rows, batches = np.nonzero(counts)
+    for row, b in zip(rows.tolist(), batches.tolist()):
+        planes[:, row, b] = sim._partition_split(
+            requests[row], table, int(counts[row, b]), parts
+        )
+    return planes
 
 
 def build_chunk_plans(
     sim: ClusterSimulation, tenant: _Tenant, requests: list[Request]
 ) -> ChunkPlans:
-    """Transpose one chunk's execution plans into evaluator columns.
+    """Build one chunk's execution plans as evaluator columns.
 
-    Bit-for-bit equal to calling ``sim._request_plans`` per request (see
-    the module docstring); requests are grouped by batch count, and one
+    Bit-for-bit equal to the scalar per-request computation (see the
+    module docstring); requests are grouped by batch count, and one
     numpy pass per (group, net) computes every routing slot at once over
     (slot, table, request, batch) arrays.  Every request gets a row, read
-    by the evaluator or, for a request it declines, by the DES.
+    by the evaluator or, for a request it declines, by the DES
+    (:func:`row_plans`).
     """
     config = sim.config
     model = tenant.model
@@ -377,6 +421,7 @@ def build_chunk_plans(
     for batches, positions, items_pb, stacks in bundle.groups:
         for position in positions:
             nb_list[position] = batches
+        group_requests = [requests[position] for position in positions]
         items_pb_f = items_pb.astype(np.float64)
         for net_index, net_cfg in enumerate(model.nets):
             net_columns = nets[net_index]
@@ -388,8 +433,8 @@ def build_chunk_plans(
 
             if singular:
                 net_columns.singular_overhead = cm.net_overhead(n_net + 12)
-                # The scalar builder's per-batch gather adds tables left
-                # to right; accumulate runs the same sequential adds.
+                # A per-batch gather adds tables left to right;
+                # accumulate runs the same sequential adds.
                 gather = np.add.accumulate(
                     stack * per_id_main[net_index], axis=0
                 )[-1]
@@ -397,9 +442,18 @@ def build_chunk_plans(
                 _scatter(net_columns.local, positions, local.tolist())
                 continue
 
-            index, per_id, is_item, dim4_item, dim4_user = slot_tables[net_index]
-            # (slot, table, request, batch) counts; padding reads zeros.
-            counts = stack[index]
+            index, per_id, is_item, dim4_item, dim4_user, partitions = (
+                slot_tables[net_index]
+            )
+            # (slot, table, request, batch) counts; padding reads zeros,
+            # a partitioned pair its part's split counts.
+            split = stack
+            if partitions:
+                split = np.concatenate([stack] + [
+                    _part_planes(sim, group_requests, stack[plane], table, parts)
+                    for table, parts, plane in partitions
+                ])
+            counts = split[index]
             mask = counts > 0
             ids = counts.sum(axis=1)
             ntab = mask.sum(axis=1)
@@ -432,6 +486,8 @@ def build_chunk_plans(
             ), axis=2)
             for target, rows in zip(net_columns.targets, stacked):
                 _scatter(target.rows, positions, rows)
+            # Distinct active tables read the unsplit planes: a positive
+            # count has a positive part somewhere.
             n_names = (stack > 0).sum(axis=0)
             overhead = cm.net_overhead_fixed + cm.net_overhead_per_op * (
                 n_net + 12 + active.sum(axis=0)
@@ -450,101 +506,45 @@ def build_chunk_plans(
     )
 
 
-#: _ShardLookups attributes in evaluator row order (rows 1-8; row 0 is
-#: the active plane), which is also its constructor's argument order.
-_PLAN_FIELDS = (
-    "client_ser_total", "server_deser", "server_overhead", "sls_work",
-    "server_resp_ser", "client_resp_deser", "req_bytes", "resp_bytes",
-)
-
-
-def _scalar_chunk_plans(
-    sim: ClusterSimulation, tenant: _Tenant, requests: list[Request]
-) -> ChunkPlans:
-    """Per-request scalar fallback for plans with row-partitioned tables.
-
-    The partition-split multinomials are keyed per (request, table)
-    substreams inside ``_request_plans``, so building plans one request
-    at a time is exactly the reference computation; only the
-    transposition into evaluator columns is new.  (Not memory-flat to
-    the same degree: ``_request_plans`` memoizes slice counts on the
-    request objects, like every scalar-kernel sweep does.)
-    """
-    model = tenant.model
-    cm = sim.config.cost_model
-    main_platform = sim.config.main_platform
-    names = [net_cfg.name for net_cfg in model.nets]
-    singular = tenant.plan.is_singular
-    nets = [NetColumns() for _ in names]
-    slot_of: list[dict[int, int]] = []
-    if not singular:
-        for net_index, name in enumerate(names):
-            routing = tenant.net_routing[name]
-            nets[net_index].targets = [
-                TargetColumns(shard.index) for shard, _ in routing
+def row_plans(
+    chunk: ChunkPlans, row: int, routing: dict[str, list[tuple[ShardSpec, list]]]
+) -> dict[str, list[_NetBatchPlan]]:
+    """The DES's per-net, per-batch plans for ``chunk``'s request ``row``
+    (``routing`` is its tenant's ``net_routing``)."""
+    plans: dict[str, list[_NetBatchPlan]] = {}
+    for name, net in zip(chunk.net_names, chunk.nets):
+        dense = net.dense[row]
+        if chunk.singular:
+            overhead = net.singular_overhead
+            plans[name] = [
+                _NetBatchPlan(overhead, dense_total, (), local)
+                for dense_total, local in zip(dense, net.local[row])
             ]
-            slot_of.append(
-                {shard.index: slot for slot, (shard, _) in enumerate(routing)}
+            continue
+        # Slots outer, batches inner: each batch lists its targets in
+        # routing order.  A row is the active plane, then eight cost
+        # planes in the _ShardLookups argument order.
+        batch_targets: list[list[_ShardLookups]] = [[] for _ in dense]
+        for (shard, _pairs), target in zip(routing[name], net.targets):
+            active, cst, sdes, sov, slw, srs, crd, reqb, respb = (
+                target.rows[row].tolist()
             )
-    rids: list[int] = []
-    nb_list: list[int] = []
-    heads: list[float] = []
-    tails: list[float] = []
-    for request in requests:
-        batches = sim._batches(tenant, request)
-        num_batches = len(batches)
-        rids.append(request.request_id)
-        plans = sim._request_plans(tenant, request, batches)
-        nb_list.append(num_batches)
-        heads.append(
-            cm.serde_time(
-                request_payload_bytes(model, request),
-                main_platform,
-                tables=len(request.draws),
+            for b, targets in enumerate(batch_targets):
+                if active[b]:
+                    targets.append(_ShardLookups(
+                        shard, cst[b], sdes[b], sov[b], slw[b], srs[b],
+                        crd[b], reqb[b], respb[b],
+                    ))
+        plans[name] = [
+            _NetBatchPlan(overhead, dense_total, targets, 0.0)
+            for overhead, dense_total, targets in zip(
+                net.overhead[row], dense, batch_targets
             )
-        )
-        tails.append(
-            cm.serde_time(ranking_response_bytes(request.num_items), main_platform)
-        )
-        for net_index, name in enumerate(names):
-            net_columns = nets[net_index]
-            per_batch = plans[name]
-            net_columns.dense.append([plan.dense_total for plan in per_batch])
-            if singular:
-                net_columns.singular_overhead = per_batch[0].overhead
-                net_columns.local.append([plan.local_work for plan in per_batch])
-                continue
-            net_columns.overhead.append([plan.overhead for plan in per_batch])
-            # The same (9, batches) float64 rows build_chunk_plans emits:
-            # the active plane, then the eight cost fields.
-            rows = np.zeros((len(net_columns.targets), 9, num_batches))
-            for batch_index, plan in enumerate(per_batch):
-                for lookup in plan.targets:
-                    row = rows[slot_of[net_index][lookup.shard.index]]
-                    row[0, batch_index] = 1.0
-                    for field, attr in enumerate(_PLAN_FIELDS, 1):
-                        row[field, batch_index] = getattr(lookup, attr)
-            for target, row in zip(net_columns.targets, rows):
-                target.rows.append(row)
-    return ChunkPlans(singular, rids, nb_list, heads, tails, nets, names)
-
-
-def _has_partitions(plan: ShardingPlan) -> bool:
-    if plan.is_singular:
-        return False
-    return any(
-        assignment.num_parts > 1
-        for shard in plan.shards
-        for assignment in shard.assignments
-    )
+        ]
+    return plans
 
 
 # -- the idle-arrival hook ----------------------------------------------------
-def _plan_builder(plan: ShardingPlan):
-    # Looked up at call time, so a replaced module attribute is honoured.
-    return _scalar_chunk_plans if _has_partitions(plan) else build_chunk_plans
-
-
 class _IdleArrivals:
     """The columnar hook :meth:`ClusterSimulation.run_serial` and
     :meth:`ClusterSimulation.run_stream` consult at every arrival.
@@ -556,16 +556,17 @@ class _IdleArrivals:
     there, the driver's clock and the next arrival's clock (the horizon)
     when a request arrives at an idle cluster, it returns the completion
     time of a committed request, or ``None`` when the DES must replay it
-    (the stream's request is not the one planned at that position, its
-    acquires tie on a worker pool, or it would not finish strictly
-    before the next arrival).  :meth:`plans` then hands the DES that
-    request's plans, read from the same rows.  The hook holds no reference to the
-    cluster, so a finished cluster is freed at once.
+    (there is no evaluator, the stream's request is not the one planned
+    at that position, its acquires tie on a worker pool, or it would not
+    finish strictly before the next arrival).  :meth:`plans` then hands
+    the DES that request's plans, read from the same rows.  The hook
+    holds no reference to the cluster, so a finished cluster is freed at
+    once.
     """
 
     def __init__(
         self,
-        evaluator: SweepEvaluator,
+        evaluator: SweepEvaluator | None,
         tenants: list[int],
         requests: list[Request],
         chunk_size: int,
@@ -589,9 +590,10 @@ class _IdleArrivals:
         # Release the previous chunk's plans before building this one.
         self._rows = rows
         for tenant_index, offsets in sorted(offsets_of.items()):
-            tenant = cluster.tenants[tenant_index]
-            plans = _plan_builder(tenant.plan)(
-                cluster, tenant, [requests[offset] for offset in offsets]
+            plans = build_chunk_plans(
+                cluster,
+                cluster.tenants[tenant_index],
+                [requests[offset] for offset in offsets],
             )
             for row, offset in enumerate(offsets):
                 rows[offset] = (plans, row)
@@ -621,6 +623,8 @@ class _IdleArrivals:
         self, cluster: ClusterSimulation, position: int, tenant: int,
         request: Request, now: float, horizon: float,
     ) -> float | None:
+        if self.evaluator is None:
+            return None
         located = self._row(cluster, position, tenant, request)
         if located is None:
             return None
@@ -633,46 +637,13 @@ class _IdleArrivals:
         request: Request,
     ) -> dict[str, list[_NetBatchPlan]] | None:
         """The DES's per-net, per-batch plans for the request at
-        ``position``, equal field by field to
-        ``ClusterSimulation._request_plans``; ``None`` for a stream entry
-        the chunk holds no row for, so the DES builds them."""
+        ``position`` (:func:`row_plans`); ``None`` for a stream entry the
+        chunk holds no row for, so the DES plans it alone."""
         located = self._row(cluster, position, tenant, request)
         if located is None:
             return None
         chunk, row = located
-        routing = cluster.tenants[tenant].net_routing
-        plans: dict[str, list[_NetBatchPlan]] = {}
-        for name, net in zip(chunk.net_names, chunk.nets):
-            dense = net.dense[row]
-            if chunk.singular:
-                overhead = net.singular_overhead
-                plans[name] = [
-                    _NetBatchPlan(overhead, dense_total, (), local)
-                    for dense_total, local in zip(dense, net.local[row])
-                ]
-                continue
-            # Slots outer, batches inner: each batch lists its targets
-            # in routing order, as the scalar builder does.  A row is the
-            # active plane, then the eight _PLAN_FIELDS planes in order
-            # (the _ShardLookups argument order).
-            batch_targets: list[list[_ShardLookups]] = [[] for _ in dense]
-            for (shard, _pairs), target in zip(routing[name], net.targets):
-                active, cst, sdes, sov, slw, srs, crd, reqb, respb = (
-                    target.rows[row].tolist()
-                )
-                for b, targets in enumerate(batch_targets):
-                    if active[b]:
-                        targets.append(_ShardLookups(
-                            shard, cst[b], sdes[b], sov[b], slw[b], srs[b],
-                            crd[b], reqb[b], respb[b],
-                        ))
-            plans[name] = [
-                _NetBatchPlan(overhead, dense_total, targets, 0.0)
-                for overhead, dense_total, targets in zip(
-                    net.overhead[row], dense, batch_targets
-                )
-            ]
-        return plans
+        return row_plans(chunk, row, cluster.tenants[tenant].net_routing)
 
 
 def idle_arrival_cluster(
@@ -682,28 +653,34 @@ def idle_arrival_cluster(
     requests: list[Request],
     chunk_size: int,
 ) -> tuple[VectorizedColumns, ClusterSimulation]:
-    """A cluster whose replay is columnar at idle arrivals.
+    """A cluster whose replay reads its plans from columnar chunks.
 
     ``requests[p]`` (of tenant ``stream_tenants[p]``) is the request at
     position ``p`` of the sequence the caller then passes to
     :meth:`ClusterSimulation.run_serial` or (as a stream)
     :meth:`ClusterSimulation.run_stream`; an entry that is not that
-    request object of that tenant is left to the DES.  The returned
-    collector is the cluster's tracer, so the DES's spans and the
-    evaluator's folds land in one set of columns in completion order;
+    request object of that tenant is left to the DES, which plans it
+    alone.  Only under ``serving.kernel == "vectorized"`` -- the caller
+    resolves :func:`vectorized_ineligibility` first -- does the hook get
+    an evaluator and commit idle arrivals; under a DES kernel every
+    request replays on the DES, still on the chunk's plans.  The
+    returned collector is the cluster's tracer, so the DES's spans and
+    the evaluator's folds land in one set of columns in completion order;
     the caller wires ``on_complete`` to its ``finalize_request`` as for
     any DES replay.
     """
     collector = VectorizedColumns(len(requests))
     cluster = ClusterSimulation.colocated(tenants, serving, tracer=collector)
-    evaluator = SweepEvaluator(
-        cluster.fabric,
-        cluster.main,
-        cluster.sparse_servers,
-        cluster.config.cost_model,
-        collector,
-        cluster.completed,
-    )
+    evaluator = None
+    if serving.kernel == "vectorized":
+        evaluator = SweepEvaluator(
+            cluster.fabric,
+            cluster.main,
+            cluster.sparse_servers,
+            cluster.config.cost_model,
+            collector,
+            cluster.completed,
+        )
     cluster.idle_arrival = _IdleArrivals(
         evaluator, stream_tenants, requests, chunk_size
     )

@@ -37,9 +37,10 @@ Fast path: every cost a request will be charged is a pure function of
 (request, plan, cost model) -- none depends on simulation time -- so the
 per-(batch, net) RPC fan-outs, payload sizes, serde times, and SLS times
 are precomputed once per request instead of being rediscovered inside
-the DES hot loop: under the default kernel from the columnar chunk the
-idle-arrival hook builds (:mod:`repro.serving.columnar`), otherwise by
-the scalar :meth:`ClusterSimulation._request_plans`.  Both reproduce the
+the DES hot loop, by the one columnar plan builder
+(:func:`repro.serving.columnar.build_chunk_plans`): from the chunk the
+idle-arrival hook builds over an experiment's requests, or from a
+one-request chunk for a request no chunk holds.  It reproduces the
 original per-span float-operation order exactly, so the plans are
 byte-identical to the per-batch path they replaced.
 """
@@ -57,7 +58,7 @@ import numpy as np
 
 from repro.core.rng import substream
 from repro.core.types import OpCategory
-from repro.models.config import FeatureScope, ModelConfig, TableConfig
+from repro.models.config import ModelConfig, TableConfig
 from repro.requests.generator import Request, request_payload_bytes
 from repro.sharding.plan import ShardingPlan, ShardSpec
 from repro.simulation.costmodel import CostModel, ranking_response_bytes
@@ -319,8 +320,8 @@ class _Tenant:
 
         # Precomputed RPC routing: for each net, the shards holding at
         # least one of its tables, with that net's (table, assignment)
-        # pairs.  The per-request plan builder walks this once per request
-        # and must not rediscover the placement every time.
+        # pairs.  The plan builder reads this per chunk and must not
+        # rediscover the placement every time.
         self.net_routing: dict[str, list[tuple[ShardSpec, list]]] = {}
         if not plan.is_singular:
             for net_cfg in model.nets:
@@ -470,7 +471,7 @@ class ClusterSimulation:
         #: (its row, ``completed`` entry and every cluster state the DES
         #: would have left), ``None`` when the DES must replay it.  Its
         #: ``plans(cluster, position, tenant, request)`` gives the DES a
-        #: request's plans (``None``: build them here).
+        #: request's plans (``None``: a one-request chunk's).
         self.idle_arrival: _IdleArrivals | None = None
         policy = self.config.resilience
         live_policy = policy is not None and not policy.is_empty
@@ -568,226 +569,14 @@ class ClusterSimulation:
 
     # -- lookup routing --------------------------------------------------------
     def _partition_split(self, request: Request, table: TableConfig, count: int, parts: int) -> np.ndarray:
-        """Split a row-partitioned table's ids across partitions (id % P)."""
+        """Split a row-partitioned table's ids across partitions (id % P).
+
+        Keyed per (request, table, parts) -- stateless, so the plan
+        builder may draw it for any (request, batch) in any order."""
         rng = substream(
             self.config.seed, "part-split", request.request_id, table.name, parts
         )
         return rng.multinomial(count, [1.0 / parts] * parts)
-
-    def _slice_counts(self, draw, batches: list[_Batch]) -> list[int]:
-        """Per-batch id counts for one feature draw (cumsum, int-exact)."""
-        if draw.per_item_counts is None:
-            total = draw.total_ids
-            return [total] * len(batches)
-        cumulative = np.cumsum(draw.per_item_counts)
-        counts = []
-        for batch in batches:
-            hi = int(cumulative[batch.stop_item - 1]) if batch.stop_item > 0 else 0
-            lo = int(cumulative[batch.start_item - 1]) if batch.start_item > 0 else 0
-            counts.append(hi - lo)
-        return counts
-
-    def _cached_slice_counts(
-        self, tenant: _Tenant, request: Request, batches: list[_Batch]
-    ) -> dict[str, list[int]]:
-        """Per-table per-batch id counts, memoized on the request.
-
-        The batching policy is a sweep-wide constant, so every
-        configuration slices each request identically; the integer counts
-        are computed by the first configuration and reused by the rest.
-        """
-        key = (
-            self.config.batch_size or tenant.model.profile.batch_size,
-            self.config.max_batches,
-        )
-        counts = request.slice_count_cache.get(key)
-        if counts is None:
-            counts = {
-                name: self._slice_counts(draw, batches)
-                for name, draw in request.draws.items()
-            }
-            request.slice_count_cache[key] = counts
-        return counts
-
-    def _request_plans(
-        self, tenant: _Tenant, request: Request, batches: list[_Batch]
-    ) -> dict[str, list[_NetBatchPlan]]:
-        """Precompute every (net, batch) execution plan for one request.
-
-        Pure function of (request, plan, cost model): RPC fan-outs, payload
-        sizes, serde/SLS/overhead times.  The partition-split substreams
-        are keyed (stateless), so drawing them here consumes no shared RNG
-        state and yields exactly the values the per-batch path drew.
-
-        The scalar reference builder.  Where an experiment run installs
-        the idle-arrival hook (the default kernel) the DES reads its
-        plans from the columnar chunk instead
-        (:meth:`repro.serving.columnar._IdleArrivals.plans`,
-        bit-identical), so this runs only for the ``batched`` and
-        ``reference`` oracles, for chaos/resilience runs (which fall back
-        to ``batched``), for plans with row-partitioned tables
-        (:func:`repro.serving.columnar._scalar_chunk_plans`, and the DES
-        requests those chunks leave out), and on a bare cluster driven
-        without the hook (trace rendering).
-        """
-        cm = self.config.cost_model
-        singular = tenant.plan.is_singular
-        serde_fixed = cm.serde_fixed
-        dispatch_fixed = cm.rpc_dispatch_fixed
-        sls_dispatch = cm.sls_dispatch_per_table
-        tbl_client = tenant.serde_tbl_client
-        tbl_server = tenant.serde_tbl_server
-        denom_main = self._serde_denom_main
-        denom_sparse = self._serde_denom_sparse
-        per_id_main = tenant.per_id_main
-        per_id_sparse = tenant.per_id_sparse
-        main_platform = self.config.main_platform
-        all_counts = self._cached_slice_counts(tenant, request, batches)
-        nb = len(batches)
-        batch_range = range(nb)
-        items_per_batch = [batch.items for batch in batches]
-
-        plans: dict[str, list[_NetBatchPlan]] = {}
-        for net_cfg in tenant.model.nets:
-            net_name = net_cfg.name
-            net_tables = tenant.model.tables_for_net(net_name)
-            n_net_tables = len(net_tables)
-
-            if singular:
-                # Transposed accumulation (tables outer, batches inner)
-                # preserves the per-batch SLS gather order: each batch's
-                # sum still adds tables in tables_for_net order.
-                gather = [0.0] * nb
-                for table in net_tables:
-                    counts = all_counts.get(table.name)
-                    if counts is None:
-                        continue
-                    per_id = per_id_main[table.name]
-                    for b in batch_range:
-                        count = counts[b]
-                        if count > 0:
-                            gather[b] += count * per_id
-                overhead = cm.net_overhead(n_net_tables + 12)
-                dispatch = sls_dispatch * n_net_tables
-                plans[net_name] = [
-                    _NetBatchPlan(
-                        overhead,
-                        cm.dense_time(net_cfg, items_per_batch[b], main_platform),
-                        (),
-                        dispatch + gather[b],
-                    )
-                    for b in batch_range
-                ]
-                continue
-
-            routing = tenant.net_routing[net_name]
-            splits: dict[tuple[str, int, int], np.ndarray] = {}
-            batch_targets: list[list[_ShardLookups]] = [[] for _ in batch_range]
-            # Distinct active tables per batch (for the zero-fill term):
-            # a partitioned table with a nonzero slice count is active on
-            # at least one shard (a multinomial of a positive count has a
-            # positive part), so activity is per-table, not per-shard.
-            n_names = [0] * nb
-            for table in net_tables:
-                counts = all_counts.get(table.name)
-                if counts is None:
-                    continue
-                for b in batch_range:
-                    if counts[b] > 0:
-                        n_names[b] += 1
-            for shard, pairs in routing:
-                # Per-batch accumulators for this shard's RPC.  Integer
-                # payload terms are exact in float64 whatever the
-                # addition order; the float SLS gather keeps pair order
-                # per batch, identical to the lookup-list order.
-                ids = [0] * nb
-                ntab = [0] * nb
-                resp_extra = [0] * nb
-                gather = [0.0] * nb
-                has_item = [False] * nb
-                for table, assignment in pairs:
-                    counts = all_counts.get(table.name)
-                    if counts is None:
-                        continue
-                    per_id = per_id_sparse[table.name]
-                    is_item = table.scope is FeatureScope.ITEM
-                    dim4 = table.dim * 4
-                    if assignment.num_parts > 1:
-                        part_index = assignment.part_index
-                        num_parts = assignment.num_parts
-                        table_name = table.name
-                        for b in batch_range:
-                            count = counts[b]
-                            if count == 0:
-                                continue
-                            split_key = (table_name, num_parts, count)
-                            split = splits.get(split_key)
-                            if split is None:
-                                split = self._partition_split(
-                                    request, table, count, num_parts
-                                )
-                                splits[split_key] = split
-                            count = int(split[part_index])
-                            if count == 0:
-                                continue
-                            ids[b] += count
-                            ntab[b] += 1
-                            gather[b] += count * per_id
-                            if is_item:
-                                has_item[b] = True
-                                resp_extra[b] += 24 + items_per_batch[b] * dim4
-                            else:
-                                resp_extra[b] += 24 + dim4
-                    else:
-                        for b in batch_range:
-                            count = counts[b]
-                            if count == 0:
-                                continue
-                            ids[b] += count
-                            ntab[b] += 1
-                            gather[b] += count * per_id
-                            if is_item:
-                                has_item[b] = True
-                                resp_extra[b] += 24 + items_per_batch[b] * dim4
-                            else:
-                                resp_extra[b] += 24 + dim4
-                for b in batch_range:
-                    n_tables = ntab[b]
-                    if n_tables == 0:
-                        continue
-                    items = items_per_batch[b]
-                    segments = items if has_item[b] else 1
-                    # rpc_request_bytes / rpc_response_bytes, fused into
-                    # the accumulation above (integer-exact).
-                    req_bytes = 64.0 + ids[b] * 8.0 + n_tables * (
-                        segments * 4.0 + 24.0
-                    )
-                    resp_bytes = 64.0 + resp_extra[b]
-                    batch_targets[b].append(_ShardLookups(
-                        shard,
-                        serde_fixed
-                        + tbl_client[n_tables]
-                        + req_bytes / denom_main
-                        + dispatch_fixed,
-                        serde_fixed + tbl_server[n_tables] + req_bytes / denom_sparse,
-                        cm.net_overhead(n_tables + 2),
-                        sls_dispatch * n_tables + gather[b],
-                        serde_fixed + tbl_server[n_tables] + resp_bytes / denom_sparse,
-                        serde_fixed + tbl_client[n_tables] + resp_bytes / denom_main,
-                        req_bytes,
-                        resp_bytes,
-                    ))
-            per_batch = []
-            for b in batch_range:
-                targets = batch_targets[b]
-                overhead = cm.net_overhead(n_net_tables + 12 + len(targets))
-                overhead += cm.fill_per_table * (n_net_tables - n_names[b])
-                dense_total = cm.dense_time(
-                    net_cfg, items_per_batch[b], main_platform
-                )
-                per_batch.append(_NetBatchPlan(overhead, dense_total, targets, 0.0))
-            plans[net_name] = per_batch
-        return plans
 
     # -- request lifecycle -------------------------------------------------------
     def submit(
@@ -799,7 +588,7 @@ class ClusterSimulation:
         """Inject one request now (for ``tenant``); returns its completion
         event.  Request ids must be unique across all tenants of a run.
         ``plans`` are the request's precomputed (net -> per-batch) plans;
-        ``None`` builds them with :meth:`_request_plans`."""
+        ``None`` builds them from a one-request columnar chunk."""
         self.des_requests += 1
         return self.engine.process(
             self._serve_request(self.tenants[tenant], request, plans)
@@ -835,7 +624,13 @@ class ClusterSimulation:
 
         batches = self._batches(tenant, request)
         if plans is None:
-            plans = self._request_plans(tenant, request, batches)
+            # No chunk holds this request (a bare cluster, or a stream
+            # entry the idle-arrival hook did not plan).
+            from repro.serving.columnar import build_chunk_plans, row_plans
+
+            plans = row_plans(
+                build_chunk_plans(self, tenant, [request]), 0, tenant.net_routing
+            )
         batch_events = [
             engine.process(self._run_batch(tenant, request, batch, plans))
             for batch in batches

@@ -13,10 +13,10 @@ built a *chunk* of requests at a time:
 1. :mod:`repro.serving.columnar` builds the per-request plans as
    per-chunk numpy columns (one vectorized pass per (batch group, net)
    over every routing slot and all requests of the group), bit-for-bit
-   equal to the scalar plan builder
-   (:meth:`~repro.serving.simulator.ClusterSimulation._request_plans`)
-   because every elementwise expression keeps the exact left-associated
-   float order of the code it mirrors;
+   equal to building each request's plans one table and one batch at a
+   time (the scalar oracle in ``tests/plan_oracle.py``) because every
+   elementwise expression keeps the exact left-associated float order of
+   that computation;
 2. :class:`SweepEvaluator` walks each request's batch chains
    analytically -- cumulative scalar adds in the exact order the chained
    DES yields would have performed them, *not* ``np.sum`` -- and
@@ -148,8 +148,8 @@ replays == the batched DES across the busy-period range and on 2- and
 1-worker hosts, horizon and pool ties, cluster state);
 ``tests/test_queueing_oracles.py`` checks queued batches against a
 closed form, and ``tests/test_chunk_plan_builder.py`` pins the chunk
-columns, and the DES plans read from them, to the scalar builder field
-by field.
+columns, and the DES plans read from them, to the scalar oracle
+(``tests/plan_oracle.py``) field by field.
 """
 
 from __future__ import annotations

@@ -1,0 +1,172 @@
+"""Plan oracle: the scalar per-request plan builder.
+
+Every replay reads its execution plans from the columnar chunk
+(:func:`~repro.serving.columnar.build_chunk_plans`), which computes a
+whole chunk with numpy passes.  This module keeps the straightforward
+computation it replaced -- one request at a time, one table and one
+batch at a time, in plain Python floats -- and the tests compare the
+two bit for bit, field by field.  The row-partition split is the one
+keyed multinomial both sides draw,
+:meth:`~repro.serving.simulator.ClusterSimulation._partition_split`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.models.config import FeatureScope
+from repro.requests.generator import Request
+from repro.serving.simulator import (
+    ClusterSimulation,
+    _Batch,
+    _NetBatchPlan,
+    _ShardLookups,
+    _Tenant,
+)
+
+#: _ShardLookups cost attributes in evaluator row order (rows 1-8; row 0
+#: is the active plane), which is also its constructor's argument order.
+PLAN_FIELDS = (
+    "client_ser_total", "server_deser", "server_overhead", "sls_work",
+    "server_resp_ser", "client_resp_deser", "req_bytes", "resp_bytes",
+)
+
+
+def slice_counts(draw, batches: list[_Batch]) -> list[int]:
+    """Per-batch id counts for one feature draw (cumsum, int-exact)."""
+    if draw.per_item_counts is None:
+        return [draw.total_ids] * len(batches)
+    cumulative = np.cumsum(draw.per_item_counts)
+    counts = []
+    for batch in batches:
+        hi = int(cumulative[batch.stop_item - 1]) if batch.stop_item > 0 else 0
+        lo = int(cumulative[batch.start_item - 1]) if batch.start_item > 0 else 0
+        counts.append(hi - lo)
+    return counts
+
+
+def request_plans(
+    sim: ClusterSimulation, tenant: _Tenant, request: Request
+) -> dict[str, list[_NetBatchPlan]]:
+    """Every (net, batch) execution plan of one request, scalar."""
+    batches = sim._batches(tenant, request)
+    cm = sim.config.cost_model
+    singular = tenant.plan.is_singular
+    serde_fixed = cm.serde_fixed
+    dispatch_fixed = cm.rpc_dispatch_fixed
+    sls_dispatch = cm.sls_dispatch_per_table
+    tbl_client = tenant.serde_tbl_client
+    tbl_server = tenant.serde_tbl_server
+    denom_main = sim._serde_denom_main
+    denom_sparse = sim._serde_denom_sparse
+    main_platform = sim.config.main_platform
+    all_counts = {
+        name: slice_counts(draw, batches) for name, draw in request.draws.items()
+    }
+    nb = len(batches)
+    batch_range = range(nb)
+    items_per_batch = [batch.items for batch in batches]
+
+    plans: dict[str, list[_NetBatchPlan]] = {}
+    for net_cfg in tenant.model.nets:
+        net_name = net_cfg.name
+        net_tables = tenant.model.tables_for_net(net_name)
+        n_net_tables = len(net_tables)
+
+        if singular:
+            # Each batch's SLS gather adds tables in tables_for_net order.
+            gather = [0.0] * nb
+            for table in net_tables:
+                counts = all_counts.get(table.name)
+                if counts is None:
+                    continue
+                per_id = tenant.per_id_main[table.name]
+                for b in batch_range:
+                    if counts[b] > 0:
+                        gather[b] += counts[b] * per_id
+            overhead = cm.net_overhead(n_net_tables + 12)
+            dispatch = sls_dispatch * n_net_tables
+            plans[net_name] = [
+                _NetBatchPlan(
+                    overhead,
+                    cm.dense_time(net_cfg, items_per_batch[b], main_platform),
+                    (),
+                    dispatch + gather[b],
+                )
+                for b in batch_range
+            ]
+            continue
+
+        batch_targets: list[list[_ShardLookups]] = [[] for _ in batch_range]
+        # Distinct active tables per batch (the zero-fill term), counted
+        # on the unsplit counts: a positive count has a positive part.
+        n_names = [0] * nb
+        for table in net_tables:
+            counts = all_counts.get(table.name)
+            if counts is None:
+                continue
+            for b in batch_range:
+                if counts[b] > 0:
+                    n_names[b] += 1
+        for shard, pairs in tenant.net_routing[net_name]:
+            ids = [0] * nb
+            ntab = [0] * nb
+            resp_extra = [0] * nb
+            gather = [0.0] * nb
+            has_item = [False] * nb
+            for table, assignment in pairs:
+                counts = all_counts.get(table.name)
+                if counts is None:
+                    continue
+                per_id = tenant.per_id_sparse[table.name]
+                is_item = table.scope is FeatureScope.ITEM
+                dim4 = table.dim * 4
+                for b in batch_range:
+                    count = counts[b]
+                    if count > 0 and assignment.num_parts > 1:
+                        split = sim._partition_split(
+                            request, table, count, assignment.num_parts
+                        )
+                        count = int(split[assignment.part_index])
+                    if count == 0:
+                        continue
+                    ids[b] += count
+                    ntab[b] += 1
+                    gather[b] += count * per_id
+                    if is_item:
+                        has_item[b] = True
+                        resp_extra[b] += 24 + items_per_batch[b] * dim4
+                    else:
+                        resp_extra[b] += 24 + dim4
+            for b in batch_range:
+                n_tables = ntab[b]
+                if n_tables == 0:
+                    continue
+                segments = items_per_batch[b] if has_item[b] else 1
+                req_bytes = 64.0 + ids[b] * 8.0 + n_tables * (
+                    segments * 4.0 + 24.0
+                )
+                resp_bytes = 64.0 + resp_extra[b]
+                batch_targets[b].append(_ShardLookups(
+                    shard,
+                    serde_fixed
+                    + tbl_client[n_tables]
+                    + req_bytes / denom_main
+                    + dispatch_fixed,
+                    serde_fixed + tbl_server[n_tables] + req_bytes / denom_sparse,
+                    cm.net_overhead(n_tables + 2),
+                    sls_dispatch * n_tables + gather[b],
+                    serde_fixed + tbl_server[n_tables] + resp_bytes / denom_sparse,
+                    serde_fixed + tbl_client[n_tables] + resp_bytes / denom_main,
+                    req_bytes,
+                    resp_bytes,
+                ))
+        per_batch = []
+        for b in batch_range:
+            targets = batch_targets[b]
+            overhead = cm.net_overhead(n_net_tables + 12 + len(targets))
+            overhead += cm.fill_per_table * (n_net_tables - n_names[b])
+            dense_total = cm.dense_time(net_cfg, items_per_batch[b], main_platform)
+            per_batch.append(_NetBatchPlan(overhead, dense_total, targets, 0.0))
+        plans[net_name] = per_batch
+    return plans

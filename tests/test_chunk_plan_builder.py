@@ -1,23 +1,25 @@
-"""The columnar plan builder == the scalar one, bit for bit, field by field.
+"""The columnar plan builder == the scalar oracle, bit for bit, field by field.
 
 ``build_chunk_plans`` computes every routing slot of a (batch group,
 net) in one numpy pass over padded (slot, table, request, batch) count
 arrays; the DES reads its per-request plans back out of those rows
-(``_IdleArrivals.plans``).  Both must equal
-``ClusterSimulation._request_plans`` exactly, for every request --
-including the requests with more batches than a worker pool has
-workers (their batches queue), tables no request of a group draws
-(zero planes), and slots with no active table in a batch.
+(``row_plans``).  Both must equal the scalar oracle
+(``plan_oracle.request_plans``) exactly, for every request -- including
+the requests with more batches than a worker pool has workers (their
+batches queue), tables no request of a group draws (zero planes), slots
+with no active table in a batch, and row-partitioned tables (DRM3 NSBP),
+whose split may leave a part of a positive count empty.
 
-The second half pins which path builds the DES's plans: under the
-default kernel an open-loop replay never calls the scalar builder, the
-``batched`` oracle calls it once per request, and row-partitioned plans
-keep it.
+The second half pins where the DES's plans come from: every experiment
+replay, under any kernel, builds one chunk per chunk of requests and
+reads the DES's plans from it, and a bare cluster builds a one-request
+chunk per request.
 """
 
 import numpy as np
 import pytest
 
+from plan_oracle import PLAN_FIELDS, request_plans, slice_counts
 from test_kernel_equivalence import assert_run_identical
 
 from repro.experiments import (
@@ -32,16 +34,13 @@ from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule
 from repro.serving import ServingConfig
 from repro.serving import columnar
-from repro.serving.columnar import _IdleArrivals, _chunk_bundle
+from repro.serving.columnar import _IdleArrivals, _chunk_bundle, row_plans
 from repro.serving.simulator import ClusterSimulation
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import ranking_response_bytes
 from repro.requests.generator import request_payload_bytes
 
 FACTORIES = {"DRM1": drm1, "DRM2": drm2, "DRM3": drm3}
-
-#: _ShardLookups attributes in evaluator row order (rows 1-8).
-FIELDS = columnar._PLAN_FIELDS
 
 
 def _bits(values):
@@ -56,7 +55,17 @@ def _configurations(name):
     requests = suite_requests(
         model, SuiteSettings(num_requests=48, pooling_requests=150)
     )
-    return model, [p for p in plans if not columnar._has_partitions(p)], requests
+    return model, plans, requests
+
+
+def _partitions(plan):
+    """The (table name, parts) pairs a plan row-partitions."""
+    return {
+        (assignment.table_name, assignment.num_parts)
+        for shard in plan.shards
+        for assignment in shard.assignments
+        if assignment.num_parts > 1
+    }
 
 
 def _assert_plans_equal(expected, actual, label):
@@ -74,19 +83,18 @@ def _assert_plans_equal(expected, actual, label):
                 t.shard for t in want.targets
             ], where
             for want_t, got_t in zip(want.targets, got.targets):
-                assert _bits([getattr(got_t, f) for f in FIELDS]) == _bits(
-                    [getattr(want_t, f) for f in FIELDS]
+                assert _bits([getattr(got_t, f) for f in PLAN_FIELDS]) == _bits(
+                    [getattr(want_t, f) for f in PLAN_FIELDS]
                 ), where
 
 
 @pytest.mark.parametrize("workers", [32, 2])
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_chunk_columns_match_the_scalar_builder(name, workers):
-    """Every request of every non-partitioned paper configuration: the
-    chunk's columns, and the DES plans read from them, against
-    ``_request_plans``."""
+    """Every request of every paper configuration: the chunk's columns,
+    and the DES plans read from them, against the scalar oracle."""
     model, plans, requests = _configurations(name)
-    seen = {"queued": 0, "absent_table": 0, "idle_slot": 0}
+    seen = {"queued": 0, "absent_table": 0, "idle_slot": 0, "empty_part": 0}
     for plan in plans:
         sim = ClusterSimulation(
             model, plan, ServingConfig(seed=1, service_workers=workers)
@@ -99,8 +107,18 @@ def test_chunk_columns_match_the_scalar_builder(name, workers):
         for row, request in enumerate(requests):
             label = (name, workers, plan.label, row)
             batches = sim._batches(tenant, request)
-            scalar = sim._request_plans(tenant, request, batches)
+            scalar = request_plans(sim, tenant, request)
             nb = len(batches)
+            for table_name, parts in _partitions(plan):
+                draw = request.draws.get(table_name)
+                if draw is None:
+                    continue
+                for count in slice_counts(draw, batches):
+                    if count > 0:
+                        split = sim._partition_split(
+                            request, model.table(table_name), count, parts
+                        )
+                        seen["empty_part"] += bool((split == 0).any())
             assert chunk.rids[row] == request.request_id, label
             assert chunk.nb[row] == nb, label
             seen["queued"] += nb > sim.main.workers.capacity
@@ -141,7 +159,7 @@ def test_chunk_columns_match_the_scalar_builder(name, workers):
                             seen["idle_slot"] += 1
                             continue
                         assert _bits(rows[1:, b]) == _bits(
-                            [getattr(lookups[0], f) for f in FIELDS]
+                            [getattr(lookups[0], f) for f in PLAN_FIELDS]
                         ), label
             _assert_plans_equal(
                 scalar, hook.plans(sim, row, 0, request), label
@@ -156,66 +174,101 @@ def test_chunk_columns_match_the_scalar_builder(name, workers):
                     (~stack[:-1].any(axis=(1, 2))).sum()
                 )
     # The inputs reach every corner the numpy pass has to get right
-    # (DRM3's requests all fit one batch, and its only distributed
-    # non-partitioned plan is one shard holding every table).
+    # (DRM3's requests all fit one batch; only its NSBP plans partition).
     assert seen["absent_table"] > 0, seen
-    if name != "DRM3":
-        assert seen["idle_slot"] > 0, seen
+    assert seen["idle_slot"] > 0, seen
+    if name == "DRM3":
+        assert seen["empty_part"] > 0, seen
+    else:
         assert seen["queued"] > 0 or workers == 32, seen
 
 
-def _count_scalar_builds(monkeypatch):
-    calls = []
-    scalar = ClusterSimulation._request_plans
+def _count_chunk_builds(monkeypatch):
+    """The request count of every chunk ``build_chunk_plans`` builds."""
+    sizes = []
+    build = columnar.build_chunk_plans
 
-    def counted(self, tenant, request, batches):
-        calls.append(request.request_id)
-        return scalar(self, tenant, request, batches)
+    def counted(sim, tenant, requests):
+        sizes.append(len(requests))
+        return build(sim, tenant, requests)
 
-    monkeypatch.setattr(ClusterSimulation, "_request_plans", counted)
-    return calls
+    monkeypatch.setattr(columnar, "build_chunk_plans", counted)
+    return sizes
 
 
 def test_open_loop_des_requests_read_the_chunk(monkeypatch):
     """DRM1 open loop on the 2-worker hosts of the Fig. 16 replay: the
-    DES replays most requests, and none of them calls the scalar
-    builder; the ``batched`` oracle calls it once per request."""
+    DES replays most requests, and under either kernel every plan comes
+    from one chunk of the whole sample -- no request is planned alone."""
     model, plans, requests = _configurations("DRM1")
     schedule = ReplaySchedule.open_loop(25.0, seed=2)
-    calls = _count_scalar_builds(monkeypatch)
+    sizes = _count_chunk_builds(monkeypatch)
     for plan in plans:
         def replay(kernel):
             serving = ServingConfig(seed=1, kernel=kernel, service_workers=2)
-            return run_configuration(model, plan, requests, serving, schedule)
+            del sizes[:]
+            result = run_configuration(model, plan, requests, serving, schedule)
+            assert sizes == [len(requests)], (plan.label, kernel)
+            return result
 
-        del calls[:]
         hybrid = replay("vectorized")
         assert hybrid.kernel_used == "vectorized", plan.label
         assert hybrid.des_requests > 0, plan.label
-        assert calls == [], plan.label
         batched = replay("batched")
-        assert sorted(calls) == sorted(r.request_id for r in requests), plan.label
+        assert batched.des_requests == len(requests), plan.label
         assert_run_identical(batched, hybrid, plan.label)
 
 
-def test_partitioned_plans_keep_the_scalar_builder(monkeypatch):
-    """DRM3 NSBP splits tables across shards through keyed multinomials,
-    so its chunks and the DES's plans come from ``_request_plans``."""
+def test_partitioned_plans_read_the_chunk(monkeypatch):
+    """DRM3 NSBP splits a table across shards through keyed
+    multinomials; its chunk holds the split counts, so the DES's plans
+    come from it as for any other plan."""
     model = drm3()
     pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
     plan = build_plan(model, ShardingConfiguration("NSBP", 4), pooling)
-    assert columnar._has_partitions(plan)
+    assert _partitions(plan)
     requests = suite_requests(
         model, SuiteSettings(num_requests=48, pooling_requests=150)
     )
     schedule = ReplaySchedule.open_loop(200.0, seed=2)
-    calls = _count_scalar_builds(monkeypatch)
+    sizes = _count_chunk_builds(monkeypatch)
 
     def replay(kernel):
         serving = ServingConfig(seed=1, kernel=kernel, service_workers=2)
-        return run_configuration(model, plan, requests, serving, schedule)
+        del sizes[:]
+        result = run_configuration(model, plan, requests, serving, schedule)
+        assert sizes == [len(requests)], kernel
+        return result
 
     hybrid = replay("vectorized")
     assert hybrid.des_requests > 0
-    assert calls
     assert_run_identical(replay("batched"), hybrid, plan.label)
+
+
+@pytest.mark.parametrize("name", ["DRM1", "DRM3"])
+def test_bare_cluster_plans_match_the_oracle(name, monkeypatch):
+    """A cluster driven without the idle-arrival hook plans each request
+    from a one-request chunk; those plans equal the scalar oracle (DRM3
+    includes the partitioned NSBP plans and the singular one)."""
+    model, plans, requests = _configurations(name)
+    requests = requests[:8]
+    sizes = _count_chunk_builds(monkeypatch)
+    read = row_plans
+    for plan in plans:
+        sim = ClusterSimulation(model, plan, ServingConfig(seed=1))
+        got = []
+
+        def recorded(chunk, row, routing):
+            got.append((chunk.rids[row], read(chunk, row, routing)))
+            return got[-1][1]
+
+        monkeypatch.setattr(columnar, "row_plans", recorded)
+        del sizes[:]
+        sim.run_serial(requests)
+        assert sizes == [1] * len(requests), plan.label
+        assert [rid for rid, _ in got] == [r.request_id for r in requests]
+        for (_rid, actual), request in zip(got, requests):
+            expected = request_plans(sim, sim.tenants[0], request)
+            _assert_plans_equal(
+                expected, actual, (name, plan.label, request.request_id)
+            )

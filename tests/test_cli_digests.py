@@ -82,6 +82,25 @@ CASES = {
         ["trace", "--model", "DRM1", "--shards", "4", *TOY],
         "353b40cb5580f478a5720bb192fb0f405b183c30d9cfffe202551f91f473db66",
     ),
+    # A bare cluster replaying a row-partitioned table (NSBP splits
+    # DRM3's dominant table across the shards).
+    "trace-partitioned": (
+        ["trace", "--model", "DRM3", "--strategy", "NSBP", "--shards", "4", *TOY],
+        "5aec20f11b3923d82fef1b2ca906b9822cf348b71220e2eda6b354391730e8b9",
+    ),
+    "trace-singular": (
+        ["trace", "--model", "DRM1", "--strategy", "singular", *TOY],
+        "43acfc79feee805b1d74affe75c352737126c4fe8b181f4fcbdd297ed90a7321",
+    ),
+    # Chaos replays fall back to the batched DES; here on a partitioned plan.
+    "chaos-partitioned": (
+        [
+            "chaos", "--model", "DRM3", "--strategy", "NSBP", "--shards", "4",
+            "--requests", "20", *TOY, "--qps", "100", "--replicas", "1", "2",
+            "--workers", "1",
+        ],
+        "76d2f2c494a8d2e0f9d5efd20aa2d4fd95d638e52f0028bc0f00e5c6c160bd59",
+    ),
 }
 
 

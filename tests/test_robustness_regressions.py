@@ -25,6 +25,7 @@ from repro.requests import ReplaySchedule
 from repro.resilience import ResiliencePolicy
 from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.sharding import singular_plan
+from repro.sharding.pooling import estimate_pooling_factors
 from repro.workloads.arrivals import PiecewiseRateArrivals, PoissonArrivals
 
 
@@ -99,12 +100,14 @@ class TestRequestCountValidation:
 
     @pytest.mark.parametrize("bad", [0, -1, -3])
     def test_non_positive_num_requests_rejected(self, bad):
-        with pytest.raises(ValueError, match="num_requests must be >= 1"):
+        with pytest.raises(ValueError, match="num_requests must be an integer >= 1"):
             SuiteSettings(num_requests=bad)
 
     @pytest.mark.parametrize("bad", [0, -5])
     def test_non_positive_pooling_requests_rejected(self, bad):
-        with pytest.raises(ValueError, match="pooling_requests must be >= 1"):
+        with pytest.raises(
+            ValueError, match="pooling_requests must be an integer >= 1"
+        ):
             SuiteSettings(pooling_requests=bad)
 
     @pytest.mark.parametrize(
@@ -328,6 +331,25 @@ class TestLibraryInputsFailLoudly:
     def test_fault_schedule_rejects_non_integral_counts(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             FaultSchedule(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, math.nan, "2"])
+    @pytest.mark.parametrize("name", ["num_requests", "pooling_requests"])
+    def test_suite_settings_reject_non_integral_counts(self, name, bad):
+        # 2.5 died later in generate_many, True ran one request, NaN and
+        # 2.5 pooling requests died in estimate_pooling_factors.
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            SuiteSettings(**{name: bad})
+
+    def test_suite_settings_accept_numpy_integers(self):
+        settings = SuiteSettings(
+            num_requests=np.int64(3), pooling_requests=np.int32(5)
+        )
+        assert (settings.num_requests, settings.pooling_requests) == (3, 5)
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, True, 0])
+    def test_pooling_estimate_rejects_non_integral_counts(self, bad):
+        with pytest.raises(ValueError, match="num_requests must be an integer >= 1"):
+            estimate_pooling_factors(drm1(), num_requests=bad)
 
     def test_fault_schedule_accepts_numpy_integers(self):
         schedule = FaultSchedule(replicas=np.int64(2), domains=np.int32(3))
