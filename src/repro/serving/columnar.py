@@ -432,7 +432,11 @@ def build_chunk_plans(
             _scatter(net_columns.dense, positions, dense.tolist())
 
             if singular:
-                net_columns.singular_overhead = cm.net_overhead(n_net + 12)
+                net_overhead = cm.net_overhead(n_net + 12)
+                _scatter(
+                    net_columns.overhead, positions,
+                    ([net_overhead] * batches for _ in positions),
+                )
                 # A per-batch gather adds tables left to right;
                 # accumulate runs the same sequential adds.
                 gather = np.add.accumulate(
@@ -514,16 +518,11 @@ def row_plans(
     plans: dict[str, list[_NetBatchPlan]] = {}
     for name, net in zip(chunk.net_names, chunk.nets):
         dense = net.dense[row]
-        if chunk.singular:
-            overhead = net.singular_overhead
-            plans[name] = [
-                _NetBatchPlan(overhead, dense_total, (), local)
-                for dense_total, local in zip(dense, net.local[row])
-            ]
-            continue
+        local = net.local[row] if chunk.singular else [0.0] * len(dense)
         # Slots outer, batches inner: each batch lists its targets in
-        # routing order.  A row is the active plane, then eight cost
-        # planes in the _ShardLookups argument order.
+        # routing order (a singular net has no slot).  A row is the
+        # active plane, then eight cost planes in the _ShardLookups
+        # argument order.
         batch_targets: list[list[_ShardLookups]] = [[] for _ in dense]
         for (shard, _pairs), target in zip(routing[name], net.targets):
             active, cst, sdes, sov, slw, srs, crd, reqb, respb = (
@@ -536,9 +535,9 @@ def row_plans(
                         crd[b], reqb[b], respb[b],
                     ))
         plans[name] = [
-            _NetBatchPlan(overhead, dense_total, targets, 0.0)
-            for overhead, dense_total, targets in zip(
-                net.overhead[row], dense, batch_targets
+            _NetBatchPlan(overhead, dense_total, targets, work)
+            for overhead, dense_total, targets, work in zip(
+                net.overhead[row], dense, batch_targets, local
             )
         ]
     return plans

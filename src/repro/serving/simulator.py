@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 
 from repro.core.rng import substream
-from repro.core.types import OpCategory
+from repro.core.types import OpCategory, require_count
 from repro.models.config import ModelConfig, TableConfig
 from repro.requests.generator import Request, request_payload_bytes
 from repro.sharding.plan import ShardingPlan, ShardSpec
@@ -163,12 +163,16 @@ class ServingConfig:
             value = getattr(self, name)
             if value is None and name == "batch_size":
                 continue
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not 0.0 <= float(self.clock_skew_sigma) < math.inf:  # also rejects NaN
+            require_count(name, value)
+        skew = self.clock_skew_sigma
+        if (
+            not isinstance(skew, numbers.Real)
+            or isinstance(skew, bool)
+            or not 0.0 <= skew < math.inf  # also rejects NaN
+        ):
             raise ValueError(
-                f"clock_skew_sigma must be finite and non-negative, got "
-                f"{self.clock_skew_sigma!r}"
+                f"clock_skew_sigma must be a finite, non-negative number, "
+                f"got {skew!r}"
             )
         if self.kernel not in KERNELS:
             raise ValueError(
@@ -321,21 +325,21 @@ class _Tenant:
         # Precomputed RPC routing: for each net, the shards holding at
         # least one of its tables, with that net's (table, assignment)
         # pairs.  The plan builder reads this per chunk and must not
-        # rediscover the placement every time.
+        # rediscover the placement every time.  A singular plan has no
+        # shards, so each of its nets routes to none.
         self.net_routing: dict[str, list[tuple[ShardSpec, list]]] = {}
-        if not plan.is_singular:
-            for net_cfg in model.nets:
-                routing = []
-                for shard in plan.shards:
-                    pairs = [
-                        (table, assignment)
-                        for assignment in shard.assignments
-                        if (table := model.table(assignment.table_name)).net
-                        == net_cfg.name
-                    ]
-                    if pairs:
-                        routing.append((shard, pairs))
-                self.net_routing[net_cfg.name] = routing
+        for net_cfg in model.nets:
+            routing = []
+            for shard in plan.shards:
+                pairs = [
+                    (table, assignment)
+                    for assignment in shard.assignments
+                    if (table := model.table(assignment.table_name)).net
+                    == net_cfg.name
+                ]
+                if pairs:
+                    routing.append((shard, pairs))
+            self.net_routing[net_cfg.name] = routing
 
         # Pure per-table / per-message cost constants, hoisted out of the
         # hot loop.  All reproduce the exact float expressions of

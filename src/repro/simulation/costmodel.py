@@ -18,9 +18,10 @@ All returned times are seconds on one core.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
-from repro.core.types import NS, US
+from repro.core.types import NS, US, require_count
 from repro.models.config import FeatureScope, NetConfig, TableConfig
 from repro.simulation.platform import Platform
 
@@ -108,21 +109,26 @@ class CostModel:
         # Every constant above is a cost or a count: a negative (or NaN)
         # value would surface as a negative delay deep inside the DES.
         # Fail at construction with the offending field named instead.
+        # A string or a bool would pass ``float(value)``, so the type is
+        # checked first.
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if not float(value) >= 0.0:  # also rejects NaN
+            if (
+                not isinstance(value, numbers.Real)
+                or isinstance(value, bool)
+                or not value >= 0.0  # also rejects NaN
+            ):
                 raise ValueError(
-                    f"CostModel.{spec.name} must be non-negative, got {value!r}"
+                    f"CostModel.{spec.name} must be a non-negative number, "
+                    f"got {value!r}"
                 )
         if not self.serde_bytes_per_sec > 0.0:
             raise ValueError(
                 f"CostModel.serde_bytes_per_sec must be positive, got "
                 f"{self.serde_bytes_per_sec!r}"
             )
-        if self.io_threads < 1:
-            raise ValueError(
-                f"CostModel.io_threads must be >= 1, got {self.io_threads!r}"
-            )
+        # A fractional pool would run in the DES but not in the evaluator.
+        require_count("CostModel.io_threads", self.io_threads)
         if not 0.0 <= self.dense_pre_fraction <= 1.0:
             raise ValueError(
                 f"CostModel.dense_pre_fraction must be within [0, 1], got "

@@ -23,7 +23,10 @@ built a *chunk* of requests at a time:
    resolves the only genuinely dynamic parts (main-NIC egress
    serialization, the per-shard response NICs, the 4-way IO-thread pool,
    the main and per-shard worker pools, and RPC join maxima) with a tiny
-   per-request event heap.  Every
+   per-request event heap.  One body replays both plan shapes, as the
+   DES does: a singular net is a net with no routing slot, whose SLS
+   ops run locally on the main shard between the dense halves, and
+   every plan reads its net overhead per batch.  Every
    accumulation whose operand order is fixed by construction -- the
    per-batch bucket lists (one ordered chain per batch), the per-RPC
    attribution entries (one RPC per entry), the best-RPC selection
@@ -281,25 +284,27 @@ class TargetColumns:
 class NetColumns:
     """Columnar per-net execution plan for one request chunk.
 
-    ``overhead``/``dense`` are ``[request][batch]``; singular plans set
-    ``local`` (the fused SLS work) and a scalar ``singular_overhead``,
-    distributed plans set ``targets`` (one :class:`TargetColumns` per
-    routing slot, in the tenant's routing order).
+    ``overhead``/``dense`` are ``[request][batch]`` for every plan;
+    singular plans also set ``local`` (the fused SLS work, also
+    ``[request][batch]``) and have no routing slot, distributed plans
+    set ``targets`` (one :class:`TargetColumns` per routing slot, in the
+    tenant's routing order).
     """
 
-    __slots__ = ("overhead", "dense", "local", "singular_overhead", "targets")
+    __slots__ = ("overhead", "dense", "local", "targets")
 
     def __init__(self) -> None:
         self.overhead: list[list[float]] = []
         self.dense: list[list[float]] = []
         self.local: list[list[float]] = []
-        self.singular_overhead = 0.0
         self.targets: list[TargetColumns] = []
 
 
 class ChunkPlans:
     """One chunk's transposed execution plans (see :class:`NetColumns`).
 
+    ``singular`` plans run every net's SLS ops locally on the main
+    shard; the evaluator replays both plan shapes with one body.
     ``nb[i]`` is request ``i``'s batch count (every request of the
     chunk has a row, whatever its batches' queueing for the worker
     pools).  ``net_names`` names the tenant's nets by index -- the net
@@ -578,9 +583,9 @@ class SweepEvaluator:
         self._b_sparse: list[float] = []
 
     def replay_chunk(
-        self, plans: ChunkPlans, t_start: float, index: int, horizon: float
+        self, plans: ChunkPlans, t_start: float, i: int, horizon: float
     ) -> float:
-        """Replay request ``index`` of one chunk, starting at ``t_start``;
+        """Replay request ``i`` of one chunk, starting at ``t_start``;
         returns its completion time, or ``+inf`` when a tie on a worker
         pool leaves its order unproven (see "Idle arrivals" in the module
         docstring).
@@ -590,124 +595,6 @@ class SweepEvaluator:
         completes strictly before ``horizon``; otherwise the cluster is
         left untouched and the caller hands the request to the DES.
         """
-        if plans.singular:
-            return self._replay_singular(plans, t_start, index, horizon)
-        return self._replay_distributed(plans, t_start, index, horizon)
-
-    # -- singular plans: fully analytic lockstep chains --------------------
-    def _replay_singular(
-        self, plans: ChunkPlans, t_start: float, i: int, horizon: float
-    ) -> float:
-        collector = self.collector
-        fold = collector.fold_request
-        completed = self.completed
-        net_names = plans.net_names
-        skm = self.skew_main
-        no_skew = self.no_skew
-        pre_fraction = self.pre_fraction
-        request_fixed = self.request_fixed
-        response_fixed = self.response_fixed
-        nets = plans.nets
-        num_nets = len(nets)
-        recs = self._recs
-        b_dense = self._b_dense
-        b_embedded = self._b_embedded
-        b_serde = self._b_serde
-        b_overhead = self._b_overhead
-        b_sparse = self._b_sparse
-        t0_req = t_start
-        deser = plans.head_deser[i]
-        t1 = t0_req + deser
-        t2 = t1 + request_fixed
-        head = t1 - t0_req if no_skew else (t1 + skm) - (t0_req + skm)
-        nb = plans.nb[i]
-        del recs[:]
-        add = recs.append
-        del b_dense[:]
-        del b_embedded[:]
-        del b_serde[:]
-        del b_overhead[:]
-        del b_sparse[:]
-        b_dense.extend([0.0] * nb)
-        b_embedded.extend([0.0] * nb)
-        b_serde.extend([head] * nb)
-        b_overhead.extend([0.0] * nb)
-        b_sparse.extend([0.0] * nb)
-        ends = [0.0] * nb
-        # Each chain holds one main worker from its grant to its end,
-        # and the kickoffs acquire at t2 in batch order: the FIFO grant
-        # is the earliest release (see the distributed pools below).
-        free = [t2] * min(self.main_cap, nb)
-        for b in range(nb):
-            f = min(free)
-            t = t2 if t2 >= f else f
-            for n in range(num_nets):
-                net = nets[n]
-                rkey = (b << 26) | (n << 20)
-                overhead = net.singular_overhead
-                t0 = t
-                t = t0 + overhead
-                add((t, rkey, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
-                b_overhead[b] += (
-                    t - t0 if no_skew else (t + skm) - (t0 + skm)
-                )
-                dense = net.dense[i][b]
-                pre = dense * pre_fraction
-                t0 = t
-                t = t0 + pre
-                add((t, rkey | 1, _K_OPS, MAIN_SHARD, pre, 0.0))
-                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
-                work = net.local[i][b]
-                t0 = t
-                t = t0 + work
-                add((t, rkey | 2, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
-                # The embedded window wraps the local SLS op: both
-                # buckets receive the same duration float.
-                d = t - t0 if no_skew else (t + skm) - (t0 + skm)
-                b_sparse[b] += d
-                b_embedded[b] += d
-                post = dense - pre
-                t0 = t
-                t = t0 + post
-                add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
-                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
-            ends[b] = t
-            free[free.index(f)] = t
-        # Bounding batch: batch records fold in (end, batch) order
-        # with a strict > keeping the first-recorded maximum.
-        best_batch = -1
-        best_batch_dur = -1.0
-        for e, b in sorted(zip(ends, range(nb))):
-            d = e - t2 if no_skew else (e + skm) - (t2 + skm)
-            if d > best_batch_dur:
-                best_batch_dur = d
-                best_batch = b
-        last_end = ends[0]
-        for b in range(1, nb):
-            if ends[b] > last_end:
-                last_end = ends[b]
-        ser = plans.tail_ser[i]
-        t1 = last_end + ser
-        tail = t1 - last_end if no_skew else (t1 + skm) - (last_end + skm)
-        t_end = t1 + response_fixed
-        if t_end >= horizon:
-            return t_end
-        e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
-        recs.sort()
-        rid = plans.rids[i]
-        fold(
-            rid, net_names, recs, nb, 3 + nb + 5 * nb * num_nets,
-            deser, head, ser, tail, e2e, 0, None, -1.0,
-            best_batch, best_batch_dur,
-            b_dense, b_embedded, b_serde, b_overhead, b_sparse,
-        )
-        completed[rid] = t_end - t0_req
-        return t_end
-
-    # -- distributed plans: analytic chains + per-request event heap -----
-    def _replay_distributed(
-        self, plans: ChunkPlans, t_start: float, i: int, horizon: float
-    ) -> float:
         collector = self.collector
         fold = collector.fold_request
         completed = self.completed
@@ -773,6 +660,7 @@ class SweepEvaluator:
         ]
         ov_i = [net.overhead[i] for net in nets]
         dn_i = [net.dense[i] for net in nets]
+        lc_i = [net.local[i] for net in nets] if plans.singular else None
         heap: list[tuple[float, int, float, list[float] | None]] = []
         io_free = [0.0] * io_threads
         main_free = main.egress_free
@@ -811,6 +699,7 @@ class SweepEvaluator:
         def advance(
             b: int, t: float, n0: int, lane: int, joined: bool,
             rows: list = rows_i, ov_i: list = ov_i, dn_i: list = dn_i,
+            lc_i: list[list[float]] | None = lc_i,
         ) -> float:
             # One batch chain's lockstep walk from its worker's grant
             # ``t``, until it either spawns an RPC group (state parks in
@@ -822,6 +711,8 @@ class SweepEvaluator:
             # closes at the grant and the dense post half runs (its
             # operands recompute to the same floats the pre half
             # derived them from) before the walk goes on to the next net.
+            # A singular net spawns no RPC: its local SLS op runs
+            # between the dense halves, where the group would have.
             if joined:
                 t_embedded = pend[b]
                 b_embedded[b] += (
@@ -877,6 +768,16 @@ class SweepEvaluator:
                     joins[(b << 6) | n] = [float(spawned), -1.0]
                     pend[b] = t_embedded
                     return t
+                if lc_i is not None:
+                    work = lc_i[n][b]
+                    t0 = t
+                    t = t0 + work
+                    add((t, rkey | 2, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
+                    # The embedded window wraps the local SLS op: both
+                    # buckets receive the same duration float.
+                    d = t - t0 if no_skew else (t + skm) - (t0 + skm)
+                    b_sparse[b] += d
+                    b_embedded[b] += d
                 post = dense - pre
                 t0 = t
                 t = t0 + post
@@ -1077,7 +978,8 @@ class SweepEvaluator:
         rid = plans.rids[i]
         fold(
             rid, net_names, recs, nb,
-            3 + nb + 3 * nb * num_nets + groups + 8 * rpcs,
+            3 + nb + (3 if lc_i is None else 5) * nb * num_nets + groups
+            + 8 * rpcs,
             deser, head, ser, tail, e2e, rpcs, best_rpc, best_rpc_dur,
             best_batch, best_batch_dur,
             b_dense, b_embedded, b_serde, b_overhead, b_sparse,

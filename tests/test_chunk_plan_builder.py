@@ -134,17 +134,14 @@ def test_chunk_columns_match_the_scalar_builder(name, workers):
                 assert _bits(net.dense[row]) == _bits(
                     [p.dense_total for p in want]
                 ), label
+                assert _bits(net.overhead[row]) == _bits(
+                    [p.overhead for p in want]
+                ), label
                 if plan.is_singular:
-                    assert _bits([net.singular_overhead]) == _bits(
-                        [want[0].overhead]
-                    ), label
                     assert _bits(net.local[row]) == _bits(
                         [p.local_work for p in want]
                     ), label
                     continue
-                assert _bits(net.overhead[row]) == _bits(
-                    [p.overhead for p in want]
-                ), label
                 for target in net.targets:
                     rows = target.rows[row]
                     assert rows.shape == (9, nb), label

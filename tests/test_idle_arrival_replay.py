@@ -140,6 +140,26 @@ def test_diurnal_mix_matches_batched():
         assert_run_identical(batched[label], result, label)
 
 
+@pytest.mark.parametrize("name", ["DRM1", "DRM3"])
+def test_evaluator_counts_the_des_spans(name):
+    """The evaluator's span count -- one formula for both plan shapes --
+    equals the DES's on every paper configuration (singular, NSBP and
+    the sharded ones), serial closed loop."""
+    model, plans, requests = _inputs(name)
+    for plan in plans:
+        batched, des = _replay_stream(
+            model, plan, requests, "batched", serial=True
+        )
+        hybrid, mixed = _replay_stream(
+            model, plan, requests, "vectorized", serial=True
+        )
+        assert hybrid.des_requests == 0, plan.label
+        assert mixed.tracer.spans_recorded == des.tracer.spans_recorded, (
+            plan.label
+        )
+        assert des.tracer.spans_recorded > 0, plan.label
+
+
 def _replay_stream(
     model, plan, stream, kernel, planned=None, serial=False, **serving_kwargs
 ):

@@ -24,6 +24,7 @@ from repro.models import drm1
 from repro.requests import ReplaySchedule
 from repro.resilience import ResiliencePolicy
 from repro.serving.simulator import ClusterSimulation, ServingConfig
+from repro.simulation.costmodel import CostModel
 from repro.sharding import singular_plan
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.workloads.arrivals import PiecewiseRateArrivals, PoissonArrivals
@@ -276,18 +277,33 @@ class TestLibraryInputsFailLoudly:
         with pytest.raises(ValueError, match="finite qps"):
             PoissonArrivals(qps)
 
-    @pytest.mark.parametrize("skew", [math.nan, math.inf])
+    @pytest.mark.parametrize("skew", [math.nan, math.inf, "0.001", True])
     def test_serving_config_rejects_non_finite_skew(self, skew):
         with pytest.raises(ValueError, match="clock_skew_sigma"):
             ServingConfig(clock_skew_sigma=skew)
 
-    @pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", True])
     @pytest.mark.parametrize(
         "name", ["service_workers", "max_batches", "batch_size"]
     )
     def test_serving_config_rejects_non_integral_counts(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ServingConfig(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("io_threads", 2.5),
+            ("io_threads", True),
+            ("io_threads", "4"),
+            ("rpc_service_fixed", "1e-6"),
+            ("serde_bytes_per_sec", True),
+            ("dense_pre_fraction", None),
+        ],
+    )
+    def test_cost_model_rejects_non_numeric_fields(self, name, bad):
+        with pytest.raises(ValueError, match=f"CostModel.{name} must be"):
+            CostModel(**{name: bad})
 
     def test_serving_config_accepts_numpy_integers(self):
         config = ServingConfig(
