@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.types import positive
+
 
 @dataclass(frozen=True)
 class ChaosEvent:
@@ -133,10 +135,8 @@ def availability_report(
     absent from the result (an aborted replay) are counted as failed, in
     the window they arrived in.
     """
-    if not float(slo_latency) > 0.0:
-        raise ValueError(f"slo_latency must be positive, got {slo_latency!r}")
-    if not float(window) > 0.0:
-        raise ValueError(f"window must be positive, got {window!r}")
+    positive.check("slo_latency", slo_latency)
+    positive.check("window", window)
     arrival_times = np.asarray(arrival_times, dtype=np.float64)
     total = len(arrival_times)
 

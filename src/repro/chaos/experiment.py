@@ -30,6 +30,7 @@ from repro.chaos.availability import (
     availability_report,
 )
 from repro.chaos.faults import FaultExperiment, FaultSchedule, HealingPolicy
+from repro.core.types import optional, positive
 
 if TYPE_CHECKING:
     from repro.resilience.policy import ResiliencePolicy
@@ -266,12 +267,9 @@ def availability_sweep(
     configuration's plans (:func:`fault_schedules`) before the first
     replay.
     """
-    if not float(window) > 0.0:
-        raise ValueError(f"window must be positive, got {window!r}")
-    if slo_latency is not None and not float(slo_latency) > 0.0:
-        raise ValueError(f"slo_latency must be positive, got {slo_latency!r}")
-    if not float(slo_slack) > 0.0:
-        raise ValueError(f"slo_slack must be positive, got {slo_slack!r}")
+    positive.check("window", window)
+    optional(positive).check("slo_latency", slo_latency)
+    positive.check("slo_slack", slo_slack)
     mix = _as_mix(workload)
     settings = settings or SuiteSettings()
     serving = settings.resolved_serving()

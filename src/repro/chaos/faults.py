@@ -26,27 +26,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.types import require_count
+from repro.core.types import (
+    Contract,
+    at_least_one,
+    check_fields,
+    checked,
+    count,
+    index,
+    non_negative,
+    optional,
+    positive,
+)
 
-
-def _require_nonnegative(name: str, value: float) -> float:
-    value = float(value)
-    if not value >= 0.0:  # also rejects NaN
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return value
-
-
-def _require_shard(shard: int) -> int:
-    """A sparse shard index: an integral value >= 0 (``2.0`` passes as
-    ``2``; ``2.7``, ``True`` and NaN are rejected)."""
-    if isinstance(shard, bool) or not (
-        float(shard).is_integer() and shard >= 0
-    ):
-        raise ValueError(
-            f"fault experiments target sparse shard indices (integers "
-            f">= 0), got {shard!r}; main-tier faults are not modeled"
-        )
-    return int(shard)
+#: A sparse shard index: an integral value >= 0 (``2.0`` passes and is
+#: stored as ``2``; ``2.7``, ``True`` and NaN are rejected).
+_SHARD = Contract(
+    "a sparse shard index, one of the integers >= 0 (main-tier faults "
+    "are not modeled)",
+    lambda value: non_negative.accepts(value) and float(value).is_integer(),
+    int,
+)
 
 
 @dataclass(frozen=True)
@@ -60,20 +59,15 @@ class HostCrash:
     shard or -- with none left -- degrade to dense-only partial results.
     """
 
-    shard: int
-    at: float
-    restart_after: float | None = None
-    replica: int = 0
+    shard: int = checked(_SHARD, normalise=True)
+    at: float = checked(non_negative)
+    restart_after: float | None = checked(optional(non_negative), None)
+    replica: int = checked(index, 0)
     """Replica slot to kill: 0 is the primary ``sparse-{shard}`` host,
     ``k`` the ``sparse-{shard}-r{k}`` replica."""
 
     def __post_init__(self):
-        object.__setattr__(self, "shard", _require_shard(self.shard))
-        _require_nonnegative("at", self.at)
-        if self.restart_after is not None:
-            _require_nonnegative("restart_after", self.restart_after)
-        if self.replica < 0:
-            raise ValueError(f"replica must be >= 0, got {self.replica!r}")
+        check_fields(self)
 
     def end_time(self) -> float:
         return self.at + (self.restart_after or 0.0)
@@ -93,26 +87,16 @@ class StragglerShard:
     the regime where hedged requests to a healthy sibling replica win.
     """
 
-    shard: int
-    start: float
-    duration: float
-    multiplier: float = 4.0
-    replica: int | None = None
+    shard: int = checked(_SHARD, normalise=True)
+    start: float = checked(non_negative)
+    duration: float = checked(non_negative)
+    multiplier: float = checked(at_least_one, 4.0)
+    replica: int | None = checked(optional(index), None)
     """Replica slot that straggles: ``None`` slows every replica of the
     shard; ``k`` slows only slot ``k`` (0 = the primary)."""
 
     def __post_init__(self):
-        object.__setattr__(self, "shard", _require_shard(self.shard))
-        _require_nonnegative("start", self.start)
-        _require_nonnegative("duration", self.duration)
-        if not self.multiplier >= 1.0:
-            raise ValueError(
-                f"straggler multiplier must be >= 1, got {self.multiplier!r}"
-            )
-        if self.replica is not None and self.replica < 0:
-            raise ValueError(
-                f"replica must be >= 0 (or None for all), got {self.replica!r}"
-            )
+        check_fields(self)
 
     def end_time(self) -> float:
         return self.start + self.duration
@@ -126,21 +110,14 @@ class NetworkSpike:
     from the dedicated ``(seed, "chaos", "network")`` substream -- chaos
     jitter never consumes the healthy fabric's jitter stream."""
 
-    start: float
-    duration: float
-    extra_latency: float = 0.0
-    multiplier: float = 1.0
-    jitter_sigma: float = 0.0
+    start: float = checked(non_negative)
+    duration: float = checked(non_negative)
+    extra_latency: float = checked(non_negative, 0.0)
+    multiplier: float = checked(at_least_one, 1.0)
+    jitter_sigma: float = checked(non_negative, 0.0)
 
     def __post_init__(self):
-        _require_nonnegative("start", self.start)
-        _require_nonnegative("duration", self.duration)
-        _require_nonnegative("extra_latency", self.extra_latency)
-        _require_nonnegative("jitter_sigma", self.jitter_sigma)
-        if not self.multiplier >= 1.0:
-            raise ValueError(
-                f"spike multiplier must be >= 1, got {self.multiplier!r}"
-            )
+        check_fields(self)
 
     def end_time(self) -> float:
         return self.start + self.duration
@@ -162,18 +139,13 @@ class CorrelatedFailure:
     packed placement loses whole shards.
     """
 
-    domain: int
-    at: float
-    restart_after: float | None = None
-    stagger: float = 0.0
+    domain: int = checked(index)
+    at: float = checked(non_negative)
+    restart_after: float | None = checked(optional(non_negative), None)
+    stagger: float = checked(non_negative, 0.0)
 
     def __post_init__(self):
-        if int(self.domain) < 0:
-            raise ValueError(f"domain must be >= 0, got {self.domain!r}")
-        _require_nonnegative("at", self.at)
-        if self.restart_after is not None:
-            _require_nonnegative("restart_after", self.restart_after)
-        _require_nonnegative("stagger", self.stagger)
+        check_fields(self)
 
     def end_time(self) -> float:
         return self.at + self.stagger + (self.restart_after or 0.0)
@@ -203,20 +175,12 @@ class HealingPolicy:
     ``recovery_lag`` seconds later.
     """
 
-    check_interval: float = 0.25
-    consecutive_misses: int = 2
-    recovery_lag: float = 2.0
+    check_interval: float = checked(positive, 0.25)
+    consecutive_misses: int = checked(count, 2)
+    recovery_lag: float = checked(non_negative, 2.0)
 
     def __post_init__(self):
-        if not float(self.check_interval) > 0.0:
-            raise ValueError(
-                f"check_interval must be positive, got {self.check_interval!r}"
-            )
-        if self.consecutive_misses < 1:
-            raise ValueError(
-                f"consecutive_misses must be >= 1, got {self.consecutive_misses!r}"
-            )
-        _require_nonnegative("recovery_lag", self.recovery_lag)
+        check_fields(self)
 
     def detection_lag(self) -> float:
         """Worst-case time from failure to detection."""
@@ -236,11 +200,11 @@ class FaultSchedule:
     """
 
     experiments: tuple[FaultExperiment, ...] = ()
-    replicas: int = 1
-    failover_timeout: float = 2e-3
+    replicas: int = checked(count, 1, normalise=True)
+    failover_timeout: float = checked(non_negative, 2e-3)
     healing: HealingPolicy | None = None
 
-    domains: int = 1
+    domains: int = checked(count, 1, normalise=True)
     """Number of fault domains the sparse hosts are placed across; a
     :class:`CorrelatedFailure` crashes one whole domain.  ``1`` puts
     every host in the same (never-jointly-crashed) domain."""
@@ -251,6 +215,7 @@ class FaultSchedule:
     keeps them in one."""
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "experiments", tuple(self.experiments))
         for experiment in self.experiments:
             if not isinstance(
@@ -261,13 +226,6 @@ class FaultSchedule:
                     f"experiments must be FaultExperiment instances, "
                     f"got {experiment!r}"
                 )
-        object.__setattr__(
-            self, "replicas", require_count("replicas", self.replicas)
-        )
-        _require_nonnegative("failover_timeout", self.failover_timeout)
-        object.__setattr__(
-            self, "domains", require_count("domains", self.domains)
-        )
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"placement must be one of {PLACEMENTS}, got {self.placement!r}"

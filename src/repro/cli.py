@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from repro.analysis.report import (
     capacity_sizing_rows,
     format_table,
 )
-from repro.core.types import GIB
+from repro.core.types import GIB, Contract, count, finite_positive, fraction
 from repro.lint import (
     AllowRule,
     LintConfig,
@@ -101,32 +100,26 @@ from repro.workloads import (
 STRATEGIES = [SINGULAR, "1-shard", "load-bal", "cap-bal", "NSBP"]
 
 
-def _checked(
-    cast: Callable[[str], float], rule: str, ok: Callable[[float], bool]
-) -> Callable[[str], float]:
-    """An argparse type: ``cast`` the raw string, then require ``ok``."""
+def _flag(cast: Callable[[str], Any], contract: Contract) -> Callable[[str], Any]:
+    """An argparse type: ``cast`` the raw string, then check ``contract``."""
 
-    def parse(raw: str) -> float:
+    def parse(raw: str) -> Any:
         try:
-            value = cast(raw)
+            return contract.check("value", cast(raw))
         except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw!r}")
-        return value
+            raise argparse.ArgumentTypeError(
+                f"must be {contract.rule}, got {raw!r}"
+            ) from None
 
     return parse
 
 
 #: Counts (requests, shards, replicas, workers): an integer >= 1.
-_positive_int = _checked(int, "an integer >= 1", lambda value: value >= 1)
+_positive_int = _flag(int, count)
 #: Rates, multipliers and durations: a finite number > 0.
-_positive_float = _checked(
-    float, "a finite number > 0",
-    lambda value: value > 0.0 and math.isfinite(value),
-)
+_positive_float = _flag(float, finite_positive)
 #: Fractions of a whole (cache size, diurnal trough): a number in (0, 1].
-_fraction = _checked(float, "a number in (0, 1]", lambda value: 0.0 < value <= 1.0)
+_fraction = _flag(float, fraction)
 
 
 @contextlib.contextmanager
@@ -352,21 +345,16 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
-    """Build the policy from CLI flags; ``None`` when no flag was set."""
+    """Build the policy from CLI flags; ``None`` when no timeout,
+    attempt cap, hedge or deadline flag was set.  It is built either way,
+    so every flag's value is checked."""
     hedging = args.hedge_ms is not None or args.hedge_quantile is not None
-    if (
-        args.retry_timeout_ms is None
-        and args.retry_max_attempts is None
-        and args.deadline_ms is None
-        and not hedging
-    ):
-        return None
     max_attempts = args.retry_max_attempts
     if max_attempts is None:
         # Hedging needs a second attempt to issue; a bare timeout or
         # deadline changes accounting but not the attempt cap.
         max_attempts = 2 if hedging else 1
-    return ResiliencePolicy(
+    policy = ResiliencePolicy(
         rpc_timeout=_seconds(args.retry_timeout_ms),
         max_attempts=max_attempts,
         backoff_base=args.retry_backoff_ms / 1e3,
@@ -377,6 +365,8 @@ def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
         retry_budget=args.retry_budget,
         retry_refill_rate=args.retry_refill,
     )
+    unset = policy.is_empty and args.retry_max_attempts is None
+    return None if unset else policy
 
 
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.types import require_count
+from repro.core.types import check_fields, checked, count
+from repro.core.types import seed as any_seed
 from repro.experiments.parallel import run_cluster_tasks, worker_context
 from repro.models.config import ModelConfig
 from repro.requests.generator import Request, RequestGenerator
@@ -396,18 +397,17 @@ class SuiteSettings:
     The replay kernel is ``serving.kernel``
     (:data:`repro.simulation.engine.KERNELS`)."""
 
-    num_requests: int = 200
-    request_seed: int = 3
-    pooling_requests: int = 1000
-    pooling_seed: int = 42
+    num_requests: int = checked(count, 200)
+    request_seed: int = checked(any_seed, 3)
+    pooling_requests: int = checked(count, 1000)
+    pooling_seed: int = checked(any_seed, 42)
     serving: ServingConfig = field(default_factory=ServingConfig)
     schedule: ReplaySchedule = field(default_factory=ReplaySchedule.serial)
     trace_mode: TraceMode | None = None
     """Overrides ``serving.trace_mode`` when set; None keeps it."""
 
     def __post_init__(self) -> None:
-        require_count("num_requests", self.num_requests)
-        require_count("pooling_requests", self.pooling_requests)
+        check_fields(self)
 
     def resolved_serving(self) -> ServingConfig:
         """The serving config with the suite-level trace-mode override

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from repro.core.types import check_fields, checked, each, fraction
 from repro.planning.replication import (
     ReplicationDemand,
     ReplicationPlan,
@@ -69,17 +70,14 @@ class CandidateSpace:
     """
 
     configurations: "tuple[ShardingConfiguration, ...] | None" = None
-    utilization_targets: tuple[float, ...] = (0.4, 0.6, 0.8)
+    utilization_targets: tuple[float, ...] = checked(
+        each(fraction, "a non-empty tuple of numbers in (0, 1]"),
+        (0.4, 0.6, 0.8),
+        normalise=True,
+    )
 
     def __post_init__(self):
-        targets = tuple(float(target) for target in self.utilization_targets)
-        if not targets:
-            raise ValueError("utilization_targets must be non-empty")
-        if any(not 0 < target <= 1 for target in targets):
-            raise ValueError(
-                f"utilization targets must be in (0, 1], got {targets}"
-            )
-        object.__setattr__(self, "utilization_targets", targets)
+        check_fields(self)
         if self.configurations is not None:
             object.__setattr__(
                 self, "configurations", tuple(self.configurations)

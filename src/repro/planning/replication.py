@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from repro.core.types import check_fields, checked, count, fraction, positive
 from repro.models.config import ModelConfig
 from repro.simulation.platform import SC_LARGE, Platform
 from repro.tracing.span import MAIN_SHARD
@@ -40,16 +41,13 @@ class PerShardDemandError(ValueError):
 class ReplicationDemand:
     """Sizing inputs for one deployment."""
 
-    qps: float
-    utilization_target: float = 0.6
-    workers_per_replica: int = 32
+    qps: float = checked(positive)
+    utilization_target: float = checked(fraction, 0.6)
+    workers_per_replica: int = checked(count, 32)
     platform: Platform = SC_LARGE
 
     def __post_init__(self):
-        if self.qps <= 0:
-            raise ValueError("qps must be positive")
-        if not 0 < self.utilization_target <= 1:
-            raise ValueError("utilization_target must be in (0, 1]")
+        check_fields(self)
 
 
 @dataclass

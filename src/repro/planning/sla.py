@@ -19,16 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.types import check_fields, checked, positive
+
 
 @dataclass(frozen=True)
 class SlaPolicy:
     """A latency SLA: requests slower than ``target_latency`` fall back."""
 
-    target_latency: float
+    target_latency: float = checked(positive)
 
     def __post_init__(self):
-        if self.target_latency <= 0:
-            raise ValueError("target_latency must be positive")
+        check_fields(self)
 
     @classmethod
     def from_baseline_quantile(
@@ -46,8 +47,7 @@ class SlaPolicy:
             )
         if not 0 < quantile <= 100:
             raise ValueError(f"quantile must be in (0, 100], got {quantile!r}")
-        if slack <= 0:
-            raise ValueError(f"slack must be positive, got {slack!r}")
+        positive.check("slack", slack)
         target = float(np.percentile(samples, quantile))
         return cls(target_latency=target * slack)
 

@@ -22,8 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.rng import substream
+from repro.core.types import check_fields, checked, count, real
+from repro.core.types import seed as any_seed
 from repro.models.config import ModelConfig
 from repro.requests.generator import Request
+
+_RECENCY = real("a number in [0, 1)", lambda value: 0.0 <= value < 1.0)
 
 _MIX_MULTIPLIER = np.int64(0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
 
@@ -103,19 +107,12 @@ class CorrelatedStream:
     from the request stream to the DRAM-reduction study.
     """
 
-    recency_weight: float = 0.3
-    window: int = 2048
-    seed: int = 0
+    recency_weight: float = checked(_RECENCY, 0.3, normalise=True)
+    window: int = checked(count, 2048, normalise=True)
+    seed: int = checked(any_seed, 0)
 
     def __post_init__(self):
-        if not 0.0 <= self.recency_weight < 1.0:
-            raise ValueError(
-                f"recency_weight must be in [0, 1), got {self.recency_weight!r}"
-            )
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        object.__setattr__(self, "recency_weight", float(self.recency_weight))
-        object.__setattr__(self, "window", int(self.window))
+        check_fields(self)
 
 
 def collect_correlated_trace(

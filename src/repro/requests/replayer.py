@@ -17,11 +17,12 @@ composable processes (Poisson, constant-rate, piecewise/diurnal, MMPP).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.types import check_fields, checked, finite_non_negative
+from repro.core.types import seed as any_seed
 from repro.workloads.arrivals import PoissonArrivals, SerialArrivals
 
 
@@ -35,19 +36,20 @@ class ReplaySchedule:
     """How requests are injected into the serving cluster."""
 
     mode: ReplayMode = ReplayMode.SERIAL
-    qps: float = 0.0
-    seed: int = 0
+    qps: float = checked(
+        finite_non_negative.reworded("a finite qps >= 0"), 0.0, normalise=True
+    )
+    """Normalized to a float, so open_loop(25), open_loop(25.0), and numpy
+    scalars are the same schedule: the arrival substream is keyed on qps,
+    and equal rates must replay identical arrival processes."""
+    seed: int = checked(any_seed, 0)
 
     def __post_init__(self):
-        open_loop = self.mode is ReplayMode.OPEN_LOOP
-        if open_loop and not 0.0 < float(self.qps) < math.inf:  # NaN too
+        check_fields(self)
+        if self.mode is ReplayMode.OPEN_LOOP and self.qps == 0.0:
             raise ValueError(
                 f"open-loop replay requires a finite qps > 0, got {self.qps!r}"
             )
-        # Normalize so open_loop(25), open_loop(25.0), and numpy scalars
-        # are the same schedule: the arrival substream is keyed on qps,
-        # and equal rates must replay identical arrival processes.
-        object.__setattr__(self, "qps", float(self.qps))
 
     @classmethod
     def serial(cls) -> "ReplaySchedule":

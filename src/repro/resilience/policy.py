@@ -31,60 +31,60 @@ byte-identical to ``resilience=None``.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
-from repro.core.types import require_count
+from repro.core.types import (
+    at_least_one,
+    check_fields,
+    checked,
+    count,
+    finite_non_negative,
+    non_negative,
+    optional,
+    positive,
+    probability,
+    real,
+)
 
-
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not value > 0.0:  # also rejects NaN
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def _require_nonnegative(name: str, value: float) -> float:
-    value = float(value)
-    if not value >= 0.0:  # also rejects NaN
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return value
+_PERCENTILE = real(
+    "a percentile in (0, 100)", lambda value: 0.0 < value < 100.0
+)
 
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """How one deployment's sparse RPCs respond to slowness and failure."""
 
-    rpc_timeout: float | None = None
+    rpc_timeout: float | None = checked(optional(positive), None)
     """Per-attempt response timeout (seconds).  When an attempt has been
     outstanding this long, a replacement attempt is issued (budget and
     ``max_attempts`` permitting); the timed-out attempt keeps running
     and the first response wins.  ``None`` disables timeout retries."""
 
-    max_attempts: int = 1
+    max_attempts: int = checked(count, 1)
     """Total attempts per RPC, counting the first send and any hedge.
     ``1`` means no retries at all."""
 
-    backoff_base: float = 0.0
+    backoff_base: float = checked(finite_non_negative, 0.0)
     """Base delay (seconds) before a timeout-driven retry; attempt ``n``
     waits ``backoff_base * backoff_factor**(n - 1)``.  ``0`` retries
     immediately."""
 
-    backoff_factor: float = 2.0
+    backoff_factor: float = checked(at_least_one, 2.0)
     """Exponential growth factor between successive retry backoffs."""
 
-    backoff_jitter: float = 0.0
+    backoff_jitter: float = checked(probability, 0.0)
     """Deterministic jitter fraction in ``[0, 1]``: each nonzero backoff
     is stretched by ``1 + backoff_jitter * u`` with ``u`` drawn from the
     dedicated ``substream(seed, "resilience", ...)`` stream -- replayed
     draws are bit-identical, serial or parallel."""
 
-    hedge_delay: float | None = None
+    hedge_delay: float | None = checked(optional(positive), None)
     """Issue one speculative duplicate attempt to the next replica this
     many seconds after the first send (budget permitting).  ``None``
     disables hedging."""
 
-    hedge_quantile: float | None = None
+    hedge_quantile: float | None = checked(optional(_PERCENTILE), None)
     """Derive ``hedge_delay`` from the healthy baseline instead of
     fixing it: :func:`repro.chaos.experiment.availability_sweep`
     resolves it to this percentile (0-100) of the healthy replay's
@@ -92,57 +92,26 @@ class ResiliencePolicy:
     attached to a cluster directly -- resolve via
     :meth:`with_hedge_delay` first."""
 
-    deadline: float | None = None
+    deadline: float | None = checked(optional(positive), None)
     """Per-request latency deadline (seconds, from request arrival): no
     retry or hedge is issued for a request already past it, and requests
     completing over it set the ``deadline_exceeded`` result column."""
 
-    retry_budget: float = 10.0
+    retry_budget: float = checked(non_negative, 10.0)
     """Token-bucket capacity shared by all retries/hedges of a cluster
     replay; each spends one token.  Exhaustion denies (and counts) the
     attempt instead of queueing it -- the anti-retry-storm valve."""
 
-    retry_refill_rate: float = 10.0
+    retry_refill_rate: float = checked(non_negative, 10.0)
     """Bucket refill rate in tokens per simulated second."""
 
-    def __post_init__(self):
-        if self.rpc_timeout is not None:
-            _require_positive("rpc_timeout", self.rpc_timeout)
-        # An integer count: a fractional bound would validate as its
-        # floor but let ``attempts < max_attempts`` issue one more.
-        require_count("max_attempts", self.max_attempts)
-        if not 0.0 <= float(self.backoff_base) < math.inf:  # also rejects NaN
-            raise ValueError(
-                f"backoff_base must be finite and non-negative, got "
-                f"{self.backoff_base!r}"
-            )
-        if not float(self.backoff_factor) >= 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
-            )
-        jitter = _require_nonnegative("backoff_jitter", self.backoff_jitter)
-        if jitter > 1.0:
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter!r}"
-            )
+    def __post_init__(self) -> None:
+        check_fields(self)
         if self.hedge_delay is not None and self.hedge_quantile is not None:
             raise ValueError(
                 "set hedge_delay or hedge_quantile, not both; "
                 "hedge_quantile is resolved to a delay by availability_sweep"
             )
-        if self.hedge_delay is not None:
-            _require_positive("hedge_delay", self.hedge_delay)
-        if self.hedge_quantile is not None:
-            quantile = float(self.hedge_quantile)
-            if not 0.0 < quantile < 100.0:
-                raise ValueError(
-                    f"hedge_quantile must be a percentile in (0, 100), "
-                    f"got {self.hedge_quantile!r}"
-                )
-        if self.deadline is not None:
-            _require_positive("deadline", self.deadline)
-        _require_nonnegative("retry_budget", self.retry_budget)
-        _require_nonnegative("retry_refill_rate", self.retry_refill_rate)
         if (
             self.hedge_delay is not None or self.hedge_quantile is not None
         ) and self.max_attempts < 2:

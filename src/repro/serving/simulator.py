@@ -50,14 +50,21 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
 from repro.core.rng import substream
-from repro.core.types import OpCategory, require_count
+from repro.core.types import (
+    OpCategory,
+    check_fields,
+    checked,
+    count,
+    finite_non_negative,
+    optional,
+)
+from repro.core.types import seed as any_seed
 from repro.models.config import ModelConfig, TableConfig
 from repro.requests.generator import Request, request_payload_bytes
 from repro.sharding.plan import ShardingPlan, ShardSpec
@@ -98,24 +105,24 @@ class ServingConfig:
     sparse_platform: Platform = SC_LARGE
     cost_model: CostModel = field(default_factory=CostModel)
     fabric_spec: FabricSpec = field(default_factory=FabricSpec)
-    seed: int = 0
-    service_workers: int = 32
+    seed: int = checked(any_seed, 0)
+    service_workers: int = checked(count, 32)
     """Worker threads of one serving instance (a service instance does not
     own the whole machine); batches queue for these workers, which is what
     couples request size to tail latency."""
 
-    batch_size: int | None = None
+    batch_size: int | None = checked(optional(count), None)
     """Overrides the model's default batch size; None keeps the default.
     ``with_batch_size(10**9)`` reproduces the paper's one-batch-per-request
     mode (Section VI-F)."""
 
-    max_batches: int = 8
+    max_batches: int = checked(count, 8)
     """Production batching cap: huge requests grow their batch size rather
     than fan out unboundedly, so tail-sized requests are dense-dominated
     (the paper's explanation for P99 overheads being more favorable than
     P50, Section VI-B4)."""
 
-    clock_skew_sigma: float = 0.0
+    clock_skew_sigma: float = checked(finite_non_negative, 0.0)
     """Stddev (seconds) of per-server wall-clock skew; trace timestamps are
     stamped with it, and attribution must stay skew-invariant."""
 
@@ -159,21 +166,7 @@ class ServingConfig:
     ``tests/test_idle_arrival_replay.py``)."""
 
     def __post_init__(self):
-        for name in ("service_workers", "max_batches", "batch_size"):
-            value = getattr(self, name)
-            if value is None and name == "batch_size":
-                continue
-            require_count(name, value)
-        skew = self.clock_skew_sigma
-        if (
-            not isinstance(skew, numbers.Real)
-            or isinstance(skew, bool)
-            or not 0.0 <= skew < math.inf  # also rejects NaN
-        ):
-            raise ValueError(
-                f"clock_skew_sigma must be a finite, non-negative number, "
-                f"got {skew!r}"
-            )
+        check_fields(self)
         if self.kernel not in KERNELS:
             raise ValueError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
@@ -209,14 +202,8 @@ class SimServer:
         clock_skew: float = 0.0,
         io_threads: int = 4,
     ):
-        if workers < 1:
-            raise ValueError(
-                f"server {name!r}: workers must be >= 1, got {workers!r}"
-            )
-        if io_threads < 1:
-            raise ValueError(
-                f"server {name!r}: io_threads must be >= 1, got {io_threads!r}"
-            )
+        count.check("workers", workers, f"server {name!r}: ")
+        count.check("io_threads", io_threads, f"server {name!r}: ")
         self.name = name
         self.platform = platform
         self.engine = engine

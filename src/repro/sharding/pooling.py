@@ -26,7 +26,7 @@ every serving variant of a model, and the sampling itself is pure.
 
 from __future__ import annotations
 
-from repro.core.types import require_count
+from repro.core.types import count
 from repro.models.config import ModelConfig
 from repro.requests.generator import RequestGenerator
 
@@ -52,7 +52,7 @@ def estimate_pooling_factors(
     Every table appears in the result (0.0 if never observed), so
     strategies can place cold tables too.
     """
-    require_count("num_requests", num_requests)
+    count.check("num_requests", num_requests)
     key = _cache_key(model, num_requests, seed)
     cached = _CACHE.get(key)
     if cached is None:

@@ -18,10 +18,18 @@ All returned times are seconds on one core.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from repro.core.types import NS, US, require_count
+from repro.core.types import (
+    NS,
+    US,
+    check_fields,
+    checked,
+    count,
+    non_negative,
+    positive,
+    probability,
+)
 from repro.models.config import FeatureScope, NetConfig, TableConfig
 from repro.simulation.platform import Platform
 
@@ -42,10 +50,10 @@ class CostModel:
     """Tunable constants for the serving cost model."""
 
     # -- serialization ----------------------------------------------------
-    serde_fixed: float = 1.2 * US
+    serde_fixed: float = checked(non_negative, 1.2 * US)
     """Per-message fixed serde cost (framing, allocation)."""
 
-    serde_per_table: float = 1.6 * US
+    serde_per_table: float = checked(non_negative, 1.6 * US)
     """Shard-side per-feature (de)serialization cost: each table's ids and
     pooled vectors travel as a nested Thrift struct, and struct building --
     not raw bytes -- dominates RPC serde.  This is the shard-side cost that
@@ -53,87 +61,63 @@ class CostModel:
     features, which is how input sparsity drives distributed-inference
     overheads (paper abstract, Section VI)."""
 
-    client_serde_per_table: float = 0.3 * US
+    client_serde_per_table: float = checked(non_negative, 0.3 * US)
     """Main-shard per-feature serde cost.  Cheaper than the shard side:
     the async RPC client serializes id lists without copies and
     deserializes responses into zero-copy tensor views."""
 
-    serde_bytes_per_sec: float = 5.0e9
+    serde_bytes_per_sec: float = checked(positive, 5.0e9)
     """Serde throughput at the SC-Large reference clock."""
 
     # -- service handler ----------------------------------------------------
-    request_handler_fixed: float = 40 * US
+    request_handler_fixed: float = checked(non_negative, 40 * US)
     """Main-shard Thrift handler work per ranking request."""
 
-    response_handler_fixed: float = 18 * US
+    response_handler_fixed: float = checked(non_negative, 18 * US)
     """Main-shard response assembly per ranking request."""
 
-    rpc_service_fixed: float = 26 * US
+    rpc_service_fixed: float = checked(non_negative, 26 * US)
     """Sparse-shard Thrift service boilerplate per RPC."""
 
-    rpc_dispatch_fixed: float = 1.8 * US
+    rpc_dispatch_fixed: float = checked(non_negative, 1.8 * US)
     """Main-shard cost to schedule/book-keep one async RPC op."""
 
-    io_threads: int = 4
+    io_threads: int = checked(count, 4)
     """IO threads per server: async RPC responses are deserialized here,
     off the request workers, overlapping the remaining RPC waits."""
 
-    fill_per_table: float = 0.2 * US
+    fill_per_table: float = checked(non_negative, 0.2 * US)
     """Main-shard zero-fill for a remote table absent from the request
     (the sparsity optimization skips its lookup; downstream layers still
     need a zero blob)."""
 
     # -- ML framework -------------------------------------------------------
-    net_overhead_fixed: float = 8 * US
+    net_overhead_fixed: float = checked(non_negative, 8 * US)
     """Caffe2 net setup/teardown per net execution."""
 
-    net_overhead_per_op: float = 0.12 * US
+    net_overhead_per_op: float = checked(non_negative, 0.12 * US)
     """Per-operator scheduling cost within a net."""
 
     # -- sparse operators ---------------------------------------------------
-    sls_dispatch_per_table: float = 0.5 * US
+    sls_dispatch_per_table: float = checked(non_negative, 0.5 * US)
     """SLS operator dispatch per table (even when the lookup is empty)."""
 
-    sls_dram_overlap: float = 0.45
+    sls_dram_overlap: float = checked(non_negative, 0.45)
     """Fraction of the dependent-cache-line chain not hidden by MLP."""
 
     # -- dense split ----------------------------------------------------------
-    dense_pre_fraction: float = 0.5
+    dense_pre_fraction: float = checked(probability, 0.5)
     """Share of a net's dense work before the sparse join (bottom MLP)."""
 
     # -- compressed-table execution -------------------------------------------
-    dequant_per_id: float = 0.035 * US
+    dequant_per_id: float = checked(non_negative, 0.035 * US)
     """Extra ALU work per lookup id for quantized rows (Table III)."""
 
     def __post_init__(self):
-        # Every constant above is a cost or a count: a negative (or NaN)
-        # value would surface as a negative delay deep inside the DES.
-        # Fail at construction with the offending field named instead.
-        # A string or a bool would pass ``float(value)``, so the type is
-        # checked first.
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if (
-                not isinstance(value, numbers.Real)
-                or isinstance(value, bool)
-                or not value >= 0.0  # also rejects NaN
-            ):
-                raise ValueError(
-                    f"CostModel.{spec.name} must be a non-negative number, "
-                    f"got {value!r}"
-                )
-        if not self.serde_bytes_per_sec > 0.0:
-            raise ValueError(
-                f"CostModel.serde_bytes_per_sec must be positive, got "
-                f"{self.serde_bytes_per_sec!r}"
-            )
-        # A fractional pool would run in the DES but not in the evaluator.
-        require_count("CostModel.io_threads", self.io_threads)
-        if not 0.0 <= self.dense_pre_fraction <= 1.0:
-            raise ValueError(
-                f"CostModel.dense_pre_fraction must be within [0, 1], got "
-                f"{self.dense_pre_fraction!r}"
-            )
+        # A negative cost would surface as a negative delay deep inside
+        # the DES, and a fractional pool would run there but not in the
+        # evaluator: fail at construction with the field named instead.
+        check_fields(self, "CostModel.")
 
     # ------------------------------------------------------------------------
     def serde_time(

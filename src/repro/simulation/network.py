@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.rng import substream
-from repro.core.types import US
+from repro.core.types import US, check_fields, checked, non_negative
 from repro.simulation.platform import Platform
 
 
@@ -29,25 +29,20 @@ from repro.simulation.platform import Platform
 class FabricSpec:
     """Tunable parameters of the fabric latency distribution."""
 
-    propagation: float = 15 * US
+    propagation: float = checked(non_negative, 15 * US)
     """One-way propagation + switching delay between racks."""
 
-    kernel_overhead: float = 8 * US
+    kernel_overhead: float = checked(non_negative, 8 * US)
     """In-kernel packet processing at the two endpoints (combined)."""
 
-    jitter_median: float = 6 * US
+    jitter_median: float = checked(non_negative, 6 * US)
     """Median of the lognormal jitter term."""
 
-    jitter_sigma: float = 0.55
+    jitter_sigma: float = checked(non_negative, 0.55)
     """Log-scale sigma of the jitter term (controls the tail)."""
 
     def __post_init__(self):
-        for name in ("propagation", "kernel_overhead", "jitter_median", "jitter_sigma"):
-            value = getattr(self, name)
-            if not float(value) >= 0.0:  # also rejects NaN
-                raise ValueError(
-                    f"FabricSpec.{name} must be non-negative, got {value!r}"
-                )
+        check_fields(self, "FabricSpec.")
 
 
 class Fabric:

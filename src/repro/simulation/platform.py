@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from repro.core.types import GIB
+from repro.core.types import GIB, check_fields, checked, count, non_negative, positive
 
 
 @dataclass(frozen=True)
@@ -38,29 +38,15 @@ class Platform:
     """
 
     name: str
-    cores: int
-    dram_capacity: float
-    clock_ghz: float
-    mem_bandwidth: float
-    dram_access_ns: float
-    nic_bandwidth: float
+    cores: int = checked(count)
+    dram_capacity: float = checked(positive)
+    clock_ghz: float = checked(positive)
+    mem_bandwidth: float = checked(positive)
+    dram_access_ns: float = checked(non_negative)
+    nic_bandwidth: float = checked(positive)
 
     def __post_init__(self):
-        if self.cores < 1:
-            raise ValueError(
-                f"platform {self.name!r}: cores must be >= 1, got {self.cores!r}"
-            )
-        for attr in ("dram_capacity", "clock_ghz", "mem_bandwidth", "nic_bandwidth"):
-            value = getattr(self, attr)
-            if not float(value) > 0.0:  # also rejects NaN
-                raise ValueError(
-                    f"platform {self.name!r}: {attr} must be positive, got {value!r}"
-                )
-        if not float(self.dram_access_ns) >= 0.0:
-            raise ValueError(
-                f"platform {self.name!r}: dram_access_ns must be non-negative, "
-                f"got {self.dram_access_ns!r}"
-            )
+        check_fields(self, f"platform {self.name!r}: ")
 
     @functools.cached_property
     def relative_clock(self) -> float:

@@ -22,7 +22,8 @@ workload as a family of small frozen value objects:
   model.
 
 Determinism contract: every process normalizes its numeric parameters to
-Python floats in ``__post_init__``, and each draws from a named
+Python floats in ``__post_init__`` (their field contracts, see
+:mod:`repro.core.types`), and each draws from a named
 :func:`~repro.core.rng.substream` keyed on those normalized values -- so
 ``PoissonArrivals(25)``, ``PoissonArrivals(25.0)`` and
 ``PoissonArrivals(np.float64(25.0))`` replay one identical stream, and
@@ -31,13 +32,25 @@ equality/hashing treat them as the same process.
 
 from __future__ import annotations
 
-import math
-import operator
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.rng import substream
+from repro.core.types import (
+    check_fields,
+    checked,
+    count,
+    each,
+    finite_positive,
+    index,
+    positive,
+)
+from repro.core.types import seed as any_seed
+
+#: A request count for :meth:`ArrivalProcess.arrival_times`.
+_COUNT = index.reworded(">= 0 (an integer, not a bool)")
 
 _HOUR_SECONDS = 3600.0
 
@@ -96,16 +109,13 @@ class ArrivalProcess:
 
     @staticmethod
     def _checked_count(count: int) -> int:
-        """Validate a request count: any integer spelling, ``>= 0``."""
-        try:
-            checked = operator.index(count)
-        except TypeError:
+        """Validate a request count: the ``index`` contract, with a
+        ``TypeError`` for a value that is no integer at all."""
+        if not isinstance(count, numbers.Integral):
             raise TypeError(
                 f"count must be an integer, got {type(count).__name__}"
-            ) from None
-        if checked < 0:
-            raise ValueError(f"count must be >= 0, got {count!r}")
-        return checked
+            )
+        return _COUNT.check("count", count)
 
 
 @dataclass(frozen=True)
@@ -127,15 +137,13 @@ class PoissonArrivals(ArrivalProcess):
     rate, and the times are the cumulative sum of exponential gaps.
     """
 
-    qps: float
-    seed: int = 0
+    qps: float = checked(
+        finite_positive.reworded("a finite qps > 0"), normalise=True
+    )
+    seed: int = checked(any_seed, 0)
 
     def __post_init__(self):
-        if not 0.0 < float(self.qps) < math.inf:  # also rejects NaN
-            raise ValueError(
-                f"Poisson arrivals require a finite qps > 0, got {self.qps!r}"
-            )
-        object.__setattr__(self, "qps", float(self.qps))
+        check_fields(self)
 
     def arrival_times(self, count: int) -> np.ndarray:
         count = self._checked_count(count)
@@ -154,12 +162,10 @@ class ConstantRateArrivals(ArrivalProcess):
     The zero-variance open-loop baseline; no seed, no randomness.
     """
 
-    qps: float
+    qps: float = checked(positive, normalise=True)
 
     def __post_init__(self):
-        if self.qps <= 0:
-            raise ValueError("constant-rate arrivals require qps > 0")
-        object.__setattr__(self, "qps", float(self.qps))
+        check_fields(self)
 
     def arrival_times(self, count: int) -> np.ndarray:
         count = self._checked_count(count)
@@ -184,23 +190,17 @@ class PiecewiseRateArrivals(ArrivalProcess):
     Poisson process -- no thinning, no rejected draws, fully vectorized.
     """
 
-    rates: tuple[float, ...]
-    interval_seconds: float = _HOUR_SECONDS
-    seed: int = 0
+    rates: tuple[float, ...] = checked(
+        each(finite_positive, "a non-empty rate curve of finite, positive rates"),
+        normalise=True,
+    )
+    interval_seconds: float = checked(
+        finite_positive, _HOUR_SECONDS, normalise=True
+    )
+    seed: int = checked(any_seed, 0)
 
     def __post_init__(self):
-        rates = tuple(float(rate) for rate in np.asarray(self.rates).ravel())
-        # ``not 0 < x < inf`` also rejects NaN, which every ordered
-        # comparison answers False.
-        if not rates or not all(0.0 < rate < math.inf for rate in rates):
-            raise ValueError(
-                "piecewise arrivals require a non-empty rate curve of "
-                "finite, positive rates"
-            )
-        object.__setattr__(self, "rates", rates)
-        if not 0.0 < float(self.interval_seconds) < math.inf:
-            raise ValueError("interval_seconds must be finite and positive")
-        object.__setattr__(self, "interval_seconds", float(self.interval_seconds))
+        check_fields(self)
 
     @classmethod
     def diurnal(
@@ -213,10 +213,8 @@ class PiecewiseRateArrivals(ArrivalProcess):
     ) -> "PiecewiseRateArrivals":
         """Diurnal QPS replay: the sinusoidal day of :func:`diurnal_qps_curve`
         sampled at ``samples_per_hour`` steps, driving Poisson arrivals."""
-        samples_per_hour = operator.index(samples_per_hour)
-        if samples_per_hour < 1:
-            raise ValueError("samples_per_hour must be >= 1")
-        hours = operator.index(hours)
+        samples_per_hour = count.check("samples_per_hour", samples_per_hour)
+        hours = count.check("hours", hours)
         curve = diurnal_qps_curve(
             float(peak_qps), float(trough_fraction),
             hours=hours, samples=hours * samples_per_hour,
@@ -274,18 +272,18 @@ class MMPPArrivals(ArrivalProcess):
     sorted-uniform placement, the standard conditional construction).
     """
 
-    rates: tuple[float, ...] = (10.0, 100.0)
-    mean_dwell_seconds: float = 60.0
-    seed: int = 0
+    rates: tuple[float, ...] = checked(
+        each(positive, "a non-empty tuple of positive state rates"),
+        (10.0, 100.0),
+        normalise=True,
+    )
+    mean_dwell_seconds: float = checked(positive, 60.0, normalise=True)
+    seed: int = checked(any_seed, 0)
 
     def __post_init__(self):
-        rates = tuple(float(rate) for rate in np.asarray(self.rates).ravel())
-        if len(rates) < 2 or min(rates) <= 0:
+        check_fields(self)
+        if len(self.rates) < 2:
             raise ValueError("MMPP arrivals require >= 2 positive state rates")
-        object.__setattr__(self, "rates", rates)
-        if self.mean_dwell_seconds <= 0:
-            raise ValueError("mean_dwell_seconds must be positive")
-        object.__setattr__(self, "mean_dwell_seconds", float(self.mean_dwell_seconds))
 
     def peak_rate(self) -> float:
         return max(self.rates)

@@ -22,6 +22,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.core.types import check_fields, checked
+from repro.core.types import seed as any_seed
 from repro.models.config import ModelConfig
 from repro.requests.access_trace import (
     AccessTrace,
@@ -40,11 +42,14 @@ class Workload:
     name: str
     model: ModelConfig
     arrivals: ArrivalProcess
-    request_seed: int = 3
+    request_seed: int = checked(any_seed, 3)
     id_stream: CorrelatedStream | None = None
     """When set, :meth:`access_trace` emits a temporally-correlated
     (popularity + recency) sparse-ID stream instead of i.i.d. Zipf draws;
     the trace feeds :mod:`repro.analysis.caching` directly."""
+
+    def __post_init__(self):
+        check_fields(self)
 
     def generator(self) -> RequestGenerator:
         return RequestGenerator(self.model, seed=self.request_seed)
