@@ -3,8 +3,9 @@
 Only *how many* workers run is read from the host, never *what* they
 compute.  Every configuration sweep fans out over :func:`usable_cpus`
 worker processes by default (``REPRO_SWEEP_WORKERS`` or ``max_workers``
-caps it) and the pooling-factor sample draws on as many threads; both
-are bit-identical to their one-worker form whatever this returns.
+caps it), and request generation and the pooling-factor sample draw
+their tables on as many threads; all are bit-identical to their
+one-worker form whatever this returns.
 """
 
 from __future__ import annotations

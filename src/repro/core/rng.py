@@ -38,8 +38,9 @@ rules make that hold:
    configuration and still match the serial sweep byte for byte: no
    draw depends on *which process* or *in which order* a configuration
    runs.  Per-table substreams are also what let
+   :meth:`~repro.requests.generator.RequestGenerator.generate_batch` and
    :meth:`~repro.requests.generator.RequestGenerator.table_totals` draw
-   its tables on concurrent threads: every stream is created in the
+   their tables on concurrent threads: every stream is created in the
    calling thread before the fan-out, and each is then owned by exactly
    one task, so no draw depends on *which thread* draws it either.
 
@@ -80,18 +81,19 @@ rules make that hold:
 
    *Exact sparse Poisson.*  The same rule lets a sampler replace
    numpy's own draw loop so long as it consumes the bit stream
-   identically.  :func:`poisson` is that sampler for rates in
-   ``(0, _SPARSE_RATE)``: it returns ``Generator.poisson``'s array and
-   leaves the stream where numpy leaves it, by filling the uniforms
-   numpy's Knuth loop would read and walking only the rare draws that
-   read more than one.  The two item-scoped bulk draws of
-   :mod:`repro.requests.generator` -- the per-item counts of
-   ``generate_batch`` and the pooling sample of ``table_totals`` -- go
-   through it; USER-scoped counts and the scalar ``generate`` stay on
-   ``Generator.poisson``, and the scalar path is the oracle the bulk
-   path is pinned against (``tests/test_fastpath_determinism.py``),
-   next to the sampler's own twin-stream pins in
-   ``tests/test_rng_and_types.py``.
+   identically.  One walk, :func:`_knuth_walk`, does that for rates in
+   ``(0, _SPARSE_RATE)``: it reads the raw 64-bit outputs numpy's Knuth
+   loop would turn into uniforms, classifies them against an exact
+   integer threshold, and yields only the nonzero draws, leaving the
+   stream where numpy leaves it.  It has two consumers:
+   :func:`poisson` scatters it into ``Generator.poisson``'s array, and
+   :func:`poisson_total` sums it without any array.  The per-item
+   counts of ``generate_batch`` go through the first, the pooling sample
+   of ``table_totals`` through the second; USER-scoped counts and the
+   scalar ``generate`` stay on ``Generator.poisson``, and the scalar
+   path is the oracle the bulk path is pinned against
+   (``tests/test_fastpath_determinism.py``), next to the sampler's own
+   twin-stream pins in ``tests/test_rng_and_types.py``.
 
 3. **Optional features get their own substreams so that switching them
    off restores the exact base stream.**  The chaos layer
@@ -156,24 +158,29 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-#: Rates below this go through :func:`poisson`'s exceedance walk.  The
-#: walk costs Python time per exceedance, and on an 8192-draw chunk it
-#: breaks even with numpy near 0.013 (2-vCPU Xeon, numpy 2.4: 0.12 vs
-#: 0.15 ms at 0.01, 0.18 vs 0.14 ms at 0.02), so rates at or above this
-#: stay on numpy.  Every item-scoped rate in DRM1-3 is <= 0.0061.
+#: Rates below this go through :func:`_knuth_walk`.  The walk costs
+#: Python time per exceedance, and on 8192 draws it breaks even with
+#: numpy near 0.01 (2-vCPU Xeon, numpy 2.4, medians of 400: 0.10 vs
+#: 0.14 ms at 0.005, 0.15 vs 0.14 ms at 0.01, 0.18 vs 0.15 ms at
+#: 0.0125), so rates at or above this stay on numpy.  Every
+#: item-scoped rate in DRM1-3 is <= 0.0061.
 _SPARSE_RATE = 0.01
 
-#: Uniforms per :func:`poisson` refill: bounds its scratch at 256 KiB.
-#: Fewer, larger refills mean fewer GIL hand-offs when ``table_totals``
-#: draws tables on threads: DRM1's 1000-request pooling sample took
-#: 0.32 / 0.20 / 0.30 s at 8192 / 32768 / 65536 (medians of 21 runs,
-#: 2 threads, 2-vCPU Xeon).
+#: Raw outputs per :func:`_knuth_walk` refill: bounds its scratch at
+#: 256 KiB.  Fewer, larger refills mean fewer GIL hand-offs when tables
+#: are drawn on threads: DRM1's 1000-request pooling sample took
+#: 0.22 / 0.18 / 0.17 s at 8192 / 32768 / 65536 (medians of 21 runs,
+#: 2 threads, 2-vCPU Xeon), so doubling past this buys little.
 _UNIFORM_BUFFER = 32768
+
+#: ``next_double()`` scale: a uniform is ``(raw >> 11) * _DOUBLE_UNIT``.
+_DOUBLE_UNIT = 2.0**-53
 
 
 def derive_seed(root_seed: int, *keys: object) -> int:
@@ -195,48 +202,89 @@ def substream(root_seed: int, *keys: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root_seed, *keys))
 
 
-def poisson(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
-    """``rng.poisson(lam, size=size)``, bit for bit, faster at tiny ``lam``.
+def _knuth_walk(
+    rng: np.random.Generator, lam: float, size: int
+) -> Iterator[tuple[int, int]]:
+    """``(index, count)`` of every nonzero draw of ``rng.poisson(lam, size)``.
 
-    Returns the same int64 array and leaves ``rng.bit_generator.state``
-    exactly where numpy leaves it.  For ``0 < lam < 10`` numpy draws by
-    Knuth's multiplication method: multiply ``next_double()`` uniforms
-    until the product is ``<= exp(-lam)``; the count of factors before
-    that is the draw.  ``Generator.random`` fills from the same
-    ``next_double()``, so a draw is 0 and consumes exactly one uniform
-    iff its first uniform is ``<= exp(-lam)`` -- over 99% of draws at
-    sparse-feature rates.  This fills uniforms in bulk, finds the rare
-    exceedances with one vectorized compare, and walks only those in
-    Python.  Each refill asks for at most one uniform per draw still
-    owed, so it never reads past where numpy would stop; a draw that
-    runs off the end of a buffer finishes on scalar ``rng.random()``.
-
-    Outside ``0 < lam < _SPARSE_RATE`` (zero, numpy's PTRS regime at
-    ``lam >= 10``, negative or NaN rates) this is ``rng.poisson``
-    itself, errors included.
+    For ``0 < lam < 10`` numpy draws by Knuth's multiplication method:
+    multiply ``next_double()`` uniforms until the product is
+    ``<= exp(-lam)``; the count of factors before that is the draw.  A
+    draw is 0 and consumes exactly one uniform iff its first uniform is
+    ``<= exp(-lam)`` -- over 99% of draws at sparse-feature rates.  The
+    walk fills raw 64-bit outputs in bulk, finds the rare exceedances
+    with one integer compare and walks only those in Python, on the
+    same double products numpy forms.  ``next_double()`` is
+    ``(raw >> 11) * 2**-53``, so a uniform exceeds ``exp(-lam)`` iff
+    ``raw >= (floor(exp(-lam) * 2**53) + 1) << 11``: both sides of the
+    float compare are exact multiples of ``2**-53``.  Each refill asks
+    for at most one output per draw still owed, so it never reads past
+    where numpy would stop; a draw that runs off the end of a buffer
+    finishes on scalar raw reads.
     """
-    if not 0.0 < lam < _SPARSE_RATE:
-        return rng.poisson(lam, size=size)
     limit = math.exp(-lam)
-    out = np.zeros(size, dtype=np.int64)
-    pos = 0  # next draw to fill
+    cut = math.floor(limit * 2.0**53) + 1
+    # At cut == 2**53 no 53-bit mantissa exceeds the limit (and the
+    # shifted threshold would overflow 64 bits).
+    threshold = np.uint64(cut << 11) if cut < 2**53 else None
+    fill = rng.bit_generator.random_raw
+    pos = 0  # next draw
     while pos < size:
-        uniforms = rng.random(min(size - pos, _UNIFORM_BUFFER))
-        n = len(uniforms)
+        raw = fill(min(size - pos, _UNIFORM_BUFFER))
+        n = len(raw)
         start = 0  # buffer index of the next draw's first uniform
-        for i in np.flatnonzero(uniforms > limit).tolist():
+        hits = [] if threshold is None else np.flatnonzero(raw >= threshold).tolist()
+        for i in hits:
             if i < start:
                 continue  # already consumed as a later factor of a draw
             pos += i - start  # the zero draws in between
-            product = float(uniforms[i])
+            product = (raw.item(i) >> 11) * _DOUBLE_UNIT
             count = 0
             i += 1
             while product > limit:
                 count += 1
-                product *= float(uniforms[i]) if i < n else rng.random()
+                bits = raw.item(i) if i < n else fill()
+                product *= (bits >> 11) * _DOUBLE_UNIT
                 i += 1
-            out[pos] = count
+            yield pos, count
             pos += 1
             start = i
         pos += max(n - start, 0)
+
+
+def poisson(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
+    """``rng.poisson(lam, size=size)``, bit for bit, faster at tiny ``lam``.
+
+    Returns the same int64 array and leaves ``rng.bit_generator.state``
+    exactly where numpy leaves it: for ``0 < lam < _SPARSE_RATE`` it
+    scatters :func:`_knuth_walk` into an array of zeros.  Any other
+    ``lam`` (zero, numpy's PTRS regime at ``lam >= 10``, negative or NaN
+    rates) is ``rng.poisson`` itself, errors included.
+    """
+    if not 0.0 < lam < _SPARSE_RATE:
+        return rng.poisson(lam, size=size)
+    out = np.zeros(size, dtype=np.int64)
+    for index, count in _knuth_walk(rng, lam, size):
+        out[index] = count
     return out
+
+
+def poisson_total(rng: np.random.Generator, lam: float, size: int) -> int:
+    """``int(rng.poisson(lam, size=size).sum())`` without the array.
+
+    Leaves ``rng.bit_generator.state`` where that draw leaves it.  For
+    ``0 < lam < _SPARSE_RATE`` it sums :func:`_knuth_walk`'s counts;
+    otherwise it sums ``rng.poisson`` in draws of at most
+    ``_UNIFORM_BUFFER`` (consecutive draws of ``a`` and ``b`` counts
+    consume a stream exactly like one of ``a + b``), raising numpy's
+    error for an invalid ``lam`` even at ``size == 0``.
+    """
+    if 0.0 < lam < _SPARSE_RATE:
+        return sum(count for _, count in _knuth_walk(rng, lam, size))
+    total, remaining = 0, size
+    while True:
+        chunk = min(remaining, _UNIFORM_BUFFER)
+        total += int(rng.poisson(lam, size=chunk).sum())
+        remaining -= chunk
+        if remaining == 0:
+            return total

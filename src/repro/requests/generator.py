@@ -37,23 +37,25 @@ while doing one RNG call per *table* instead of one per (request, table).
 
 The two item-scoped bulk draws -- the per-item counts in
 :meth:`RequestGenerator.generate_batch` and the pooling sample in
-:meth:`RequestGenerator.table_totals` -- go through
-:func:`repro.core.rng.poisson` instead of ``Generator.poisson``.  At
-these rates (2e-6 to 6e-3 in DRM1/2) numpy draws each count by Knuth's
-method, and over 99% of draws are a single uniform at or below
-``exp(-rate)``; the sampler fills those uniforms in bulk and walks only
-the rare exceedances, returning numpy's array and leaving the stream
-where numpy leaves it.  USER-scoped counts (rates up to ~19) stay on
-``Generator.poisson``, and so does the scalar :meth:`generate` on
-purpose: it is the independent oracle the bulk path, and with it the
-sampler, is pinned against.
+:meth:`RequestGenerator.table_totals` -- go through one exact sparse
+sampler instead of ``Generator.poisson``.  At these rates (2e-6 to 6e-3
+in DRM1/2) numpy draws each count by Knuth's method, and over 99% of
+draws are a single uniform at or below ``exp(-rate)``; the sampler's
+walk fills the raw outputs behind those uniforms in bulk, walks only
+the rare exceedances, and leaves the stream where numpy leaves it.
+``generate_batch`` scatters the walk into numpy's array
+(:func:`repro.core.rng.poisson`); ``table_totals`` only sums it
+(:func:`repro.core.rng.poisson_total`), so the pooling sample allocates
+no per-draw array and its memory stays flat in the sample size.
+USER-scoped counts (rates up to ~19) stay on ``Generator.poisson``, and
+so does the scalar :meth:`generate` on purpose: it is the independent
+oracle the bulk path, and with it the sampler, is pinned against.
 
-The same property lets :meth:`RequestGenerator.table_totals` cut each
-item-scoped table's draw into fixed-size chunks -- consecutive draws of
-``a`` and ``b`` counts consume a stream exactly like one draw of
-``a + b`` -- and, since no table's streams are shared with another's,
-draw the tables concurrently on every usable CPU and still return the
-same bits.
+Since no table's streams are shared with another's, both bulk methods
+draw their tables concurrently on every usable CPU and still return the
+same bits: every stream is resolved in the calling thread, one task
+per table draws from its own, and results are collected in table
+order.
 
 The same bulk-draw-equals-scalar-draws property is what the
 ``vectorized`` replay kernel leans on one layer up: a sweep generates
@@ -66,14 +68,17 @@ draws never interleave, so kernels can vectorize each independently.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TypeVar
 
 import numpy as np
 
 from repro.core.dlrm import NumericRequest, SparseInput
 from repro.core.host import usable_cpus
-from repro.core.rng import poisson, substream
+from repro.core.rng import poisson, poisson_total, substream
+from repro.core.types import seed as any_seed
 from repro.models.config import FeatureScope, ModelConfig, TableConfig
 
 _DAY_SECONDS = 86_400.0
@@ -130,6 +135,7 @@ class RequestGenerator:
     """
 
     def __init__(self, model: ModelConfig, seed: int = 0, diurnal_amplitude: float = 0.15):
+        any_seed.check("seed", seed)
         self.model = model
         self.seed = seed
         self.diurnal_amplitude = diurnal_amplitude
@@ -200,8 +206,12 @@ class RequestGenerator:
     def generate_batch(self, timestamps: np.ndarray) -> list[Request]:
         """Draw one request per timestamp with bulk per-table RNG calls.
 
-        The per-request assembly below deliberately iterates over plain
-        Python lists (``.tolist()``): models carry hundreds of tables, so
+        Tables are drawn concurrently, as in :meth:`table_totals`: every
+        substream is resolved here, each table's task draws its counts
+        and builds its :class:`SparseFeatureDraw` rows, and the requests
+        are assembled here in table order, so every ``draws`` dict keeps
+        the model's table order.  The rows are built over plain Python
+        lists (``.tolist()``): models carry hundreds of tables, so
         element-wise numpy indexing would dominate the bulk-draw win.
         """
         timestamps = np.asarray(timestamps, dtype=np.float64)
@@ -214,45 +224,21 @@ class RequestGenerator:
             Request(i, ts_list[i], items, {})
             for i, items in enumerate(num_items.tolist())
         ]
-
-        total_items = int(num_items.sum())
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(num_items, out=offsets[1:])
-        offset_list = offsets.tolist()
-
+        tasks = []
         for table in self.model.tables:
-            name = table.name
             if table.scope is FeatureScope.USER:
-                activated = (
-                    self._rng(name, "activation").random(size=count)
-                    < table.activation_prob
+                tasks.append(
+                    partial(_user_rows, table, count, *self._user_rngs(table))
                 )
-                if table.deterministic_ids:
-                    fixed = max(1, int(round(table.mean_ids)))
-                    for i in np.nonzero(activated)[0].tolist():
-                        requests[i].draws[name] = SparseFeatureDraw(name, fixed)
-                else:
-                    counts = self._rng(name, "counts").poisson(
-                        table.mean_ids, size=count
-                    )
-                    present = activated & (counts > 0)
-                    chosen = counts[present].tolist()
-                    for i, total in zip(np.nonzero(present)[0].tolist(), chosen):
-                        requests[i].draws[name] = SparseFeatureDraw(name, total)
             else:
                 rate = table.activation_prob * table.mean_ids
-                flat = poisson(self._rng(name, "per-item"), rate, total_items)
-                totals = np.add.reduceat(flat, offsets[:-1])
-                present = totals > 0
-                for i, total in zip(
-                    np.nonzero(present)[0].tolist(), totals[present].tolist()
-                ):
-                    # Copy, don't view: a view would pin each table's whole
-                    # scratch buffer, ballooning memory and defeating the
-                    # allocator's buffer reuse across tables.
-                    requests[i].draws[name] = SparseFeatureDraw(
-                        name, total, flat[offset_list[i] : offset_list[i + 1]].copy()
-                    )
+                rng = self._rng(table.name, "per-item")
+                tasks.append(partial(_item_rows, table.name, rng, rate, offsets))
+        for table, rows in zip(self.model.tables, _fan_out(tasks), strict=True):
+            for i, draw in rows:
+                requests[i].draws[table.name] = draw
         return requests
 
     def generate_many(self, count: int, window_days: float = 5.0) -> list[Request]:
@@ -275,51 +261,92 @@ class RequestGenerator:
         fan-out (``_rng`` mutates the stream dict); totals are collected
         in table order.
 
-        Item-scoped tables draw through the exact sparse sampler
-        :func:`repro.core.rng.poisson` in chunks of ``_POOLING_CHUNK``
-        and sum the chunks as exact integers.  Drawing ``a`` counts and
-        then ``b`` consumes a stream exactly like drawing ``a + b`` --
-        the bulk-equals-scalar property of the draw scheme -- so chunk
-        boundaries (which fall mid-request) change no draw, and peak
-        memory stays flat in the sample size.  USER-scoped tables draw
-        on ``Generator.poisson``.
+        Item-scoped tables are summed by the exact sparse sampler
+        :func:`repro.core.rng.poisson_total`, which returns the sum of
+        ``Generator.poisson``'s draws without allocating them: its
+        scratch is one refill of at most ``_UNIFORM_BUFFER`` raw
+        outputs however many requests are sampled.  USER-scoped tables
+        draw on ``Generator.poisson``.
         """
         timestamps = np.linspace(0.0, window_days * _DAY_SECONDS, count, endpoint=False)
         total_items = int(self._bulk_items(timestamps).sum())
         tasks = []
         for table in self.model.tables:
-            name = table.name
             if table.scope is FeatureScope.USER:
-                counts_rng = (
-                    None if table.deterministic_ids else self._rng(name, "counts")
+                tasks.append(
+                    partial(_user_total, table, count, *self._user_rngs(table))
                 )
-                tasks.append(partial(
-                    _user_total, table, count, self._rng(name, "activation"), counts_rng
-                ))
             else:
                 rate = table.activation_prob * table.mean_ids
                 tasks.append(partial(
-                    _item_total, self._rng(name, "per-item"), rate, total_items
+                    _item_total, self._rng(table.name, "per-item"), rate, total_items
                 ))
-        workers = min(usable_cpus(), len(tasks))
-        if workers <= 1:
-            values = [task() for task in tasks]
-        else:
-            # Imported here, not at module level: concurrent.futures pulls
-            # in logging (~10 ms), which every importer would otherwise
-            # pay at start-up.
-            from concurrent.futures import ThreadPoolExecutor
+        return {
+            table.name: value
+            for table, value in zip(self.model.tables, _fan_out(tasks), strict=True)
+        }
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                values = list(pool.map(operator.call, tasks))
-        return {table.name: value for table, value in zip(self.model.tables, values)}
+    def _user_rngs(
+        self, table: TableConfig
+    ) -> tuple[np.random.Generator, np.random.Generator | None]:
+        """A USER-scoped table's activation and count streams (None for
+        deterministic ids, which draw no counts)."""
+        activation_rng = self._rng(table.name, "activation")
+        if table.deterministic_ids:
+            return activation_rng, None
+        return activation_rng, self._rng(table.name, "counts")
 
 
-#: Draws per sampler call when :meth:`RequestGenerator.table_totals`
-#: sums an item-scoped table: bounds each thread's scratch arrays at
-#: 256 KiB apiece however many requests are sampled.  Matches the
-#: sampler's refill size, so a chunk costs one full refill.
-_POOLING_CHUNK = 32768
+_T = TypeVar("_T")
+
+
+def _fan_out(tasks: list[Callable[[], _T]]) -> Iterator[_T]:
+    """Every task's result, in task order, run on :func:`usable_cpus`
+    threads (inline when there is one).  Results are yielded as the
+    caller iterates, so its assembly overlaps the tasks still running
+    and can drop each result before the last task finishes."""
+    workers = min(usable_cpus(), len(tasks))
+    if workers <= 1:
+        yield from map(operator.call, tasks)
+        return
+    # Imported here, not at module level: concurrent.futures pulls in
+    # logging (~10 ms), which every importer would otherwise pay at
+    # start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(operator.call, tasks)
+
+
+def _user_counts(
+    table: TableConfig,
+    count: int,
+    activation_rng: np.random.Generator,
+    counts_rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The requests a USER-scoped table is present in, and their id counts."""
+    activated = activation_rng.random(size=count) < table.activation_prob
+    if counts_rng is None:
+        present = np.flatnonzero(activated)
+        return present, np.full(len(present), max(1, int(round(table.mean_ids))))
+    counts = counts_rng.poisson(table.mean_ids, size=count)
+    present = np.flatnonzero(activated & (counts > 0))
+    return present, counts[present]
+
+
+def _user_rows(
+    table: TableConfig,
+    count: int,
+    activation_rng: np.random.Generator,
+    counts_rng: np.random.Generator | None,
+) -> list[tuple[int, SparseFeatureDraw]]:
+    """``(request, draw)`` rows of one USER-scoped table."""
+    present, totals = _user_counts(table, count, activation_rng, counts_rng)
+    name = table.name
+    return [
+        (i, SparseFeatureDraw(name, total))
+        for i, total in zip(present.tolist(), totals.tolist())
+    ]
 
 
 def _user_total(
@@ -329,21 +356,31 @@ def _user_total(
     counts_rng: np.random.Generator | None,
 ) -> float:
     """Ids one USER-scoped table contributes over ``count`` requests."""
-    activated = activation_rng.random(size=count) < table.activation_prob
-    if counts_rng is None:
-        fixed = max(1, int(round(table.mean_ids)))
-        return float(fixed * int(activated.sum()))
-    counts = counts_rng.poisson(table.mean_ids, size=count)
-    return float(counts[activated].sum())
+    _, totals = _user_counts(table, count, activation_rng, counts_rng)
+    return float(totals.sum())
+
+
+def _item_rows(
+    name: str, rng: np.random.Generator, rate: float, offsets: np.ndarray
+) -> list[tuple[int, SparseFeatureDraw]]:
+    """``(request, draw)`` rows of one ITEM-scoped table; request ``i``
+    owns items ``offsets[i]:offsets[i + 1]``."""
+    flat = poisson(rng, rate, int(offsets[-1]))
+    totals = np.add.reduceat(flat, offsets[:-1])
+    present = np.flatnonzero(totals > 0)
+    bounds = offsets.tolist()
+    # Copy, don't view: a view would pin the table's whole scratch
+    # buffer, ballooning memory and defeating the allocator's buffer
+    # reuse across tables.
+    return [
+        (i, SparseFeatureDraw(name, total, flat[bounds[i] : bounds[i + 1]].copy()))
+        for i, total in zip(present.tolist(), totals[present].tolist())
+    ]
 
 
 def _item_total(rng: np.random.Generator, rate: float, size: int) -> float:
-    """Sum of ``size`` Poisson(``rate``) draws, drawn chunk by chunk."""
-    chunk = _POOLING_CHUNK
-    total = 0
-    for start in range(0, size, chunk):
-        total += int(poisson(rng, rate, min(chunk, size - start)).sum())
-    return float(total)
+    """Sum of ``size`` Poisson(``rate``) draws."""
+    return float(poisson_total(rng, rate, size))
 
 
 def request_payload_bytes(model: ModelConfig, request: Request) -> float:

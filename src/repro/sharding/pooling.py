@@ -12,12 +12,12 @@ The sum comes from
 never materializes a request: it draws each table from its own
 substreams, with the tables spread over a thread pool sized to the
 usable CPUs.  Item-scoped tables -- nearly all of the sample's draws --
-go through the exact sparse sampler :func:`repro.core.rng.poisson` in
-fixed-size chunks summed as exact integers.  The sampler returns
-``Generator.poisson``'s bits and leaves each stream where numpy would;
-neither it, the chunking nor the threading moves a draw, so the
-estimate is bit-identical to summing the generated requests, on any
-number of CPUs.
+are summed by the exact sparse sampler
+:func:`repro.core.rng.poisson_total` as exact integers, with no per-draw
+array.  The sampler returns the sum of ``Generator.poisson``'s draws and
+leaves each stream where numpy would; neither it nor the threading
+moves a draw, so the estimate is bit-identical to summing the generated
+requests, on any number of CPUs.
 
 Estimates are memoized per (model tables/profile, num_requests, seed):
 the suite runner and the benchmark conftest ask for the same estimate for
@@ -27,6 +27,7 @@ every serving variant of a model, and the sampling itself is pure.
 from __future__ import annotations
 
 from repro.core.types import count
+from repro.core.types import seed as any_seed
 from repro.models.config import ModelConfig
 from repro.requests.generator import RequestGenerator
 
@@ -53,6 +54,7 @@ def estimate_pooling_factors(
     strategies can place cold tables too.
     """
     count.check("num_requests", num_requests)
+    any_seed.check("seed", seed)
     key = _cache_key(model, num_requests, seed)
     cached = _CACHE.get(key)
     if cached is None:

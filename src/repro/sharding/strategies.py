@@ -197,10 +197,10 @@ class NetSpecificBinPacking(ShardingStrategy):
         # Bin count decreases (weakly) as the limit grows: bisect.
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if count(mid) > num_shards:
-                lo = mid
-            else:
-                hi = mid
+            bracket = (mid, hi) if count(mid) > num_shards else (lo, mid)
+            if bracket == (lo, hi):
+                break  # a fixed point: every later step would repeat this one
+            lo, hi = bracket
         if count(hi) == num_shards:
             return hi
         # The count function can jump past the target; scan a fine grid

@@ -8,8 +8,9 @@ The fast path must be *exactly* the slow path, faster:
   arrays, same attribution stacks) for the same settings, including
   the default count, a sweep started inside a pool worker, and a
   co-located mix sweep (idle arrivals columnar, busy periods on the DES);
-* the pooling-factor sample must be the same bits on any thread count
-  and chunk size, and memoization must not change estimates;
+* the pooling-factor sample and the bulk generator must be the same
+  bits on any thread count (the sample on any refill size too), and
+  memoization must not change estimates;
 * columnar ``RunResult`` storage must agree with the span oracle's
   per-request attributions.
 """
@@ -33,6 +34,7 @@ from repro.experiments import (
     suite_requests,
 )
 import repro.experiments.parallel as parallel_module
+import repro.core.rng as rng_module
 import repro.requests.generator as generator_module
 from repro.core.rng import substream
 from repro.models import FeatureScope, drm1, drm2, drm3
@@ -103,8 +105,9 @@ class TestGeneratorEquivalence:
 
 
 class TestThreadedPoolingSample:
-    """``table_totals`` fans tables out over threads and chunks the
-    item-scoped draws; neither may move a bit of the result."""
+    """``table_totals`` fans tables out over threads and sums the
+    item-scoped draws refill by refill; neither may move a bit of the
+    result."""
 
     @pytest.mark.parametrize("model_factory", [drm1, drm2, drm3])
     def test_identical_on_any_worker_count(self, model_factory, monkeypatch):
@@ -124,12 +127,12 @@ class TestThreadedPoolingSample:
         assert list(results[1]) == list(results[2]) == list(results[8])
 
     def test_chunked_draw_matches_one_unchunked_draw(self, monkeypatch):
-        """A chunk size of 7 puts chunk boundaries mid-request; the sum
+        """A refill size of 7 puts refill boundaries mid-request; the sum
         still equals one ``poisson(size=N)`` draw from a fresh stream,
         and leaves the stream exactly where that draw leaves it."""
         model = drm1()
         count, seed = 12, 13
-        monkeypatch.setattr(generator_module, "_POOLING_CHUNK", 7)
+        monkeypatch.setattr(rng_module, "_UNIFORM_BUFFER", 7)
         generator = RequestGenerator(model, seed=seed)
         totals = generator.table_totals(count)
         timestamps = np.linspace(0.0, 5.0 * _DAY_SECONDS, count, endpoint=False)
@@ -143,6 +146,28 @@ class TestThreadedPoolingSample:
             assert totals[table.name] == float(rng.poisson(rate, size=size).sum())
             drawn = generator._rng(table.name, "per-item")
             assert drawn.bit_generator.state == rng.bit_generator.state
+
+
+class TestThreadedGeneration:
+    """``generate_batch`` fans tables out over the same threads as
+    ``table_totals`` and assembles the requests in table order."""
+
+    @pytest.mark.parametrize("model_factory", [drm1, drm2, drm3])
+    def test_identical_on_any_worker_count(self, model_factory, monkeypatch):
+        model = model_factory()
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(generator_module, "usable_cpus", lambda w=workers: w)
+                results[workers] = RequestGenerator(model, seed=11).generate_many(40)
+        finally:
+            sys.setswitchinterval(interval)
+        for workers in (2, 8):
+            _assert_requests_equal(results[1], results[workers])
+            for one, many in zip(results[1], results[workers]):
+                assert list(one.draws) == list(many.draws)
 
 
 class TestPoolingMemoization:

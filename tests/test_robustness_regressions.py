@@ -3,8 +3,9 @@ trace-mode fast path: empty-run per-shard means, REPRO_SWEEP_WORKERS /
 SuiteSettings / CLI request- and worker-count validation, CLI flag-value
 validation before any replay, the removed ``--trace-mode``/``--kernel``
 flags and replay knobs, the CLI profile's one-worker pin,
-replay-schedule seeding, non-finite and non-integral library inputs,
-and the degenerate behaviors of the median-window stack means.
+replay-schedule seeding, non-finite and non-integral library inputs
+(request and pooling seeds included), and the degenerate behaviors of
+the median-window stack means.
 """
 
 import math
@@ -22,6 +23,7 @@ from repro.experiments.parallel import WORKERS_ENV
 from repro.experiments.runner import RunResult
 from repro.models import drm1
 from repro.requests import ReplaySchedule
+from repro.requests.generator import RequestGenerator
 from repro.resilience import ResiliencePolicy
 from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.simulation.costmodel import CostModel
@@ -366,6 +368,27 @@ class TestLibraryInputsFailLoudly:
     def test_pooling_estimate_rejects_non_integral_counts(self, bad):
         with pytest.raises(ValueError, match="num_requests must be an integer >= 1"):
             estimate_pooling_factors(drm1(), num_requests=bad)
+
+    @pytest.mark.parametrize("bad", [2.7, True, "3", math.nan, None])
+    def test_request_generator_rejects_non_integral_seeds(self, bad):
+        # 2.7 replayed seed 2, True seed 1, and "3" seed 3.
+        with pytest.raises(ValueError, match="seed must be an integer, got"):
+            RequestGenerator(drm1(), seed=bad)
+
+    @pytest.mark.parametrize("bad", [42.9, True, "42"])
+    def test_pooling_estimate_rejects_non_integral_seeds(self, bad):
+        # 42.9 returned seed 42's estimate under a different cache key.
+        with pytest.raises(ValueError, match="seed must be an integer, got"):
+            estimate_pooling_factors(drm1(), num_requests=5, seed=bad)
+
+    def test_seeds_accept_numpy_integers(self):
+        model = drm1()
+        assert estimate_pooling_factors(
+            model, num_requests=5, seed=np.int64(42)
+        ) == estimate_pooling_factors(model, num_requests=5, seed=42)
+        assert RequestGenerator(model, seed=np.int32(3)).table_totals(
+            5
+        ) == RequestGenerator(model, seed=3).table_totals(5)
 
     def test_fault_schedule_accepts_numpy_integers(self):
         schedule = FaultSchedule(replicas=np.int64(2), domains=np.int32(3))

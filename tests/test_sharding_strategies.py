@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.types import GIB
 from repro.models import drm1, drm2, drm3
+from repro.models.config import ModelConfig
 from repro.sharding import (
     STRATEGIES,
     ShardingError,
@@ -17,6 +18,7 @@ from repro.sharding import (
     pooling_by_shard,
     singular_plan,
 )
+from repro.sharding.strategies import NetSpecificBinPacking
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +180,64 @@ class TestNSBP:
     def test_requires_shard_per_net(self, model_drm1):
         with pytest.raises(ShardingError):
             STRATEGIES["NSBP"].build_plan(model_drm1, 1)
+
+    @pytest.mark.parametrize("model_factory", [drm1, drm2, drm3])
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_search_stops_at_its_fixed_point(
+        self, model_factory, num_shards, monkeypatch
+    ):
+        """The bisection stops once a step leaves its bracket unchanged;
+        limit and plan equal those of the full 200-step loop."""
+        model = model_factory()
+        calls = []
+        pack = NetSpecificBinPacking._pack
+
+        def counting_pack(model, limit):
+            calls.append(limit)
+            return pack(model, limit)
+
+        expected = _outcome(_FullBisectionNSBP(), model, num_shards)
+        assert _outcome(NetSpecificBinPacking(), model, num_shards) == expected
+        monkeypatch.setattr(NetSpecificBinPacking, "_pack", staticmethod(counting_pack))
+        NetSpecificBinPacking()._search_limit(model, num_shards)
+        assert len(calls) <= 60  # 55-57 on these models, 201 without the exit
+
+
+def _outcome(strategy, model, num_shards):
+    """(limit, plan) of an NSBP search, or its error message."""
+    try:
+        return strategy._search_limit(model, num_shards), strategy.build_plan(
+            model, num_shards
+        )
+    except ShardingError as error:
+        return str(error)
+
+
+class _FullBisectionNSBP(NetSpecificBinPacking):
+    """The limit search with no early exit: always 200 bisection steps."""
+
+    def _search_limit(self, model: ModelConfig, num_shards: int) -> float:
+        total = sum(t.nbytes for t in model.tables)
+        lo, hi = total / (4 * num_shards), total * 1.01
+
+        def count(limit: float) -> int:
+            return len(self._pack(model, limit))
+
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if count(mid) > num_shards:
+                lo = mid
+            else:
+                hi = mid
+        if count(hi) == num_shards:
+            return hi
+        for factor in [1.0 + k * 0.002 for k in range(-150, 151)]:
+            limit = hi * factor
+            if limit > 0 and count(limit) == num_shards:
+                return limit
+        raise ShardingError(
+            f"NSBP: no size limit yields exactly {num_shards} shards for {model.name}"
+        )
 
 
 class TestPoolingEstimator:
