@@ -4,23 +4,23 @@ This module is the serving-side half of the vectorized fast path (the
 evaluator half lives in :mod:`repro.simulation.vectorized`): it decides
 *whether* a run may use the evaluator (:func:`vectorized_ineligibility`),
 builds every execution plan as per-chunk numpy columns
-(:func:`build_chunk_plans`, the only plan builder; :func:`row_plans`
-reads one request's plans back for the DES), and installs the hook
-through which the DES offers the evaluator every request that arrives
-at an idle cluster (:func:`idle_arrival_cluster`).  Every replay --
-serial closed-loop, open-loop, or a co-located mix, under any kernel --
-runs on the DES driver; plans are built per tenant over chunks of
-stream positions, for every request, and a request no chunk holds (a
-bare cluster's) gets a one-request chunk.
+(:func:`build_chunk_plans`, the only plan builder, whose
+:class:`ChunkPlans` is the one plan object both replay paths read), and
+installs the hook through which the DES offers the evaluator every
+request that arrives at an idle cluster (:func:`idle_arrival_cluster`).
+Every replay -- serial closed-loop, open-loop, or a co-located mix,
+under any kernel -- runs on the DES driver; plans are built per tenant
+over chunks of stream positions, for every request, and a request no
+chunk holds (a bare cluster's) gets a one-request chunk.
 The evaluator commits a request if it completes strictly before the
 next arrival (for a serial run the next arrival is the request's own
 completion, so the horizon is ``+inf``) -- its batches queueing FIFO for
 the worker pools, unless two acquires on one pool tie at one exact time
-and one waits -- and the DES replays the rest, reading each request's
-plans from the same chunk rows (:meth:`_IdleArrivals.plans`), so one build
-serves both paths.  One :class:`VectorizedColumns` collector is the
-run's tracer, so both replay paths fill one set of columns in
-completion order.
+and one waits -- and the DES replays the rest from the same chunk row
+(:meth:`_IdleArrivals.locate` finds it for both), so one build serves
+both paths.  One :class:`VectorizedColumns` collector is the run's
+tracer, so both replay paths fill one set of columns in completion
+order.
 
 Bit-exactness
 =============
@@ -55,9 +55,10 @@ Chunking bounds peak memory at O(chunk_size), not O(num_requests): a
 chunk's cost columns are built, replayed and released when the replay
 moves past the chunk's positions, before the next chunk is built, and
 no cost column outlives the run.  The per-target RPC costs stay
-float64 numpy planes until the evaluator (or, for a request the DES
-replays, :meth:`_IdleArrivals.plans`) turns one request's rows into
-Python floats, so boxed floats exist only for the requests in flight.
+float64 numpy planes until a replay path starts a request: the
+evaluator, or the DES for a request the evaluator declines, lists that
+one request's rows into Python floats, so boxed floats exist only for
+the requests in flight.
 Only the integer counts are kept: per batch-count group, one int64
 stack per net of shape (tables + 1, requests, batches) -- a plane per
 table in ``tables_for_net`` order, zero for a table the group never
@@ -79,14 +80,8 @@ import numpy as np
 from repro.core.types import US
 from repro.models.config import FeatureScope, ModelConfig, TableConfig
 from repro.requests.generator import Request
-from repro.serving.simulator import (
-    ClusterSimulation,
-    ServingConfig,
-    _NetBatchPlan,
-    _ShardLookups,
-    _Tenant,
-)
-from repro.sharding.plan import ShardingPlan, ShardSpec
+from repro.serving.simulator import ClusterSimulation, ServingConfig, _Tenant
+from repro.sharding.plan import ShardingPlan
 from repro.simulation.vectorized import (
     ChunkPlans,
     NetColumns,
@@ -98,7 +93,6 @@ from repro.simulation.vectorized import (
 __all__ = [
     "build_chunk_plans",
     "idle_arrival_cluster",
-    "row_plans",
     "vectorized_ineligibility",
 ]
 
@@ -355,7 +349,8 @@ def build_chunk_plans(
     numpy pass per (group, net) computes every routing slot at once over
     (slot, table, request, batch) arrays.  Every request gets a row, read
     by the evaluator or, for a request it declines, by the DES
-    (:func:`row_plans`).
+    (:meth:`ClusterSimulation._serve_request`); both read the same
+    fields of the same row.
     """
     config = sim.config
     model = tenant.model
@@ -510,39 +505,6 @@ def build_chunk_plans(
     )
 
 
-def row_plans(
-    chunk: ChunkPlans, row: int, routing: dict[str, list[tuple[ShardSpec, list]]]
-) -> dict[str, list[_NetBatchPlan]]:
-    """The DES's per-net, per-batch plans for ``chunk``'s request ``row``
-    (``routing`` is its tenant's ``net_routing``)."""
-    plans: dict[str, list[_NetBatchPlan]] = {}
-    for name, net in zip(chunk.net_names, chunk.nets):
-        dense = net.dense[row]
-        local = net.local[row] if chunk.singular else [0.0] * len(dense)
-        # Slots outer, batches inner: each batch lists its targets in
-        # routing order (a singular net has no slot).  A row is the
-        # active plane, then eight cost planes in the _ShardLookups
-        # argument order.
-        batch_targets: list[list[_ShardLookups]] = [[] for _ in dense]
-        for (shard, _pairs), target in zip(routing[name], net.targets):
-            active, cst, sdes, sov, slw, srs, crd, reqb, respb = (
-                target.rows[row].tolist()
-            )
-            for b, targets in enumerate(batch_targets):
-                if active[b]:
-                    targets.append(_ShardLookups(
-                        shard, cst[b], sdes[b], sov[b], slw[b], srs[b],
-                        crd[b], reqb[b], respb[b],
-                    ))
-        plans[name] = [
-            _NetBatchPlan(overhead, dense_total, targets, work)
-            for overhead, dense_total, targets, work in zip(
-                net.overhead[row], dense, batch_targets, local
-            )
-        ]
-    return plans
-
-
 # -- the idle-arrival hook ----------------------------------------------------
 class _IdleArrivals:
     """The columnar hook :meth:`ClusterSimulation.run_serial` and
@@ -550,17 +512,12 @@ class _IdleArrivals:
 
     Plans are built per chunk of ``chunk_size`` stream positions, per
     tenant, when the first request of the chunk asks for one, and
-    released when the stream moves to the next chunk.  Called with the
-    cluster, a stream position, the tenant and request the stream holds
-    there, the driver's clock and the next arrival's clock (the horizon)
-    when a request arrives at an idle cluster, it returns the completion
-    time of a committed request, or ``None`` when the DES must replay it
-    (there is no evaluator, the stream's request is not the one planned
-    at that position, its acquires tie on a worker pool, or it would not
-    finish strictly before the next arrival).  :meth:`plans` then hands
-    the DES that request's plans, read from the same rows.  The hook
-    holds no reference to the cluster, so a finished cluster is freed at
-    once.
+    released when the stream moves to the next chunk.  :meth:`locate`
+    finds an arrival's chunk row, which both replay paths read:
+    :meth:`offer` replays it on the evaluator when it arrives at an idle
+    cluster, and the DES replays it from the same row when the offer is
+    declined.  The hook holds no reference to the cluster, so a finished
+    cluster is freed at once.
     """
 
     def __init__(
@@ -598,13 +555,13 @@ class _IdleArrivals:
                 rows[offset] = (plans, row)
         self._chunk = chunk
 
-    def _row(
+    def locate(
         self, cluster: ClusterSimulation, position: int, tenant: int,
         request: Request,
     ) -> tuple[ChunkPlans, int] | None:
-        """The plans and row of the request at ``position``, building its
+        """The chunk and row of the request at ``position``, building its
         chunk first if needed; ``None`` for a stream entry that is not
-        the request planned there."""
+        the request planned there (the DES plans it alone)."""
         # Plans exist only for the requests the cluster was built with;
         # any other stream entry is the DES's to plan.
         if (
@@ -618,31 +575,19 @@ class _IdleArrivals:
             self._build(cluster, chunk)
         return self._rows[offset]
 
-    def __call__(
-        self, cluster: ClusterSimulation, position: int, tenant: int,
-        request: Request, now: float, horizon: float,
+    def offer(
+        self, located: tuple[ChunkPlans, int], now: float, horizon: float
     ) -> float | None:
+        """The completion time of the located request replayed from
+        ``now`` and committed, or ``None`` when the DES must replay it:
+        there is no evaluator, its acquires tie on a worker pool, or it
+        would not finish strictly before the next arrival's clock
+        ``horizon``."""
         if self.evaluator is None:
-            return None
-        located = self._row(cluster, position, tenant, request)
-        if located is None:
             return None
         plans, row = located
         t_end = self.evaluator.replay_chunk(plans, now, row, horizon)
         return t_end if t_end < horizon else None
-
-    def plans(
-        self, cluster: ClusterSimulation, position: int, tenant: int,
-        request: Request,
-    ) -> dict[str, list[_NetBatchPlan]] | None:
-        """The DES's per-net, per-batch plans for the request at
-        ``position`` (:func:`row_plans`); ``None`` for a stream entry the
-        chunk holds no row for, so the DES plans it alone."""
-        located = self._row(cluster, position, tenant, request)
-        if located is None:
-            return None
-        chunk, row = located
-        return row_plans(chunk, row, cluster.tenants[tenant].net_routing)
 
 
 def idle_arrival_cluster(

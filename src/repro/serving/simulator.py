@@ -35,14 +35,13 @@ substream key and is byte-identical to the pre-tenant implementation.
 
 Fast path: every cost a request will be charged is a pure function of
 (request, plan, cost model) -- none depends on simulation time -- so the
-per-(batch, net) RPC fan-outs, payload sizes, serde times, and SLS times
-are precomputed once per request instead of being rediscovered inside
-the DES hot loop, by the one columnar plan builder
-(:func:`repro.serving.columnar.build_chunk_plans`): from the chunk the
-idle-arrival hook builds over an experiment's requests, or from a
-one-request chunk for a request no chunk holds.  It reproduces the
-original per-span float-operation order exactly, so the plans are
-byte-identical to the per-batch path they replaced.
+DES computes none: it reads them from the request's row of the
+:class:`~repro.simulation.vectorized.ChunkPlans` the columnar evaluator
+reads, listed to Python floats once when the request starts.  The row
+is the one the idle-arrival hook located, or a one-request chunk's for
+a request no chunk holds; the one plan builder
+(:func:`repro.serving.columnar.build_chunk_plans`) keeps the per-span
+float-operation order exactly.
 """
 
 from __future__ import annotations
@@ -62,13 +61,14 @@ from repro.core.types import (
     checked,
     count,
     finite_non_negative,
+    integer,
     optional,
 )
 from repro.core.types import seed as any_seed
 from repro.models.config import ModelConfig, TableConfig
-from repro.requests.generator import Request, request_payload_bytes
+from repro.requests.generator import Request
 from repro.sharding.plan import ShardingPlan, ShardSpec
-from repro.simulation.costmodel import CostModel, ranking_response_bytes
+from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import (
     DEFAULT_KERNEL,
     KERNELS,
@@ -85,6 +85,7 @@ if TYPE_CHECKING:
     from repro.chaos.faults import FaultSchedule
     from repro.resilience.policy import ResiliencePolicy
     from repro.serving.columnar import _IdleArrivals
+    from repro.simulation.vectorized import ChunkPlans
 
 _SERDE = Layer.SERDE
 _OPERATOR = Layer.OPERATOR
@@ -220,67 +221,6 @@ class SimServer:
         start = max(self.engine.now, self.egress_free)
         self.egress_free = start + wire
         return (start - self.engine.now) + wire
-
-
-@dataclass(frozen=True, slots=True)
-class _Batch:
-    index: int
-    start_item: int
-    stop_item: int
-
-    @property
-    def items(self) -> int:
-        return self.stop_item - self.start_item
-
-
-class _ShardLookups:
-    """One active (batch, net, shard) RPC with all its precomputed costs."""
-
-    __slots__ = (
-        "shard",
-        "client_ser_total",
-        "server_deser",
-        "server_overhead",
-        "sls_work",
-        "server_resp_ser",
-        "client_resp_deser",
-        "req_bytes",
-        "resp_bytes",
-    )
-
-    def __init__(
-        self,
-        shard: ShardSpec,
-        client_ser_total: float,
-        server_deser: float,
-        server_overhead: float,
-        sls_work: float,
-        server_resp_ser: float,
-        client_resp_deser: float,
-        req_bytes: float,
-        resp_bytes: float,
-    ):
-        self.shard = shard
-        self.client_ser_total = client_ser_total
-        self.server_deser = server_deser
-        self.server_overhead = server_overhead
-        self.sls_work = sls_work
-        self.server_resp_ser = server_resp_ser
-        self.client_resp_deser = client_resp_deser
-        self.req_bytes = req_bytes
-        self.resp_bytes = resp_bytes
-
-
-class _NetBatchPlan:
-    """Precomputed execution plan for one (request, net, batch)."""
-
-    __slots__ = ("overhead", "dense_total", "targets", "local_work")
-
-    def __init__(self, overhead: float, dense_total: float, targets, local_work: float):
-        self.overhead = overhead
-        self.dense_total = dense_total
-        self.targets = targets
-        self.local_work = local_work
 
 
 class _Tenant:
@@ -450,19 +390,20 @@ class ClusterSimulation:
         self.completed: dict[int, float] = {}
         self.on_complete: Callable[[int], None] | None = None
         self.dropped_requests: list[int] = []
-        #: Requests handed to the DES (:meth:`submit`) so far.
+        #: Ids of every request the cluster has taken (:meth:`_take`).
+        self._taken: set[int] = set()
+        #: Requests handed to the DES (:meth:`_start`) so far.
         self.des_requests = 0
         #: Optional columnar hook for :meth:`run_serial` and
-        #: :meth:`run_stream` (see :meth:`_offer` and :meth:`_submit_at`),
-        #: installed by
-        #: :func:`repro.serving.columnar.idle_arrival_cluster`: called as
-        #: ``(cluster, position, tenant, request, now, horizon)`` for a
-        #: request that arrives at an idle cluster; returns the
-        #: completion time when it replayed and committed the request
-        #: (its row, ``completed`` entry and every cluster state the DES
-        #: would have left), ``None`` when the DES must replay it.  Its
-        #: ``plans(cluster, position, tenant, request)`` gives the DES a
-        #: request's plans (``None``: a one-request chunk's).
+        #: :meth:`run_stream` (see :meth:`_arrive`), installed by
+        #: :func:`repro.serving.columnar.idle_arrival_cluster`: its
+        #: ``locate(cluster, position, tenant, request)`` gives every
+        #: arrival's ``(chunk, row)`` (``None``: the DES plans it in a
+        #: one-request chunk), and its ``offer(located, now, horizon)``
+        #: replays a request that arrives at an idle cluster, returning
+        #: the completion time when it committed the request (its row,
+        #: ``completed`` entry and every cluster state the DES would have
+        #: left), ``None`` when the DES must replay it.
         self.idle_arrival: _IdleArrivals | None = None
         policy = self.config.resilience
         live_policy = policy is not None and not policy.is_empty
@@ -537,6 +478,10 @@ class ClusterSimulation:
             _Tenant(index, model, plan, self.config)
             for index, (model, plan) in enumerate(tenants)
         ]
+        self._tenant_index = integer(
+            f"an integer in [0, {len(tenants)})",
+            lambda value: 0 <= value < len(tenants),
+        )
         # Per-message serde denominators depend only on the cost model and
         # platforms, which every tenant shares.
         cm = self.config.cost_model
@@ -546,17 +491,6 @@ class ClusterSimulation:
         self._serde_denom_sparse = (
             cm.serde_bytes_per_sec * self.config.sparse_platform.relative_clock
         )
-
-    # -- batching ------------------------------------------------------------
-    def _batches(self, tenant: _Tenant, request: Request) -> list[_Batch]:
-        size = self.config.batch_size or tenant.model.profile.batch_size
-        count = min(-(-request.num_items // size), self.config.max_batches)
-        edges = [
-            round(index * request.num_items / count) for index in range(count)
-        ] + [request.num_items]
-        return [
-            _Batch(i, edges[i], edges[i + 1]) for i in range(count)
-        ]
 
     # -- lookup routing --------------------------------------------------------
     def _partition_split(self, request: Request, table: TableConfig, count: int, parts: int) -> np.ndarray:
@@ -570,27 +504,49 @@ class ClusterSimulation:
         return rng.multinomial(count, [1.0 / parts] * parts)
 
     # -- request lifecycle -------------------------------------------------------
+    def _take(self, request: Request, tenant: Any) -> int:
+        """Admit a request where the cluster first takes it: its tenant
+        must index one of the cluster's tenants, and its id must be new
+        to the cluster.  Returns the tenant index."""
+        tenant = self._tenant_index.check("tenant", tenant)
+        rid = request.request_id
+        if rid in self._taken:
+            raise ValueError(
+                f"request id {rid} was already submitted to this cluster; "
+                f"ids must be unique across all tenants of a run"
+            )
+        self._taken.add(rid)
+        return tenant
+
     def submit(
         self,
         request: Request,
         tenant: int = 0,
-        plans: dict[str, list[_NetBatchPlan]] | None = None,
+        located: tuple[ChunkPlans, int] | None = None,
     ) -> Event:
         """Inject one request now (for ``tenant``); returns its completion
         event.  Request ids must be unique across all tenants of a run.
-        ``plans`` are the request's precomputed (net -> per-batch) plans;
-        ``None`` builds them from a one-request columnar chunk."""
-        self.des_requests += 1
-        return self.engine.process(
-            self._serve_request(self.tenants[tenant], request, plans)
-        )
+        ``located`` is the chunk and row holding the request's plans;
+        ``None`` plans it in a one-request chunk."""
+        return self._start(request, self._take(request, tenant), located)
 
-    def _serve_request(
+    def _start(
         self,
-        tenant: _Tenant,
         request: Request,
-        plans: dict[str, list[_NetBatchPlan]] | None,
-    ):
+        tenant: int,
+        located: tuple[ChunkPlans, int] | None,
+    ) -> Event:
+        """Hand an admitted request to the DES."""
+        if located is None:
+            # No chunk holds this request (a bare cluster, or a stream
+            # entry the idle-arrival hook did not plan).
+            from repro.serving.columnar import build_chunk_plans
+
+            located = (build_chunk_plans(self, self.tenants[tenant], [request]), 0)
+        self.des_requests += 1
+        return self.engine.process(self._serve_request(request, *located))
+
+    def _serve_request(self, request: Request, chunk: ChunkPlans, row: int):
         engine, cm, main = self.engine, self.config.cost_model, self.main
         record = self._record
         rid = request.request_id
@@ -598,41 +554,46 @@ class ClusterSimulation:
         res = self._resilience
         if res is not None:
             res.start_request(rid)
+        # The request's row, listed once: the head and tail serde, the
+        # batch count, and per net its name, per-batch overhead, dense
+        # and (singular) local work, and per routing slot its shard index
+        # and per-batch cost tuples (the nine planes of TargetColumns,
+        # batch-major).  No reference to the chunk outlives the listing,
+        # so the chunk is freed when the replay moves past it.
+        head, tail, nb = chunk.head_deser[row], chunk.tail_ser[row], chunk.nb[row]
+        nets = [
+            (
+                name,
+                net.overhead[row],
+                net.dense[row],
+                net.local[row] if chunk.singular else None,
+                [
+                    (shard, target.rows[row].T.tolist())
+                    for shard, target in zip(shards, net.targets)
+                ],
+            )
+            for name, net, shards in zip(chunk.net_names, chunk.nets, chunk.shard_of)
+        ]
+        del chunk
 
         yield main.workers.acquire()
         t0 = engine.now
-        deser = cm.serde_time(
-            request_payload_bytes(tenant.model, request),
-            main.platform,
-            tables=len(request.draws),
-        )
-        yield deser
-        record(rid, MAIN_SHARD, main, _SERDE, "request_deser", t0, engine.now, deser)
-        t0 = engine.now
+        yield head
+        record(rid, MAIN_SHARD, main, _SERDE, "request_deser", t0, engine.now, head)
         yield cm.request_handler_fixed
         handler_cpu = cm.request_handler_fixed
         main.workers.release()
 
-        batches = self._batches(tenant, request)
-        if plans is None:
-            # No chunk holds this request (a bare cluster, or a stream
-            # entry the idle-arrival hook did not plan).
-            from repro.serving.columnar import build_chunk_plans, row_plans
-
-            plans = row_plans(
-                build_chunk_plans(self, tenant, [request]), 0, tenant.net_routing
-            )
         batch_events = [
-            engine.process(self._run_batch(tenant, request, batch, plans))
-            for batch in batches
+            engine.process(self._run_batch(request, bindex, nets))
+            for bindex in range(nb)
         ]
         yield engine.all_of(batch_events)
 
         yield main.workers.acquire()
         t0 = engine.now
-        ser = cm.serde_time(ranking_response_bytes(request.num_items), main.platform)
-        yield ser
-        record(rid, MAIN_SHARD, main, _SERDE, "response_ser", t0, engine.now, ser)
+        yield tail
+        record(rid, MAIN_SHARD, main, _SERDE, "response_ser", t0, engine.now, tail)
         yield cm.response_handler_fixed
         handler_cpu += cm.response_handler_fixed
         main.workers.release()
@@ -649,27 +610,16 @@ class ClusterSimulation:
         if self.on_complete is not None:
             self.on_complete(rid)
 
-    def _run_batch(
-        self,
-        tenant: _Tenant,
-        request: Request,
-        batch: _Batch,
-        plans: dict[str, list[_NetBatchPlan]],
-    ):
-        engine, cm, main = self.engine, self.config.cost_model, self.main
+    def _run_batch(self, request: Request, bindex: int, nets: list):
+        engine, main = self.engine, self.main
         record = self._record
         rid = request.request_id
-        bindex = batch.index
-        singular = tenant.plan.is_singular
-        pre_fraction = cm.dense_pre_fraction
+        pre_fraction = self.config.cost_model.dense_pre_fraction
         t_batch = engine.now
         yield main.workers.acquire()
-        for net_cfg in tenant.model.nets:
-            net_name = net_cfg.name
-            plan = plans[net_name][bindex]
-
+        for net_name, overheads, dense, local, slots in nets:
             t0 = engine.now
-            overhead = plan.overhead
+            overhead = overheads[bindex]
             yield overhead
             record(
                 rid, MAIN_SHARD, main, _NET_OVERHEAD, "net_sched",
@@ -677,22 +627,18 @@ class ClusterSimulation:
             )
 
             t0 = engine.now
-            pre = plan.dense_total * pre_fraction
+            dense_total = dense[bindex]
+            pre = dense_total * pre_fraction
             yield pre
             record(
                 rid, MAIN_SHARD, main, _OPERATOR, "dense_pre",
                 t0, engine.now, pre, _DENSE, net_name, bindex,
             )
 
-            if singular:
-                yield from self._local_sparse(request, bindex, net_name, plan.local_work)
-            else:
-                yield from self._remote_sparse(
-                    request, bindex, net_name, plan.targets
-                )
+            yield from self._remote_sparse(request, bindex, net_name, local, slots)
 
             t0 = engine.now
-            post = plan.dense_total - pre
+            post = dense_total - pre
             yield post
             record(
                 rid, MAIN_SHARD, main, _OPERATOR, "dense_post",
@@ -704,51 +650,56 @@ class ClusterSimulation:
             t_batch, engine.now, 0.0, None, None, bindex,
         )
 
-    def _local_sparse(self, request: Request, bindex: int, net_name: str, work: float):
-        """Singular configuration: SLS ops execute inline on the main shard."""
-        engine, main = self.engine, self.main
-        record = self._record
-        rid = request.request_id
-        t0 = engine.now
-        yield work
-        record(
-            rid, MAIN_SHARD, main, _OPERATOR, "sls_local",
-            t0, engine.now, work, _SPARSE, net_name, bindex,
-        )
-        record(
-            rid, MAIN_SHARD, main, _EMBEDDED, "embedded",
-            t0, engine.now, 0.0, None, net_name, bindex,
-        )
-
     def _remote_sparse(
         self,
         request: Request,
         bindex: int,
         net_name: str,
-        targets: list[_ShardLookups],
+        local: list[float] | None,
+        slots: list[tuple[int, list]],
     ):
-        """Distributed: serialize + issue async RPCs, wait, deserialize."""
+        """The sparse portion of one (batch, net): serialize + issue
+        async RPCs to the net's active routing slots, wait, deserialize.
+        A singular net has no routing slot; its SLS ops run inline on
+        the main shard (``local``), where the RPC group would be."""
         engine, main = self.engine, self.main
         record = self._record
         rid = request.request_id
+        t_embedded = engine.now
+        if local is not None:
+            work = local[bindex]
+            yield work
+            record(
+                rid, MAIN_SHARD, main, _OPERATOR, "sls_local",
+                t_embedded, engine.now, work, _SPARSE, net_name, bindex,
+            )
+            record(
+                rid, MAIN_SHARD, main, _EMBEDDED, "embedded",
+                t_embedded, engine.now, 0.0, None, net_name, bindex,
+            )
+            return
         # The RPC driver: the policy supervisor when a runtime is
         # installed, else the inline failover loop; both drive the one
         # attempt body, :meth:`_rpc_attempt`.  Chosen per call, not
         # bound on the cluster, so a finished cluster holds no reference
         # cycle and is freed as soon as its last user lets go.
         spawn = self._rpc if self._resilience is None else self._rpc_resilient
-        t_embedded = engine.now
         responses = []
-        for target in targets:
+        for shard_index, per_batch in slots:
+            costs = per_batch[bindex]
+            if not costs[0]:
+                continue
             t0 = engine.now
-            ser_total = target.client_ser_total
+            ser_total = costs[1]
             yield ser_total
             record(
                 rid, MAIN_SHARD, main, _SERDE, "rpc_request_ser",
                 t0, engine.now, ser_total, None, net_name, bindex,
             )
             responses.append(
-                engine.process(spawn(request, bindex, net_name, target))
+                engine.process(
+                    spawn(request, bindex, net_name, shard_index, costs)
+                )
             )
         if not responses:
             # Every candidate shard was inactive for this batch; the RPC ops
@@ -775,7 +726,8 @@ class ClusterSimulation:
         request: Request,
         bindex: int,
         net_name: str,
-        target: _ShardLookups,
+        shard_index: int,
+        costs: list[float],
     ):
         """One remote call without a resilience policy: inline failover.
 
@@ -790,7 +742,6 @@ class ClusterSimulation:
         Without chaos the first attempt always delivers.
         """
         chaos = self._chaos
-        shard_index = target.shard.index
         t_client = self.engine.now
         while True:
             server = self._route(shard_index)
@@ -801,7 +752,7 @@ class ClusterSimulation:
                 yield chaos.failover_timeout
                 return
             delivered = yield from self._rpc_attempt(
-                request, bindex, net_name, target, server, t_client
+                request, bindex, net_name, shard_index, costs, server, t_client
             )
             if delivered:
                 return
@@ -812,7 +763,8 @@ class ClusterSimulation:
         request: Request,
         bindex: int,
         net_name: str,
-        target: _ShardLookups,
+        shard_index: int,
+        costs: list[float],
     ):
         """Policy-supervised remote call: retries, hedging, deadline.
 
@@ -842,7 +794,6 @@ class ClusterSimulation:
         policy = res.policy
         chaos = self._chaos
         rid = request.request_id
-        shard_index = target.shard.index
         t_client = engine.now
         state: dict = {"winner": None, "delivered": False}
         pending: list[Event] = []
@@ -858,8 +809,8 @@ class ClusterSimulation:
             pending.append(
                 engine.process(
                     self._rpc_attempt(
-                        request, bindex, net_name, target, server,
-                        t_client, state,
+                        request, bindex, net_name, shard_index, costs,
+                        server, t_client, state,
                     )
                 )
             )
@@ -960,7 +911,8 @@ class ClusterSimulation:
         request: Request,
         bindex: int,
         net_name: str,
-        target: _ShardLookups,
+        shard_index: int,
+        costs: list[float],
         server: SimServer,
         t_client: float,
         state: dict | None = None,
@@ -981,6 +933,8 @@ class ClusterSimulation:
         confused with the winning attempt's.  Under a supervisor the
         first attempt to finish its network trip back wins the request;
         late responses are discarded before client-side deserialization.
+        ``costs`` is the routing slot's per-batch cost tuple (see
+        :class:`~repro.simulation.vectorized.TargetColumns`).
         """
         engine, cm = self.engine, self.config.cost_model
         main = self.main
@@ -1000,11 +954,13 @@ class ClusterSimulation:
 
             record = gated
 
-        shard_index = target.shard.index
+        _active, _cst, deser, overhead, work, ser, resp_deser, req_bytes, resp_bytes = (
+            costs
+        )
         chaos = self._chaos
         rpc_id = next(self._rpc_ids)
 
-        out_delay = main.egress_delay(target.req_bytes) + self.fabric.one_way_delay(
+        out_delay = main.egress_delay(req_bytes) + self.fabric.one_way_delay(
             main.platform, server.platform, 0.0
         )
         if chaos is not None:
@@ -1018,7 +974,6 @@ class ClusterSimulation:
         t_service = engine.now
         yield server.workers.acquire()
         t0 = engine.now
-        deser = target.server_deser
         service_fixed = cm.rpc_service_fixed
         if chaos is not None:
             deser = chaos.scale_service(shard_index, deser, server)
@@ -1036,7 +991,6 @@ class ClusterSimulation:
         yield service_fixed
 
         t0 = engine.now
-        overhead = target.server_overhead
         if chaos is not None:
             overhead = chaos.scale_service(shard_index, overhead, server)
         yield overhead
@@ -1048,7 +1002,6 @@ class ClusterSimulation:
             return False
 
         t0 = engine.now
-        work = target.sls_work
         if chaos is not None:
             work = chaos.scale_service(shard_index, work, server)
         yield work
@@ -1060,7 +1013,6 @@ class ClusterSimulation:
             return False
 
         t0 = engine.now
-        ser = target.server_resp_ser
         if chaos is not None:
             ser = chaos.scale_service(shard_index, ser, server)
         yield ser
@@ -1076,7 +1028,7 @@ class ClusterSimulation:
             t_service, engine.now, service_fixed, None, net_name, bindex, rpc_id,
         )
 
-        back_delay = server.egress_delay(target.resp_bytes) + self.fabric.one_way_delay(
+        back_delay = server.egress_delay(resp_bytes) + self.fabric.one_way_delay(
             server.platform, main.platform, 0.0
         )
         if chaos is not None:
@@ -1095,11 +1047,10 @@ class ClusterSimulation:
         # request workers, overlapping the waits for slower RPCs.
         yield main.io_threads.acquire()
         t0 = engine.now
-        deser = target.client_resp_deser
-        yield deser
+        yield resp_deser
         record(
             rid, MAIN_SHARD, main, _SERDE, "rpc_response_deser",
-            t0, engine.now, deser, None, net_name, bindex, rpc_id,
+            t0, engine.now, resp_deser, None, net_name, bindex, rpc_id,
         )
         main.io_threads.release()
         if state is not None:
@@ -1169,56 +1120,52 @@ class ClusterSimulation:
         if self.on_complete is not None:
             self.drain_incomplete()
 
-    def _offer(
-        self, position: int, tenant: int, request: Request, horizon: float
-    ) -> float | None:
-        """Offer the request at ``position`` to :attr:`idle_arrival`.
+    def _arrive(
+        self, position: int, tenant: Any, request: Request, horizon: float
+    ) -> float | Event:
+        """Take the request at stream ``position``.
 
-        Only a request that arrives while the engine holds no event and
-        every earlier request has completed is offered, with the next
-        arrival's clock as its ``horizon``.  Returns the completion time
-        of a request the hook committed, ``None`` when the DES must
-        replay it."""
+        The :attr:`idle_arrival` hook locates its chunk row.  A request
+        that arrives while the engine holds no event and every earlier
+        request has completed is offered to the hook's evaluator, with
+        the next arrival's clock as its ``horizon``.  Returns the
+        completion time of a request the evaluator committed, else the
+        completion event of the DES replaying it from the same row."""
+        tenant = self._take(request, tenant)
         idle_arrival = self.idle_arrival
-        if (
-            idle_arrival is None
-            or not self.engine.idle()
-            or len(self.completed) != position
-        ):
-            return None
-        return idle_arrival(
-            self, position, tenant, request, self.engine.now, horizon
-        )
-
-    def _submit_at(self, position: int, tenant: int, request: Request) -> Event:
-        """:meth:`submit` the request at stream ``position``, with the
-        plans :attr:`idle_arrival` holds for it, if any."""
-        idle_arrival = self.idle_arrival
-        plans = (
-            None if idle_arrival is None
-            else idle_arrival.plans(self, position, tenant, request)
-        )
-        return self.submit(request, tenant, plans)
+        located: tuple[ChunkPlans, int] | None = None
+        if idle_arrival is not None:
+            located = idle_arrival.locate(self, position, tenant, request)
+            if (
+                located is not None
+                and self.engine.idle()
+                and len(self.completed) == position
+            ):
+                t_end = idle_arrival.offer(located, self.engine.now, horizon)
+                if t_end is not None:
+                    return t_end
+        return self._start(request, tenant, located)
 
     def run_serial(self, requests: Iterable[Request]) -> None:
         """Serial blocking replay: next request sent after the previous
         response returns (paper Section VI).
 
         Every request is offered to the :attr:`idle_arrival` hook first
-        (:meth:`_offer`); the next arrival is the request's own
-        completion, so the horizon is ``+inf``."""
+        (:meth:`_arrive`); the next arrival is the request's own
+        completion, so the horizon is ``+inf``.  A repeated request id
+        raises ``ValueError``."""
         engine = self.engine
 
         def driver():
             for position, request in enumerate(requests):
-                t_end = self._offer(position, 0, request, math.inf)
-                if t_end is None:
-                    yield self._submit_at(position, 0, request)
+                arrived = self._arrive(position, 0, request, math.inf)
+                if isinstance(arrived, Event):
+                    yield arrived
                 else:
                     # The engine holds no event, so moving the clock to
                     # the committed completion reorders nothing: it is
                     # the float the DES driver would resume at.
-                    engine.now = t_end
+                    engine.now = arrived
 
         engine.process(driver())
         try:
@@ -1231,10 +1178,13 @@ class ClusterSimulation:
         ``(arrival_time, tenant, request)`` triples in nondecreasing time
         order.  A :class:`~repro.workloads.workload.MixedStream` iterates
         exactly this shape, so co-located tenants contend for the same
-        simulated hosts; a single-model schedule passes tenant 0.
+        simulated hosts; a single-model schedule passes tenant 0.  An
+        arrival time that is not finite, a tenant that indexes none of
+        the cluster's tenants, or a repeated request id raises
+        ``ValueError``.
 
         Every request is offered to the :attr:`idle_arrival` hook first
-        (:meth:`_offer`); the DES replays it only when the hook declines.
+        (:meth:`_arrive`); the DES replays it only when the hook declines.
         A committed request finished strictly before the next arrival,
         so no event of the DES could have interleaved with it."""
         engine = self.engine
@@ -1248,14 +1198,15 @@ class ClusterSimulation:
             position = 0
             while item is not None:
                 at, tenant, request = item
-                delay = float(at) - previous
+                at = finite_non_negative.check("arrival time", at, "stream: ")
+                delay = at - previous
                 if delay < 0.0:
                     raise ValueError(
                         f"stream arrivals must be nondecreasing; "
                         f"{at} follows {previous}"
                     )
                 yield delay
-                previous = float(at)
+                previous = at
                 item = next(items, None)
                 # The next arrival's clock, computed exactly as the
                 # engine will compute it from this driver's delay.
@@ -1263,11 +1214,9 @@ class ClusterSimulation:
                     math.inf if item is None
                     else engine.now + (float(item[0]) - previous)
                 )
-                t_end = self._offer(position, int(tenant), request, horizon)
-                if t_end is None:
-                    self._submit_at(position, int(tenant), request)
-                else:
-                    last_end = t_end
+                arrived = self._arrive(position, tenant, request, horizon)
+                if not isinstance(arrived, Event):
+                    last_end = arrived
                 position += 1
 
         engine.process(driver())

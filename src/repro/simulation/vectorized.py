@@ -151,7 +151,7 @@ replays == the batched DES across the busy-period range and on 2- and
 1-worker hosts, horizon and pool ties, cluster state);
 ``tests/test_queueing_oracles.py`` checks queued batches against a
 closed form, and ``tests/test_chunk_plan_builder.py`` pins the chunk
-columns, and the DES plans read from them, to the scalar oracle
+columns, the row located for the DES included, to the scalar oracle
 (``tests/plan_oracle.py``) field by field.
 """
 
@@ -262,16 +262,14 @@ def _tie_declines(last: list, t: float, grant: float, key: int) -> bool:
 class TargetColumns:
     """Columnar per-(net, shard-slot) RPC costs for one request chunk.
 
-    Mirrors :class:`repro.serving.simulator._ShardLookups` transposed:
     ``rows[i]`` is request ``i``'s ``(9, batches)`` float64 numpy plane
     -- ``(active, cst, sdes, sov, slw, srs, crd, reqb, respb)`` by
     batch, where ``active[b]`` is 1.0 for the batches that issue an RPC
     to this slot (the slot's shard index lives on :attr:`shard`, not in
-    the row).  The builders keep the planes as views into one stacked
-    array per chunk; the evaluator turns a request's planes into Python
-    lists (``tolist`` -- identical float64 bits) when it starts that
-    request, so boxed floats exist for one request at a time and the
-    hot loop still does scalar list indexing.
+    the row).  The builder keeps the planes as views into one stacked
+    array per chunk; both replay paths list a request's planes
+    (``tolist`` -- identical float64 bits) when they start it, the DES
+    batch-major, so boxed floats exist only for the requests in flight.
     """
 
     __slots__ = ("shard", "rows")

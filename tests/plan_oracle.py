@@ -5,34 +5,82 @@ Every replay reads its execution plans from the columnar chunk
 whole chunk with numpy passes.  This module keeps the straightforward
 computation it replaced -- one request at a time, one table and one
 batch at a time, in plain Python floats -- and the tests compare the
-two bit for bit, field by field.  The row-partition split is the one
-keyed multinomial both sides draw,
+two bit for bit, field by field.  It keeps its own batch split and
+plan records, so nothing here reads the code under test.  The
+row-partition split is the one keyed multinomial both sides draw,
 :meth:`~repro.serving.simulator.ClusterSimulation._partition_split`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.models.config import FeatureScope
 from repro.requests.generator import Request
-from repro.serving.simulator import (
-    ClusterSimulation,
-    _Batch,
-    _NetBatchPlan,
-    _ShardLookups,
-    _Tenant,
-)
+from repro.serving.simulator import ClusterSimulation, _Tenant
+from repro.sharding.plan import ShardSpec
 
-#: _ShardLookups cost attributes in evaluator row order (rows 1-8; row 0
-#: is the active plane), which is also its constructor's argument order.
+#: ShardLookups cost fields in chunk row order (rows 1-8 of a
+#: TargetColumns row; row 0 is the active plane), which is also the
+#: record's field order after ``shard``.
 PLAN_FIELDS = (
     "client_ser_total", "server_deser", "server_overhead", "sls_work",
     "server_resp_ser", "client_resp_deser", "req_bytes", "resp_bytes",
 )
 
 
-def slice_counts(draw, batches: list[_Batch]) -> list[int]:
+@dataclass(frozen=True)
+class Batch:
+    """One batch of a request: items ``[start_item, stop_item)``."""
+
+    index: int
+    start_item: int
+    stop_item: int
+
+    @property
+    def items(self) -> int:
+        return self.stop_item - self.start_item
+
+
+@dataclass(frozen=True)
+class ShardLookups:
+    """One active (batch, net, shard) RPC with all its costs."""
+
+    shard: ShardSpec
+    client_ser_total: float
+    server_deser: float
+    server_overhead: float
+    sls_work: float
+    server_resp_ser: float
+    client_resp_deser: float
+    req_bytes: float
+    resp_bytes: float
+
+
+@dataclass(frozen=True)
+class NetBatchPlan:
+    """The execution plan of one (request, net, batch)."""
+
+    overhead: float
+    dense_total: float
+    targets: list[ShardLookups]
+    local_work: float
+
+
+def batch_split(sim: ClusterSimulation, tenant: _Tenant, request: Request) -> list[Batch]:
+    """Section VI-F's batch split: ``ceil(items / batch size)`` batches,
+    capped at ``max_batches``, with balanced round-half-even edges."""
+    size = sim.config.batch_size or tenant.model.profile.batch_size
+    count = min(-(-request.num_items // size), sim.config.max_batches)
+    edges = [
+        round(index * request.num_items / count) for index in range(count)
+    ] + [request.num_items]
+    return [Batch(i, edges[i], edges[i + 1]) for i in range(count)]
+
+
+def slice_counts(draw, batches: list[Batch]) -> list[int]:
     """Per-batch id counts for one feature draw (cumsum, int-exact)."""
     if draw.per_item_counts is None:
         return [draw.total_ids] * len(batches)
@@ -47,9 +95,9 @@ def slice_counts(draw, batches: list[_Batch]) -> list[int]:
 
 def request_plans(
     sim: ClusterSimulation, tenant: _Tenant, request: Request
-) -> dict[str, list[_NetBatchPlan]]:
+) -> dict[str, list[NetBatchPlan]]:
     """Every (net, batch) execution plan of one request, scalar."""
-    batches = sim._batches(tenant, request)
+    batches = batch_split(sim, tenant, request)
     cm = sim.config.cost_model
     singular = tenant.plan.is_singular
     serde_fixed = cm.serde_fixed
@@ -67,7 +115,7 @@ def request_plans(
     batch_range = range(nb)
     items_per_batch = [batch.items for batch in batches]
 
-    plans: dict[str, list[_NetBatchPlan]] = {}
+    plans: dict[str, list[NetBatchPlan]] = {}
     for net_cfg in tenant.model.nets:
         net_name = net_cfg.name
         net_tables = tenant.model.tables_for_net(net_name)
@@ -87,7 +135,7 @@ def request_plans(
             overhead = cm.net_overhead(n_net_tables + 12)
             dispatch = sls_dispatch * n_net_tables
             plans[net_name] = [
-                _NetBatchPlan(
+                NetBatchPlan(
                     overhead,
                     cm.dense_time(net_cfg, items_per_batch[b], main_platform),
                     (),
@@ -97,7 +145,7 @@ def request_plans(
             ]
             continue
 
-        batch_targets: list[list[_ShardLookups]] = [[] for _ in batch_range]
+        batch_targets: list[list[ShardLookups]] = [[] for _ in batch_range]
         # Distinct active tables per batch (the zero-fill term), counted
         # on the unsplit counts: a positive count has a positive part.
         n_names = [0] * nb
@@ -147,7 +195,7 @@ def request_plans(
                     segments * 4.0 + 24.0
                 )
                 resp_bytes = 64.0 + resp_extra[b]
-                batch_targets[b].append(_ShardLookups(
+                batch_targets[b].append(ShardLookups(
                     shard,
                     serde_fixed
                     + tbl_client[n_tables]
@@ -167,6 +215,6 @@ def request_plans(
             overhead = cm.net_overhead(n_net_tables + 12 + len(targets))
             overhead += cm.fill_per_table * (n_net_tables - n_names[b])
             dense_total = cm.dense_time(net_cfg, items_per_batch[b], main_platform)
-            per_batch.append(_NetBatchPlan(overhead, dense_total, targets, 0.0))
+            per_batch.append(NetBatchPlan(overhead, dense_total, targets, 0.0))
         plans[net_name] = per_batch
     return plans

@@ -2,9 +2,10 @@
 
 ``build_chunk_plans`` computes every routing slot of a (batch group,
 net) in one numpy pass over padded (slot, table, request, batch) count
-arrays; the DES reads its per-request plans back out of those rows
-(``row_plans``).  Both must equal the scalar oracle
-(``plan_oracle.request_plans``) exactly, for every request -- including
+arrays; the evaluator and the DES both read a request's costs from its
+row (the idle-arrival hook's ``locate`` finds it).  Every row must equal
+the scalar oracle (``plan_oracle.request_plans``) exactly, for every
+request -- including
 the requests with more batches than a worker pool has workers (their
 batches queue), tables no request of a group draws (zero planes), slots
 with no active table in a batch, and row-partitioned tables (DRM3 NSBP),
@@ -12,14 +13,14 @@ whose split may leave a part of a positive count empty.
 
 The second half pins where the DES's plans come from: every experiment
 replay, under any kernel, builds one chunk per chunk of requests and
-reads the DES's plans from it, and a bare cluster builds a one-request
-chunk per request.
+reads the DES's plans from it, a bare cluster builds a one-request
+chunk per request, and the chunk is the DES's only cost source.
 """
 
 import numpy as np
 import pytest
 
-from plan_oracle import PLAN_FIELDS, request_plans, slice_counts
+from plan_oracle import PLAN_FIELDS, batch_split, request_plans, slice_counts
 from test_kernel_equivalence import assert_run_identical
 
 from repro.experiments import (
@@ -34,10 +35,10 @@ from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule
 from repro.serving import ServingConfig
 from repro.serving import columnar
-from repro.serving.columnar import _IdleArrivals, _chunk_bundle, row_plans
+from repro.serving.columnar import _IdleArrivals, _chunk_bundle
 from repro.serving.simulator import ClusterSimulation
 from repro.sharding.pooling import estimate_pooling_factors
-from repro.simulation.costmodel import ranking_response_bytes
+from repro.simulation.costmodel import CostModel, ranking_response_bytes
 from repro.requests.generator import request_payload_bytes
 
 FACTORIES = {"DRM1": drm1, "DRM2": drm2, "DRM3": drm3}
@@ -68,31 +69,68 @@ def _partitions(plan):
     }
 
 
-def _assert_plans_equal(expected, actual, label):
-    """Two (net -> per-batch plan) dicts, field by field, bit for bit."""
-    assert list(expected) == list(actual), label
-    for name, scalar_batches in expected.items():
-        batches = actual[name]
-        assert len(batches) == len(scalar_batches), (label, name)
-        for b, (want, got) in enumerate(zip(scalar_batches, batches)):
-            where = (label, name, b)
-            assert _bits([got.overhead, got.dense_total, got.local_work]) == _bits(
-                [want.overhead, want.dense_total, want.local_work]
-            ), where
-            assert [t.shard for t in got.targets] == [
-                t.shard for t in want.targets
-            ], where
-            for want_t, got_t in zip(want.targets, got.targets):
-                assert _bits([getattr(got_t, f) for f in PLAN_FIELDS]) == _bits(
-                    [getattr(want_t, f) for f in PLAN_FIELDS]
-                ), where
+def _assert_row_matches(sim, chunk, row, request, seen, label):
+    """Chunk ``chunk``'s row ``row`` holds ``request``'s plans: every
+    field the replay paths read, against the scalar oracle, bit for
+    bit.  ``seen`` counts the queued requests and the idle slots."""
+    model = sim.model
+    tenant = sim.tenants[0]
+    cm = sim.config.cost_model
+    main = sim.config.main_platform
+    scalar = request_plans(sim, tenant, request)
+    nb = len(batch_split(sim, tenant, request))
+    assert chunk.rids[row] == request.request_id, label
+    assert chunk.nb[row] == nb, label
+    seen["queued"] += nb > sim.main.workers.capacity
+    assert _bits([chunk.head_deser[row], chunk.tail_ser[row]]) == _bits([
+        cm.serde_time(
+            request_payload_bytes(model, request), main,
+            tables=len(request.draws),
+        ),
+        cm.serde_time(ranking_response_bytes(request.num_items), main),
+    ]), label
+    assert chunk.net_names == [net_cfg.name for net_cfg in model.nets], label
+    for net_cfg, net, shards in zip(model.nets, chunk.nets, chunk.shard_of):
+        want = scalar[net_cfg.name]
+        assert _bits(net.dense[row]) == _bits(
+            [p.dense_total for p in want]
+        ), label
+        assert _bits(net.overhead[row]) == _bits(
+            [p.overhead for p in want]
+        ), label
+        if sim.plan.is_singular:
+            assert not net.targets, label
+            assert _bits(net.local[row]) == _bits(
+                [p.local_work for p in want]
+            ), label
+            continue
+        assert shards == [
+            shard.index for shard, _ in tenant.net_routing[net_cfg.name]
+        ], label
+        for target in net.targets:
+            rows = target.rows[row]
+            assert rows.shape == (9, nb), label
+            for b, batch_plan in enumerate(want):
+                lookups = [
+                    t for t in batch_plan.targets
+                    if t.shard.index == target.shard
+                ]
+                assert bool(rows[0, b]) == bool(lookups), label
+                if not lookups:
+                    # No replay path reads a cost of an idle slot.
+                    seen["idle_slot"] += 1
+                    continue
+                assert _bits(rows[1:, b]) == _bits(
+                    [getattr(lookups[0], f) for f in PLAN_FIELDS]
+                ), label
 
 
 @pytest.mark.parametrize("workers", [32, 2])
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_chunk_columns_match_the_scalar_builder(name, workers):
     """Every request of every paper configuration: the chunk's columns,
-    and the DES plans read from them, against the scalar oracle."""
+    and the row the idle-arrival hook locates for the DES, against the
+    scalar oracle."""
     model, plans, requests = _configurations(name)
     seen = {"queued": 0, "absent_table": 0, "idle_slot": 0, "empty_part": 0}
     for plan in plans:
@@ -102,64 +140,26 @@ def test_chunk_columns_match_the_scalar_builder(name, workers):
         tenant = sim.tenants[0]
         chunk = columnar.build_chunk_plans(sim, tenant, requests)
         hook = _IdleArrivals(None, [0] * len(requests), requests, len(requests))
-        cm = sim.config.cost_model
-        main = sim.config.main_platform
         for row, request in enumerate(requests):
             label = (name, workers, plan.label, row)
-            batches = sim._batches(tenant, request)
-            scalar = request_plans(sim, tenant, request)
-            nb = len(batches)
             for table_name, parts in _partitions(plan):
                 draw = request.draws.get(table_name)
                 if draw is None:
                     continue
+                batches = batch_split(sim, tenant, request)
                 for count in slice_counts(draw, batches):
                     if count > 0:
                         split = sim._partition_split(
                             request, model.table(table_name), count, parts
                         )
                         seen["empty_part"] += bool((split == 0).any())
-            assert chunk.rids[row] == request.request_id, label
-            assert chunk.nb[row] == nb, label
-            seen["queued"] += nb > sim.main.workers.capacity
-            assert _bits([chunk.head_deser[row], chunk.tail_ser[row]]) == _bits([
-                cm.serde_time(
-                    request_payload_bytes(model, request), main,
-                    tables=len(request.draws),
-                ),
-                cm.serde_time(ranking_response_bytes(request.num_items), main),
-            ]), label
-            for net_cfg, net in zip(model.nets, chunk.nets):
-                want = scalar[net_cfg.name]
-                assert _bits(net.dense[row]) == _bits(
-                    [p.dense_total for p in want]
-                ), label
-                assert _bits(net.overhead[row]) == _bits(
-                    [p.overhead for p in want]
-                ), label
-                if plan.is_singular:
-                    assert _bits(net.local[row]) == _bits(
-                        [p.local_work for p in want]
-                    ), label
-                    continue
-                for target in net.targets:
-                    rows = target.rows[row]
-                    assert rows.shape == (9, nb), label
-                    for b, batch_plan in enumerate(want):
-                        lookups = [
-                            t for t in batch_plan.targets
-                            if t.shard.index == target.shard
-                        ]
-                        assert bool(rows[0, b]) == bool(lookups), label
-                        if not lookups:
-                            # The evaluator reads no cost of an idle slot.
-                            seen["idle_slot"] += 1
-                            continue
-                        assert _bits(rows[1:, b]) == _bits(
-                            [getattr(lookups[0], f) for f in PLAN_FIELDS]
-                        ), label
-            _assert_plans_equal(
-                scalar, hook.plans(sim, row, 0, request), label
+            _assert_row_matches(sim, chunk, row, request, seen, label)
+            # The row the hook locates for the DES: a separate build of
+            # the same requests, at the request's own position.
+            located_chunk, located_row = hook.locate(sim, row, 0, request)
+            assert located_row == row, label
+            _assert_row_matches(
+                sim, located_chunk, located_row, request, seen, label
             )
         bundle = _chunk_bundle(
             requests, model, model.profile.batch_size, sim.config.max_batches
@@ -180,14 +180,18 @@ def test_chunk_columns_match_the_scalar_builder(name, workers):
         assert seen["queued"] > 0 or workers == 32, seen
 
 
-def _count_chunk_builds(monkeypatch):
-    """The request count of every chunk ``build_chunk_plans`` builds."""
+def _count_chunk_builds(monkeypatch, chunks=None):
+    """The request count of every chunk ``build_chunk_plans`` builds
+    (the chunks themselves appended to ``chunks``, if given)."""
     sizes = []
     build = columnar.build_chunk_plans
 
     def counted(sim, tenant, requests):
         sizes.append(len(requests))
-        return build(sim, tenant, requests)
+        chunk = build(sim, tenant, requests)
+        if chunks is not None:
+            chunks.append(chunk)
+        return chunk
 
     monkeypatch.setattr(columnar, "build_chunk_plans", counted)
     return sizes
@@ -245,27 +249,47 @@ def test_partitioned_plans_read_the_chunk(monkeypatch):
 @pytest.mark.parametrize("name", ["DRM1", "DRM3"])
 def test_bare_cluster_plans_match_the_oracle(name, monkeypatch):
     """A cluster driven without the idle-arrival hook plans each request
-    from a one-request chunk; those plans equal the scalar oracle (DRM3
-    includes the partitioned NSBP plans and the singular one)."""
+    from a one-request chunk; that chunk's row equals the scalar oracle
+    (DRM3 includes the partitioned NSBP plans and the singular one)."""
     model, plans, requests = _configurations(name)
     requests = requests[:8]
-    sizes = _count_chunk_builds(monkeypatch)
-    read = row_plans
+    chunks = []
+    sizes = _count_chunk_builds(monkeypatch, chunks)
+    seen = {"queued": 0, "idle_slot": 0}
     for plan in plans:
         sim = ClusterSimulation(model, plan, ServingConfig(seed=1))
-        got = []
-
-        def recorded(chunk, row, routing):
-            got.append((chunk.rids[row], read(chunk, row, routing)))
-            return got[-1][1]
-
-        monkeypatch.setattr(columnar, "row_plans", recorded)
         del sizes[:]
+        del chunks[:]
         sim.run_serial(requests)
         assert sizes == [1] * len(requests), plan.label
-        assert [rid for rid, _ in got] == [r.request_id for r in requests]
-        for (_rid, actual), request in zip(got, requests):
-            expected = request_plans(sim, sim.tenants[0], request)
-            _assert_plans_equal(
-                expected, actual, (name, plan.label, request.request_id)
+        assert sim.des_requests == len(requests), plan.label
+        for chunk, request in zip(chunks, requests):
+            _assert_row_matches(
+                sim, chunk, 0, request, seen,
+                (name, plan.label, request.request_id),
             )
+
+
+def test_des_reads_serde_from_the_chunk(monkeypatch):
+    """A batched DES replay charges the head and tail serde the chunk
+    holds: with ``CostModel.serde_time`` raising, a DRM1 singular and a
+    distributed replay still complete, with the same columns."""
+    model, plans, requests = _configurations("DRM1")
+    requests = requests[:12]
+    chosen = [plan for plan in plans if plan.is_singular][:1] + [
+        plan for plan in plans if not plan.is_singular
+    ][:1]
+    assert len(chosen) == 2
+    serving = ServingConfig(seed=1, kernel="batched", service_workers=2)
+    healthy = [
+        run_configuration(model, plan, requests, serving) for plan in chosen
+    ]
+
+    def raising(*args, **kwargs):
+        raise AssertionError("the DES recomputed a serde time")
+
+    monkeypatch.setattr(CostModel, "serde_time", raising)
+    for plan, want in zip(chosen, healthy):
+        got = run_configuration(model, plan, requests, serving)
+        assert got.des_requests == len(requests), plan.label
+        assert_run_identical(want, got, plan.label)

@@ -2,8 +2,8 @@
 
 These tie subsystems together: any strategy's plan must survive
 serialization, partition numerics, and simulation; analysis identities
-must hold for arbitrary samples; batching must cover every item exactly
-once for any request size.
+must hold for arbitrary samples; the batch split the replay paths read
+must cover every item exactly once for any request size.
 """
 
 import dataclasses
@@ -18,15 +18,14 @@ from repro.analysis import overhead_vs_baseline, quantile
 from repro.models import drm1, drm2, drm3
 from repro.requests import RequestGenerator
 from repro.requests.generator import Request
-from repro.serving import ClusterSimulation, ServingConfig
-from repro.serving.simulator import _Batch
+from repro.serving import ServingConfig
+from repro.serving.columnar import _ChunkBundle
 from repro.sharding import (
     STRATEGIES,
     ShardingError,
     dump_plan,
     estimate_pooling_factors,
     load_plan,
-    singular_plan,
 )
 
 
@@ -88,32 +87,42 @@ class TestPlanProperties:
 
 
 class TestBatchingProperties:
-    @given(items=st.integers(1, 5000), batch_size=st.sampled_from([8, 72, 512]),
-           cap=st.integers(1, 16))
+    """The batch split both replay paths read: the chunk bundle's
+    ``items_pb`` (Section VI-F)."""
+
+    @staticmethod
+    def _items_per_batch(items, batch_size, cap):
+        model = drm3()
+        requests = [
+            Request(request_id=i, timestamp=0.0, num_items=n, draws={})
+            for i, n in enumerate(items)
+        ]
+        bundle = _ChunkBundle(requests, model, batch_size, cap)
+        sizes = {}
+        for batches, positions, items_pb, _stacks in bundle.groups:
+            assert items_pb.shape == (len(positions), batches)
+            for position, row in zip(positions, items_pb.tolist()):
+                assert position not in sizes
+                sizes[position] = row
+        assert sorted(sizes) == list(range(len(items)))
+        return [sizes[position] for position in range(len(items))]
+
+    @given(items=st.lists(st.integers(1, 5000), min_size=1, max_size=6),
+           batch_size=st.sampled_from([8, 72, 512]), cap=st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_batches_partition_items_exactly(self, items, batch_size, cap):
-        model = drm3()
-        config = ServingConfig(seed=1, batch_size=batch_size, max_batches=cap)
-        sim = ClusterSimulation(model, singular_plan(model), config)
-        request = Request(request_id=0, timestamp=0.0, num_items=items, draws={})
-        batches = sim._batches(sim.tenants[0], request)
-        assert len(batches) <= cap
-        assert batches[0].start_item == 0
-        assert batches[-1].stop_item == items
-        covered = 0
-        for batch in batches:
-            assert batch.items > 0
-            assert batch.start_item == covered
-            covered = batch.stop_item
-        assert covered == items
+        for num_items, sizes in zip(
+            items, self._items_per_batch(items, batch_size, cap)
+        ):
+            assert len(sizes) == min(-(-num_items // batch_size), cap)
+            assert len(sizes) <= cap
+            assert all(size > 0 for size in sizes)
+            assert sum(sizes) == num_items
+            assert max(sizes) - min(sizes) <= 1
 
     def test_batch_sizes_balanced(self):
-        model = drm3()
-        sim = ClusterSimulation(
-            model, singular_plan(model), ServingConfig(seed=1, max_batches=8)
-        )
-        request = Request(0, 0.0, 1000, {})
-        sizes = [b.items for b in sim._batches(sim.tenants[0], request)]
+        [sizes] = self._items_per_batch([1000], drm3().profile.batch_size, 8)
+        assert len(sizes) == 8
         assert max(sizes) - min(sizes) <= 1
 
 

@@ -4,8 +4,9 @@ SuiteSettings / CLI request- and worker-count validation, CLI flag-value
 validation before any replay, the removed ``--trace-mode``/``--kernel``
 flags and replay knobs, the CLI profile's one-worker pin,
 replay-schedule seeding, non-finite and non-integral library inputs
-(request and pooling seeds included), and the degenerate behaviors of
-the median-window stack means.
+(request and pooling seeds included), repeated request ids and bad
+stream entries, and the degenerate behaviors of the median-window stack
+means.
 """
 
 import math
@@ -20,7 +21,7 @@ from repro.cli import main
 from repro.core.host import usable_cpus
 from repro.experiments import SuiteSettings, default_workers
 from repro.experiments.parallel import WORKERS_ENV
-from repro.experiments.runner import RunResult
+from repro.experiments.runner import RunResult, run_configuration
 from repro.models import drm1
 from repro.requests import ReplaySchedule
 from repro.requests.generator import RequestGenerator
@@ -463,3 +464,95 @@ class TestMedianWindowMeanEquivalence:
             median_window_mean([{"a": 1.0}], [1.0, 2.0])
         with pytest.raises(ValueError):
             median_window_mean_columns({"a": np.ones(3)}, [1.0, 2.0])
+
+
+class TestReplayEntriesFailLoudly:
+    """A repeated request id, a non-finite arrival time or a tenant that
+    indexes none of the cluster's tenants raises ``ValueError`` where
+    the cluster first takes the request; none replays silently."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return drm1()
+
+    @pytest.fixture(scope="class")
+    def requests(self, model):
+        return RequestGenerator(model, seed=3).generate_many(5)
+
+    def _cluster(self, model, **serving):
+        return ClusterSimulation(
+            model, singular_plan(model), ServingConfig(seed=1, **serving)
+        )
+
+    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
+    @pytest.mark.parametrize("schedule", [
+        ReplaySchedule.serial(), ReplaySchedule.open_loop(25.0, seed=2),
+    ])
+    def test_run_configuration_rejects_repeated_ids(
+        self, model, requests, kernel, schedule
+    ):
+        serving = ServingConfig(seed=1, kernel=kernel)
+        with pytest.raises(ValueError, match="request id 0 "):
+            run_configuration(
+                model, singular_plan(model), requests * 2, serving, schedule
+            )
+
+    def test_run_serial_rejects_repeated_ids(self, model, requests):
+        cluster = self._cluster(model)
+        with pytest.raises(ValueError, match="request id 3 "):
+            cluster.run_serial(requests[:4] + requests[3:])
+        assert sorted(cluster.completed) == [0, 1, 2, 3]
+
+    def test_run_stream_rejects_repeated_ids(self, model, requests):
+        cluster = self._cluster(model)
+        stream = [(0.001 * i, 0, r) for i, r in enumerate(requests + requests[:1])]
+        with pytest.raises(ValueError, match="request id 0 "):
+            cluster.run_stream(stream)
+
+    def test_submit_rejects_repeated_ids_across_tenants(self, model, requests):
+        cluster = ClusterSimulation.colocated(
+            [(model, singular_plan(model))] * 2, ServingConfig(seed=1)
+        )
+        cluster.submit(requests[0], tenant=0)
+        with pytest.raises(ValueError, match="request id 0 "):
+            cluster.submit(requests[0], tenant=1)
+        cluster.engine.run()
+        assert list(cluster.completed) == [0]
+
+    def test_a_second_replay_on_one_cluster_rejects_its_ids(self, model, requests):
+        cluster = self._cluster(model)
+        cluster.run_serial(requests)
+        with pytest.raises(ValueError, match="request id 0 "):
+            cluster.run_serial(requests)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_run_stream_rejects_non_finite_arrivals(self, model, requests, bad):
+        cluster = self._cluster(model)
+        stream = [(0.0, 0, requests[0]), (bad, 0, requests[1])]
+        with pytest.raises(ValueError, match="arrival time must be finite"):
+            cluster.run_stream(stream)
+        assert math.isfinite(cluster.engine.now)
+        assert all(math.isfinite(v) for v in cluster.completed.values())
+
+    @pytest.mark.parametrize("bad", [-1, 1, 2, 0.0, True])
+    def test_run_stream_rejects_bad_tenants(self, model, requests, bad):
+        cluster = self._cluster(model)
+        with pytest.raises(ValueError, match="tenant must be an integer in"):
+            cluster.run_stream([(0.0, bad, requests[0])])
+        assert not cluster.completed
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_submit_rejects_bad_tenants(self, model, requests, bad):
+        cluster = ClusterSimulation.colocated(
+            [(model, singular_plan(model))] * 2, ServingConfig(seed=1)
+        )
+        with pytest.raises(ValueError, match=r"tenant must be an integer in \[0, 2\)"):
+            cluster.submit(requests[0], tenant=bad)
+        assert cluster.des_requests == 0
+
+    def test_numpy_tenants_and_arrivals_accepted(self, model, requests):
+        cluster = self._cluster(model)
+        cluster.run_stream(
+            (np.float64(0.001 * i), np.int64(0), r) for i, r in enumerate(requests)
+        )
+        assert sorted(cluster.completed) == [r.request_id for r in requests]
