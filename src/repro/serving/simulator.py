@@ -403,7 +403,8 @@ class ClusterSimulation:
         #: replays a request that arrives at an idle cluster, returning
         #: the completion time when it committed the request (its row,
         #: ``completed`` entry and every cluster state the DES would have
-        #: left), ``None`` when the DES must replay it.
+        #: left), ``None`` when the DES must replay it.  :meth:`submit`
+        #: bypasses the hook.
         self.idle_arrival: _IdleArrivals | None = None
         policy = self.config.resilience
         live_policy = policy is not None and not policy.is_empty
@@ -518,17 +519,11 @@ class ClusterSimulation:
         self._taken.add(rid)
         return tenant
 
-    def submit(
-        self,
-        request: Request,
-        tenant: int = 0,
-        located: tuple[ChunkPlans, int] | None = None,
-    ) -> Event:
+    def submit(self, request: Request, tenant: int = 0) -> Event:
         """Inject one request now (for ``tenant``); returns its completion
         event.  Request ids must be unique across all tenants of a run.
-        ``located`` is the chunk and row holding the request's plans;
-        ``None`` plans it in a one-request chunk."""
-        return self._start(request, self._take(request, tenant), located)
+        The DES plans the request in a one-request chunk."""
+        return self._start(request, self._take(request, tenant), None)
 
     def _start(
         self,
@@ -635,7 +630,7 @@ class ClusterSimulation:
                 t0, engine.now, pre, _DENSE, net_name, bindex,
             )
 
-            yield from self._remote_sparse(request, bindex, net_name, local, slots)
+            yield from self._sparse(request, bindex, net_name, local, slots)
 
             t0 = engine.now
             post = dense_total - pre
@@ -650,7 +645,7 @@ class ClusterSimulation:
             t_batch, engine.now, 0.0, None, None, bindex,
         )
 
-    def _remote_sparse(
+    def _sparse(
         self,
         request: Request,
         bindex: int,
@@ -658,10 +653,12 @@ class ClusterSimulation:
         local: list[float] | None,
         slots: list[tuple[int, list]],
     ):
-        """The sparse portion of one (batch, net): serialize + issue
-        async RPCs to the net's active routing slots, wait, deserialize.
-        A singular net has no routing slot; its SLS ops run inline on
-        the main shard (``local``), where the RPC group would be."""
+        """The sparse portion of one (batch, net).  A singular net has
+        no routing slot: its SLS ops run inline on the main shard
+        (``local``).  A distributed net serializes and issues async RPCs
+        to its active routing slots, waits, and deserializes.  Both end
+        in the same ``embedded`` span; the two bodies stay forked here
+        because their span shapes differ."""
         engine, main = self.engine, self.main
         record = self._record
         rid = request.request_id

@@ -268,6 +268,7 @@ def test_bare_cluster_plans_match_the_oracle(name, monkeypatch):
                 sim, chunk, 0, request, seen,
                 (name, plan.label, request.request_id),
             )
+    assert seen["idle_slot"] > 0, seen
 
 
 def test_des_reads_serde_from_the_chunk(monkeypatch):
