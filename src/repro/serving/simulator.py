@@ -562,12 +562,9 @@ class ClusterSimulation:
                 net.overhead[row],
                 net.dense[row],
                 net.local[row] if chunk.singular else None,
-                [
-                    (shard, target.rows[row].T.tolist())
-                    for shard, target in zip(shards, net.targets)
-                ],
+                [(target.shard, target.costs(row)) for target in net.targets],
             )
-            for name, net, shards in zip(chunk.net_names, chunk.nets, chunk.shard_of)
+            for name, net in zip(chunk.net_names, chunk.nets)
         ]
         del chunk
 

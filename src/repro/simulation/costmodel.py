@@ -3,8 +3,11 @@
 Every timing the simulator charges comes from here, so the calibration
 story lives in one place.  The paper publishes no absolute times (all of
 its figures are normalized), so constants below are set to produce the
-*relationships* the paper reports -- see DESIGN.md section 5 -- with
-magnitudes representative of commodity data-center serving:
+*relationships* the paper reports -- the figure benchmarks
+(``benchmarks/test_fig*.py``) assert them, and ROADMAP.md's open item
+"Calibrate the cost model against the ledger" tracks a fit of these
+constants to the paper's numbers -- with magnitudes representative of
+commodity data-center serving:
 
 * embedding lookups are DRAM-latency bound (dependent cache-line chains),
   nearly platform-independent (paper Fig. 15);

@@ -23,7 +23,9 @@ built a *chunk* of requests at a time:
    resolves the only genuinely dynamic parts (main-NIC egress
    serialization, the per-shard response NICs, the 4-way IO-thread pool,
    the main and per-shard worker pools, and RPC join maxima) with a tiny
-   per-request event heap.  One body replays both plan shapes, as the
+   per-request event heap, each RPC's events carrying one payload list
+   of its own costs and state, an event with one successor handing it
+   its heap slot.  One body replays both plan shapes, as the
    DES does: a singular net is a net with no routing slot, whose SLS
    ops run locally on the main shard between the dense halves, and
    every plan reads its net overhead per batch.  Every
@@ -135,13 +137,14 @@ conditions:
   on a worker.  Ties, and later completions, therefore go to the DES.
 
 A declined evaluation -- a pool tie, or a completion at or after the
-horizon -- leaves no trace: the evaluator reads the jitter cursor ahead
-without moving it, writes reservations, rows and ``completed`` only on
-commit, and the DES, replaying the same request, consumes every window
-the evaluator read ahead -- so ``_jitter_pos`` and the fabric RNG state
-end where a pure-DES run leaves them.  The DES takes a request's plans
-from the same chunk rows the evaluator reads, so the replay builds each
-plan once.
+horizon -- leaves no trace: the event heap and the RPC payloads its
+events carry are the evaluation's own and die with it; the evaluator
+reads the jitter cursor ahead without moving it, writes reservations,
+rows and ``completed`` only on commit, and the DES, replaying the same
+request, consumes every window the evaluator read ahead -- so
+``_jitter_pos`` and the fabric RNG state end where a pure-DES run leaves
+them.  The DES takes a request's plans from the same chunk rows the
+evaluator reads, so the replay builds each plan once.
 
 The regression pins for all of this are
 ``tests/test_kernel_equivalence.py`` (vectorized == reference on every
@@ -159,6 +162,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import Any
 
 import numpy as np
 
@@ -202,8 +206,17 @@ _K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
 # from the key's net bits.
 _Record = tuple[float, int, int, int, float, float]
 
-# Per-request heap events: (time, code, t_client, entry) where ``code``
-# packs the dispatch rank and the event's identity as
+# Per-request heap events: (time, code, rpc).  ``rpc`` is the RPC's own
+# payload list, ``[ops, serde, overhead, service, costs, shard,
+# record_key, join, t_client]``: its attribution entry (the four
+# AggregatingTracer RPC-entry slots, written when it is served, so the
+# best RPC's payload is the entry finalize reads), its batch's nine cost
+# floats (one row of :meth:`TargetColumns.costs`), its shard index, its
+# record key (slot-position 0 of the RPC's slot), its group's join list
+# ``[outstanding, max done]`` and the client serialization end -- so the
+# handlers of one RPC read its state from the list, not from the
+# request's rows.  A resume event carries ``None``.  ``code`` packs the
+# dispatch rank and the event's identity as
 # ``rank << 57 | lane << 35 | batch << 20 | net << 14 | slot``.  With
 # every field in its fixed width, integer comparison of two codes equals
 # lexicographic comparison of the (rank, lane, batch, net, slot) tuples
@@ -218,8 +231,9 @@ _Record = tuple[float, int, int, int, float, float]
 # every batch index (at most ``batches * (nets + 1)``, which fits the
 # lane field whenever the batch fits its own); a re-acquire granted at
 # its request time keeps the lane its chain's RPCs carried, since its
-# group's join completes in their order.  The trailing two payload
-# fields are never compared: (time, code) is unique per event.  Ranks:
+# group's join completes in their order.  The payload is never compared:
+# (time, code) is unique per event, so the code is only the tie-break,
+# and only the resume handler decodes its batch and net.  Ranks:
 # 0 = issue (client serde done -> egress + outbound network), 1 = send
 # (shard response serialized -> egress + return network), 2 = arrive
 # (response at main -> IO-thread deserialization + join), 3 = serve (the
@@ -267,9 +281,9 @@ class TargetColumns:
     batch, where ``active[b]`` is 1.0 for the batches that issue an RPC
     to this slot (the slot's shard index lives on :attr:`shard`, not in
     the row).  The builder keeps the planes as views into one stacked
-    array per chunk; both replay paths list a request's planes
-    (``tolist`` -- identical float64 bits) when they start it, the DES
-    batch-major, so boxed floats exist only for the requests in flight.
+    array per chunk; both replay paths list a request's plane through
+    :meth:`costs` when they start it, so boxed floats exist only for the
+    requests in flight.
     """
 
     __slots__ = ("shard", "rows")
@@ -277,6 +291,12 @@ class TargetColumns:
     def __init__(self, shard: int) -> None:
         self.shard = shard
         self.rows: list[np.ndarray] = []
+
+    def costs(self, i: int) -> list[list[float]]:
+        """Request ``i``'s plane listed batch-major: ``costs(i)[b]`` is
+        batch ``b``'s nine floats (``tolist`` -- identical float64
+        bits), the one list an RPC of that batch reads its costs from."""
+        return self.rows[i].T.tolist()
 
 
 class NetColumns:
@@ -311,7 +331,6 @@ class ChunkPlans:
 
     __slots__ = (
         "singular", "rids", "nb", "head_deser", "tail_ser", "nets", "net_names",
-        "shard_of",
     )
 
     def __init__(
@@ -339,9 +358,6 @@ class ChunkPlans:
             or max(nb, default=0) > 32768
         ):
             raise ValueError("plan exceeds packed event-code field widths")
-        #: ``shard_of[n][k]``: the shard index of net ``n``'s routing slot
-        #: ``k`` (the evaluator's rows do not carry it).
-        self.shard_of = [[target.shard for target in net.targets] for net in nets]
 
 
 class VectorizedColumns(AggregatingTracer):
@@ -528,7 +544,7 @@ class SweepEvaluator:
         "fabric", "main", "shards", "completed", "collector",
         "skew_main", "shard_skews", "no_skew", "main_nic", "sparse_nic",
         "pre_fraction", "request_fixed", "response_fixed", "service_fixed",
-        "io_threads", "main_cap", "shard_caps", "_recs", "_entry_free",
+        "io_threads", "main_cap", "shard_caps", "_recs",
         "_b_dense", "_b_embedded", "_b_serde", "_b_overhead", "_b_sparse",
     )
 
@@ -569,11 +585,9 @@ class SweepEvaluator:
         collector.handler_cpu = (
             cost_model.request_handler_fixed + cost_model.response_handler_fixed
         )
-        # Reusable per-request scratch: the record list, the RPC-entry
-        # free list, and the five per-batch bucket lists fold_request
-        # copies out of.
+        # Reusable per-request scratch: the record list and the five
+        # per-batch bucket lists fold_request copies out of.
         self._recs: list[_Record] = []
-        self._entry_free: list[list[float]] = []
         self._b_dense: list[float] = []
         self._b_embedded: list[float] = []
         self._b_serde: list[float] = []
@@ -612,11 +626,10 @@ class SweepEvaluator:
         io_threads = self.io_threads
         nets = plans.nets
         num_nets = len(nets)
-        shard_of = plans.shard_of
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         recs = self._recs
-        efree = self._entry_free
         b_dense = self._b_dense
         b_embedded = self._b_embedded
         b_serde = self._b_serde
@@ -648,22 +661,20 @@ class SweepEvaluator:
         delays, dpos = fabric.jitter_cursor()
         num_delays = len(delays)
         window = 0
-        # Per-request row prefetch: list this request's (9, batches)
-        # plane per (net, slot), so the hot heap branches do one
-        # list index per field instead of attribute + [i][b] chains
-        # or numpy scalar indexing.
+        # Per-request row prefetch: list this request's plane per (net,
+        # slot) batch-major, beside the slot's shard, so an RPC's payload
+        # takes its batch's nine cost floats as one list and the heap
+        # branches index no rows at all.
         rows_i = [
-            [tg.rows[i].tolist() for tg in nets[n].targets]
-            for n in range(num_nets)
+            [(tg.shard, tg.costs(i)) for tg in net.targets] for net in nets
         ]
         ov_i = [net.overhead[i] for net in nets]
         dn_i = [net.dense[i] for net in nets]
         lc_i = [net.local[i] for net in nets] if plans.singular else None
-        heap: list[tuple[float, int, float, list[float] | None]] = []
+        heap: list[tuple[float, int, Any]] = []
         io_free = [0.0] * io_threads
         main_free = main.egress_free
         shard_free = [server.egress_free for server in servers]
-        joins: dict[int, list[float]] = {}
         ends: list[float] = [0.0] * nb
         end_lanes: list[int] = [0] * nb
         pend: list[float] = [0.0] * nb
@@ -693,6 +704,7 @@ class SweepEvaluator:
         ev_serve = 3 * _EV_RANK
         ev_resume = 4 * _EV_RANK
         ev_identity = _EV_RANK - 1
+        ev_group = ev_identity ^ 16383  # identity without the slot bits
 
         def advance(
             b: int, t: float, n0: int, lane: int, joined: bool,
@@ -701,8 +713,9 @@ class SweepEvaluator:
         ) -> float:
             # One batch chain's lockstep walk from its worker's grant
             # ``t``, until it either spawns an RPC group (state parks in
-            # ``pend`` / ``joins``; the join resumes it) or runs out of
-            # nets (``ends[b]`` is final).  Returns when the chain
+            # ``pend`` and in the join list the group's payloads share;
+            # the join resumes it) or runs out of nets (``ends[b]`` is
+            # final).  Returns when the chain
             # releases its main worker: after the last client
             # serialization of the group, or at its end.  A ``joined``
             # chain resumes net ``n0``'s RPC group: the embedded window
@@ -745,25 +758,26 @@ class SweepEvaluator:
                 add((t, rkey | 1, _K_OPS, MAIN_SHARD, pre, 0.0))
                 b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
                 t_embedded = t
-                spawned = 0
+                join = [0.0, -1.0]  # [outstanding RPCs, max done]
                 code_base = (lane << _EV_LANE) | (b << 20) | (n << 14)
-                for k, row in enumerate(rows[n]):
-                    if not row[0][b]:
+                for k, (shard, costs) in enumerate(rows[n]):
+                    c = costs[b]
+                    if not c[0]:
                         continue
-                    cst = row[1][b]
+                    join[0] += 1.0
+                    cst = c[1]
                     t0 = t
                     t = t0 + cst
-                    add(
-                        (t, rkey | (((k + 1) << 3) + 2), _K_SERDE,
-                         MAIN_SHARD, cst, 0.0)
-                    )
+                    rk = rkey + ((k + 1) << 3)
+                    add((t, rk + 2, _K_SERDE, MAIN_SHARD, cst, 0.0))
                     b_serde[b] += (
                         t - t0 if no_skew else (t + skm) - (t0 + skm)
                     )
-                    heappush(heap, (t, code_base | k, 0.0, None))
-                    spawned += 1
-                if spawned:
-                    joins[(b << 6) | n] = [float(spawned), -1.0]
+                    heappush(heap, (
+                        t, code_base | k,
+                        [0.0, 0.0, 0.0, 0.0, c, shard, rk, join, t],
+                    ))
+                if join[0]:
                     pend[b] = t_embedded
                     return t
                 if lc_i is not None:
@@ -794,16 +808,18 @@ class SweepEvaluator:
             m_free[m_free.index(f)] = advance(b, g, 0, b, False)
             m_last[1:] = g, b, g > t2
 
+        # Every event but a resume schedules at most one successor, so
+        # the loop peeks at the heap's head and hands its slot to that
+        # successor with one ``heapreplace``; only an arrive that leaves
+        # its group outstanding, and a resume (whose chain may push
+        # several RPCs), pop.  (time, code) is unique, so the dispatch
+        # order is the pop-then-push order.
         while heap:
-            t, code, tcl, entry = heappop(heap)
+            t, code, rpc = heap[0]
             if code < ev_send:  # issue
-                k = code & 16383
-                n = (code >> 14) & 63
-                b = (code >> 20) & 32767
-                row = rows_i[n][k]
                 # Main egress reservation (Lindley over heap order ==
                 # engine order), then the outbound fabric hop.
-                wire = row[7][b] / main_nic
+                wire = rpc[4][7] / main_nic
                 begin = t if t >= main_free else main_free
                 main_free = begin + wire
                 if dpos == num_delays:
@@ -815,14 +831,11 @@ class SweepEvaluator:
                 dpos += 1
                 # The shard worker is acquired at arrival, in heap
                 # order with every other acquire on that shard.
-                heappush(heap, (t + out_delay, code + ev_serve, t, None))
+                heapreplace(heap, (t + out_delay, code + ev_serve, rpc))
                 continue
             elif code < ev_arrive:  # send
-                k = code & 16383
-                n = (code >> 14) & 63
-                b = (code >> 20) & 32767
-                shard = shard_of[n][k]
-                wire = rows_i[n][k][8][b] / sparse_nic
+                shard = rpc[5]
+                wire = rpc[4][8] / sparse_nic
                 free = shard_free[shard]
                 begin = t if t >= free else free
                 shard_free[shard] = begin + wire
@@ -833,51 +846,40 @@ class SweepEvaluator:
                     dpos = 0
                 back_delay = ((begin - t) + wire) + delays[dpos]
                 dpos += 1
-                arrive = t + back_delay
-                heappush(heap, (arrive, code + ev_send, tcl, entry))
+                heapreplace(heap, (t + back_delay, code + ev_send, rpc))
                 continue
             elif code < ev_serve:  # arrive: IO-thread pool, then join
-                k = code & 16383
-                n = (code >> 14) & 63
-                b = (code >> 20) & 32767
                 # FIFO IO-thread pool: the earliest-free thread
                 # serves next.  min + index over the tiny pool list
                 # beat the two heap sifts; at a tie any thread
                 # yields the same begin float.
                 free = min(io_free)
                 begin = t if t >= free else free
-                crd = rows_i[n][k][6][b]
+                crd = rpc[4][6]
                 done = begin + crd
                 io_free[io_free.index(free)] = done
-                add(
-                    (done, ((b << 26) | (n << 20)) + ((k + 1) << 3) + 6,
-                     _K_SERDE, MAIN_SHARD, crd, 0.0)
-                )
+                add((done, rpc[6] + 6, _K_SERDE, MAIN_SHARD, crd, 0.0))
                 # rpc_outstanding: arrival order == heap pop order,
                 # strict > keeps the first-recorded maximum.
+                tcl = rpc[8]
                 d = t - tcl if no_skew else (t + skm) - (tcl + skm)
                 rpcs += 1
                 if d > best_rpc_dur:
-                    if best_rpc is not None:
-                        efree.append(best_rpc)
                     best_rpc_dur = d
-                    best_rpc = entry
-                else:
-                    assert entry is not None
-                    efree.append(entry)
-                join = joins[(b << 6) | n]
+                    best_rpc = rpc
+                join = rpc[7]
                 join[0] -= 1.0
                 if done > join[1]:
                     join[1] = done
-                if join[0] == 0.0:
-                    del joins[(b << 6) | n]
-                    groups += 1
-                    # The re-acquire joins the main pool's FIFO in heap
-                    # order at the join maximum, in its chain's lane.
-                    heappush(heap, (
-                        join[1], (code & ev_identity) - k + ev_resume,
-                        0.0, None,
-                    ))
+                if join[0]:
+                    heappop(heap)
+                    continue
+                groups += 1
+                # The re-acquire joins the main pool's FIFO in heap
+                # order at the join maximum, in its chain's lane.
+                heapreplace(
+                    heap, (join[1], (code & ev_group) + ev_resume, None)
+                )
                 continue
             elif code >= ev_resume:  # resume: re-acquire a main worker
                 n = (code >> 14) & 63
@@ -891,29 +893,28 @@ class SweepEvaluator:
                     lane = (code & ev_identity) >> _EV_LANE
                 if _tie_declines(m_last, t, grant, lane):
                     return math.inf
+                # Popped before the chain pushes its next RPC group.
+                heappop(heap)
                 m_free[m_free.index(f)] = advance(b, grant, n, lane, True)
                 continue
             # serve: the RPC acquires a worker from its shard's FIFO pool
             # and runs its shard chain from the grant (the rpc_e2e
             # service window opens at arrival).
-            k = code & 16383
-            n = (code >> 14) & 63
-            b = (code >> 20) & 32767
-            shard = shard_of[n][k]
+            shard = rpc[5]
             pool = s_free[shard]
             f = min(pool)
             grant = t if t >= f else f
             if _tie_declines(s_last[shard], t, grant, code):
                 return math.inf
-            row = rows_i[n][k]
-            sdes = row[2][b]
+            c = rpc[4]
+            sdes = c[2]
             x = grant + sdes
             x1 = x + service_fixed
-            sov = row[3][b]
+            sov = c[3]
             x2 = x1 + sov
-            slw = row[4][b]
+            slw = c[4]
             x3 = x2 + slw
-            srs = row[5][b]
+            srs = c[5]
             s_done = x3 + srs
             if no_skew:
                 d_sdes = x - grant
@@ -932,22 +933,16 @@ class SweepEvaluator:
             # The RPC's attribution entry, complete at grant time:
             # each slot is fed only by this RPC's own spans, in chain
             # order (serde = deser + resp ser).
-            if efree:
-                entry = efree.pop()
-            else:
-                entry = [0.0, 0.0, 0.0, 0.0]
-            entry[0] = d_slw
-            entry[1] = d_sdes + d_srs
-            entry[2] = d_sov
-            entry[3] = d_svc
-            rk = ((b << 26) | (n << 20)) + ((k + 1) << 3)
+            rpc[0] = d_slw
+            rpc[1] = d_sdes + d_srs
+            rpc[2] = d_sov
+            rpc[3] = d_svc
+            rk = rpc[6]
             add((x, rk, _K_SERDE, shard, sdes, 0.0))
             add((x2, rk + 1, _K_SERVICE, shard, sov, 0.0))
             add((x3, rk + 2, _K_OPS_SLW, shard, slw, d_slw))
             add((s_done, rk + 3, _K_SRS_SVC, shard, srs, 0.0))
-            heappush(heap, (
-                s_done, (code & ev_identity) | ev_send, tcl, entry,
-            ))
+            heapreplace(heap, (s_done, (code & ev_identity) | ev_send, rpc))
 
         best_batch = -1
         best_batch_dur = -1.0
@@ -982,10 +977,6 @@ class SweepEvaluator:
             best_batch, best_batch_dur,
             b_dense, b_embedded, b_serde, b_overhead, b_sparse,
         )
-        # The winning entry was consumed by finalize inside fold;
-        # reclaim it for the next request.
-        if best_rpc is not None:
-            efree.append(best_rpc)
         fabric.seek(window, dpos)
         main.egress_free = main_free
         for server, free in zip(servers, shard_free):

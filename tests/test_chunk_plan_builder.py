@@ -14,7 +14,9 @@ whose split may leave a part of a positive count empty.
 The second half pins where the DES's plans come from: every experiment
 replay, under any kernel, builds one chunk per chunk of requests and
 reads the DES's plans from it, a bare cluster builds a one-request
-chunk per request, and the chunk is the DES's only cost source.
+chunk per request, and the chunk is the DES's only cost source.  The
+last tests pin the widest plan a chunk accepts: the evaluator's packed
+event codes bound its nets, slots and batches.
 """
 
 import numpy as np
@@ -39,6 +41,8 @@ from repro.serving.columnar import _IdleArrivals, _chunk_bundle
 from repro.serving.simulator import ClusterSimulation
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel, ranking_response_bytes
+from repro.simulation import vectorized
+from repro.simulation.vectorized import ChunkPlans, NetColumns, TargetColumns
 from repro.requests.generator import request_payload_bytes
 
 FACTORIES = {"DRM1": drm1, "DRM2": drm2, "DRM3": drm3}
@@ -90,7 +94,7 @@ def _assert_row_matches(sim, chunk, row, request, seen, label):
         cm.serde_time(ranking_response_bytes(request.num_items), main),
     ]), label
     assert chunk.net_names == [net_cfg.name for net_cfg in model.nets], label
-    for net_cfg, net, shards in zip(model.nets, chunk.nets, chunk.shard_of):
+    for net_cfg, net in zip(model.nets, chunk.nets):
         want = scalar[net_cfg.name]
         assert _bits(net.dense[row]) == _bits(
             [p.dense_total for p in want]
@@ -104,7 +108,7 @@ def _assert_row_matches(sim, chunk, row, request, seen, label):
                 [p.local_work for p in want]
             ), label
             continue
-        assert shards == [
+        assert [target.shard for target in net.targets] == [
             shard.index for shard, _ in tenant.net_routing[net_cfg.name]
         ], label
         for target in net.targets:
@@ -294,3 +298,47 @@ def test_des_reads_serde_from_the_chunk(monkeypatch):
         got = run_configuration(model, plan, requests, serving)
         assert got.des_requests == len(requests), plan.label
         assert_run_identical(want, got, plan.label)
+
+
+def _chunk(nets=1, slots=0, nb=1):
+    columns = []
+    for _ in range(nets):
+        net = NetColumns()
+        net.targets = [TargetColumns(0) for _ in range(slots)]
+        columns.append(net)
+    return ChunkPlans(
+        False, [0], [nb], [0.0], [0.0], columns,
+        [f"net{n}" for n in range(nets)],
+    )
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [{"nets": 65}, {"slots": 16385}, {"nb": 32769}],
+    ids=["nets", "slots", "batches"],
+)
+def test_chunk_plans_reject_plans_past_the_code_widths(limits):
+    """The evaluator orders its heap events by packed integer codes, so
+    a plan whose net, slot or batch index would overflow its field is
+    refused when its chunk is built."""
+    with pytest.raises(ValueError, match="packed event-code field widths"):
+        _chunk(**limits)
+
+
+def test_chunk_plans_accept_the_largest_packed_plan():
+    """64 nets, 16384 slots and 32768 batches are the widest plan the
+    codes hold: its largest identity -- every field at its maximum, the
+    lane at its bound ``batches * (nets + 1)`` -- packs below the rank
+    bits, and each field decodes back intact."""
+    nets, slots, nb = 64, 16384, 32768
+    _chunk(nets=nets)
+    _chunk(slots=slots)
+    _chunk(nb=nb)
+    lane = nb * (nets + 1)
+    b, n, k = nb - 1, nets - 1, slots - 1
+    code = (lane << vectorized._EV_LANE) | (b << 20) | (n << 14) | k
+    assert code < vectorized._EV_RANK
+    assert code >> vectorized._EV_LANE == lane
+    assert ((code >> 20) & 32767, (code >> 14) & 63, code & 16383) == (b, n, k)
+    # The highest rank, resume (4), keeps every code below 2**60.
+    assert 4 * vectorized._EV_RANK + code < 1 << 60

@@ -36,6 +36,7 @@ from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule, Request, SparseFeatureDraw
 from repro.serving import ServingConfig
 from repro.sharding.pooling import estimate_pooling_factors
+from repro.simulation.costmodel import CostModel
 from repro.simulation.network import Fabric, FabricSpec
 from repro.simulation.platform import SC_LARGE
 from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
@@ -138,6 +139,44 @@ def test_diurnal_mix_matches_batched():
         assert 0 < result.des_requests < len(result), label
         assert set(result.workloads.tolist()) == {0, 1}, label
         assert_run_identical(batched[label], result, label)
+
+
+@pytest.mark.parametrize("qps", [None, 200.0])
+def test_io_thread_pool_matches_batched(qps):
+    """The IO-thread pool that deserializes RPC responses at the main
+    shard, one and two threads deep, on a fabric with no jitter: the
+    zero-byte hops are then equal, so responses reach the main shard at
+    one exact time and queue for the pool far more often than under
+    jitter."""
+    model, plans, requests = _inputs("DRM1")
+    plans = [
+        plan for plan in plans
+        if plan.label in ("singular", "load-bal 8 shards", "NSBP 4 shards")
+    ]
+    assert len(plans) == 3
+    if qps is None:
+        schedule = ReplaySchedule.serial()
+    else:
+        schedule = ReplaySchedule.open_loop(qps, seed=2)
+    for io_threads in (1, 2):
+        for workers in (2, 1):
+            for plan in plans:
+                def replay(kernel):
+                    serving = ServingConfig(
+                        seed=1, kernel=kernel, service_workers=workers,
+                        cost_model=CostModel(io_threads=io_threads),
+                        fabric_spec=FabricSpec(jitter_median=0.0),
+                    )
+                    return run_configuration(
+                        model, plan, requests, serving, schedule
+                    )
+
+                hybrid = replay("vectorized")
+                label = (qps, io_threads, workers, plan.label)
+                assert hybrid.kernel_used == "vectorized", label
+                if qps is None:
+                    assert hybrid.des_requests == 0, label
+                assert_run_identical(replay("batched"), hybrid, label)
 
 
 @pytest.mark.parametrize("name", ["DRM1", "DRM3"])
