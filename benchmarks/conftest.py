@@ -7,9 +7,8 @@ time the figure *generation* step while asserting the paper's qualitative
 shapes on the data.
 
 Request count per configuration comes from ``REPRO_REQUESTS`` (default
-150 here; raise it for tighter quantiles -- the simulation fast path
-keeps even 500+ cheap, see ``test_perf_throughput.py`` and
-``results/BENCH_throughput.json``).
+150 here; raise it for tighter quantiles).  Speed is measured by the
+end-to-end benchmark under ``benchmarks/e2e/``, not here.
 
 Pooling-factor estimates are additionally memoized globally in
 :mod:`repro.sharding.pooling`, so the suite runner and every serving
@@ -125,17 +124,6 @@ class SuiteCache:
             return base, comp, report
 
         return self._memo(("compression",), build)
-
-
-@pytest.fixture
-def bench_dir(tmp_path) -> str | None:
-    """Where the perf benchmarks write their ``BENCH_*.json``.
-
-    A plain test run must not rewrite the committed baselines, so the
-    artifacts go to the test's tmp dir unless ``REPRO_BENCH_RECORD=1``
-    asks to record them into ``results/`` (None: the default directory).
-    """
-    return None if os.environ.get("REPRO_BENCH_RECORD") == "1" else str(tmp_path)
 
 
 @pytest.fixture(scope="session")

@@ -29,9 +29,9 @@ Run:  python examples/capacity_planning.py
 Sizing knobs: the request count is explicit; ``CapacityPlanner.plan``
 fans the candidate simulations over worker processes -- the usable CPUs,
 or ``REPRO_SWEEP_WORKERS`` / ``max_workers`` -- with an identical plan
-for every worker count;
-planner search latency is tracked as the ``plan_sweep`` entry of
-``results/BENCH_throughput*.json``.
+for every worker count.  The end-to-end benchmark's
+``plan-availability`` workload (``benchmarks/e2e/``) times the same
+planner search.
 """
 
 from repro.analysis import format_table

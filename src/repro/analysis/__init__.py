@@ -7,7 +7,6 @@ from repro.analysis.caching import (
     lru_hit_rate,
     working_set_rows,
 )
-from repro.analysis.bench import record_benchmark
 from repro.analysis.quantiles import (
     QUANTILES,
     median_window_mean,
@@ -40,7 +39,6 @@ __all__ = [
     "format_table",
     "median_window_mean",
     "median_window_mean_columns",
-    "record_benchmark",
     "overhead_vs_baseline",
     "quantile",
     "save_artifact",

@@ -132,9 +132,9 @@ CAPACITY_SIZING_HEADERS = [
 ]
 
 
-def save_artifact(name: str, content: str, results_dir: str | None = None) -> str:
+def save_artifact(name: str, content: str) -> str:
     """Write an artifact under ``results/`` and return its path."""
-    directory = results_dir or os.environ.get("REPRO_RESULTS_DIR", "results")
+    directory = os.environ.get("REPRO_RESULTS_DIR", "results")
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, name)
     with open(path, "w") as handle:

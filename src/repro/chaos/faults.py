@@ -32,6 +32,7 @@ from repro.core.types import (
     check_fields,
     checked,
     count,
+    finite_non_negative,
     index,
     non_negative,
     optional,
@@ -60,8 +61,8 @@ class HostCrash:
     """
 
     shard: int = checked(_SHARD, normalise=True)
-    at: float = checked(non_negative)
-    restart_after: float | None = checked(optional(non_negative), None)
+    at: float = checked(finite_non_negative)
+    restart_after: float | None = checked(optional(finite_non_negative), None)
     replica: int = checked(index, 0)
     """Replica slot to kill: 0 is the primary ``sparse-{shard}`` host,
     ``k`` the ``sparse-{shard}-r{k}`` replica."""
@@ -88,8 +89,8 @@ class StragglerShard:
     """
 
     shard: int = checked(_SHARD, normalise=True)
-    start: float = checked(non_negative)
-    duration: float = checked(non_negative)
+    start: float = checked(finite_non_negative)
+    duration: float = checked(finite_non_negative)
     multiplier: float = checked(at_least_one, 4.0)
     replica: int | None = checked(optional(index), None)
     """Replica slot that straggles: ``None`` slows every replica of the
@@ -110,9 +111,9 @@ class NetworkSpike:
     from the dedicated ``(seed, "chaos", "network")`` substream -- chaos
     jitter never consumes the healthy fabric's jitter stream."""
 
-    start: float = checked(non_negative)
-    duration: float = checked(non_negative)
-    extra_latency: float = checked(non_negative, 0.0)
+    start: float = checked(finite_non_negative)
+    duration: float = checked(finite_non_negative)
+    extra_latency: float = checked(finite_non_negative, 0.0)
     multiplier: float = checked(at_least_one, 1.0)
     jitter_sigma: float = checked(non_negative, 0.0)
 
@@ -140,9 +141,9 @@ class CorrelatedFailure:
     """
 
     domain: int = checked(index)
-    at: float = checked(non_negative)
-    restart_after: float | None = checked(optional(non_negative), None)
-    stagger: float = checked(non_negative, 0.0)
+    at: float = checked(finite_non_negative)
+    restart_after: float | None = checked(optional(finite_non_negative), None)
+    stagger: float = checked(finite_non_negative, 0.0)
 
     def __post_init__(self):
         check_fields(self)
@@ -177,7 +178,7 @@ class HealingPolicy:
 
     check_interval: float = checked(positive, 0.25)
     consecutive_misses: int = checked(count, 2)
-    recovery_lag: float = checked(non_negative, 2.0)
+    recovery_lag: float = checked(finite_non_negative, 2.0)
 
     def __post_init__(self):
         check_fields(self)
@@ -201,7 +202,7 @@ class FaultSchedule:
 
     experiments: tuple[FaultExperiment, ...] = ()
     replicas: int = checked(count, 1, normalise=True)
-    failover_timeout: float = checked(non_negative, 2e-3)
+    failover_timeout: float = checked(finite_non_negative, 2e-3)
     healing: HealingPolicy | None = None
 
     domains: int = checked(count, 1, normalise=True)

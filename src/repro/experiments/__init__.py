@@ -17,12 +17,10 @@ Sizing and throughput knobs
   net)) demand.  ``SuiteSettings.trace_mode`` / ``ServingConfig.trace_mode``
   only pick the tracer of a bare ``ClusterSimulation``; no ``RunResult``
   depends on them.
-* ``results/BENCH_throughput.json`` -- simulated-requests-per-second
-  trajectory (its "full" and aggregate rungs, plus the co-located diurnal
-  ``mix_sweep`` entry), written by ``benchmarks/test_perf_throughput.py``
-  via :func:`repro.analysis.bench.record_benchmark` -- into the test's
-  tmp dir on a plain run; only ``REPRO_BENCH_RECORD=1`` rewrites the
-  committed file.
+* Throughput is measured from outside: ``benchmarks/e2e/`` times each
+  workload end to end and layer by layer, and
+  ``tests/test_work_counts.py`` pins the exact work (heap calls, DES
+  events, chunk builds) three small sweeps do.
 """
 
 from repro.experiments.configs import (

@@ -9,7 +9,8 @@ code that is *categorically* outside the replayed world.
 The default allowlist ships exactly one entry: DET003 (wall-clock reads)
 under ``benchmarks/*``.  The perf harness times real elapsed seconds by
 design; everything else that reads a clock must justify itself inline
-(see the reasoned suppression in ``repro/analysis/bench.py``).
+(see the reasoned suppression of ``--profile``'s timer in
+``repro/cli.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class AllowRule:
 
 
 DEFAULT_ALLOWLIST: tuple[AllowRule, ...] = (
-    # The throughput benchmarks measure real wall-clock by definition.
+    # The benchmarks measure real wall-clock by definition.
     AllowRule("DET003", "benchmarks/*"),
 )
 

@@ -2,8 +2,7 @@
 
 Both reporters consume the same sorted finding list, so the terminal
 output and the CI artifact always agree.  The JSON payload is versioned
-(``"version": 1``) and key-sorted, making it diffable across commits the
-same way ``results/BENCH_throughput.json`` is.
+(``"version": 1``) and key-sorted, making it diffable across commits.
 """
 
 from __future__ import annotations

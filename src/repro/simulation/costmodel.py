@@ -29,6 +29,7 @@ from repro.core.types import (
     check_fields,
     checked,
     count,
+    finite_non_negative,
     non_negative,
     positive,
     probability,
@@ -53,10 +54,10 @@ class CostModel:
     """Tunable constants for the serving cost model."""
 
     # -- serialization ----------------------------------------------------
-    serde_fixed: float = checked(non_negative, 1.2 * US)
+    serde_fixed: float = checked(finite_non_negative, 1.2 * US)
     """Per-message fixed serde cost (framing, allocation)."""
 
-    serde_per_table: float = checked(non_negative, 1.6 * US)
+    serde_per_table: float = checked(finite_non_negative, 1.6 * US)
     """Shard-side per-feature (de)serialization cost: each table's ids and
     pooled vectors travel as a nested Thrift struct, and struct building --
     not raw bytes -- dominates RPC serde.  This is the shard-side cost that
@@ -64,7 +65,7 @@ class CostModel:
     features, which is how input sparsity drives distributed-inference
     overheads (paper abstract, Section VI)."""
 
-    client_serde_per_table: float = checked(non_negative, 0.3 * US)
+    client_serde_per_table: float = checked(finite_non_negative, 0.3 * US)
     """Main-shard per-feature serde cost.  Cheaper than the shard side:
     the async RPC client serializes id lists without copies and
     deserializes responses into zero-copy tensor views."""
@@ -73,36 +74,36 @@ class CostModel:
     """Serde throughput at the SC-Large reference clock."""
 
     # -- service handler ----------------------------------------------------
-    request_handler_fixed: float = checked(non_negative, 40 * US)
+    request_handler_fixed: float = checked(finite_non_negative, 40 * US)
     """Main-shard Thrift handler work per ranking request."""
 
-    response_handler_fixed: float = checked(non_negative, 18 * US)
+    response_handler_fixed: float = checked(finite_non_negative, 18 * US)
     """Main-shard response assembly per ranking request."""
 
-    rpc_service_fixed: float = checked(non_negative, 26 * US)
+    rpc_service_fixed: float = checked(finite_non_negative, 26 * US)
     """Sparse-shard Thrift service boilerplate per RPC."""
 
-    rpc_dispatch_fixed: float = checked(non_negative, 1.8 * US)
+    rpc_dispatch_fixed: float = checked(finite_non_negative, 1.8 * US)
     """Main-shard cost to schedule/book-keep one async RPC op."""
 
     io_threads: int = checked(count, 4)
     """IO threads per server: async RPC responses are deserialized here,
     off the request workers, overlapping the remaining RPC waits."""
 
-    fill_per_table: float = checked(non_negative, 0.2 * US)
+    fill_per_table: float = checked(finite_non_negative, 0.2 * US)
     """Main-shard zero-fill for a remote table absent from the request
     (the sparsity optimization skips its lookup; downstream layers still
     need a zero blob)."""
 
     # -- ML framework -------------------------------------------------------
-    net_overhead_fixed: float = checked(non_negative, 8 * US)
+    net_overhead_fixed: float = checked(finite_non_negative, 8 * US)
     """Caffe2 net setup/teardown per net execution."""
 
-    net_overhead_per_op: float = checked(non_negative, 0.12 * US)
+    net_overhead_per_op: float = checked(finite_non_negative, 0.12 * US)
     """Per-operator scheduling cost within a net."""
 
     # -- sparse operators ---------------------------------------------------
-    sls_dispatch_per_table: float = checked(non_negative, 0.5 * US)
+    sls_dispatch_per_table: float = checked(finite_non_negative, 0.5 * US)
     """SLS operator dispatch per table (even when the lookup is empty)."""
 
     sls_dram_overlap: float = checked(non_negative, 0.45)
@@ -113,13 +114,14 @@ class CostModel:
     """Share of a net's dense work before the sparse join (bottom MLP)."""
 
     # -- compressed-table execution -------------------------------------------
-    dequant_per_id: float = checked(non_negative, 0.035 * US)
+    dequant_per_id: float = checked(finite_non_negative, 0.035 * US)
     """Extra ALU work per lookup id for quantized rows (Table III)."""
 
     def __post_init__(self):
         # A negative cost would surface as a negative delay deep inside
-        # the DES, and a fractional pool would run there but not in the
-        # evaluator: fail at construction with the field named instead.
+        # the DES, an infinite one would fail only mid-replay, and a
+        # fractional pool would run there but not in the evaluator: fail
+        # at construction with the field named instead.
         check_fields(self, "CostModel.")
 
     # ------------------------------------------------------------------------

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.rng import substream
-from repro.core.types import US, check_fields, checked, non_negative
+from repro.core.types import (
+    US,
+    check_fields,
+    checked,
+    finite_non_negative,
+    non_negative,
+)
 from repro.simulation.platform import Platform
 
 
@@ -29,13 +35,13 @@ from repro.simulation.platform import Platform
 class FabricSpec:
     """Tunable parameters of the fabric latency distribution."""
 
-    propagation: float = checked(non_negative, 15 * US)
+    propagation: float = checked(finite_non_negative, 15 * US)
     """One-way propagation + switching delay between racks."""
 
-    kernel_overhead: float = checked(non_negative, 8 * US)
+    kernel_overhead: float = checked(finite_non_negative, 8 * US)
     """In-kernel packet processing at the two endpoints (combined)."""
 
-    jitter_median: float = checked(non_negative, 6 * US)
+    jitter_median: float = checked(finite_non_negative, 6 * US)
     """Median of the lognormal jitter term."""
 
     jitter_sigma: float = checked(non_negative, 0.55)

@@ -18,7 +18,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from repro.core.types import GIB, check_fields, checked, count, non_negative, positive
+from repro.core.types import (
+    GIB,
+    check_fields,
+    checked,
+    count,
+    finite_non_negative,
+    positive,
+)
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,7 @@ class Platform:
     dram_capacity: float = checked(positive)
     clock_ghz: float = checked(positive)
     mem_bandwidth: float = checked(positive)
-    dram_access_ns: float = checked(non_negative)
+    dram_access_ns: float = checked(finite_non_negative)
     nic_bandwidth: float = checked(positive)
 
     def __post_init__(self):

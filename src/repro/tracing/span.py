@@ -57,7 +57,7 @@ class Span:
 
     ``slots=True``: simulations allocate one Span per instrumented
     interval (hundreds per request), so the per-instance dict is worth
-    eliminating -- see ``benchmarks/test_perf_throughput.py``.
+    eliminating.
     """
 
     request_id: int

@@ -223,6 +223,7 @@ def test_any_value_the_contract_refuses_is_a_value_error(case, value):
 
 
 NAN = math.nan
+INF = math.inf
 #: Inputs each class accepted before the contracts, all now refused.
 NEWLY_REJECTED = {
     "serving-fractional-seed": lambda: ServingConfig(seed=1.5),
@@ -257,6 +258,29 @@ NEWLY_REJECTED = {
     "policy-bool-budget": lambda: ResiliencePolicy(retry_budget=True),
     "policy-bool-quantile": lambda: ResiliencePolicy(
         hedge_quantile=True, max_attempts=2
+    ),
+    # An infinite time used to construct: a straggler with a healing
+    # controller never ended (the controller's horizon was inf), an
+    # infinite stagger overflowed numpy mid-replay, and an infinite cost
+    # failed as a TypeError in the attribution.
+    "straggler-inf-duration": lambda: StragglerShard(0, 0.0, INF),
+    "correlated-inf-stagger": lambda: CorrelatedFailure(
+        domain=0, at=0.0, stagger=INF
+    ),
+    "cost-inf-rpc-service": lambda: CostModel(rpc_service_fixed=INF),
+    "crash-inf-at": lambda: HostCrash(0, at=INF),
+    "crash-inf-restart": lambda: HostCrash(0, 0.0, restart_after=INF),
+    "spike-inf-extra-latency": lambda: NetworkSpike(
+        start=0.0, duration=1.0, extra_latency=INF
+    ),
+    "correlated-inf-restart": lambda: CorrelatedFailure(
+        domain=0, at=0.0, restart_after=INF
+    ),
+    "healing-inf-recovery-lag": lambda: HealingPolicy(recovery_lag=INF),
+    "schedule-inf-failover": lambda: FaultSchedule(failover_timeout=INF),
+    "fabric-inf-propagation": lambda: FabricSpec(propagation=INF),
+    "platform-inf-dram-access": lambda: Platform(
+        **{**_PLATFORM, "dram_access_ns": INF}
     ),
 }
 

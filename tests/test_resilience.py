@@ -329,6 +329,7 @@ class TestDeterminism:
         )
         assert serial.slo_latency == parallel.slo_latency
         assert serial.policy == parallel.policy
+        assert all(o.result.attempts.sum() > 0 for o in serial.outcomes)
         for a, b in zip(serial.outcomes, parallel.outcomes):
             _assert_columns_equal(a.result, b.result)
             assert a.report == b.report

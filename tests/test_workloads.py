@@ -306,6 +306,7 @@ class TestColocatedCluster:
             result = results[configuration.label]
             assert len(result) == 24
             assert result.workload_labels == ("ranking", "retrieval")
+            assert all(len(e2e) == 12 for e2e in result.per_workload_e2e().values())
             plans = [
                 build_plan(workload.model, configuration, pooling)
                 for workload, pooling in zip(mix.workloads, poolings)
