@@ -38,6 +38,10 @@ NS = 1e-9
 US = 1e-6
 MS = 1e-3
 
+#: A cost-model operand: one plain number, or a numpy column of them that
+#: the cost formulas evaluate elementwise with the same IEEE operations.
+Num = float | np.ndarray
+
 
 @dataclasses.dataclass(frozen=True)
 class Contract:

@@ -78,6 +78,7 @@ import numpy as np
 from repro.core.dlrm import NumericRequest, SparseInput
 from repro.core.host import usable_cpus
 from repro.core.rng import poisson, poisson_total, substream
+from repro.core.types import Num
 from repro.core.types import seed as any_seed
 from repro.models.config import FeatureScope, ModelConfig, TableConfig
 
@@ -383,14 +384,17 @@ def _item_total(rng: np.random.Generator, rate: float, size: int) -> float:
     return float(poisson_total(rng, rate, size))
 
 
-def request_payload_bytes(model: ModelConfig, request: Request) -> float:
-    """Serialized size of the inbound ranking request.
+def request_payload_bytes(
+    model: ModelConfig, num_items: Num, total_ids: Num, tables: Num
+) -> Num:
+    """Serialized size of an inbound ranking request of ``num_items``
+    items, drawing ``total_ids`` sparse ids over ``tables`` features.
 
     Dense features per item plus 8-byte sparse ids plus per-feature framing.
     """
-    ids_bytes = 8.0 * request.total_ids
-    framing = 24.0 * len(request.draws)
-    dense = model.profile.dense_feature_bytes * request.num_items
+    ids_bytes = 8.0 * total_ids
+    framing = 24.0 * tables
+    dense = model.profile.dense_feature_bytes * num_items
     return 256.0 + dense + ids_bytes + framing
 
 

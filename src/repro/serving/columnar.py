@@ -28,12 +28,19 @@ Bit-exactness
 :func:`build_chunk_plans` produces, for every (request, net, batch,
 shard-slot), the *same float64 bits* as building each request's plans
 one table and one batch at a time in Python floats (the scalar oracle
-``tests/plan_oracle.py`` pins it): every numpy expression below keeps
-the exact left-associated operation order of that scalar computation,
-and integer sums (ids, active tables, response
-bytes, distinct tables, active targets) stay integers until the same
-int->float points, so they may be reduced over the table axis in any
-order.  The one float sum, the SLS gather, is
+``tests/plan_oracle.py`` pins it).  Every cost formula is the one in
+:mod:`repro.simulation.costmodel` (and
+:func:`~repro.requests.generator.request_payload_bytes`), called here on
+whole numpy columns and by the oracle on plain numbers.  That is
+bit-identical because a numpy elementwise operation on float64 is the
+same IEEE operation a Python float operation is: each function's
+expression runs the same left-associated operations on the same
+operands, whatever their container, and an int64 operand converts to
+the float a Python int would.  The builder only reduces over the table
+axis: integer sums (ids, active tables, summed dims, distinct tables,
+active targets) stay integers until they enter a formula, so they may
+be reduced in any order, and every byte count is an integer far below
+2**53, exact in any association.  The one float sum, the SLS gather, is
 ``np.add.accumulate`` along the table axis -- the scalar sequential
 left-to-right adds, in pair order -- and its last element is the
 gather.  A table a request does not draw, a table absent from the whole
@@ -77,11 +84,17 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.types import US
+from repro.core.types import Num
 from repro.models.config import FeatureScope, ModelConfig, TableConfig
-from repro.requests.generator import Request
+from repro.requests.generator import Request, request_payload_bytes
 from repro.serving.simulator import ClusterSimulation, ServingConfig, _Tenant
 from repro.sharding.plan import ShardingPlan
+from repro.simulation.costmodel import (
+    ranking_response_bytes,
+    rpc_request_bytes,
+    rpc_response_bytes,
+    wire_time,
+)
 from repro.simulation.vectorized import (
     ChunkPlans,
     NetColumns,
@@ -259,17 +272,22 @@ def _scatter(destination: list, positions: list[int], rows: Iterable) -> None:
 _consume = deque(maxlen=0).extend
 
 
+def _listed(column: Num) -> list:
+    """A cost column's Python floats (``tolist`` keeps the float64 bits)."""
+    return np.asarray(column).tolist()
+
+
 def _slot_tables(
     tenant: _Tenant, net_name: str
 ) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     list[tuple[TableConfig, int, int]],
 ]:
     """Net ``net_name``'s routing slots as a padded (slots, kmax) table
     index into its count stack, in pair order, with per-entry constants:
-    the sparse per-id SLS cost, the ITEM-scope flag, and ``dim * 4`` split
-    into its ITEM and USER parts.  Padding points at the stack's trailing
-    zero plane and carries zero constants.
+    the sparse per-id SLS cost and the table's dim, split into its ITEM
+    and USER parts.  Padding points at the stack's trailing zero plane
+    and carries zero constants.
 
     A row-partitioned pair points at its part's plane: every
     ``(table, num_parts)`` of the routing, in first-use order, appends
@@ -284,9 +302,8 @@ def _slot_tables(
     shape = (len(routing), max((len(pairs) for _, pairs in routing), default=1))
     index = np.full(shape, len(plane_of), np.int64)
     per_id = np.zeros(shape)
-    is_item = np.zeros(shape, bool)
-    dim4_item = np.zeros(shape, np.int64)
-    dim4_user = np.zeros(shape, np.int64)
+    dim_item = np.zeros(shape, np.int64)
+    dim_user = np.zeros(shape, np.int64)
     partitions: list[tuple[TableConfig, int, int]] = []
     first_part: dict[tuple[str, int], int] = {}
     next_plane = len(plane_of) + 1  # past the padding plane
@@ -304,17 +321,15 @@ def _slot_tables(
             index[slot, entry] = plane
             per_id[slot, entry] = tenant.per_id_sparse[table.name]
             if table.scope is FeatureScope.ITEM:
-                is_item[slot, entry] = True
-                dim4_item[slot, entry] = table.dim * 4
+                dim_item[slot, entry] = table.dim
             else:
-                dim4_user[slot, entry] = table.dim * 4
+                dim_user[slot, entry] = table.dim
     # Trailing (Rg, B) axes, so every constant broadcasts over a group.
     return (
         index,
         per_id[..., None, None],
-        is_item[..., None, None],
-        dim4_item[..., None, None],
-        dim4_user[..., None, None],
+        dim_item[..., None, None],
+        dim_user[..., None, None],
         partitions,
     )
 
@@ -355,27 +370,20 @@ def build_chunk_plans(
     config = sim.config
     model = tenant.model
     cm = config.cost_model
+    main = config.main_platform
+    sparse = config.sparse_platform
     size = config.batch_size or model.profile.batch_size
     bundle = _chunk_bundle(requests, model, size, config.max_batches)
     count = len(requests)
 
-    rc_main = config.main_platform.relative_clock
-    denom_main = sim._serde_denom_main
-    denom_sparse = sim._serde_denom_sparse
-    items_f = bundle.items.astype(np.float64)
-    payload = (
-        256.0
-        + model.profile.dense_feature_bytes * items_f
-        + 8.0 * bundle.total_ids.astype(np.float64)
-        + 24.0 * bundle.ndraws.astype(np.float64)
+    head = cm.serde_time(
+        request_payload_bytes(
+            model, bundle.items, bundle.total_ids, bundle.ndraws
+        ),
+        main,
+        tables=bundle.ndraws,
     )
-    head = (
-        cm.serde_fixed
-        + (cm.serde_per_table * bundle.ndraws.astype(np.float64)) / rc_main
-        + payload / denom_main
-    )
-    # serde_time(tables=0): the per-table term is an exact +0.0 no-op.
-    tail = cm.serde_fixed + (64.0 + 8.0 * items_f) / denom_main
+    tail = cm.serde_time(ranking_response_bytes(bundle.items), main)
 
     singular = tenant.plan.is_singular
     nb_list = [0] * count
@@ -402,29 +410,23 @@ def build_chunk_plans(
         # Every position is scattered exactly once (the groups partition
         # the chunk), so plain placeholders beat per-request empties.
         net_columns.overhead = placeholder.copy()
-        net_columns.dense = placeholder.copy()
+        net_columns.pre = placeholder.copy()
+        net_columns.post = placeholder.copy()
         net_columns.local = placeholder.copy()
         for target in net_columns.targets:
             target.rows = placeholder.copy()
-
-    serde_fixed = cm.serde_fixed
-    dispatch_fixed = cm.rpc_dispatch_fixed
-    sls_dispatch = cm.sls_dispatch_per_table
-    tbl_client = np.asarray(tenant.serde_tbl_client, dtype=np.float64)
-    tbl_server = np.asarray(tenant.serde_tbl_server, dtype=np.float64)
 
     for batches, positions, items_pb, stacks in bundle.groups:
         for position in positions:
             nb_list[position] = batches
         group_requests = [requests[position] for position in positions]
-        items_pb_f = items_pb.astype(np.float64)
         for net_index, net_cfg in enumerate(model.nets):
             net_columns = nets[net_index]
             stack = stacks[net_index]
             n_net = len(net_tables[net_index])
-            micros = net_cfg.dense_us_fixed + net_cfg.dense_us_per_item * items_pb_f
-            dense = micros * US / rc_main
-            _scatter(net_columns.dense, positions, dense.tolist())
+            pre, post = cm.dense_halves(net_cfg, items_pb, main)
+            _scatter(net_columns.pre, positions, _listed(pre))
+            _scatter(net_columns.post, positions, _listed(post))
 
             if singular:
                 net_overhead = cm.net_overhead(n_net + 12)
@@ -437,11 +439,11 @@ def build_chunk_plans(
                 gather = np.add.accumulate(
                     stack * per_id_main[net_index], axis=0
                 )[-1]
-                local = sls_dispatch * n_net + gather
-                _scatter(net_columns.local, positions, local.tolist())
+                local = cm.sls_time(n_net, gather)
+                _scatter(net_columns.local, positions, _listed(local))
                 continue
 
-            index, per_id, is_item, dim4_item, dim4_user, partitions = (
+            index, per_id, dim_item, dim_user, partitions = (
                 slot_tables[net_index]
             )
             # (slot, table, request, batch) counts; padding reads zeros,
@@ -456,50 +458,49 @@ def build_chunk_plans(
             mask = counts > 0
             ids = counts.sum(axis=1)
             ntab = mask.sum(axis=1)
-            # Per active table 24 + dim*4 bytes, times the batch's items
-            # for an ITEM table (integer-exact in any order).
-            resp_extra = (mask * (24 + dim4_user)).sum(axis=1) + items_pb * (
-                mask * dim4_item
-            ).sum(axis=1)
-            has_item = (mask & is_item).any(axis=1)
+            # Integer sums over the active tables (exact in any order).
+            user_dims = (mask * dim_user).sum(axis=1)
+            item_dims = (mask * dim_item).sum(axis=1)
             gather = np.add.accumulate(counts * per_id, axis=1)[:, -1]
             active = ntab > 0
-            segments = np.where(has_item, items_pb, 1)
-            req_bytes = 64.0 + ids * 8.0 + ntab * (segments * 4.0 + 24.0)
-            resp_bytes = 64.0 + resp_extra
-            client_tbl = tbl_client[ntab]
-            server_tbl = tbl_server[ntab]
-            cst = serde_fixed + client_tbl + req_bytes / denom_main + dispatch_fixed
-            sdes = serde_fixed + server_tbl + req_bytes / denom_sparse
-            sov = cm.net_overhead_fixed + cm.net_overhead_per_op * (ntab + 2)
-            slw = sls_dispatch * ntab + gather
-            srs = serde_fixed + server_tbl + resp_bytes / denom_sparse
-            crd = serde_fixed + client_tbl + resp_bytes / denom_main
+            # An active ITEM table (every dim is positive) sends one id
+            # segment per item of the batch.
+            segments = np.where(item_dims > 0, items_pb, 1)
+            req_bytes = rpc_request_bytes(ids, ntab, segments)
+            resp_bytes = rpc_response_bytes(ntab, user_dims, item_dims, items_pb)
+            cst = (
+                cm.serde_time(req_bytes, main, ntab, client_side=True)
+                + cm.rpc_dispatch_fixed
+            )
+            sdes = cm.serde_time(req_bytes, sparse, ntab)
+            sov = cm.net_overhead(ntab + 2)
+            slw = cm.sls_time(ntab, gather)
+            srs = cm.serde_time(resp_bytes, sparse, ntab)
+            crd = cm.serde_time(resp_bytes, main, ntab, client_side=True)
             # One evaluator row per (slot, request): the nine per-batch
-            # cost planes stacked request-major (axis=2 keeps each
-            # request's (9, batches) row a contiguous view).  The rows
-            # stay float64 until a request is listed.  The active plane
-            # becomes float 0.0/1.0 -- only its truthiness is read.
+            # planes stacked request-major (axis=2 keeps each request's
+            # (9, batches) row a contiguous view).  The rows stay float64
+            # until a request is listed.  The active plane becomes float
+            # 0.0/1.0 -- only its truthiness is read.
             stacked = np.stack((
-                active, cst, sdes, sov, slw, srs, crd, req_bytes, resp_bytes,
+                active, cst, sdes, sov, slw, srs, crd,
+                wire_time(req_bytes, main), wire_time(resp_bytes, sparse),
             ), axis=2)
             for target, rows in zip(net_columns.targets, stacked):
                 _scatter(target.rows, positions, rows)
             # Distinct active tables read the unsplit planes: a positive
             # count has a positive part somewhere.
             n_names = (stack > 0).sum(axis=0)
-            overhead = cm.net_overhead_fixed + cm.net_overhead_per_op * (
-                n_net + 12 + active.sum(axis=0)
-            )
-            overhead = overhead + cm.fill_per_table * (n_net - n_names)
-            _scatter(net_columns.overhead, positions, overhead.tolist())
+            overhead = cm.net_overhead(n_net + 12 + active.sum(axis=0))
+            overhead = overhead + cm.zero_fill_time(n_net - n_names)
+            _scatter(net_columns.overhead, positions, _listed(overhead))
 
     return ChunkPlans(
         singular,
         [request.request_id for request in requests],
         nb_list,
-        head.tolist(),
-        tail.tolist(),
+        _listed(head),
+        _listed(tail),
         nets,
         [net_cfg.name for net_cfg in model.nets],
     )

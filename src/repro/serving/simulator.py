@@ -35,13 +35,15 @@ substream key and is byte-identical to the pre-tenant implementation.
 
 Fast path: every cost a request will be charged is a pure function of
 (request, plan, cost model) -- none depends on simulation time -- so the
-DES computes none: it reads them from the request's row of the
-:class:`~repro.simulation.vectorized.ChunkPlans` the columnar evaluator
-reads, listed to Python floats once when the request starts.  The row
-is the one the idle-arrival hook located, or a one-request chunk's for
-a request no chunk holds; the one plan builder
-(:func:`repro.serving.columnar.build_chunk_plans`) keeps the per-span
-float-operation order exactly.
+DES computes none: it reads them, in seconds, from the request's row of
+the :class:`~repro.simulation.vectorized.ChunkPlans` the columnar
+evaluator reads, listed to Python floats once when the request starts:
+the serde, overhead, SLS and dense-half times, and each RPC message's
+wire time, which the sender's egress NIC reserves.  The row is the one
+the idle-arrival hook located, or a one-request chunk's for a request no
+chunk holds; the one plan builder
+(:func:`repro.serving.columnar.build_chunk_plans`) evaluates the cost
+model's formulas with the scalar float-operation order exactly.
 """
 
 from __future__ import annotations
@@ -214,10 +216,10 @@ class SimServer:
         #: When the last byte reserved on the egress NIC leaves.
         self.egress_free = 0.0
 
-    def egress_delay(self, nbytes: float) -> float:
-        """Reserve the egress NIC for a message; returns total delay until
-        the last byte leaves (queueing behind in-flight messages + wire)."""
-        wire = nbytes / self.platform.nic_bandwidth
+    def egress_delay(self, wire: float) -> float:
+        """Reserve the egress NIC for a message of ``wire`` seconds on the
+        link; returns total delay until the last byte leaves (queueing
+        behind in-flight messages + wire)."""
         start = max(self.engine.now, self.egress_free)
         self.egress_free = start + wire
         return (start - self.engine.now) + wire
@@ -227,7 +229,7 @@ class _Tenant:
     """One co-located model's execution context on the shared cluster.
 
     Holds everything that is a pure function of (model, plan, cost model):
-    the per-net RPC routing and the hoisted per-table cost constants.  A
+    the per-net RPC routing and the per-table SLS per-id costs.  A
     single-model simulation is simply a cluster with one tenant; the
     shared-host contention of multi-model co-location falls out of the
     servers being owned by the cluster, not the tenant.
@@ -240,8 +242,6 @@ class _Tenant:
         "net_routing",
         "per_id_main",
         "per_id_sparse",
-        "serde_tbl_client",
-        "serde_tbl_server",
     )
 
     def __init__(self, index: int, model: ModelConfig, plan: ShardingPlan, config: ServingConfig):
@@ -268,30 +268,17 @@ class _Tenant:
                     routing.append((shard, pairs))
             self.net_routing[net_cfg.name] = routing
 
-        # Pure per-table / per-message cost constants, hoisted out of the
-        # hot loop.  All reproduce the exact float expressions of
-        # CostModel.serde_time / sls_time (same association order), so the
-        # precomputed plans are bit-identical to computing costs in-line.
+        # The per-id SLS cost of every table on either tier, which the
+        # plan builder gathers over its count planes.
         cm = config.cost_model
-        main_platform = config.main_platform
-        sparse_platform = config.sparse_platform
         self.per_id_main = {
-            table.name: cm.sls_per_id(table, main_platform) for table in model.tables
+            table.name: cm.sls_per_id(table, config.main_platform)
+            for table in model.tables
         }
         self.per_id_sparse = {
-            table.name: cm.sls_per_id(table, sparse_platform) for table in model.tables
+            table.name: cm.sls_per_id(table, config.sparse_platform)
+            for table in model.tables
         }
-        max_tables = max(
-            (len(model.tables_for_net(net.name)) for net in model.nets), default=0
-        )
-        self.serde_tbl_client = [
-            (cm.client_serde_per_table * n) / main_platform.relative_clock
-            for n in range(max_tables + 1)
-        ]
-        self.serde_tbl_server = [
-            (cm.serde_per_table * n) / sparse_platform.relative_clock
-            for n in range(max_tables + 1)
-        ]
 
 
 class ClusterSimulation:
@@ -483,15 +470,6 @@ class ClusterSimulation:
             f"an integer in [0, {len(tenants)})",
             lambda value: 0 <= value < len(tenants),
         )
-        # Per-message serde denominators depend only on the cost model and
-        # platforms, which every tenant shares.
-        cm = self.config.cost_model
-        self._serde_denom_main = (
-            cm.serde_bytes_per_sec * self.config.main_platform.relative_clock
-        )
-        self._serde_denom_sparse = (
-            cm.serde_bytes_per_sec * self.config.sparse_platform.relative_clock
-        )
 
     # -- lookup routing --------------------------------------------------------
     def _partition_split(self, request: Request, table: TableConfig, count: int, parts: int) -> np.ndarray:
@@ -551,16 +529,17 @@ class ClusterSimulation:
             res.start_request(rid)
         # The request's row, listed once: the head and tail serde, the
         # batch count, and per net its name, per-batch overhead, dense
-        # and (singular) local work, and per routing slot its shard index
-        # and per-batch cost tuples (the nine planes of TargetColumns,
-        # batch-major).  No reference to the chunk outlives the listing,
-        # so the chunk is freed when the replay moves past it.
+        # halves and (singular) local work, and per routing slot its shard
+        # index and per-batch cost tuples (the nine planes of
+        # TargetColumns, batch-major).  No reference to the chunk outlives
+        # the listing, so the chunk is freed when the replay moves past it.
         head, tail, nb = chunk.head_deser[row], chunk.tail_ser[row], chunk.nb[row]
         nets = [
             (
                 name,
                 net.overhead[row],
-                net.dense[row],
+                net.pre[row],
+                net.post[row],
                 net.local[row] if chunk.singular else None,
                 [(target.shard, target.costs(row)) for target in net.targets],
             )
@@ -606,10 +585,9 @@ class ClusterSimulation:
         engine, main = self.engine, self.main
         record = self._record
         rid = request.request_id
-        pre_fraction = self.config.cost_model.dense_pre_fraction
         t_batch = engine.now
         yield main.workers.acquire()
-        for net_name, overheads, dense, local, slots in nets:
+        for net_name, overheads, pres, posts, local, slots in nets:
             t0 = engine.now
             overhead = overheads[bindex]
             yield overhead
@@ -619,8 +597,7 @@ class ClusterSimulation:
             )
 
             t0 = engine.now
-            dense_total = dense[bindex]
-            pre = dense_total * pre_fraction
+            pre = pres[bindex]
             yield pre
             record(
                 rid, MAIN_SHARD, main, _OPERATOR, "dense_pre",
@@ -630,7 +607,7 @@ class ClusterSimulation:
             yield from self._sparse(request, bindex, net_name, local, slots)
 
             t0 = engine.now
-            post = dense_total - pre
+            post = posts[bindex]
             yield post
             record(
                 rid, MAIN_SHARD, main, _OPERATOR, "dense_post",
@@ -948,15 +925,13 @@ class ClusterSimulation:
 
             record = gated
 
-        _active, _cst, deser, overhead, work, ser, resp_deser, req_bytes, resp_bytes = (
+        _active, _cst, deser, overhead, work, ser, resp_deser, req_wire, resp_wire = (
             costs
         )
         chaos = self._chaos
         rpc_id = next(self._rpc_ids)
 
-        out_delay = main.egress_delay(req_bytes) + self.fabric.one_way_delay(
-            main.platform, server.platform, 0.0
-        )
+        out_delay = main.egress_delay(req_wire) + self.fabric.one_way_delay()
         if chaos is not None:
             out_delay = chaos.network_delay(out_delay)
         yield out_delay
@@ -1022,9 +997,7 @@ class ClusterSimulation:
             t_service, engine.now, service_fixed, None, net_name, bindex, rpc_id,
         )
 
-        back_delay = server.egress_delay(resp_bytes) + self.fabric.one_way_delay(
-            server.platform, main.platform, 0.0
-        )
+        back_delay = server.egress_delay(resp_wire) + self.fabric.one_way_delay()
         if chaos is not None:
             back_delay = chaos.network_delay(back_delay)
         yield back_delay

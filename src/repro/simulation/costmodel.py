@@ -1,13 +1,22 @@
 """Calibrated cost model for serving-stack and operator work.
 
-Every timing the simulator charges comes from here, so the calibration
-story lives in one place.  The paper publishes no absolute times (all of
-its figures are normalized), so constants below are set to produce the
-*relationships* the paper reports -- the figure benchmarks
-(``benchmarks/test_fig*.py``) assert them, and ROADMAP.md's open item
-"Calibrate the cost model against the ledger" tracks a fit of these
-constants to the paper's numbers -- with magnitudes representative of
-commodity data-center serving:
+Every cost formula the simulator charges is written here once (the
+inbound request's size is
+:func:`repro.requests.generator.request_payload_bytes`), so a constant
+or formula change is one edit.  The plan builder
+(:func:`repro.serving.columnar.build_chunk_plans`) evaluates these
+functions over its numpy columns (a :data:`~repro.core.types.Num` is a
+number or such a column), the scalar oracle ``tests/plan_oracle.py``
+calls them with plain numbers, and both replay engines read the
+resulting seconds from the plan.
+
+The paper publishes no absolute times (all of its figures are
+normalized), so constants below are set to produce the *relationships*
+the paper reports -- the figure benchmarks (``benchmarks/test_fig*.py``)
+assert them, and ROADMAP.md's open item "Calibrate the cost model
+against the ledger" tracks a fit of these constants to the paper's
+numbers -- with magnitudes representative of commodity data-center
+serving:
 
 * embedding lookups are DRAM-latency bound (dependent cache-line chains),
   nearly platform-independent (paper Fig. 15);
@@ -26,6 +35,7 @@ from dataclasses import dataclass
 from repro.core.types import (
     NS,
     US,
+    Num,
     check_fields,
     checked,
     count,
@@ -34,19 +44,8 @@ from repro.core.types import (
     positive,
     probability,
 )
-from repro.models.config import FeatureScope, NetConfig, TableConfig
+from repro.models.config import NetConfig, TableConfig
 from repro.simulation.platform import Platform
-
-
-def _sls_per_id(
-    table: TableConfig, platform: Platform, overlap: float, dequant: float
-) -> float:
-    """Per-id lookup cost.  Deliberately not memoized: hashing the frozen
-    dataclass keys costs more than these few multiplications."""
-    lines = max(1, -(-int(table.dim * table.dtype.bytes_per_element) // 64))
-    chain = platform.dram_access_ns * NS * lines * overlap
-    extra = dequant if table.dtype.row_overhead_bytes else 0.0
-    return chain + extra
 
 
 @dataclass(frozen=True)
@@ -127,11 +126,11 @@ class CostModel:
     # ------------------------------------------------------------------------
     def serde_time(
         self,
-        nbytes: float,
+        nbytes: Num,
         platform: Platform,
-        tables: int = 0,
+        tables: Num = 0,
         client_side: bool = False,
-    ) -> float:
+    ) -> Num:
         """(De)serialization of an ``nbytes`` message carrying ``tables``
         per-feature structs; ``client_side`` selects the cheaper zero-copy
         path of the async RPC client."""
@@ -142,39 +141,44 @@ class CostModel:
             + nbytes / (self.serde_bytes_per_sec * platform.relative_clock)
         )
 
-    def dense_time(self, net: NetConfig, items: int, platform: Platform) -> float:
+    def dense_time(self, net: NetConfig, items: Num, platform: Platform) -> Num:
         """One batch's non-sparse operator time for ``net``."""
         micros = net.dense_us_fixed + net.dense_us_per_item * items
         return micros * US / platform.relative_clock
 
+    def dense_halves(
+        self, net: NetConfig, items: Num, platform: Platform
+    ) -> tuple[Num, Num]:
+        """:meth:`dense_time` split at the sparse join: the bottom (pre)
+        and the top (post) half."""
+        dense = self.dense_time(net, items, platform)
+        pre = dense * self.dense_pre_fraction
+        return pre, dense - pre
+
     def sls_per_id(self, table: TableConfig, platform: Platform) -> float:
-        """Cost of one pooled lookup id: a dependent cache-line chain."""
-        return _sls_per_id(table, platform, self.sls_dram_overlap, self.dequant_per_id)
+        """Cost of one pooled lookup id: a dependent cache-line chain.
+        Not memoized: hashing the frozen dataclass keys costs more than
+        these few multiplications."""
+        lines = max(1, -(-int(table.dim * table.dtype.bytes_per_element) // 64))
+        chain = platform.dram_access_ns * NS * lines * self.sls_dram_overlap
+        extra = self.dequant_per_id if table.dtype.row_overhead_bytes else 0.0
+        return chain + extra
 
-    def sls_time(
-        self,
-        lookups: list[tuple[TableConfig, int]],
-        platform: Platform,
-        dispatched_tables: int | None = None,
-    ) -> float:
-        """SLS time for a set of (table, id-count) lookups.
+    def sls_time(self, tables: Num, gather: Num) -> Num:
+        """SLS time: one operator dispatch per table, plus the ``gather``
+        of the pooled ids -- their :meth:`sls_per_id` costs summed in
+        lookup order.  On the singular model every table's op is
+        dispatched, even when its feature is absent."""
+        return self.sls_dispatch_per_table * tables + gather
 
-        ``dispatched_tables`` counts operator dispatches (defaults to the
-        number of entries); on the singular model every table's op runs
-        even when its feature is absent.
-        """
-        dispatch = self.sls_dispatch_per_table * (
-            dispatched_tables if dispatched_tables is not None else len(lookups)
-        )
-        overlap, dequant = self.sls_dram_overlap, self.dequant_per_id
-        gather = 0.0
-        for table, count in lookups:
-            gather += count * _sls_per_id(table, platform, overlap, dequant)
-        return dispatch + gather
-
-    def net_overhead(self, num_ops: int) -> float:
+    def net_overhead(self, num_ops: Num) -> Num:
         """Framework overhead for one net execution of ``num_ops`` ops."""
         return self.net_overhead_fixed + self.net_overhead_per_op * num_ops
+
+    def zero_fill_time(self, tables: Num) -> Num:
+        """Main-shard zero-fill of ``tables`` remote tables absent from a
+        batch."""
+        return self.fill_per_table * tables
 
 
 # -- payload sizing ------------------------------------------------------------
@@ -183,31 +187,39 @@ _PER_TABLE_FRAMING = 24.0
 _PER_MESSAGE_FRAMING = 64.0
 
 
-def rpc_request_bytes(lookups: list[tuple[TableConfig, int]], segments: int) -> float:
-    """Serialized RPC request: 8-byte ids + 4-byte lengths + framing."""
-    ids = sum(count for _, count in lookups)
+def rpc_request_bytes(ids: Num, tables: Num, segments: Num) -> Num:
+    """Serialized RPC request for ``ids`` lookup ids over ``tables``
+    tables, each with ``segments`` lengths: 8-byte ids + 4-byte lengths +
+    framing."""
     return (
         _PER_MESSAGE_FRAMING
         + ids * 8.0
-        + len(lookups) * (segments * 4.0 + _PER_TABLE_FRAMING)
+        + tables * (segments * 4.0 + _PER_TABLE_FRAMING)
     )
 
 
-def rpc_response_bytes(tables: list[TableConfig], batch_items: int) -> float:
+def rpc_response_bytes(
+    tables: Num, user_dims: Num, item_dims: Num, batch_items: Num
+) -> Num:
     """Serialized RPC response: pooled fp32 vectors per active table.
 
-    USER-scoped features pool to one vector per request; ITEM-scoped
-    features return one vector per candidate item in the batch.  This is
-    why response (de)serialization is the dominant parallelizable cost for
-    content-heavy nets.
+    USER-scoped features (``user_dims``, their summed dimensions) pool to
+    one vector per request; ITEM-scoped features (``item_dims``) return
+    one vector per candidate item in the batch.  This is why response
+    (de)serialization is the dominant parallelizable cost for
+    content-heavy nets.  Every operand is integer-valued, so the sum is
+    exact in any order.
     """
-    total = _PER_MESSAGE_FRAMING
-    for table in tables:
-        rows = batch_items if table.scope is FeatureScope.ITEM else 1
-        total += rows * table.dim * 4.0 + _PER_TABLE_FRAMING
-    return total
+    return _PER_MESSAGE_FRAMING + (
+        tables * _PER_TABLE_FRAMING + (user_dims + batch_items * item_dims) * 4.0
+    )
 
 
-def ranking_response_bytes(num_items: int) -> float:
+def ranking_response_bytes(num_items: Num) -> Num:
     """Response to the ranking client: one score + framing per item."""
     return _PER_MESSAGE_FRAMING + 8.0 * num_items
+
+
+def wire_time(nbytes: Num, platform: Platform) -> Num:
+    """Time an ``nbytes`` message occupies the sender's egress NIC."""
+    return nbytes / platform.nic_bandwidth

@@ -277,13 +277,15 @@ class TargetColumns:
     """Columnar per-(net, shard-slot) RPC costs for one request chunk.
 
     ``rows[i]`` is request ``i``'s ``(9, batches)`` float64 numpy plane
-    -- ``(active, cst, sdes, sov, slw, srs, crd, reqb, respb)`` by
-    batch, where ``active[b]`` is 1.0 for the batches that issue an RPC
-    to this slot (the slot's shard index lives on :attr:`shard`, not in
-    the row).  The builder keeps the planes as views into one stacked
-    array per chunk; both replay paths list a request's plane through
-    :meth:`costs` when they start it, so boxed floats exist only for the
-    requests in flight.
+    -- ``(active, cst, sdes, sov, slw, srs, crd, req_wire, resp_wire)``
+    by batch, where ``active[b]`` is 1.0 for the batches that issue an
+    RPC to this slot (the slot's shard index lives on :attr:`shard`, not
+    in the row).  Every other plane is seconds: the six serde, overhead
+    and SLS costs, then the request's wire time on the main egress NIC
+    and the response's on the shard's.  The builder keeps the planes as
+    views into one stacked array per chunk; both replay paths list a
+    request's plane through :meth:`costs` when they start it, so boxed
+    floats exist only for the requests in flight.
     """
 
     __slots__ = ("shard", "rows")
@@ -302,18 +304,20 @@ class TargetColumns:
 class NetColumns:
     """Columnar per-net execution plan for one request chunk.
 
-    ``overhead``/``dense`` are ``[request][batch]`` for every plan;
+    ``overhead``/``pre``/``post`` (the dense halves before and after the
+    sparse join) are ``[request][batch]`` for every plan;
     singular plans also set ``local`` (the fused SLS work, also
     ``[request][batch]``) and have no routing slot, distributed plans
     set ``targets`` (one :class:`TargetColumns` per routing slot, in the
     tenant's routing order).
     """
 
-    __slots__ = ("overhead", "dense", "local", "targets")
+    __slots__ = ("overhead", "pre", "post", "local", "targets")
 
     def __init__(self) -> None:
         self.overhead: list[list[float]] = []
-        self.dense: list[list[float]] = []
+        self.pre: list[list[float]] = []
+        self.post: list[list[float]] = []
         self.local: list[list[float]] = []
         self.targets: list[TargetColumns] = []
 
@@ -542,8 +546,8 @@ class SweepEvaluator:
 
     __slots__ = (
         "fabric", "main", "shards", "completed", "collector",
-        "skew_main", "shard_skews", "no_skew", "main_nic", "sparse_nic",
-        "pre_fraction", "request_fixed", "response_fixed", "service_fixed",
+        "skew_main", "shard_skews", "no_skew",
+        "request_fixed", "response_fixed", "service_fixed",
         "io_threads", "main_cap", "shard_caps", "_recs",
         "_b_dense", "_b_embedded", "_b_serde", "_b_overhead", "_b_sparse",
     )
@@ -557,7 +561,7 @@ class SweepEvaluator:
         collector: VectorizedColumns,
         completed: dict[int, float],
     ) -> None:
-        # ``main``/``shards`` are the cluster's SimServers (platform,
+        # ``main``/``shards`` are the cluster's SimServers (worker pool,
         # clock skew and egress reservation are read from them).
         self.fabric = fabric
         self.main = main
@@ -571,9 +575,6 @@ class SweepEvaluator:
         # so ``+0.0`` is an exact no-op) -- the replay loops branch to
         # the plain subtraction.
         self.no_skew = self.skew_main == 0.0 and not any(self.shard_skews)
-        self.main_nic = main.platform.nic_bandwidth
-        self.sparse_nic = shards[0].platform.nic_bandwidth if shards else 0.0
-        self.pre_fraction = cost_model.dense_pre_fraction
         self.request_fixed = cost_model.request_handler_fixed
         self.response_fixed = cost_model.response_handler_fixed
         self.service_fixed = cost_model.rpc_service_fixed
@@ -617,12 +618,9 @@ class SweepEvaluator:
         skm = self.skew_main
         shard_skews = self.shard_skews
         no_skew = self.no_skew
-        pre_fraction = self.pre_fraction
         request_fixed = self.request_fixed
         response_fixed = self.response_fixed
         service_fixed = self.service_fixed
-        main_nic = self.main_nic
-        sparse_nic = self.sparse_nic
         io_threads = self.io_threads
         nets = plans.nets
         num_nets = len(nets)
@@ -669,7 +667,8 @@ class SweepEvaluator:
             [(tg.shard, tg.costs(i)) for tg in net.targets] for net in nets
         ]
         ov_i = [net.overhead[i] for net in nets]
-        dn_i = [net.dense[i] for net in nets]
+        pr_i = [net.pre[i] for net in nets]
+        po_i = [net.post[i] for net in nets]
         lc_i = [net.local[i] for net in nets] if plans.singular else None
         heap: list[tuple[float, int, Any]] = []
         io_free = [0.0] * io_threads
@@ -708,8 +707,8 @@ class SweepEvaluator:
 
         def advance(
             b: int, t: float, n0: int, lane: int, joined: bool,
-            rows: list = rows_i, ov_i: list = ov_i, dn_i: list = dn_i,
-            lc_i: list[list[float]] | None = lc_i,
+            rows: list = rows_i, ov_i: list = ov_i, pr_i: list = pr_i,
+            po_i: list = po_i, lc_i: list[list[float]] | None = lc_i,
         ) -> float:
             # One batch chain's lockstep walk from its worker's grant
             # ``t``, until it either spawns an RPC group (state parks in
@@ -719,9 +718,8 @@ class SweepEvaluator:
             # releases its main worker: after the last client
             # serialization of the group, or at its end.  A ``joined``
             # chain resumes net ``n0``'s RPC group: the embedded window
-            # closes at the grant and the dense post half runs (its
-            # operands recompute to the same floats the pre half
-            # derived them from) before the walk goes on to the next net.
+            # closes at the grant and the dense post half runs before the
+            # walk goes on to the next net.
             # A singular net spawns no RPC: its local SLS op runs
             # between the dense halves, where the group would have.
             if joined:
@@ -731,9 +729,7 @@ class SweepEvaluator:
                     if no_skew
                     else (t + skm) - (t_embedded + skm)
                 )
-                dense = dn_i[n0][b]
-                pre = dense * pre_fraction
-                post = dense - pre
+                post = po_i[n0][b]
                 t0 = t
                 t = t0 + post
                 add((
@@ -751,8 +747,7 @@ class SweepEvaluator:
                 b_overhead[b] += (
                     t - t0 if no_skew else (t + skm) - (t0 + skm)
                 )
-                dense = dn_i[n][b]
-                pre = dense * pre_fraction
+                pre = pr_i[n][b]
                 t0 = t
                 t = t0 + pre
                 add((t, rkey | 1, _K_OPS, MAIN_SHARD, pre, 0.0))
@@ -790,7 +785,7 @@ class SweepEvaluator:
                     d = t - t0 if no_skew else (t + skm) - (t0 + skm)
                     b_sparse[b] += d
                     b_embedded[b] += d
-                post = dense - pre
+                post = po_i[n][b]
                 t0 = t
                 t = t0 + post
                 add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
@@ -819,7 +814,7 @@ class SweepEvaluator:
             if code < ev_send:  # issue
                 # Main egress reservation (Lindley over heap order ==
                 # engine order), then the outbound fabric hop.
-                wire = rpc[4][7] / main_nic
+                wire = rpc[4][7]
                 begin = t if t >= main_free else main_free
                 main_free = begin + wire
                 if dpos == num_delays:
@@ -835,7 +830,7 @@ class SweepEvaluator:
                 continue
             elif code < ev_arrive:  # send
                 shard = rpc[5]
-                wire = rpc[4][8] / sparse_nic
+                wire = rpc[4][8]
                 free = shard_free[shard]
                 begin = t if t >= free else free
                 shard_free[shard] = begin + wire

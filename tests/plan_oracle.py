@@ -6,7 +6,10 @@ whole chunk with numpy passes.  This module keeps the straightforward
 computation it replaced -- one request at a time, one table and one
 batch at a time, in plain Python floats -- and the tests compare the
 two bit for bit, field by field.  It keeps its own batch split and
-plan records, so nothing here reads the code under test.  The
+plan records, so nothing here reads the code under test.  Both sides
+call the cost formulas' one home, :mod:`repro.simulation.costmodel`
+(with :func:`~repro.requests.generator.request_payload_bytes`): the
+builder over numpy columns, the oracle with plain numbers.  The
 row-partition split is the one keyed multinomial both sides draw,
 :meth:`~repro.serving.simulator.ClusterSimulation._partition_split`.
 """
@@ -21,13 +24,18 @@ from repro.models.config import FeatureScope
 from repro.requests.generator import Request
 from repro.serving.simulator import ClusterSimulation, _Tenant
 from repro.sharding.plan import ShardSpec
+from repro.simulation.costmodel import (
+    rpc_request_bytes,
+    rpc_response_bytes,
+    wire_time,
+)
 
 #: ShardLookups cost fields in chunk row order (rows 1-8 of a
 #: TargetColumns row; row 0 is the active plane), which is also the
 #: record's field order after ``shard``.
 PLAN_FIELDS = (
     "client_ser_total", "server_deser", "server_overhead", "sls_work",
-    "server_resp_ser", "client_resp_deser", "req_bytes", "resp_bytes",
+    "server_resp_ser", "client_resp_deser", "req_wire", "resp_wire",
 )
 
 
@@ -55,8 +63,8 @@ class ShardLookups:
     sls_work: float
     server_resp_ser: float
     client_resp_deser: float
-    req_bytes: float
-    resp_bytes: float
+    req_wire: float
+    resp_wire: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,8 @@ class NetBatchPlan:
     """The execution plan of one (request, net, batch)."""
 
     overhead: float
-    dense_total: float
+    dense_pre: float
+    dense_post: float
     targets: list[ShardLookups]
     local_work: float
 
@@ -100,20 +109,20 @@ def request_plans(
     batches = batch_split(sim, tenant, request)
     cm = sim.config.cost_model
     singular = tenant.plan.is_singular
-    serde_fixed = cm.serde_fixed
-    dispatch_fixed = cm.rpc_dispatch_fixed
-    sls_dispatch = cm.sls_dispatch_per_table
-    tbl_client = tenant.serde_tbl_client
-    tbl_server = tenant.serde_tbl_server
-    denom_main = sim._serde_denom_main
-    denom_sparse = sim._serde_denom_sparse
-    main_platform = sim.config.main_platform
+    main = sim.config.main_platform
+    sparse = sim.config.sparse_platform
     all_counts = {
         name: slice_counts(draw, batches) for name, draw in request.draws.items()
     }
     nb = len(batches)
     batch_range = range(nb)
     items_per_batch = [batch.items for batch in batches]
+
+    def dense_halves(net_cfg, b):
+        # The DES's dense split: the pre half, then the rest.
+        dense = cm.dense_time(net_cfg, items_per_batch[b], main)
+        pre = dense * cm.dense_pre_fraction
+        return pre, dense - pre
 
     plans: dict[str, list[NetBatchPlan]] = {}
     for net_cfg in tenant.model.nets:
@@ -133,13 +142,12 @@ def request_plans(
                     if counts[b] > 0:
                         gather[b] += counts[b] * per_id
             overhead = cm.net_overhead(n_net_tables + 12)
-            dispatch = sls_dispatch * n_net_tables
             plans[net_name] = [
                 NetBatchPlan(
                     overhead,
-                    cm.dense_time(net_cfg, items_per_batch[b], main_platform),
+                    *dense_halves(net_cfg, b),
                     (),
-                    dispatch + gather[b],
+                    cm.sls_time(n_net_tables, gather[b]),
                 )
                 for b in batch_range
             ]
@@ -159,7 +167,8 @@ def request_plans(
         for shard, pairs in tenant.net_routing[net_name]:
             ids = [0] * nb
             ntab = [0] * nb
-            resp_extra = [0] * nb
+            user_dims = [0] * nb
+            item_dims = [0] * nb
             gather = [0.0] * nb
             has_item = [False] * nb
             for table, assignment in pairs:
@@ -168,7 +177,6 @@ def request_plans(
                     continue
                 per_id = tenant.per_id_sparse[table.name]
                 is_item = table.scope is FeatureScope.ITEM
-                dim4 = table.dim * 4
                 for b in batch_range:
                     count = counts[b]
                     if count > 0 and assignment.num_parts > 1:
@@ -183,38 +191,37 @@ def request_plans(
                     gather[b] += count * per_id
                     if is_item:
                         has_item[b] = True
-                        resp_extra[b] += 24 + items_per_batch[b] * dim4
+                        item_dims[b] += table.dim
                     else:
-                        resp_extra[b] += 24 + dim4
+                        user_dims[b] += table.dim
             for b in batch_range:
                 n_tables = ntab[b]
                 if n_tables == 0:
                     continue
                 segments = items_per_batch[b] if has_item[b] else 1
-                req_bytes = 64.0 + ids[b] * 8.0 + n_tables * (
-                    segments * 4.0 + 24.0
+                req_bytes = rpc_request_bytes(ids[b], n_tables, segments)
+                resp_bytes = rpc_response_bytes(
+                    n_tables, user_dims[b], item_dims[b], items_per_batch[b]
                 )
-                resp_bytes = 64.0 + resp_extra[b]
                 batch_targets[b].append(ShardLookups(
                     shard,
-                    serde_fixed
-                    + tbl_client[n_tables]
-                    + req_bytes / denom_main
-                    + dispatch_fixed,
-                    serde_fixed + tbl_server[n_tables] + req_bytes / denom_sparse,
+                    cm.serde_time(req_bytes, main, n_tables, client_side=True)
+                    + cm.rpc_dispatch_fixed,
+                    cm.serde_time(req_bytes, sparse, n_tables),
                     cm.net_overhead(n_tables + 2),
-                    sls_dispatch * n_tables + gather[b],
-                    serde_fixed + tbl_server[n_tables] + resp_bytes / denom_sparse,
-                    serde_fixed + tbl_client[n_tables] + resp_bytes / denom_main,
-                    req_bytes,
-                    resp_bytes,
+                    cm.sls_time(n_tables, gather[b]),
+                    cm.serde_time(resp_bytes, sparse, n_tables),
+                    cm.serde_time(resp_bytes, main, n_tables, client_side=True),
+                    wire_time(req_bytes, main),
+                    wire_time(resp_bytes, sparse),
                 ))
         per_batch = []
         for b in batch_range:
             targets = batch_targets[b]
             overhead = cm.net_overhead(n_net_tables + 12 + len(targets))
-            overhead += cm.fill_per_table * (n_net_tables - n_names[b])
-            dense_total = cm.dense_time(net_cfg, items_per_batch[b], main_platform)
-            per_batch.append(NetBatchPlan(overhead, dense_total, targets, 0.0))
+            overhead += cm.zero_fill_time(n_net_tables - n_names[b])
+            per_batch.append(
+                NetBatchPlan(overhead, *dense_halves(net_cfg, b), targets, 0.0)
+            )
         plans[net_name] = per_batch
     return plans

@@ -41,6 +41,7 @@ from repro.serving.columnar import _IdleArrivals, _chunk_bundle
 from repro.serving.simulator import ClusterSimulation
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel, ranking_response_bytes
+from repro.simulation.platform import SC_LARGE, SC_SMALL
 from repro.simulation import vectorized
 from repro.simulation.vectorized import ChunkPlans, NetColumns, TargetColumns
 from repro.requests.generator import request_payload_bytes
@@ -88,7 +89,11 @@ def _assert_row_matches(sim, chunk, row, request, seen, label):
     seen["queued"] += nb > sim.main.workers.capacity
     assert _bits([chunk.head_deser[row], chunk.tail_ser[row]]) == _bits([
         cm.serde_time(
-            request_payload_bytes(model, request), main,
+            request_payload_bytes(
+                model, request.num_items, request.total_ids,
+                len(request.draws),
+            ),
+            main,
             tables=len(request.draws),
         ),
         cm.serde_time(ranking_response_bytes(request.num_items), main),
@@ -96,8 +101,11 @@ def _assert_row_matches(sim, chunk, row, request, seen, label):
     assert chunk.net_names == [net_cfg.name for net_cfg in model.nets], label
     for net_cfg, net in zip(model.nets, chunk.nets):
         want = scalar[net_cfg.name]
-        assert _bits(net.dense[row]) == _bits(
-            [p.dense_total for p in want]
+        assert _bits(net.pre[row]) == _bits(
+            [p.dense_pre for p in want]
+        ), label
+        assert _bits(net.post[row]) == _bits(
+            [p.dense_post for p in want]
         ), label
         assert _bits(net.overhead[row]) == _bits(
             [p.overhead for p in want]
@@ -129,17 +137,25 @@ def _assert_row_matches(sim, chunk, row, request, seen, label):
                 ), label
 
 
+@pytest.mark.parametrize(
+    "sparse_platform", [SC_LARGE, SC_SMALL], ids=lambda p: p.name
+)
 @pytest.mark.parametrize("workers", [32, 2])
 @pytest.mark.parametrize("name", sorted(FACTORIES))
-def test_chunk_columns_match_the_scalar_builder(name, workers):
+def test_chunk_columns_match_the_scalar_builder(name, workers, sparse_platform):
     """Every request of every paper configuration: the chunk's columns,
     and the row the idle-arrival hook locates for the DES, against the
-    scalar oracle."""
+    scalar oracle.  An SC-Small sparse tier gives the two tiers different
+    clocks and NICs, so a cost charged at the other tier's rate shows."""
     model, plans, requests = _configurations(name)
     seen = {"queued": 0, "absent_table": 0, "idle_slot": 0, "empty_part": 0}
     for plan in plans:
         sim = ClusterSimulation(
-            model, plan, ServingConfig(seed=1, service_workers=workers)
+            model, plan,
+            ServingConfig(
+                seed=1, service_workers=workers,
+                sparse_platform=sparse_platform,
+            ),
         )
         tenant = sim.tenants[0]
         chunk = columnar.build_chunk_plans(sim, tenant, requests)
@@ -276,9 +292,10 @@ def test_bare_cluster_plans_match_the_oracle(name, monkeypatch):
 
 
 def test_des_reads_serde_from_the_chunk(monkeypatch):
-    """A batched DES replay charges the head and tail serde the chunk
-    holds: with ``CostModel.serde_time`` raising, a DRM1 singular and a
-    distributed replay still complete, with the same columns."""
+    """A batched DES replay charges the serde the chunk holds: with
+    ``CostModel.serde_time`` raising outside the plan builder, a DRM1
+    singular and a distributed replay still complete, with the same
+    columns."""
     model, plans, requests = _configurations("DRM1")
     requests = requests[:12]
     chosen = [plan for plan in plans if plan.is_singular][:1] + [
@@ -290,9 +307,23 @@ def test_des_reads_serde_from_the_chunk(monkeypatch):
         run_configuration(model, plan, requests, serving) for plan in chosen
     ]
 
-    def raising(*args, **kwargs):
-        raise AssertionError("the DES recomputed a serde time")
+    building = [False]
+    build = columnar.build_chunk_plans
+    serde_time = CostModel.serde_time
 
+    def flagged(sim, tenant, requests):
+        building[0] = True
+        try:
+            return build(sim, tenant, requests)
+        finally:
+            building[0] = False
+
+    def raising(self, *args, **kwargs):
+        if not building[0]:
+            raise AssertionError("the DES recomputed a serde time")
+        return serde_time(self, *args, **kwargs)
+
+    monkeypatch.setattr(columnar, "build_chunk_plans", flagged)
     monkeypatch.setattr(CostModel, "serde_time", raising)
     for plan, want in zip(chosen, healthy):
         got = run_configuration(model, plan, requests, serving)

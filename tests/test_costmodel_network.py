@@ -6,6 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import DType, US
+from repro.experiments import (
+    ShardingConfiguration,
+    SuiteSettings,
+    build_plan,
+    run_configuration,
+)
+from repro.experiments.runner import suite_requests
+from repro.models import drm1
 from repro.models.config import FeatureScope, NetConfig, TableConfig
 from repro.simulation.costmodel import (
     CostModel,
@@ -13,6 +21,8 @@ from repro.simulation.costmodel import (
     rpc_request_bytes,
     rpc_response_bytes,
 )
+from repro.serving import ServingConfig
+from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.network import Fabric, FabricSpec
 from repro.simulation.platform import PLATFORMS, SC_LARGE, SC_SMALL
 
@@ -74,7 +84,7 @@ class TestCostModel:
 
     def test_sls_time_dispatch_for_empty_tables(self):
         # Singular nets dispatch every table even with no lookups.
-        idle = self.cm.sls_time([], SC_LARGE, dispatched_tables=100)
+        idle = self.cm.sls_time(100, gather=0.0)
         assert idle == pytest.approx(100 * self.cm.sls_dispatch_per_table)
 
     def test_net_overhead_grows_with_ops(self):
@@ -83,20 +93,21 @@ class TestCostModel:
     @given(ids=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_sls_time_monotone_in_ids(self, ids):
-        lookups = [(table(), ids)]
-        more = [(table(), ids + 1)]
-        assert self.cm.sls_time(more, SC_LARGE) >= self.cm.sls_time(lookups, SC_LARGE)
+        per_id = self.cm.sls_per_id(table(), SC_LARGE)
+        assert self.cm.sls_time(1, (ids + 1) * per_id) >= self.cm.sls_time(
+            1, ids * per_id
+        )
 
 
 class TestPayloadSizing:
     def test_request_bytes_scale_with_ids(self):
-        few = rpc_request_bytes([(table(), 10)], segments=1)
-        many = rpc_request_bytes([(table(), 1000)], segments=1)
+        few = rpc_request_bytes(ids=10, tables=1, segments=1)
+        many = rpc_request_bytes(ids=1000, tables=1, segments=1)
         assert many - few == pytest.approx(990 * 8.0)
 
     def test_response_bytes_user_vs_item_scope(self):
-        user = rpc_response_bytes([table(scope=FeatureScope.USER)], batch_items=50)
-        item = rpc_response_bytes([table(scope=FeatureScope.ITEM)], batch_items=50)
+        user = rpc_response_bytes(1, user_dims=64, item_dims=0, batch_items=50)
+        item = rpc_response_bytes(1, user_dims=0, item_dims=64, batch_items=50)
         # ITEM features return one pooled vector per candidate item.
         assert item > 40 * user / 2
 
@@ -109,30 +120,46 @@ class TestFabric:
         fabric = Fabric(seed=0)
         floor = fabric.spec.propagation + fabric.spec.kernel_overhead
         for _ in range(100):
-            delay = fabric.one_way_delay(SC_LARGE, SC_LARGE, 0.0)
+            delay = fabric.one_way_delay()
             assert delay > floor
-
-    def test_wire_time_uses_slower_nic(self):
-        spec = FabricSpec(jitter_median=0.0)
-        fabric = Fabric(spec, seed=0)
-        fast = np.median([fabric.one_way_delay(SC_LARGE, SC_LARGE, 1e6) for _ in range(200)])
-        slow = np.median([fabric.one_way_delay(SC_LARGE, SC_SMALL, 1e6) for _ in range(200)])
-        assert slow > fast
-        assert slow - fast == pytest.approx(
-            1e6 / SC_SMALL.nic_bandwidth - 1e6 / SC_LARGE.nic_bandwidth, rel=0.2
-        )
 
     def test_jitter_long_tailed(self):
         fabric = Fabric(seed=3)
         delays = np.array(
-            [fabric.one_way_delay(SC_LARGE, SC_LARGE, 0.0) for _ in range(4000)]
+            [fabric.one_way_delay() for _ in range(4000)]
         )
         jitter = delays - (fabric.spec.propagation + fabric.spec.kernel_overhead)
         assert np.percentile(jitter, 99) > 3 * np.percentile(jitter, 50)
 
+    def test_overflowing_jitter_fails_loudly(self):
+        """A finite sigma whose lognormal overflows draws infinite (or,
+        with a zero median, NaN) delays: the window that holds one is
+        refused, naming the field."""
+        for median in (6 * US, 0.0):
+            fabric = Fabric(FabricSpec(jitter_median=median, jitter_sigma=800.0))
+            with pytest.raises(ValueError, match=r"FabricSpec\.jitter_sigma"):
+                fabric.one_way_delay()
+
+    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
+    def test_overflowing_jitter_fails_the_replay_loudly(self, kernel):
+        """Both replay engines read the fabric's delays: a replay on a
+        fabric whose jitter overflows stops with the field named, not a
+        ``TypeError`` deep in the attribution."""
+        model = drm1()
+        pooling = estimate_pooling_factors(model, num_requests=100, seed=42)
+        plan = build_plan(model, ShardingConfiguration("load-bal", 2), pooling)
+        requests = suite_requests(
+            model, SuiteSettings(num_requests=4, pooling_requests=100)
+        )
+        serving = ServingConfig(
+            seed=1, kernel=kernel, fabric_spec=FabricSpec(jitter_sigma=800.0)
+        )
+        with pytest.raises(ValueError, match=r"FabricSpec\.jitter_sigma"):
+            run_configuration(model, plan, requests, serving)
+
     def test_deterministic_given_seed(self):
-        a = [Fabric(seed=5).one_way_delay(SC_LARGE, SC_LARGE, 0.0) for _ in range(5)]
-        b = [Fabric(seed=5).one_way_delay(SC_LARGE, SC_LARGE, 0.0) for _ in range(5)]
+        a = [Fabric(seed=5).one_way_delay() for _ in range(5)]
+        b = [Fabric(seed=5).one_way_delay() for _ in range(5)]
         assert a == b
 
 

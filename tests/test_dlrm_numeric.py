@@ -134,8 +134,12 @@ class TestRequestGenerator:
         model = drm2(scale=1e-6)
         generator = RequestGenerator(model, seed=5)
         requests = sorted(generator.generate_many(50), key=lambda r: r.num_items)
-        small = request_payload_bytes(model, requests[0])
-        large = request_payload_bytes(model, requests[-1])
+        small, large = (
+            request_payload_bytes(
+                model, request.num_items, request.total_ids, len(request.draws)
+            )
+            for request in (requests[0], requests[-1])
+        )
         assert large > small
 
 

@@ -279,6 +279,9 @@ NEWLY_REJECTED = {
     "healing-inf-recovery-lag": lambda: HealingPolicy(recovery_lag=INF),
     "schedule-inf-failover": lambda: FaultSchedule(failover_timeout=INF),
     "fabric-inf-propagation": lambda: FabricSpec(propagation=INF),
+    # An infinite jitter sigma drew infinite delays, which failed only
+    # as a TypeError in the attribution.
+    "fabric-inf-jitter-sigma": lambda: FabricSpec(jitter_sigma=INF),
     "platform-inf-dram-access": lambda: Platform(
         **{**_PLATFORM, "dram_access_ns": INF}
     ),

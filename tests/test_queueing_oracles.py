@@ -63,7 +63,8 @@ def _costs(model, plan, request):
     tail = chunk.tail_ser[0] + cm.response_handler_fixed
     chains = [
         sum(
-            net.overhead[0][b] + net.dense[0][b] + net.local[0][b]
+            net.overhead[0][b] + net.pre[0][b] + net.post[0][b]
+            + net.local[0][b]
             for net in chunk.nets
         )
         for b in range(chunk.nb[0])
