@@ -1,7 +1,9 @@
 """repro: reproduction of "Understanding Capacity-Driven Scale-Out Neural
 Recommendation Inference" (Lui et al., ISPASS 2021).
 
-The package provides, as importable subsystems:
+The package provides, as importable subsystems (``import repro`` loads
+none of them: each package's exports load on first attribute access,
+see :mod:`repro._lazy`):
 
 * :mod:`repro.models` -- the DRM1/DRM2/DRM3 synthetic model zoo;
 * :mod:`repro.core` -- operator graphs and real numeric DLRM execution;
@@ -28,36 +30,26 @@ Quickstart::
     print(figures.fig6_overheads(results, "DRM1").text)
 """
 
-from repro.models import build, drm1, drm2, drm3
-from repro.experiments import (
-    RunResult,
-    SuiteSettings,
-    figures,
-    paper_configurations,
-    run_configuration,
-    run_suite,
-)
-from repro.planning import CandidateSpace, CapacityPlanner, SlaPolicy
-from repro.serving import ClusterSimulation, ServingConfig
-from repro.sharding import STRATEGIES, ShardingPlan, estimate_pooling_factors, singular_plan
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ClusterSimulation",
-    "RunResult",
-    "STRATEGIES",
-    "ServingConfig",
-    "ShardingPlan",
-    "SuiteSettings",
-    "build",
-    "drm1",
-    "drm2",
-    "drm3",
-    "estimate_pooling_factors",
-    "figures",
-    "paper_configurations",
-    "run_configuration",
-    "run_suite",
-    "singular_plan",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.configs": ("paper_configurations",),
+        "repro.experiments.figures": ("figures",),
+        "repro.experiments.runner": (
+            "RunResult",
+            "SuiteSettings",
+            "run_configuration",
+            "run_suite",
+        ),
+        "repro.models.zoo": ("build", "drm1", "drm2", "drm3"),
+        "repro.serving.simulator": ("ClusterSimulation", "ServingConfig"),
+        "repro.sharding.plan": ("ShardingPlan", "singular_plan"),
+        "repro.sharding.pooling": ("estimate_pooling_factors",),
+        "repro.sharding.strategies": ("STRATEGIES",),
+    },
+)
+__all__ = list(_EXPORTS)

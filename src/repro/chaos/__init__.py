@@ -25,52 +25,37 @@ and any replay with an empty schedule -- stays byte-identical to a run
 without the chaos layer at all.
 """
 
-from repro.chaos.availability import (
-    AvailabilityReport,
-    AvailabilityWindow,
-    ChaosEvent,
-    availability_report,
-    format_timeline,
-    nines,
-)
-from repro.chaos.experiment import (
-    AvailabilityAssessment,
-    ChaosOutcome,
-    availability_sweep,
-    fault_schedules,
-    format_assessment,
-)
-from repro.chaos.faults import (
-    PLACEMENTS,
-    CorrelatedFailure,
-    FaultExperiment,
-    FaultSchedule,
-    HealingPolicy,
-    HostCrash,
-    NetworkSpike,
-    StragglerShard,
-)
-from repro.chaos.runtime import ChaosRuntime
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AvailabilityAssessment",
-    "AvailabilityReport",
-    "AvailabilityWindow",
-    "ChaosEvent",
-    "ChaosOutcome",
-    "ChaosRuntime",
-    "CorrelatedFailure",
-    "FaultExperiment",
-    "FaultSchedule",
-    "HealingPolicy",
-    "HostCrash",
-    "NetworkSpike",
-    "PLACEMENTS",
-    "StragglerShard",
-    "availability_report",
-    "availability_sweep",
-    "fault_schedules",
-    "format_assessment",
-    "format_timeline",
-    "nines",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "availability": (
+            "AvailabilityReport",
+            "AvailabilityWindow",
+            "ChaosEvent",
+            "availability_report",
+            "format_timeline",
+            "nines",
+        ),
+        "experiment": (
+            "AvailabilityAssessment",
+            "ChaosOutcome",
+            "availability_sweep",
+            "fault_schedules",
+            "format_assessment",
+        ),
+        "faults": (
+            "PLACEMENTS",
+            "CorrelatedFailure",
+            "FaultExperiment",
+            "FaultSchedule",
+            "HealingPolicy",
+            "HostCrash",
+            "NetworkSpike",
+            "StragglerShard",
+        ),
+        "runtime": ("ChaosRuntime",),
+    },
+)
+__all__ = list(_EXPORTS)

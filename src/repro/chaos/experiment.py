@@ -48,6 +48,12 @@ from repro.experiments.runner import (
 from repro.sharding.plan import ShardingPlan
 from repro.workloads.workload import Workload, WorkloadMix
 
+# The faulted replays build these runtimes inside the sweep's workers
+# (ClusterSimulation imports them only when a schedule or live policy is
+# configured); importing them here loads them before the pool forks.
+import repro.chaos.runtime  # noqa: F401
+import repro.resilience.runtime  # noqa: F401
+
 
 @dataclass(frozen=True)
 class ChaosOutcome:

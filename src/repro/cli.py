@@ -37,65 +37,23 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
-from repro.analysis.caching import trace_hit_summary
-from repro.chaos import (
-    PLACEMENTS,
-    CorrelatedFailure,
-    HealingPolicy,
-    HostCrash,
-    NetworkSpike,
-    StragglerShard,
-    availability_sweep,
-    fault_schedules,
-    format_assessment,
-)
-from repro.resilience import ResiliencePolicy
-from repro.analysis.report import (
-    CAPACITY_CANDIDATE_HEADERS,
-    CAPACITY_SIZING_HEADERS,
-    capacity_candidate_rows,
-    capacity_sizing_rows,
-    format_table,
-)
+# Only what build_parser needs loads with the module: each verb imports
+# its own subsystems in its handler, so ``repro lint`` never loads the
+# simulator and ``repro models`` never loads the planner.
+from repro.chaos.faults import PLACEMENTS
 from repro.core.types import GIB, Contract, count, finite_positive, fraction
-from repro.lint import (
-    AllowRule,
-    LintConfig,
-    lint_paths,
-    render_json,
-    render_text,
-)
-from repro.experiments.configs import ShardingConfiguration, build_plan
-from repro.experiments.runner import (
-    mix_plans,
-    mix_poolings,
-    mix_stream,
-    run_configuration,
-    run_mix_configuration,
-    run_suite,
-    SuiteSettings,
-)
 from repro.models.zoo import MODEL_FACTORIES, build
-from repro.planning import CandidateSpace, CapacityPlanner, SlaPolicy
-from repro.requests.generator import RequestGenerator
-from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.sharding.plan import SINGULAR
-from repro.sharding.pooling import estimate_pooling_factors
-from repro.sharding.serialization import dump_plan
-from repro.tracing.visualize import render_trace
-from repro.workloads import (
-    ConstantRateArrivals,
-    CorrelatedStream,
-    MMPPArrivals,
-    PiecewiseRateArrivals,
-    PoissonArrivals,
-    Workload,
-    WorkloadMix,
-)
+
+if TYPE_CHECKING:
+    from repro.experiments.configs import ShardingConfiguration
+    from repro.experiments.runner import SuiteSettings
+    from repro.resilience.policy import ResiliencePolicy
+    from repro.workloads.workload import WorkloadMix
 
 STRATEGIES = [SINGULAR, "1-shard", "load-bal", "cap-bal", "NSBP"]
 
@@ -215,6 +173,8 @@ def _add_arrival_arguments(
 
 
 def _configuration(args: argparse.Namespace) -> ShardingConfiguration:
+    from repro.experiments.configs import ShardingConfiguration
+
     if args.strategy == SINGULAR:
         return ShardingConfiguration(SINGULAR)
     if args.strategy == "1-shard":
@@ -227,6 +187,9 @@ def _plan(args: argparse.Namespace):
     sample of ``--pooling-requests`` (shard, simulate, trace).  Callers
     build it inside :func:`_usage`: a plan the strategy cannot build for
     these flags is a usage error."""
+    from repro.experiments.configs import build_plan
+    from repro.sharding.pooling import estimate_pooling_factors
+
     model = build(args.model)
     pooling = estimate_pooling_factors(model, num_requests=args.pooling_requests)
     return model, build_plan(model, _configuration(args), pooling)
@@ -236,6 +199,9 @@ def _settings(args: argparse.Namespace) -> SuiteSettings:
     """The sweep settings of every verb that replays through the runner;
     ``suite`` has no ``--pooling-requests`` and keeps the library's
     pooling sample."""
+    from repro.experiments.runner import SuiteSettings
+    from repro.serving.simulator import ServingConfig
+
     return SuiteSettings(
         num_requests=args.requests,
         pooling_requests=getattr(
@@ -246,6 +212,13 @@ def _settings(args: argparse.Namespace) -> SuiteSettings:
 
 
 def _arrival_process(args: argparse.Namespace, seed: int):
+    from repro.workloads.arrivals import (
+        ConstantRateArrivals,
+        MMPPArrivals,
+        PiecewiseRateArrivals,
+        PoissonArrivals,
+    )
+
     if args.arrivals == "poisson":
         return PoissonArrivals(args.qps, seed=seed)
     if args.arrivals == "constant":
@@ -267,6 +240,9 @@ def _mix(args: argparse.Namespace) -> WorkloadMix:
     Workload ``index`` seeds its arrivals, requests and (with
     ``--cache-summary``) correlated id stream at ``--seed + index``, so
     co-located tenants draw independent streams."""
+    from repro.requests.access_trace import CorrelatedStream
+    from repro.workloads.workload import Workload, WorkloadMix
+
     names = args.models if "models" in args else [args.model]
     correlated = getattr(args, "cache_summary", False)
     workloads = []
@@ -348,6 +324,8 @@ def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
     """Build the policy from CLI flags; ``None`` when no timeout,
     attempt cap, hedge or deadline flag was set.  It is built either way,
     so every flag's value is checked."""
+    from repro.resilience.policy import ResiliencePolicy
+
     hedging = args.hedge_ms is not None or args.hedge_quantile is not None
     max_attempts = args.retry_max_attempts
     if max_attempts is None:
@@ -389,6 +367,8 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_models(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+
     rows = []
     for name in sorted(MODEL_FACTORIES):
         model = build(name)
@@ -414,6 +394,9 @@ def cmd_models(args: argparse.Namespace) -> int:
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+    from repro.sharding.serialization import dump_plan
+
     with _usage(args):
         model, plan = _plan(args)
     if args.output:
@@ -441,6 +424,11 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+    from repro.experiments.runner import run_configuration
+    from repro.requests.generator import RequestGenerator
+    from repro.serving.simulator import ServingConfig
+
     with _usage(args):
         model, plan = _plan(args)
     requests = RequestGenerator(model, seed=args.seed).generate_many(args.requests)
@@ -464,6 +452,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+    from repro.experiments.runner import run_suite
+
     model = build(args.model)
     settings = _settings(args)
     if args.profile:
@@ -512,6 +503,15 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
+    from repro.analysis.caching import trace_hit_summary
+    from repro.analysis.report import format_table
+    from repro.experiments.runner import (
+        mix_plans,
+        mix_poolings,
+        mix_stream,
+        run_mix_configuration,
+    )
+
     with _usage(args):
         mix = _mix(args)
         settings = _settings(args)
@@ -575,6 +575,18 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from repro.analysis.report import (
+        CAPACITY_CANDIDATE_HEADERS,
+        CAPACITY_SIZING_HEADERS,
+        capacity_candidate_rows,
+        capacity_sizing_rows,
+        format_table,
+    )
+    from repro.chaos.experiment import format_assessment
+    from repro.chaos.faults import CorrelatedFailure, HostCrash
+    from repro.planning.capacity import CandidateSpace, CapacityPlanner
+    from repro.planning.sla import SlaPolicy
+
     with _usage(args):
         mix = _mix(args)
         planner = CapacityPlanner(
@@ -646,6 +658,20 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.chaos.experiment import (
+        availability_sweep,
+        fault_schedules,
+        format_assessment,
+    )
+    from repro.chaos.faults import (
+        CorrelatedFailure,
+        HealingPolicy,
+        HostCrash,
+        NetworkSpike,
+        StragglerShard,
+    )
+    from repro.experiments.runner import mix_plans, mix_poolings
+
     with _usage(args):
         mix = _mix(args)
         configuration = _configuration(args)
@@ -722,6 +748,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint.config import AllowRule, LintConfig
+    from repro.lint.reporters import render_json, render_text
+    from repro.lint.runner import lint_paths
+
     config = LintConfig(allowlist=()) if args.no_default_allow else LintConfig()
     if args.allow:
         config = config.with_extra(
@@ -741,6 +771,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.requests.generator import RequestGenerator
+    from repro.serving.simulator import ClusterSimulation, ServingConfig
+    from repro.tracing.visualize import render_trace
+
     with _usage(args):
         model, plan = _plan(args)
     request = RequestGenerator(model, seed=args.seed).generate(args.request_id)

@@ -1,12 +1,13 @@
 """Core substrate: operator graphs, numeric execution, embedding tables.
 
-This package init stays import-light to avoid cycles: ``repro.models``
-depends on :mod:`repro.core.types`, while the heavier numeric modules
-(:mod:`repro.core.dlrm`, :mod:`repro.core.embedding`) depend on
-``repro.models``.  Import those submodules directly, or use the top-level
-:mod:`repro` namespace which re-exports everything.
+The package exports only the :mod:`repro.core.types` enums; import the
+numeric modules (:mod:`repro.core.dlrm`, :mod:`repro.core.embedding`,
+which depend on ``repro.models``) from their submodules.
 """
 
-from repro.core.types import DType, OpCategory
+from repro._lazy import lazy_exports
 
-__all__ = ["DType", "OpCategory"]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__, {"types": ("DType", "OpCategory")}
+)
+__all__ = list(_EXPORTS)

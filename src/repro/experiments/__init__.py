@@ -23,50 +23,33 @@ Sizing and throughput knobs
   events, chunk builds) three small sweeps do.
 """
 
-from repro.experiments.configs import (
-    PAPER_SHARD_COUNTS,
-    ShardingConfiguration,
-    build_plan,
-    mix_configurations,
-    paper_configurations,
-)
-from repro.experiments.parallel import (
-    default_workers,
-    run_cluster_tasks,
-)
-from repro.experiments.runner import (
-    RunResult,
-    SuiteSettings,
-    mix_plans,
-    mix_poolings,
-    mix_stream,
-    run_configuration,
-    run_mix_configuration,
-    run_mix_suite,
-    run_suite,
-    suite_requests,
-)
-from repro.experiments import figures
-from repro.tracing.aggregate import TraceMode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PAPER_SHARD_COUNTS",
-    "RunResult",
-    "ShardingConfiguration",
-    "SuiteSettings",
-    "TraceMode",
-    "build_plan",
-    "default_workers",
-    "figures",
-    "mix_configurations",
-    "mix_plans",
-    "mix_poolings",
-    "mix_stream",
-    "paper_configurations",
-    "run_configuration",
-    "run_mix_configuration",
-    "run_mix_suite",
-    "run_cluster_tasks",
-    "run_suite",
-    "suite_requests",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "configs": (
+            "PAPER_SHARD_COUNTS",
+            "ShardingConfiguration",
+            "build_plan",
+            "mix_configurations",
+            "paper_configurations",
+        ),
+        "figures": ("figures",),
+        "parallel": ("default_workers", "run_cluster_tasks"),
+        "runner": (
+            "RunResult",
+            "SuiteSettings",
+            "mix_plans",
+            "mix_poolings",
+            "mix_stream",
+            "run_configuration",
+            "run_mix_configuration",
+            "run_mix_suite",
+            "run_suite",
+            "suite_requests",
+        ),
+        "repro.tracing.aggregate": ("TraceMode",),
+    },
+)
+__all__ = list(_EXPORTS)

@@ -9,6 +9,7 @@ The EXPERIMENTS.md index maps each function to its paper artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,10 +19,8 @@ from repro.analysis.quantiles import (
     overhead_vs_baseline,
 )
 from repro.analysis.report import format_stack_bars, format_table
-from repro.compression.pipeline import CompressionReport
 from repro.core.types import GIB, OpCategory
 from repro.models.config import ModelConfig
-from repro.models.growth import growth_factor, growth_series
 from repro.experiments.runner import RunResult, sequential_sum
 from repro.sharding.plan import SINGULAR, ShardingPlan
 from repro.sharding.pooling import pooling_by_shard
@@ -30,6 +29,9 @@ from repro.tracing.attribution import (
     E2E_BUCKETS,
     EMBEDDED_BUCKETS,
 )
+
+if TYPE_CHECKING:
+    from repro.compression.pipeline import CompressionReport
 
 
 @dataclass
@@ -55,6 +57,8 @@ def _singular(results: dict[str, RunResult]) -> RunResult:
 # -- Figure 1 -------------------------------------------------------------------
 def fig1_model_growth() -> FigureArtifact:
     """Historical model growth: features and capacity, ~10x in 3 years."""
+    from repro.models.growth import growth_factor, growth_series
+
     points = growth_series()
     features_x, capacity_x = growth_factor(points)
     rows = [

@@ -11,6 +11,7 @@ memory-bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,13 +25,15 @@ from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.sharding.plan import ShardingPlan
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.tracing.aggregate import STACK_BUCKETS, AggregatingTracer, TraceMode
-from repro.workloads.workload import MixedStream, WorkloadMix
 from repro.experiments.configs import (
     ShardingConfiguration,
     build_plan,
     mix_configurations,
     paper_configurations,
 )
+
+if TYPE_CHECKING:
+    from repro.workloads.workload import MixedStream, WorkloadMix
 
 #: Vectorized-kernel chunk size (requests per columnar batch).  The fast
 #: path materializes per-request cost arrays one chunk at a time, so peak

@@ -43,25 +43,16 @@ Entry points: :func:`lint_paths` (library), ``repro lint [paths]``
 ``tests/test_lint.py`` which keeps ``src/`` clean in CI.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.lint.config import AllowRule, DEFAULT_ALLOWLIST, LintConfig
-from repro.lint.findings import Finding
-from repro.lint.reporters import render_json, render_text
-from repro.lint.rules import RULES, Rule
-from repro.lint.runner import LintReport, discover_files, lint_paths, lint_source
-
-__all__ = [
-    "AllowRule",
-    "DEFAULT_ALLOWLIST",
-    "Finding",
-    "LintConfig",
-    "LintReport",
-    "RULES",
-    "Rule",
-    "discover_files",
-    "lint_paths",
-    "lint_source",
-    "render_json",
-    "render_text",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": ("AllowRule", "DEFAULT_ALLOWLIST", "LintConfig"),
+        "findings": ("Finding",),
+        "reporters": ("render_json", "render_text"),
+        "rules": ("RULES", "Rule"),
+        "runner": ("LintReport", "discover_files", "lint_paths", "lint_source"),
+    },
+)
+__all__ = list(_EXPORTS)

@@ -1,35 +1,24 @@
 """Model zoo: DLRM-like model configs calibrated to the paper's DRM1/2/3."""
 
-from repro.models.config import (
-    FeatureScope,
-    ModelConfig,
-    NetConfig,
-    RequestProfile,
-    TableConfig,
-)
-from repro.models.growth import GrowthPoint, growth_factor, growth_series
-from repro.models.synthesis import (
-    TablePopulationSpec,
-    dominant_table_population,
-    synthesize_tables,
-)
-from repro.models.zoo import MODEL_FACTORIES, build, drm1, drm2, drm3
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FeatureScope",
-    "GrowthPoint",
-    "MODEL_FACTORIES",
-    "ModelConfig",
-    "NetConfig",
-    "RequestProfile",
-    "TableConfig",
-    "TablePopulationSpec",
-    "build",
-    "dominant_table_population",
-    "drm1",
-    "drm2",
-    "drm3",
-    "growth_factor",
-    "growth_series",
-    "synthesize_tables",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "FeatureScope",
+            "ModelConfig",
+            "NetConfig",
+            "RequestProfile",
+            "TableConfig",
+        ),
+        "growth": ("GrowthPoint", "growth_factor", "growth_series"),
+        "synthesis": (
+            "TablePopulationSpec",
+            "dominant_table_population",
+            "synthesize_tables",
+        ),
+        "zoo": ("MODEL_FACTORIES", "build", "drm1", "drm2", "drm3"),
+    },
+)
+__all__ = list(_EXPORTS)

@@ -10,46 +10,33 @@ measured per-shard CPU-demand columns, enforces per-server DRAM
 capacity, and returns the cheapest feasible plan.
 """
 
-from repro.planning.capacity import (
-    CandidatePlan,
-    CandidateSpace,
-    CapacityPlanner,
-    MixPlan,
-    NoFeasiblePlanError,
-    PlanningError,
-    WorkloadSizing,
-)
-from repro.planning.elasticity import (
-    ElasticityReport,
-    assess_elasticity,
-    diurnal_qps_curve,
-    dram_hours_saved,
-)
-from repro.planning.replication import (
-    PerShardDemandError,
-    ReplicationDemand,
-    ReplicationPlan,
-    plan_replication,
-)
-from repro.planning.sla import SlaPolicy, SlaReport, evaluate_sla
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CandidatePlan",
-    "CandidateSpace",
-    "CapacityPlanner",
-    "ElasticityReport",
-    "MixPlan",
-    "NoFeasiblePlanError",
-    "PerShardDemandError",
-    "PlanningError",
-    "ReplicationDemand",
-    "ReplicationPlan",
-    "SlaPolicy",
-    "SlaReport",
-    "WorkloadSizing",
-    "assess_elasticity",
-    "diurnal_qps_curve",
-    "dram_hours_saved",
-    "evaluate_sla",
-    "plan_replication",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "capacity": (
+            "CandidatePlan",
+            "CandidateSpace",
+            "CapacityPlanner",
+            "MixPlan",
+            "NoFeasiblePlanError",
+            "PlanningError",
+            "WorkloadSizing",
+        ),
+        "elasticity": (
+            "ElasticityReport",
+            "assess_elasticity",
+            "diurnal_qps_curve",
+            "dram_hours_saved",
+        ),
+        "replication": (
+            "PerShardDemandError",
+            "ReplicationDemand",
+            "ReplicationPlan",
+            "plan_replication",
+        ),
+        "sla": ("SlaPolicy", "SlaReport", "evaluate_sla"),
+    },
+)
+__all__ = list(_EXPORTS)

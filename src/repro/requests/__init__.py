@@ -1,30 +1,24 @@
 """Request substrate: synthetic generation, payload sizing, replay schedules."""
 
-from repro.requests.access_trace import (
-    AccessTrace,
-    CorrelatedStream,
-    collect_access_trace,
-    collect_correlated_trace,
-)
-from repro.requests.generator import (
-    Request,
-    RequestGenerator,
-    SparseFeatureDraw,
-    materialize_numeric,
-    request_payload_bytes,
-)
-from repro.requests.replayer import ReplayMode, ReplaySchedule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessTrace",
-    "CorrelatedStream",
-    "ReplayMode",
-    "collect_access_trace",
-    "collect_correlated_trace",
-    "ReplaySchedule",
-    "Request",
-    "RequestGenerator",
-    "SparseFeatureDraw",
-    "materialize_numeric",
-    "request_payload_bytes",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "access_trace": (
+            "AccessTrace",
+            "CorrelatedStream",
+            "collect_access_trace",
+            "collect_correlated_trace",
+        ),
+        "generator": (
+            "Request",
+            "RequestGenerator",
+            "SparseFeatureDraw",
+            "materialize_numeric",
+            "request_payload_bytes",
+        ),
+        "replayer": ("ReplayMode", "ReplaySchedule"),
+    },
+)
+__all__ = list(_EXPORTS)

@@ -71,16 +71,18 @@ import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TypeVar
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
-from repro.core.dlrm import NumericRequest, SparseInput
 from repro.core.host import usable_cpus
 from repro.core.rng import poisson, poisson_total, substream
 from repro.core.types import Num
 from repro.core.types import seed as any_seed
 from repro.models.config import FeatureScope, ModelConfig, TableConfig
+
+if TYPE_CHECKING:
+    from repro.core.dlrm import NumericRequest
 
 _DAY_SECONDS = 86_400.0
 
@@ -402,6 +404,8 @@ def materialize_numeric(
     model: ModelConfig, request: Request, seed: int = 0, id_space: int = 2**48
 ) -> NumericRequest:
     """Expand a count-level request into raw ids and dense features."""
+    from repro.core.dlrm import NumericRequest, SparseInput
+
     rng = substream(seed, "numeric", model.name, request.request_id)
     user_dense = rng.normal(0, 1, size=16).astype(np.float32)
     item_dense = rng.normal(0, 1, size=(request.num_items, 16)).astype(np.float32)

@@ -23,10 +23,10 @@ installs no runtime at all and replays byte-identical to
 ``resilience=None`` (regression-tested in ``tests/test_resilience.py``).
 """
 
-from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.runtime import ResilienceRuntime
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ResiliencePolicy",
-    "ResilienceRuntime",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {"policy": ("ResiliencePolicy",), "runtime": ("ResilienceRuntime",)},
+)
+__all__ = list(_EXPORTS)

@@ -4,22 +4,19 @@ The planners (SLA accounting, replication sizing, elasticity) live in
 :mod:`repro.planning`.
 """
 
-from repro.serving.paging import (
-    PagingAssessment,
-    SsdSpec,
-    assess_paging,
-    paging_vs_distributed_stall,
-)
-from repro.serving.simulator import ClusterSimulation, ServingConfig, SimServer
-from repro.tracing.aggregate import TraceMode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterSimulation",
-    "PagingAssessment",
-    "SsdSpec",
-    "assess_paging",
-    "paging_vs_distributed_stall",
-    "ServingConfig",
-    "SimServer",
-    "TraceMode",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "paging": (
+            "PagingAssessment",
+            "SsdSpec",
+            "assess_paging",
+            "paging_vs_distributed_stall",
+        ),
+        "simulator": ("ClusterSimulation", "ServingConfig", "SimServer"),
+        "repro.tracing.aggregate": ("TraceMode",),
+    },
+)
+__all__ = list(_EXPORTS)

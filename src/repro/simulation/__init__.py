@@ -1,41 +1,27 @@
 """Discrete-event simulation substrate: kernel, platforms, network, costs."""
 
-from repro.simulation.engine import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    AllOf,
-    AnyOf,
-    BatchedEngine,
-    Engine,
-    Event,
-    Process,
-    Resource,
-    SimulationError,
-    SyncResource,
-    Timeout,
-    make_engine,
-)
-from repro.simulation.network import Fabric, FabricSpec
-from repro.simulation.platform import PLATFORMS, SC_LARGE, SC_SMALL, Platform
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "BatchedEngine",
-    "DEFAULT_KERNEL",
-    "Engine",
-    "Event",
-    "Fabric",
-    "FabricSpec",
-    "KERNELS",
-    "PLATFORMS",
-    "Platform",
-    "Process",
-    "Resource",
-    "SC_LARGE",
-    "SC_SMALL",
-    "SimulationError",
-    "SyncResource",
-    "Timeout",
-    "make_engine",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": (
+            "DEFAULT_KERNEL",
+            "KERNELS",
+            "AllOf",
+            "AnyOf",
+            "BatchedEngine",
+            "Engine",
+            "Event",
+            "Process",
+            "Resource",
+            "SimulationError",
+            "SyncResource",
+            "Timeout",
+            "make_engine",
+        ),
+        "network": ("Fabric", "FabricSpec"),
+        "platform": ("PLATFORMS", "SC_LARGE", "SC_SMALL", "Platform"),
+    },
+)
+__all__ = list(_EXPORTS)

@@ -7,31 +7,22 @@ closes the loop into the caching analysis.  ``ReplaySchedule`` in
 :mod:`repro.requests.replayer` is a thin frozen facade over this package.
 """
 
-# arrivals must import first: repro.requests.replayer (reached through
-# workload -> generator -> repro.requests.__init__) imports it while this
-# package is still initializing.
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    ConstantRateArrivals,
-    MMPPArrivals,
-    PiecewiseRateArrivals,
-    PoissonArrivals,
-    SerialArrivals,
-    diurnal_qps_curve,
-)
-from repro.workloads.workload import MixedStream, Workload, WorkloadMix
-from repro.requests.access_trace import CorrelatedStream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "ConstantRateArrivals",
-    "CorrelatedStream",
-    "MMPPArrivals",
-    "MixedStream",
-    "PiecewiseRateArrivals",
-    "PoissonArrivals",
-    "SerialArrivals",
-    "Workload",
-    "WorkloadMix",
-    "diurnal_qps_curve",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "arrivals": (
+            "ArrivalProcess",
+            "ConstantRateArrivals",
+            "MMPPArrivals",
+            "PiecewiseRateArrivals",
+            "PoissonArrivals",
+            "SerialArrivals",
+            "diurnal_qps_curve",
+        ),
+        "workload": ("MixedStream", "Workload", "WorkloadMix"),
+        "repro.requests.access_trace": ("CorrelatedStream",),
+    },
+)
+__all__ = list(_EXPORTS)

@@ -227,12 +227,13 @@ class TestRequestCountValidation:
 def test_replay_value_error_is_not_a_usage_error(monkeypatch):
     """Only config building maps ``ValueError`` to exit 2; an error
     raised once the sweep runs keeps its traceback."""
-    from repro import cli
+    from repro.chaos import experiment
 
     def failing_sweep(*args, **kwargs):
         raise ValueError("raised inside the replay")
 
-    monkeypatch.setattr(cli, "availability_sweep", failing_sweep)
+    # ``repro chaos`` imports the sweep from its module when it runs.
+    monkeypatch.setattr(experiment, "availability_sweep", failing_sweep)
     with pytest.raises(ValueError, match="inside the replay"):
         main(["chaos", "--requests", "5"])
 
