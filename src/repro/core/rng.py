@@ -50,17 +50,14 @@ rules make that hold:
    under an iteration whose order can vary.
 
    *Canonical event ordering.*  "Simulation-event order" is itself
-   pinned: every DES kernel dispatches events in ``(time, sequence)``
-   order, where ``sequence`` is the global scheduling counter (see the
-   module docstring of :mod:`repro.simulation.engine`).  Selectable
-   kernels (``ServingConfig.kernel``) may only reorder *within* a
-   timestamp in ways that provably cannot move a draw or a recorded
-   float: both DES kernels drive the same serving generators, and the
-   batched kernel's synchronous resource grants only run pure
-   computation earlier within the same instant.  Anything beyond that
-   must preserve the reference order bit for bit -- regression-pinned
-   across every paper configuration in
-   ``tests/test_kernel_equivalence.py``.
+   pinned: the one DES (:class:`repro.simulation.engine.Engine`)
+   dispatches events in ``(time, sequence)`` order, where ``sequence``
+   is the global scheduling counter, and a free-unit resource grant
+   continues the acquiring process inline, at the acquire's own
+   position (see the module docstring of
+   :mod:`repro.simulation.engine`; ``tests/test_engine.py`` pins the
+   rules).  Every other replay path must preserve that order bit for
+   bit.
 
    *Vectorized equivalence.*  The ``vectorized`` kernel is the extreme
    case: it replays every chaos-free request that arrives at an idle
@@ -76,7 +73,7 @@ rules make that hold:
    same left-associated sequential adds the chained yields perform --
    cumulative per-shard adds, never ``np.sum``, whose pairwise-tree
    reduction reassociates floats.  Same bits, same order, no loop;
-   pinned alongside the batched kernel in
+   pinned against the batched kernel in
    ``tests/test_kernel_equivalence.py``.
 
    *Exact sparse Poisson.*  The same rule lets a sampler replace

@@ -76,8 +76,8 @@ class RunResult:
         self.workload_labels = (
             tuple(workload_labels) if workload_labels else (model_name,)
         )
-        #: DES kernel that actually produced these columns ("reference",
-        #: "batched", or "vectorized"); None until the runner sets it.
+        #: Kernel that actually produced these columns ("batched" or
+        #: "vectorized"); None until the runner sets it.
         self.kernel_used: str | None = None
         #: Why a ``kernel="vectorized"`` run fell back to the batched
         #: kernel (a stable reason string from

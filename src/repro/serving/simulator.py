@@ -71,13 +71,7 @@ from repro.models.config import ModelConfig, TableConfig
 from repro.requests.generator import Request
 from repro.sharding.plan import ShardingPlan, ShardSpec
 from repro.simulation.costmodel import CostModel
-from repro.simulation.engine import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    Engine,
-    Event,
-    make_engine,
-)
+from repro.simulation.engine import DEFAULT_KERNEL, KERNELS, Engine, Event
 from repro.simulation.network import Fabric, FabricSpec
 from repro.simulation.platform import SC_LARGE, Platform
 from repro.tracing.aggregate import AggregatingTracer, OutcomeLedger, TraceMode
@@ -160,12 +154,10 @@ class ServingConfig:
     acquires tie on a worker pool -- 0 for the serial runs the tests
     pin).  Runs with chaos or a live resilience policy
     take the ``"batched"`` DES, recording the reason on
-    ``RunResult.kernel_fallback``.  ``"batched"`` (FIFO now-queue,
-    synchronous resource grants) and ``"reference"`` (the historical
-    heap-only event loop, kept as the test oracle) force one DES for
-    every request; the CLI has no kernel switch.  Both DES kernels drive
-    the same serving generators, and all three kernels are
-    regression-pinned bit-identical (``tests/test_kernel_equivalence.py``,
+    ``RunResult.kernel_fallback``.  ``"batched"`` forces the DES
+    (:class:`~repro.simulation.engine.Engine`) for every request; the
+    CLI has no kernel switch.  The two kernels are regression-pinned
+    bit-identical (``tests/test_kernel_equivalence.py``,
     ``tests/test_idle_arrival_replay.py``)."""
 
     def __post_init__(self):
@@ -341,7 +333,7 @@ class ClusterSimulation:
         #: The single hot-path recording entry point; both tracers share
         #: the ``record_interval`` signature (engine times + server).
         self._record = self.tracer.record_interval
-        self.engine = make_engine(self.config.kernel)
+        self.engine = Engine()
         self._rpc_ids = itertools.count()
         # Single-tenant keys are the historical (model, label) pair --
         # streams must stay byte-identical; co-located clusters key on the

@@ -10,15 +10,12 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "KERNELS",
             "AllOf",
             "AnyOf",
-            "BatchedEngine",
             "Engine",
             "Event",
             "Process",
             "Resource",
             "SimulationError",
-            "SyncResource",
             "Timeout",
-            "make_engine",
         ),
         "network": ("Fabric", "FabricSpec"),
         "platform": ("PLATFORMS", "SC_LARGE", "SC_SMALL", "Platform"),

@@ -6,7 +6,7 @@ timeouts, resource acquisitions, or other processes.  The kernel is a small
 subset of the SimPy programming model, implemented here so the repository is
 self-contained:
 
-* :class:`Engine` owns the event heap and the simulation clock.
+* :class:`Engine` owns the event queues and the simulation clock.
 * :class:`Event` is a one-shot promise; callbacks run when it triggers.
 * :class:`Process` drives a generator, resuming it whenever the event it
   yielded triggers, and is itself an event that triggers on completion.
@@ -25,40 +25,36 @@ loop.  The sequence number is taken at the same point either way, so a
 ``yield delay`` is scheduled identically to ``yield engine.timeout(delay)``
 and replacing one with the other cannot reorder a simulation.
 
-Kernel selection (:func:`make_engine`)
-======================================
+The event loop
+==============
 
-Two kernels share this event model:
-
-* ``"reference"`` -- :class:`Engine`: one heap entry per event, resource
-  grants always deferred through a delay-0 event.  This is the bit-exact
-  historical kernel every regression artifact was recorded under.
-* ``"batched"`` -- :class:`BatchedEngine`: delay-0 scheduling (process
-  kick-offs, ``succeed()``, resource hand-offs) lands in an O(1) FIFO
-  *now-queue* that is merged with the heap by ``(time, sequence)``, so
-  same-timestamp cascades -- the dominant event class in serving sweeps --
-  bypass heap churn entirely; and :class:`SyncResource` grants a free unit
-  *synchronously* (the continuation runs inline instead of after a delay-0
-  hop).
+:class:`Engine` keeps two queues.  Every delay-0 schedule -- process
+kick-offs, ``Event.succeed()``, resource hand-offs, ``AllOf``/``AnyOf``
+completions -- appends to an O(1) FIFO *now-queue*; every timed event,
+and every plain-delay resumption (``yield 0.0`` included), goes on the
+heap.  :meth:`Engine.run` merges the two by ``(time, sequence)``, so
+same-timestamp cascades -- the dominant event class in serving sweeps --
+drain as a batch of queue pops with no heap churn.  A :class:`Resource`
+grants a free unit *synchronously*: the acquiring process continues
+inline instead of after a delay-0 hop.
 
 Canonical event ordering
 ========================
 
-Both kernels order events by ``(time, sequence)`` with one monotonic
+Events are dispatched in ``(time, sequence)`` order with one monotonic
 sequence counter, so *scheduling order at equal timestamps is execution
 order* -- this is the canonical ordering the determinism contract in
 :mod:`repro.core.rng` (rule 2) relies on: every RNG draw made from inside
-the simulation happens at a position fixed by that ordering.  Both kernels
-drive the same serving generators; the batched kernel preserves the
-canonical ordering exactly (the now-queue is FIFO and sequence numbers are
-assigned at the same points), with one documented exception: a
-synchronous resource grant runs the acquiring continuation *earlier
-within the same timestamp* than the reference kernel would.  Code between
-an ``acquire()`` and its next positive-delay yield must therefore not
-touch cross-process shared state (fabric jitter draws, egress
-reservations) -- the serving layer obeys this, and
-``tests/test_kernel_equivalence.py`` pins the result columns of the two
-kernels bit-identical on every paper configuration, chaos included.
+the simulation happens at a position fixed by that ordering.  The
+now-queue is FIFO and takes its sequence numbers from the same counter,
+so it only changes *where* an event waits, never when it runs: a heap
+entry at the current time runs before a queued one exactly when its
+sequence is older (a ``Timeout`` landing precisely on ``now``), and after
+it otherwise (a ``yield 0.0`` taken after the queued ``succeed()``).  A
+free-unit grant schedules nothing, so the code between an ``acquire()``
+and the process's next yield runs at the acquire's own position in that
+order.  ``tests/test_engine.py`` pins each of these rules on a bare
+engine.
 
 Vectorized equivalence
 ----------------------
@@ -69,7 +65,7 @@ at all, yet commits to the *same* canonical ordering: for such a request
 every event's timestamp and sequence position is a pure function of the
 precomputed per-request plan, so the columnar evaluator
 (:mod:`repro.simulation.vectorized`) can walk its shard RPCs in issue
-order -- exactly the order the reference loop would pop them -- while
+order -- exactly the order the event loop would pop them -- while
 computing durations from numpy columns.  Floats stay bit-identical because every
 accumulator is reduced with the same left-associated sequential adds the
 chained DES yields perform (cumulative per-shard adds, never
@@ -85,10 +81,9 @@ a request to the event loop when two acquires on one pool tie at one
 exact time and one of them waits (the sequence counter would decide
 which).  In a serial closed loop the next arrival is the request's own
 completion, so every request without such a tie takes the evaluator,
-whatever the pool depth.  The same regression suites pin vectorized ==
-reference on every eligible paper configuration, serial and parallel,
-and vectorized == batched on 2- and 1-worker pools, open-loop and
-co-located replays.
+whatever the pool depth.  The regression suites pin vectorized ==
+batched on every eligible paper configuration, serial and parallel, on
+2- and 1-worker pools, open-loop and co-located replays.
 """
 
 from __future__ import annotations
@@ -186,7 +181,7 @@ class Process(Event):
         self._step_ref: Any = self._step
         # Kick off at the current time (not synchronously) so that process
         # creation order does not leak into execution order mid-callback.
-        engine._schedule_call(0.0, self._step_ref)
+        engine._schedule(0.0, self._step_ref)
 
     def _resume(self, event: Event) -> None:
         self._step(event._value)
@@ -208,7 +203,8 @@ class Process(Event):
         if cls is float or cls is int:
             if target < 0:
                 raise SimulationError(f"negative timeout delay: {target}")
-            # Inlined _schedule_call: this is the hot loop of every sweep.
+            # Inlined _schedule (a plain delay always takes the heap, 0.0
+            # included): this is the hot loop of every sweep.
             engine = self.engine
             engine._sequence += 1
             heappush(
@@ -223,7 +219,7 @@ class Process(Event):
             delay = float(target)
             if delay < 0:
                 raise SimulationError(f"negative timeout delay: {delay}")
-            self.engine._schedule_call(delay, self._step_ref)
+            self.engine._schedule(delay, self._step_ref)
         else:
             raise SimulationError(
                 f"process yielded {type(target).__name__}; processes must "
@@ -276,9 +272,17 @@ class AnyOf(Event):
 
 
 class Resource:
-    """A counted resource with FIFO queueing (e.g. a pool of CPU cores)."""
+    """A counted resource with FIFO queueing (e.g. a pool of CPU cores).
 
-    __slots__ = ("engine", "capacity", "_in_use", "_queue")
+    :meth:`acquire` on a free unit returns an already-triggered event, so
+    the acquiring process continues *inline* (zero scheduled events) --
+    the single largest per-hop saving in serving sweeps, where almost
+    every acquire finds a free worker.  Contended acquires queue FIFO, and
+    :meth:`release` hands the unit to the next waiter through a delay-0
+    event.
+    """
+
+    __slots__ = ("engine", "capacity", "_in_use", "_queue", "_granted")
 
     def __init__(self, engine: "Engine", capacity: int):
         if capacity < 1:
@@ -287,6 +291,14 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._queue: deque[Event] = deque()
+        # One reusable pre-triggered grant event: triggered events never
+        # mutate (callbacks on them fire immediately), so every
+        # uncontended acquire can hand out the same instance.
+        granted = Event(engine)
+        granted._triggered = True
+        granted._scheduled = True
+        granted._value = self
+        self._granted = granted
 
     @property
     def in_use(self) -> int:
@@ -297,13 +309,12 @@ class Resource:
         return len(self._queue)
 
     def acquire(self) -> Event:
-        """Return an event that triggers once a unit is held by the caller."""
-        event = Event(self.engine)
+        """Grant synchronously when a unit is free; queue FIFO otherwise."""
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed(self)
-        else:
-            self._queue.append(event)
+            return self._granted
+        event = Event(self.engine)
+        self._queue.append(event)
         return event
 
     def release(self) -> None:
@@ -317,14 +328,15 @@ class Resource:
 
 
 class Engine:
-    """Event loop: a heap of ``(time, sequence, target)`` entries.
+    """Event loop: a heap of ``(time, sequence, target)`` entries for timed
+    events and a FIFO now-queue of the same entries for delay-0 ones.
 
     A target is either an :class:`Event` (triggered when popped) or a bare
-    callable scheduled via :meth:`_schedule_call` (called with ``None``) --
-    the allocation-free fast path used for plain-delay process resumption.
+    callable (called with ``None``) -- the allocation-free fast path used
+    for process resumption.
     """
 
-    __slots__ = ("now", "_sequence", "_heap")
+    __slots__ = ("now", "_sequence", "_heap", "_now_queue")
 
     def __init__(self):
         #: Current simulation time.  A plain attribute, not a property:
@@ -333,14 +345,16 @@ class Engine:
         self.now = 0.0
         self._sequence = 0
         self._heap: list[tuple[float, int, Any]] = []
+        self._now_queue: deque[tuple[float, int, Any]] = deque()
 
-    def _schedule(self, delay: float, event: Event) -> None:
+    def _schedule(
+        self, delay: float, target: Union[Event, Callable[[Any], None]]
+    ) -> None:
         self._sequence += 1
-        heapq.heappush(self._heap, (self.now + delay, self._sequence, event))
-
-    def _schedule_call(self, delay: float, fn: Callable[[Any], None]) -> None:
-        self._sequence += 1
-        heapq.heappush(self._heap, (self.now + delay, self._sequence, fn))
+        if delay == 0.0:
+            self._now_queue.append((self.now, self._sequence, target))
+        else:
+            heapq.heappush(self._heap, (self.now + delay, self._sequence, target))
 
     # -- factory helpers ------------------------------------------------
     def event(self) -> Event:
@@ -364,15 +378,9 @@ class Engine:
     def idle(self) -> bool:
         """Whether no event is scheduled (a running process's own next
         resumption is not scheduled until it yields)."""
-        return not self._heap
+        return not self._heap and not self._now_queue
 
     # -- execution -------------------------------------------------------
-    def _check_until(self, until: Optional[float]) -> None:
-        if until is not None and not until >= self.now:  # also rejects NaN
-            raise SimulationError(
-                f"run(until={until!r}) is in the past (now={self.now})"
-            )
-
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the queue drains or the clock reaches ``until``.
 
@@ -395,111 +403,10 @@ class Engine:
 
         Returns the final simulation time.
         """
-        self._check_until(until)
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            if until is not None and heap[0][0] > until:
-                self.now = until
-                return until
-            at, _, target = pop(heap)
-            self.now = at
-            if isinstance(target, Event):
-                target._trigger()
-            else:
-                target(None)
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
-
-
-class SyncResource(Resource):
-    """A :class:`Resource` whose free-unit grants are synchronous.
-
-    :meth:`acquire` on a free unit returns an already-triggered event, so
-    the acquiring process continues *inline* (zero scheduled events)
-    instead of after a delay-0 hop -- the single largest per-hop saving in
-    serving sweeps, where almost every acquire finds a free worker.
-    Contended acquires still queue FIFO, and :meth:`release` still hands
-    the unit to the next waiter through a deferred event, so wake-up order
-    is identical to the reference kernel.
-
-    Determinism: the inline continuation runs earlier *within the same
-    timestamp* than under the reference :class:`Resource` (see "Canonical
-    event ordering" in the module docstring).  Callers must not touch
-    cross-process shared state between the acquire and their next yield.
-    """
-
-    __slots__ = ("_granted",)
-
-    def __init__(self, engine: "Engine", capacity: int):
-        super().__init__(engine, capacity)
-        # One reusable pre-triggered grant event: triggered events never
-        # mutate (callbacks on them fire immediately), so every
-        # uncontended acquire can hand out the same instance.
-        granted = Event(engine)
-        granted._triggered = True
-        granted._scheduled = True
-        granted._value = self
-        self._granted = granted
-
-    def acquire(self) -> Event:
-        """Grant synchronously when a unit is free; queue FIFO otherwise."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return self._granted
-        event = Event(self.engine)
-        self._queue.append(event)
-        return event
-
-
-class BatchedEngine(Engine):
-    """Batched event loop: heap for timed events, FIFO queue for "now".
-
-    Every delay-0 schedule -- process kick-offs, ``Event.succeed()``,
-    resource hand-offs, ``AllOf``/``AnyOf`` completions -- appends to an
-    O(1) *now-queue* instead of churning the heap.  The run loop merges
-    the two by ``(time, sequence)``, which keeps the canonical event
-    ordering bit-identical to the reference kernel: now-queue entries are
-    naturally sorted (the sequence counter is monotonic and entries are
-    only created at the current time), so the merge is a single
-    comparison per dispatch, and a same-timestamp cascade drains as a
-    batch of queue pops with zero ``log n`` factors.
-
-    Resources created through :meth:`resource` are :class:`SyncResource`
-    (synchronous free-unit grants); see the module docstring for the
-    one documented ordering difference that introduces.
-    """
-
-    __slots__ = ("_now_queue",)
-
-    def __init__(self):
-        super().__init__()
-        self._now_queue: deque[tuple[float, int, Any]] = deque()
-
-    def _schedule(self, delay: float, event: Event) -> None:
-        self._sequence += 1
-        if delay == 0.0:
-            self._now_queue.append((self.now, self._sequence, event))
-        else:
-            heapq.heappush(self._heap, (self.now + delay, self._sequence, event))
-
-    def _schedule_call(self, delay: float, fn: Callable[[Any], None]) -> None:
-        self._sequence += 1
-        if delay == 0.0:
-            self._now_queue.append((self.now, self._sequence, fn))
-        else:
-            heapq.heappush(self._heap, (self.now + delay, self._sequence, fn))
-
-    def resource(self, capacity: int) -> Resource:
-        return SyncResource(self, capacity)
-
-    def idle(self) -> bool:
-        return not self._heap and not self._now_queue
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Same contract and boundary semantics as :meth:`Engine.run`."""
-        self._check_until(until)
+        if until is not None and not until >= self.now:  # also rejects NaN
+            raise SimulationError(
+                f"run(until={until!r}) is in the past (now={self.now})"
+            )
         heap = self._heap
         queue = self._now_queue
         pop = heapq.heappop
@@ -538,37 +445,20 @@ class BatchedEngine(Engine):
         return self.now
 
 
-#: Selectable DES kernels (``ServingConfig.kernel``; the CLI always
-#: runs the default).  ``"vectorized"`` is the columnar replay fast
-#: path: every run -- serial closed-loop, open-loop or a co-located mix
-#: -- runs the batched loop with every idle arrival that finishes before
-#: the next replayed by the evaluator, worker queueing included (see
-#: :mod:`repro.simulation.vectorized` /
+#: Selectable kernels (``ServingConfig.kernel``; the CLI always runs
+#: the default).  ``"batched"`` replays every request on the
+#: :class:`Engine` event loop.  ``"vectorized"`` is the columnar replay
+#: fast path: every run -- serial closed-loop, open-loop or a co-located
+#: mix -- runs the event loop with every idle arrival that finishes
+#: before the next replayed by the evaluator, worker queueing included
+#: (see :mod:`repro.simulation.vectorized` /
 #: :mod:`repro.serving.columnar`); runs with chaos or a live resilience
-#: policy fall back to the batched kernel with a recorded reason
+#: policy fall back to ``"batched"`` with a recorded reason
 #: (``RunResult.kernel_fallback``).
-KERNELS = ("reference", "batched", "vectorized")
+KERNELS = ("batched", "vectorized")
 
 #: The kernel every surface defaults to.  ``"vectorized"`` chooses per
-#: run (see :data:`KERNELS`).  All three kernels are regression-pinned
+#: run (see :data:`KERNELS`).  Both kernels are regression-pinned
 #: bit-identical, so the committed artifacts do not depend on this
-#: choice; ``"reference"`` stays selectable as the test oracle the
-#: batched kernel is pinned to.
+#: choice.
 DEFAULT_KERNEL = "vectorized"
-
-
-def make_engine(kernel: str = DEFAULT_KERNEL) -> Engine:
-    """Construct the selected DES kernel (see ``KERNELS``).
-
-    ``"vectorized"`` returns a :class:`BatchedEngine`: the event loop a
-    vectorized run keeps -- an open-loop run's busy periods, or a
-    fallback run entirely -- is the batched kernel, bit-identical to the
-    reference.
-    """
-    if kernel == "reference":
-        return Engine()
-    if kernel in ("batched", "vectorized"):
-        return BatchedEngine()
-    raise ValueError(
-        f"unknown DES kernel {kernel!r}; expected one of {KERNELS}"
-    )

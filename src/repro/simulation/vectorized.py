@@ -39,7 +39,7 @@ built a *chunk* of requests at a time:
    the request-level CPU sums (the three CPU buckets and the sparse and
    dense operator CPU), the per-shard CPU demand, and the per-shard and
    per-(shard, net) sparse op time -- travel as compact record tuples,
-   sorted by the reference kernel's ``(time, batch, net,
+   sorted by the DES's ``(time, batch, net,
    slot-position)`` recording order and folded through
    :class:`VectorizedColumns`, an
    :class:`~repro.tracing.aggregate.AggregatingTracer` subclass whose
@@ -79,9 +79,9 @@ Why this reproduces the chained-yield float order bit for bit:
   records' terms, so any accumulator fed by exactly one ordered chain
   (a batch's bucket sums, an RPC's entry) can be summed inline, while
   the cross-chain accumulators are folded from records sorted in
-  reference recording order (reference record times with structural
+  the DES's recording order (DES record times with structural
   tie-breaks that reproduce the engine's sequence-counter order).
-  Durations use the reference wall-stamp expression
+  Durations use the DES's wall-stamp expression
   ``(end+skew)-(start+skew)`` whenever any clock skew is configured
   (with zero skew ``end-start`` is bitwise identical: ``+0.0`` is an
   exact no-op on the non-negative timestamps involved).
@@ -147,7 +147,7 @@ them.  The DES takes a request's plans from the same chunk rows the
 evaluator reads, so the replay builds each plan once.
 
 The regression pins for all of this are
-``tests/test_kernel_equivalence.py`` (vectorized == reference on every
+``tests/test_kernel_equivalence.py`` (vectorized == batched on every
 paper configuration, all ``RunResult`` columns, serial and parallel)
 and ``tests/test_idle_arrival_replay.py`` (serial, open-loop and mix
 replays == the batched DES across the busy-period range and on 2- and
@@ -177,7 +177,7 @@ from repro.tracing.span import MAIN_SHARD
 # per-shard demand).  Kind is a sort tie-break only at jitter-laden
 # (measure-zero) time collisions; the numbering puts the shard sparse
 # op before the client request serialization (the one same-sort-rank
-# pair: both use slot-position ``(k+1)*8+2``), matching the reference
+# pair: both use slot-position ``(k+1)*8+2``), matching the DES's
 # tie order.
 _K_OPS_SLW = 0  # sls_remote (shard): sparse op cpu + per-shard op time (dur)
 _K_SERDE = 1  # rpc_request_ser / rpc_deser / rpc_resp_ser / rpc_response_deser
@@ -189,7 +189,7 @@ _K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
 
 # One record: (time, key, kind, shard, cpu, dur), where ``key`` packs
 # ``batch << 26 | net << 20 | slot-position``.  (time, key) is the
-# reference recording order -- the time the reference kernel calls
+# DES's recording order -- the time the DES calls
 # record_interval, then structural tie-breaks standing in for the
 # engine's scheduling-sequence order at shared timestamps (lockstep
 # chains of equal batches record equal charges at one timestamp, so
@@ -197,7 +197,7 @@ _K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
 # records at one timestamp keep their call positions); with each field
 # in its fixed width, comparing keys
 # equals comparing (batch, net, slot-position) tuples.  slot-position
-# packs the reference (slot, position) pair as ``(slot+1)*8 + position``
+# packs the DES's (slot, position) pair as ``(slot+1)*8 + position``
 # (main-side records use slot -1, shard-side records slot >= 0, and
 # positions stay below 8, so the packed int orders exactly like the
 # pair).  ``dur`` is only populated for _K_OPS_SLW (the one folded
@@ -376,8 +376,8 @@ class VectorizedColumns(AggregatingTracer):
     and then hands the state to the real
     :meth:`~repro.tracing.aggregate.AggregatingTracer.finalize_request`.
     Every ``+=`` below textually mirrors a ``record_interval`` branch;
-    the record list arrives sorted in reference recording order, so the
-    float-accumulation order is the reference order.
+    the record list arrives sorted in the DES's recording order, so the
+    float-accumulation order is the DES's order.
 
     It is also a complete tracer: an open-loop run installs it on the
     cluster, so the DES's ``record_interval`` calls and the evaluator's
@@ -423,7 +423,7 @@ class VectorizedColumns(AggregatingTracer):
         best-RPC and bounding-batch selections, the per-batch bucket
         lists -- passed as reusable scratch lists, copied into the
         pooled state).  ``records`` carries only the order-sensitive
-        rest: CPU charges in reference recording order; ``net_names``
+        rest: CPU charges in the DES's recording order; ``net_names``
         decodes their net bits.
         """
         pool = self._pool
@@ -439,7 +439,7 @@ class VectorizedColumns(AggregatingTracer):
         shard_net_op = state.shard_net_op
         service_fixed = self.service_fixed
         # The request deserialization is always the first record (its
-        # reference time precedes every batch-chain record) and the
+        # DES time precedes every batch-chain record) and the
         # response serialization + request_e2e always the last two, so
         # their charges bracket the folded loop.
         cpu_serde = 0.0 + head_cpu
@@ -449,7 +449,7 @@ class VectorizedColumns(AggregatingTracer):
         sparse_op_cpu = 0.0
         dense_op_cpu = 0.0
         # Seed the MAIN slot first so the dict's key order matches the
-        # reference (head record inserts it before any shard key).
+        # DES (head record inserts it before any shard key).
         shard_cpu[MAIN_SHARD] = 0.0
 
         shard_get = shard_cpu.get
@@ -472,7 +472,7 @@ class VectorizedColumns(AggregatingTracer):
                     shard_net_op[net_key] = net_op_get(net_key, 0.0) + dur
                 elif kind == 4:
                     # rpc_resp_ser (serde cpu) + rpc_e2e (fixed service
-                    # cpu) -- always adjacent in reference order, so the
+                    # cpu) -- always adjacent in the DES's order, so the
                     # two shard charges fuse into one left-associated
                     # read-modify-write.
                     shard_cpu[shard] = (

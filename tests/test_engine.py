@@ -2,19 +2,7 @@
 
 import pytest
 
-from repro.simulation.engine import (
-    BatchedEngine,
-    Engine,
-    SimulationError,
-    SyncResource,
-    make_engine,
-)
-
-
-@pytest.fixture(params=["reference", "batched"])
-def kernel_engine(request):
-    """Both selectable kernels; behavioral tests must pass on each."""
-    return make_engine(request.param)
+from repro.simulation.engine import Engine, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -272,6 +260,117 @@ class TestResource:
         with pytest.raises(SimulationError):
             engine.resource(0)
 
+    def test_fifo_handoff_under_contention(self):
+        engine = Engine()
+        resource = engine.resource(1)
+        order = []
+
+        def worker(name, arrival):
+            yield arrival
+            yield resource.acquire()
+            order.append((engine.now, name))
+            yield 1.0
+            resource.release()
+
+        # all three contend; arrival order is the service order
+        for name, arrival in (("a", 0.0), ("b", 0.1), ("c", 0.2)):
+            engine.process(worker(name, arrival))
+        engine.run()
+        assert order == [(0.0, "a"), (1.0, "b"), (2.0, "c")]
+
+    def test_release_without_waiters_frees_capacity(self):
+        engine = Engine()
+        resource = engine.resource(1)
+        log = []
+
+        def proc():
+            yield resource.acquire()
+            yield 1.0
+            resource.release()
+            log.append(resource.in_use)
+            # the freed unit is immediately acquirable again
+            yield resource.acquire()
+            log.append(resource.in_use)
+            resource.release()
+
+        engine.process(proc())
+        engine.run()
+        assert log == [0, 1]
+        assert resource.in_use == 0
+        assert resource.queued == 0
+
+    def test_interleaved_acquire_release_at_identical_timestamps(self):
+        """A release and a fresh acquire in the same instant: the queued
+        waiter (FIFO) wins over the newcomer."""
+        engine = Engine()
+        resource = engine.resource(1)
+        order = []
+
+        def holder():
+            yield resource.acquire()
+            yield 1.0
+            resource.release()  # at t=1.0, exactly when others act
+
+        def queued_waiter():
+            yield 0.5  # queues behind the holder at t=0.5
+            yield resource.acquire()
+            order.append(("queued", engine.now))
+            resource.release()
+
+        def newcomer():
+            yield 1.0  # tries to acquire in the same instant as the release
+            yield resource.acquire()
+            order.append(("newcomer", engine.now))
+            resource.release()
+
+        engine.process(holder())
+        engine.process(queued_waiter())
+        engine.process(newcomer())
+        engine.run()
+        assert [name for name, _ in order] == ["queued", "newcomer"]
+        assert all(at == 1.0 for _, at in order)
+
+    def test_zero_duration_hold_cycles_cleanly(self):
+        engine = Engine()
+        resource = engine.resource(2)
+        completions = []
+
+        def churn(tag):
+            yield resource.acquire()
+            resource.release()  # release in the same instant
+            yield resource.acquire()
+            completions.append(tag)
+            resource.release()
+
+        for tag in range(4):
+            engine.process(churn(tag))
+        engine.run()
+        assert completions == [0, 1, 2, 3]
+        assert resource.in_use == 0 and resource.queued == 0
+
+    def test_uncontended_acquire_is_synchronous(self):
+        engine = Engine()
+        resource = engine.resource(1)
+        event = resource.acquire()
+        # granted inline: already triggered, no scheduled hop required
+        assert event.triggered
+        assert resource.in_use == 1
+        resource.release()
+        assert resource.in_use == 0
+
+    def test_contended_acquire_still_queues(self):
+        engine = Engine()
+        resource = engine.resource(1)
+        first = resource.acquire()
+        second = resource.acquire()
+        assert first.triggered
+        assert not second.triggered
+        assert resource.queued == 1
+        resource.release()
+        engine.run()
+        assert second.triggered
+        assert resource.in_use == 1  # handed over, still held
+
 
 def test_yielding_non_event_raises():
     engine = Engine()
@@ -294,10 +393,12 @@ def test_yielding_plain_delay_advances_clock():
         seen.append(engine.now)
         yield 2
         seen.append(engine.now)
+        yield 0.0  # a zero-length hop is legal
+        seen.append(engine.now)
 
     engine.process(proc())
     engine.run()
-    assert seen == [1.5, 3.5]
+    assert seen == [1.5, 3.5, 3.5]
 
 
 def test_yielding_numpy_scalar_delay_works():
@@ -350,8 +451,8 @@ def test_plain_delay_orders_like_timeout():
 class TestRunUntilBoundary:
     """Pinned ``run(until=...)`` boundary semantics (see the method doc)."""
 
-    def test_event_exactly_at_until_is_processed(self, kernel_engine):
-        engine = kernel_engine
+    def test_event_exactly_at_until_is_processed(self):
+        engine = Engine()
         seen = []
 
         def proc():
@@ -368,8 +469,8 @@ class TestRunUntilBoundary:
         assert engine.run() == 5.0
         assert seen == [4.0, 5.0]
 
-    def test_drained_queue_advances_clock_to_until(self, kernel_engine):
-        engine = kernel_engine
+    def test_drained_queue_advances_clock_to_until(self):
+        engine = Engine()
 
         def proc():
             yield 1.0
@@ -381,8 +482,8 @@ class TestRunUntilBoundary:
         assert engine.run(until=7.5) == 7.5
         assert engine.now == 7.5
 
-    def test_until_then_resume_never_drops_events(self, kernel_engine):
-        engine = kernel_engine
+    def test_until_then_resume_never_drops_events(self):
+        engine = Engine()
         log = []
 
         def worker(name, delay):
@@ -398,8 +499,8 @@ class TestRunUntilBoundary:
         assert log == [(1.0, "a"), (2.0, "b"), (2.0, "c")]
 
     @pytest.mark.parametrize("until", [2.0, float("nan")])
-    def test_until_in_the_past_or_nan_rejected(self, kernel_engine, until):
-        engine = kernel_engine
+    def test_until_in_the_past_or_nan_rejected(self, until):
+        engine = Engine()
 
         def proc():
             yield 5.0
@@ -415,185 +516,49 @@ class TestRunUntilBoundary:
         assert engine.run() == 10.0
 
 
-class TestPlainDelayBothKernels:
-    """The serving bodies yield plain delays on both kernels: a float
-    resumes at ``now + delay``, rejects a negative delay, and takes the
-    same sequence slot as an explicit Timeout."""
+class TestEventOrdering:
+    """Where the now-queue and the heap meet: the merge in :meth:`Engine.run`
+    dispatches by ``(time, sequence)``, whichever queue an entry waits in."""
 
-    def test_plain_delay_resumes_at_now_plus_delay(self, kernel_engine):
-        engine = kernel_engine
-        seen = []
-
-        def proc():
-            yield 2.5
-            seen.append(engine.now)
-            yield 0.0  # a zero-length hop is legal
-            seen.append(engine.now)
-
-        engine.process(proc())
-        engine.run()
-        assert seen == [2.5, 2.5]
-
-    def test_negative_delay_raises(self, kernel_engine):
-        engine = kernel_engine
-
-        def proc():
-            yield 3.0
-            yield -2.0
-
-        engine.process(proc())
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    def test_plain_delay_orders_like_timeout(self, kernel_engine):
-        engine = kernel_engine
-        order = []
-
-        def via_timeout(tag):
-            yield engine.timeout(1.0)
-            order.append(tag)
-
-        def via_float(tag):
-            yield 1.0
-            order.append(tag)
-
-        engine.process(via_timeout("a"))
-        engine.process(via_float("b"))
-        engine.process(via_timeout("c"))
-        engine.run()
-        assert order == ["a", "b", "c"]
-
-
-class TestResourceBothKernels:
-    """Fairness and edge cases, pinned identically on both kernels."""
-
-    def test_fifo_handoff_under_contention(self, kernel_engine):
-        engine = kernel_engine
-        resource = engine.resource(1)
-        order = []
-
-        def worker(name, arrival):
-            yield arrival
-            yield resource.acquire()
-            order.append((engine.now, name))
-            yield 1.0
-            resource.release()
-
-        # all three contend; arrival order is the service order
-        for name, arrival in (("a", 0.0), ("b", 0.1), ("c", 0.2)):
-            engine.process(worker(name, arrival))
-        engine.run()
-        assert order == [(0.0, "a"), (1.0, "b"), (2.0, "c")]
-
-    def test_release_without_waiters_frees_capacity(self, kernel_engine):
-        engine = kernel_engine
-        resource = engine.resource(1)
-        log = []
-
-        def proc():
-            yield resource.acquire()
-            yield 1.0
-            resource.release()
-            log.append(resource.in_use)
-            # the freed unit is immediately acquirable again
-            yield resource.acquire()
-            log.append(resource.in_use)
-            resource.release()
-
-        engine.process(proc())
-        engine.run()
-        assert log == [0, 1]
-        assert resource.in_use == 0
-        assert resource.queued == 0
-
-    def test_release_without_acquire_rejected(self, kernel_engine):
-        resource = kernel_engine.resource(1)
-        with pytest.raises(SimulationError):
-            resource.release()
-
-    def test_interleaved_acquire_release_at_identical_timestamps(
-        self, kernel_engine
-    ):
-        """A release and a fresh acquire in the same instant: the queued
-        waiter (FIFO) wins over the newcomer, on both kernels."""
-        engine = kernel_engine
-        resource = engine.resource(1)
-        order = []
-
-        def holder():
-            yield resource.acquire()
-            yield 1.0
-            resource.release()  # at t=1.0, exactly when others act
-
-        def queued_waiter():
-            yield 0.5  # queues behind the holder at t=0.5
-            yield resource.acquire()
-            order.append(("queued", engine.now))
-            resource.release()
-
-        def newcomer():
-            yield 1.0  # tries to acquire in the same instant as the release
-            yield resource.acquire()
-            order.append(("newcomer", engine.now))
-            resource.release()
-
-        engine.process(holder())
-        engine.process(queued_waiter())
-        engine.process(newcomer())
-        engine.run()
-        assert [name for name, _ in order] == ["queued", "newcomer"]
-        assert all(at == 1.0 for _, at in order)
-
-    def test_zero_duration_hold_cycles_cleanly(self, kernel_engine):
-        engine = kernel_engine
-        resource = engine.resource(2)
-        completions = []
-
-        def churn(tag):
-            yield resource.acquire()
-            resource.release()  # release in the same instant
-            yield resource.acquire()
-            completions.append(tag)
-            resource.release()
-
-        for tag in range(4):
-            engine.process(churn(tag))
-        engine.run()
-        assert completions == [0, 1, 2, 3]
-        assert resource.in_use == 0 and resource.queued == 0
-
-
-class TestSyncResource:
-    def test_uncontended_acquire_is_synchronous(self):
-        engine = BatchedEngine()
-        resource = engine.resource(1)
-        assert isinstance(resource, SyncResource)
-        event = resource.acquire()
-        # granted inline: already triggered, no scheduled hop required
-        assert event.triggered
-        assert resource.in_use == 1
-        resource.release()
-        assert resource.in_use == 0
-
-    def test_contended_acquire_still_queues(self):
-        engine = BatchedEngine()
-        resource = engine.resource(1)
-        first = resource.acquire()
-        second = resource.acquire()
-        assert first.triggered
-        assert not second.triggered
-        assert resource.queued == 1
-        resource.release()
-        engine.run()
-        assert second.triggered
-        assert resource.in_use == 1  # handed over, still held
-
-    def test_reference_engine_keeps_deferred_grants(self):
-        """The reference kernel's Resource must stay deferred: its grant
-        event is fresh and untriggered until the event loop runs."""
+    def test_older_timeout_runs_before_a_same_instant_succeed(self):
+        """Two timeouts land on t=1.0; the first one's callback succeeds an
+        event, which queues behind the second timeout's older sequence."""
         engine = Engine()
-        resource = engine.resource(1)
-        event = resource.acquire()
-        assert not event.triggered
+        order = []
+        fired = engine.event()
+        fired.add_callback(lambda _: order.append("succeeded"))
+        first = engine.timeout(1.0)
+        second = engine.timeout(1.0)
+        first.add_callback(lambda _: (order.append("first"), fired.succeed()))
+        second.add_callback(lambda _: order.append("second"))
         engine.run()
-        assert event.triggered
+        assert order == ["first", "second", "succeeded"]
+
+    def test_zero_delay_yield_runs_after_an_older_queued_event(self):
+        """``yield 0.0`` takes the heap at ``now``; an event succeeded
+        before it holds the older sequence and runs first."""
+        engine = Engine()
+        order = []
+        queued = engine.event()
+        queued.add_callback(lambda _: order.append("queued"))
+
+        def proc():
+            queued.succeed()
+            yield 0.0
+            order.append("resumed")
+
+        engine.process(proc())
+        engine.run()
+        assert order == ["queued", "resumed"]
+
+    def test_not_idle_while_either_queue_holds_an_event(self):
+        engine = Engine()
+        assert engine.idle()
+        engine.event().succeed()  # the now-queue alone
+        assert not engine.idle()
+        engine.run()
+        assert engine.idle()
+        engine.timeout(1.0)  # the heap alone
+        assert not engine.idle()
+        engine.run()
+        assert engine.idle()

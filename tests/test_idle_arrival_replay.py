@@ -449,14 +449,13 @@ class TestDesRequests:
         assert result.kernel_used == "vectorized"
         assert result.des_requests == 0
 
-    @pytest.mark.parametrize("kernel", ["batched", "reference"])
-    def test_des_kernels_replay_every_request(self, kernel):
+    def test_des_kernel_replays_every_request(self):
         model, plans, requests = _inputs("DRM1", num_requests=10)
         schedule = ReplaySchedule.open_loop(25.0, seed=2)
         for serving_schedule in (None, schedule):
             result = run_configuration(
                 model, plans[1], requests,
-                ServingConfig(seed=1, kernel=kernel), serving_schedule,
+                ServingConfig(seed=1, kernel="batched"), serving_schedule,
             )
             assert result.des_requests == len(result) == 10
 

@@ -1,33 +1,26 @@
-"""Kernel-equivalence regression pins: batched == reference, bit for bit.
+"""Kernel-equivalence regression pins: vectorized == batched, bit for bit.
 
-The batched DES kernel (``BatchedEngine`` + ``SyncResource``) drives the
-same serving generators as the reference kernel and must replay every
-paper configuration *bit-identically* to it, serial and open-loop,
-healthy and under a chaos schedule.  This
-is the determinism story the kernel selector ships with (see the
+``"batched"`` replays every request on the one DES
+(:class:`repro.simulation.engine.Engine`), whose ``(time, sequence)``
+order is the canonical ordering of the determinism contract (the
 "Canonical event ordering" section in ``repro/simulation/engine.py`` and
-rule 2 of the determinism contract in ``repro/core/rng.py``): the
-batched kernel preserves the reference ``(time, sequence)`` order except
-for synchronous resource grants, which only ever move pure computation
-earlier within a timestamp -- so every recorded value, every column, and
-every accumulator sum lands on the same floats.
-
-The vectorized kernel extends the same contract to the columnar replay
-path: in eligible (chaos-free) runs every request that arrives at an
-idle cluster skips the event loop yet lands on the same floats (the
+rule 2 in ``repro/core/rng.py``).  The vectorized kernel replays every
+request of an eligible (chaos-free) run that arrives at an idle cluster
+with no event loop, yet lands on the same floats in every column (the
 "vectorized equivalence" clauses in ``engine.py``/``rng.py``), and every
 ineligible run falls back to the batched kernel with the reason recorded
 on ``RunResult.kernel_fallback`` -- both pinned here.
 """
 
 import dataclasses
+import re
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from repro.chaos import FaultSchedule, HealingPolicy, HostCrash, NetworkSpike, StragglerShard
+from repro.chaos import FaultSchedule, HostCrash
 from repro.experiments import (
     ShardingConfiguration,
     paper_configurations,
@@ -46,13 +39,7 @@ from repro.tracing.aggregate import SHARD_KINDS
 from repro.serving.columnar import REASON_CHAOS
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
-from repro.simulation.engine import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    BatchedEngine,
-    Engine,
-    make_engine,
-)
+from repro.simulation.engine import DEFAULT_KERNEL, KERNELS
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -129,30 +116,18 @@ def _mix_results(kernel=DEFAULT_KERNEL):
 
 
 class TestKernelSelection:
-    def test_make_engine_kernels(self):
-        assert type(make_engine("reference")) is Engine
-        assert isinstance(make_engine("batched"), BatchedEngine)
-        assert DEFAULT_KERNEL in KERNELS and "batched" in KERNELS
-
     def test_default_kernel_chooses_itself(self):
         assert DEFAULT_KERNEL == "vectorized"
         assert ServingConfig().kernel == DEFAULT_KERNEL
 
     def test_vectorized_kernel_registered(self):
-        assert "vectorized" in KERNELS
-        # An *engine* for the vectorized kernel is by definition the
-        # fallback path (the columnar replay never runs an event loop),
-        # which is the batched kernel.
-        assert isinstance(make_engine("vectorized"), BatchedEngine)
+        assert KERNELS == ("batched", "vectorized")
         assert ServingConfig(kernel="vectorized").kernel == "vectorized"
 
-    def test_make_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown DES kernel"):
-            make_engine("calendar")
-
-    def test_serving_config_validates_kernel(self):
-        with pytest.raises(ValueError):
-            ServingConfig(kernel="bogus")
+    @pytest.mark.parametrize("kernel", ["bogus", "reference"])
+    def test_serving_config_validates_kernel(self, kernel):
+        with pytest.raises(ValueError, match=re.escape(str(KERNELS))):
+            ServingConfig(kernel=kernel)
 
     def test_suite_settings_defer_to_serving_kernel(self):
         """The kernel lives on ``ServingConfig`` alone: ``SuiteSettings``
@@ -170,34 +145,6 @@ class TestKernelSelection:
 
 
 class TestPaperConfigurationEquivalence:
-    @pytest.mark.parametrize("factory", [drm1, drm2, drm3])
-    def test_every_paper_configuration(self, factory):
-        model = factory()
-        assert_suites_identical(
-            run_suite(model, settings(kernel="reference")),
-            run_suite(model, settings(kernel="batched")),
-        )
-
-    def test_open_loop_contended_with_clock_skew(self):
-        """Queueing overlap + sync resource grants under contention."""
-        model = drm1()
-
-        def contended(kernel):
-            return SuiteSettings(
-                num_requests=40,
-                pooling_requests=150,
-                serving=ServingConfig(
-                    seed=1, service_workers=2, clock_skew_sigma=0.002,
-                    kernel=kernel,
-                ),
-                schedule=ReplaySchedule.open_loop(25.0, seed=2),
-            )
-
-        assert_suites_identical(
-            run_suite(model, contended("reference")),
-            run_suite(model, contended("batched")),
-        )
-
     def test_parallel_batched_matches_serial_batched(self):
         model = drm1()
         batched = settings(kernel="batched")
@@ -207,47 +154,8 @@ class TestPaperConfigurationEquivalence:
         )
 
 
-class TestChaosEquivalence:
-    """Chaos replays must run identically on both kernels.
-
-    Failover routing, mid-service aborts, heartbeat healing, and the
-    fault timers all schedule through the batched kernel's deque-merged
-    loop, and must land on the reference kernel's floats.
-    """
-
-    SCHEDULE = FaultSchedule(
-        experiments=(
-            HostCrash(shard=0, at=0.05, restart_after=0.3),
-            StragglerShard(shard=1, start=0.0, duration=0.4, multiplier=3.0),
-            NetworkSpike(start=0.1, duration=0.2, extra_latency=2e-4),
-        ),
-        replicas=2,
-        healing=HealingPolicy(check_interval=0.05, consecutive_misses=2),
-    )
-
-    def test_chaos_replay_matches_reference(self):
-        model = drm1()
-        pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
-        plan = build_plan(model, ShardingConfiguration("load-bal", 4), pooling)
-        base = SuiteSettings(
-            num_requests=50, schedule=ReplaySchedule.open_loop(120.0, seed=2)
-        )
-        requests = suite_requests(model, base)
-        schedule = base.schedule
-
-        def replay(kernel):
-            serving = ServingConfig(seed=1, chaos=self.SCHEDULE, kernel=kernel)
-            return run_configuration(model, plan, requests, serving, schedule)
-
-        ref = replay("reference")
-        new = replay("batched")
-        assert_run_identical(ref, new, "chaos")
-        # the schedule actually bit: the equivalence is not vacuous
-        assert ref.retries.sum() > 0 or ref.status.sum() > 0 or len(ref.chaos_timeline) > 0
-
-
 class TestVectorizedEquivalence:
-    """Columnar replay == reference, bit for bit, in the eligible regime.
+    """Columnar replay == batched, bit for bit, in the eligible regime.
 
     The vectorized kernel never runs a DES loop: per-request costs are
     transposed into per-chunk numpy columns and replayed as array
@@ -261,7 +169,7 @@ class TestVectorizedEquivalence:
     @pytest.mark.parametrize("factory", [drm1, drm2, drm3])
     def test_every_paper_configuration(self, factory):
         model = factory()
-        ref = run_suite(model, settings(kernel="reference"))
+        ref = run_suite(model, settings(kernel="batched"))
         vec = run_suite(model, settings(kernel="vectorized"))
         for label, result in vec.items():
             assert result.kernel_used == "vectorized", (
@@ -287,7 +195,7 @@ class TestVectorizedEquivalence:
             return settings(kernel=kernel, clock_skew_sigma=0.002)
 
         assert_suites_identical(
-            run_suite(model, skewed("reference")),
+            run_suite(model, skewed("batched")),
             run_suite(model, skewed("vectorized")),
         )
 

@@ -1,7 +1,8 @@
 """Pin open-loop replay columns by sha256 for every paper configuration.
 
-``test_kernel_equivalence`` runs both DES kernels through the same
-open-loop driver, so it cannot see a change to the driver itself, and the
+``test_kernel_equivalence`` and ``test_idle_arrival_replay`` compare the
+columnar evaluator with the DES through the same open-loop driver, so they
+cannot see a change to the driver itself, and the
 Fig 16/10 artifacts cover DRM1 only.  These digests pin the E2E,
 aggregate CPU and per-shard CPU columns of a 25 QPS Poisson sweep, one
 per (model, configuration).  Clock skew is on: the columns must not

@@ -86,8 +86,8 @@ def test_equal_batches_run_in_waves_of_the_pool_size(factory, kernel):
             model, plan, [request],
             ServingConfig(seed=1, kernel=kernel, service_workers=workers),
         )
-        # The evaluator replays the request itself; the DES kernels
-        # replay every request.
+        # The evaluator replays the request itself; the batched kernel
+        # replays every request on the DES.
         assert result.des_requests == (kernel == "batched")
         waves = -(-BATCHES // workers)
         expected = head + waves * c + tail

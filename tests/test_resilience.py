@@ -141,18 +141,17 @@ class TestEmptyPolicyIdentity:
     byte-identical to a run without the resilience layer at all."""
 
     @pytest.mark.parametrize("mode", [TraceMode.FULL, TraceMode.AGGREGATE])
-    @pytest.mark.parametrize("kernel", ["reference", "batched"])
-    def test_byte_identical_columns(self, mode, kernel):
+    def test_byte_identical_columns(self, mode):
         model, plan, requests, schedule = open_loop_inputs(40)
         base = run_configuration(
             model, plan, requests,
-            ServingConfig(trace_mode=mode, kernel=kernel),
+            ServingConfig(trace_mode=mode, kernel="batched"),
             schedule,
         )
         empty = run_configuration(
             model, plan, requests,
             ServingConfig(
-                trace_mode=mode, kernel=kernel,
+                trace_mode=mode, kernel="batched",
                 resilience=ResiliencePolicy(),
             ),
             schedule,
@@ -201,13 +200,12 @@ class TestVectorizedFallback:
 
 
 class TestHealthyClusterUnderPolicy:
-    @pytest.mark.parametrize("kernel", ["reference", "batched"])
     @pytest.mark.parametrize(
         "open_loop, skew", [(False, 0.0), (True, 0.002)],
         ids=["serial", "open-loop-skewed"],
     )
     def test_generous_policy_matches_base_on_healthy_cluster(
-        self, kernel, open_loop, skew
+        self, open_loop, skew
     ):
         # Timeout and hedge thresholds no healthy RPC reaches: the
         # supervisor (one process per attempt) and the inline no-policy
@@ -216,7 +214,7 @@ class TestHealthyClusterUnderPolicy:
         model, plan, requests, schedule = open_loop_inputs(40)
         if not open_loop:
             schedule = None
-        serving = ServingConfig(kernel=kernel, clock_skew_sigma=skew)
+        serving = ServingConfig(kernel="batched", clock_skew_sigma=skew)
         base = run_configuration(model, plan, requests, serving, schedule)
         policy = ResiliencePolicy(rpc_timeout=10.0, max_attempts=3,
                                   hedge_delay=10.0)
@@ -288,21 +286,6 @@ class TestDeterminism:
         assert_matches_oracle(
             result, oracle_configuration(model, plan, requests, serving, schedule)
         )
-
-    def test_reference_equals_batched_kernel_under_policy(self):
-        model, plan, requests, schedule = open_loop_inputs(40)
-        results = {
-            kernel: run_configuration(
-                model, plan, requests,
-                ServingConfig(
-                    trace_mode=TraceMode.AGGREGATE, kernel=kernel,
-                    chaos=STRAGGLER_REPLICA, resilience=HEDGE_POLICY,
-                ),
-                schedule,
-            )
-            for kernel in ("reference", "batched")
-        }
-        _assert_columns_equal(results["reference"], results["batched"])
 
     def test_sweep_serial_equals_parallel(self):
         workload = Workload(

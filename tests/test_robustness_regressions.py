@@ -216,10 +216,10 @@ class TestRequestCountValidation:
         "verb", ["simulate", "suite", "workload", "plan", "chaos"]
     )
     def test_cli_has_no_kernel_flag(self, verb, capsys):
-        """The CLI always runs the default kernel; the reference and
-        batched kernels are selected only through ``ServingConfig``."""
+        """The CLI always runs the default kernel; the batched kernel is
+        selected only through ``ServingConfig``."""
         with pytest.raises(SystemExit) as excinfo:
-            main([verb, "--kernel", "reference"])
+            main([verb, "--kernel", "batched"])
         assert excinfo.value.code == 2
         assert "--kernel" in capsys.readouterr().err
 
