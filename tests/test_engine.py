@@ -1,8 +1,26 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import numpy as np
 import pytest
 
 from repro.simulation.engine import Engine, SimulationError
+
+
+@pytest.fixture(params=["float", "timeout", "numpy"])
+def hop(request):
+    """The three ways ``Process._step`` schedules a timed resumption.
+
+    A ``float`` takes the inlined heap push (``0.0`` included); a
+    ``Timeout`` is scheduled by ``Engine._schedule``, whose delay-0
+    entries wait in the now-queue; a numpy scalar takes the numeric slow
+    path through ``Engine._schedule`` too.  Each must resume at
+    ``now + delay`` in the same sequence slot.
+    """
+    if request.param == "float":
+        return lambda engine, delay: float(delay)
+    if request.param == "timeout":
+        return lambda engine, delay: engine.timeout(delay)
+    return lambda engine, delay: np.float64(delay)
 
 
 def test_timeout_advances_clock():
@@ -260,16 +278,16 @@ class TestResource:
         with pytest.raises(SimulationError):
             engine.resource(0)
 
-    def test_fifo_handoff_under_contention(self):
+    def test_fifo_handoff_under_contention(self, hop):
         engine = Engine()
         resource = engine.resource(1)
         order = []
 
         def worker(name, arrival):
-            yield arrival
+            yield hop(engine, arrival)
             yield resource.acquire()
             order.append((engine.now, name))
-            yield 1.0
+            yield hop(engine, 1.0)
             resource.release()
 
         # all three contend; arrival order is the service order
@@ -278,14 +296,14 @@ class TestResource:
         engine.run()
         assert order == [(0.0, "a"), (1.0, "b"), (2.0, "c")]
 
-    def test_release_without_waiters_frees_capacity(self):
+    def test_release_without_waiters_frees_capacity(self, hop):
         engine = Engine()
         resource = engine.resource(1)
         log = []
 
         def proc():
             yield resource.acquire()
-            yield 1.0
+            yield hop(engine, 1.0)
             resource.release()
             log.append(resource.in_use)
             # the freed unit is immediately acquirable again
@@ -299,7 +317,7 @@ class TestResource:
         assert resource.in_use == 0
         assert resource.queued == 0
 
-    def test_interleaved_acquire_release_at_identical_timestamps(self):
+    def test_interleaved_acquire_release_at_identical_timestamps(self, hop):
         """A release and a fresh acquire in the same instant: the queued
         waiter (FIFO) wins over the newcomer."""
         engine = Engine()
@@ -308,17 +326,18 @@ class TestResource:
 
         def holder():
             yield resource.acquire()
-            yield 1.0
+            yield hop(engine, 1.0)
             resource.release()  # at t=1.0, exactly when others act
 
         def queued_waiter():
-            yield 0.5  # queues behind the holder at t=0.5
+            yield hop(engine, 0.5)  # queues behind the holder at t=0.5
             yield resource.acquire()
             order.append(("queued", engine.now))
             resource.release()
 
         def newcomer():
-            yield 1.0  # tries to acquire in the same instant as the release
+            # tries to acquire in the same instant as the release
+            yield hop(engine, 1.0)
             yield resource.acquire()
             order.append(("newcomer", engine.now))
             resource.release()
@@ -449,31 +468,34 @@ def test_plain_delay_orders_like_timeout():
 
 
 class TestRunUntilBoundary:
-    """Pinned ``run(until=...)`` boundary semantics (see the method doc)."""
+    """Pinned ``run(until=...)`` boundary semantics (see the method doc),
+    on every scheduling path of a timed resumption."""
 
-    def test_event_exactly_at_until_is_processed(self):
+    def test_event_exactly_at_until_is_processed(self, hop):
         engine = Engine()
         seen = []
 
         def proc():
-            yield 4.0
+            yield hop(engine, 4.0)
             seen.append(engine.now)
-            yield 1.0
+            yield hop(engine, 0.0)  # a same-instant hop at the cutoff
+            seen.append(engine.now)
+            yield hop(engine, 1.0)
             seen.append(engine.now)
 
         engine.process(proc())
         final = engine.run(until=4.0)
-        # inclusive cutoff: the t=4.0 resumption ran, the t=5.0 one did not
-        assert seen == [4.0]
+        # inclusive cutoff: the t=4.0 resumptions ran, the t=5.0 one did not
+        assert seen == [4.0, 4.0]
         assert final == 4.0
         assert engine.run() == 5.0
-        assert seen == [4.0, 5.0]
+        assert seen == [4.0, 4.0, 5.0]
 
-    def test_drained_queue_advances_clock_to_until(self):
+    def test_drained_queue_advances_clock_to_until(self, hop):
         engine = Engine()
 
         def proc():
-            yield 1.0
+            yield hop(engine, 1.0)
 
         engine.process(proc())
         # the queue drains at t=1.0; nothing can occur in (1.0, 7.5], so
@@ -482,12 +504,12 @@ class TestRunUntilBoundary:
         assert engine.run(until=7.5) == 7.5
         assert engine.now == 7.5
 
-    def test_until_then_resume_never_drops_events(self):
+    def test_until_then_resume_never_drops_events(self, hop):
         engine = Engine()
         log = []
 
         def worker(name, delay):
-            yield delay
+            yield hop(engine, delay)
             log.append((engine.now, name))
 
         engine.process(worker("a", 1.0))
@@ -499,12 +521,12 @@ class TestRunUntilBoundary:
         assert log == [(1.0, "a"), (2.0, "b"), (2.0, "c")]
 
     @pytest.mark.parametrize("until", [2.0, float("nan")])
-    def test_until_in_the_past_or_nan_rejected(self, until):
+    def test_until_in_the_past_or_nan_rejected(self, hop, until):
         engine = Engine()
 
         def proc():
-            yield 5.0
-            yield 5.0
+            yield hop(engine, 5.0)
+            yield hop(engine, 5.0)
 
         engine.process(proc())
         assert engine.run(until=5.0) == 5.0
@@ -514,6 +536,67 @@ class TestRunUntilBoundary:
         assert engine.now == 5.0
         assert engine.run(until=5.0) == 5.0
         assert engine.run() == 10.0
+
+
+class TestDelayPaths:
+    """Every scheduling path resumes at ``now + delay``, rejects a
+    negative delay, and takes the same sequence slot as a plain float --
+    whichever queue (heap or now-queue) its entry waits in."""
+
+    def test_resumes_at_now_plus_delay(self, hop):
+        engine = Engine()
+        seen = []
+
+        def proc():
+            yield hop(engine, 2.5)
+            seen.append(engine.now)
+            yield hop(engine, 0.0)  # a zero-length hop is legal
+            seen.append(engine.now)
+            yield hop(engine, 1)
+            seen.append(engine.now)
+
+        engine.process(proc())
+        engine.run()
+        assert seen == [2.5, 2.5, 3.5]
+
+    def test_negative_delay_raises(self, hop):
+        engine = Engine()
+
+        def proc():
+            yield hop(engine, 3.0)
+            yield hop(engine, -2.0)
+
+        engine.process(proc())
+        with pytest.raises(SimulationError, match="negative"):
+            engine.run()
+        # nothing was scheduled into the past
+        assert engine.now == 3.0
+        assert engine.idle()
+
+    @pytest.mark.parametrize("delay", [0.0, 1.0])
+    def test_orders_like_a_plain_float(self, hop, delay):
+        """Interleaved with plain-float hops to the same instant, each
+        path runs in its sequence slot: at delay 0 the now-queue entries
+        (``Timeout``, numpy) and the heap entries (float) still dispatch
+        in scheduling order."""
+        engine = Engine()
+        order = []
+
+        def via_hop(tag):
+            yield hop(engine, delay)
+            order.append(tag)
+
+        def via_float(tag):
+            yield delay
+            order.append(tag)
+
+        engine.process(via_hop("a"))
+        engine.process(via_float("b"))
+        engine.process(via_hop("c"))
+        engine.process(via_float("d"))
+        engine.run()
+        assert order == ["a", "b", "c", "d"]
+        assert engine.now == delay
 
 
 class TestEventOrdering:

@@ -141,21 +141,24 @@ class TestEmptyPolicyIdentity:
     byte-identical to a run without the resilience layer at all."""
 
     @pytest.mark.parametrize("mode", [TraceMode.FULL, TraceMode.AGGREGATE])
-    def test_byte_identical_columns(self, mode):
+    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
+    def test_byte_identical_columns(self, mode, kernel):
         model, plan, requests, schedule = open_loop_inputs(40)
         base = run_configuration(
             model, plan, requests,
-            ServingConfig(trace_mode=mode, kernel="batched"),
+            ServingConfig(trace_mode=mode, kernel=kernel),
             schedule,
         )
         empty = run_configuration(
             model, plan, requests,
             ServingConfig(
-                trace_mode=mode, kernel="batched",
+                trace_mode=mode, kernel=kernel,
                 resilience=ResiliencePolicy(),
             ),
             schedule,
         )
+        # An empty policy keeps the vectorized kernel on its own path.
+        assert base.kernel_used == empty.kernel_used == kernel
         _assert_columns_equal(base, empty)
         for kind in ("latency", "embedded", "cpu"):
             for bucket, column in base.stack_columns(kind).items():
@@ -200,12 +203,13 @@ class TestVectorizedFallback:
 
 
 class TestHealthyClusterUnderPolicy:
+    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
     @pytest.mark.parametrize(
         "open_loop, skew", [(False, 0.0), (True, 0.002)],
         ids=["serial", "open-loop-skewed"],
     )
     def test_generous_policy_matches_base_on_healthy_cluster(
-        self, open_loop, skew
+        self, kernel, open_loop, skew
     ):
         # Timeout and hedge thresholds no healthy RPC reaches: the
         # supervisor (one process per attempt) and the inline no-policy
@@ -214,7 +218,7 @@ class TestHealthyClusterUnderPolicy:
         model, plan, requests, schedule = open_loop_inputs(40)
         if not open_loop:
             schedule = None
-        serving = ServingConfig(kernel="batched", clock_skew_sigma=skew)
+        serving = ServingConfig(kernel=kernel, clock_skew_sigma=skew)
         base = run_configuration(model, plan, requests, serving, schedule)
         policy = ResiliencePolicy(rpc_timeout=10.0, max_attempts=3,
                                   hedge_delay=10.0)
@@ -223,6 +227,11 @@ class TestHealthyClusterUnderPolicy:
             serving.with_resilience(policy),
             schedule,
         )
+        # A live policy sends the vectorized kernel to the batched DES,
+        # so on "vectorized" the base replay is columnar and the
+        # supervised one is not.
+        assert base.kernel_used == kernel
+        assert supervised.kernel_used == "batched"
         assert np.array_equal(base.e2e, supervised.e2e)
         assert np.array_equal(base.cpu, supervised.cpu)
         for kind in ("latency", "embedded", "cpu"):
