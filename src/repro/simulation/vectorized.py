@@ -35,16 +35,12 @@ built a *chunk* of requests at a time:
    (response-arrival order == heap pop order) and the bounding-batch
    selection (batch-record order == ``(end, batch)`` order) -- is
    computed inline, in the engine's own operand order;
-3. only the accumulations whose order *interleaves across chains* --
-   the request-level CPU sums (the three CPU buckets and the sparse and
-   dense operator CPU), the per-shard CPU demand, and the per-shard and
-   per-(shard, net) sparse op time -- travel as compact record tuples,
-   sorted by the DES's ``(time, batch, net,
-   slot-position)`` recording order and folded through
-   :class:`VectorizedColumns`, an
-   :class:`~repro.tracing.aggregate.AggregatingTracer` subclass whose
-   attribution math and column writes are the real ones -- so
-   ``RunResult.adopt_aggregate`` consumes it unchanged.
+3. every CPU charge -- the sums that *interleave across chains* --
+   becomes the aggregate's compact record, the one the DES appends per
+   charge; the evaluator sorts its records into the DES's ``(time,
+   batch, net, slot-position)`` recording order and hands them to
+   :class:`VectorizedColumns`, the run's one collector, whose
+   ``finalize_request`` folds them exactly as it folds a DES request's.
 
 Vectorized equivalence
 ======================
@@ -168,43 +164,42 @@ import numpy as np
 
 from repro.simulation.costmodel import CostModel
 from repro.simulation.network import Fabric
-from repro.tracing.aggregate import AggregatingTracer, _RequestState
+from repro.tracing.aggregate import (
+    _K_OPS,
+    _K_OPS_LOCAL,
+    _K_OPS_SLW,
+    _K_SERDE,
+    _K_SERVICE,
+    _K_SRS_SVC,
+    AggregatingTracer,
+    Record,
+    _RequestState,
+)
 from repro.tracing.span import MAIN_SHARD
 
-# Record kinds: a compact re-encoding of the (layer, shard) dispatch of
-# AggregatingTracer.record_interval, restricted to the accumulations
-# that genuinely need global recording order (request CPU sums and
-# per-shard demand).  Kind is a sort tie-break only at jitter-laden
-# (measure-zero) time collisions; the numbering puts the shard sparse
-# op before the client request serialization (the one same-sort-rank
-# pair: both use slot-position ``(k+1)*8+2``), matching the DES's
-# tie order.
-_K_OPS_SLW = 0  # sls_remote (shard): sparse op cpu + per-shard op time (dur)
-_K_SERDE = 1  # rpc_request_ser / rpc_deser / rpc_resp_ser / rpc_response_deser
-_K_OPS = 2  # dense_pre / dense_post (main): dense op cpu
-_K_SERVICE = 3  # net_sched (main and shard)
-_K_SRS_SVC = 4  # rpc_resp_ser fused with rpc_e2e (always sort-adjacent:
-#                 same timestamp, consecutive slot-positions)
-_K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
-
-# One record: (time, key, kind, shard, cpu, dur), where ``key`` packs
-# ``batch << 26 | net << 20 | slot-position``.  (time, key) is the
-# DES's recording order -- the time the DES calls
-# record_interval, then structural tie-breaks standing in for the
-# engine's scheduling-sequence order at shared timestamps (lockstep
-# chains of equal batches record equal charges at one timestamp, so
-# batch order folds them to the floats their lane order does; same-chain
-# records at one timestamp keep their call positions); with each field
-# in its fixed width, comparing keys
-# equals comparing (batch, net, slot-position) tuples.  slot-position
-# packs the DES's (slot, position) pair as ``(slot+1)*8 + position``
-# (main-side records use slot -1, shard-side records slot >= 0, and
-# positions stay below 8, so the packed int orders exactly like the
-# pair).  ``dur`` is only populated for _K_OPS_SLW (the one folded
-# accumulation that needs a duration); every other duration is consumed
-# inline by the evaluator.  The per-(shard, net) op time takes its net
-# from the key's net bits.
-_Record = tuple[float, int, int, int, float, float]
+# The evaluator's records are the aggregate's CPU charges
+# (:data:`~repro.tracing.aggregate.Record`), emitted out of order and
+# sorted by (time, key) into the DES's recording order: the time the DES
+# records the charge, then structural tie-breaks standing in for the
+# engine's scheduling-sequence order at shared timestamps.  ``key`` packs
+# ``batch << 26 | net << 20 | slot-position``; lockstep chains of equal
+# batches record equal charges at one timestamp, so batch order folds
+# them to the floats their lane order does, and same-chain records at one
+# timestamp keep their call positions.  With each field in its fixed
+# width, comparing keys equals comparing (batch, net, slot-position)
+# tuples.  slot-position packs the DES's (slot, position) pair as
+# ``(slot+1)*8 + position`` (main-side records use slot -1, shard-side
+# records slot >= 0, and positions stay below 8, so the packed int orders
+# exactly like the pair).  The request deserialization takes key -1 (it
+# precedes every batch), and the response serialization and handler
+# charges are appended after the sort, in the DES's order.  Kind is a
+# tie-break only at jitter-laden (measure-zero) time collisions; the
+# numbering puts the shard sparse op before the client request
+# serialization (the one same-sort-rank pair: both use slot-position
+# ``(k+1)*8+2``), matching the DES's tie order.  An RPC's response
+# serialization and fixed service charge always record at one timestamp
+# on one shard, so the evaluator fuses them into one ``_K_SRS_SVC``
+# record.
 
 # Per-request heap events: (time, code, rpc).  ``rpc`` is the RPC's own
 # payload list, ``[ops, serde, overhead, service, costs, shard,
@@ -365,44 +360,23 @@ class ChunkPlans:
 
 
 class VectorizedColumns(AggregatingTracer):
-    """Aggregate collector fed by sorted record tuples instead of calls.
+    """The run's collector, fed by both replay paths.
 
-    The accumulators, the attribution math, the pooled per-request
-    state, and the columnar output arrays are all inherited from
-    :class:`~repro.tracing.aggregate.AggregatingTracer` --
-    :meth:`fold_request` only replaces the per-record *dispatch* (a flat
-    integer switch over pre-encoded kinds, covering exactly the
-    accumulations whose operand order interleaves across batch chains)
-    and then hands the state to the real
-    :meth:`~repro.tracing.aggregate.AggregatingTracer.finalize_request`.
-    Every ``+=`` below textually mirrors a ``record_interval`` branch;
-    the record list arrives sorted in the DES's recording order, so the
-    float-accumulation order is the DES's order.
-
-    It is also a complete tracer: an open-loop run installs it on the
-    cluster, so the DES's ``record_interval`` calls and the evaluator's
-    folds land in one collector, one row per request in completion
-    order.  Folds name their nets per call, so one collector serves
-    every tenant of a co-located mix.
+    The DES records into it through ``record_interval``, the evaluator
+    through :meth:`fold_request`; both land in the inherited
+    :meth:`~repro.tracing.aggregate.AggregatingTracer.finalize_request`,
+    which folds the request's CPU charges and writes one row per request
+    in completion order.  Records name their nets per request, so one
+    collector serves every tenant of a co-located mix.
     """
-
-    #: Per-RPC fixed service cost (the rpc_e2e record's cpu, fused into
-    #: the _K_SRS_SVC record) and the main request+response handler cpu
-    #: (the request_e2e record's cpu, charged after the tail serde).
-    #: Set once per run by :class:`SweepEvaluator`.
-    service_fixed: float = 0.0
-    handler_cpu: float = 0.0
 
     def fold_request(
         self,
         request_id: int,
         net_names: list[str],
-        records: list[_Record],
+        records: list[Record],
         num_batches: int,
         spans: int,
-        head_cpu: float,
-        head: float,
-        tail_cpu: float,
         tail: float,
         e2e: float,
         rpcs: int,
@@ -416,15 +390,15 @@ class VectorizedColumns(AggregatingTracer):
         batch_overhead: list[float],
         batch_sparse: list[float],
     ) -> None:
-        """Fold one request's sorted records and attribute its columns.
+        """Attribute one request the evaluator replayed.
 
-        The scalar arguments are the single-writer accumulators the
-        evaluator computed inline (head/tail/e2e serde windows, the
-        best-RPC and bounding-batch selections, the per-batch bucket
-        lists -- passed as reusable scratch lists, copied into the
-        pooled state).  ``records`` carries only the order-sensitive
-        rest: CPU charges in the DES's recording order; ``net_names``
-        decodes their net bits.
+        The scalar arguments are the single-writer values the evaluator
+        computed inline (the tail serde and e2e windows, the best-RPC and
+        bounding-batch selections, the per-batch bucket lists, head serde
+        included); ``records`` are its CPU charges in the DES's recording
+        order, and ``net_names`` decodes their net bits.  The request's
+        state takes over ``records`` and the bucket lists, so the caller
+        passes fresh lists.
         """
         pool = self._pool
         if pool:
@@ -433,82 +407,8 @@ class VectorizedColumns(AggregatingTracer):
         else:
             state = _RequestState()
         self.spans_recorded += spans
-
-        shard_cpu = state.shard_cpu
-        shard_op = state.shard_op
-        shard_net_op = state.shard_net_op
-        service_fixed = self.service_fixed
-        # The request deserialization is always the first record (its
-        # DES time precedes every batch-chain record) and the
-        # response serialization + request_e2e always the last two, so
-        # their charges bracket the folded loop.
-        cpu_serde = 0.0 + head_cpu
-        cpu_main = 0.0 + head_cpu
-        cpu_ops = 0.0
-        cpu_service = 0.0
-        sparse_op_cpu = 0.0
-        dense_op_cpu = 0.0
-        # Seed the MAIN slot first so the dict's key order matches the
-        # DES (head record inserts it before any shard key).
-        shard_cpu[MAIN_SHARD] = 0.0
-
-        shard_get = shard_cpu.get
-        op_get = shard_op.get
-        net_op_get = shard_net_op.get
-        # Shard-side records outnumber main-side ones on every
-        # multi-shard plan (4 vs ~2.4 per RPC), so they take the first
-        # branch; MAIN_SHARD is -1, making ``shard >= 0`` the test.
-        for _t, key, kind, shard, cpu, dur in records:
-            if shard >= 0:
-                if kind == 1:
-                    shard_cpu[shard] = shard_get(shard, 0.0) + cpu
-                    cpu_serde += cpu
-                elif kind == 0:
-                    shard_cpu[shard] = shard_get(shard, 0.0) + cpu
-                    cpu_ops += cpu
-                    sparse_op_cpu += cpu
-                    shard_op[shard] = op_get(shard, 0.0) + dur
-                    net_key = (shard, net_names[(key >> 20) & 63])
-                    shard_net_op[net_key] = net_op_get(net_key, 0.0) + dur
-                elif kind == 4:
-                    # rpc_resp_ser (serde cpu) + rpc_e2e (fixed service
-                    # cpu) -- always adjacent in the DES's order, so the
-                    # two shard charges fuse into one left-associated
-                    # read-modify-write.
-                    shard_cpu[shard] = (
-                        shard_get(shard, 0.0) + cpu
-                    ) + service_fixed
-                    cpu_serde += cpu
-                    cpu_service += service_fixed
-                else:
-                    shard_cpu[shard] = shard_get(shard, 0.0) + cpu
-                    cpu_service += cpu
-            else:
-                cpu_main += cpu
-                if kind == 1:
-                    cpu_serde += cpu
-                elif kind == 2:
-                    cpu_ops += cpu
-                    dense_op_cpu += cpu
-                elif kind == 5:
-                    cpu_ops += cpu
-                    sparse_op_cpu += cpu
-                else:
-                    cpu_service += cpu
-
-        cpu_serde += tail_cpu
-        cpu_main += tail_cpu
-        handler_cpu = self.handler_cpu
-        cpu_service += handler_cpu
-        cpu_main += handler_cpu
-        shard_cpu[MAIN_SHARD] = cpu_main
-
-        state.cpu_ops = cpu_ops
-        state.cpu_serde = cpu_serde
-        state.cpu_service = cpu_service
-        state.sparse_op_cpu = sparse_op_cpu
-        state.dense_op_cpu = dense_op_cpu
-        state.head_serde = head
+        state.records = records
+        state.net_names.extend(net_names)
         state.tail_serde = tail
         state.e2e = e2e
         state.service_count = 1
@@ -518,12 +418,11 @@ class VectorizedColumns(AggregatingTracer):
         state.rpcs = rpcs
         state.best_rpc = best_rpc
         state.best_rpc_dur = best_rpc_dur
-        state.batch_dense.extend(batch_dense)
-        state.batch_embedded.extend(batch_embedded)
-        state.batch_serde.extend(batch_serde)
-        state.batch_overhead.extend(batch_overhead)
-        state.batch_sparse.extend(batch_sparse)
-
+        state.batch_dense = batch_dense
+        state.batch_embedded = batch_embedded
+        state.batch_serde = batch_serde
+        state.batch_overhead = batch_overhead
+        state.batch_sparse = batch_sparse
         self._live[request_id] = state
         self.finalize_request(request_id)
 
@@ -547,9 +446,8 @@ class SweepEvaluator:
     __slots__ = (
         "fabric", "main", "shards", "completed", "collector",
         "skew_main", "shard_skews", "no_skew",
-        "request_fixed", "response_fixed", "service_fixed",
-        "io_threads", "main_cap", "shard_caps", "_recs",
-        "_b_dense", "_b_embedded", "_b_serde", "_b_overhead", "_b_sparse",
+        "request_fixed", "response_fixed", "service_fixed", "handler_cpu",
+        "io_threads", "main_cap", "shard_caps",
     )
 
     def __init__(
@@ -581,19 +479,11 @@ class SweepEvaluator:
         self.io_threads = cost_model.io_threads
         self.main_cap = main.workers.capacity
         self.shard_caps = [server.workers.capacity for server in shards]
-        collector.service_fixed = cost_model.rpc_service_fixed
-        # request_handler_fixed then += response_handler_fixed: one add.
-        collector.handler_cpu = (
+        # The request_e2e charge: request_handler_fixed then +=
+        # response_handler_fixed, one add.
+        self.handler_cpu = (
             cost_model.request_handler_fixed + cost_model.response_handler_fixed
         )
-        # Reusable per-request scratch: the record list and the five
-        # per-batch bucket lists fold_request copies out of.
-        self._recs: list[_Record] = []
-        self._b_dense: list[float] = []
-        self._b_embedded: list[float] = []
-        self._b_serde: list[float] = []
-        self._b_overhead: list[float] = []
-        self._b_sparse: list[float] = []
 
     def replay_chunk(
         self, plans: ChunkPlans, t_start: float, i: int, horizon: float
@@ -627,12 +517,6 @@ class SweepEvaluator:
         heappush = heapq.heappush
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
-        recs = self._recs
-        b_dense = self._b_dense
-        b_embedded = self._b_embedded
-        b_serde = self._b_serde
-        b_overhead = self._b_overhead
-        b_sparse = self._b_sparse
 
         t0_req = t_start
         deser = plans.head_deser[i]
@@ -640,18 +524,14 @@ class SweepEvaluator:
         t2 = t1 + request_fixed
         head = t1 - t0_req if no_skew else (t1 + skm) - (t0_req + skm)
         nb = plans.nb[i]
-        del recs[:]
+        # Fresh per request: a committed request's state takes them over.
+        recs: list[Record] = [(t1, -1, _K_SERDE, MAIN_SHARD, deser, 0.0)]
         add = recs.append
-        del b_dense[:]
-        del b_embedded[:]
-        del b_serde[:]
-        del b_overhead[:]
-        del b_sparse[:]
-        b_dense.extend([0.0] * nb)
-        b_embedded.extend([0.0] * nb)
-        b_serde.extend([head] * nb)
-        b_overhead.extend([0.0] * nb)
-        b_sparse.extend([0.0] * nb)
+        b_dense = [0.0] * nb
+        b_embedded = [0.0] * nb
+        b_serde = [head] * nb
+        b_overhead = [0.0] * nb
+        b_sparse = [0.0] * nb
         # Zero-byte fabric delays, read from the simulation's own
         # jitter cursor (bitwise the per-call values, consumed in the
         # same heap order the DES dispatches); later windows are read
@@ -936,7 +816,7 @@ class SweepEvaluator:
             add((x, rk, _K_SERDE, shard, sdes, 0.0))
             add((x2, rk + 1, _K_SERVICE, shard, sov, 0.0))
             add((x3, rk + 2, _K_OPS_SLW, shard, slw, d_slw))
-            add((s_done, rk + 3, _K_SRS_SVC, shard, srs, 0.0))
+            add((s_done, rk + 3, _K_SRS_SVC, shard, srs, service_fixed))
             heapreplace(heap, (s_done, (code & ev_identity) | ev_send, rpc))
 
         best_batch = -1
@@ -963,12 +843,16 @@ class SweepEvaluator:
             return t_end
         e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
         recs.sort()
+        # The response serialization and request_e2e charges, last in
+        # the DES's order too (keyed past every batch).
+        add((t1, nb << 26, _K_SERDE, MAIN_SHARD, ser, 0.0))
+        add((t_end, (nb << 26) | 1, _K_SERVICE, MAIN_SHARD, self.handler_cpu, 0.0))
         rid = plans.rids[i]
         fold(
             rid, net_names, recs, nb,
             3 + nb + (3 if lc_i is None else 5) * nb * num_nets + groups
             + 8 * rpcs,
-            deser, head, ser, tail, e2e, rpcs, best_rpc, best_rpc_dur,
+            tail, e2e, rpcs, best_rpc, best_rpc_dur,
             best_batch, best_batch_dur,
             b_dense, b_embedded, b_serde, b_overhead, b_sparse,
         )

@@ -2,16 +2,33 @@
 
 The paper attributes latency and CPU from distributed traces (Sec. IV-B).
 :class:`AggregatingTracer` computes exactly those breakdowns without
-building a trace: it implements the ``record_interval`` entry point the
-simulator drives, folds each interval straight into per-request bucket
-accumulators (pooled per in-flight request and reused) and, on request
-completion, attributes those sums into preallocated columnar numpy
-arrays -- the columns :class:`~repro.experiments.runner.RunResult`
-adopts.  Every breakdown a figure reads is a column: the E2E/CPU/stack
-columns, per-shard CPU demand and sparse-op time, the per-(shard, net)
-sparse-op time (Fig 10), sparse and dense operator CPU (Fig 4), and the
-RPC and batch counts.  No ``Span`` is constructed and no per-request
-dataclass is retained.
+building a trace, and attributes each completed request into
+preallocated columnar numpy arrays -- the columns
+:class:`~repro.experiments.runner.RunResult` adopts.  Every breakdown a
+figure reads is a column: the E2E/CPU/stack columns, per-shard CPU
+demand and sparse-op time, the per-(shard, net) sparse-op time (Fig 10),
+sparse and dense operator CPU (Fig 4), and the RPC and batch counts.  No
+``Span`` is constructed and no per-request dataclass is retained.
+
+A request's in-flight state (pooled and reused) holds two things:
+
+* the **single-writer** accumulators, each fed by one ordered chain: the
+  request's head/tail serde and e2e windows, one batch's buckets, one RPC
+  attempt's entry, and the bounding batch and best RPC (running maxima);
+* its **CPU charges**, one compact record each (:data:`Record`), in the
+  order they were recorded.  The sums they feed interleave across batch
+  chains -- the three CPU buckets, sparse and dense operator CPU, and the
+  per-shard and per-(shard, net) columns -- so their float order is the
+  recording order, and one fold (:func:`fold_charges`) adds them up at
+  completion.
+
+Both replay paths fill that state.  The DES drives ``record_interval``,
+which updates the single-writer accumulators and appends each charge in
+call order -- already the recording order.  The columnar evaluator
+(:class:`~repro.simulation.vectorized.VectorizedColumns`) computes the
+single-writer values inline and hands over its records, sorted into the
+DES's recording order.  Either way :meth:`AggregatingTracer.finalize_request`
+folds the records and writes the request's row.
 
 Spans are an opt-in sink for code that reads them (trace rendering,
 Fig 3): a bare :class:`~repro.serving.simulator.ClusterSimulation` in
@@ -138,19 +155,102 @@ _SPARSE = OpCategory.SPARSE
 # Indices into a live-RPC accumulator entry [ops, serde, overhead, service].
 _R_OPS, _R_SERDE, _R_OVERHEAD, _R_SERVICE = 0, 1, 2, 3
 
+# Record kinds: which sums a CPU charge feeds.  The numbering is also the
+# evaluator's sort tie-break at equal (time, key) -- see
+# :mod:`repro.simulation.vectorized`.
+_K_OPS_SLW = 0  # sls_remote (shard): sparse op cpu + per-shard op time (dur)
+_K_SERDE = 1  # every serde charge: request/response and RPC ser/deser
+_K_OPS = 2  # dense_pre / dense_post (main): dense op cpu
+_K_SERVICE = 3  # net_sched, request_e2e, rpc_e2e: service cpu
+_K_SRS_SVC = 4  # rpc_resp_ser fused with a fixed rpc_e2e charge (dur)
+_K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
+
+#: One CPU charge: ``(t, key, kind, shard, cpu, dur)``.  ``t`` is the time
+#: it was recorded; ``key`` orders charges recorded at one time, and its
+#: bits ``(key >> 20) & 63`` index the request's net names (read by
+#: ``_K_OPS_SLW``).  ``dur`` is the second float of the two kinds that
+#: carry one -- the wall-stamped op time of ``_K_OPS_SLW`` and the service
+#: cpu of ``_K_SRS_SVC`` -- and 0.0 otherwise.
+Record = tuple[float, int, int, int, float, float]
+
+
+def fold_charges(
+    records: list[Record], net_names: list[str | None]
+) -> tuple[
+    float, float, float, float, float,
+    dict[int, float], dict[int, float], dict[tuple[int, str | None], float],
+]:
+    """Add up one request's CPU charges, in ``records`` order.
+
+    Returns ``(cpu_ops, cpu_serde, cpu_service, sparse_op_cpu,
+    dense_op_cpu, shard_cpu, shard_op, shard_net_op)``: the three CPU
+    buckets, operator CPU by category, CPU-seconds by shard
+    (``MAIN_SHARD`` first, as the request deserialization is always the
+    first charge), and sparse-op time by shard and by (shard, net).
+    """
+    shard_cpu: dict[int, float] = {MAIN_SHARD: 0.0}
+    shard_op: dict[int, float] = {}
+    shard_net_op: dict[tuple[int, str | None], float] = {}
+    cpu_main = 0.0
+    cpu_ops = 0.0
+    cpu_serde = 0.0
+    cpu_service = 0.0
+    sparse_op_cpu = 0.0
+    dense_op_cpu = 0.0
+    shard_get = shard_cpu.get
+    op_get = shard_op.get
+    net_op_get = shard_net_op.get
+    # Literal kinds (see _K_*): shard-side charges outnumber main-side
+    # ones on every multi-shard plan, so they take the first branch;
+    # MAIN_SHARD is -1, making ``shard >= 0`` the test.
+    for _t, key, kind, shard, cpu, dur in records:
+        if shard >= 0:
+            if kind == 1:
+                shard_cpu[shard] = shard_get(shard, 0.0) + cpu
+                cpu_serde += cpu
+            elif kind == 0:
+                shard_cpu[shard] = shard_get(shard, 0.0) + cpu
+                cpu_ops += cpu
+                sparse_op_cpu += cpu
+                shard_op[shard] = op_get(shard, 0.0) + dur
+                net_key = (shard, net_names[(key >> 20) & 63])
+                shard_net_op[net_key] = net_op_get(net_key, 0.0) + dur
+            elif kind == 4:
+                # A serde charge and the service charge recorded right
+                # after it on the same shard: one left-associated
+                # read-modify-write.
+                shard_cpu[shard] = (shard_get(shard, 0.0) + cpu) + dur
+                cpu_serde += cpu
+                cpu_service += dur
+            else:
+                shard_cpu[shard] = shard_get(shard, 0.0) + cpu
+                cpu_service += cpu
+        else:
+            cpu_main += cpu
+            if kind == 1:
+                cpu_serde += cpu
+            elif kind == 2:
+                cpu_ops += cpu
+                dense_op_cpu += cpu
+            elif kind == 5:
+                cpu_ops += cpu
+                sparse_op_cpu += cpu
+            else:
+                cpu_service += cpu
+    shard_cpu[MAIN_SHARD] = cpu_main
+    return (
+        cpu_ops, cpu_serde, cpu_service, sparse_op_cpu, dense_op_cpu,
+        shard_cpu, shard_op, shard_net_op,
+    )
+
 
 class _RequestState:
-    """Bucket accumulators for one in-flight request (pooled/reused)."""
+    """Accumulators for one in-flight request (pooled/reused): its CPU
+    charges and net names, and the single-writer sums."""
 
     __slots__ = (
-        "cpu_ops",
-        "cpu_serde",
-        "cpu_service",
-        "sparse_op_cpu",
-        "dense_op_cpu",
-        "shard_cpu",
-        "shard_op",
-        "shard_net_op",
+        "records",
+        "net_names",
         "head_serde",
         "tail_serde",
         "e2e",
@@ -171,9 +271,8 @@ class _RequestState:
     )
 
     def __init__(self):
-        self.shard_cpu: dict[int, float] = {}
-        self.shard_op: dict[int, float] = {}
-        self.shard_net_op: dict[tuple[int, str], float] = {}
+        self.records: list[Record] = []
+        self.net_names: list[str | None] = []
         self.batch_dense: list[float] = []
         self.batch_embedded: list[float] = []
         self.batch_serde: list[float] = []
@@ -184,14 +283,8 @@ class _RequestState:
         self.reset()
 
     def reset(self) -> None:
-        self.shard_cpu.clear()
-        self.shard_op.clear()
-        self.shard_net_op.clear()
-        self.cpu_ops = 0.0
-        self.cpu_serde = 0.0
-        self.cpu_service = 0.0
-        self.sparse_op_cpu = 0.0
-        self.dense_op_cpu = 0.0
+        del self.records[:]
+        del self.net_names[:]
         self.head_serde = 0.0
         self.tail_serde = 0.0
         self.e2e = 0.0
@@ -238,14 +331,14 @@ class _RequestState:
 
 
 class AggregatingTracer:
-    """Accumulates bucket sums per request; emits columnar attributions.
+    """Accumulates per-request state; emits columnar attributions.
 
     Drop-in replacement for :class:`~repro.tracing.span.Tracer` on the
     simulator side (same ``record_interval`` signature, same drain/assert
     API).  Completion is driven by :meth:`finalize_request`, which plays
     the role ``pop_request`` + ``attribute_request`` play over spans:
-    it attributes the request's accumulated sums into the next row of the
-    preallocated output columns and recycles the in-flight state.
+    it folds the request's CPU charges, attributes it into the next row
+    of the preallocated output columns and recycles the in-flight state.
     """
 
     def __init__(self, expected_requests: int = 0):
@@ -325,14 +418,11 @@ class AggregatingTracer:
         if duration < 0.0:
             raise ValueError(f"span {name}: end {end} precedes start {start}")
         self.spans_recorded += 1
-        # Per-shard CPU demand, accumulated in recording order -- the same
-        # float-addition order attribute_request uses over the span list,
-        # so the per-shard columns are bit-identical to the span oracle.
-        shard_cpu = state.shard_cpu
-        shard_cpu[shard] = shard_cpu.get(shard, 0.0) + cpu
-
+        # Every CPU charge becomes one record, appended in call order --
+        # the recording order the fold needs; the rest are single-writer
+        # updates.  Only the shard's sparse-op charge reads its net.
         if layer is _SERDE:
-            state.cpu_serde += cpu
+            state.records.append((end, 0, _K_SERDE, shard, cpu, 0.0))
             if shard == MAIN_SHARD:
                 if rpc_id is None:
                     if batch is not None:
@@ -344,32 +434,35 @@ class AggregatingTracer:
                     else:
                         state.head_serde += duration
                 # else: RPC response deser on IO threads -- covered by the
-                # EMBEDDED window in the E2E stack (cpu counted above).
+                # EMBEDDED window in the E2E stack (its cpu is a record).
             else:
                 state.rpc_entry(rpc_id)[_R_SERDE] += duration
         elif layer is _OPERATOR:
-            state.cpu_ops += cpu
-            if category is _SPARSE:
-                state.sparse_op_cpu += cpu
-            else:
-                state.dense_op_cpu += cpu
             if shard == MAIN_SHARD:
+                sparse = category is _SPARSE
+                state.records.append(
+                    (end, 0, _K_OPS_LOCAL if sparse else _K_OPS, shard, cpu, 0.0)
+                )
                 if batch is not None:
                     if batch >= len(state.batch_dense):
                         state.grow_batches(batch)
-                    if category is _SPARSE:
+                    if sparse:
                         state.batch_sparse[batch] += duration
                     else:
                         state.batch_dense[batch] += duration
             else:
+                names = state.net_names
+                if net in names:
+                    index = names.index(net)
+                else:
+                    index = len(names)
+                    names.append(net)
+                state.records.append(
+                    (end, index << 20, _K_OPS_SLW, shard, cpu, duration)
+                )
                 state.rpc_entry(rpc_id)[_R_OPS] += duration
-                shard_op = state.shard_op
-                shard_op[shard] = shard_op.get(shard, 0.0) + duration
-                net_op = state.shard_net_op
-                key = (shard, net)
-                net_op[key] = net_op.get(key, 0.0) + duration
         elif layer is _NET_OVERHEAD:
-            state.cpu_service += cpu
+            state.records.append((end, 0, _K_SERVICE, shard, cpu, 0.0))
             if shard == MAIN_SHARD:
                 if batch is not None:
                     if batch >= len(state.batch_overhead):
@@ -402,7 +495,9 @@ class AggregatingTracer:
                 state.best_batch_dur = duration
                 state.best_batch = batch
         elif layer is _SERVICE:
-            state.cpu_service += cpu
+            # A shard's rpc_e2e charge is its own record: under a
+            # straggler it is not the evaluator's fixed service cost.
+            state.records.append((end, 0, _K_SERVICE, shard, cpu, 0.0))
             if shard == MAIN_SHARD:
                 state.service_count += 1
                 state.e2e = duration
@@ -411,7 +506,9 @@ class AggregatingTracer:
 
     # -- columnar attribution (request completion) ------------------------
     def finalize_request(self, request_id: int) -> None:
-        """Attribute one completed request's sums into the output columns."""
+        """Attribute one completed request into the next row of the output
+        columns: fold its CPU charges (:func:`fold_charges`), read its
+        single-writer sums, and recycle its state."""
         state = self._live.pop(request_id, None)
         if state is None:
             raise AttributionError("no spans for request")
@@ -455,9 +552,10 @@ class AggregatingTracer:
                 # Skew-safe: both terms are same-server durations.
                 emb_network = max(0.0, state.best_rpc_dur - shard_service)
 
-            cpu_ops = state.cpu_ops
-            cpu_serde = state.cpu_serde
-            cpu_service = state.cpu_service
+            (
+                cpu_ops, cpu_serde, cpu_service, sparse_op_cpu, dense_op_cpu,
+                shard_cpu, shard_op, shard_net_op,
+            ) = fold_charges(state.records, state.net_names)
             cpu_total = 0 + cpu_ops + cpu_serde + cpu_service
 
             index = self._count
@@ -467,8 +565,8 @@ class AggregatingTracer:
                 columns = self._columns
             columns["e2e"][index] = e2e
             columns["cpu"][index] = cpu_total
-            columns["sparse_op_cpu"][index] = state.sparse_op_cpu
-            columns["dense_op_cpu"][index] = state.dense_op_cpu
+            columns["sparse_op_cpu"][index] = sparse_op_cpu
+            columns["dense_op_cpu"][index] = dense_op_cpu
             columns["rpcs"][index] = state.rpcs
             columns["num_batches"][index] = state.num_batches
             workload_ids = self.workload_ids
@@ -498,9 +596,9 @@ class AggregatingTracer:
             shard_cols = self._shard_cols
             capacity = len(columns["e2e"])
             for kind, values in (
-                ("cpu", state.shard_cpu),
-                ("op", state.shard_op),
-                ("net_op", state.shard_net_op),
+                ("cpu", shard_cpu),
+                ("op", shard_op),
+                ("net_op", shard_net_op),
             ):
                 kind_cols = shard_cols[kind]
                 for key, value in values.items():

@@ -74,7 +74,8 @@ def assert_matches_oracle(result, oracle, workload_ids=None, label=""):
     assert result.incomplete_requests == dropped, label
     stacks = {kind: result.stack_columns(kind) for kind in STACK_BUCKETS}
     shard_cols = {kind: result.shard_columns(kind) for kind in SHARD_KINDS}
-    touched = {kind: set() for kind in SHARD_KINDS}
+    # First-touch key order, as the columns are created.
+    touched: dict = {kind: {} for kind in SHARD_KINDS}
     for i, (a, outcome) in enumerate(rows):
         where = (label, i, a.request_id)
         assert result.request_ids[i] == a.request_id, where
@@ -102,11 +103,11 @@ def assert_matches_oracle(result, oracle, workload_ids=None, label=""):
             ("op", a.per_shard_op_time),
             ("net_op", a.per_shard_net_op_time),
         ):
-            touched[kind].update(values)
+            touched[kind].update(dict.fromkeys(values))
             for key, col in shard_cols[kind].items():
                 assert col[i] == values.get(key, 0.0), (where, kind, key)
     for kind in SHARD_KINDS:
-        assert set(shard_cols[kind]) == touched[kind], (label, kind)
+        assert list(shard_cols[kind]) == list(touched[kind]), (label, kind)
 
 
 def assert_outcomes_conserved(result):

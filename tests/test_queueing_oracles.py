@@ -21,13 +21,15 @@ the formula.
 import pytest
 
 from repro.experiments import SuiteSettings, run_configuration
-from repro.experiments.runner import suite_requests
+from repro.experiments.runner import RunResult, suite_requests
 from repro.models import drm1, drm2
 from repro.requests.generator import Request
-from repro.serving import ServingConfig
+from repro.serving import ServingConfig, TraceMode
 from repro.serving.columnar import build_chunk_plans
 from repro.serving.simulator import ClusterSimulation
 from repro.sharding import singular_plan
+from repro.tracing import Layer
+from repro.tracing.attribution import RPC_SERDE
 
 BATCHES = 4
 
@@ -94,3 +96,62 @@ def test_equal_batches_run_in_waves_of_the_pool_size(factory, kernel):
         assert abs(result.e2e[0] - expected) <= 1e-12 * expected, (
             workers, result.e2e[0], expected,
         )
+
+
+def test_response_serialization_span_starts_at_its_contended_grant():
+    """A span opens when its worker is granted, not when it is asked for.
+
+    On one main worker, the second request arrives while the first
+    one's batches run, so its head acquire queues ahead of the first
+    request's response acquire: that ``response_ser`` is granted when
+    the second head releases the worker (its deserialization end plus
+    the request handler's fixed cost).  The span starts there and ends
+    the chunk row's ``tail_ser`` later,
+    and the aggregate's response serde -- read through the singular
+    plan's latency serde bucket, ``head + tail`` -- is the span's
+    duration bit for bit.
+    """
+    model = drm1()
+    plan = singular_plan(model)
+    first, second = suite_requests(
+        model, SuiteSettings(num_requests=2, pooling_requests=150)
+    )
+    serving = ServingConfig(seed=1, service_workers=1)
+    cm = serving.cost_model
+    probe = ClusterSimulation(model, plan, serving)
+    chunk = build_chunk_plans(probe, probe.tenants[0], [first])
+    head = chunk.head_deser[0] + cm.request_handler_fixed
+    first_chain = sum(
+        net.overhead[0][0] + net.pre[0][0] + net.post[0][0] + net.local[0][0]
+        for net in chunk.nets
+    )
+    stream = [(0.0, 0, first), (head + 0.5 * first_chain, 0, second)]
+
+    spans = ClusterSimulation(
+        model, plan, serving.with_trace_mode(TraceMode.FULL)
+    )
+    spans.run_stream(stream)
+    trace = spans.tracer.for_request(first.request_id)
+    response = next(s for s in trace if s.name == "response_ser")
+    last_batch = max(s.end for s in trace if s.layer is Layer.BATCH)
+    deser = next(
+        s for s in spans.tracer.for_request(second.request_id)
+        if s.name == "request_deser"
+    )
+    grant = deser.end + cm.request_handler_fixed
+    assert grant > last_batch  # the response acquire waited
+    assert response.start == grant
+    assert response.end == grant + chunk.tail_ser[0]
+
+    aggregate = ClusterSimulation(
+        model, plan, serving.with_trace_mode(TraceMode.AGGREGATE)
+    )
+    aggregate.on_complete = aggregate.tracer.finalize_request
+    aggregate.run_stream(stream)
+    result = RunResult(model.name, plan.label, plan)
+    result.adopt_aggregate(aggregate.tracer)
+    row = result.request_ids.tolist().index(first.request_id)
+    request_deser = next(s for s in trace if s.name == "request_deser")
+    assert result.stack_columns("latency")[RPC_SERDE][row] == (
+        request_deser.end - request_deser.start
+    ) + (response.end - response.start)

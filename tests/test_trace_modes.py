@@ -11,6 +11,8 @@ net) columns -- must match it bit for bit.  No tracer may retain state
 once a replay with incremental completion consumption finishes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from span_oracle import (
     oracle_mix,
 )
 
-from repro.chaos import FaultSchedule, HostCrash, NetworkSpike
+from repro.chaos import FaultSchedule, HostCrash, NetworkSpike, StragglerShard
 from repro.experiments import (
     ShardingConfiguration,
     SuiteSettings,
@@ -88,7 +90,7 @@ class TestColumnsMatchSpanOracle:
         assert_suite_matches_oracle(model, settings, results)
 
     @pytest.mark.parametrize(
-        "replicas, crash, resilience",
+        "replicas, fault, resilience",
         [
             # In-flight RPCs caught by the crash fail over: retries.
             (2, HostCrash(shard=0, at=0.2, restart_after=0.3), None),
@@ -102,13 +104,16 @@ class TestColumnsMatchSpanOracle:
                     deadline=0.02,
                 ),
             ),
+            # A straggling shard scales its rpc_e2e service charge, which
+            # then differs from the cost model's fixed service cost.
+            (1, StragglerShard(shard=0, start=0.0, duration=10.0), None),
         ],
-        ids=["chaos-retries", "chaos-resilience"],
+        ids=["chaos-retries", "chaos-resilience", "chaos-straggler"],
     )
-    def test_chaos_and_resilience_flags(self, replicas, crash, resilience):
-        """Failovers, degraded responses, policy attempts, hedges and
-        deadline flags land in the flag columns exactly as the span
-        replay sees them."""
+    def test_chaos_and_resilience_flags(self, replicas, fault, resilience):
+        """Failovers, degraded responses, policy attempts, hedges,
+        deadline flags and straggler-scaled CPU land in the columns
+        exactly as the span replay sees them."""
         model = drm1()
         pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
         plan = build_plan(model, ShardingConfiguration("load-bal", 4), pooling)
@@ -121,7 +126,7 @@ class TestColumnsMatchSpanOracle:
             chaos=FaultSchedule(
                 experiments=(
                     NetworkSpike(start=0.1, duration=0.4, extra_latency=0.05),
-                    crash,
+                    fault,
                 ),
                 replicas=replicas,
             ),
@@ -130,7 +135,10 @@ class TestColumnsMatchSpanOracle:
         schedule = settings.schedule
         result = run_configuration(model, plan, requests, serving, schedule)
         # The schedule and the policy actually bit.
-        if resilience is None:
+        if isinstance(fault, StragglerShard):
+            cpu = result.mean_cpu_by_shard()
+            assert cpu[0] > 2.0 * cpu[1]
+        elif resilience is None:
             assert result.retries.sum() > 0
         else:
             assert result.degraded.sum() > 0 and result.hedged.sum() > 0
@@ -173,6 +181,36 @@ class TestColumnsMatchSpanOracle:
             result,
             oracle_mix(mix, plans, stream, settings.serving),
             workload_ids=stream.workload_ids,
+        )
+
+    @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
+    def test_net_bits_decode_past_32_nets(self, kernel):
+        """A record's net bits index the request's nets up to the
+        64-net field width on both paths: DRM3's 39 tables spread over
+        36 nets, so sparse ops run on nets 32-35 too."""
+        base = drm3()
+        nets = tuple(
+            dataclasses.replace(base.nets[0], name=f"net{k}") for k in range(36)
+        )
+        model = dataclasses.replace(
+            base,
+            nets=nets,
+            tables=tuple(
+                dataclasses.replace(table, net=nets[min(k, 35)].name)
+                for k, table in enumerate(base.tables)
+            ),
+        )
+        pooling = estimate_pooling_factors(model, num_requests=20, seed=42)
+        plan = build_plan(model, ShardingConfiguration("1-shard", 1), pooling)
+        requests = RequestGenerator(model, seed=3).generate_many(3)
+        serving = ServingConfig(seed=1, kernel=kernel)
+        result = run_configuration(model, plan, requests, serving)
+        assert result.kernel_used == kernel
+        assert {net for _, net in result.mean_per_shard_net_op_time()} >= {
+            "net32", "net35",
+        }
+        assert_matches_oracle(
+            result, oracle_configuration(model, plan, requests, serving)
         )
 
     def test_figure_totals_match_span_sums(self):
