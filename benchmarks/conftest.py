@@ -22,13 +22,14 @@ import os
 import pytest
 
 from repro.compression import compress_model
-from repro.experiments import SuiteSettings, run_configuration, run_suite, suite_requests
+from repro.experiments import SuiteSettings, run_configuration, run_suite
 from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.models import drm1, drm2, drm3
-from repro.requests import ReplaySchedule
+from repro.requests import RequestGenerator
 from repro.serving import ServingConfig
 from repro.sharding import estimate_pooling_factors
 from repro.simulation.platform import SC_SMALL
+from repro.workloads import PoissonArrivals
 
 BENCH_REQUESTS = int(os.environ.get("REPRO_REQUESTS", 150))
 
@@ -76,7 +77,7 @@ class SuiteCache:
         model = self.models[model_name]
         settings = _settings(
             serving=ServingConfig(seed=1, service_workers=QPS_WORKERS),
-            schedule=ReplaySchedule.open_loop(QPS_RATE, seed=2),
+            schedule=PoissonArrivals(QPS_RATE, seed=2),
         )
         return self._memo(("qps", model_name), lambda: run_suite(model, settings))
 
@@ -92,7 +93,9 @@ class SuiteCache:
         def build():
             model = self.models["DRM1"]
             settings = _settings()
-            requests = suite_requests(model, settings)
+            requests = RequestGenerator(
+                model, seed=settings.request_seed
+            ).generate_many(settings.num_requests)
             plan = build_plan(
                 model, ShardingConfiguration("load-bal", 8), self.pooling("DRM1")
             )
@@ -112,7 +115,9 @@ class SuiteCache:
             model = self.models["DRM1"]
             compressed, report = compress_model(model)
             settings = _settings()
-            requests = suite_requests(model, settings)
+            requests = RequestGenerator(
+                model, seed=settings.request_seed
+            ).generate_many(settings.num_requests)
             base = run_configuration(
                 model, build_plan(model, ShardingConfiguration("singular")),
                 requests, ServingConfig(seed=1),

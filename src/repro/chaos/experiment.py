@@ -333,10 +333,12 @@ def availability_sweep(
     if slo_latency is None:
         slo_latency = baseline_p99 * slo_slack
 
+    arrival_times = stream.times  # sampled mix streams are timed
+    assert arrival_times is not None, "availability needs arrival times"
     outcomes = []
     for schedule, result in zip(schedules, replays):
         report = availability_report(
-            result, stream.times, float(slo_latency), float(window)
+            result, arrival_times, float(slo_latency), float(window)
         )
         outcomes.append(
             ChaosOutcome(

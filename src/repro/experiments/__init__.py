@@ -4,9 +4,10 @@ Sizing and throughput knobs
 ---------------------------
 
 * ``REPRO_SWEEP_WORKERS`` -- worker-process cap for every configuration
-  sweep (default: the usable CPUs).  :func:`run_suite`,
-  :func:`run_mix_suite`, the capacity planner and the availability sweep
-  all fan their cluster replays out over one ``multiprocessing`` pool
+  sweep (default: the usable CPUs).  :func:`run_mix_suite` is the one
+  sweep driver (:func:`run_suite` runs it over a one-workload mix); it,
+  the capacity planner and the availability sweep all fan their cluster
+  replays out over one ``multiprocessing`` pool
   (:func:`~repro.experiments.parallel.run_cluster_tasks`); results are
   byte-identical for every worker count, and ``max_workers=1`` (or the
   CLI's ``--workers 1``) replays in-process.
@@ -47,7 +48,6 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "run_mix_configuration",
             "run_mix_suite",
             "run_suite",
-            "suite_requests",
         ),
         "repro.tracing.aggregate": ("TraceMode",),
     },

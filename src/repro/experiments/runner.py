@@ -20,11 +20,11 @@ from repro.core.types import seed as any_seed
 from repro.experiments.parallel import run_cluster_tasks, worker_context
 from repro.models.config import ModelConfig
 from repro.requests.generator import Request, RequestGenerator
-from repro.requests.replayer import ReplayMode, ReplaySchedule
 from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.sharding.plan import ShardingPlan
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.tracing.aggregate import STACK_BUCKETS, AggregatingTracer, TraceMode
+from repro.workloads.arrivals import ArrivalProcess, SerialArrivals
 from repro.experiments.configs import (
     ShardingConfiguration,
     build_plan,
@@ -307,38 +307,29 @@ def run_configuration(
     plan: ShardingPlan,
     requests: list[Request],
     serving: ServingConfig | None = None,
-    schedule: ReplaySchedule | None = None,
+    schedule: ArrivalProcess | None = None,
 ) -> RunResult:
-    """Simulate one configuration and attribute every request.
+    """Simulate one configuration: the one-tenant spelling of
+    :func:`run_mix_configuration`, with ``requests`` arriving by
+    ``schedule`` (serial blocking replay when None)."""
+    mix, stream = _one_workload(model, schedule or SerialArrivals(), requests)
+    return run_mix_configuration(mix, [plan], stream, serving, label=plan.label)
 
-    Every replay is attributed by an
-    :class:`~repro.tracing.aggregate.AggregatingTracer`, which folds each
-    completed request straight into columns the result adopts; no span
-    is built and ``serving.trace_mode`` plays no part.
 
-    Every kernel reads its plans from the columnar chunks of
-    :func:`repro.serving.columnar.idle_arrival_cluster`.
-    ``serving.kernel == "vectorized"`` (the default) replays an eligible
-    run -- serial or open-loop -- on the DES with every idle arrival
-    taking the columnar engine (a serial run reaches the DES only for a
-    request whose acquires tie on a worker pool), bit-identical to the
-    batched kernel; ineligible runs fall back to the batched kernel with
-    the reason recorded on ``RunResult.kernel_fallback``.
-    """
-    schedule = schedule or ReplaySchedule.serial()
-    serving = serving or ServingConfig()
-    result = RunResult(model_name=model.name, label=plan.label, plan=plan)
-    tenants = [0] * len(requests)
-    tracer, cluster = _replay_cluster(
-        result, [(model, plan)], serving, tenants, requests
-    )
-    if schedule.mode is ReplayMode.SERIAL:
-        _replay(cluster, tracer, result, cluster.run_serial, requests)
-    else:
-        arrivals = schedule.arrival_times(len(requests))
-        stream = zip(arrivals, tenants, requests)
-        _replay(cluster, tracer, result, cluster.run_stream, stream)
-    return result
+def _one_workload(
+    model: ModelConfig,
+    arrivals: ArrivalProcess,
+    requests: list[Request],
+    request_seed: int = 3,
+) -> tuple["WorkloadMix", "MixedStream"]:
+    """A one-workload mix named after ``model``, and ``requests`` as its
+    stream, timed by ``arrivals`` (untimed for serial replay)."""
+    from repro.workloads.workload import MixedStream, Workload, WorkloadMix
+
+    count = len(requests)
+    times = arrivals.arrival_times(count)
+    stream = MixedStream(times, np.zeros(count, np.int64), requests, (count,))
+    return WorkloadMix((Workload(model.name, model, arrivals, request_seed),)), stream
 
 
 def _replay_cluster(
@@ -353,8 +344,8 @@ def _replay_cluster(
 
     Every run reads its plans from columnar chunks
     (:func:`~repro.serving.columnar.idle_arrival_cluster`).  Under the
-    ``vectorized`` kernel idle arrivals take the columnar engine; a run
-    the evaluator cannot serve
+    ``vectorized`` kernel (the default) idle arrivals, serial or
+    open-loop, take the columnar engine; a run the evaluator cannot serve
     (:func:`~repro.serving.columnar.vectorized_ineligibility`) falls back
     to the batched DES, with the reason on ``result.kernel_fallback``.
     """
@@ -405,7 +396,9 @@ class SuiteSettings:
     pooling_requests: int = checked(count, 1000)
     pooling_seed: int = checked(any_seed, 42)
     serving: ServingConfig = field(default_factory=ServingConfig)
-    schedule: ReplaySchedule = field(default_factory=ReplaySchedule.serial)
+    schedule: ArrivalProcess = field(default_factory=SerialArrivals)
+    """When a single-model suite's requests arrive (:func:`run_suite`);
+    a mix's workloads carry their own arrival processes."""
     trace_mode: TraceMode | None = None
     """Overrides ``serving.trace_mode`` when set; None keeps it."""
 
@@ -421,49 +414,26 @@ class SuiteSettings:
         return serving
 
 
-def suite_requests(model: ModelConfig, settings: SuiteSettings) -> list[Request]:
-    generator = RequestGenerator(model, seed=settings.request_seed)
-    return generator.generate_many(settings.num_requests)
-
-
-def _replay_configuration(
-    configuration: ShardingConfiguration,
-) -> tuple[str, RunResult]:
-    """Sweep task: build one configuration's plan and replay it."""
-    model, pooling, requests, serving, schedule = worker_context()
-    plan = build_plan(model, configuration, pooling)
-    return plan.label, run_configuration(model, plan, requests, serving, schedule)
-
-
 def run_suite(
     model: ModelConfig,
     settings: SuiteSettings | None = None,
     configurations: tuple[ShardingConfiguration, ...] | None = None,
     max_workers: int | None = None,
 ) -> dict[str, RunResult]:
-    """Run the paper's configuration matrix for one model.
+    """Run the paper's configuration matrix for one model: a
+    :func:`run_mix_suite` over a one-workload mix named after the model.
 
-    Every configuration replays the *same* request sample (the paper's
-    replayer preprocesses and caches requests before sending): it is
-    generated, and the pooling factors estimated, once before the
-    configurations fan out over
-    :func:`~repro.experiments.parallel.run_cluster_tasks` -- ``max_workers``
-    processes, :func:`~repro.experiments.parallel.default_workers` when
-    None.  The result is byte-identical for every worker count and keeps
-    the configuration order.
+    Every configuration replays the *same* sample, as the paper's
+    replayer caches requests before sending: ``generate_many`` at
+    ``settings.request_seed`` (request sizes spread over its five-day
+    window), arriving by ``settings.schedule``.
     """
     settings = settings or SuiteSettings()
+    seed = settings.request_seed
+    requests = RequestGenerator(model, seed=seed).generate_many(settings.num_requests)
+    mix, stream = _one_workload(model, settings.schedule, requests, seed)
     configurations = configurations or paper_configurations(model.name)
-    requests = suite_requests(model, settings)
-    pooling = estimate_pooling_factors(
-        model, num_requests=settings.pooling_requests, seed=settings.pooling_seed
-    )
-    context = (
-        model, pooling, requests,
-        settings.resolved_serving(), settings.schedule,
-    )
-    tasks = [(_replay_configuration, config) for config in configurations]
-    return dict(run_cluster_tasks(tasks, context, max_workers))
+    return run_mix_suite(mix, settings, configurations, max_workers, stream=stream)
 
 
 # -- multi-model workload mixes ----------------------------------------------
@@ -478,8 +448,11 @@ def run_mix_configuration(
 
     ``plans[w]`` shards workload ``w``'s model; all tenants share the
     simulated hosts (``ClusterSimulation.colocated``), so the mix's
-    queueing contention is simulated.  The returned :class:`RunResult`
-    carries a per-workload label column in completion order.
+    queueing contention is simulated.  A one-workload stream without
+    arrival times (``stream.times is None``) replays serially: each
+    request is sent when the previous response returns.  The returned
+    :class:`RunResult` carries a per-workload label column in completion
+    order.
     """
     if len(plans) != len(mix.workloads):
         raise ValueError(
@@ -499,10 +472,14 @@ def run_mix_configuration(
         stream.workload_ids.tolist(),
         stream.requests,
     )
-    # Merged request ids are stream positions, so the stream's workload
-    # ids label each completed row.
-    tracer.workload_ids = stream.workload_ids
-    _replay(cluster, tracer, result, cluster.run_stream, stream)
+    if len(mix.workloads) > 1:
+        # Merged request ids are stream positions; one tenant's rows
+        # all read workload 0, whatever its request ids.
+        tracer.workload_ids = stream.workload_ids
+    if stream.times is None:
+        _replay(cluster, tracer, result, cluster.run_serial, stream.requests)
+    else:
+        _replay(cluster, tracer, result, cluster.run_stream, stream)
     return result
 
 
@@ -536,8 +513,7 @@ def mix_plans(
 
 
 def mix_stream(mix: "WorkloadMix", settings: SuiteSettings) -> "MixedStream":
-    """Sample a mix's merged request stream once per sweep (the mix-side
-    analogue of :func:`suite_requests`)."""
+    """Sample a mix's merged request stream once per sweep."""
     return mix.sample(settings.num_requests)
 
 
@@ -561,16 +537,19 @@ def run_mix_suite(
     *,
     stream: "MixedStream | None" = None,
 ) -> dict[str, RunResult]:
-    """Run a configuration sweep for a co-located workload mix.
+    """Run a configuration sweep for a co-located workload mix -- the one
+    sweep driver; :func:`run_suite` is its one-workload spelling.
 
     Each configuration is applied to *every* workload's model (so it must
     be valid for all of them); every configuration replays the same
-    merged stream, sampled once before the fan-out, mirroring
-    :func:`run_suite` (``max_workers`` included).
-    ``settings.num_requests`` is the per-workload request count.  A
-    caller that already holds the sample (:func:`mix_stream` of the same
-    mix and settings) passes it as ``stream``; it is sampled here only
-    when none is given.
+    merged stream, sampled once before the configurations fan out over
+    :func:`~repro.experiments.parallel.run_cluster_tasks`
+    (``max_workers`` processes, the usable CPUs when None); the result is
+    byte-identical for every worker count and keeps the configuration
+    order.  ``settings.num_requests`` is the per-workload request count.
+    A caller that already holds the sample (:func:`mix_stream` of the
+    same mix and settings, or :func:`run_suite`'s untimed serial stream)
+    passes it as ``stream``; it is sampled here only when none is given.
     """
     settings = settings or SuiteSettings()
     configurations = configurations or mix_configurations(

@@ -1,4 +1,5 @@
-"""Request substrate: synthetic generation, payload sizing, replay schedules."""
+"""Request substrate: synthetic generation and payload sizing, plus the
+``ReplaySchedule`` alias of :mod:`repro.workloads.arrivals`."""
 
 from repro._lazy import lazy_exports
 
@@ -18,7 +19,7 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "materialize_numeric",
             "request_payload_bytes",
         ),
-        "replayer": ("ReplayMode", "ReplaySchedule"),
+        "repro.workloads.arrivals": ("ReplaySchedule",),
     },
 )
 __all__ = list(_EXPORTS)

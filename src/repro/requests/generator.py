@@ -59,7 +59,7 @@ order.
 
 The same bulk-draw-equals-scalar-draws property is what the
 ``vectorized`` replay kernel leans on one layer up: a sweep generates
-its request sample once (``suite_requests``), and the columnar plan
+its request sample once before it fans out, and the columnar plan
 builder (:mod:`repro.serving.columnar`) transposes those cached
 requests into per-chunk numpy columns -- generation draws and replay
 draws never interleave, so kernels can vectorize each independently.

@@ -3,8 +3,9 @@
 Composable arrival processes (:mod:`repro.workloads.arrivals`), the
 :class:`Workload` / :class:`WorkloadMix` binding of models to request
 generators and arrival streams, and the correlated sparse-ID stream that
-closes the loop into the caching analysis.  ``ReplaySchedule`` in
-:mod:`repro.requests.replayer` is a thin frozen facade over this package.
+closes the loop into the caching analysis.  Every sweep replays a
+:class:`WorkloadMix` (a single-model suite is a one-workload mix);
+``ReplaySchedule`` only names ``SerialArrivals`` and ``PoissonArrivals``.
 """
 
 from repro._lazy import lazy_exports

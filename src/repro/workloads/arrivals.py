@@ -9,8 +9,8 @@ workload as a family of small frozen value objects:
 
 * :class:`SerialArrivals` -- closed-loop blocking replay (no precomputable
   times; the cluster drives each send after the previous response);
-* :class:`PoissonArrivals` -- the paper's open-loop regime, byte-identical
-  to the historical ``ReplaySchedule.open_loop`` stream;
+* :class:`PoissonArrivals` -- the paper's open-loop regime (Section
+  VII-A: 25 QPS);
 * :class:`ConstantRateArrivals` -- deterministic fixed-gap injection (the
   zero-variance baseline that isolates queueing noise from arrival noise);
 * :class:`PiecewiseRateArrivals` -- a non-homogeneous Poisson process over
@@ -20,6 +20,10 @@ workload as a family of small frozen value objects:
 * :class:`MMPPArrivals` -- a Markov-modulated Poisson process (states with
   distinct rates, exponential dwell times), the classic bursty-traffic
   model.
+
+:class:`ReplaySchedule` is only an alias: ``ReplaySchedule.serial`` *is*
+:class:`SerialArrivals` and ``ReplaySchedule.open_loop`` *is*
+:class:`PoissonArrivals`, the paper's two regimes by their old names.
 
 Determinism contract: every process normalizes its numeric parameters to
 Python floats in ``__post_init__`` (their field contracts, see
@@ -132,9 +136,9 @@ class SerialArrivals(ArrivalProcess):
 class PoissonArrivals(ArrivalProcess):
     """Open-loop Poisson arrivals at a fixed QPS (paper Section VII-A).
 
-    Byte-identical to the stream ``ReplaySchedule.open_loop(qps, seed)``
-    has always produced: the substream is keyed on the float-normalized
-    rate, and the times are the cumulative sum of exponential gaps.
+    The substream is keyed on the float-normalized rate, and the times
+    are the cumulative sum of exponential gaps: the historical
+    ``ReplaySchedule.open_loop(qps, seed)`` stream, now this class.
     """
 
     qps: float = checked(
@@ -153,6 +157,13 @@ class PoissonArrivals(ArrivalProcess):
 
     def peak_rate(self) -> float:
         return self.qps
+
+
+class ReplaySchedule:
+    """The paper's two replay regimes by their historical names."""
+
+    serial = SerialArrivals
+    open_loop = PoissonArrivals
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ the coupling the HPCA 2020 production characterization describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,12 +94,13 @@ class MixedStream:
     ``requests[i]`` arrives at ``times[i]`` and belongs to workload
     ``workload_ids[i]``; request ids equal merged positions, so any
     per-request record (completion, trace, column row) maps back to its
-    workload by indexing ``workload_ids`` with the request id.
+    workload by indexing ``workload_ids`` with the request id.  ``times``
+    is None for a one-workload stream of serial (closed-loop) arrivals.
     """
 
     def __init__(
         self,
-        times: np.ndarray,
+        times: np.ndarray | None,
         workload_ids: np.ndarray,
         requests: list[Request],
         counts: tuple[int, ...],
@@ -113,6 +114,7 @@ class MixedStream:
         return len(self.requests)
 
     def __iter__(self) -> Iterator[tuple[float, int, Request]]:
+        assert self.times is not None, "a serial stream has no arrival times"
         times = self.times.tolist()
         ids = self.workload_ids.tolist()
         return iter(zip(times, ids, self.requests))
@@ -140,19 +142,20 @@ class WorkloadMix:
         """Draw every workload's stream and merge by arrival time.
 
         ``count`` is either one per-workload request count or a sequence
-        with one entry per workload.  The merge is **stable**: at equal
-        timestamps, requests keep workload declaration order, then
-        per-workload generation order -- so a mix replays identically
-        however the per-workload streams happen to collide.
+        with one entry per workload, each an integer ``>= 0`` and not a
+        bool (:meth:`ArrivalProcess._checked_count`).  The merge is
+        **stable**: at equal timestamps, requests keep workload
+        declaration order, then per-workload generation order -- so a mix
+        replays identically however the per-workload streams happen to
+        collide.
         """
-        if isinstance(count, (int, np.integer)):
-            counts = [int(count)] * len(self.workloads)
-        else:
-            counts = [int(c) for c in count]
-            if len(counts) != len(self.workloads):
-                raise ValueError(
-                    f"got {len(counts)} counts for {len(self.workloads)} workloads"
-                )
+        if not isinstance(count, Iterable):
+            count = [count] * len(self.workloads)
+        counts = [ArrivalProcess._checked_count(c) for c in count]
+        if len(counts) != len(self.workloads):
+            raise ValueError(
+                f"got {len(counts)} counts for {len(self.workloads)} workloads"
+            )
         all_times: list[np.ndarray] = []
         all_requests: list[list[Request]] = []
         for workload, per_workload in zip(self.workloads, counts):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.requests.replayer import ReplayMode, ReplaySchedule
 from repro.serving.simulator import ClusterSimulation
 from repro.tracing import Tracer, attribute_request
 from repro.tracing.aggregate import (
@@ -21,6 +20,7 @@ from repro.tracing.aggregate import (
     SHARD_KINDS,
     STACK_BUCKETS,
 )
+from repro.workloads.arrivals import SerialArrivals
 
 _NO_OUTCOME = (0,) * len(OUTCOME_FIELDS)
 
@@ -47,11 +47,11 @@ def _replay(cluster: ClusterSimulation, run, *args):
 def oracle_configuration(model, plan, requests, serving, schedule=None):
     """Span-attributed rows of one configuration, in completion order,
     and the ids of the requests that never completed."""
-    schedule = schedule or ReplaySchedule.serial()
+    schedule = schedule or SerialArrivals()
     cluster = ClusterSimulation(model, plan, serving, tracer=Tracer())
-    if schedule.mode is ReplayMode.SERIAL:
-        return _replay(cluster, cluster.run_serial, requests)
     arrivals = schedule.arrival_times(len(requests))
+    if arrivals is None:
+        return _replay(cluster, cluster.run_serial, requests)
     return _replay(
         cluster, cluster.run_stream, zip(arrivals, [0] * len(requests), requests)
     )

@@ -27,14 +27,12 @@ from test_kernel_equivalence import assert_run_identical
 
 from repro.experiments import (
     ShardingConfiguration,
-    SuiteSettings,
     build_plan,
     paper_configurations,
     run_configuration,
 )
-from repro.experiments.runner import suite_requests
 from repro.models import drm1, drm2, drm3
-from repro.requests import ReplaySchedule
+from repro.requests import ReplaySchedule, RequestGenerator
 from repro.serving import ServingConfig
 from repro.serving import columnar
 from repro.serving.columnar import _IdleArrivals, _chunk_bundle
@@ -58,9 +56,7 @@ def _configurations(name):
     model = FACTORIES[name]()
     pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
     plans = [build_plan(model, c, pooling) for c in paper_configurations(name)]
-    requests = suite_requests(
-        model, SuiteSettings(num_requests=48, pooling_requests=150)
-    )
+    requests = RequestGenerator(model, seed=3).generate_many(48)
     return model, plans, requests
 
 
@@ -248,9 +244,7 @@ def test_partitioned_plans_read_the_chunk(monkeypatch):
     pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
     plan = build_plan(model, ShardingConfiguration("NSBP", 4), pooling)
     assert _partitions(plan)
-    requests = suite_requests(
-        model, SuiteSettings(num_requests=48, pooling_requests=150)
-    )
+    requests = RequestGenerator(model, seed=3).generate_many(48)
     schedule = ReplaySchedule.open_loop(200.0, seed=2)
     sizes = _count_chunk_builds(monkeypatch)
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.experiments import SuiteSettings, run_configuration, suite_requests
+from repro.experiments import SuiteSettings, run_configuration
 from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.models import drm1
 from repro.planning import assess_elasticity, diurnal_qps_curve, dram_hours_saved
+from repro.requests import RequestGenerator
 from repro.serving import ServingConfig
 from repro.sharding import estimate_pooling_factors, load_plan
 
@@ -93,7 +94,9 @@ class TestElasticity:
     def results(self):
         model = drm1()
         settings = SuiteSettings(num_requests=25, pooling_requests=100)
-        requests = suite_requests(model, settings)
+        requests = RequestGenerator(
+            model, seed=settings.request_seed
+        ).generate_many(settings.num_requests)
         pooling = estimate_pooling_factors(model, 100, seed=42)
         serving = ServingConfig(seed=1)
         singular = run_configuration(

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from repro.core.types import DType, US
 from repro.experiments import (
     ShardingConfiguration,
-    SuiteSettings,
     build_plan,
     run_configuration,
 )
-from repro.experiments.runner import suite_requests
 from repro.models import drm1
 from repro.models.config import FeatureScope, NetConfig, TableConfig
+from repro.requests import RequestGenerator
 from repro.simulation.costmodel import (
     CostModel,
     ranking_response_bytes,
@@ -148,9 +147,7 @@ class TestFabric:
         model = drm1()
         pooling = estimate_pooling_factors(model, num_requests=100, seed=42)
         plan = build_plan(model, ShardingConfiguration("load-bal", 2), pooling)
-        requests = suite_requests(
-            model, SuiteSettings(num_requests=4, pooling_requests=100)
-        )
+        requests = RequestGenerator(model, seed=3).generate_many(4)
         serving = ServingConfig(
             seed=1, kernel=kernel, fabric_spec=FabricSpec(jitter_sigma=800.0)
         )

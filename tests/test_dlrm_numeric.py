@@ -7,12 +7,11 @@ from repro.core.dlrm import MaterializedModel
 from repro.models import drm1, drm2, drm3
 from repro.models.config import FeatureScope
 from repro.requests import (
-    ReplayMode,
-    ReplaySchedule,
     RequestGenerator,
     materialize_numeric,
     request_payload_bytes,
 )
+from repro.workloads import PoissonArrivals, SerialArrivals
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +143,13 @@ class TestRequestGenerator:
 
 
 class TestReplaySchedule:
+    """The paper's two replay regimes, as arrival processes."""
+
     def test_serial_has_no_arrivals(self):
-        assert ReplaySchedule.serial().arrival_times(10) is None
+        assert SerialArrivals().arrival_times(10) is None
 
     def test_open_loop_rate(self):
-        schedule = ReplaySchedule.open_loop(qps=25.0, seed=1)
+        schedule = PoissonArrivals(qps=25.0, seed=1)
         times = schedule.arrival_times(5000)
         assert times is not None and len(times) == 5000
         rate = 5000 / times[-1]
@@ -156,8 +157,8 @@ class TestReplaySchedule:
 
     def test_open_loop_requires_positive_qps(self):
         with pytest.raises(ValueError):
-            ReplaySchedule(mode=ReplayMode.OPEN_LOOP, qps=0.0)
+            PoissonArrivals(qps=0.0)
 
     def test_arrivals_monotonic(self):
-        times = ReplaySchedule.open_loop(qps=10.0).arrival_times(100)
+        times = PoissonArrivals(qps=10.0).arrival_times(100)
         assert (np.diff(times) > 0).all()

@@ -13,10 +13,9 @@ from repro.experiments import (
     paper_configurations,
     run_configuration,
     run_suite,
-    suite_requests,
 )
 from repro.models import drm1, drm3
-from repro.requests import ReplaySchedule
+from repro.requests import ReplaySchedule, RequestGenerator
 from repro.planning import (
     ReplicationDemand,
     plan_replication,
@@ -79,7 +78,9 @@ class TestRunner:
             assert counts == reference, label
 
     def test_run_configuration_with_open_loop(self, drm1_model):
-        requests = suite_requests(drm1_model, SETTINGS)
+        requests = RequestGenerator(
+            drm1_model, seed=SETTINGS.request_seed
+        ).generate_many(SETTINGS.num_requests)
         plan = build_plan(drm1_model, ShardingConfiguration(SINGULAR))
         result = run_configuration(
             drm1_model, plan, requests,

@@ -31,7 +31,6 @@ from repro.experiments import (
     paper_configurations,
     run_mix_suite,
     run_suite,
-    suite_requests,
 )
 import repro.experiments.parallel as parallel_module
 import repro.core.rng as rng_module
@@ -311,9 +310,10 @@ class TestColumnarRunResult:
         pooling = estimate_pooling_factors(model, num_requests=120, seed=42)
         plan = build_plan(model, ShardingConfiguration("load-bal", 2), pooling)
         assert plan.label == result.label
-        oracle = oracle_configuration(
-            model, plan, suite_requests(model, SETTINGS), SETTINGS.serving
-        )
+        requests = RequestGenerator(
+            model, seed=SETTINGS.request_seed
+        ).generate_many(SETTINGS.num_requests)
+        oracle = oracle_configuration(model, plan, requests, SETTINGS.serving)
         return result, oracle
 
     def test_columns_match_span_oracle(self, run):
@@ -333,7 +333,9 @@ class TestColumnarRunResult:
             num_requests=40, pooling_requests=120, serving=ServingConfig(seed=1)
         )
         model = drm1()
-        requests = suite_requests(model, small)
+        requests = RequestGenerator(
+            model, seed=small.request_seed
+        ).generate_many(small.num_requests)
         plan = build_plan(model, ShardingConfiguration("singular"))
         tracer = AggregatingTracer(expected_requests=4)
         cluster = ClusterSimulation(model, plan, small.serving, tracer=tracer)

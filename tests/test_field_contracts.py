@@ -62,7 +62,6 @@ REGISTRY: dict[type, tuple[dict, dict]] = {
     Platform: (_PLATFORM, {}),
     FabricSpec: ({}, {}),
     SuiteSettings: ({}, {}),
-    ReplaySchedule: ({}, {}),
     FaultSchedule: ({}, {}),
     HostCrash: ({"shard": 0, "at": 0.1}, {"restart_after": 1.0}),
     StragglerShard: ({"shard": 0, "start": 0.0, "duration": 1.0}, {"replica": 0}),
@@ -148,7 +147,7 @@ RANGE_BAD = {
 
 
 def test_registry_covers_every_class_once():
-    assert len(REGISTRY) == 22
+    assert len(REGISTRY) == 21
     for cls in REGISTRY:
         _build(cls)
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro.compression import compress_model
-from repro.experiments import SuiteSettings, figures, run_configuration, run_suite, suite_requests
+from repro.experiments import SuiteSettings, figures, run_configuration, run_suite
 from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.models import drm1
-from repro.requests import ReplaySchedule
+from repro.requests import ReplaySchedule, RequestGenerator
 from repro.serving import ServingConfig
 from repro.sharding import SINGULAR, estimate_pooling_factors
 from repro.simulation.platform import SC_SMALL
@@ -83,7 +83,9 @@ class TestBatchingFigures:
 
 class TestPlatformFigure:
     def test_fig15(self, model, pooling):
-        requests = suite_requests(model, SMALL)
+        requests = RequestGenerator(
+            model, seed=SMALL.request_seed
+        ).generate_many(SMALL.num_requests)
         plan = build_plan(model, ShardingConfiguration("load-bal", 8), pooling)
         large = run_configuration(model, plan, requests, ServingConfig(seed=1))
         small = run_configuration(
@@ -113,7 +115,9 @@ class TestQpsFigure:
 class TestCompressionTable:
     def test_table3(self, model):
         compressed, report = compress_model(model)
-        requests = suite_requests(model, SMALL)
+        requests = RequestGenerator(
+            model, seed=SMALL.request_seed
+        ).generate_many(SMALL.num_requests)
         base = run_configuration(
             model, build_plan(model, ShardingConfiguration(SINGULAR)),
             requests, ServingConfig(seed=1),

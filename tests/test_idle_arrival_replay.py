@@ -31,9 +31,13 @@ from repro.experiments import (
     run_mix_suite,
 )
 from repro.experiments import runner
-from repro.experiments.runner import suite_requests
 from repro.models import drm1, drm2, drm3
-from repro.requests import ReplaySchedule, Request, SparseFeatureDraw
+from repro.requests import (
+    ReplaySchedule,
+    Request,
+    RequestGenerator,
+    SparseFeatureDraw,
+)
 from repro.serving import ServingConfig
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel
@@ -50,9 +54,7 @@ def _inputs(name, num_requests=20):
     model = FACTORIES[name]()
     pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
     plans = [build_plan(model, c, pooling) for c in paper_configurations(name)]
-    requests = suite_requests(
-        model, SuiteSettings(num_requests=num_requests, pooling_requests=150)
-    )
+    requests = RequestGenerator(model, seed=3).generate_many(num_requests)
     return model, plans, requests
 
 
@@ -374,9 +376,7 @@ class TestPoolTies:
         model = dataclasses.replace(base, nets=tuple(reversed(base.nets)))
         pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
         plan = build_plan(model, ShardingConfiguration("load-bal", 2), pooling)
-        sample = suite_requests(
-            model, SuiteSettings(num_requests=1, pooling_requests=150)
-        )[0]
+        sample = RequestGenerator(model, seed=3).generate_many(1)[0]
         batch = model.profile.batch_size
         per_batch = np.repeat(np.array([200, 200, 196, 193]), batch)
         draws = {

@@ -31,9 +31,8 @@ from repro.experiments import (
     run_suite,
 )
 from repro.experiments import runner
-from repro.experiments.runner import suite_requests
 from repro.models import drm1, drm2, drm3
-from repro.requests import ReplaySchedule
+from repro.requests import ReplaySchedule, RequestGenerator
 from repro.serving import ServingConfig, TraceMode
 from repro.tracing.aggregate import SHARD_KINDS
 from repro.serving.columnar import REASON_CHAOS
@@ -212,9 +211,7 @@ class TestVectorizedFallback:
         model = drm1()
         pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
         plan = build_plan(model, ShardingConfiguration("load-bal", 2), pooling)
-        requests = suite_requests(
-            model, SuiteSettings(num_requests=num_requests, pooling_requests=150)
-        )
+        requests = RequestGenerator(model, seed=3).generate_many(num_requests)
         return run_configuration(model, plan, requests, serving, schedule)
 
     def test_open_loop_takes_the_idle_arrival_path(self):
@@ -377,10 +374,7 @@ class TestChunkedReplay:
         model = drm1()
         pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
         plan = build_plan(model, configuration, pooling)
-        requests = suite_requests(
-            model,
-            SuiteSettings(num_requests=num_requests, pooling_requests=150),
-        )
+        requests = RequestGenerator(model, seed=3).generate_many(num_requests)
         return model, plan, requests, ServingConfig(seed=1)
 
     def test_replay_memory_bounded_by_chunk(self, monkeypatch):

@@ -16,7 +16,6 @@ from repro.experiments import (
     paper_configurations,
     run_mix_suite,
     run_suite,
-    suite_requests,
 )
 from repro.models import drm1, drm2
 from repro.planning import (
@@ -32,6 +31,7 @@ from repro.planning import (
     diurnal_qps_curve,
     plan_replication,
 )
+from repro.requests import RequestGenerator
 from repro.serving import ServingConfig, TraceMode
 from repro.sharding import estimate_pooling_factors, singular_plan
 from repro.workloads import (
@@ -102,7 +102,9 @@ class TestPerShardColumns:
         """The columnar means reproduce the per-attribution Python-loop
         accumulation bit-for-bit (sequential sums, exact +0.0 padding)."""
         model, full, _ = suite_pair
-        requests = suite_requests(model, SETTINGS)
+        requests = RequestGenerator(
+            model, seed=SETTINGS.request_seed
+        ).generate_many(SETTINGS.num_requests)
         pooling = estimate_pooling_factors(model, num_requests=100, seed=42)
         for configuration in paper_configurations(model.name):
             plan = build_plan(model, configuration, pooling)

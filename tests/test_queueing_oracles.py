@@ -20,10 +20,10 @@ the formula.
 
 import pytest
 
-from repro.experiments import SuiteSettings, run_configuration
-from repro.experiments.runner import RunResult, suite_requests
+from repro.experiments import run_configuration
+from repro.experiments.runner import RunResult
 from repro.models import drm1, drm2
-from repro.requests.generator import Request
+from repro.requests.generator import Request, RequestGenerator
 from repro.serving import ServingConfig, TraceMode
 from repro.serving.columnar import build_chunk_plans
 from repro.serving.simulator import ClusterSimulation
@@ -38,9 +38,7 @@ def _equal_batches(model):
     """A request of ``BATCHES`` equal batches: a sampled request's
     USER-scoped draws (one count per request, repeated in every batch)
     over ``BATCHES`` full batches of items."""
-    sample = suite_requests(
-        model, SuiteSettings(num_requests=1, pooling_requests=150)
-    )[0]
+    sample = RequestGenerator(model, seed=3).generate_many(1)[0]
     draws = {
         name: draw
         for name, draw in sample.draws.items()
@@ -113,9 +111,7 @@ def test_response_serialization_span_starts_at_its_contended_grant():
     """
     model = drm1()
     plan = singular_plan(model)
-    first, second = suite_requests(
-        model, SuiteSettings(num_requests=2, pooling_requests=150)
-    )
+    first, second = RequestGenerator(model, seed=3).generate_many(2)
     serving = ServingConfig(seed=1, service_workers=1)
     cm = serving.cost_model
     probe = ClusterSimulation(model, plan, serving)

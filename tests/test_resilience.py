@@ -21,9 +21,8 @@ from repro.experiments import (
     build_plan,
     run_configuration,
 )
-from repro.experiments.runner import suite_requests
 from repro.models import drm1
-from repro.requests import ReplaySchedule
+from repro.requests import ReplaySchedule, RequestGenerator
 from repro.resilience import ResiliencePolicy
 from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from span_oracle import (
@@ -171,9 +170,7 @@ class TestEmptyPolicyIdentity:
 
     def test_empty_policy_stays_vectorized_eligible(self):
         model, plan = drm1_plan(shards=2)
-        requests = suite_requests(
-            model, SuiteSettings(num_requests=15, pooling_requests=100)
-        )
+        requests = RequestGenerator(model, seed=3).generate_many(15)
         result = run_configuration(
             model, plan, requests,
             ServingConfig(
@@ -188,9 +185,7 @@ class TestEmptyPolicyIdentity:
 class TestVectorizedFallback:
     def test_active_policy_falls_back_with_reason(self):
         model, plan = drm1_plan(shards=2)
-        requests = suite_requests(
-            model, SuiteSettings(num_requests=15, pooling_requests=100)
-        )
+        requests = RequestGenerator(model, seed=3).generate_many(15)
         result = run_configuration(
             model, plan, requests,
             ServingConfig(

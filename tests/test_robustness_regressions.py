@@ -14,12 +14,13 @@ import math
 import numpy as np
 import pytest
 
+import repro.requests
 from repro.analysis.quantiles import median_window_mean, median_window_mean_columns
 from repro.chaos import FaultSchedule
 from repro.chaos.experiment import fault_schedules
 from repro.cli import main
 from repro.core.host import usable_cpus
-from repro.experiments import SuiteSettings, default_workers
+from repro.experiments import SuiteSettings, default_workers, runner
 from repro.experiments.parallel import WORKERS_ENV
 from repro.experiments.runner import RunResult, run_configuration
 from repro.models import drm1
@@ -30,7 +31,12 @@ from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.simulation.costmodel import CostModel
 from repro.sharding import singular_plan
 from repro.sharding.pooling import estimate_pooling_factors
-from repro.workloads.arrivals import PiecewiseRateArrivals, PoissonArrivals
+from repro.workloads.arrivals import (
+    PiecewiseRateArrivals,
+    PoissonArrivals,
+    SerialArrivals,
+)
+from repro.workloads.workload import Workload, WorkloadMix
 
 
 class TestEmptyRunResult:
@@ -86,13 +92,24 @@ class TestRemovedReplayKnobs:
             (ReplaySchedule, "process"),
             (ReplaySchedule, "from_arrivals"),
             (ClusterSimulation, "run_open_loop"),
+            (repro.requests, "ReplayMode"),
+            (runner, "suite_requests"),
         ],
     )
     def test_knob_stays_removed(self, owner, name):
-        """Timed arrivals reach a replay only through ``Workload.sample``
-        (every open-loop verb samples that way), and every open-loop
-        replay runs through ``ClusterSimulation.run_stream``."""
+        """Arrival times come from an ``ArrivalProcess`` alone (a suite's
+        ``SuiteSettings.schedule`` or a workload's ``arrivals``), every
+        sweep replays through the mix driver, and every open-loop replay
+        runs through ``ClusterSimulation.run_stream``."""
         assert not hasattr(owner, name)
+
+    def test_replay_schedule_names_the_arrival_processes(self):
+        """``ReplaySchedule`` is only the historical spelling of the two
+        paper regimes: each call builds the arrival process itself."""
+        assert ReplaySchedule.open_loop(25.0, seed=3) == PoissonArrivals(
+            25.0, seed=3
+        )
+        assert ReplaySchedule.serial() == SerialArrivals()
 
 
 class TestRequestCountValidation:
@@ -243,7 +260,7 @@ def test_cli_profile_sees_the_replay(capsys):
     not a pool wait -- even when ``--workers`` asks for more."""
     argv = ["suite", "--model", "DRM3", "--requests", "5", "--workers", "2"]
     assert main([*argv, "--profile"]) == 0
-    assert "run_configuration" in capsys.readouterr().err
+    assert "run_mix_configuration" in capsys.readouterr().err
 
 
 class TestReplayScheduleSeeding:
@@ -382,6 +399,23 @@ class TestLibraryInputsFailLoudly:
         # 42.9 returned seed 42's estimate under a different cache key.
         with pytest.raises(ValueError, match="seed must be an integer, got"):
             estimate_pooling_factors(drm1(), num_requests=5, seed=bad)
+
+    @pytest.mark.parametrize(
+        "count, error",
+        [
+            ([2.7], TypeError),
+            (True, ValueError),
+            ([True], ValueError),
+            (2.0, TypeError),
+        ],
+        ids=["fractional-list", "bool", "bool-list", "float"],
+    )
+    def test_mix_sample_rejects_non_integral_counts(self, count, error):
+        # [2.7] sampled 2 requests, True and [True] sampled 1, and 2.0
+        # died with "'float' object is not iterable".
+        mix = WorkloadMix((Workload("w", drm1(), PoissonArrivals(5.0)),))
+        with pytest.raises(error, match="count must be"):
+            mix.sample(count)
 
     def test_seeds_accept_numpy_integers(self):
         model = drm1()

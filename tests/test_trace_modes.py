@@ -33,7 +33,7 @@ from repro.experiments import (
     run_mix_suite,
     run_suite,
 )
-from repro.experiments.runner import mix_stream, sequential_sum, suite_requests
+from repro.experiments.runner import mix_stream, sequential_sum
 from repro.models import drm1, drm2, drm3
 from repro.requests import RequestGenerator, ReplaySchedule
 from repro.resilience import ResiliencePolicy
@@ -47,7 +47,9 @@ SERIAL = SuiteSettings(num_requests=25, pooling_requests=150, serving=ServingCon
 
 def assert_suite_matches_oracle(model, settings, results):
     """Replay every configuration of ``results`` on the span oracle."""
-    requests = suite_requests(model, settings)
+    requests = RequestGenerator(
+        model, seed=settings.request_seed
+    ).generate_many(settings.num_requests)
     pooling = estimate_pooling_factors(
         model, num_requests=settings.pooling_requests, seed=settings.pooling_seed
     )
@@ -120,7 +122,9 @@ class TestColumnsMatchSpanOracle:
         settings = SuiteSettings(
             num_requests=50, schedule=ReplaySchedule.open_loop(120.0, seed=2)
         )
-        requests = suite_requests(model, settings)
+        requests = RequestGenerator(
+            model, seed=settings.request_seed
+        ).generate_many(settings.num_requests)
         serving = ServingConfig(
             seed=1,
             chaos=FaultSchedule(
@@ -219,7 +223,9 @@ class TestColumnsMatchSpanOracle:
         span attributions produces."""
         model = drm3()
         pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
-        requests = suite_requests(model, SERIAL)
+        requests = RequestGenerator(
+            model, seed=SERIAL.request_seed
+        ).generate_many(SERIAL.num_requests)
         for configuration in (
             ShardingConfiguration("singular"),
             ShardingConfiguration("NSBP", 4),

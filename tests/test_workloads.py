@@ -1,8 +1,9 @@
 """Workload-subsystem tests: arrival processes, mixes, cache-aware streams.
 
-Covers the refactor's compatibility contract (ReplaySchedule is a thin
-facade with byte-identical classic streams), arrival-stream determinism
-across rate spellings and across sweep worker counts, stable mix
+Covers the compatibility contract (``ReplaySchedule`` names the two
+arrival processes, whose classic streams stay byte-identical),
+arrival-stream determinism across rate spellings and across sweep
+worker counts, stable mix
 merging, the FULL == AGGREGATE bit-for-bit guarantee for co-located
 multi-model runs (including the per-workload label column), and the
 correlated sparse-ID stream feeding the caching analysis.
@@ -74,7 +75,8 @@ def small_mix(arrivals_a=None, arrivals_b=None) -> WorkloadMix:
 
 
 class TestReplayScheduleFacade:
-    """Satellite: count validation + byte-identical classic streams."""
+    """Count validation + byte-identical classic streams, through the
+    historical ``ReplaySchedule`` spellings."""
 
     def test_negative_count_raises_clearly(self):
         with pytest.raises(ValueError, match="count must be >= 0"):
@@ -96,7 +98,7 @@ class TestReplayScheduleFacade:
         assert ReplaySchedule.serial().arrival_times(5) is None
 
     def test_open_loop_stream_is_byte_identical_to_history(self):
-        """The facade must replay the exact historical Poisson stream."""
+        """The alias must replay the exact historical Poisson stream."""
         schedule = ReplaySchedule.open_loop(25.0, seed=2)
         historical = np.cumsum(
             substream(2, "arrivals", 25.0).exponential(1.0 / 25.0, size=400)
