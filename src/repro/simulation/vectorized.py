@@ -158,6 +158,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -177,95 +178,57 @@ from repro.tracing.aggregate import (
 )
 from repro.tracing.span import MAIN_SHARD
 
-# The evaluator's records are the aggregate's CPU charges
-# (:data:`~repro.tracing.aggregate.Record`), emitted out of order and
-# sorted by (time, key) into the DES's recording order: the time the DES
-# records the charge, then structural tie-breaks standing in for the
-# engine's scheduling-sequence order at shared timestamps.  ``key`` packs
-# ``batch << 26 | net << 20 | slot-position``; lockstep chains of equal
-# batches record equal charges at one timestamp, so batch order folds
-# them to the floats their lane order does, and same-chain records at one
-# timestamp keep their call positions.  With each field in its fixed
-# width, comparing keys equals comparing (batch, net, slot-position)
-# tuples.  slot-position packs the DES's (slot, position) pair as
-# ``(slot+1)*8 + position`` (main-side records use slot -1, shard-side
-# records slot >= 0, and positions stay below 8, so the packed int orders
-# exactly like the pair).  The request deserialization takes key -1 (it
-# precedes every batch), and the response serialization and handler
-# charges are appended after the sort, in the DES's order.  Kind is a
-# tie-break only at jitter-laden (measure-zero) time collisions; the
-# numbering puts the shard sparse op before the client request
-# serialization (the one same-sort-rank pair: both use slot-position
-# ``(k+1)*8+2``), matching the DES's tie order.  An RPC's response
-# serialization and fixed service charge always record at one timestamp
-# on one shard, so the evaluator fuses them into one ``_K_SRS_SVC``
-# record.
-
-# Per-request heap events: (time, code, rpc).  ``rpc`` is the RPC's own
-# payload list, ``[ops, serde, overhead, service, costs, shard,
-# record_key, join, t_client]``: its attribution entry (the four
-# AggregatingTracer RPC-entry slots, written when it is served, so the
-# best RPC's payload is the entry finalize reads), its batch's nine cost
-# floats (one row of :meth:`TargetColumns.costs`), its shard index, its
-# record key (slot-position 0 of the RPC's slot), its group's join list
-# ``[outstanding, max done]`` and the client serialization end -- so the
-# handlers of one RPC read its state from the list, not from the
-# request's rows.  A resume event carries ``None``.  ``code`` packs the
-# dispatch rank and the event's identity as
-# ``rank << 57 | lane << 35 | batch << 20 | net << 14 | slot``.  With
-# every field in its fixed width, integer comparison of two codes equals
-# lexicographic comparison of the (rank, lane, batch, net, slot) tuples
-# -- so at equal times, RPC kickoffs dispatch before any jitter-laden
-# completion could coincide (measure zero), and equal-time events of
-# one rank dispatch in lane order.  A chain segment's *lane* is its
-# place in the engine's sequence order among segments that start at
-# one instant: the batch index for the kickoffs (processes spawned at
-# one instant run in spawn order, and a kickoff that waits is handed a
-# worker in that order too); a re-acquire handed a worker after a wait
-# resumes in FIFO order, behind every kickoff, and takes a lane above
-# every batch index (at most ``batches * (nets + 1)``, which fits the
-# lane field whenever the batch fits its own); a re-acquire granted at
-# its request time keeps the lane its chain's RPCs carried, since its
-# group's join completes in their order.  The payload is never compared:
-# (time, code) is unique per event, so the code is only the tie-break,
-# and only the resume handler decodes its batch and net.  Ranks:
-# 0 = issue (client serde done -> egress + outbound network), 1 = send
-# (shard response serialized -> egress + return network), 2 = arrive
-# (response at main -> IO-thread deserialization + join), 3 = serve (the
-# RPC reaches its shard, acquires a shard worker and runs its shard
-# chain) and 4 = resume (a joined chain re-acquires a main worker; slot
-# bits 0); advancing a rank is ``code + _EV_RANK``.  Every code stays
-# below 2**60, a two-digit int.
-_EV_LANE = 35
-_EV_RANK = 1 << 57
-
-
-def _tie_declines(last: list, t: float, grant: float, key: int) -> bool:
-    """Whether an acquire at ``t``, granted at ``grant`` on a pool that
-    can queue, has a DES order the evaluator cannot prove.
-
-    ``last`` is the pool's previous acquire in FIFO order -- ``[time,
-    grant, key, waited]`` -- and is advanced to this one unless the
-    request is declined.  Two acquires at one exact time are ordered by
-    the engine's sequence counter, which decides who waits; so a tie
-    declines once either waits.  Two grants at one exact time after
-    waits resume in FIFO order, and the heap breaks equal-time ties by
-    ``key``, so such a tie must ascend in ``key``; a grant at its
-    request time that ties a handed-over one may resume before or after
-    it, so it declines.
-    """
-    waited = grant > t
-    if waited and t == last[0]:
-        return True
-    if grant == last[1] and (
-        waited != last[3] or (waited and key < last[2])
-    ):
-        return True
-    last[0] = t
-    last[1] = grant
-    last[2] = key
-    last[3] = waited
-    return False
+# Every step of the replay -- a chain step, an RPC's kickoff, its
+# arrival at a shard, its shard steps, its return, its response
+# deserialization, a worker handed over, a chain resumed -- is one
+# dispatch of the DES, and the evaluator names each by its *dispatch
+# key* ``(time, parent, index)``: ``parent`` is the key of the dispatch
+# that scheduled it, ``index`` its place among that dispatch's children.
+# The engine dispatches by ``(time, sequence)``, and a sequence number is
+# drawn when an event is scheduled, so at one time it dispatches first
+# whatever was scheduled first -- the child of the earlier parent, or of
+# one parent the earlier child.  Python's tuple comparison walks exactly
+# that recursion, so comparing two keys compares the dispatches' places
+# in the DES order: keys decide every tie, of heap events, pool grants
+# and recorded charges alike.  Keys are unique (a parent's children take
+# distinct indices), so a comparison never reaches past the index; a
+# key's ancestors compare below it, and every key of a request descends
+# from the dispatch that spawns its batches, ``(t2, _NEVER, 0)``.
+#
+# Heap events are keys that carry two more fields, ``(time, parent,
+# index, kind, payload)``: an RPC's events carry its payload list,
+# ``[ops, serde, overhead, service, costs, shard, net bits, join,
+# t_client]`` -- its attribution entry (the four AggregatingTracer
+# RPC-entry slots, written when it is served, so the best RPC's payload
+# is the entry finalize reads), its batch's nine cost floats (one row of
+# :meth:`TargetColumns.costs`), its shard index, its net's record key
+# bits, its group's join list ``[outstanding, last deserialization key,
+# batch, net]`` and the client serialization end -- and a resume carries
+# the join list.  Kinds: 0 = issue (the RPC's kickoff: main egress +
+# outbound network), 1 = serve (it reaches its shard, acquires a shard
+# worker and runs its shard chain), 2 = send (response serialized:
+# shard egress + return network), 3 = arrive (response at main:
+# IO-thread deserialization + join) and 4 = resume (the joined chain
+# re-acquires a main worker).
+#
+# A pool (main workers, a shard's workers, the IO threads) is a free
+# list holding, per unit, the key of the hand-over its last holder's
+# release would schedule, ``(time, release, index)``.  An acquire at key
+# ``k`` takes the lowest: if that release dispatched before ``k`` the
+# unit is free and the grant is ``k`` itself, else the acquire waits and
+# the hand-over is its grant -- FIFO, since acquires are replayed in the
+# DES order.  A re-acquire or an RPC's acquire that waits at the exact
+# time of its pool's previous acquire still declines the request to the
+# DES (the kickoffs excepted): the replay keeps the one tie contract the
+# rest of the kernel documents, that such a request is the DES's.
+#
+# A charge's record leads with the key of the dispatch that records it
+# (the DES's records lead with their time), and the records sort by it
+# into the DES's recording order.  Sorting on the key alone compares
+# tuples that lead with a float, which the sort specializes.
+_NEVER = (-math.inf,)  # below every key
+_IDLE = (-math.inf, _NEVER, 0)  # an idle unit: released before any acquire
+_dispatch_key = itemgetter(0)
 
 
 class TargetColumns:
@@ -349,14 +312,9 @@ class ChunkPlans:
         self.tail_ser = tail_ser
         self.nets = nets
         self.net_names = net_names
-        # Packed event codes assume these widths; no paper configuration
-        # is anywhere near them.
-        if (
-            len(nets) > 64
-            or any(len(net.targets) > 16384 for net in nets)
-            or max(nb, default=0) > 32768
-        ):
-            raise ValueError("plan exceeds packed event-code field widths")
+        # A record key holds a net index in six bits.
+        if len(nets) > 64:
+            raise ValueError("plan exceeds the record key's 64 nets")
 
 
 class VectorizedColumns(AggregatingTracer):
@@ -489,9 +447,7 @@ class SweepEvaluator:
         self, plans: ChunkPlans, t_start: float, i: int, horizon: float
     ) -> float:
         """Replay request ``i`` of one chunk, starting at ``t_start``;
-        returns its completion time, or ``+inf`` when a tie on a worker
-        pool leaves its order unproven (see "Idle arrivals" in the module
-        docstring).
+        returns its completion time.
 
         The request *commits* -- folds its row, moves the jitter cursor
         and the egress reservations, enters ``completed`` -- only if it
@@ -525,7 +481,7 @@ class SweepEvaluator:
         head = t1 - t0_req if no_skew else (t1 + skm) - (t0_req + skm)
         nb = plans.nb[i]
         # Fresh per request: a committed request's state takes them over.
-        recs: list[Record] = [(t1, -1, _K_SERDE, MAIN_SHARD, deser, 0.0)]
+        recs: list[Record] = [(_NEVER, 0, _K_SERDE, MAIN_SHARD, deser, 0.0)]
         add = recs.append
         b_dense = [0.0] * nb
         b_embedded = [0.0] * nb
@@ -534,8 +490,8 @@ class SweepEvaluator:
         b_sparse = [0.0] * nb
         # Zero-byte fabric delays, read from the simulation's own
         # jitter cursor (bitwise the per-call values, consumed in the
-        # same heap order the DES dispatches); later windows are read
-        # ahead, and the cursor moves only when the request commits.
+        # same order the DES dispatches); later windows are read ahead,
+        # and the cursor moves only when the request commits.
         delays, dpos = fabric.jitter_cursor()
         num_delays = len(delays)
         window = 0
@@ -550,58 +506,44 @@ class SweepEvaluator:
         pr_i = [net.pre[i] for net in nets]
         po_i = [net.post[i] for net in nets]
         lc_i = [net.local[i] for net in nets] if plans.singular else None
-        heap: list[tuple[float, int, Any]] = []
-        io_free = [0.0] * io_threads
+        heap: list[tuple] = []
         main_free = main.egress_free
         shard_free = [server.egress_free for server in servers]
-        ends: list[float] = [0.0] * nb
-        end_lanes: list[int] = [0] * nb
+        ends: list[Any] = [None] * nb
         pend: list[float] = [0.0] * nb
         rpcs = 0
-        best_rpc: list[float] | None = None
+        best_rpc: list[Any] | None = None
         best_rpc_dur = -1.0
         groups = 0
-        # Worker pools.  A batch chain holds one main worker from its
-        # grant until it parks on an RPC group or ends, and an RPC holds
-        # one shard worker from its grant until its response is
-        # serialized; every hold is known when its worker is granted.
-        # So FIFO grants are the free-list (Kiefer-Wolfowitz)
-        # recursion over acquires in heap order: begin at
-        # ``max(t, min(free))``.  At most ``nb`` chains hold a pool's
-        # workers at once (a batch has at most one RPC in service on a
-        # host), so a list of ``min(capacity, nb)`` release times is the
-        # whole pool.  ``m_last``/``s_last`` hold a pool's previous
-        # acquire (time, grant, lane or code, waited), and ``handed``
-        # counts the main grants after a wait (their lanes are
-        # ``nb + handed``).
-        m_free = [t2] * min(self.main_cap, nb)
-        s_free = [[t0_req] * min(cap, nb) for cap in self.shard_caps]
-        s_last = [[-1.0, -1.0, -1, False] for _ in servers]
-        handed = 0
-        ev_send = _EV_RANK
-        ev_arrive = 2 * _EV_RANK
-        ev_serve = 3 * _EV_RANK
-        ev_resume = 4 * _EV_RANK
-        ev_identity = _EV_RANK - 1
-        ev_group = ev_identity ^ 16383  # identity without the slot bits
+        # Worker pools (see the dispatch keys above).  A batch chain
+        # holds one main worker from its grant until it parks on an RPC
+        # group or ends, and an RPC holds one shard worker from its grant
+        # until its response is serialized; every hold is known when its
+        # worker is granted.  At most ``nb`` chains hold a pool's workers
+        # at once (a batch has at most one RPC in service on a host), so
+        # ``min(capacity, nb)`` units are the whole pool.
+        io_free = [_IDLE] * io_threads
+        m_free = [_IDLE] * min(self.main_cap, nb)
+        s_free = [[_IDLE] * min(cap, nb) for cap in self.shard_caps]
 
         def advance(
-            b: int, t: float, n0: int, lane: int, joined: bool,
+            b: int, t: float, g: tuple, n0: int, joined: bool,
             rows: list = rows_i, ov_i: list = ov_i, pr_i: list = pr_i,
             po_i: list = po_i, lc_i: list[list[float]] | None = lc_i,
-        ) -> float:
+        ) -> tuple:
             # One batch chain's lockstep walk from its worker's grant
-            # ``t``, until it either spawns an RPC group (state parks in
-            # ``pend`` and in the join list the group's payloads share;
-            # the join resumes it) or runs out of nets (``ends[b]`` is
-            # final).  Returns when the chain
-            # releases its main worker: after the last client
-            # serialization of the group, or at its end.  A ``joined``
-            # chain resumes net ``n0``'s RPC group: the embedded window
-            # closes at the grant and the dense post half runs before the
-            # walk goes on to the next net.
-            # A singular net spawns no RPC: its local SLS op runs
-            # between the dense halves, where the group would have.
+            # ``t`` (dispatch key ``g``; each step's key is ``g``
+            # again, the previous step its parent), until it either
+            # spawns an RPC group (state parks in ``pend`` and in the join
+            # list the group's payloads share; the join resumes it) or
+            # runs out of nets (``ends[b]`` is the last step's key).
+            # Returns the key of the hand-over its worker's release
+            # schedules: after the last client serialization of the
+            # group, or at its end.  A ``joined`` chain resumes net
+            # ``n0``'s RPC group: the embedded window closes at the grant
+            # and the dense post half runs before the walk goes on to the
+            # next net.  A singular net spawns no RPC: its local SLS op
+            # runs between the dense halves, where the group would have.
             if joined:
                 t_embedded = pend[b]
                 b_embedded[b] += (
@@ -612,54 +554,56 @@ class SweepEvaluator:
                 post = po_i[n0][b]
                 t0 = t
                 t = t0 + post
-                add((
-                    t, (b << 26) | (n0 << 20) | 5, _K_OPS, MAIN_SHARD, post,
-                    0.0,
-                ))
+                g = (t, g, 0)
+                add((g, 0, _K_OPS, MAIN_SHARD, post, 0.0))
                 b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
                 n0 += 1
             for n in range(n0, num_nets):
-                rkey = (b << 26) | (n << 20)
                 overhead = ov_i[n][b]
                 t0 = t
                 t = t0 + overhead
-                add((t, rkey, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
+                g = (t, g, 0)
+                add((g, 0, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
                 b_overhead[b] += (
                     t - t0 if no_skew else (t + skm) - (t0 + skm)
                 )
                 pre = pr_i[n][b]
                 t0 = t
                 t = t0 + pre
-                add((t, rkey | 1, _K_OPS, MAIN_SHARD, pre, 0.0))
+                g = (t, g, 0)
+                add((g, 0, _K_OPS, MAIN_SHARD, pre, 0.0))
                 b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
                 t_embedded = t
-                join = [0.0, -1.0]  # [outstanding RPCs, max done]
-                code_base = (lane << _EV_LANE) | (b << 20) | (n << 14)
-                for k, (shard, costs) in enumerate(rows[n]):
+                # [outstanding RPCs, last deserialization key, batch, net]
+                join: list[Any] = [0, _NEVER, b, n]
+                for shard, costs in rows[n]:
                     c = costs[b]
                     if not c[0]:
                         continue
-                    join[0] += 1.0
                     cst = c[1]
                     t0 = t
                     t = t0 + cst
-                    rk = rkey + ((k + 1) << 3)
-                    add((t, rk + 2, _K_SERDE, MAIN_SHARD, cst, 0.0))
+                    # A client serialization after the group's first is
+                    # scheduled behind the previous one's RPC kickoff.
+                    g = (t, g, 1 if join[0] else 0)
+                    join[0] += 1
+                    add((g, 0, _K_SERDE, MAIN_SHARD, cst, 0.0))
                     b_serde[b] += (
                         t - t0 if no_skew else (t + skm) - (t0 + skm)
                     )
                     heappush(heap, (
-                        t, code_base | k,
-                        [0.0, 0.0, 0.0, 0.0, c, shard, rk, join, t],
+                        t, g, 0, 0,
+                        [0.0, 0.0, 0.0, 0.0, c, shard, n << 20, join, t],
                     ))
                 if join[0]:
                     pend[b] = t_embedded
-                    return t
+                    return (t, g, 1)
                 if lc_i is not None:
                     work = lc_i[n][b]
                     t0 = t
                     t = t0 + work
-                    add((t, rkey | 2, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
+                    g = (t, g, 0)
+                    add((g, 0, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
                     # The embedded window wraps the local SLS op: both
                     # buckets receive the same duration float.
                     d = t - t0 if no_skew else (t + skm) - (t0 + skm)
@@ -668,32 +612,40 @@ class SweepEvaluator:
                 post = po_i[n][b]
                 t0 = t
                 t = t0 + post
-                add((t, rkey | 5, _K_OPS, MAIN_SHARD, post, 0.0))
+                g = (t, g, 0)
+                add((g, 0, _K_OPS, MAIN_SHARD, post, 0.0))
                 b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
-            ends[b] = t
-            end_lanes[b] = lane
-            return t
+            ends[b] = g
+            return (t, g, 0)
 
-        # The kickoffs acquire at t2 in batch order (the engine's
-        # sequence order for processes spawned at one instant).
-        m_last = [t2, t2, -1, False]
+        # The kickoffs acquire at t2 in batch order: the processes spawned
+        # by one dispatch, in spawn order, before any later event.
+        # ``m_last``/``s_last`` hold each pool's previous acquire time.
+        spawn = (t2, _NEVER, 0)
+        m_last = t2
+        s_last = [-1.0] * len(servers)
         for b in range(nb):
+            kickoff = (t2, spawn, b)
             f = min(m_free)
-            g = t2 if t2 >= f else f
-            m_free[m_free.index(f)] = advance(b, g, 0, b, False)
-            m_last[1:] = g, b, g > t2
+            if f[1] < kickoff:
+                m_free[m_free.index(f)] = advance(b, t2, kickoff, 0, False)
+            else:
+                m_free[m_free.index(f)] = advance(b, f[0], f, 0, False)
 
         # Every event but a resume schedules at most one successor, so
         # the loop peeks at the heap's head and hands its slot to that
         # successor with one ``heapreplace``; only an arrive that leaves
         # its group outstanding, and a resume (whose chain may push
-        # several RPCs), pop.  (time, code) is unique, so the dispatch
-        # order is the pop-then-push order.
+        # several RPCs), pop.  Keys are unique, so the dispatch order is
+        # the pop-then-push order.
         while heap:
-            t, code, rpc = heap[0]
-            if code < ev_send:  # issue
-                # Main egress reservation (Lindley over heap order ==
-                # engine order), then the outbound fabric hop.
+            ev = heap[0]
+            t = ev[0]
+            kind = ev[3]
+            rpc = ev[4]
+            if kind == 0:  # issue
+                # Main egress reservation (Lindley over the DES order),
+                # then the outbound fabric hop.
                 wire = rpc[4][7]
                 begin = t if t >= main_free else main_free
                 main_free = begin + wire
@@ -704,11 +656,9 @@ class SweepEvaluator:
                     dpos = 0
                 out_delay = ((begin - t) + wire) + delays[dpos]
                 dpos += 1
-                # The shard worker is acquired at arrival, in heap
-                # order with every other acquire on that shard.
-                heapreplace(heap, (t + out_delay, code + ev_serve, rpc))
+                heapreplace(heap, (t + out_delay, ev, 0, 1, rpc))
                 continue
-            elif code < ev_arrive:  # send
+            elif kind == 2:  # send
                 shard = rpc[5]
                 wire = rpc[4][8]
                 free = shard_free[shard]
@@ -721,19 +671,22 @@ class SweepEvaluator:
                     dpos = 0
                 back_delay = ((begin - t) + wire) + delays[dpos]
                 dpos += 1
-                heapreplace(heap, (t + back_delay, code + ev_send, rpc))
+                # Scheduled behind the hand-over of the shard worker.
+                heapreplace(heap, (t + back_delay, ev, 1, 3, rpc))
                 continue
-            elif code < ev_serve:  # arrive: IO-thread pool, then join
-                # FIFO IO-thread pool: the earliest-free thread
-                # serves next.  min + index over the tiny pool list
-                # beat the two heap sifts; at a tie any thread
-                # yields the same begin float.
-                free = min(io_free)
-                begin = t if t >= free else free
+            elif kind == 3:  # arrive: IO-thread pool, then join
+                f = min(io_free)
+                if f[1] < ev:
+                    begin = t
+                    grant = ev
+                else:
+                    begin = f[0]
+                    grant = f
                 crd = rpc[4][6]
                 done = begin + crd
-                io_free[io_free.index(free)] = done
-                add((done, rpc[6] + 6, _K_SERDE, MAIN_SHARD, crd, 0.0))
+                deser_key = (done, grant, 0)
+                io_free[io_free.index(f)] = (done, deser_key, 0)
+                add((deser_key, 0, _K_SERDE, MAIN_SHARD, crd, 0.0))
                 # rpc_outstanding: arrival order == heap pop order,
                 # strict > keeps the first-recorded maximum.
                 tcl = rpc[8]
@@ -743,34 +696,35 @@ class SweepEvaluator:
                     best_rpc_dur = d
                     best_rpc = rpc
                 join = rpc[7]
-                join[0] -= 1.0
-                if done > join[1]:
-                    join[1] = done
+                join[0] -= 1
+                if deser_key > join[1]:
+                    join[1] = deser_key
                 if join[0]:
                     heappop(heap)
                     continue
                 groups += 1
-                # The re-acquire joins the main pool's FIFO in heap
-                # order at the join maximum, in its chain's lane.
-                heapreplace(
-                    heap, (join[1], (code & ev_group) + ev_resume, None)
-                )
+                # The last deserialization's process ends (behind its
+                # IO thread's hand-over), that ends the group's join,
+                # and the join resumes the chain.
+                last = join[1]
+                ended = (last[0], last, 1)
+                heapreplace(heap, (last[0], ended, 0, 4, join))
                 continue
-            elif code >= ev_resume:  # resume: re-acquire a main worker
-                n = (code >> 14) & 63
-                b = (code >> 20) & 32767
+            elif kind == 4:  # resume: re-acquire a main worker
                 f = min(m_free)
-                grant = t if t >= f else f
-                if grant > t:
-                    lane = nb + handed
-                    handed += 1
-                else:
-                    lane = (code & ev_identity) >> _EV_LANE
-                if _tie_declines(m_last, t, grant, lane):
-                    return math.inf
                 # Popped before the chain pushes its next RPC group.
                 heappop(heap)
-                m_free[m_free.index(f)] = advance(b, grant, n, lane, True)
+                if f[1] < ev:
+                    m_free[m_free.index(f)] = advance(
+                        rpc[2], t, ev, rpc[3], True
+                    )
+                elif t == m_last:
+                    return math.inf
+                else:
+                    m_free[m_free.index(f)] = advance(
+                        rpc[2], f[0], f, rpc[3], True
+                    )
+                m_last = t
                 continue
             # serve: the RPC acquires a worker from its shard's FIFO pool
             # and runs its shard chain from the grant (the rpc_e2e
@@ -778,12 +732,18 @@ class SweepEvaluator:
             shard = rpc[5]
             pool = s_free[shard]
             f = min(pool)
-            grant = t if t >= f else f
-            if _tie_declines(s_last[shard], t, grant, code):
+            if f[1] < ev:
+                grant_t = t
+                g = ev
+            elif t == s_last[shard]:
                 return math.inf
+            else:
+                grant_t = f[0]
+                g = f
+            s_last[shard] = t
             c = rpc[4]
             sdes = c[2]
-            x = grant + sdes
+            x = grant_t + sdes
             x1 = x + service_fixed
             sov = c[3]
             x2 = x1 + sov
@@ -792,19 +752,18 @@ class SweepEvaluator:
             srs = c[5]
             s_done = x3 + srs
             if no_skew:
-                d_sdes = x - grant
+                d_sdes = x - grant_t
                 d_sov = x2 - x1
                 d_slw = x3 - x2
                 d_srs = s_done - x3
                 d_svc = s_done - t
             else:
                 sk = shard_skews[shard]
-                d_sdes = (x + sk) - (grant + sk)
+                d_sdes = (x + sk) - (grant_t + sk)
                 d_sov = (x2 + sk) - (x1 + sk)
                 d_slw = (x3 + sk) - (x2 + sk)
                 d_srs = (s_done + sk) - (x3 + sk)
                 d_svc = (s_done + sk) - (t + sk)
-            pool[pool.index(f)] = s_done
             # The RPC's attribution entry, complete at grant time:
             # each slot is fed only by this RPC's own spans, in chain
             # order (serde = deser + resp ser).
@@ -812,25 +771,33 @@ class SweepEvaluator:
             rpc[1] = d_sdes + d_srs
             rpc[2] = d_sov
             rpc[3] = d_svc
-            rk = rpc[6]
-            add((x, rk, _K_SERDE, shard, sdes, 0.0))
-            add((x2, rk + 1, _K_SERVICE, shard, sov, 0.0))
-            add((x3, rk + 2, _K_OPS_SLW, shard, slw, d_slw))
-            add((s_done, rk + 3, _K_SRS_SVC, shard, srs, service_fixed))
-            heapreplace(heap, (s_done, (code & ev_identity) | ev_send, rpc))
+            # The shard chain's dispatches: deserialization, fixed
+            # service, net overhead, SLS, response serialization (the
+            # send event).
+            k1 = (x, g, 0)
+            k3 = (x2, (x1, k1, 0), 0)
+            k4 = (x3, k3, 0)
+            sent = (s_done, k4, 0, 2, rpc)
+            pool[pool.index(f)] = (s_done, sent, 0)
+            add((k1, 0, _K_SERDE, shard, sdes, 0.0))
+            add((k3, 0, _K_SERVICE, shard, sov, 0.0))
+            add((k4, rpc[6], _K_OPS_SLW, shard, slw, d_slw))
+            add((sent, 0, _K_SRS_SVC, shard, srs, service_fixed))
+            heapreplace(heap, sent)
 
         best_batch = -1
         best_batch_dur = -1.0
-        # Batch records fold in chain-end order: (end, lane) order.
-        for e, _lane, b in sorted(zip(ends, end_lanes, range(nb))):
+        # Batch records fold in the order their chains end.
+        for end, b in sorted(zip(ends, range(nb))):
+            e = end[0]
             d = e - t2 if no_skew else (e + skm) - (t2 + skm)
             if d > best_batch_dur:
                 best_batch_dur = d
                 best_batch = b
-        last_end = ends[0]
+        last_end = ends[0][0]
         for b in range(1, nb):
-            if ends[b] > last_end:
-                last_end = ends[b]
+            if ends[b][0] > last_end:
+                last_end = ends[b][0]
         ser = plans.tail_ser[i]
         t1 = last_end + ser
         tail = t1 - last_end if no_skew else (t1 + skm) - (last_end + skm)
@@ -842,11 +809,11 @@ class SweepEvaluator:
             # request).
             return t_end
         e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
-        recs.sort()
+        recs.sort(key=_dispatch_key)
         # The response serialization and request_e2e charges, last in
-        # the DES's order too (keyed past every batch).
-        add((t1, nb << 26, _K_SERDE, MAIN_SHARD, ser, 0.0))
-        add((t_end, (nb << 26) | 1, _K_SERVICE, MAIN_SHARD, self.handler_cpu, 0.0))
+        # the DES's order too.
+        add((t1, 0, _K_SERDE, MAIN_SHARD, ser, 0.0))
+        add((t_end, 0, _K_SERVICE, MAIN_SHARD, self.handler_cpu, 0.0))
         rid = plans.rids[i]
         fold(
             rid, net_names, recs, nb,

@@ -56,6 +56,7 @@ of ``attribute_request``:
 from __future__ import annotations
 
 import enum
+from typing import Any
 
 import numpy as np
 
@@ -155,9 +156,7 @@ _SPARSE = OpCategory.SPARSE
 # Indices into a live-RPC accumulator entry [ops, serde, overhead, service].
 _R_OPS, _R_SERDE, _R_OVERHEAD, _R_SERVICE = 0, 1, 2, 3
 
-# Record kinds: which sums a CPU charge feeds.  The numbering is also the
-# evaluator's sort tie-break at equal (time, key) -- see
-# :mod:`repro.simulation.vectorized`.
+# Record kinds: which sums a CPU charge feeds.
 _K_OPS_SLW = 0  # sls_remote (shard): sparse op cpu + per-shard op time (dur)
 _K_SERDE = 1  # every serde charge: request/response and RPC ser/deser
 _K_OPS = 2  # dense_pre / dense_post (main): dense op cpu
@@ -165,13 +164,16 @@ _K_SERVICE = 3  # net_sched, request_e2e, rpc_e2e: service cpu
 _K_SRS_SVC = 4  # rpc_resp_ser fused with a fixed rpc_e2e charge (dur)
 _K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
 
-#: One CPU charge: ``(t, key, kind, shard, cpu, dur)``.  ``t`` is the time
-#: it was recorded; ``key`` orders charges recorded at one time, and its
-#: bits ``(key >> 20) & 63`` index the request's net names (read by
-#: ``_K_OPS_SLW``).  ``dur`` is the second float of the two kinds that
+#: One CPU charge: ``(t, key, kind, shard, cpu, dur)``.  ``t`` places it in
+#: recording order: the DES appends charges in that order, ``t`` the time
+#: it records them, and the evaluator leads each with the key of the
+#: dispatch that records it and sorts by it (see
+#: :mod:`repro.simulation.vectorized`).  ``key``'s bits ``(key >> 20) &
+#: 63`` index the request's net names (read by ``_K_OPS_SLW``; 0 for the
+#: other kinds).  ``dur`` is the second float of the two kinds that
 #: carry one -- the wall-stamped op time of ``_K_OPS_SLW`` and the service
 #: cpu of ``_K_SRS_SVC`` -- and 0.0 otherwise.
-Record = tuple[float, int, int, int, float, float]
+Record = tuple[Any, int, int, int, float, float]
 
 
 def fold_charges(
@@ -608,6 +610,9 @@ class AggregatingTracer:
                     col[index] = value
             self._count = index + 1
         finally:
+            # The evaluator's records hold dispatch keys, which reach its
+            # RPC payloads: drop them now, not when the state is reused.
+            del state.records[:]
             self._pool.append(state)
 
     def _grow(self, capacity: int) -> None:

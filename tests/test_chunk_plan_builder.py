@@ -40,7 +40,6 @@ from repro.serving.simulator import ClusterSimulation
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel, ranking_response_bytes
 from repro.simulation.platform import SC_LARGE, SC_SMALL
-from repro.simulation import vectorized
 from repro.simulation.vectorized import ChunkPlans, NetColumns, TargetColumns
 from repro.requests.generator import request_payload_bytes
 
@@ -337,33 +336,17 @@ def _chunk(nets=1, slots=0, nb=1):
     )
 
 
-@pytest.mark.parametrize(
-    "limits",
-    [{"nets": 65}, {"slots": 16385}, {"nb": 32769}],
-    ids=["nets", "slots", "batches"],
-)
-def test_chunk_plans_reject_plans_past_the_code_widths(limits):
-    """The evaluator orders its heap events by packed integer codes, so
-    a plan whose net, slot or batch index would overflow its field is
-    refused when its chunk is built."""
-    with pytest.raises(ValueError, match="packed event-code field widths"):
-        _chunk(**limits)
+def test_chunk_plans_reject_more_nets_than_a_record_key_holds():
+    """A CPU-charge record names its net in six key bits, so a plan of
+    more than 64 nets is refused when its chunk is built."""
+    with pytest.raises(ValueError, match="record key's 64 nets"):
+        _chunk(nets=65)
 
 
-def test_chunk_plans_accept_the_largest_packed_plan():
-    """64 nets, 16384 slots and 32768 batches are the widest plan the
-    codes hold: its largest identity -- every field at its maximum, the
-    lane at its bound ``batches * (nets + 1)`` -- packs below the rank
-    bits, and each field decodes back intact."""
-    nets, slots, nb = 64, 16384, 32768
-    _chunk(nets=nets)
-    _chunk(slots=slots)
-    _chunk(nb=nb)
-    lane = nb * (nets + 1)
-    b, n, k = nb - 1, nets - 1, slots - 1
-    code = (lane << vectorized._EV_LANE) | (b << 20) | (n << 14) | k
-    assert code < vectorized._EV_RANK
-    assert code >> vectorized._EV_LANE == lane
-    assert ((code >> 20) & 32767, (code >> 14) & 63, code & 16383) == (b, n, k)
-    # The highest rank, resume (4), keeps every code below 2**60.
-    assert 4 * vectorized._EV_RANK + code < 1 << 60
+def test_chunk_plans_accept_64_nets_and_any_slot_or_batch_count():
+    """The evaluator orders its events by dispatch keys, not packed
+    integer codes, so slots and batches have no field width: plans past
+    the old 16384-slot and 32768-batch limits build."""
+    _chunk(nets=64)
+    _chunk(slots=16385)
+    _chunk(nb=32769)
