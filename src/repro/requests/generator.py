@@ -85,6 +85,9 @@ if TYPE_CHECKING:
     from repro.core.dlrm import NumericRequest
 
 _DAY_SECONDS = 86_400.0
+#: Relative swing of a request's item count over the day (Section V-B's
+#: diurnal behaviour): the count is scaled by ``1 + amplitude * sin``.
+_DIURNAL_AMPLITUDE = 0.15
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,11 +140,10 @@ class RequestGenerator:
     sequence either way.
     """
 
-    def __init__(self, model: ModelConfig, seed: int = 0, diurnal_amplitude: float = 0.15):
+    def __init__(self, model: ModelConfig, seed: int = 0):
         any_seed.check("seed", seed)
         self.model = model
         self.seed = seed
-        self.diurnal_amplitude = diurnal_amplitude
         self._items_rng = substream(seed, "requests", model.name, "items")
         self._table_rngs: dict[tuple[str, str], np.random.Generator] = {}
 
@@ -155,7 +157,7 @@ class RequestGenerator:
 
     def _diurnal_factor(self, timestamp: float) -> float:
         phase = 2.0 * np.pi * (timestamp % _DAY_SECONDS) / _DAY_SECONDS
-        return 1.0 + self.diurnal_amplitude * float(np.sin(phase))
+        return 1.0 + _DIURNAL_AMPLITUDE * float(np.sin(phase))
 
     # -- scalar reference path --------------------------------------------
     def generate(self, request_id: int, timestamp: float = 0.0) -> Request:
@@ -203,7 +205,7 @@ class RequestGenerator:
         profile = self.model.profile
         base = profile.sample_items_bulk(self._items_rng, len(timestamps))
         phase = 2.0 * np.pi * (timestamps % _DAY_SECONDS) / _DAY_SECONDS
-        factor = 1.0 + self.diurnal_amplitude * np.sin(phase)
+        factor = 1.0 + _DIURNAL_AMPLITUDE * np.sin(phase)
         return np.maximum(profile.min_items, np.round(base * factor)).astype(np.int64)
 
     def generate_batch(self, timestamps: np.ndarray) -> list[Request]:

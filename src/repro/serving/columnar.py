@@ -18,8 +18,9 @@ completion, so the horizon is ``+inf``) -- its batches queueing FIFO for
 the worker pools, unless two acquires on one pool tie at one exact time
 and one waits -- and the DES replays the rest from the same chunk row
 (:meth:`_IdleArrivals.locate` finds it for both), so one build serves
-both paths.  One :class:`VectorizedColumns` collector is the run's
-tracer, so both replay paths fill one set of columns in completion
+both paths.  One :class:`~repro.tracing.aggregate.AggregatingTracer` is
+the run's tracer, and both replay paths attribute into it through its
+``finalize_request``, so they fill one set of columns in completion
 order.
 
 Bit-exactness
@@ -100,8 +101,8 @@ from repro.simulation.vectorized import (
     NetColumns,
     SweepEvaluator,
     TargetColumns,
-    VectorizedColumns,
 )
+from repro.tracing.aggregate import AggregatingTracer
 
 __all__ = [
     "build_chunk_plans",
@@ -597,7 +598,7 @@ def idle_arrival_cluster(
     stream_tenants: list[int],
     requests: list[Request],
     chunk_size: int,
-) -> tuple[VectorizedColumns, ClusterSimulation]:
+) -> tuple[AggregatingTracer, ClusterSimulation]:
     """A cluster whose replay reads its plans from columnar chunks.
 
     ``requests[p]`` (of tenant ``stream_tenants[p]``) is the request at
@@ -609,12 +610,13 @@ def idle_arrival_cluster(
     resolves :func:`vectorized_ineligibility` first -- does the hook get
     an evaluator and commit idle arrivals; under a DES kernel every
     request replays on the DES, still on the chunk's plans.  The
-    returned collector is the cluster's tracer, so the DES's spans and
-    the evaluator's folds land in one set of columns in completion order;
-    the caller wires ``on_complete`` to its ``finalize_request`` as for
-    any DES replay.
+    returned :class:`~repro.tracing.aggregate.AggregatingTracer` is the
+    cluster's tracer: the DES records into it, the evaluator attributes
+    each committed request into it, and both land in one set of columns
+    in completion order; the caller wires ``on_complete`` to its
+    ``finalize_request`` as for any DES replay.
     """
-    collector = VectorizedColumns(len(requests))
+    collector = AggregatingTracer(len(requests))
     cluster = ClusterSimulation.colocated(tenants, serving, tracer=collector)
     evaluator = None
     if serving.kernel == "vectorized":

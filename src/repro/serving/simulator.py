@@ -37,7 +37,8 @@ Fast path: every cost a request will be charged is a pure function of
 (request, plan, cost model) -- none depends on simulation time -- so the
 DES computes none: it reads them, in seconds, from the request's row of
 the :class:`~repro.simulation.vectorized.ChunkPlans` the columnar
-evaluator reads, listed to Python floats once when the request starts:
+evaluator reads, listed to Python floats once when the request starts
+(``ChunkPlans.listed``, the evaluator's listing too):
 the serde, overhead, SLS and dense-half times, and each RPC message's
 wire time, which the sender's egress NIC reserves.  The row is the one
 the idle-arrival hook located, or a one-request chunk's for a request no
@@ -519,24 +520,11 @@ class ClusterSimulation:
         res = self._resilience
         if res is not None:
             res.start_request(rid)
-        # The request's row, listed once: the head and tail serde, the
-        # batch count, and per net its name, per-batch overhead, dense
-        # halves and (singular) local work, and per routing slot its shard
-        # index and per-batch cost tuples (the nine planes of
-        # TargetColumns, batch-major).  No reference to the chunk outlives
-        # the listing, so the chunk is freed when the replay moves past it.
+        # The request's row, listed once as the evaluator lists it
+        # (ChunkPlans.listed).  No reference to the chunk outlives the
+        # listing, so the chunk is freed when the replay moves past it.
         head, tail, nb = chunk.head_deser[row], chunk.tail_ser[row], chunk.nb[row]
-        nets = [
-            (
-                name,
-                net.overhead[row],
-                net.pre[row],
-                net.post[row],
-                net.local[row] if chunk.singular else None,
-                [(target.shard, target.costs(row)) for target in net.targets],
-            )
-            for name, net in zip(chunk.net_names, chunk.nets)
-        ]
+        nets = chunk.listed(row)
         del chunk
 
         yield main.workers.acquire()

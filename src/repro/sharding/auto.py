@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.models.config import ModelConfig
-from repro.requests.generator import RequestGenerator
 from repro.serving.simulator import ServingConfig
-from repro.sharding.plan import ShardingError, ShardingPlan, singular_plan
+from repro.sharding.plan import SINGULAR, ShardingError, ShardingPlan
 from repro.sharding.pooling import estimate_pooling_factors
-from repro.sharding.strategies import STRATEGIES
 
 
 @dataclass(frozen=True)
@@ -68,23 +67,6 @@ class AutoShardResult:
     evaluations: list[CandidateEvaluation] = field(default_factory=list)
 
 
-def _candidate_plans(
-    model: ModelConfig,
-    objective: AutoShardObjective,
-    pooling: dict[str, float],
-) -> list[ShardingPlan]:
-    plans = []
-    for count in objective.shard_counts:
-        for strategy_name in objective.strategies:
-            try:
-                plans.append(
-                    STRATEGIES[strategy_name].build_plan(model, count, pooling)
-                )
-            except ShardingError:
-                continue  # e.g. cap-bal on a dominant-table model
-    return plans
-
-
 def auto_shard(
     model: ModelConfig,
     objective: AutoShardObjective,
@@ -93,34 +75,51 @@ def auto_shard(
 ) -> AutoShardResult:
     """Run the profile-and-select workflow; returns the chosen plan.
 
+    Candidates are built and capacity-filtered here, then ``singular``
+    and the feasible ones are profiled by one :func:`run_suite` sweep.
     ``chosen`` is None when no candidate satisfies both the capacity
     budget and the latency SLA (the caller must relax one of them).
     """
-    from repro.experiments.runner import run_configuration  # local: avoids cycle
+    from repro.experiments.runner import SuiteSettings, run_suite  # local: avoids cycle
 
-    serving = serving or ServingConfig(seed=seed)
     pooling = estimate_pooling_factors(model, num_requests=500, seed=seed)
-    requests = RequestGenerator(model, seed=seed).generate_many(
-        objective.profile_requests
-    )
+    result = AutoShardResult(chosen=None)
+    profiled_configurations = [ShardingConfiguration(SINGULAR)]
+    for count in objective.shard_counts:
+        for strategy_name in objective.strategies:
+            configuration = ShardingConfiguration(strategy_name, count)
+            try:
+                plan = build_plan(model, configuration, pooling)
+            except ShardingError:
+                continue  # e.g. cap-bal on a dominant-table model
+            evaluation = CandidateEvaluation(
+                plan=plan,
+                feasible_capacity=max(plan.capacity_by_shard(model))
+                <= objective.shard_dram_budget,
+            )
+            result.evaluations.append(evaluation)
+            if evaluation.feasible_capacity:
+                profiled_configurations.append(configuration)
 
-    baseline = run_configuration(model, singular_plan(model), requests, serving)
+    settings = SuiteSettings(
+        num_requests=objective.profile_requests,
+        request_seed=seed,
+        pooling_requests=500,
+        pooling_seed=seed,
+        serving=serving or ServingConfig(seed=seed),
+    )
+    runs = run_suite(model, settings, tuple(profiled_configurations))
+    baseline = runs[SINGULAR]
     base_p99 = float(np.percentile(baseline.e2e, 99))
     base_p50 = float(np.percentile(baseline.e2e, 50))
     base_cpu = float(np.percentile(baseline.cpu, 50))
 
-    result = AutoShardResult(chosen=None)
     viable: list[tuple[tuple, CandidateEvaluation]] = []
-    for plan in _candidate_plans(model, objective, pooling):
-        capacities = plan.capacity_by_shard(model)
-        evaluation = CandidateEvaluation(
-            plan=plan,
-            feasible_capacity=max(capacities) <= objective.shard_dram_budget,
-        )
-        result.evaluations.append(evaluation)
+    for evaluation in result.evaluations:
         if not evaluation.feasible_capacity:
             continue
-        profiled = run_configuration(model, plan, requests, serving)
+        # A configuration's run is keyed by its label, its plan's label.
+        profiled = runs[evaluation.label]
         evaluation.p99_latency_overhead = (
             float(np.percentile(profiled.e2e, 99)) - base_p99
         ) / base_p99
@@ -136,7 +135,7 @@ def auto_shard(
         if evaluation.meets_sla:
             # Fewer shards first (fewer servers), then less CPU overhead.
             viable.append(
-                ((plan.num_shards, evaluation.cpu_overhead), evaluation)
+                ((evaluation.plan.num_shards, evaluation.cpu_overhead), evaluation)
             )
     if viable:
         viable.sort(key=lambda entry: entry[0])

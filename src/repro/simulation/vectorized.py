@@ -1,4 +1,4 @@
-"""Columnar replay: the ``vectorized`` kernel's evaluator and collector.
+"""Columnar replay: the ``vectorized`` kernel's evaluator.
 
 The serial closed-loop, chaos-free regime -- the one the paper's figures
 are produced in -- admits a much stronger optimization than a faster
@@ -25,22 +25,25 @@ built a *chunk* of requests at a time:
    the main and per-shard worker pools, and RPC join maxima) with a tiny
    per-request event heap, each RPC's events carrying one payload list
    of its own costs and state, an event with one successor handing it
-   its heap slot.  One body replays both plan shapes, as the
-   DES does: a singular net is a net with no routing slot, whose SLS
-   ops run locally on the main shard between the dense halves, and
-   every plan reads its net overhead per batch.  Every
-   accumulation whose operand order is fixed by construction -- the
-   per-batch bucket lists (one ordered chain per batch), the per-RPC
-   attribution entries (one RPC per entry), the best-RPC selection
-   (response-arrival order == heap pop order) and the bounding-batch
-   selection (batch-record order == ``(end, batch)`` order) -- is
-   computed inline, in the engine's own operand order;
+   its heap slot.  It reads a request's row through
+   :meth:`ChunkPlans.listed`, the listing the DES reads too, and one
+   body replays both plan shapes, as the DES does: a singular net is a
+   net with no routing slot, whose SLS ops run locally on the main shard
+   between the dense halves, and every plan reads its net overhead per
+   batch.  Every accumulation whose operand order is fixed by
+   construction -- the per-batch bucket lists (one ordered chain per
+   batch), the per-RPC attribution entries (one RPC per entry), the
+   best-RPC selection (response-arrival order == heap pop order) and the
+   bounding-batch selection (batch-record order == chain-end dispatch
+   order) -- is computed inline, in the engine's own operand order;
 3. every CPU charge -- the sums that *interleave across chains* --
    becomes the aggregate's compact record, the one the DES appends per
-   charge; the evaluator sorts its records into the DES's ``(time,
-   batch, net, slot-position)`` recording order and hands them to
-   :class:`VectorizedColumns`, the run's one collector, whose
-   ``finalize_request`` folds them exactly as it folds a DES request's.
+   charge, and the evaluator sorts its records into the DES's recording
+   order.  On commit it claims the run's
+   :class:`~repro.tracing.aggregate.AggregatingTracer` request state,
+   fills it as the DES's ``record_interval`` calls would have, and
+   hands it to ``finalize_request``, the one attribution entry of both
+   paths.
 
 Vectorized equivalence
 ======================
@@ -64,23 +67,18 @@ Why this reproduces the chained-yield float order bit for bit:
   consumed through the *simulation's own* :class:`Fabric` cursor
   (:meth:`~repro.simulation.network.Fabric.zero_byte_delays` /
   :meth:`~repro.simulation.network.Fabric.seek`, the windows
-  ``one_way_delay`` reads too) in heap order -- the same ``(time,
-  kickoff-sequence)`` order the DES dispatches, with equal-time events
-  of lockstep chains ordered by their *lane*: the batch index for
-  chains started at one instant, FIFO order for chains handed workers
-  at one instant after a wait -- exactly as the engine's scheduling
-  counter orders them.
+  ``one_way_delay`` reads too) in heap order -- the engine's ``(time,
+  sequence)`` dispatch order, exact ties included, because every event
+  is keyed by its DES dispatch (the dispatch keys below).
 * **Accumulation order.**  Per-accumulator operand order is what must
   match, not the global interleave: an accumulator only sees its own
   records' terms, so any accumulator fed by exactly one ordered chain
   (a batch's bucket sums, an RPC's entry) can be summed inline, while
-  the cross-chain accumulators are folded from records sorted in
-  the DES's recording order (DES record times with structural
-  tie-breaks that reproduce the engine's sequence-counter order).
-  Durations use the DES's wall-stamp expression
-  ``(end+skew)-(start+skew)`` whenever any clock skew is configured
-  (with zero skew ``end-start`` is bitwise identical: ``+0.0`` is an
-  exact no-op on the non-negative timestamps involved).
+  the cross-chain accumulators are folded from records sorted by the
+  keys of the dispatches that record them -- the DES's recording
+  order.  Every duration is the DES's wall-stamp expression
+  ``(end+skew)-(start+skew)``, with the clock skew of the server that
+  records it.
 
 Idle arrivals
 -------------
@@ -104,22 +102,20 @@ conditions:
   its own request's completion).  The evaluator starts its Lindley
   recursions from the servers' reservations, so its NIC floats are the
   DES's.
-* **Every worker-pool order is provable.**  Batches queue FIFO for the
-  main pool (the kickoffs acquire at one instant in batch order, and a
-  chain re-acquires a worker when its RPC group joins) and RPCs for
-  their shard's pool (acquired on arrival), each pool replayed as a
-  free list of release times in heap order.  Only a pool no larger
-  than ``nb`` can queue (each batch holds at most one main worker, and
-  has at most one RPC in service on a host), so a deeper one is
-  replayed as ``nb`` workers.  Two acquires on one pool at one exact
-  time -- other than the kickoffs -- are ordered by the engine's
-  sequence counter, which the evaluator does not replay; if either
-  waits, the order decides who does, so the evaluator *declines* the
-  request to the DES (a wait-free tie grants both at that time, in
-  either order).  Two grants at one exact time after waits resume in
-  FIFO order, and a wait-free re-acquire resumes in its group's join
-  order; the lanes follow both.  No chaos and no
-  live resilience policy run, so nothing else schedules events
+* **No pool acquire waits at its pool's previous acquire time.**
+  Batches queue FIFO for the main pool (the kickoffs acquire at one
+  instant in batch order, and a chain re-acquires a worker when its RPC
+  group joins) and RPCs for their shard's pool (acquired on arrival),
+  each pool replayed as a free list of hand-over keys in dispatch
+  order.  Only a pool no larger than ``nb`` can queue (each batch holds
+  at most one main worker, and has at most one RPC in service on a
+  host), so a deeper one is replayed as ``nb`` workers.  Two acquires
+  on one pool at one exact time -- other than the kickoffs -- are
+  ordered by the engine's sequence counter, which decides who waits.
+  The dispatch keys reproduce that order, but the kernel's contract
+  keeps such a request the DES's: when the later acquire waits, the
+  evaluator *declines* the request.  No chaos and no live resilience
+  policy run, so nothing else schedules events
   (``vectorized_ineligibility``).
 * **It completes strictly before the next arrival's clock** (the float
   the engine will compute, ``now + (next - previous)``; ``+inf`` in a
@@ -148,6 +144,8 @@ paper configuration, all ``RunResult`` columns, serial and parallel)
 and ``tests/test_idle_arrival_replay.py`` (serial, open-loop and mix
 replays == the batched DES across the busy-period range and on 2- and
 1-worker hosts, horizon and pool ties, cluster state);
+``tests/test_exact_ties.py`` fuzzes both kernels under dyadic costs,
+where exact ties are common;
 ``tests/test_queueing_oracles.py`` checks queued batches against a
 closed form, and ``tests/test_chunk_plan_builder.py`` pins the chunk
 columns, the row located for the DES included, to the scalar oracle
@@ -174,7 +172,6 @@ from repro.tracing.aggregate import (
     _K_SRS_SVC,
     AggregatingTracer,
     Record,
-    _RequestState,
 )
 from repro.tracing.span import MAIN_SHARD
 
@@ -316,73 +313,25 @@ class ChunkPlans:
         if len(nets) > 64:
             raise ValueError("plan exceeds the record key's 64 nets")
 
-
-class VectorizedColumns(AggregatingTracer):
-    """The run's collector, fed by both replay paths.
-
-    The DES records into it through ``record_interval``, the evaluator
-    through :meth:`fold_request`; both land in the inherited
-    :meth:`~repro.tracing.aggregate.AggregatingTracer.finalize_request`,
-    which folds the request's CPU charges and writes one row per request
-    in completion order.  Records name their nets per request, so one
-    collector serves every tenant of a co-located mix.
-    """
-
-    def fold_request(
-        self,
-        request_id: int,
-        net_names: list[str],
-        records: list[Record],
-        num_batches: int,
-        spans: int,
-        tail: float,
-        e2e: float,
-        rpcs: int,
-        best_rpc: list[float] | None,
-        best_rpc_dur: float,
-        best_batch: int,
-        best_batch_dur: float,
-        batch_dense: list[float],
-        batch_embedded: list[float],
-        batch_serde: list[float],
-        batch_overhead: list[float],
-        batch_sparse: list[float],
-    ) -> None:
-        """Attribute one request the evaluator replayed.
-
-        The scalar arguments are the single-writer values the evaluator
-        computed inline (the tail serde and e2e windows, the best-RPC and
-        bounding-batch selections, the per-batch bucket lists, head serde
-        included); ``records`` are its CPU charges in the DES's recording
-        order, and ``net_names`` decodes their net bits.  The request's
-        state takes over ``records`` and the bucket lists, so the caller
-        passes fresh lists.
-        """
-        pool = self._pool
-        if pool:
-            state = pool.pop()
-            state.reset()
-        else:
-            state = _RequestState()
-        self.spans_recorded += spans
-        state.records = records
-        state.net_names.extend(net_names)
-        state.tail_serde = tail
-        state.e2e = e2e
-        state.service_count = 1
-        state.num_batches = num_batches
-        state.best_batch = best_batch
-        state.best_batch_dur = best_batch_dur
-        state.rpcs = rpcs
-        state.best_rpc = best_rpc
-        state.best_rpc_dur = best_rpc_dur
-        state.batch_dense = batch_dense
-        state.batch_embedded = batch_embedded
-        state.batch_serde = batch_serde
-        state.batch_overhead = batch_overhead
-        state.batch_sparse = batch_sparse
-        self._live[request_id] = state
-        self.finalize_request(request_id)
+    def listed(self, row: int) -> list[tuple]:
+        """Request ``row``'s plans listed once, for both replay paths:
+        per net ``(name, overhead, pre, post, local, slots)`` -- the
+        per-batch net overheads, dense halves and (singular plans; else
+        ``None``) local SLS work, and per routing slot its shard index
+        and per-batch cost lists (:meth:`TargetColumns.costs`).  Nothing
+        in the listing refers back to the chunk."""
+        singular = self.singular
+        return [
+            (
+                name,
+                net.overhead[row],
+                net.pre[row],
+                net.post[row],
+                net.local[row] if singular else None,
+                [(target.shard, target.costs(row)) for target in net.targets],
+            )
+            for name, net in zip(self.net_names, self.nets)
+        ]
 
 
 class SweepEvaluator:
@@ -391,9 +340,10 @@ class SweepEvaluator:
     The evaluator keeps no replay state of its own: everything a request
     leaves behind that a later request (or the DES) reads lives on the
     cluster objects it is handed -- the fabric's jitter cursor, the
-    servers' egress reservations and the ``completed`` map -- and is
-    written back only when a request *commits*.  A request's egress
-    Lindley recursions start from the servers' own reservations, and its
+    servers' egress reservations, the ``completed`` map and the run's
+    :class:`~repro.tracing.aggregate.AggregatingTracer` -- and is
+    written only when a request *commits*.  A request's egress Lindley
+    recursions start from the servers' own reservations, and its
     IO-thread and worker pools start idle: in the regime the evaluator
     runs in, every earlier request has completed, so every thread and
     worker is free and every reservation (each precedes its own
@@ -403,7 +353,7 @@ class SweepEvaluator:
 
     __slots__ = (
         "fabric", "main", "shards", "completed", "collector",
-        "skew_main", "shard_skews", "no_skew",
+        "skew_main", "shard_skews",
         "request_fixed", "response_fixed", "service_fixed", "handler_cpu",
         "io_threads", "main_cap", "shard_caps",
     )
@@ -414,7 +364,7 @@ class SweepEvaluator:
         main,
         shards: list,
         cost_model: CostModel,
-        collector: VectorizedColumns,
+        collector: AggregatingTracer,
         completed: dict[int, float],
     ) -> None:
         # ``main``/``shards`` are the cluster's SimServers (worker pool,
@@ -426,11 +376,6 @@ class SweepEvaluator:
         self.collector = collector
         self.skew_main = main.clock_skew
         self.shard_skews = [server.clock_skew for server in shards]
-        # Zero skew (the default) makes every ``(end+skew)-(start+skew)``
-        # bitwise equal to ``end-start`` (the operands are non-negative,
-        # so ``+0.0`` is an exact no-op) -- the replay loops branch to
-        # the plain subtraction.
-        self.no_skew = self.skew_main == 0.0 and not any(self.shard_skews)
         self.request_fixed = cost_model.request_handler_fixed
         self.response_fixed = cost_model.response_handler_fixed
         self.service_fixed = cost_model.rpc_service_fixed
@@ -447,29 +392,23 @@ class SweepEvaluator:
         self, plans: ChunkPlans, t_start: float, i: int, horizon: float
     ) -> float:
         """Replay request ``i`` of one chunk, starting at ``t_start``;
-        returns its completion time.
+        returns its completion time, or ``+inf`` when a pool acquire
+        waits at the time of the pool's previous acquire (see
+        "Idle arrivals" in the module docstring).
 
-        The request *commits* -- folds its row, moves the jitter cursor
-        and the egress reservations, enters ``completed`` -- only if it
-        completes strictly before ``horizon``; otherwise the cluster is
-        left untouched and the caller hands the request to the DES.
+        The request *commits* -- attributes its row, moves the jitter
+        cursor and the egress reservations, enters ``completed`` -- only
+        if it completes strictly before ``horizon``; otherwise the
+        cluster is left untouched and the caller hands the request to
+        the DES.
         """
-        collector = self.collector
-        fold = collector.fold_request
-        completed = self.completed
-        net_names = plans.net_names
         fabric = self.fabric
         main = self.main
         servers = self.shards
         skm = self.skew_main
         shard_skews = self.shard_skews
-        no_skew = self.no_skew
         request_fixed = self.request_fixed
-        response_fixed = self.response_fixed
         service_fixed = self.service_fixed
-        io_threads = self.io_threads
-        nets = plans.nets
-        num_nets = len(nets)
         heappush = heapq.heappush
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
@@ -478,7 +417,7 @@ class SweepEvaluator:
         deser = plans.head_deser[i]
         t1 = t0_req + deser
         t2 = t1 + request_fixed
-        head = t1 - t0_req if no_skew else (t1 + skm) - (t0_req + skm)
+        head = (t1 + skm) - (t0_req + skm)
         nb = plans.nb[i]
         # Fresh per request: a committed request's state takes them over.
         recs: list[Record] = [(_NEVER, 0, _K_SERDE, MAIN_SHARD, deser, 0.0)]
@@ -495,17 +434,11 @@ class SweepEvaluator:
         delays, dpos = fabric.jitter_cursor()
         num_delays = len(delays)
         window = 0
-        # Per-request row prefetch: list this request's plane per (net,
-        # slot) batch-major, beside the slot's shard, so an RPC's payload
-        # takes its batch's nine cost floats as one list and the heap
-        # branches index no rows at all.
-        rows_i = [
-            [(tg.shard, tg.costs(i)) for tg in net.targets] for net in nets
-        ]
-        ov_i = [net.overhead[i] for net in nets]
-        pr_i = [net.pre[i] for net in nets]
-        po_i = [net.post[i] for net in nets]
-        lc_i = [net.local[i] for net in nets] if plans.singular else None
+        # The request's row, listed once as the DES lists it; an RPC's
+        # payload takes its batch's nine cost floats as one list, so the
+        # heap branches index no rows at all.
+        nets = plans.listed(i)
+        num_nets = len(nets)
         heap: list[tuple] = []
         main_free = main.egress_free
         shard_free = [server.egress_free for server in servers]
@@ -522,15 +455,11 @@ class SweepEvaluator:
         # worker is granted.  At most ``nb`` chains hold a pool's workers
         # at once (a batch has at most one RPC in service on a host), so
         # ``min(capacity, nb)`` units are the whole pool.
-        io_free = [_IDLE] * io_threads
+        io_free = [_IDLE] * self.io_threads
         m_free = [_IDLE] * min(self.main_cap, nb)
         s_free = [[_IDLE] * min(cap, nb) for cap in self.shard_caps]
 
-        def advance(
-            b: int, t: float, g: tuple, n0: int, joined: bool,
-            rows: list = rows_i, ov_i: list = ov_i, pr_i: list = pr_i,
-            po_i: list = po_i, lc_i: list[list[float]] | None = lc_i,
-        ) -> tuple:
+        def advance(b: int, t: float, g: tuple, n0: int, joined: bool) -> tuple:
             # One batch chain's lockstep walk from its worker's grant
             # ``t`` (dispatch key ``g``; each step's key is ``g``
             # again, the previous step its parent), until it either
@@ -546,37 +475,32 @@ class SweepEvaluator:
             # runs between the dense halves, where the group would have.
             if joined:
                 t_embedded = pend[b]
-                b_embedded[b] += (
-                    t - t_embedded
-                    if no_skew
-                    else (t + skm) - (t_embedded + skm)
-                )
-                post = po_i[n0][b]
+                b_embedded[b] += (t + skm) - (t_embedded + skm)
+                post = nets[n0][3][b]
                 t0 = t
                 t = t0 + post
                 g = (t, g, 0)
                 add((g, 0, _K_OPS, MAIN_SHARD, post, 0.0))
-                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
+                b_dense[b] += (t + skm) - (t0 + skm)
                 n0 += 1
             for n in range(n0, num_nets):
-                overhead = ov_i[n][b]
+                _name, overheads, pres, posts, local, slots = nets[n]
+                overhead = overheads[b]
                 t0 = t
                 t = t0 + overhead
                 g = (t, g, 0)
                 add((g, 0, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
-                b_overhead[b] += (
-                    t - t0 if no_skew else (t + skm) - (t0 + skm)
-                )
-                pre = pr_i[n][b]
+                b_overhead[b] += (t + skm) - (t0 + skm)
+                pre = pres[b]
                 t0 = t
                 t = t0 + pre
                 g = (t, g, 0)
                 add((g, 0, _K_OPS, MAIN_SHARD, pre, 0.0))
-                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
+                b_dense[b] += (t + skm) - (t0 + skm)
                 t_embedded = t
                 # [outstanding RPCs, last deserialization key, batch, net]
                 join: list[Any] = [0, _NEVER, b, n]
-                for shard, costs in rows[n]:
+                for shard, costs in slots:
                     c = costs[b]
                     if not c[0]:
                         continue
@@ -588,9 +512,7 @@ class SweepEvaluator:
                     g = (t, g, 1 if join[0] else 0)
                     join[0] += 1
                     add((g, 0, _K_SERDE, MAIN_SHARD, cst, 0.0))
-                    b_serde[b] += (
-                        t - t0 if no_skew else (t + skm) - (t0 + skm)
-                    )
+                    b_serde[b] += (t + skm) - (t0 + skm)
                     heappush(heap, (
                         t, g, 0, 0,
                         [0.0, 0.0, 0.0, 0.0, c, shard, n << 20, join, t],
@@ -598,23 +520,23 @@ class SweepEvaluator:
                 if join[0]:
                     pend[b] = t_embedded
                     return (t, g, 1)
-                if lc_i is not None:
-                    work = lc_i[n][b]
+                if local is not None:
+                    work = local[b]
                     t0 = t
                     t = t0 + work
                     g = (t, g, 0)
                     add((g, 0, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
                     # The embedded window wraps the local SLS op: both
                     # buckets receive the same duration float.
-                    d = t - t0 if no_skew else (t + skm) - (t0 + skm)
+                    d = (t + skm) - (t0 + skm)
                     b_sparse[b] += d
                     b_embedded[b] += d
-                post = po_i[n][b]
+                post = posts[b]
                 t0 = t
                 t = t0 + post
                 g = (t, g, 0)
                 add((g, 0, _K_OPS, MAIN_SHARD, post, 0.0))
-                b_dense[b] += t - t0 if no_skew else (t + skm) - (t0 + skm)
+                b_dense[b] += (t + skm) - (t0 + skm)
             ends[b] = g
             return (t, g, 0)
 
@@ -690,7 +612,7 @@ class SweepEvaluator:
                 # rpc_outstanding: arrival order == heap pop order,
                 # strict > keeps the first-recorded maximum.
                 tcl = rpc[8]
-                d = t - tcl if no_skew else (t + skm) - (tcl + skm)
+                d = (t + skm) - (tcl + skm)
                 rpcs += 1
                 if d > best_rpc_dur:
                     best_rpc_dur = d
@@ -705,8 +627,11 @@ class SweepEvaluator:
                 groups += 1
                 # The last deserialization's process ends (behind its
                 # IO thread's hand-over), that ends the group's join,
-                # and the join resumes the chain.
+                # and the join resumes the chain.  The key leaves the
+                # join list: it leads back to this payload, which holds
+                # the list, and a cycle would outlive the request.
                 last = join[1]
+                join[1] = None
                 ended = (last[0], last, 1)
                 heapreplace(heap, (last[0], ended, 0, 4, join))
                 continue
@@ -751,26 +676,15 @@ class SweepEvaluator:
             x3 = x2 + slw
             srs = c[5]
             s_done = x3 + srs
-            if no_skew:
-                d_sdes = x - grant_t
-                d_sov = x2 - x1
-                d_slw = x3 - x2
-                d_srs = s_done - x3
-                d_svc = s_done - t
-            else:
-                sk = shard_skews[shard]
-                d_sdes = (x + sk) - (grant_t + sk)
-                d_sov = (x2 + sk) - (x1 + sk)
-                d_slw = (x3 + sk) - (x2 + sk)
-                d_srs = (s_done + sk) - (x3 + sk)
-                d_svc = (s_done + sk) - (t + sk)
+            sk = shard_skews[shard]
+            d_slw = (x3 + sk) - (x2 + sk)
             # The RPC's attribution entry, complete at grant time:
             # each slot is fed only by this RPC's own spans, in chain
             # order (serde = deser + resp ser).
             rpc[0] = d_slw
-            rpc[1] = d_sdes + d_srs
-            rpc[2] = d_sov
-            rpc[3] = d_svc
+            rpc[1] = ((x + sk) - (grant_t + sk)) + ((s_done + sk) - (x3 + sk))
+            rpc[2] = (x2 + sk) - (x1 + sk)
+            rpc[3] = (s_done + sk) - (t + sk)
             # The shard chain's dispatches: deserialization, fixed
             # service, net overhead, SLS, response serialization (the
             # send event).
@@ -790,7 +704,7 @@ class SweepEvaluator:
         # Batch records fold in the order their chains end.
         for end, b in sorted(zip(ends, range(nb))):
             e = end[0]
-            d = e - t2 if no_skew else (e + skm) - (t2 + skm)
+            d = (e + skm) - (t2 + skm)
             if d > best_batch_dur:
                 best_batch_dur = d
                 best_batch = b
@@ -800,32 +714,47 @@ class SweepEvaluator:
                 last_end = ends[b][0]
         ser = plans.tail_ser[i]
         t1 = last_end + ser
-        tail = t1 - last_end if no_skew else (t1 + skm) - (last_end + skm)
-        t_end = t1 + response_fixed
+        t_end = t1 + self.response_fixed
         if t_end >= horizon:
             # Not committed: the cursor, the reservations and the
             # collector are untouched (the read-ahead windows stay
             # drawn; the DES consumes them when it replays this
             # request).
             return t_end
-        e2e = t_end - t0_req if no_skew else (t_end + skm) - (t0_req + skm)
         recs.sort(key=_dispatch_key)
         # The response serialization and request_e2e charges, last in
         # the DES's order too.
         add((t1, 0, _K_SERDE, MAIN_SHARD, ser, 0.0))
         add((t_end, 0, _K_SERVICE, MAIN_SHARD, self.handler_cpu, 0.0))
-        rid = plans.rids[i]
-        fold(
-            rid, net_names, recs, nb,
-            3 + nb + (3 if lc_i is None else 5) * nb * num_nets + groups
-            + 8 * rpcs,
-            tail, e2e, rpcs, best_rpc, best_rpc_dur,
-            best_batch, best_batch_dur,
-            b_dense, b_embedded, b_serde, b_overhead, b_sparse,
+        # The request's state, filled as the DES's record_interval calls
+        # would have left it.
+        collector = self.collector
+        state = collector.claim()
+        state.records = recs
+        state.net_names.extend(plans.net_names)
+        state.tail_serde = (t1 + skm) - (last_end + skm)
+        state.e2e = (t_end + skm) - (t0_req + skm)
+        state.service_count = 1
+        state.num_batches = nb
+        state.best_batch = best_batch
+        state.best_batch_dur = best_batch_dur
+        state.rpcs = rpcs
+        state.best_rpc = best_rpc
+        state.best_rpc_dur = best_rpc_dur
+        state.batch_dense = b_dense
+        state.batch_embedded = b_embedded
+        state.batch_serde = b_serde
+        state.batch_overhead = b_overhead
+        state.batch_sparse = b_sparse
+        collector.spans_recorded += (
+            3 + nb + (5 if plans.singular else 3) * nb * num_nets + groups
+            + 8 * rpcs
         )
+        rid = plans.rids[i]
+        collector.finalize_request(rid, state)
         fabric.seek(window, dpos)
         main.egress_free = main_free
         for server, free in zip(servers, shard_free):
             server.egress_free = free
-        completed[rid] = t_end - t0_req
+        self.completed[rid] = t_end - t0_req
         return t_end

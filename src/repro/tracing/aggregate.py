@@ -23,12 +23,14 @@ A request's in-flight state (pooled and reused) holds two things:
   completion.
 
 Both replay paths fill that state.  The DES drives ``record_interval``,
-which updates the single-writer accumulators and appends each charge in
-call order -- already the recording order.  The columnar evaluator
-(:class:`~repro.simulation.vectorized.VectorizedColumns`) computes the
-single-writer values inline and hands over its records, sorted into the
-DES's recording order.  Either way :meth:`AggregatingTracer.finalize_request`
-folds the records and writes the request's row.
+which claims a state (:meth:`AggregatingTracer.claim`), updates the
+single-writer accumulators and appends each charge in call order --
+already the recording order.  The columnar evaluator
+(:class:`~repro.simulation.vectorized.SweepEvaluator`) claims a state
+for a request it commits, writes the single-writer values it computed
+inline and its records, sorted into the DES's recording order.  Either
+way :meth:`AggregatingTracer.finalize_request` folds the records and
+writes the request's row.
 
 Spans are an opt-in sink for code that reads them (trace rendering,
 Fig 3): a bare :class:`~repro.serving.simulator.ClusterSimulation` in
@@ -383,6 +385,17 @@ class AggregatingTracer:
         # reaches a shard contributes exactly 0.0 to its column.
         self._shard_cols: dict[str, dict] = {kind: {} for kind in SHARD_KINDS}
 
+    def claim(self) -> _RequestState:
+        """A reset in-flight state from the pool (a new one when the pool
+        is empty).  ``record_interval`` claims one per request; the
+        columnar evaluator claims one for a request it commits, fills
+        it, and hands it to :meth:`finalize_request`."""
+        if self._pool:
+            state = self._pool.pop()
+            state.reset()
+            return state
+        return _RequestState()
+
     # -- recording (hot path) ---------------------------------------------
     def record_interval(
         self,
@@ -404,12 +417,7 @@ class AggregatingTracer:
         else:
             state = self._live.get(request_id)
             if state is None:
-                if self._pool:
-                    state = self._pool.pop()
-                    state.reset()
-                else:
-                    state = _RequestState()
-                self._live[request_id] = state
+                state = self._live[request_id] = self.claim()
             self._last_id = request_id
             self._last_state = state
         # Durations from wall-stamped endpoints, exactly as a Span stores
@@ -507,16 +515,23 @@ class AggregatingTracer:
                 state.rpc_entry(rpc_id)[_R_SERVICE] = duration
 
     # -- columnar attribution (request completion) ------------------------
-    def finalize_request(self, request_id: int) -> None:
+    def finalize_request(
+        self, request_id: int, state: _RequestState | None = None
+    ) -> None:
         """Attribute one completed request into the next row of the output
         columns: fold its CPU charges (:func:`fold_charges`), read its
-        single-writer sums, and recycle its state."""
-        state = self._live.pop(request_id, None)
+        single-writer sums, and recycle its state.
+
+        The DES's request is attributed from the state its
+        ``record_interval`` calls filled; the evaluator passes the
+        state it claimed (:meth:`claim`) and filled itself."""
         if state is None:
-            raise AttributionError("no spans for request")
-        if request_id == self._last_id:
-            self._last_id = None
-            self._last_state = None
+            state = self._live.pop(request_id, None)
+            if state is None:
+                raise AttributionError("no spans for request")
+            if request_id == self._last_id:
+                self._last_id = None
+                self._last_state = None
         try:
             if state.service_count != 1:
                 raise AttributionError(

@@ -10,10 +10,14 @@ the evaluator must reproduce that order (its dispatch keys) on every
 resource a tie can contend for -- the egress NICs, the jitter cursor,
 the worker pools and IO threads -- and in the order it folds CPU
 charges.  Each case replays one plan under ``batched`` and
-``vectorized`` and compares every column bit for bit.
+``vectorized`` and compares every column bit for bit, and every
+request's CPU charges in the order they are folded: an equal-time
+charge folded out of the DES's order can leave the sums unchanged (a
+zero charge, or exact dyadic terms) and still be wrong.
 """
 
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +32,7 @@ from repro.serving import ServingConfig
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel
 from repro.simulation.network import FabricSpec
+from repro.tracing import aggregate
 from repro.workloads import PoissonArrivals, SerialArrivals
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -91,6 +96,35 @@ def _replay(case, kernel):
     return run_configuration(model, _plan(*plan_key), requests, serving, schedule)
 
 
+def _charges(records, net_names):
+    """A request's CPU charges in folding order, without their record
+    times: the evaluator leads a record with its dispatch key and fuses
+    a response serialization with its fixed service charge."""
+    charges = []
+    for _t, key, kind, shard, cpu, dur in records:
+        if kind == aggregate._K_SRS_SVC:
+            charges.append((aggregate._K_SERDE, shard, cpu))
+            charges.append((aggregate._K_SERVICE, shard, dur))
+        elif kind == aggregate._K_OPS_SLW:
+            charges.append((kind, shard, cpu, dur, net_names[(key >> 20) & 63]))
+        else:
+            charges.append((kind, shard, cpu))
+    return charges
+
+
+def _replay_charges(case, kernel):
+    """``_replay``, plus the charges of each request it attributes."""
+    folded = []
+    fold = aggregate.fold_charges
+
+    def spy(records, net_names):
+        folded.append(_charges(records, net_names))
+        return fold(records, net_names)
+
+    with mock.patch.object(aggregate, "fold_charges", spy):
+        return _replay(case, kernel), folded
+
+
 _units = st.sampled_from((0, 1, 2, 4, 8, 16, 32))
 
 cases = st.tuples(
@@ -124,22 +158,34 @@ CASE_B = (
     (16, 8, 0, 0.0), 3, None,
 )
 
+# Case C: a singular plan's free local SLS op (no dispatch or dequant
+# cost) ends at the instant another batch's dense op ends.  The DES
+# scheduled the dense op first and folds its charge first; a sort on
+# record time alone keeps emission order and folds the zero charge
+# ahead of it.  The sums cannot show that, the charge order does.
+CASE_C = (
+    ("DRM1", "singular", 0), (4, 4, 4, 32, 2, 32, 0, 0, 8, 4, 0, 8), 4,
+    (0, 8, 0, 0.0), 3, None,
+)
+
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @example(CASE_A)
 @example(CASE_B)
+@example(CASE_C)
 @given(cases)
 def test_vectorized_matches_batched_under_exact_ties(case):
-    batched = _replay(case, "batched")
-    hybrid = _replay(case, "vectorized")
+    batched, des_charges = _replay_charges(case, "batched")
+    hybrid, charges = _replay_charges(case, "vectorized")
     assert hybrid.kernel_used == "vectorized", case
     assert batched.des_requests == len(batched), case
     assert_run_identical(batched, hybrid, case)
+    assert charges == des_charges, case
 
 
-@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+@pytest.mark.parametrize("case", [CASE_A, CASE_B, CASE_C], ids=["A", "B", "C"])
 def test_serial_tie_cases_commit_every_request(case):
-    """Cases A and B are serial closed loops: every request arrives at
+    """Cases A, B and C are serial closed loops: every request arrives at
     an idle cluster with an infinite horizon, so the evaluator commits
     all of them, ties included."""
     assert _replay(case, "vectorized").des_requests == 0

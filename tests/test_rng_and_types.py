@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -263,3 +264,15 @@ class TestUnitsAndFormatting:
         assert OpCategory.SPARSE not in DENSE_CATEGORIES
         assert OpCategory.RPC not in DENSE_CATEGORIES
         assert OpCategory.DENSE in DENSE_CATEGORIES
+
+
+class TestWallStampFact:
+    @given(
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.floats(min_value=0.0, allow_infinity=False),
+    )
+    def test_zero_skew_wall_stamp_is_plain_subtraction(self, a, b):
+        """A duration is ``(end + skew) - (start + skew)``; with zero skew
+        that is bitwise ``end - start`` for the non-negative times of a
+        replay, so one expression serves skewed and unskewed servers."""
+        assert struct.pack("<d", (a + 0.0) - (b + 0.0)) == struct.pack("<d", a - b)

@@ -31,6 +31,7 @@ from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.simulation.costmodel import CostModel
 from repro.sharding import singular_plan
 from repro.sharding.pooling import estimate_pooling_factors
+from repro.simulation import vectorized
 from repro.workloads.arrivals import (
     PiecewiseRateArrivals,
     PoissonArrivals,
@@ -94,14 +95,21 @@ class TestRemovedReplayKnobs:
             (ClusterSimulation, "run_open_loop"),
             (repro.requests, "ReplayMode"),
             (runner, "suite_requests"),
+            (vectorized, "VectorizedColumns"),
         ],
     )
     def test_knob_stays_removed(self, owner, name):
         """Arrival times come from an ``ArrivalProcess`` alone (a suite's
         ``SuiteSettings.schedule`` or a workload's ``arrivals``), every
         sweep replays through the mix driver, and every open-loop replay
-        runs through ``ClusterSimulation.run_stream``."""
+        runs through ``ClusterSimulation.run_stream``.  The evaluator
+        attributes into a plain ``AggregatingTracer``."""
         assert not hasattr(owner, name)
+
+    def test_request_generator_takes_no_diurnal_amplitude(self):
+        """The diurnal swing of request sizes is a module constant."""
+        with pytest.raises(TypeError, match="diurnal_amplitude"):
+            RequestGenerator(drm1(), seed=0, diurnal_amplitude=0.15)
 
     def test_replay_schedule_names_the_arrival_processes(self):
         """``ReplaySchedule`` is only the historical spelling of the two
