@@ -35,15 +35,6 @@ from repro.experiments.configs import (
 if TYPE_CHECKING:
     from repro.workloads.workload import MixedStream, WorkloadMix
 
-#: Vectorized-kernel chunk size (requests per columnar batch).  The fast
-#: path materializes per-request cost arrays one chunk at a time, so peak
-#: memory is O(chunk), not O(sweep) -- 2048 keeps million-request sweeps
-#: flat while amortizing numpy dispatch.  Chunking changes only how many
-#: requests are columnarized per numpy pass, never the replay arithmetic,
-#: so any chunk size yields bit-identical results.
-CHUNK_SIZE = 2048
-
-
 class RunResult:
     """Attributed measurements for one simulated configuration.
 
@@ -332,58 +323,6 @@ def _one_workload(
     return WorkloadMix((Workload(model.name, model, arrivals, request_seed),)), stream
 
 
-def _replay_cluster(
-    result: RunResult,
-    tenants: list[tuple[ModelConfig, ShardingPlan]],
-    serving: ServingConfig,
-    stream_tenants: list[int],
-    requests: list[Request],
-) -> tuple[AggregatingTracer, ClusterSimulation]:
-    """The tracer and cluster a run replays on, with the kernel that
-    replays it recorded on ``result``.
-
-    Every run reads its plans from columnar chunks
-    (:func:`~repro.serving.columnar.idle_arrival_cluster`).  Under the
-    ``vectorized`` kernel (the default) idle arrivals, serial or
-    open-loop, take the columnar engine; a run the evaluator cannot serve
-    (:func:`~repro.serving.columnar.vectorized_ineligibility`) falls back
-    to the batched DES, with the reason on ``result.kernel_fallback``.
-    """
-    from repro.serving.columnar import (
-        idle_arrival_cluster,
-        vectorized_ineligibility,
-    )
-
-    if serving.kernel == "vectorized":
-        result.kernel_fallback = vectorized_ineligibility(serving)
-        if result.kernel_fallback is not None:
-            serving = serving.with_kernel("batched")
-    result.kernel_used = serving.kernel
-    return idle_arrival_cluster(
-        tenants, serving, stream_tenants, requests, CHUNK_SIZE
-    )
-
-
-def _replay(
-    cluster: ClusterSimulation,
-    tracer: AggregatingTracer,
-    result: RunResult,
-    run,
-    *args,
-) -> None:
-    """Replay on the DES with ``tracer`` attributing every completion,
-    then move the columns and the replay's outcome onto ``result``."""
-    tracer.outcomes = cluster.outcomes
-    cluster.on_complete = tracer.finalize_request
-    run(*args)
-    result.adopt_aggregate(tracer)
-    result.des_requests = cluster.des_requests
-    result.incomplete_requests = tuple(cluster.dropped_requests)
-    result.chaos_timeline = cluster.chaos_timeline
-    result.resilience_stats = cluster.resilience_stats
-    result.aborted_rpcs = cluster.aborted_rpcs
-
-
 @dataclass(frozen=True)
 class SuiteSettings:
     """Shared settings for a paper-style sweep over configurations.
@@ -453,7 +392,18 @@ def run_mix_configuration(
     request is sent when the previous response returns.  The returned
     :class:`RunResult` carries a per-workload label column in completion
     order.
+
+    Every request is attributed by one
+    :class:`~repro.tracing.aggregate.AggregatingTracer` as it completes.
+    Under the ``vectorized`` kernel (the default) the cluster's
+    evaluator replays the idle arrivals, serial or open-loop; a run the
+    evaluator cannot serve
+    (:func:`~repro.serving.columnar.vectorized_ineligibility`) falls back
+    to the batched DES, with the reason on ``kernel_fallback``.
     """
+    from repro.serving.columnar import vectorized_ineligibility
+    from repro.simulation.vectorized import SweepEvaluator
+
     if len(plans) != len(mix.workloads):
         raise ValueError(
             f"got {len(plans)} plans for {len(mix.workloads)} workloads"
@@ -465,21 +415,36 @@ def run_mix_configuration(
         workload_labels=mix.labels(),
         plans=plans,
     )
-    tracer, cluster = _replay_cluster(
-        result,
+    serving = serving or ServingConfig()
+    if serving.kernel == "vectorized":
+        result.kernel_fallback = vectorized_ineligibility(serving)
+        if result.kernel_fallback is not None:
+            serving = serving.with_kernel("batched")
+    result.kernel_used = serving.kernel
+    tracer = AggregatingTracer(len(stream))
+    cluster = ClusterSimulation.colocated(
         [(workload.model, plan) for workload, plan in zip(mix.workloads, plans)],
-        serving or ServingConfig(),
-        stream.workload_ids.tolist(),
-        stream.requests,
+        serving,
+        tracer=tracer,
     )
+    if serving.kernel == "vectorized":
+        cluster.evaluator = SweepEvaluator(cluster)
     if len(mix.workloads) > 1:
         # Merged request ids are stream positions; one tenant's rows
         # all read workload 0, whatever its request ids.
         tracer.workload_ids = stream.workload_ids
+    tracer.outcomes = cluster.outcomes
+    cluster.on_complete = tracer.finalize_request
     if stream.times is None:
-        _replay(cluster, tracer, result, cluster.run_serial, stream.requests)
+        cluster.run_serial(stream.requests)
     else:
-        _replay(cluster, tracer, result, cluster.run_stream, stream)
+        cluster.run_stream(stream)
+    result.adopt_aggregate(tracer)
+    result.des_requests = cluster.des_requests
+    result.incomplete_requests = tuple(cluster.dropped_requests)
+    result.chaos_timeline = cluster.chaos_timeline
+    result.resilience_stats = cluster.resilience_stats
+    result.aborted_rpcs = cluster.aborted_rpcs
     return result
 
 

@@ -1,25 +1,25 @@
-"""The plan builder, and the idle-arrival hook of the ``vectorized`` kernel.
+"""The plan builder of every replay, and the ``vectorized`` kernel's gate.
 
 This module is the serving-side half of the vectorized fast path (the
 evaluator half lives in :mod:`repro.simulation.vectorized`): it decides
-*whether* a run may use the evaluator (:func:`vectorized_ineligibility`),
-builds every execution plan as per-chunk numpy columns
+*whether* a run may use the evaluator (:func:`vectorized_ineligibility`)
+and builds every execution plan as per-chunk numpy columns
 (:func:`build_chunk_plans`, the only plan builder, whose
-:class:`ChunkPlans` is the one plan object both replay paths read), and
-installs the hook through which the DES offers the evaluator every
-request that arrives at an idle cluster (:func:`idle_arrival_cluster`).
+:class:`ChunkPlans` is the one plan object both replay paths read).
 Every replay -- serial closed-loop, open-loop, or a co-located mix,
-under any kernel -- runs on the DES driver; plans are built per tenant
-over chunks of stream positions, for every request, and a request no
-chunk holds (a bare cluster's) gets a one-request chunk.
-The evaluator commits a request if it completes strictly before the
-next arrival (for a serial run the next arrival is the request's own
-completion, so the horizon is ``+inf``) -- its batches queueing FIFO for
-the worker pools, unless two acquires on one pool tie at one exact time
-and one waits -- and the DES replays the rest from the same chunk row
-(:meth:`_IdleArrivals.locate` finds it for both), so one build serves
-both paths.  One :class:`~repro.tracing.aggregate.AggregatingTracer` is
-the run's tracer, and both replay paths attribute into it through its
+under any kernel, on a bare cluster too -- runs on the DES driver,
+which plans the entries it replays per tenant, :data:`CHUNK_SIZE`
+stream positions at a time, when it reaches them
+(:meth:`ClusterSimulation._locate`).  Under the ``vectorized`` kernel
+the cluster carries an evaluator (``ClusterSimulation.evaluator``),
+offered every request that arrives at an idle cluster; it commits a
+request if it completes strictly before the next arrival (for a serial
+run the next arrival is the request's own completion, so the horizon is
+``+inf``) -- its batches queueing FIFO for the worker pools, unless two
+acquires on one pool tie at one exact time and one waits -- and the DES
+replays the rest from the same chunk row, so one build serves both
+paths.  One :class:`~repro.tracing.aggregate.AggregatingTracer` is the
+run's tracer, and both replay paths attribute into it through its
 ``finalize_request``, so they fill one set of columns in completion
 order.
 
@@ -73,7 +73,7 @@ table in ``tables_for_net`` order, zero for a table the group never
 draws, plus one zero padding plane -- in a small bounded LRU (so a
 multi-configuration sweep over one request sample reuses them across
 configurations without holding every chunk; entry size is bounded by
-``repro.experiments.runner.CHUNK_SIZE``).  The (slot, table, request,
+:data:`CHUNK_SIZE`).  The (slot, table, request,
 batch) temporaries of one (group, net) pass are released before the
 next.  Nothing is memoized *on* the request objects.
 """
@@ -89,26 +89,28 @@ from repro.core.types import Num
 from repro.models.config import FeatureScope, ModelConfig, TableConfig
 from repro.requests.generator import Request, request_payload_bytes
 from repro.serving.simulator import ClusterSimulation, ServingConfig, _Tenant
-from repro.sharding.plan import ShardingPlan
 from repro.simulation.costmodel import (
     ranking_response_bytes,
     rpc_request_bytes,
     rpc_response_bytes,
     wire_time,
 )
-from repro.simulation.vectorized import (
-    ChunkPlans,
-    NetColumns,
-    SweepEvaluator,
-    TargetColumns,
-)
-from repro.tracing.aggregate import AggregatingTracer
+from repro.simulation.vectorized import ChunkPlans, NetColumns, TargetColumns
 
 __all__ = [
+    "CHUNK_SIZE",
     "build_chunk_plans",
-    "idle_arrival_cluster",
     "vectorized_ineligibility",
 ]
+
+#: Requests per chunk: a replay plans its stream this many positions at
+#: a time (:meth:`ClusterSimulation._locate`, which reads it per chunk),
+#: so peak memory is O(chunk), not O(stream) -- 2048 keeps
+#: million-request sweeps flat while amortizing numpy dispatch.
+#: Chunking changes only how many requests are columnarized per numpy
+#: pass, never the replay arithmetic, so any chunk size yields
+#: bit-identical results.
+CHUNK_SIZE = 2048
 
 #: Stable fallback-reason strings, asserted by the gating tests.
 REASON_CHAOS = "chaos fault schedule"
@@ -120,9 +122,9 @@ def vectorized_ineligibility(serving: ServingConfig) -> str | None:
 
     No run with fault injection or a live resilience policy can: both
     schedule timers on the event loop.  No pool gate is needed: the
-    evaluator models FIFO worker queueing, the replay sends only the
-    requests that arrive at an idle cluster through it
-    (:func:`idle_arrival_cluster`), and the DES replays the rest.  The
+    evaluator models FIFO worker queueing, the replay offers it only the
+    requests that arrive at an idle cluster
+    (``ClusterSimulation._arrive``), and the DES replays the rest.  The
     trace mode plays no part: every run is attributed by the aggregate
     accumulator the evaluator folds into.  Everything here is a pure
     function of the *configuration* -- never of the request sample -- so
@@ -505,130 +507,3 @@ def build_chunk_plans(
         nets,
         [net_cfg.name for net_cfg in model.nets],
     )
-
-
-# -- the idle-arrival hook ----------------------------------------------------
-class _IdleArrivals:
-    """The columnar hook :meth:`ClusterSimulation.run_serial` and
-    :meth:`ClusterSimulation.run_stream` consult at every arrival.
-
-    Plans are built per chunk of ``chunk_size`` stream positions, per
-    tenant, when the first request of the chunk asks for one, and
-    released when the stream moves to the next chunk.  :meth:`locate`
-    finds an arrival's chunk row, which both replay paths read:
-    :meth:`offer` replays it on the evaluator when it arrives at an idle
-    cluster, and the DES replays it from the same row when the offer is
-    declined.  The hook holds no reference to the cluster, so a finished
-    cluster is freed at once.
-    """
-
-    def __init__(
-        self,
-        evaluator: SweepEvaluator | None,
-        tenants: list[int],
-        requests: list[Request],
-        chunk_size: int,
-    ) -> None:
-        self.evaluator = evaluator
-        self.tenants = tenants
-        self.requests = requests
-        self.chunk_size = chunk_size
-        self._chunk = -1
-        #: Chunk offset -> (the tenant's plans, row in them).
-        self._rows: list[tuple[ChunkPlans, int]] = []
-
-    def _build(self, cluster: ClusterSimulation, chunk: int) -> None:
-        start = chunk * self.chunk_size
-        stop = start + self.chunk_size
-        offsets_of: dict[int, list[int]] = {}
-        for offset, tenant in enumerate(self.tenants[start:stop]):
-            offsets_of.setdefault(tenant, []).append(offset)
-        requests = self.requests[start:stop]
-        rows: list = [None] * len(requests)
-        # Release the previous chunk's plans before building this one.
-        self._rows = rows
-        for tenant_index, offsets in sorted(offsets_of.items()):
-            plans = build_chunk_plans(
-                cluster,
-                cluster.tenants[tenant_index],
-                [requests[offset] for offset in offsets],
-            )
-            for row, offset in enumerate(offsets):
-                rows[offset] = (plans, row)
-        self._chunk = chunk
-
-    def locate(
-        self, cluster: ClusterSimulation, position: int, tenant: int,
-        request: Request,
-    ) -> tuple[ChunkPlans, int] | None:
-        """The chunk and row of the request at ``position``, building its
-        chunk first if needed; ``None`` for a stream entry that is not
-        the request planned there (the DES plans it alone)."""
-        # Plans exist only for the requests the cluster was built with;
-        # any other stream entry is the DES's to plan.
-        if (
-            position >= len(self.requests)
-            or self.requests[position] is not request
-            or self.tenants[position] != tenant
-        ):
-            return None
-        chunk, offset = divmod(position, self.chunk_size)
-        if chunk != self._chunk:
-            self._build(cluster, chunk)
-        return self._rows[offset]
-
-    def offer(
-        self, located: tuple[ChunkPlans, int], now: float, horizon: float
-    ) -> float | None:
-        """The completion time of the located request replayed from
-        ``now`` and committed, or ``None`` when the DES must replay it:
-        there is no evaluator, its acquires tie on a worker pool, or it
-        would not finish strictly before the next arrival's clock
-        ``horizon``."""
-        if self.evaluator is None:
-            return None
-        plans, row = located
-        t_end = self.evaluator.replay_chunk(plans, now, row, horizon)
-        return t_end if t_end < horizon else None
-
-
-def idle_arrival_cluster(
-    tenants: list[tuple[ModelConfig, ShardingPlan]],
-    serving: ServingConfig,
-    stream_tenants: list[int],
-    requests: list[Request],
-    chunk_size: int,
-) -> tuple[AggregatingTracer, ClusterSimulation]:
-    """A cluster whose replay reads its plans from columnar chunks.
-
-    ``requests[p]`` (of tenant ``stream_tenants[p]``) is the request at
-    position ``p`` of the sequence the caller then passes to
-    :meth:`ClusterSimulation.run_serial` or (as a stream)
-    :meth:`ClusterSimulation.run_stream`; an entry that is not that
-    request object of that tenant is left to the DES, which plans it
-    alone.  Only under ``serving.kernel == "vectorized"`` -- the caller
-    resolves :func:`vectorized_ineligibility` first -- does the hook get
-    an evaluator and commit idle arrivals; under a DES kernel every
-    request replays on the DES, still on the chunk's plans.  The
-    returned :class:`~repro.tracing.aggregate.AggregatingTracer` is the
-    cluster's tracer: the DES records into it, the evaluator attributes
-    each committed request into it, and both land in one set of columns
-    in completion order; the caller wires ``on_complete`` to its
-    ``finalize_request`` as for any DES replay.
-    """
-    collector = AggregatingTracer(len(requests))
-    cluster = ClusterSimulation.colocated(tenants, serving, tracer=collector)
-    evaluator = None
-    if serving.kernel == "vectorized":
-        evaluator = SweepEvaluator(
-            cluster.fabric,
-            cluster.main,
-            cluster.sparse_servers,
-            cluster.config.cost_model,
-            collector,
-            cluster.completed,
-        )
-    cluster.idle_arrival = _IdleArrivals(
-        evaluator, stream_tenants, requests, chunk_size
-    )
-    return collector, cluster

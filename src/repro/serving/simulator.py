@@ -40,9 +40,9 @@ the :class:`~repro.simulation.vectorized.ChunkPlans` the columnar
 evaluator reads, listed to Python floats once when the request starts
 (``ChunkPlans.listed``, the evaluator's listing too):
 the serde, overhead, SLS and dense-half times, and each RPC message's
-wire time, which the sender's egress NIC reserves.  The row is the one
-the idle-arrival hook located, or a one-request chunk's for a request no
-chunk holds; the one plan builder
+wire time, which the sender's egress NIC reserves.  Each replay driver
+plans the entries it replays, a chunk of positions at a time, when it
+reaches them (:meth:`ClusterSimulation._locate`); the one plan builder
 (:func:`repro.serving.columnar.build_chunk_plans`) evaluates the cost
 model's formulas with the scalar float-operation order exactly.
 """
@@ -81,8 +81,7 @@ from repro.tracing.span import MAIN_SHARD, Layer, Tracer
 if TYPE_CHECKING:
     from repro.chaos.faults import FaultSchedule
     from repro.resilience.policy import ResiliencePolicy
-    from repro.serving.columnar import _IdleArrivals
-    from repro.simulation.vectorized import ChunkPlans
+    from repro.simulation.vectorized import ChunkPlans, SweepEvaluator
 
 _SERDE = Layer.SERDE
 _OPERATOR = Layer.OPERATOR
@@ -305,8 +304,8 @@ class ClusterSimulation:
         """Build a cluster serving several (model, plan) tenants at once.
 
         Tenant ``t``'s sparse shard ``i`` is served by shared host
-        ``sparse-{i}``; the main (dense) tier is one shared server.  Use
-        ``submit(request, tenant=t)`` / :meth:`run_stream` to drive it.
+        ``sparse-{i}``; the main (dense) tier is one shared server.
+        Drive it with :meth:`run_stream`.
         """
         cluster = cls.__new__(cls)
         cluster._setup(list(tenants), config, tracer)
@@ -374,18 +373,16 @@ class ClusterSimulation:
         self._taken: set[int] = set()
         #: Requests handed to the DES (:meth:`_start`) so far.
         self.des_requests = 0
-        #: Optional columnar hook for :meth:`run_serial` and
-        #: :meth:`run_stream` (see :meth:`_arrive`), installed by
-        #: :func:`repro.serving.columnar.idle_arrival_cluster`: its
-        #: ``locate(cluster, position, tenant, request)`` gives every
-        #: arrival's ``(chunk, row)`` (``None``: the DES plans it in a
-        #: one-request chunk), and its ``offer(located, now, horizon)``
-        #: replays a request that arrives at an idle cluster, returning
-        #: the completion time when it committed the request (its row,
-        #: ``completed`` entry and every cluster state the DES would have
-        #: left), ``None`` when the DES must replay it.  :meth:`submit`
-        #: bypasses the hook.
-        self.idle_arrival: _IdleArrivals | None = None
+        #: Optional columnar evaluator of the ``vectorized`` kernel,
+        #: offered every request that arrives at an idle cluster
+        #: (:meth:`_arrive`); ``None`` replays every request on the DES.
+        #: It commits a request -- its row, ``completed`` entry and every
+        #: cluster state the DES would have left -- only when it completes
+        #: strictly before the next arrival.
+        self.evaluator: SweepEvaluator | None = None
+        #: The replay's current chunk (:meth:`_locate`): its first stream
+        #: position and, per position, the request's ``(plans, row)``.
+        self._chunk: tuple[int, list[Any]] = (0, [])
         policy = self.config.resilience
         live_policy = policy is not None and not policy.is_empty
         #: Per-request outcome ledger both fault runtimes write (the
@@ -476,11 +473,9 @@ class ClusterSimulation:
         return rng.multinomial(count, [1.0 / parts] * parts)
 
     # -- request lifecycle -------------------------------------------------------
-    def _take(self, request: Request, tenant: Any) -> int:
-        """Admit a request where the cluster first takes it: its tenant
-        must index one of the cluster's tenants, and its id must be new
-        to the cluster.  Returns the tenant index."""
-        tenant = self._tenant_index.check("tenant", tenant)
+    def _take(self, request: Request) -> None:
+        """Admit a request where the cluster first takes it: its id must
+        be new to the cluster."""
         rid = request.request_id
         if rid in self._taken:
             raise ValueError(
@@ -488,29 +483,45 @@ class ClusterSimulation:
                 f"ids must be unique across all tenants of a run"
             )
         self._taken.add(rid)
-        return tenant
 
-    def submit(self, request: Request, tenant: int = 0) -> Event:
-        """Inject one request now (for ``tenant``); returns its completion
-        event.  Request ids must be unique across all tenants of a run.
-        The DES plans the request in a one-request chunk."""
-        return self._start(request, self._take(request, tenant), None)
+    def _locate(
+        self, entries: list[tuple[Any, Any, Request]], position: int
+    ) -> tuple[ChunkPlans, int]:
+        """The chunk plans and row of the request at ``entries[position]``.
 
-    def _start(
-        self,
-        request: Request,
-        tenant: int,
-        located: tuple[ChunkPlans, int] | None,
-    ) -> Event:
-        """Hand an admitted request to the DES."""
-        if located is None:
-            # No chunk holds this request (a bare cluster, or a stream
-            # entry the idle-arrival hook did not plan).
-            from repro.serving.columnar import build_chunk_plans
+        A replay plans its ``(arrival, tenant, request)`` entries when it
+        reaches them, :data:`repro.serving.columnar.CHUNK_SIZE` positions
+        at a time, with one :func:`~repro.serving.columnar.build_chunk_plans`
+        call per tenant of the chunk; the previous chunk's rows are
+        released first, so one chunk's cost columns are alive at a time.
+        A tenant that indexes none of the cluster's tenants raises
+        ``ValueError`` here, before any request of its chunk replays."""
+        start, rows = self._chunk
+        if position - start < len(rows):
+            return rows[position - start]
+        from repro.serving import columnar
 
-            located = (build_chunk_plans(self, self.tenants[tenant], [request]), 0)
+        chunk = entries[position:position + columnar.CHUNK_SIZE]
+        offsets_of: dict[int, list[int]] = {}
+        for offset, (_at, tenant, _request) in enumerate(chunk):
+            tenant = self._tenant_index.check("tenant", tenant)
+            offsets_of.setdefault(tenant, []).append(offset)
+        rows = [None] * len(chunk)
+        # Release the previous chunk's plans before building this one.
+        self._chunk = (position, rows)
+        for tenant, offsets in sorted(offsets_of.items()):
+            plans = columnar.build_chunk_plans(
+                self, self.tenants[tenant], [chunk[offset][2] for offset in offsets]
+            )
+            for row, offset in enumerate(offsets):
+                rows[offset] = (plans, row)
+        return rows[0]
+
+    def _start(self, request: Request, plans: ChunkPlans, row: int) -> Event:
+        """Hand an admitted request to the DES, planned by chunk row
+        ``row`` of ``plans``."""
         self.des_requests += 1
-        return self.engine.process(self._serve_request(request, *located))
+        return self.engine.process(self._serve_request(request, plans, row))
 
     def _serve_request(self, request: Request, chunk: ChunkPlans, row: int):
         engine, cm, main = self.engine, self.config.cost_model, self.main
@@ -1047,8 +1058,7 @@ class ClusterSimulation:
         The abort-safety valve: any exception that unwinds a replay mid-
         flight leaves the tracer holding the interrupted requests' state,
         which would otherwise leak for the rest of a sweep.  The replay
-        drivers call this from a ``finally`` via :meth:`_finish_replay`;
-        callers driving :meth:`submit` by hand can call it directly.
+        drivers call this from a ``finally`` via :meth:`_finish_replay`.
         """
         stale = self.tracer.drain_incomplete()
         self.dropped_requests.extend(stale)
@@ -1068,44 +1078,47 @@ class ClusterSimulation:
             self.drain_incomplete()
 
     def _arrive(
-        self, position: int, tenant: Any, request: Request, horizon: float
+        self, entries: list[tuple[Any, Any, Request]], position: int,
+        horizon: float,
     ) -> float | Event:
-        """Take the request at stream ``position``.
+        """Take the request at stream ``position`` and locate its chunk
+        row (:meth:`_locate`).
 
-        The :attr:`idle_arrival` hook locates its chunk row.  A request
-        that arrives while the engine holds no event and every earlier
-        request has completed is offered to the hook's evaluator, with
-        the next arrival's clock as its ``horizon``.  Returns the
-        completion time of a request the evaluator committed, else the
-        completion event of the DES replaying it from the same row."""
-        tenant = self._take(request, tenant)
-        idle_arrival = self.idle_arrival
-        located: tuple[ChunkPlans, int] | None = None
-        if idle_arrival is not None:
-            located = idle_arrival.locate(self, position, tenant, request)
-            if (
-                located is not None
-                and self.engine.idle()
-                and len(self.completed) == position
-            ):
-                t_end = idle_arrival.offer(located, self.engine.now, horizon)
-                if t_end is not None:
-                    return t_end
-        return self._start(request, tenant, located)
+        A request that arrives while the engine holds no event and every
+        earlier request has completed is offered to the
+        :attr:`evaluator`, with the next arrival's clock as its
+        ``horizon``.  Returns the completion time of a request the
+        evaluator committed, else the completion event of the DES
+        replaying it from the same row."""
+        request = entries[position][2]
+        self._take(request)
+        plans, row = self._locate(entries, position)
+        evaluator = self.evaluator
+        if (
+            evaluator is not None
+            and self.engine.idle()
+            and len(self.completed) == len(self._taken) - 1
+        ):
+            t_end = evaluator.replay_chunk(plans, self.engine.now, row, horizon)
+            if t_end < horizon:
+                return t_end
+        return self._start(request, plans, row)
 
     def run_serial(self, requests: Iterable[Request]) -> None:
         """Serial blocking replay: next request sent after the previous
         response returns (paper Section VI).
 
-        Every request is offered to the :attr:`idle_arrival` hook first
+        Every request is offered to the :attr:`evaluator` first
         (:meth:`_arrive`); the next arrival is the request's own
         completion, so the horizon is ``+inf``.  A repeated request id
         raises ``ValueError``."""
         engine = self.engine
+        entries = [(None, 0, request) for request in requests]
+        self._chunk = (0, [])  # the chunk state belongs to this replay
 
         def driver():
-            for position, request in enumerate(requests):
-                arrived = self._arrive(position, 0, request, math.inf)
+            for position in range(len(entries)):
+                arrived = self._arrive(entries, position, math.inf)
                 if isinstance(arrived, Event):
                     yield arrived
                 else:
@@ -1130,21 +1143,19 @@ class ClusterSimulation:
         the cluster's tenants, or a repeated request id raises
         ``ValueError``.
 
-        Every request is offered to the :attr:`idle_arrival` hook first
-        (:meth:`_arrive`); the DES replays it only when the hook declines.
-        A committed request finished strictly before the next arrival,
-        so no event of the DES could have interleaved with it."""
+        Every request is offered to the :attr:`evaluator` first
+        (:meth:`_arrive`); the DES replays it when the evaluator declines
+        it.  A committed request finished strictly before the next
+        arrival, so no event of the DES could have interleaved with it."""
         engine = self.engine
+        entries = list(stream)
+        self._chunk = (0, [])  # the chunk state belongs to this replay
         last_end = 0.0
 
         def driver():
             nonlocal last_end
             previous = 0.0
-            items = iter(stream)
-            item = next(items, None)
-            position = 0
-            while item is not None:
-                at, tenant, request = item
+            for position, (at, _tenant, _request) in enumerate(entries):
                 at = finite_non_negative.check("arrival time", at, "stream: ")
                 delay = at - previous
                 if delay < 0.0:
@@ -1154,17 +1165,15 @@ class ClusterSimulation:
                     )
                 yield delay
                 previous = at
-                item = next(items, None)
                 # The next arrival's clock, computed exactly as the
                 # engine will compute it from this driver's delay.
                 horizon = (
-                    math.inf if item is None
-                    else engine.now + (float(item[0]) - previous)
+                    math.inf if position + 1 == len(entries)
+                    else engine.now + (float(entries[position + 1][0]) - previous)
                 )
-                arrived = self._arrive(position, tenant, request, horizon)
+                arrived = self._arrive(entries, position, horizon)
                 if not isinstance(arrived, Event):
                     last_end = arrived
-                position += 1
 
         engine.process(driver())
         try:

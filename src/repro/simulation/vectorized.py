@@ -83,10 +83,11 @@ Why this reproduces the chained-yield float order bit for bit:
 Idle arrivals
 -------------
 
-Every replay runs on the DES driver, and both drivers --
-``ClusterSimulation.run_serial`` and ``ClusterSimulation.run_stream`` --
-offer the evaluator every request that arrives at an idle cluster
-(:func:`repro.serving.columnar.idle_arrival_cluster`), one request at a
+Every replay runs on the DES driver.  Under the ``vectorized`` kernel
+the cluster carries an evaluator (``ClusterSimulation.evaluator``), and
+both drivers -- ``ClusterSimulation.run_serial`` and
+``ClusterSimulation.run_stream`` -- offer it every request that arrives
+at an idle cluster (``ClusterSimulation._arrive``), one request at a
 time, starting at the driver's own ``engine.now``; the DES replays the
 rest.  In a serial closed loop every request arrives at an idle cluster
 and the next arrival is the request's own completion, so the horizon is
@@ -122,11 +123,12 @@ conditions:
   serial closed loop).  Then every event of the request precedes the
   driver's next resumption, in the DES as here: the request's rows,
   ``completed`` entry, jitter draws and egress reservations are the
-  ones the DES would record, in the same completion order.  A *tie* is different: at equal times the engine
-  resumes the driver first (its resumption was scheduled at the
-  previous arrival, before the request's final events), so the next
-  request arrives while this one still holds its tail -- and may queue
-  on a worker.  Ties, and later completions, therefore go to the DES.
+  ones the DES would record, in the same completion order.  A *tie* is
+  different: at equal times the engine resumes the driver first (its
+  resumption was scheduled at the previous arrival, before the request's
+  final events), so the next request arrives while this one still holds
+  its tail -- and may queue on a worker.  Ties, and later completions,
+  therefore go to the DES.
 
 A declined evaluation -- a pool tie, or a completion at or after the
 horizon -- leaves no trace: the event heap and the RPC payloads its
@@ -135,8 +137,9 @@ reads the jitter cursor ahead without moving it, writes reservations,
 rows and ``completed`` only on commit, and the DES, replaying the same
 request, consumes every window the evaluator read ahead -- so
 ``_jitter_pos`` and the fabric RNG state end where a pure-DES run leaves
-them.  The DES takes a request's plans from the same chunk rows the
-evaluator reads, so the replay builds each plan once.
+them.  The DES takes a request's plans from the same chunk row the
+evaluator reads (the driver plans its stream a chunk at a time,
+``ClusterSimulation._locate``), so the replay builds each plan once.
 
 The regression pins for all of this are
 ``tests/test_kernel_equivalence.py`` (vectorized == batched on every
@@ -157,12 +160,10 @@ from __future__ import annotations
 import heapq
 import math
 from operator import itemgetter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.simulation.costmodel import CostModel
-from repro.simulation.network import Fabric
 from repro.tracing.aggregate import (
     _K_OPS,
     _K_OPS_LOCAL,
@@ -174,6 +175,9 @@ from repro.tracing.aggregate import (
     Record,
 )
 from repro.tracing.span import MAIN_SHARD
+
+if TYPE_CHECKING:
+    from repro.serving.simulator import ClusterSimulation
 
 # Every step of the replay -- a chain step, an RPC's kickoff, its
 # arrival at a shard, its shard steps, its return, its response
@@ -194,12 +198,12 @@ from repro.tracing.span import MAIN_SHARD
 #
 # Heap events are keys that carry two more fields, ``(time, parent,
 # index, kind, payload)``: an RPC's events carry its payload list,
-# ``[ops, serde, overhead, service, costs, shard, net bits, join,
+# ``[ops, serde, overhead, service, costs, shard, net, join,
 # t_client]`` -- its attribution entry (the four AggregatingTracer
 # RPC-entry slots, written when it is served, so the best RPC's payload
 # is the entry finalize reads), its batch's nine cost floats (one row of
-# :meth:`TargetColumns.costs`), its shard index, its net's record key
-# bits, its group's join list ``[outstanding, last deserialization key,
+# :meth:`TargetColumns.costs`), its shard index, its net's name, its
+# group's join list ``[outstanding, last deserialization key,
 # batch, net]`` and the client serialization end -- and a resume carries
 # the join list.  Kinds: 0 = issue (the RPC's kickoff: main egress +
 # outbound network), 1 = serve (it reaches its shard, acquires a shard
@@ -284,8 +288,7 @@ class ChunkPlans:
     shard; the evaluator replays both plan shapes with one body.
     ``nb[i]`` is request ``i``'s batch count (every request of the
     chunk has a row, whatever its batches' queueing for the worker
-    pools).  ``net_names`` names the tenant's nets by index -- the net
-    bits of a record key.
+    pools).  ``net_names`` names the tenant's nets in plan order.
     """
 
     __slots__ = (
@@ -309,9 +312,6 @@ class ChunkPlans:
         self.tail_ser = tail_ser
         self.nets = nets
         self.net_names = net_names
-        # A record key holds a net index in six bits.
-        if len(nets) > 64:
-            raise ValueError("plan exceeds the record key's 64 nets")
 
     def listed(self, row: int) -> list[tuple]:
         """Request ``row``'s plans listed once, for both replay paths:
@@ -339,15 +339,16 @@ class SweepEvaluator:
 
     The evaluator keeps no replay state of its own: everything a request
     leaves behind that a later request (or the DES) reads lives on the
-    cluster objects it is handed -- the fabric's jitter cursor, the
-    servers' egress reservations, the ``completed`` map and the run's
+    cluster's objects -- the fabric's jitter cursor, the servers' egress
+    reservations, the ``completed`` map and the cluster's tracer, an
     :class:`~repro.tracing.aggregate.AggregatingTracer` -- and is
-    written only when a request *commits*.  A request's egress Lindley
-    recursions start from the servers' own reservations, and its
-    IO-thread and worker pools start idle: in the regime the evaluator
-    runs in, every earlier request has completed, so every thread and
-    worker is free and every reservation (each precedes its own
-    request's completion) lies at or before the request's start --
+    written only when a request *commits*.  It holds those objects, not
+    the cluster, so a finished cluster is freed at once.  A request's
+    egress Lindley recursions start from the servers' own reservations,
+    and its IO-thread and worker pools start idle: in the regime the
+    evaluator runs in, every earlier request has completed, so every
+    thread and worker is free and every reservation (each precedes its
+    own request's completion) lies at or before the request's start --
     exactly where the DES starts.
     """
 
@@ -358,21 +359,18 @@ class SweepEvaluator:
         "io_threads", "main_cap", "shard_caps",
     )
 
-    def __init__(
-        self,
-        fabric: Fabric,
-        main,
-        shards: list,
-        cost_model: CostModel,
-        collector: AggregatingTracer,
-        completed: dict[int, float],
-    ) -> None:
+    def __init__(self, cluster: ClusterSimulation) -> None:
+        collector = cluster.tracer
+        assert isinstance(collector, AggregatingTracer), (
+            "the evaluator attributes into an AggregatingTracer"
+        )
+        cost_model = cluster.config.cost_model
         # ``main``/``shards`` are the cluster's SimServers (worker pool,
         # clock skew and egress reservation are read from them).
-        self.fabric = fabric
-        self.main = main
-        self.shards = shards
-        self.completed = completed
+        main = self.main = cluster.main
+        shards = self.shards = cluster.sparse_servers
+        self.fabric = cluster.fabric
+        self.completed = cluster.completed
         self.collector = collector
         self.skew_main = main.clock_skew
         self.shard_skews = [server.clock_skew for server in shards]
@@ -420,7 +418,7 @@ class SweepEvaluator:
         head = (t1 + skm) - (t0_req + skm)
         nb = plans.nb[i]
         # Fresh per request: a committed request's state takes them over.
-        recs: list[Record] = [(_NEVER, 0, _K_SERDE, MAIN_SHARD, deser, 0.0)]
+        recs: list[Record] = [(_NEVER, None, _K_SERDE, MAIN_SHARD, deser, 0.0)]
         add = recs.append
         b_dense = [0.0] * nb
         b_embedded = [0.0] * nb
@@ -480,22 +478,22 @@ class SweepEvaluator:
                 t0 = t
                 t = t0 + post
                 g = (t, g, 0)
-                add((g, 0, _K_OPS, MAIN_SHARD, post, 0.0))
+                add((g, None, _K_OPS, MAIN_SHARD, post, 0.0))
                 b_dense[b] += (t + skm) - (t0 + skm)
                 n0 += 1
             for n in range(n0, num_nets):
-                _name, overheads, pres, posts, local, slots = nets[n]
+                name, overheads, pres, posts, local, slots = nets[n]
                 overhead = overheads[b]
                 t0 = t
                 t = t0 + overhead
                 g = (t, g, 0)
-                add((g, 0, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
+                add((g, None, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
                 b_overhead[b] += (t + skm) - (t0 + skm)
                 pre = pres[b]
                 t0 = t
                 t = t0 + pre
                 g = (t, g, 0)
-                add((g, 0, _K_OPS, MAIN_SHARD, pre, 0.0))
+                add((g, None, _K_OPS, MAIN_SHARD, pre, 0.0))
                 b_dense[b] += (t + skm) - (t0 + skm)
                 t_embedded = t
                 # [outstanding RPCs, last deserialization key, batch, net]
@@ -511,11 +509,11 @@ class SweepEvaluator:
                     # scheduled behind the previous one's RPC kickoff.
                     g = (t, g, 1 if join[0] else 0)
                     join[0] += 1
-                    add((g, 0, _K_SERDE, MAIN_SHARD, cst, 0.0))
+                    add((g, None, _K_SERDE, MAIN_SHARD, cst, 0.0))
                     b_serde[b] += (t + skm) - (t0 + skm)
                     heappush(heap, (
                         t, g, 0, 0,
-                        [0.0, 0.0, 0.0, 0.0, c, shard, n << 20, join, t],
+                        [0.0, 0.0, 0.0, 0.0, c, shard, name, join, t],
                     ))
                 if join[0]:
                     pend[b] = t_embedded
@@ -525,7 +523,7 @@ class SweepEvaluator:
                     t0 = t
                     t = t0 + work
                     g = (t, g, 0)
-                    add((g, 0, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
+                    add((g, None, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
                     # The embedded window wraps the local SLS op: both
                     # buckets receive the same duration float.
                     d = (t + skm) - (t0 + skm)
@@ -535,7 +533,7 @@ class SweepEvaluator:
                 t0 = t
                 t = t0 + post
                 g = (t, g, 0)
-                add((g, 0, _K_OPS, MAIN_SHARD, post, 0.0))
+                add((g, None, _K_OPS, MAIN_SHARD, post, 0.0))
                 b_dense[b] += (t + skm) - (t0 + skm)
             ends[b] = g
             return (t, g, 0)
@@ -608,7 +606,7 @@ class SweepEvaluator:
                 done = begin + crd
                 deser_key = (done, grant, 0)
                 io_free[io_free.index(f)] = (done, deser_key, 0)
-                add((deser_key, 0, _K_SERDE, MAIN_SHARD, crd, 0.0))
+                add((deser_key, None, _K_SERDE, MAIN_SHARD, crd, 0.0))
                 # rpc_outstanding: arrival order == heap pop order,
                 # strict > keeps the first-recorded maximum.
                 tcl = rpc[8]
@@ -693,10 +691,10 @@ class SweepEvaluator:
             k4 = (x3, k3, 0)
             sent = (s_done, k4, 0, 2, rpc)
             pool[pool.index(f)] = (s_done, sent, 0)
-            add((k1, 0, _K_SERDE, shard, sdes, 0.0))
-            add((k3, 0, _K_SERVICE, shard, sov, 0.0))
+            add((k1, None, _K_SERDE, shard, sdes, 0.0))
+            add((k3, None, _K_SERVICE, shard, sov, 0.0))
             add((k4, rpc[6], _K_OPS_SLW, shard, slw, d_slw))
-            add((sent, 0, _K_SRS_SVC, shard, srs, service_fixed))
+            add((sent, None, _K_SRS_SVC, shard, srs, service_fixed))
             heapreplace(heap, sent)
 
         best_batch = -1
@@ -724,14 +722,13 @@ class SweepEvaluator:
         recs.sort(key=_dispatch_key)
         # The response serialization and request_e2e charges, last in
         # the DES's order too.
-        add((t1, 0, _K_SERDE, MAIN_SHARD, ser, 0.0))
-        add((t_end, 0, _K_SERVICE, MAIN_SHARD, self.handler_cpu, 0.0))
+        add((t1, None, _K_SERDE, MAIN_SHARD, ser, 0.0))
+        add((t_end, None, _K_SERVICE, MAIN_SHARD, self.handler_cpu, 0.0))
         # The request's state, filled as the DES's record_interval calls
         # would have left it.
         collector = self.collector
         state = collector.claim()
         state.records = recs
-        state.net_names.extend(plans.net_names)
         state.tail_serde = (t1 + skm) - (last_end + skm)
         state.e2e = (t_end + skm) - (t0_req + skm)
         state.service_count = 1

@@ -166,21 +166,19 @@ _K_SERVICE = 3  # net_sched, request_e2e, rpc_e2e: service cpu
 _K_SRS_SVC = 4  # rpc_resp_ser fused with a fixed rpc_e2e charge (dur)
 _K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
 
-#: One CPU charge: ``(t, key, kind, shard, cpu, dur)``.  ``t`` places it in
+#: One CPU charge: ``(t, net, kind, shard, cpu, dur)``.  ``t`` places it in
 #: recording order: the DES appends charges in that order, ``t`` the time
 #: it records them, and the evaluator leads each with the key of the
 #: dispatch that records it and sorts by it (see
-#: :mod:`repro.simulation.vectorized`).  ``key``'s bits ``(key >> 20) &
-#: 63`` index the request's net names (read by ``_K_OPS_SLW``; 0 for the
-#: other kinds).  ``dur`` is the second float of the two kinds that
-#: carry one -- the wall-stamped op time of ``_K_OPS_SLW`` and the service
-#: cpu of ``_K_SRS_SVC`` -- and 0.0 otherwise.
-Record = tuple[Any, int, int, int, float, float]
+#: :mod:`repro.simulation.vectorized`).  ``net`` names the net of a
+#: ``_K_OPS_SLW`` charge (``None`` for the other kinds).  ``dur`` is the
+#: second float of the two kinds that carry one -- the wall-stamped op
+#: time of ``_K_OPS_SLW`` and the service cpu of ``_K_SRS_SVC`` -- and 0.0
+#: otherwise.
+Record = tuple[Any, str | None, int, int, float, float]
 
 
-def fold_charges(
-    records: list[Record], net_names: list[str | None]
-) -> tuple[
+def fold_charges(records: list[Record]) -> tuple[
     float, float, float, float, float,
     dict[int, float], dict[int, float], dict[tuple[int, str | None], float],
 ]:
@@ -207,7 +205,7 @@ def fold_charges(
     # Literal kinds (see _K_*): shard-side charges outnumber main-side
     # ones on every multi-shard plan, so they take the first branch;
     # MAIN_SHARD is -1, making ``shard >= 0`` the test.
-    for _t, key, kind, shard, cpu, dur in records:
+    for _t, net, kind, shard, cpu, dur in records:
         if shard >= 0:
             if kind == 1:
                 shard_cpu[shard] = shard_get(shard, 0.0) + cpu
@@ -217,7 +215,7 @@ def fold_charges(
                 cpu_ops += cpu
                 sparse_op_cpu += cpu
                 shard_op[shard] = op_get(shard, 0.0) + dur
-                net_key = (shard, net_names[(key >> 20) & 63])
+                net_key = (shard, net)
                 shard_net_op[net_key] = net_op_get(net_key, 0.0) + dur
             elif kind == 4:
                 # A serde charge and the service charge recorded right
@@ -250,11 +248,10 @@ def fold_charges(
 
 class _RequestState:
     """Accumulators for one in-flight request (pooled/reused): its CPU
-    charges and net names, and the single-writer sums."""
+    charges and the single-writer sums."""
 
     __slots__ = (
         "records",
-        "net_names",
         "head_serde",
         "tail_serde",
         "e2e",
@@ -276,7 +273,6 @@ class _RequestState:
 
     def __init__(self):
         self.records: list[Record] = []
-        self.net_names: list[str | None] = []
         self.batch_dense: list[float] = []
         self.batch_embedded: list[float] = []
         self.batch_serde: list[float] = []
@@ -288,7 +284,6 @@ class _RequestState:
 
     def reset(self) -> None:
         del self.records[:]
-        del self.net_names[:]
         self.head_serde = 0.0
         self.tail_serde = 0.0
         self.e2e = 0.0
@@ -432,7 +427,7 @@ class AggregatingTracer:
         # the recording order the fold needs; the rest are single-writer
         # updates.  Only the shard's sparse-op charge reads its net.
         if layer is _SERDE:
-            state.records.append((end, 0, _K_SERDE, shard, cpu, 0.0))
+            state.records.append((end, None, _K_SERDE, shard, cpu, 0.0))
             if shard == MAIN_SHARD:
                 if rpc_id is None:
                     if batch is not None:
@@ -451,7 +446,7 @@ class AggregatingTracer:
             if shard == MAIN_SHARD:
                 sparse = category is _SPARSE
                 state.records.append(
-                    (end, 0, _K_OPS_LOCAL if sparse else _K_OPS, shard, cpu, 0.0)
+                    (end, None, _K_OPS_LOCAL if sparse else _K_OPS, shard, cpu, 0.0)
                 )
                 if batch is not None:
                     if batch >= len(state.batch_dense):
@@ -461,18 +456,10 @@ class AggregatingTracer:
                     else:
                         state.batch_dense[batch] += duration
             else:
-                names = state.net_names
-                if net in names:
-                    index = names.index(net)
-                else:
-                    index = len(names)
-                    names.append(net)
-                state.records.append(
-                    (end, index << 20, _K_OPS_SLW, shard, cpu, duration)
-                )
+                state.records.append((end, net, _K_OPS_SLW, shard, cpu, duration))
                 state.rpc_entry(rpc_id)[_R_OPS] += duration
         elif layer is _NET_OVERHEAD:
-            state.records.append((end, 0, _K_SERVICE, shard, cpu, 0.0))
+            state.records.append((end, None, _K_SERVICE, shard, cpu, 0.0))
             if shard == MAIN_SHARD:
                 if batch is not None:
                     if batch >= len(state.batch_overhead):
@@ -507,7 +494,7 @@ class AggregatingTracer:
         elif layer is _SERVICE:
             # A shard's rpc_e2e charge is its own record: under a
             # straggler it is not the evaluator's fixed service cost.
-            state.records.append((end, 0, _K_SERVICE, shard, cpu, 0.0))
+            state.records.append((end, None, _K_SERVICE, shard, cpu, 0.0))
             if shard == MAIN_SHARD:
                 state.service_count += 1
                 state.e2e = duration
@@ -572,7 +559,7 @@ class AggregatingTracer:
             (
                 cpu_ops, cpu_serde, cpu_service, sparse_op_cpu, dense_op_cpu,
                 shard_cpu, shard_op, shard_net_op,
-            ) = fold_charges(state.records, state.net_names)
+            ) = fold_charges(state.records)
             cpu_total = 0 + cpu_ops + cpu_serde + cpu_service
 
             index = self._count

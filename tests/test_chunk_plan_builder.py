@@ -3,7 +3,7 @@
 ``build_chunk_plans`` computes every routing slot of a (batch group,
 net) in one numpy pass over padded (slot, table, request, batch) count
 arrays; the evaluator and the DES both read a request's costs from its
-row (the idle-arrival hook's ``locate`` finds it).  Every row must equal
+row (the replay driver's ``_locate`` finds it).  Every row must equal
 the scalar oracle (``plan_oracle.request_plans``) exactly, for every
 request -- including
 the requests with more batches than a worker pool has workers (their
@@ -11,13 +11,15 @@ batches queue), tables no request of a group draws (zero planes), slots
 with no active table in a batch, and row-partitioned tables (DRM3 NSBP),
 whose split may leave a part of a positive count empty.
 
-The second half pins where the DES's plans come from: every experiment
-replay, under any kernel, builds one chunk per chunk of requests and
-reads the DES's plans from it, a bare cluster builds a one-request
-chunk per request, and the chunk is the DES's only cost source.  The
-last tests pin the widest plan a chunk accepts: the evaluator's packed
-event codes bound its nets, slots and batches.
+The second half pins where the DES's plans come from: every replay,
+under any kernel and on a bare cluster too, builds one chunk per chunk
+of stream positions and reads the DES's plans from it, a second replay
+on one cluster plans its own stream, and the chunk is the DES's only
+cost source.  The last test pins the widest plan a chunk accepts: no
+field width bounds its nets, slots or batches.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -35,12 +37,13 @@ from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule, RequestGenerator
 from repro.serving import ServingConfig
 from repro.serving import columnar
-from repro.serving.columnar import _IdleArrivals, _chunk_bundle
+from repro.serving.columnar import _chunk_bundle
 from repro.serving.simulator import ClusterSimulation
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel, ranking_response_bytes
 from repro.simulation.platform import SC_LARGE, SC_SMALL
 from repro.simulation.vectorized import ChunkPlans, NetColumns, TargetColumns
+from repro.tracing import Tracer
 from repro.requests.generator import request_payload_bytes
 
 FACTORIES = {"DRM1": drm1, "DRM2": drm2, "DRM3": drm3}
@@ -139,8 +142,8 @@ def _assert_row_matches(sim, chunk, row, request, seen, label):
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_chunk_columns_match_the_scalar_builder(name, workers, sparse_platform):
     """Every request of every paper configuration: the chunk's columns,
-    and the row the idle-arrival hook locates for the DES, against the
-    scalar oracle.  An SC-Small sparse tier gives the two tiers different
+    and the row the replay driver locates for both replay paths, against
+    the scalar oracle.  An SC-Small sparse tier gives the two tiers different
     clocks and NICs, so a cost charged at the other tier's rate shows."""
     model, plans, requests = _configurations(name)
     seen = {"queued": 0, "absent_table": 0, "idle_slot": 0, "empty_part": 0}
@@ -154,7 +157,7 @@ def test_chunk_columns_match_the_scalar_builder(name, workers, sparse_platform):
         )
         tenant = sim.tenants[0]
         chunk = columnar.build_chunk_plans(sim, tenant, requests)
-        hook = _IdleArrivals(None, [0] * len(requests), requests, len(requests))
+        entries = [(None, 0, request) for request in requests]
         for row, request in enumerate(requests):
             label = (name, workers, plan.label, row)
             for table_name, parts in _partitions(plan):
@@ -169,9 +172,9 @@ def test_chunk_columns_match_the_scalar_builder(name, workers, sparse_platform):
                         )
                         seen["empty_part"] += bool((split == 0).any())
             _assert_row_matches(sim, chunk, row, request, seen, label)
-            # The row the hook locates for the DES: a separate build of
-            # the same requests, at the request's own position.
-            located_chunk, located_row = hook.locate(sim, row, 0, request)
+            # The row the driver locates: a separate build of the same
+            # requests, at the request's own position.
+            located_chunk, located_row = sim._locate(entries, row)
             assert located_row == row, label
             _assert_row_matches(
                 sim, located_chunk, located_row, request, seen, label
@@ -259,13 +262,17 @@ def test_partitioned_plans_read_the_chunk(monkeypatch):
     assert_run_identical(replay("batched"), hybrid, plan.label)
 
 
+@pytest.mark.parametrize("chunk_size", [1, 8])
 @pytest.mark.parametrize("name", ["DRM1", "DRM3"])
-def test_bare_cluster_plans_match_the_oracle(name, monkeypatch):
-    """A cluster driven without the idle-arrival hook plans each request
-    from a one-request chunk; that chunk's row equals the scalar oracle
-    (DRM3 includes the partitioned NSBP plans and the singular one)."""
+def test_bare_cluster_plans_match_the_oracle(name, chunk_size, monkeypatch):
+    """A bare cluster plans its replay ``CHUNK_SIZE`` positions at a
+    time, as an experiment replay does: one-request chunks at size 1,
+    one chunk for the stream at size 8.  Every row equals the scalar
+    oracle (DRM3 includes the partitioned NSBP plans and the singular
+    one)."""
     model, plans, requests = _configurations(name)
     requests = requests[:8]
+    monkeypatch.setattr(columnar, "CHUNK_SIZE", chunk_size)
     chunks = []
     sizes = _count_chunk_builds(monkeypatch, chunks)
     seen = {"queued": 0, "idle_slot": 0}
@@ -274,14 +281,60 @@ def test_bare_cluster_plans_match_the_oracle(name, monkeypatch):
         del sizes[:]
         del chunks[:]
         sim.run_serial(requests)
-        assert sizes == [1] * len(requests), plan.label
+        assert sizes == [chunk_size] * (len(requests) // chunk_size), plan.label
         assert sim.des_requests == len(requests), plan.label
-        for chunk, request in zip(chunks, requests):
+        for position, request in enumerate(requests):
+            chunk, row = divmod(position, chunk_size)
             _assert_row_matches(
-                sim, chunk, 0, request, seen,
+                sim, chunks[chunk], row, request, seen,
                 (name, plan.label, request.request_id),
             )
     assert seen["idle_slot"] > 0, seen
+
+
+def test_second_replay_on_one_cluster_plans_its_own_stream(monkeypatch):
+    """A replay's chunk state is its own: a second ``run_serial`` on one
+    cluster plans its own requests, so each reads the chunk row and
+    records the spans it does on a fresh cluster -- their times aside
+    (the clock and the jitter cursor have moved on), every span and its
+    CPU charge."""
+    model, plans, requests = _configurations("DRM1")
+    plan = next(plan for plan in plans if plan.num_shards == 4)
+    first, second = requests[:8], requests[8:16]
+    chunks = []
+    _count_chunk_builds(monkeypatch, chunks)
+
+    def replay(*streams):
+        del chunks[:]
+        sim = ClusterSimulation(
+            model, plan, ServingConfig(seed=1), tracer=Tracer()
+        )
+        for stream in streams:
+            sim.run_serial(stream)
+        located = {
+            rid: (chunk, row)
+            for chunk in chunks
+            for row, rid in enumerate(chunk.rids)
+        }
+        rows, spans = {}, {}
+        for request in second:
+            rid = request.request_id
+            chunk, row = located[rid]
+            rows[rid] = (
+                chunk.nb[row], chunk.head_deser[row], chunk.tail_ser[row],
+                chunk.listed(row),
+            )
+            spans[rid] = collections.Counter(
+                (span.shard, span.layer, span.name, span.net, span.batch,
+                 span.cpu_time)
+                for span in sim.tracer.for_request(rid)
+            )
+        return rows, spans
+
+    reused_rows, reused_spans = replay(first, second)
+    fresh_rows, fresh_spans = replay(second)
+    assert reused_rows == fresh_rows
+    assert reused_spans == fresh_spans
 
 
 def test_des_reads_serde_from_the_chunk(monkeypatch):
@@ -336,17 +389,11 @@ def _chunk(nets=1, slots=0, nb=1):
     )
 
 
-def test_chunk_plans_reject_more_nets_than_a_record_key_holds():
-    """A CPU-charge record names its net in six key bits, so a plan of
-    more than 64 nets is refused when its chunk is built."""
-    with pytest.raises(ValueError, match="record key's 64 nets"):
-        _chunk(nets=65)
-
-
-def test_chunk_plans_accept_64_nets_and_any_slot_or_batch_count():
+def test_chunk_plans_accept_any_net_slot_or_batch_count():
     """The evaluator orders its events by dispatch keys, not packed
-    integer codes, so slots and batches have no field width: plans past
-    the old 16384-slot and 32768-batch limits build."""
-    _chunk(nets=64)
+    integer codes, and a CPU-charge record names its net, so nets, slots
+    and batches have no field width: plans past the old 64-net,
+    16384-slot and 32768-batch limits build."""
+    _chunk(nets=65)
     _chunk(slots=16385)
     _chunk(nb=32769)

@@ -13,7 +13,9 @@ charges.  Each case replays one plan under ``batched`` and
 ``vectorized`` and compares every column bit for bit, and every
 request's CPU charges in the order they are folded: an equal-time
 charge folded out of the DES's order can leave the sums unchanged (a
-zero charge, or exact dyadic terms) and still be wrong.
+zero charge, or exact dyadic terms) and still be wrong.  Each case also
+draws the replay's chunk size, so open-loop busy periods straddle chunk
+boundaries.
 """
 
 import functools
@@ -28,7 +30,7 @@ from test_kernel_equivalence import assert_run_identical
 from repro.experiments import ShardingConfiguration, build_plan, run_configuration
 from repro.models import drm1, drm3
 from repro.requests import RequestGenerator
-from repro.serving import ServingConfig
+from repro.serving import ServingConfig, columnar
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel
 from repro.simulation.network import FabricSpec
@@ -71,7 +73,7 @@ def _plan(name, strategy, shards):
 
 
 def _replay(case, kernel):
-    plan_key, units, io_threads, fabric, workers, arrivals = case
+    plan_key, units, io_threads, fabric, workers, arrivals, chunk_size = case
     model, _, requests = _inputs(plan_key[0])
     propagation, kernel_overhead, jitter_median, jitter_sigma = fabric
     serving = ServingConfig(
@@ -93,20 +95,23 @@ def _replay(case, kernel):
         schedule = SerialArrivals()
     else:
         schedule = PoissonArrivals(arrivals[0], seed=arrivals[1])
-    return run_configuration(model, _plan(*plan_key), requests, serving, schedule)
+    with mock.patch.object(columnar, "CHUNK_SIZE", chunk_size):
+        return run_configuration(
+            model, _plan(*plan_key), requests, serving, schedule
+        )
 
 
-def _charges(records, net_names):
+def _charges(records):
     """A request's CPU charges in folding order, without their record
     times: the evaluator leads a record with its dispatch key and fuses
     a response serialization with its fixed service charge."""
     charges = []
-    for _t, key, kind, shard, cpu, dur in records:
+    for _t, net, kind, shard, cpu, dur in records:
         if kind == aggregate._K_SRS_SVC:
             charges.append((aggregate._K_SERDE, shard, cpu))
             charges.append((aggregate._K_SERVICE, shard, dur))
         elif kind == aggregate._K_OPS_SLW:
-            charges.append((kind, shard, cpu, dur, net_names[(key >> 20) & 63]))
+            charges.append((kind, shard, cpu, dur, net))
         else:
             charges.append((kind, shard, cpu))
     return charges
@@ -117,9 +122,9 @@ def _replay_charges(case, kernel):
     folded = []
     fold = aggregate.fold_charges
 
-    def spy(records, net_names):
-        folded.append(_charges(records, net_names))
-        return fold(records, net_names)
+    def spy(records):
+        folded.append(_charges(records))
+        return fold(records)
 
     with mock.patch.object(aggregate, "fold_charges", spy):
         return _replay(case, kernel), folded
@@ -142,6 +147,9 @@ cases = st.tuples(
         st.none(),
         st.tuples(st.sampled_from((200.0, 1000.0, 5000.0)), st.integers(0, 4)),
     ),
+    # The replay's chunk size: one chunk for the stream in half the
+    # draws, else chunk boundaries inside the busy periods.
+    st.sampled_from((2048, 2048, 2048, 1, 2, 3)),
 )
 
 # Case A: chains that meet by rounding at one client serialization end
@@ -149,13 +157,13 @@ cases = st.tuples(
 # batch order; request 0 ended 16.9 us late on the evaluator.
 CASE_A = (
     ("DRM1", "load-bal", 4), (4, 4, 8, 32, 16, 1, 8, 1, 2, 8, 1, 16), 4,
-    (0, 0, 0, 0.0), 3, None,
+    (0, 0, 0, 0.0), 3, None, 2048,
 )
 # Case B: two unequal charges recorded at one instant fold in the DES's
 # order; request 0's dense_op_cpu was 1 ulp off.
 CASE_B = (
     ("DRM1", "load-bal", 4), (0, 8, 32, 32, 2, 16, 32, 8, 0, 2, 4, 4), 1,
-    (16, 8, 0, 0.0), 3, None,
+    (16, 8, 0, 0.0), 3, None, 2048,
 )
 
 # Case C: a singular plan's free local SLS op (no dispatch or dequant
@@ -165,7 +173,7 @@ CASE_B = (
 # ahead of it.  The sums cannot show that, the charge order does.
 CASE_C = (
     ("DRM1", "singular", 0), (4, 4, 4, 32, 2, 32, 0, 0, 8, 4, 0, 8), 4,
-    (0, 8, 0, 0.0), 3, None,
+    (0, 8, 0, 0.0), 3, None, 2048,
 )
 
 

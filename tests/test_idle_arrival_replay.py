@@ -30,7 +30,6 @@ from repro.experiments import (
     run_configuration,
     run_mix_suite,
 )
-from repro.experiments import runner
 from repro.models import drm1, drm2, drm3
 from repro.requests import (
     ReplaySchedule,
@@ -39,10 +38,13 @@ from repro.requests import (
     SparseFeatureDraw,
 )
 from repro.serving import ServingConfig
+from repro.serving.simulator import ClusterSimulation
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel
 from repro.simulation.network import Fabric, FabricSpec
 from repro.simulation.platform import SC_LARGE
+from repro.simulation.vectorized import SweepEvaluator
+from repro.tracing.aggregate import AggregatingTracer
 from repro.workloads import PiecewiseRateArrivals, Workload, WorkloadMix
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -201,24 +203,21 @@ def test_evaluator_counts_the_des_spans(name):
         assert des.tracer.spans_recorded > 0, plan.label
 
 
-def _replay_stream(
-    model, plan, stream, kernel, planned=None, serial=False, **serving_kwargs
-):
+def _replay_stream(model, plan, stream, kernel, serial=False, **serving_kwargs):
     """Replay an explicit ``(time, tenant, request)`` stream the way
     ``run_configuration`` replays a schedule; returns the result and the
-    cluster it ran on.  The cluster is built for the ``planned`` requests
-    (default: the stream's own).  With ``serial``, ``stream`` is a plain
-    request list replayed in a closed loop."""
+    cluster it ran on.  With ``serial``, ``stream`` is a plain request
+    list replayed in a closed loop."""
     serving = ServingConfig(seed=1, kernel=kernel, **serving_kwargs)
-    requests = planned or (
-        stream if serial else [request for _, _, request in stream]
-    )
+    tracer = AggregatingTracer()
+    cluster = ClusterSimulation(model, plan, serving, tracer=tracer)
+    if kernel == "vectorized":
+        cluster.evaluator = SweepEvaluator(cluster)
+    cluster.on_complete = tracer.finalize_request
+    (cluster.run_serial if serial else cluster.run_stream)(stream)
     result = RunResult(model_name=model.name, label=plan.label, plan=plan)
-    tracer, cluster = runner._replay_cluster(
-        result, [(model, plan)], serving, [0] * len(requests), requests
-    )
-    run = cluster.run_serial if serial else cluster.run_stream
-    runner._replay(cluster, tracer, result, run, stream)
+    result.adopt_aggregate(tracer)
+    result.des_requests = cluster.des_requests
     return result, cluster
 
 
@@ -252,20 +251,6 @@ class TestCommitRule:
         hybrid, _ = _replay_stream(model, plan, stream, "vectorized")
         assert hybrid.des_requests == 0
         assert_run_identical(batched, hybrid, "after")
-
-    def test_unplanned_stream_entry_goes_to_the_des(self, inputs):
-        """The evaluator replays only the request it planned at a stream
-        position; a stream that carries another one there is the DES's."""
-        model, plan, requests, done = inputs
-        stream = [(0.0, 0, requests[1]), (done + 1.0, 0, requests[0])]
-        batched, _ = _replay_stream(model, plan, stream, "batched")
-        hybrid, _ = _replay_stream(
-            model, plan, stream, "vectorized", planned=requests[:2]
-        )
-        assert hybrid.des_requests == 2
-        assert_run_identical(batched, hybrid, "unplanned")
-        planned, _ = _replay_stream(model, plan, stream, "vectorized")
-        assert planned.des_requests == 0
 
 
 def _hosts(bandwidth, main_cores):

@@ -30,10 +30,9 @@ from repro.experiments import (
     run_mix_suite,
     run_suite,
 )
-from repro.experiments import runner
 from repro.models import drm1, drm2, drm3
 from repro.requests import ReplaySchedule, RequestGenerator
-from repro.serving import ServingConfig, TraceMode
+from repro.serving import ServingConfig, TraceMode, columnar
 from repro.tracing.aggregate import SHARD_KINDS
 from repro.serving.columnar import REASON_CHAOS
 from repro.sharding.pooling import estimate_pooling_factors
@@ -363,7 +362,7 @@ class TestChunkedReplay:
         model = drm1()
         vectorized = settings(kernel="vectorized")
         base = run_suite(model, vectorized)
-        monkeypatch.setattr(runner, "CHUNK_SIZE", 7)
+        monkeypatch.setattr(columnar, "CHUNK_SIZE", 7)
         chunked = run_suite(model, vectorized)
         for result in chunked.values():
             assert result.kernel_used == "vectorized"
@@ -378,8 +377,6 @@ class TestChunkedReplay:
         return model, plan, requests, ServingConfig(seed=1)
 
     def test_replay_memory_bounded_by_chunk(self, monkeypatch):
-        from repro.serving import columnar
-
         num_requests = 1024
         model, plan, requests, serving = self._inputs(
             ShardingConfiguration("singular"), num_requests
@@ -389,7 +386,7 @@ class TestChunkedReplay:
         monkeypatch.setattr(columnar, "_BUNDLE_CACHE_MAX", 0)
 
         def peak_bytes(chunk_size):
-            monkeypatch.setattr(runner, "CHUNK_SIZE", chunk_size)
+            monkeypatch.setattr(columnar, "CHUNK_SIZE", chunk_size)
             columnar._BUNDLE_CACHE.clear()
             tracemalloc.start()
             result = run_configuration(model, plan, requests, serving)
@@ -419,7 +416,7 @@ class TestChunkedReplay:
             return plans
 
         monkeypatch.setattr(columnar, "build_chunk_plans", tracked_build)
-        monkeypatch.setattr(runner, "CHUNK_SIZE", 32)
+        monkeypatch.setattr(columnar, "CHUNK_SIZE", 32)
         run_configuration(model, plan, requests, serving)
         assert len(built) == 4
 
@@ -434,8 +431,6 @@ class TestChunkedReplay:
         assert result.kernel_used == "vectorized"
 
     def test_no_cost_columns_survive_the_run(self):
-        from repro.serving import columnar
-
         model, plan, requests, serving = self._inputs(
             ShardingConfiguration("load-bal", 8), 128
         )

@@ -552,15 +552,15 @@ class TestReplayEntriesFailLoudly:
         with pytest.raises(ValueError, match="request id 0 "):
             cluster.run_stream(stream)
 
-    def test_submit_rejects_repeated_ids_across_tenants(self, model, requests):
+    def test_run_stream_rejects_repeated_ids_across_tenants(
+        self, model, requests
+    ):
         cluster = ClusterSimulation.colocated(
             [(model, singular_plan(model))] * 2, ServingConfig(seed=1)
         )
-        cluster.submit(requests[0], tenant=0)
+        stream = [(0.0, 0, requests[0]), (0.0, 1, requests[0])]
         with pytest.raises(ValueError, match="request id 0 "):
-            cluster.submit(requests[0], tenant=1)
-        cluster.engine.run()
-        assert list(cluster.completed) == [0]
+            cluster.run_stream(stream)
 
     def test_a_second_replay_on_one_cluster_rejects_its_ids(self, model, requests):
         cluster = self._cluster(model)
@@ -585,12 +585,15 @@ class TestReplayEntriesFailLoudly:
         assert not cluster.completed
 
     @pytest.mark.parametrize("bad", [-1, 2])
-    def test_submit_rejects_bad_tenants(self, model, requests, bad):
+    def test_colocated_run_stream_rejects_bad_tenants(self, model, requests, bad):
+        """A bad tenant raises when its chunk is planned, before any
+        request of the chunk replays."""
         cluster = ClusterSimulation.colocated(
             [(model, singular_plan(model))] * 2, ServingConfig(seed=1)
         )
+        stream = [(0.0, 1, requests[0]), (0.0, bad, requests[1])]
         with pytest.raises(ValueError, match=r"tenant must be an integer in \[0, 2\)"):
-            cluster.submit(requests[0], tenant=bad)
+            cluster.run_stream(stream)
         assert cluster.des_requests == 0
 
     def test_numpy_tenants_and_arrivals_accepted(self, model, requests):
