@@ -108,9 +108,10 @@ conditions:
   instant in batch order, and a chain re-acquires a worker when its RPC
   group joins) and RPCs for their shard's pool (acquired on arrival),
   each pool replayed as a free list of hand-over keys in dispatch
-  order.  Only a pool no larger than ``nb`` can queue (each batch holds
+  order.  Only a pool smaller than ``nb`` can queue (each batch holds
   at most one main worker, and has at most one RPC in service on a
-  host), so a deeper one is replayed as ``nb`` workers.  Two acquires
+  host), so a pool of ``nb`` workers or more is not replayed at all:
+  every acquire on it is granted at once.  Two acquires
   on one pool at one exact time -- other than the kickoffs -- are
   ordered by the engine's sequence counter, which decides who waits.
   The dispatch keys reproduce that order, but the kernel's contract
@@ -150,7 +151,8 @@ replays == the batched DES across the busy-period range and on 2- and
 ``tests/test_exact_ties.py`` fuzzes both kernels under dyadic costs,
 where exact ties are common;
 ``tests/test_queueing_oracles.py`` checks queued batches against a
-closed form, and ``tests/test_chunk_plan_builder.py`` pins the chunk
+closed form, ``tests/test_pool_depth.py`` checks on the DES that a pool
+of ``max_batches`` workers never queues, and ``tests/test_chunk_plan_builder.py`` pins the chunk
 columns, the row located for the DES included, to the scalar oracle
 (``tests/plan_oracle.py``) field by field.
 """
@@ -159,7 +161,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -212,24 +213,31 @@ if TYPE_CHECKING:
 # IO-thread deserialization + join) and 4 = resume (the joined chain
 # re-acquires a main worker).
 #
-# A pool (main workers, a shard's workers, the IO threads) is a free
-# list holding, per unit, the key of the hand-over its last holder's
-# release would schedule, ``(time, release, index)``.  An acquire at key
-# ``k`` takes the lowest: if that release dispatched before ``k`` the
-# unit is free and the grant is ``k`` itself, else the acquire waits and
-# the hand-over is its grant -- FIFO, since acquires are replayed in the
-# DES order.  A re-acquire or an RPC's acquire that waits at the exact
-# time of its pool's previous acquire still declines the request to the
-# DES (the kickoffs excepted): the replay keeps the one tie contract the
-# rest of the kernel documents, that such a request is the DES's.
+# A pool (main workers, a shard's workers, the IO threads) that can
+# queue is a free list holding, per unit, the key of the hand-over its
+# last holder's release would schedule, ``(time, release, index)``.  An
+# acquire at key ``k`` takes the lowest: if that release dispatched
+# before ``k`` the unit is free and the grant is ``k`` itself, else the
+# acquire waits and the hand-over is its grant -- FIFO, since acquires
+# are replayed in the DES order.  A re-acquire or an RPC's acquire that
+# waits at the exact time of its pool's previous acquire still declines
+# the request to the DES (the kickoffs excepted): the replay keeps the
+# one tie contract the rest of the kernel documents, that such a
+# request is the DES's.  A worker pool of ``nb`` units or more never
+# makes an acquire wait (at most ``nb`` chains hold its workers at
+# once), so it keeps no free list: each acquire is granted at its own
+# key.  The IO threads always keep theirs -- a request's RPCs are not
+# bounded by ``nb``.
 #
-# A charge's record leads with the key of the dispatch that records it
-# (the DES's records lead with their time), and the records sort by it
-# into the DES's recording order.  Sorting on the key alone compares
-# tuples that lead with a float, which the sort specializes.
+# A charge's record *is* the key of the dispatch that records it, with
+# the charge's fields after the key's (see
+# :data:`~repro.tracing.aggregate.Record`; the DES's records lead with
+# their time), and the records sort by themselves into the DES's
+# recording order.  Keys are unique, so a comparison never reaches a
+# charge field; the sort compares tuples that lead with a float, which
+# it specializes.
 _NEVER = (-math.inf,)  # below every key
 _IDLE = (-math.inf, _NEVER, 0)  # an idle unit: released before any acquire
-_dispatch_key = itemgetter(0)
 
 
 class TargetColumns:
@@ -418,7 +426,9 @@ class SweepEvaluator:
         head = (t1 + skm) - (t0_req + skm)
         nb = plans.nb[i]
         # Fresh per request: a committed request's state takes them over.
-        recs: list[Record] = [(_NEVER, None, _K_SERDE, MAIN_SHARD, deser, 0.0)]
+        recs: list[Record] = [
+            (-math.inf, None, 0, None, _K_SERDE, MAIN_SHARD, deser, 0.0)
+        ]
         add = recs.append
         b_dense = [0.0] * nb
         b_embedded = [0.0] * nb
@@ -452,14 +462,15 @@ class SweepEvaluator:
         # until its response is serialized; every hold is known when its
         # worker is granted.  At most ``nb`` chains hold a pool's workers
         # at once (a batch has at most one RPC in service on a host), so
-        # ``min(capacity, nb)`` units are the whole pool.
+        # only a pool of fewer units can queue; a deeper one is ``None``.
         io_free = [_IDLE] * self.io_threads
-        m_free = [_IDLE] * min(self.main_cap, nb)
-        s_free = [[_IDLE] * min(cap, nb) for cap in self.shard_caps]
+        main_cap = self.main_cap
+        m_free = [_IDLE] * main_cap if main_cap < nb else None
+        s_free = [[_IDLE] * cap if cap < nb else None for cap in self.shard_caps]
 
         def advance(b: int, t: float, g: tuple, n0: int, joined: bool) -> tuple:
             # One batch chain's lockstep walk from its worker's grant
-            # ``t`` (dispatch key ``g``; each step's key is ``g``
+            # ``t`` (dispatch key ``g``; each step's record is ``g``
             # again, the previous step its parent), until it either
             # spawns an RPC group (state parks in ``pend`` and in the join
             # list the group's payloads share; the join resumes it) or
@@ -477,8 +488,8 @@ class SweepEvaluator:
                 post = nets[n0][3][b]
                 t0 = t
                 t = t0 + post
-                g = (t, g, 0)
-                add((g, None, _K_OPS, MAIN_SHARD, post, 0.0))
+                g = (t, g, 0, None, _K_OPS, MAIN_SHARD, post, 0.0)
+                add(g)
                 b_dense[b] += (t + skm) - (t0 + skm)
                 n0 += 1
             for n in range(n0, num_nets):
@@ -486,14 +497,14 @@ class SweepEvaluator:
                 overhead = overheads[b]
                 t0 = t
                 t = t0 + overhead
-                g = (t, g, 0)
-                add((g, None, _K_SERVICE, MAIN_SHARD, overhead, 0.0))
+                g = (t, g, 0, None, _K_SERVICE, MAIN_SHARD, overhead, 0.0)
+                add(g)
                 b_overhead[b] += (t + skm) - (t0 + skm)
                 pre = pres[b]
                 t0 = t
                 t = t0 + pre
-                g = (t, g, 0)
-                add((g, None, _K_OPS, MAIN_SHARD, pre, 0.0))
+                g = (t, g, 0, None, _K_OPS, MAIN_SHARD, pre, 0.0)
+                add(g)
                 b_dense[b] += (t + skm) - (t0 + skm)
                 t_embedded = t
                 # [outstanding RPCs, last deserialization key, batch, net]
@@ -507,9 +518,12 @@ class SweepEvaluator:
                     t = t0 + cst
                     # A client serialization after the group's first is
                     # scheduled behind the previous one's RPC kickoff.
-                    g = (t, g, 1 if join[0] else 0)
+                    g = (
+                        t, g, 1 if join[0] else 0,
+                        None, _K_SERDE, MAIN_SHARD, cst, 0.0,
+                    )
                     join[0] += 1
-                    add((g, None, _K_SERDE, MAIN_SHARD, cst, 0.0))
+                    add(g)
                     b_serde[b] += (t + skm) - (t0 + skm)
                     heappush(heap, (
                         t, g, 0, 0,
@@ -522,8 +536,8 @@ class SweepEvaluator:
                     work = local[b]
                     t0 = t
                     t = t0 + work
-                    g = (t, g, 0)
-                    add((g, None, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0))
+                    g = (t, g, 0, None, _K_OPS_LOCAL, MAIN_SHARD, work, 0.0)
+                    add(g)
                     # The embedded window wraps the local SLS op: both
                     # buckets receive the same duration float.
                     d = (t + skm) - (t0 + skm)
@@ -532,20 +546,24 @@ class SweepEvaluator:
                 post = posts[b]
                 t0 = t
                 t = t0 + post
-                g = (t, g, 0)
-                add((g, None, _K_OPS, MAIN_SHARD, post, 0.0))
+                g = (t, g, 0, None, _K_OPS, MAIN_SHARD, post, 0.0)
+                add(g)
                 b_dense[b] += (t + skm) - (t0 + skm)
             ends[b] = g
             return (t, g, 0)
 
         # The kickoffs acquire at t2 in batch order: the processes spawned
         # by one dispatch, in spawn order, before any later event.
-        # ``m_last``/``s_last`` hold each pool's previous acquire time.
+        # ``m_last``/``s_last`` hold each queueing pool's previous
+        # acquire time.
         spawn = (t2, _NEVER, 0)
         m_last = t2
         s_last = [-1.0] * len(servers)
         for b in range(nb):
             kickoff = (t2, spawn, b)
+            if m_free is None:
+                advance(b, t2, kickoff, 0, False)
+                continue
             f = min(m_free)
             if f[1] < kickoff:
                 m_free[m_free.index(f)] = advance(b, t2, kickoff, 0, False)
@@ -604,9 +622,9 @@ class SweepEvaluator:
                     grant = f
                 crd = rpc[4][6]
                 done = begin + crd
-                deser_key = (done, grant, 0)
+                deser_key = (done, grant, 0, None, _K_SERDE, MAIN_SHARD, crd, 0.0)
                 io_free[io_free.index(f)] = (done, deser_key, 0)
-                add((deser_key, None, _K_SERDE, MAIN_SHARD, crd, 0.0))
+                add(deser_key)
                 # rpc_outstanding: arrival order == heap pop order,
                 # strict > keeps the first-recorded maximum.
                 tcl = rpc[8]
@@ -634,9 +652,12 @@ class SweepEvaluator:
                 heapreplace(heap, (last[0], ended, 0, 4, join))
                 continue
             elif kind == 4:  # resume: re-acquire a main worker
-                f = min(m_free)
                 # Popped before the chain pushes its next RPC group.
                 heappop(heap)
+                if m_free is None:
+                    advance(rpc[2], t, ev, rpc[3], True)
+                    continue
+                f = min(m_free)
                 if f[1] < ev:
                     m_free[m_free.index(f)] = advance(
                         rpc[2], t, ev, rpc[3], True
@@ -654,16 +675,20 @@ class SweepEvaluator:
             # service window opens at arrival).
             shard = rpc[5]
             pool = s_free[shard]
-            f = min(pool)
-            if f[1] < ev:
+            if pool is None:
                 grant_t = t
                 g = ev
-            elif t == s_last[shard]:
-                return math.inf
             else:
-                grant_t = f[0]
-                g = f
-            s_last[shard] = t
+                f = min(pool)
+                if f[1] < ev:
+                    grant_t = t
+                    g = ev
+                elif t == s_last[shard]:
+                    return math.inf
+                else:
+                    grant_t = f[0]
+                    g = f
+                s_last[shard] = t
             c = rpc[4]
             sdes = c[2]
             x = grant_t + sdes
@@ -683,18 +708,20 @@ class SweepEvaluator:
             rpc[1] = ((x + sk) - (grant_t + sk)) + ((s_done + sk) - (x3 + sk))
             rpc[2] = (x2 + sk) - (x1 + sk)
             rpc[3] = (s_done + sk) - (t + sk)
-            # The shard chain's dispatches: deserialization, fixed
-            # service, net overhead, SLS, response serialization (the
-            # send event).
-            k1 = (x, g, 0)
-            k3 = (x2, (x1, k1, 0), 0)
-            k4 = (x3, k3, 0)
+            # The shard chain's dispatches, each its charge's record
+            # but the fixed service's: deserialization, fixed service,
+            # net overhead, SLS, response serialization (the send event;
+            # its fused record takes the send's key fields).
+            k1 = (x, g, 0, None, _K_SERDE, shard, sdes, 0.0)
+            k3 = (x2, (x1, k1, 0), 0, None, _K_SERVICE, shard, sov, 0.0)
+            k4 = (x3, k3, 0, rpc[6], _K_OPS_SLW, shard, slw, d_slw)
             sent = (s_done, k4, 0, 2, rpc)
-            pool[pool.index(f)] = (s_done, sent, 0)
-            add((k1, None, _K_SERDE, shard, sdes, 0.0))
-            add((k3, None, _K_SERVICE, shard, sov, 0.0))
-            add((k4, rpc[6], _K_OPS_SLW, shard, slw, d_slw))
-            add((sent, None, _K_SRS_SVC, shard, srs, service_fixed))
+            if pool is not None:
+                pool[pool.index(f)] = (s_done, sent, 0)
+            add(k1)
+            add(k3)
+            add(k4)
+            add((s_done, k4, 0, None, _K_SRS_SVC, shard, srs, service_fixed))
             heapreplace(heap, sent)
 
         best_batch = -1
@@ -719,11 +746,11 @@ class SweepEvaluator:
             # drawn; the DES consumes them when it replays this
             # request).
             return t_end
-        recs.sort(key=_dispatch_key)
+        recs.sort()
         # The response serialization and request_e2e charges, last in
         # the DES's order too.
-        add((t1, None, _K_SERDE, MAIN_SHARD, ser, 0.0))
-        add((t_end, None, _K_SERVICE, MAIN_SHARD, self.handler_cpu, 0.0))
+        add((t1, None, 0, None, _K_SERDE, MAIN_SHARD, ser, 0.0))
+        add((t_end, None, 0, None, _K_SERVICE, MAIN_SHARD, self.handler_cpu, 0.0))
         # The request's state, filled as the DES's record_interval calls
         # would have left it.
         collector = self.collector

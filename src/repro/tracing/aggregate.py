@@ -166,16 +166,19 @@ _K_SERVICE = 3  # net_sched, request_e2e, rpc_e2e: service cpu
 _K_SRS_SVC = 4  # rpc_resp_ser fused with a fixed rpc_e2e charge (dur)
 _K_OPS_LOCAL = 5  # sls_local (main, singular plans only): sparse op cpu
 
-#: One CPU charge: ``(t, net, kind, shard, cpu, dur)``.  ``t`` places it in
-#: recording order: the DES appends charges in that order, ``t`` the time
-#: it records them, and the evaluator leads each with the key of the
-#: dispatch that records it and sorts by it (see
-#: :mod:`repro.simulation.vectorized`).  ``net`` names the net of a
-#: ``_K_OPS_SLW`` charge (``None`` for the other kinds).  ``dur`` is the
-#: second float of the two kinds that carry one -- the wall-stamped op
-#: time of ``_K_OPS_SLW`` and the service cpu of ``_K_SRS_SVC`` -- and 0.0
-#: otherwise.
-Record = tuple[Any, str | None, int, int, float, float]
+#: One CPU charge: ``(time, parent, index, net, kind, shard, cpu, dur)``.
+#: The first three fields place it in recording order.  The DES appends
+#: charges in that order, as ``(time, None, 0, ...)`` with the time it
+#: records them.  The evaluator's record is the dispatch key ``(time,
+#: parent, index)`` of the dispatch that records it, extended by the
+#: charge, so it is itself a chain step's key and the records sort by
+#: themselves (see :mod:`repro.simulation.vectorized`); only a request's
+#: first and last two charges lead like the DES's, placed by hand.
+#: ``net`` names the net of a ``_K_OPS_SLW`` charge (``None`` for the
+#: other kinds).  ``dur`` is the second float of the two kinds that
+#: carry one -- the wall-stamped op time of ``_K_OPS_SLW`` and the
+#: service cpu of ``_K_SRS_SVC`` -- and 0.0 otherwise.
+Record = tuple[float, Any, int, str | None, int, int, float, float]
 
 
 def fold_charges(records: list[Record]) -> tuple[
@@ -205,7 +208,7 @@ def fold_charges(records: list[Record]) -> tuple[
     # Literal kinds (see _K_*): shard-side charges outnumber main-side
     # ones on every multi-shard plan, so they take the first branch;
     # MAIN_SHARD is -1, making ``shard >= 0`` the test.
-    for _t, net, kind, shard, cpu, dur in records:
+    for _t, _parent, _index, net, kind, shard, cpu, dur in records:
         if shard >= 0:
             if kind == 1:
                 shard_cpu[shard] = shard_get(shard, 0.0) + cpu
@@ -427,7 +430,7 @@ class AggregatingTracer:
         # the recording order the fold needs; the rest are single-writer
         # updates.  Only the shard's sparse-op charge reads its net.
         if layer is _SERDE:
-            state.records.append((end, None, _K_SERDE, shard, cpu, 0.0))
+            state.records.append((end, None, 0, None, _K_SERDE, shard, cpu, 0.0))
             if shard == MAIN_SHARD:
                 if rpc_id is None:
                     if batch is not None:
@@ -445,9 +448,10 @@ class AggregatingTracer:
         elif layer is _OPERATOR:
             if shard == MAIN_SHARD:
                 sparse = category is _SPARSE
-                state.records.append(
-                    (end, None, _K_OPS_LOCAL if sparse else _K_OPS, shard, cpu, 0.0)
-                )
+                state.records.append((
+                    end, None, 0, None, _K_OPS_LOCAL if sparse else _K_OPS,
+                    shard, cpu, 0.0,
+                ))
                 if batch is not None:
                     if batch >= len(state.batch_dense):
                         state.grow_batches(batch)
@@ -456,10 +460,12 @@ class AggregatingTracer:
                     else:
                         state.batch_dense[batch] += duration
             else:
-                state.records.append((end, net, _K_OPS_SLW, shard, cpu, duration))
+                state.records.append(
+                    (end, None, 0, net, _K_OPS_SLW, shard, cpu, duration)
+                )
                 state.rpc_entry(rpc_id)[_R_OPS] += duration
         elif layer is _NET_OVERHEAD:
-            state.records.append((end, None, _K_SERVICE, shard, cpu, 0.0))
+            state.records.append((end, None, 0, None, _K_SERVICE, shard, cpu, 0.0))
             if shard == MAIN_SHARD:
                 if batch is not None:
                     if batch >= len(state.batch_overhead):
@@ -494,7 +500,7 @@ class AggregatingTracer:
         elif layer is _SERVICE:
             # A shard's rpc_e2e charge is its own record: under a
             # straggler it is not the evaluator's fixed service cost.
-            state.records.append((end, None, _K_SERVICE, shard, cpu, 0.0))
+            state.records.append((end, None, 0, None, _K_SERVICE, shard, cpu, 0.0))
             if shard == MAIN_SHARD:
                 state.service_count += 1
                 state.e2e = duration
@@ -612,7 +618,7 @@ class AggregatingTracer:
                     col[index] = value
             self._count = index + 1
         finally:
-            # The evaluator's records hold dispatch keys, which reach its
+            # The evaluator's records are dispatch keys, which reach its
             # RPC payloads: drop them now, not when the state is reused.
             del state.records[:]
             self._pool.append(state)

@@ -15,7 +15,9 @@ request's CPU charges in the order they are folded: an equal-time
 charge folded out of the DES's order can leave the sums unchanged (a
 zero charge, or exact dyadic terms) and still be wrong.  Each case also
 draws the replay's chunk size, so open-loop busy periods straddle chunk
-boundaries.
+boundaries, and the servers' clock skew: mostly none, else skews drawn
+at a dyadic sigma, which move every wall-stamped duration off the
+dyadic grid while the event times stay on it.
 """
 
 import functools
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 from test_kernel_equivalence import assert_run_identical
 
 from repro.experiments import ShardingConfiguration, build_plan, run_configuration
-from repro.models import drm1, drm3
+from repro.models import drm1, drm2, drm3
 from repro.requests import RequestGenerator
 from repro.serving import ServingConfig, columnar
 from repro.sharding.pooling import estimate_pooling_factors
@@ -52,10 +54,11 @@ TIME_FIELDS = (
 PLANS = (
     ("DRM1", "load-bal", 2), ("DRM1", "load-bal", 4), ("DRM1", "load-bal", 8),
     ("DRM1", "singular", 0), ("DRM1", "1-shard", 1),
+    ("DRM2", "singular", 0), ("DRM2", "cap-bal", 2), ("DRM2", "NSBP", 4),
     ("DRM3", "singular", 0), ("DRM3", "NSBP", 2), ("DRM3", "NSBP", 4),
 )
 
-MODELS = {"DRM1": drm1, "DRM3": drm3}
+MODELS = {"DRM1": drm1, "DRM2": drm2, "DRM3": drm3}
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,13 +76,16 @@ def _plan(name, strategy, shards):
 
 
 def _replay(case, kernel):
-    plan_key, units, io_threads, fabric, workers, arrivals, chunk_size = case
+    plan_key, units, io_threads, fabric, workers, arrivals, chunk_size, skew = (
+        case
+    )
     model, _, requests = _inputs(plan_key[0])
     propagation, kernel_overhead, jitter_median, jitter_sigma = fabric
     serving = ServingConfig(
         seed=1,
         kernel=kernel,
         service_workers=workers,
+        clock_skew_sigma=skew * UNIT,
         cost_model=CostModel(
             io_threads=io_threads,
             **{field: n * UNIT for field, n in zip(TIME_FIELDS, units)},
@@ -102,11 +108,12 @@ def _replay(case, kernel):
 
 
 def _charges(records):
-    """A request's CPU charges in folding order, without their record
-    times: the evaluator leads a record with its dispatch key and fuses
-    a response serialization with its fixed service charge."""
+    """A request's CPU charges in folding order, without the fields that
+    place them: an evaluator record is the key of its dispatch, and the
+    evaluator fuses a response serialization with its fixed service
+    charge."""
     charges = []
-    for _t, net, kind, shard, cpu, dur in records:
+    for _t, _parent, _index, net, kind, shard, cpu, dur in records:
         if kind == aggregate._K_SRS_SVC:
             charges.append((aggregate._K_SERDE, shard, cpu))
             charges.append((aggregate._K_SERVICE, shard, dur))
@@ -150,6 +157,8 @@ cases = st.tuples(
     # The replay's chunk size: one chunk for the stream in half the
     # draws, else chunk boundaries inside the busy periods.
     st.sampled_from((2048, 2048, 2048, 1, 2, 3)),
+    # The clock-skew sigma in units: none in two draws of three.
+    st.sampled_from((0, 0, 0, 0, 1, 16)),
 )
 
 # Case A: chains that meet by rounding at one client serialization end
@@ -157,13 +166,13 @@ cases = st.tuples(
 # batch order; request 0 ended 16.9 us late on the evaluator.
 CASE_A = (
     ("DRM1", "load-bal", 4), (4, 4, 8, 32, 16, 1, 8, 1, 2, 8, 1, 16), 4,
-    (0, 0, 0, 0.0), 3, None, 2048,
+    (0, 0, 0, 0.0), 3, None, 2048, 0,
 )
 # Case B: two unequal charges recorded at one instant fold in the DES's
 # order; request 0's dense_op_cpu was 1 ulp off.
 CASE_B = (
     ("DRM1", "load-bal", 4), (0, 8, 32, 32, 2, 16, 32, 8, 0, 2, 4, 4), 1,
-    (16, 8, 0, 0.0), 3, None, 2048,
+    (16, 8, 0, 0.0), 3, None, 2048, 0,
 )
 
 # Case C: a singular plan's free local SLS op (no dispatch or dequant
@@ -173,7 +182,7 @@ CASE_B = (
 # ahead of it.  The sums cannot show that, the charge order does.
 CASE_C = (
     ("DRM1", "singular", 0), (4, 4, 4, 32, 2, 32, 0, 0, 8, 4, 0, 8), 4,
-    (0, 8, 0, 0.0), 3, None, 2048,
+    (0, 8, 0, 0.0), 3, None, 2048, 0,
 )
 
 

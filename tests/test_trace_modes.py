@@ -188,10 +188,11 @@ class TestColumnsMatchSpanOracle:
         )
 
     @pytest.mark.parametrize("kernel", ["vectorized", "batched"])
-    def test_net_bits_decode_past_32_nets(self, kernel):
-        """A record's net bits index the request's nets up to the
-        64-net field width on both paths: DRM3's 39 tables spread over
-        36 nets, so sparse ops run on nets 32-35 too."""
+    def test_net_decode_past_32_nets(self, kernel):
+        """A sparse-op record names its net, so the per-(shard, net)
+        columns hold every net on both paths, however many the model
+        has: DRM3's 39 tables spread over 36 nets, so sparse ops run on
+        nets 32-35 too."""
         base = drm3()
         nets = tuple(
             dataclasses.replace(base.nets[0], name=f"net{k}") for k in range(36)

@@ -7,6 +7,8 @@ hook -- and compares every count with the pinned table:
 
 * ``heap``: evaluator heap calls (every ``heapq`` function called
   through :mod:`repro.simulation.vectorized`);
+* ``pool_scans``: evaluator pool scans (every ``min`` called through
+  :mod:`repro.simulation.vectorized`: a grant from a pool's free list);
 * ``offers``: requests offered to the evaluator
   (``SweepEvaluator.replay_chunk`` calls);
 * ``events``: events the DES scheduled (each engine's sequence counter
@@ -76,18 +78,18 @@ def _chaos():
 #: Each replay and its counts.
 REPLAYS = {
     "serial": (_suite(serving=ServingConfig(seed=1)), dict(
-        heap=35_770, offers=440, events=22, des_requests=0,
+        heap=35_770, pool_scans=6_622, offers=440, events=22, des_requests=0,
         chunks=11, finalized=440, packings=171,
     )),
     "open-loop": (_suite(
         serving=ServingConfig(seed=1, service_workers=2),
         schedule=ReplaySchedule.open_loop(200.0, seed=2),
     ), dict(
-        heap=22_749, offers=282, events=57_053, des_requests=246,
+        heap=22_749, pool_scans=9_681, offers=282, events=57_053, des_requests=246,
         chunks=11, finalized=440, packings=171,
     )),
     "chaos": (_chaos, dict(
-        heap=4_109, offers=39, events=24_685, des_requests=82,
+        heap=4_109, pool_scans=770, offers=39, events=24_685, des_requests=82,
         chunks=3, finalized=120, packings=0,
     )),
 }
@@ -109,6 +111,10 @@ def _install(monkeypatch) -> dict[str, int]:
         name: _counting(counts, "heap", getattr(heapq, name))
         for name in heapq.__all__
     }))
+    # The module's global shadows the builtin.
+    monkeypatch.setattr(
+        vectorized, "min", _counting(counts, "pool_scans", min), raising=False
+    )
     monkeypatch.setattr(
         SweepEvaluator, "replay_chunk",
         _counting(counts, "offers", SweepEvaluator.replay_chunk),
