@@ -82,13 +82,14 @@ rules make that hold:
    ``(0, _SPARSE_RATE)``: it reads the raw 64-bit outputs numpy's Knuth
    loop would turn into uniforms, classifies them against an exact
    integer threshold, and yields only the nonzero draws, leaving the
-   stream where numpy leaves it.  It has two consumers:
-   :func:`poisson` scatters it into ``Generator.poisson``'s array, and
-   :func:`poisson_total` sums it without any array.  The per-item
-   counts of ``generate_batch`` go through the first, the pooling sample
-   of ``table_totals`` through the second; USER-scoped counts and the
-   scalar ``generate`` stay on ``Generator.poisson``, and the scalar
-   path is the oracle the bulk path is pinned against
+   stream where numpy leaves it.  It has two consumers, and neither
+   builds ``Generator.poisson``'s dense array:
+   :func:`poisson_nonzero` hands on its ``(index, count)`` pairs, from
+   which ``generate_batch`` builds each ITEM-scoped draw's item index
+   per id, and :func:`poisson_total` sums them for the pooling sample
+   of ``table_totals``.  USER-scoped counts and the scalar ``generate``
+   stay on ``Generator.poisson``, and the scalar path is the oracle the
+   bulk path is pinned against
    (``tests/test_fastpath_determinism.py``), next to the sampler's own
    twin-stream pins in ``tests/test_rng_and_types.py``.
 
@@ -249,21 +250,23 @@ def _knuth_walk(
         pos += max(n - start, 0)
 
 
-def poisson(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
-    """``rng.poisson(lam, size=size)``, bit for bit, faster at tiny ``lam``.
+def poisson_nonzero(
+    rng: np.random.Generator, lam: float, size: int
+) -> Iterator[tuple[int, int]]:
+    """``(index, count)`` of every nonzero draw of ``rng.poisson(lam, size=size)``.
 
-    Returns the same int64 array and leaves ``rng.bit_generator.state``
-    exactly where numpy leaves it: for ``0 < lam < _SPARSE_RATE`` it
-    scatters :func:`_knuth_walk` into an array of zeros.  Any other
+    Yields ascending indices and, once exhausted, leaves
+    ``rng.bit_generator.state`` exactly where numpy leaves it: for
+    ``0 < lam < _SPARSE_RATE`` it is :func:`_knuth_walk`.  Any other
     ``lam`` (zero, numpy's PTRS regime at ``lam >= 10``, negative or NaN
-    rates) is ``rng.poisson`` itself, errors included.
+    rates) draws ``rng.poisson`` itself, at the call and with numpy's
+    errors, and yields its nonzero entries.
     """
-    if not 0.0 < lam < _SPARSE_RATE:
-        return rng.poisson(lam, size=size)
-    out = np.zeros(size, dtype=np.int64)
-    for index, count in _knuth_walk(rng, lam, size):
-        out[index] = count
-    return out
+    if 0.0 < lam < _SPARSE_RATE:
+        return _knuth_walk(rng, lam, size)
+    draw = rng.poisson(lam, size=size)
+    index = np.flatnonzero(draw)
+    return zip(index.tolist(), draw[index].tolist())
 
 
 def poisson_total(rng: np.random.Generator, lam: float, size: int) -> int:

@@ -76,6 +76,16 @@ configurations without holding every chunk; entry size is bounded by
 :data:`CHUNK_SIZE`).  The (slot, table, request,
 batch) temporaries of one (group, net) pass are released before the
 next.  Nothing is memoized *on* the request objects.
+
+The one input a sweep holds for its whole run is its request stream,
+so its footprint is what chunking leaves to bound.  An ITEM-scoped
+draw keeps one int64 item index per id
+(:attr:`~repro.requests.generator.SparseFeatureDraw.item_ids`), not a
+count per candidate item: per-item rates are tiny, so a DRM1 stream of
+1000 requests holds 4.8 MiB (``tracemalloc``), where dense per-item
+counts held 34.0 MiB, 30 MB of it zeros
+(``tests/test_stream_memory.py``).  The builder scatters those ids
+straight into its count planes, with no per-item scratch either.
 """
 
 from __future__ import annotations
@@ -197,44 +207,43 @@ class _ChunkBundle:
         items_pb = edges[:, 1:] - edges[:, :-1]
 
         stacks = []
-        plane_of: dict[str, np.ndarray] = {}
-        for net_cfg in self.model.nets:
+        plane_of: dict[str, tuple[int, int]] = {}  # table -> (net, plane)
+        for n, net_cfg in enumerate(self.model.nets):
             tables = self.model.tables_for_net(net_cfg.name)
-            stack = np.zeros((len(tables) + 1, rows, batches), np.int64)
-            for plane, table in zip(stack, tables):
-                plane_of[table.name] = plane
-            stacks.append(stack)
+            stacks.append(np.zeros((len(tables) + 1, rows, batches), np.int64))
+            for plane, table in enumerate(tables):
+                plane_of[table.name] = (n, plane)
 
         # Per-table count planes, one pass over the chunk's draws.
-        # USER-scoped draws broadcast their total over every batch;
-        # ITEM-scoped draws slice a per-item cumsum at the batch edges.
+        # USER-scoped draws broadcast their total over every batch; an
+        # ITEM-scoped id counts in the batch of its item, whose index is
+        # the number of inner batch edges at or below the item.
         user_totals: dict[str, np.ndarray] = {}
-        item_rows: dict[str, list[int]] = {}
-        item_counts: dict[str, list[np.ndarray]] = {}
+        item_ids: list[list[np.ndarray]] = [[] for _ in stacks]
+        item_keys: list[list[tuple[int, int, int]]] = [[] for _ in stacks]
         for row, request in enumerate(group_requests):
             for name, draw in request.draws.items():
-                if draw.per_item_counts is None:
+                if draw.item_ids is None:
                     column = user_totals.get(name)
                     if column is None:
                         column = user_totals[name] = np.zeros(rows, np.int64)
                     column[row] = draw.total_ids
                 else:
-                    item_rows.setdefault(name, []).append(row)
-                    item_counts.setdefault(name, []).append(draw.per_item_counts)
+                    n, plane = plane_of[name]
+                    item_ids[n].append(draw.item_ids)
+                    item_keys[n].append((plane, row, len(draw.item_ids)))
         for name, column in user_totals.items():
-            plane_of[name][...] = column[:, None]
-        for name, item_row_list in item_rows.items():
-            row_index = np.array(item_row_list, dtype=np.int64)
-            lengths = items_g[row_index]
-            offsets = np.zeros(len(item_row_list) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            flat = np.concatenate(
-                [np.asarray(c, dtype=np.int64) for c in item_counts[name]]
-            )
-            prefix = np.zeros(int(offsets[-1]) + 1, dtype=np.int64)
-            np.cumsum(flat, out=prefix[1:])
-            at_edges = prefix[offsets[:-1, None] + edges[row_index]]
-            plane_of[name][row_index] = at_edges[:, 1:] - at_edges[:, :-1]
+            n, plane = plane_of[name]
+            stacks[n][plane] = column[:, None]
+        inner = left[:, 1:]
+        for stack, ids, keys in zip(stacks, item_ids, item_keys):
+            if not keys:
+                continue
+            planes, owners, sizes = np.array(keys, dtype=np.int64).T
+            owners = np.repeat(owners, sizes)
+            flat = np.concatenate(ids)
+            batch = np.count_nonzero(inner[owners] <= flat[:, None], axis=1)
+            np.add.at(stack, (np.repeat(planes, sizes), owners, batch), 1)
         return items_pb, stacks
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.models.config import FeatureScope
 from repro.requests.generator import Request
 from repro.serving.simulator import ClusterSimulation, _Tenant
@@ -90,15 +88,15 @@ def batch_split(sim: ClusterSimulation, tenant: _Tenant, request: Request) -> li
 
 
 def slice_counts(draw, batches: list[Batch]) -> list[int]:
-    """Per-batch id counts for one feature draw (cumsum, int-exact)."""
-    if draw.per_item_counts is None:
+    """Per-batch id counts for one feature draw: each id counts in the
+    batch whose items hold its item, found one id at a time."""
+    if draw.item_ids is None:
         return [draw.total_ids] * len(batches)
-    cumulative = np.cumsum(draw.per_item_counts)
-    counts = []
-    for batch in batches:
-        hi = int(cumulative[batch.stop_item - 1]) if batch.stop_item > 0 else 0
-        lo = int(cumulative[batch.start_item - 1]) if batch.start_item > 0 else 0
-        counts.append(hi - lo)
+    counts = [0] * len(batches)
+    for item in draw.item_ids.tolist():
+        for b, batch in enumerate(batches):
+            if batch.start_item <= item < batch.stop_item:
+                counts[b] += 1
     return counts
 
 

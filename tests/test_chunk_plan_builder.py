@@ -34,7 +34,9 @@ from repro.experiments import (
     run_configuration,
 )
 from repro.models import drm1, drm2, drm3
+from repro.models.config import FeatureScope
 from repro.requests import ReplaySchedule, RequestGenerator
+from repro.requests.generator import Request, SparseFeatureDraw
 from repro.serving import ServingConfig
 from repro.serving import columnar
 from repro.serving.columnar import _chunk_bundle
@@ -196,6 +198,67 @@ def test_chunk_columns_match_the_scalar_builder(name, workers, sparse_platform):
         assert seen["empty_part"] > 0, seen
     else:
         assert seen["queued"] > 0 or workers == 32, seen
+
+
+#: 700 items over 8 batches: 87.5 items a batch, so the round-half-even
+#: edges round one half up (88) and one down (262).
+_EDGES = [0, 88, 175, 262, 350, 438, 525, 612, 700]
+#: An id on the first and the last item of every batch (the request's
+#: last item included), and three on item 100, in batch 1.
+_ITEM_IDS = sorted(
+    [*_EDGES[:-1], *(edge - 1 for edge in _EDGES[1:]), 100, 100, 100]
+)
+_PER_BATCH = [2, 5, 2, 2, 2, 2, 2, 2]
+
+
+def _constructed_request(model, sample):
+    """``sample``'s USER-scoped draws and the ids of ``_ITEM_IDS`` on
+    every ITEM-scoped table, over ``_EDGES[-1]`` items."""
+    draws = {
+        name: draw for name, draw in sample.draws.items()
+        if draw.item_ids is None
+    }
+    ids = np.array(_ITEM_IDS, dtype=np.int64)
+    for table in model.tables:
+        if table.scope is FeatureScope.ITEM:
+            draws[table.name] = SparseFeatureDraw(table.name, len(ids), ids)
+    return Request(10_000, 0.0, _EDGES[-1], draws)
+
+
+@pytest.mark.parametrize("label", ["singular", "load-bal 8 shards"])
+def test_constructed_batch_split_matches_the_scalar_builder(label):
+    """A constructed DRM1 request, inside a chunk of sampled ones, whose
+    ids sit on both edges of every batch: each id counts in the batch
+    that holds its item, in the oracle, in the chunk's count planes and
+    in every plan field."""
+    model, plans, requests = _configurations("DRM1")
+    plan = next(plan for plan in plans if plan.label == label)
+    position = 5
+    request = _constructed_request(model, requests[position])
+    requests = requests[:position] + [request] + requests[position:]
+    sim = ClusterSimulation(model, plan, ServingConfig(seed=1))
+    tenant = sim.tenants[0]
+    batches = batch_split(sim, tenant, request)
+    assert [batch.start_item for batch in batches] == _EDGES[:-1]
+    for draw in request.draws.values():
+        if draw.item_ids is not None:
+            assert slice_counts(draw, batches) == _PER_BATCH
+    bundle = _chunk_bundle(
+        requests, model, model.profile.batch_size, sim.config.max_batches
+    )
+    nb, positions, _items_pb, stacks = next(
+        group for group in bundle.groups if position in group[1]
+    )
+    assert nb == len(_PER_BATCH)
+    row = positions.index(position)
+    for net_cfg, stack in zip(model.nets, stacks):
+        for plane, table in enumerate(model.tables_for_net(net_cfg.name)):
+            if table.scope is FeatureScope.ITEM:
+                assert stack[plane, row].tolist() == _PER_BATCH, table.name
+    chunk = columnar.build_chunk_plans(sim, tenant, requests)
+    seen = {"queued": 0, "idle_slot": 0}
+    for row, each in enumerate(requests):
+        _assert_row_matches(sim, chunk, row, each, seen, (label, row))
 
 
 def _count_chunk_builds(monkeypatch, chunks=None):

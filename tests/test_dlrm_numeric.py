@@ -11,6 +11,7 @@ from repro.requests import (
     materialize_numeric,
     request_payload_bytes,
 )
+from repro.requests.generator import SparseFeatureDraw
 from repro.workloads import PoissonArrivals, SerialArrivals
 
 
@@ -128,6 +129,18 @@ class TestRequestGenerator:
             else:
                 assert full == draw.total_ids
                 assert 0 <= half <= full
+        # A constructed draw over 700 items in 8 batches: an id on both
+        # edges of every batch and three on item 100.
+        edges = [round(index * 700 / 8) for index in range(8)] + [700]
+        ids = sorted([*edges[:-1], *(edge - 1 for edge in edges[1:]), 100, 100, 100])
+        draw = SparseFeatureDraw("t", len(ids), np.array(ids, dtype=np.int64))
+        assert [
+            draw.ids_in_slice(start, stop) for start, stop in zip(edges, edges[1:])
+        ] == [2, 5, 2, 2, 2, 2, 2, 2]
+        assert draw.ids_in_slice(0, 700) == 19
+        assert draw.ids_in_slice(100, 101) == 3
+        assert draw.ids_in_slice(101, 175) == 1
+        assert draw.ids_in_slice(101, 101) == 0
 
     def test_payload_bytes_scale_with_items(self):
         model = drm2(scale=1e-6)

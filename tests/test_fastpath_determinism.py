@@ -60,10 +60,13 @@ def _assert_requests_equal(a, b):
         for name, da in ra.draws.items():
             db = rb.draws[name]
             assert da.total_ids == db.total_ids
-            if da.per_item_counts is None:
-                assert db.per_item_counts is None
+            if da.item_ids is None:
+                assert db.item_ids is None
             else:
-                assert np.array_equal(da.per_item_counts, db.per_item_counts)
+                for draw in (da, db):
+                    assert draw.item_ids.dtype == np.int64
+                    assert (np.diff(draw.item_ids) >= 0).all()
+                assert np.array_equal(da.item_ids, db.item_ids)
 
 
 class TestGeneratorEquivalence:

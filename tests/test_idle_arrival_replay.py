@@ -363,11 +363,12 @@ class TestPoolTies:
         plan = build_plan(model, ShardingConfiguration("load-bal", 2), pooling)
         sample = RequestGenerator(model, seed=3).generate_many(1)[0]
         batch = model.profile.batch_size
-        per_batch = np.repeat(np.array([200, 200, 196, 193]), batch)
+        per_item = np.repeat(np.array([200, 200, 196, 193]), batch)
+        item_ids = np.repeat(np.arange(len(per_item)), per_item)
         draws = {
             name: SparseFeatureDraw(name, 40 * draw.total_ids)
-            if draw.per_item_counts is None
-            else SparseFeatureDraw(name, int(per_batch.sum()), per_batch)
+            if draw.item_ids is None
+            else SparseFeatureDraw(name, len(item_ids), item_ids)
             for name, draw in sample.draws.items()
         }
         request = Request(sample.request_id, 0.0, 4 * batch, draws)

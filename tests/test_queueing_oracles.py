@@ -42,7 +42,7 @@ def _equal_batches(model):
     draws = {
         name: draw
         for name, draw in sample.draws.items()
-        if draw.per_item_counts is None
+        if draw.item_ids is None
     }
     assert draws
     return Request(
