@@ -1,10 +1,11 @@
 """Shared simulation cache for the benchmark suite.
 
-Every ``test_fig*`` / ``test_table*`` benchmark regenerates one paper
-artifact.  The underlying simulations are shared: a session-scoped cache
-runs each (model, serving-variant) suite exactly once, and the benchmarks
-time the figure *generation* step while asserting the paper's qualitative
-shapes on the data.
+Every entry of the claims registry (``claims.py``, run by
+``test_claims.py``) regenerates one paper artifact.  The underlying
+simulations are shared: a session-scoped cache runs each (model,
+serving-variant) suite exactly once, and each entry times its figure
+*generation* step while checking the paper's qualitative claims on the
+data.
 
 Request count per configuration comes from ``REPRO_REQUESTS`` (default
 150 here; raise it for tighter quantiles).  Speed is measured by the
@@ -134,8 +135,3 @@ class SuiteCache:
 @pytest.fixture(scope="session")
 def suites() -> SuiteCache:
     return SuiteCache()
-
-
-@pytest.fixture(scope="session")
-def models(suites):
-    return suites.models

@@ -12,7 +12,7 @@ resulting seconds from the plan.
 
 The paper publishes no absolute times (all of its figures are
 normalized), so constants below are set to produce the *relationships*
-the paper reports -- the figure benchmarks (``benchmarks/test_fig*.py``)
+the paper reports -- the claims benchmark (``benchmarks/claims.py``)
 assert them, and ROADMAP.md's open item "Calibrate the cost model
 against the ledger" tracks a fit of these constants to the paper's
 numbers -- with magnitudes representative of commodity data-center
