@@ -289,19 +289,18 @@ class ChaosRuntime:
             ChaosEvent(time=self.engine.now, kind="spike-end")
         )
 
-    def scale_service(self, shard: int, delay: float, server=None) -> float:
+    def scale_service(self, shard: int, delay: float, server) -> float:
         """Apply active straggler multipliers to a shard-side delay.
 
         ``server`` identifies which replica is doing the work: a
         replica-scoped straggler (``StragglerShard.replica`` set) only
         slows that slot, so a hedged attempt on a sibling replica runs
-        at full speed.  ``server=None`` keeps the historical shard-wide
-        behaviour.
+        at full speed.
         """
         for straggler in self._active_stragglers:
             if straggler.shard != shard:
                 continue
-            if straggler.replica is not None and server is not None:
+            if straggler.replica is not None:
                 slots = self.replicas[shard]
                 if (
                     straggler.replica >= len(slots)

@@ -517,8 +517,9 @@ def cmd_workload(args: argparse.Namespace) -> int:
         settings = _settings(args)
         configuration = _configuration(args)
         plans = mix_plans(mix, configuration, mix_poolings(mix, settings))
+    stream = mix_stream(mix, settings)
     result = run_mix_configuration(
-        mix, plans, mix_stream(mix, settings), settings.resolved_serving(),
+        mix, plans, stream, settings.resolved_serving(),
         label=configuration.label,
     )
     rows = []
@@ -554,7 +555,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
     )
     if args.cache_summary:
         cache_rows = []
-        stream = mix_stream(mix, settings)
         for name, trace in mix.access_traces(stream).items():
             summary = trace_hit_summary(trace, cache_fraction=args.cache_fraction)
             cache_rows.append(

@@ -76,9 +76,8 @@ class RunResult:
         self.kernel_fallback: str | None = None
         #: Requests the DES replayed: every request for a DES kernel;
         #: under ``vectorized``, the busy-period arrivals of an open-loop
-        #: run plus the rare request whose acquires tie on a worker pool
-        #: (the rest took the evaluator, batches queueing FIFO for the
-        #: workers -- every request of a serial run without such a tie).
+        #: run (the rest took the evaluator, batches queueing FIFO for the
+        #: workers -- every request of a serial run).
         self.des_requests: int = 0
         #: Requests that never completed (an aborted or fault-saturated
         #: replay); ids only -- they have no row in the columns.

@@ -12,13 +12,12 @@ which plans the entries it replays per tenant, :data:`CHUNK_SIZE`
 stream positions at a time, when it reaches them
 (:meth:`ClusterSimulation._locate`).  Under the ``vectorized`` kernel
 the cluster carries an evaluator (``ClusterSimulation.evaluator``),
-offered every request that arrives at an idle cluster; it commits a
+offered every request that arrives at an idle cluster; it replays the
+request's batches queueing FIFO for the worker pools and commits the
 request if it completes strictly before the next arrival (for a serial
 run the next arrival is the request's own completion, so the horizon is
-``+inf``) -- its batches queueing FIFO for the worker pools, unless two
-acquires on one pool tie at one exact time and one waits -- and the DES
-replays the rest from the same chunk row, so one build serves both
-paths.  One :class:`~repro.tracing.aggregate.AggregatingTracer` is the
+``+inf`` and every request commits), and the DES replays the rest from
+the same chunk row, so one build serves both paths.  One :class:`~repro.tracing.aggregate.AggregatingTracer` is the
 run's tracer, and both replay paths attribute into it through its
 ``finalize_request``, so they fill one set of columns in completion
 order.

@@ -150,9 +150,7 @@ class ServingConfig:
     batched DES with every idle arrival that finishes before the next
     taken by the columnar evaluator, its batches queueing FIFO for the
     workers (:mod:`repro.serving.columnar`; ``RunResult.des_requests``
-    counts the rest: the busy periods, and the rare request whose
-    acquires tie on a worker pool -- 0 for the serial runs the tests
-    pin).  Runs with chaos or a live resilience policy
+    counts the rest, the busy periods -- 0 for every serial run).  Runs with chaos or a live resilience policy
     take the ``"batched"`` DES, recording the reason on
     ``RunResult.kernel_fallback``.  ``"batched"`` forces the DES
     (:class:`~repro.simulation.engine.Engine`) for every request; the

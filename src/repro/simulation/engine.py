@@ -76,11 +76,10 @@ its busy periods and hands the evaluator only the requests that finish
 strictly before the next arrival -- requests no other event can
 interleave with.  Their batches queue FIFO for the worker pools: the
 evaluator replays each :class:`Resource` as a free list of release
-times, since every hold is known when its unit is granted, and declines
-a request to the event loop when two acquires on one pool tie at one
-exact time and one of them waits (the sequence counter would decide
-which).  In a serial closed loop the next arrival is the request's own
-completion, so every request without such a tie takes the evaluator,
+times, since every hold is known when its unit is granted, and orders
+acquires that tie at one exact time by the keys of their dispatches,
+as the sequence counter does.  In a serial closed loop the next arrival
+is the request's own completion, so every request takes the evaluator,
 whatever the pool depth.  The regression suites pin vectorized ==
 batched on every eligible paper configuration, serial and parallel, on
 2- and 1-worker pools, open-loop and co-located replays.

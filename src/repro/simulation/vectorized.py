@@ -91,34 +91,20 @@ at an idle cluster (``ClusterSimulation._arrive``), one request at a
 time, starting at the driver's own ``engine.now``; the DES replays the
 rest.  In a serial closed loop every request arrives at an idle cluster
 and the next arrival is the request's own completion, so the horizon is
-``+inf`` and only a pool tie (below) goes to the DES; on a commit the
-driver moves ``engine.now`` to the completion float, where the DES
-driver would resume.  In an open-loop run (or a co-located mix) the DES
-replays the busy periods.  A request is committed under three
-conditions:
+``+inf`` and every request commits; on a commit the driver moves
+``engine.now`` to the completion float, where the DES driver would
+resume.  In an open-loop run (or a co-located mix) the DES replays the
+busy periods.  A request is committed under two conditions -- the
+driver checks the first, and the horizon is the evaluator's one
+decline:
 
 * **The engine holds no event and no request is in flight.**  Every
   earlier request has completed, so every worker and IO thread is free,
   and every egress reservation lies at or before ``now`` (each precedes
   its own request's completion).  The evaluator starts its Lindley
   recursions from the servers' reservations, so its NIC floats are the
-  DES's.
-* **No pool acquire waits at its pool's previous acquire time.**
-  Batches queue FIFO for the main pool (the kickoffs acquire at one
-  instant in batch order, and a chain re-acquires a worker when its RPC
-  group joins) and RPCs for their shard's pool (acquired on arrival),
-  each pool replayed as a free list of hand-over keys in dispatch
-  order.  Only a pool smaller than ``nb`` can queue (each batch holds
-  at most one main worker, and has at most one RPC in service on a
-  host), so a pool of ``nb`` workers or more is not replayed at all:
-  every acquire on it is granted at once.  Two acquires
-  on one pool at one exact time -- other than the kickoffs -- are
-  ordered by the engine's sequence counter, which decides who waits.
-  The dispatch keys reproduce that order, but the kernel's contract
-  keeps such a request the DES's: when the later acquire waits, the
-  evaluator *declines* the request.  No chaos and no live resilience
-  policy run, so nothing else schedules events
-  (``vectorized_ineligibility``).
+  DES's.  No chaos and no live resilience policy run, so nothing else
+  schedules events (``vectorized_ineligibility``).
 * **It completes strictly before the next arrival's clock** (the float
   the engine will compute, ``now + (next - previous)``; ``+inf`` in a
   serial closed loop).  Then every event of the request precedes the
@@ -131,12 +117,24 @@ conditions:
   its tail -- and may queue on a worker.  Ties, and later completions,
   therefore go to the DES.
 
-A declined evaluation -- a pool tie, or a completion at or after the
-horizon -- leaves no trace: the event heap and the RPC payloads its
-events carry are the evaluation's own and die with it; the evaluator
-reads the jitter cursor ahead without moving it, writes reservations,
-rows and ``completed`` only on commit, and the DES, replaying the same
-request, consumes every window the evaluator read ahead -- so
+Within a committed request, batches queue FIFO for the main pool (the
+kickoffs acquire at one instant in batch order, and a chain re-acquires
+a worker when its RPC group joins) and RPCs for their shard's pool
+(acquired on arrival), each pool replayed as a free list of hand-over
+keys in dispatch order.  Only a pool smaller than ``nb`` can queue
+(each batch holds at most one main worker, and has at most one RPC in
+service on a host), so a pool of ``nb`` workers or more is not replayed
+at all: every acquire on it is granted at once.  Two acquires on one
+pool at one exact time are ordered by the engine's sequence counter,
+which decides who waits; the dispatch keys reproduce that order, so a
+pool tie commits like any other request.
+
+A declined evaluation -- a completion at or after the horizon --
+leaves no trace: the event heap and the RPC payloads its events carry
+are the evaluation's own and die with it; the evaluator reads the
+jitter cursor ahead without moving it, writes reservations, rows and
+``completed`` only on commit, and the DES, replaying the same request,
+consumes every window the evaluator read ahead -- so
 ``_jitter_pos`` and the fabric RNG state end where a pure-DES run leaves
 them.  The DES takes a request's plans from the same chunk row the
 evaluator reads (the driver plans its stream a chunk at a time,
@@ -147,7 +145,8 @@ The regression pins for all of this are
 paper configuration, all ``RunResult`` columns, serial and parallel)
 and ``tests/test_idle_arrival_replay.py`` (serial, open-loop and mix
 replays == the batched DES across the busy-period range and on 2- and
-1-worker hosts, horizon and pool ties, cluster state);
+1-worker hosts, horizon ties, pool ties on DRM1's paper plans, cluster
+state);
 ``tests/test_exact_ties.py`` fuzzes both kernels under dyadic costs,
 where exact ties are common;
 ``tests/test_queueing_oracles.py`` checks queued batches against a
@@ -219,15 +218,12 @@ if TYPE_CHECKING:
 # acquire at key ``k`` takes the lowest: if that release dispatched
 # before ``k`` the unit is free and the grant is ``k`` itself, else the
 # acquire waits and the hand-over is its grant -- FIFO, since acquires
-# are replayed in the DES order.  A re-acquire or an RPC's acquire that
-# waits at the exact time of its pool's previous acquire still declines
-# the request to the DES (the kickoffs excepted): the replay keeps the
-# one tie contract the rest of the kernel documents, that such a
-# request is the DES's.  A worker pool of ``nb`` units or more never
-# makes an acquire wait (at most ``nb`` chains hold its workers at
-# once), so it keeps no free list: each acquire is granted at its own
-# key.  The IO threads always keep theirs -- a request's RPCs are not
-# bounded by ``nb``.
+# are replayed in the DES order, and acquires at one exact time wait in
+# the order of their keys, as the DES's do.  A worker pool of ``nb``
+# units or more never makes an acquire wait (at most ``nb`` chains hold
+# its workers at once), so it keeps no free list: each acquire is
+# granted at its own key.  The IO threads always keep theirs -- a
+# request's RPCs are not bounded by ``nb``.
 #
 # A charge's record *is* the key of the dispatch that records it, with
 # the charge's fields after the key's (see
@@ -398,15 +394,14 @@ class SweepEvaluator:
         self, plans: ChunkPlans, t_start: float, i: int, horizon: float
     ) -> float:
         """Replay request ``i`` of one chunk, starting at ``t_start``;
-        returns its completion time, or ``+inf`` when a pool acquire
-        waits at the time of the pool's previous acquire (see
-        "Idle arrivals" in the module docstring).
+        returns its completion time (see "Idle arrivals" in the module
+        docstring).
 
         The request *commits* -- attributes its row, moves the jitter
-        cursor and the egress reservations, enters ``completed`` -- only
-        if it completes strictly before ``horizon``; otherwise the
-        cluster is left untouched and the caller hands the request to
-        the DES.
+        cursor and the egress reservations, enters ``completed`` -- if
+        and only if it completes strictly before ``horizon``; otherwise
+        the cluster is left untouched and the caller hands the request
+        to the DES.
         """
         fabric = self.fabric
         main = self.main
@@ -554,21 +549,15 @@ class SweepEvaluator:
 
         # The kickoffs acquire at t2 in batch order: the processes spawned
         # by one dispatch, in spawn order, before any later event.
-        # ``m_last``/``s_last`` hold each queueing pool's previous
-        # acquire time.
         spawn = (t2, _NEVER, 0)
-        m_last = t2
-        s_last = [-1.0] * len(servers)
         for b in range(nb):
             kickoff = (t2, spawn, b)
             if m_free is None:
                 advance(b, t2, kickoff, 0, False)
                 continue
             f = min(m_free)
-            if f[1] < kickoff:
-                m_free[m_free.index(f)] = advance(b, t2, kickoff, 0, False)
-            else:
-                m_free[m_free.index(f)] = advance(b, f[0], f, 0, False)
+            g = kickoff if f[1] < kickoff else f
+            m_free[m_free.index(f)] = advance(b, g[0], g, 0, False)
 
         # Every event but a resume schedules at most one successor, so
         # the loop peeks at the heap's head and hands its slot to that
@@ -614,12 +603,8 @@ class SweepEvaluator:
                 continue
             elif kind == 3:  # arrive: IO-thread pool, then join
                 f = min(io_free)
-                if f[1] < ev:
-                    begin = t
-                    grant = ev
-                else:
-                    begin = f[0]
-                    grant = f
+                grant = ev if f[1] < ev else f
+                begin = grant[0]
                 crd = rpc[4][6]
                 done = begin + crd
                 deser_key = (done, grant, 0, None, _K_SERDE, MAIN_SHARD, crd, 0.0)
@@ -658,17 +643,8 @@ class SweepEvaluator:
                     advance(rpc[2], t, ev, rpc[3], True)
                     continue
                 f = min(m_free)
-                if f[1] < ev:
-                    m_free[m_free.index(f)] = advance(
-                        rpc[2], t, ev, rpc[3], True
-                    )
-                elif t == m_last:
-                    return math.inf
-                else:
-                    m_free[m_free.index(f)] = advance(
-                        rpc[2], f[0], f, rpc[3], True
-                    )
-                m_last = t
+                g = ev if f[1] < ev else f
+                m_free[m_free.index(f)] = advance(rpc[2], g[0], g, rpc[3], True)
                 continue
             # serve: the RPC acquires a worker from its shard's FIFO pool
             # and runs its shard chain from the grant (the rpc_e2e
@@ -676,19 +652,11 @@ class SweepEvaluator:
             shard = rpc[5]
             pool = s_free[shard]
             if pool is None:
-                grant_t = t
                 g = ev
             else:
                 f = min(pool)
-                if f[1] < ev:
-                    grant_t = t
-                    g = ev
-                elif t == s_last[shard]:
-                    return math.inf
-                else:
-                    grant_t = f[0]
-                    g = f
-                s_last[shard] = t
+                g = ev if f[1] < ev else f
+            grant_t = g[0]
             c = rpc[4]
             sdes = c[2]
             x = grant_t + sdes

@@ -9,10 +9,12 @@ what changed.
 """
 
 import hashlib
+from unittest import mock
 
 import pytest
 
 from repro.cli import main
+from repro.workloads import WorkloadMix
 
 TOY = ["--pooling-requests", "20"]
 
@@ -110,3 +112,17 @@ def test_verb_stdout_is_pinned(name, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_workload_samples_its_stream_once(capsys):
+    """``--cache-summary`` summarizes the stream the replay ran on."""
+    sample = WorkloadMix.sample
+    calls = []
+
+    def counted(mix, *args, **kwargs):
+        calls.append(args)
+        return sample(mix, *args, **kwargs)
+
+    with mock.patch.object(WorkloadMix, "sample", counted):
+        assert main(CASES["workload"][0]) == 0
+    assert len(calls) == 1

@@ -124,8 +124,9 @@ def _charges(records):
     return charges
 
 
-def _replay_charges(case, kernel):
-    """``_replay``, plus the charges of each request it attributes."""
+def charged(replay, *args, **kwargs):
+    """``replay(*args, **kwargs)``, plus the CPU charges of each request
+    it attributes, in folding order."""
     folded = []
     fold = aggregate.fold_charges
 
@@ -134,7 +135,7 @@ def _replay_charges(case, kernel):
         return fold(records)
 
     with mock.patch.object(aggregate, "fold_charges", spy):
-        return _replay(case, kernel), folded
+        return replay(*args, **kwargs), folded
 
 
 _units = st.sampled_from((0, 1, 2, 4, 8, 16, 32))
@@ -192,17 +193,17 @@ CASE_C = (
 @example(CASE_C)
 @given(cases)
 def test_vectorized_matches_batched_under_exact_ties(case):
-    batched, des_charges = _replay_charges(case, "batched")
-    hybrid, charges = _replay_charges(case, "vectorized")
+    """A serial case (no arrival process) commits every request, ties
+    included: each arrives at an idle cluster with an infinite horizon.
+    The dyadic cases hardly ever tie on a worker pool: in none of 600
+    seeded cases did an acquire wait at the time of its pool's previous
+    acquire.  ``TestPoolTies`` in ``test_idle_arrival_replay.py`` pins
+    those ties."""
+    batched, des_charges = charged(_replay, case, "batched")
+    hybrid, charges = charged(_replay, case, "vectorized")
     assert hybrid.kernel_used == "vectorized", case
     assert batched.des_requests == len(batched), case
+    if case[5] is None:
+        assert hybrid.des_requests == 0, case
     assert_run_identical(batched, hybrid, case)
     assert charges == des_charges, case
-
-
-@pytest.mark.parametrize("case", [CASE_A, CASE_B, CASE_C], ids=["A", "B", "C"])
-def test_serial_tie_cases_commit_every_request(case):
-    """Cases A, B and C are serial closed loops: every request arrives at
-    an idle cluster with an infinite horizon, so the evaluator commits
-    all of them, ties included."""
-    assert _replay(case, "vectorized").des_requests == 0

@@ -8,7 +8,7 @@ queueing FIFO for the worker pools (see "Idle arrivals" in
 ``repro/simulation/vectorized.py``).  The matrix below sweeps the
 busy-period share from about 0% (5 QPS) to about 100% (1000 QPS), plus
 the serial closed loop, on roomy, 2-worker and 1-worker hosts, with and
-without clock skew; the rest pins the horizon and pool tie rules, the
+without clock skew; the rest pins the horizon rule, pool ties, the
 cluster state a hybrid replay leaves behind, and the ``des_requests``
 count.
 """
@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from test_exact_ties import charged
 from test_kernel_equivalence import assert_run_identical
 
 from repro.experiments import (
@@ -91,9 +92,8 @@ def test_hybrid_matches_batched(name, qps):
             assert_run_identical(batched, hybrid, label)
             if qps is None:
                 # A serial request always arrives at an idle cluster
-                # with an infinite horizon, and no request of these
-                # inputs ties two acquires on a pool: the evaluator
-                # replays every one, whatever the pool depth.
+                # with an infinite horizon: the evaluator replays every
+                # one, whatever the pool depth.
                 assert hybrid.des_requests == 0, label
             des += hybrid.des_requests
             total += len(hybrid)
@@ -253,79 +253,50 @@ class TestCommitRule:
         assert_run_identical(batched, hybrid, "after")
 
 
-def _hosts(bandwidth, main_cores):
-    """Serving options for hosts whose NICs run at ``bandwidth``, with a
+def _hosts(main_cores):
+    """Serving options for hosts with infinitely fast NICs and a
     ``main_cores``-worker main pool."""
     return {
         "main_platform": dataclasses.replace(
-            SC_LARGE, cores=main_cores, nic_bandwidth=bandwidth
+            SC_LARGE, cores=main_cores, nic_bandwidth=math.inf
         ),
-        "sparse_platform": dataclasses.replace(SC_LARGE, nic_bandwidth=bandwidth),
+        "sparse_platform": dataclasses.replace(SC_LARGE, nic_bandwidth=math.inf),
     }
-
-
-def _float_bits(value):
-    return int(np.array(value, dtype=np.float64).view(np.int64))
-
-
-def _bits_float(bits):
-    return float(np.array(bits, dtype=np.int64).view(np.float64))
 
 
 class TestPoolTies:
     """Two acquires on one pool at one exact time are ordered by the
-    engine's sequence counter, which decides who waits, so the evaluator
-    declines such a request to the DES.  On a jitter-free fabric with
-    infinitely fast NICs, equal batches of a request run in lockstep and
-    their RPC groups rejoin at one instant; on a 2-worker main pool the
-    second re-acquire waits."""
+    engine's sequence counter, which decides who waits; the evaluator's
+    dispatch keys reproduce that order, so it commits such a request
+    like any other.  On a jitter-free fabric with infinitely fast NICs,
+    equal batches of a request run in lockstep and their RPC groups
+    rejoin at one instant, so acquires tie on pools that queue."""
 
-    @pytest.fixture(scope="class")
-    def tied(self):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_serial_ties_commit_every_request(self, workers):
+        """DRM1's paper plans on ``workers``-worker main and shard
+        pools: a serial run commits every request, ties included, and
+        equals the DES column for column and charge for charge.  Over
+        both pool sizes, 168 of the 440 requests have an acquire that
+        waits at the time of its pool's previous acquire."""
         model, plans, requests = _inputs("DRM1")
-        plan = next(plan for plan in plans if plan.num_shards == 2)
-
-        def replay(request, bandwidth, kernel="vectorized"):
-            result, _ = _replay_stream(
-                model, plan, [(0.0, 0, request)], kernel,
-                fabric_spec=FabricSpec(jitter_sigma=0.0),
-                **_hosts(bandwidth, main_cores=2),
+        options = {
+            "fabric_spec": FabricSpec(jitter_sigma=0.0),
+            "service_workers": workers,
+            **_hosts(main_cores=workers),
+        }
+        for plan in plans:
+            (batched, _), des_charges = charged(
+                _replay_stream, model, plan, requests, "batched", serial=True,
+                **options,
             )
-            return result
-
-        request = next(r for r in requests if replay(r, math.inf).des_requests)
-        return replay, request
-
-    def test_acquire_tie_goes_to_the_des(self, tied):
-        replay, request = tied
-        hybrid = replay(request, math.inf)
-        assert hybrid.des_requests == 1
-        assert_run_identical(replay(request, math.inf, "batched"), hybrid, "tie")
-
-    def test_one_ulp_of_bandwidth_either_side_of_the_tie(self, tied):
-        """A finite bandwidth queues the second RPC behind the first's
-        wire on the egress NIC; once that wire survives rounding, the
-        re-acquires no longer tie.  Bisecting the bandwidth over
-        adjacent floats finds the two bandwidths, ``np.nextafter`` apart,
-        either side of that edge: the lower commits, the upper ties, and
-        both equal the DES."""
-        replay, request = tied
-        low, high = _float_bits(1e18), _float_bits(math.inf)
-        assert replay(request, _bits_float(low)).des_requests == 0
-        while high - low > 1:
-            middle = (low + high) // 2
-            if replay(request, _bits_float(middle)).des_requests:
-                high = middle
-            else:
-                low = middle
-        below, above = _bits_float(low), _bits_float(high)
-        assert above == np.nextafter(below, np.inf)
-        for bandwidth, des in ((below, 0), (above, 1)):
-            hybrid = replay(request, bandwidth)
-            assert hybrid.des_requests == des, bandwidth
-            assert_run_identical(
-                replay(request, bandwidth, "batched"), hybrid, bandwidth
+            (hybrid, _), charges = charged(
+                _replay_stream, model, plan, requests, "vectorized",
+                serial=True, **options,
             )
+            assert hybrid.des_requests == 0, plan.label
+            assert_run_identical(batched, hybrid, plan.label)
+            assert charges == des_charges, plan.label
 
     def test_handed_over_workers_resume_in_fifo_order(self):
         """Re-acquires that waited are handed workers in FIFO order, and
@@ -335,7 +306,7 @@ class TestPoolTies:
         their workers at one instant, out of batch order."""
         model, plans, requests = _inputs("DRM1", num_requests=40)
         plan = next(plan for plan in plans if plan.label == "cap-bal 8 shards")
-        options = _hosts(math.inf, main_cores=3)
+        options = _hosts(main_cores=3)
         batched, _ = _replay_stream(
             model, plan, requests, "batched", serial=True, **options
         )
@@ -374,7 +345,7 @@ class TestPoolTies:
         request = Request(sample.request_id, 0.0, 4 * batch, draws)
         options = {
             "fabric_spec": FabricSpec(jitter_sigma=0.0),
-            **_hosts(math.inf, main_cores=2),
+            **_hosts(main_cores=2),
         }
         batched, _ = _replay_stream(
             model, plan, [(0.0, 0, request)], "batched", **options

@@ -302,8 +302,7 @@ class TestDefaultKernel:
     def test_shallow_serial_runs_take_the_idle_arrival_path(self):
         """Serial runs need no pool gate either: on 2-worker hosts the
         evaluator replays every request, the batches of those with more
-        than two queueing for the workers (none of these ties two
-        acquires on a pool)."""
+        than two queueing for the workers."""
         batched = run_suite(
             drm1(), settings("batched", num_requests=15, service_workers=2),
             self.TWO_CONFIGURATIONS,
