@@ -253,14 +253,17 @@ class TestCommitRule:
         assert_run_identical(batched, hybrid, "after")
 
 
-def _hosts(main_cores):
-    """Serving options for hosts with infinitely fast NICs and a
-    ``main_cores``-worker main pool."""
+def _hosts(main_cores=SC_LARGE.cores, sparse_cores=SC_LARGE.cores):
+    """Serving options for hosts with infinitely fast NICs, a
+    ``main_cores``-core main host and ``sparse_cores``-core sparse
+    hosts (a pool has ``min(service_workers, cores)`` workers)."""
     return {
         "main_platform": dataclasses.replace(
             SC_LARGE, cores=main_cores, nic_bandwidth=math.inf
         ),
-        "sparse_platform": dataclasses.replace(SC_LARGE, nic_bandwidth=math.inf),
+        "sparse_platform": dataclasses.replace(
+            SC_LARGE, cores=sparse_cores, nic_bandwidth=math.inf
+        ),
     }
 
 
@@ -279,12 +282,22 @@ class TestPoolTies:
         equals the DES column for column and charge for charge.  Over
         both pool sizes, 168 of the 440 requests have an acquire that
         waits at the time of its pool's previous acquire."""
+        self._assert_serial_run_commits(
+            service_workers=workers, **_hosts(main_cores=workers)
+        )
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_serial_shard_pool_ties_commit_every_request(self, workers):
+        """The same with a roomy main pool and ``workers``-worker shard
+        pools, where only the shard pools queue and every tie is an RPC
+        serve: at each pool size, 110 of the 220 requests have a serve
+        that waits at the time of its shard pool's previous acquire."""
+        self._assert_serial_run_commits(**_hosts(sparse_cores=workers))
+
+    @staticmethod
+    def _assert_serial_run_commits(**options):
         model, plans, requests = _inputs("DRM1")
-        options = {
-            "fabric_spec": FabricSpec(jitter_sigma=0.0),
-            "service_workers": workers,
-            **_hosts(main_cores=workers),
-        }
+        options["fabric_spec"] = FabricSpec(jitter_sigma=0.0)
         for plan in plans:
             (batched, _), des_charges = charged(
                 _replay_stream, model, plan, requests, "batched", serial=True,
