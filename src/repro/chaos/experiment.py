@@ -259,7 +259,8 @@ def availability_sweep(
     configuration on it (:meth:`CapacityPlanner.plan
     <repro.planning.CapacityPlanner.plan>` keeps both on each
     candidate).  The sweep then replays neither again; a result whose
-    row count differs from the stream's raises ``ValueError``.
+    row count differs from the stream's, or a serial (untimed) stream,
+    raises ``ValueError`` before any replay.
 
     The cluster replays fan out over
     :func:`repro.experiments.parallel.run_cluster_tasks` with
@@ -308,6 +309,12 @@ def availability_sweep(
                 f"the healthy replay has {len(baseline)} rows for a stream "
                 f"of {len(stream)} requests"
             )
+    arrival_times = stream.times
+    if arrival_times is None:
+        raise ValueError(
+            "availability needs arrival times, and the healthy stream is "
+            "serial (closed-loop); sample it with mix_stream"
+        )
 
     base_context = (mix, plans, stream, serving)
     if policy is not None and policy.hedge_quantile is not None:
@@ -333,8 +340,6 @@ def availability_sweep(
     if slo_latency is None:
         slo_latency = baseline_p99 * slo_slack
 
-    arrival_times = stream.times  # sampled mix streams are timed
-    assert arrival_times is not None, "availability needs arrival times"
     outcomes = []
     for schedule, result in zip(schedules, replays):
         report = availability_report(

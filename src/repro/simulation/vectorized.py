@@ -39,11 +39,10 @@ built a *chunk* of requests at a time:
 3. every CPU charge -- the sums that *interleave across chains* --
    becomes the aggregate's compact record, the one the DES appends per
    charge, and the evaluator sorts its records into the DES's recording
-   order.  On commit it claims the run's
-   :class:`~repro.tracing.aggregate.AggregatingTracer` request state,
-   fills it as the DES's ``record_interval`` calls would have, and
-   hands it to ``finalize_request``, the one attribution entry of both
-   paths.
+   order.  On commit it builds a fresh request state of the run's
+   :class:`~repro.tracing.aggregate.AggregatingTracer`, fills it as the
+   DES's ``record_interval`` calls would have, and hands it to
+   ``finalize_request``, the one attribution entry of both paths.
 
 Vectorized equivalence
 ======================
@@ -173,6 +172,7 @@ from repro.tracing.aggregate import (
     _K_SRS_SVC,
     AggregatingTracer,
     Record,
+    _RequestState,
 )
 from repro.tracing.span import MAIN_SHARD
 
@@ -450,7 +450,6 @@ class SweepEvaluator:
         rpcs = 0
         best_rpc: list[Any] | None = None
         best_rpc_dur = -1.0
-        groups = 0
         # Worker pools (see the dispatch keys above).  A batch chain
         # holds one main worker from its grant until it parks on an RPC
         # group or ends, and an RPC holds one shard worker from its grant
@@ -625,7 +624,6 @@ class SweepEvaluator:
                 if join[0]:
                     heappop(heap)
                     continue
-                groups += 1
                 # The last deserialization's process ends (behind its
                 # IO thread's hand-over), that ends the group's join,
                 # and the join resumes the chain.  The key leaves the
@@ -721,8 +719,7 @@ class SweepEvaluator:
         add((t_end, None, 0, None, _K_SERVICE, MAIN_SHARD, self.handler_cpu, 0.0))
         # The request's state, filled as the DES's record_interval calls
         # would have left it.
-        collector = self.collector
-        state = collector.claim()
+        state = _RequestState()
         state.records = recs
         state.tail_serde = (t1 + skm) - (last_end + skm)
         state.e2e = (t_end + skm) - (t0_req + skm)
@@ -738,12 +735,8 @@ class SweepEvaluator:
         state.batch_serde = b_serde
         state.batch_overhead = b_overhead
         state.batch_sparse = b_sparse
-        collector.spans_recorded += (
-            3 + nb + (5 if plans.singular else 3) * nb * num_nets + groups
-            + 8 * rpcs
-        )
         rid = plans.rids[i]
-        collector.finalize_request(rid, state)
+        self.collector.finalize_request(rid, state)
         fabric.seek(window, dpos)
         main.egress_free = main_free
         for server, free in zip(servers, shard_free):

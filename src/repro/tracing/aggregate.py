@@ -10,7 +10,8 @@ demand and sparse-op time, the per-(shard, net) sparse-op time (Fig 10),
 sparse and dense operator CPU (Fig 4), and the RPC and batch counts.  No
 ``Span`` is constructed and no per-request dataclass is retained.
 
-A request's in-flight state (pooled and reused) holds two things:
+A request's in-flight state, built fresh for each request and dropped
+once its row is written, holds two things:
 
 * the **single-writer** accumulators, each fed by one ordered chain: the
   request's head/tail serde and e2e windows, one batch's buckets, one RPC
@@ -23,10 +24,10 @@ A request's in-flight state (pooled and reused) holds two things:
   completion.
 
 Both replay paths fill that state.  The DES drives ``record_interval``,
-which claims a state (:meth:`AggregatingTracer.claim`), updates the
+which builds a request's state on its first call, updates the
 single-writer accumulators and appends each charge in call order --
 already the recording order.  The columnar evaluator
-(:class:`~repro.simulation.vectorized.SweepEvaluator`) claims a state
+(:class:`~repro.simulation.vectorized.SweepEvaluator`) builds a state
 for a request it commits, writes the single-writer values it computed
 inline and its records, sorted into the DES's recording order.  Either
 way :meth:`AggregatingTracer.finalize_request` folds the records and
@@ -250,8 +251,8 @@ def fold_charges(records: list[Record]) -> tuple[
 
 
 class _RequestState:
-    """Accumulators for one in-flight request (pooled/reused): its CPU
-    charges and the single-writer sums."""
+    """Accumulators for one in-flight request: its CPU charges and the
+    single-writer sums.  Built fresh per request, never reused."""
 
     __slots__ = (
         "records",
@@ -271,22 +272,10 @@ class _RequestState:
         "best_rpc",
         "best_rpc_dur",
         "rpc_live",
-        "rpc_free",
     )
 
-    def __init__(self):
+    def __init__(self) -> None:
         self.records: list[Record] = []
-        self.batch_dense: list[float] = []
-        self.batch_embedded: list[float] = []
-        self.batch_serde: list[float] = []
-        self.batch_overhead: list[float] = []
-        self.batch_sparse: list[float] = []
-        self.rpc_live: dict[int, list[float]] = {}
-        self.rpc_free: list[list[float]] = []
-        self.reset()
-
-    def reset(self) -> None:
-        del self.records[:]
         self.head_serde = 0.0
         self.tail_serde = 0.0
         self.e2e = 0.0
@@ -294,15 +283,15 @@ class _RequestState:
         self.num_batches = 0
         self.best_batch = -1
         self.best_batch_dur = -1.0
-        del self.batch_dense[:]
-        del self.batch_embedded[:]
-        del self.batch_serde[:]
-        del self.batch_overhead[:]
-        del self.batch_sparse[:]
+        self.batch_dense: list[float] = []
+        self.batch_embedded: list[float] = []
+        self.batch_serde: list[float] = []
+        self.batch_overhead: list[float] = []
+        self.batch_sparse: list[float] = []
         self.rpcs = 0
-        self.best_rpc = None
+        self.best_rpc: list[Any] | None = None
         self.best_rpc_dur = -1.0
-        self.rpc_live.clear()
+        self.rpc_live: dict[int, list[float]] = {}
 
     def grow_batches(self, index: int) -> None:
         """Ensure per-batch accumulators cover batch ``index``.
@@ -323,12 +312,7 @@ class _RequestState:
     def rpc_entry(self, rpc_id: int) -> list[float]:
         entry = self.rpc_live.get(rpc_id)
         if entry is None:
-            if self.rpc_free:
-                entry = self.rpc_free.pop()
-                entry[0] = entry[1] = entry[2] = entry[3] = 0.0
-            else:
-                entry = [0.0, 0.0, 0.0, 0.0]
-            self.rpc_live[rpc_id] = entry
+            entry = self.rpc_live[rpc_id] = [0.0] * 4
         return entry
 
 
@@ -340,13 +324,11 @@ class AggregatingTracer:
     API).  Completion is driven by :meth:`finalize_request`, which plays
     the role ``pop_request`` + ``attribute_request`` play over spans:
     it folds the request's CPU charges, attributes it into the next row
-    of the preallocated output columns and recycles the in-flight state.
+    of the preallocated output columns and drops the in-flight state.
     """
 
     def __init__(self, expected_requests: int = 0):
-        self.spans_recorded = 0
         self._live: dict[int, _RequestState] = {}
-        self._pool: list[_RequestState] = []
         #: Optional request-id -> workload-index mapping (any integer
         #: indexable, e.g. a ``MixedStream.workload_ids`` array whose
         #: positions are request ids).  ``None`` labels every request as
@@ -356,11 +338,6 @@ class AggregatingTracer:
         #: status and outcome columns at completion.  ``None`` -- the
         #: healthy case -- leaves those columns all-zero.
         self.outcomes: OutcomeLedger | None = None
-        # One-entry lookup cache: spans arrive in per-request bursts
-        # (serial replay is a 100% hit), and the dict probe per span is
-        # measurable at millions of spans per sweep.
-        self._last_id: int | None = None
-        self._last_state: _RequestState | None = None
         capacity = max(int(expected_requests), 16)
         self._count = 0
         # Per-request columns, one row per completed request in completion
@@ -383,17 +360,6 @@ class AggregatingTracer:
         # reaches a shard contributes exactly 0.0 to its column.
         self._shard_cols: dict[str, dict] = {kind: {} for kind in SHARD_KINDS}
 
-    def claim(self) -> _RequestState:
-        """A reset in-flight state from the pool (a new one when the pool
-        is empty).  ``record_interval`` claims one per request; the
-        columnar evaluator claims one for a request it commits, fills
-        it, and hands it to :meth:`finalize_request`."""
-        if self._pool:
-            state = self._pool.pop()
-            state.reset()
-            return state
-        return _RequestState()
-
     # -- recording (hot path) ---------------------------------------------
     def record_interval(
         self,
@@ -410,14 +376,9 @@ class AggregatingTracer:
         batch: int | None = None,
         rpc_id: int | None = None,
     ) -> None:
-        if request_id == self._last_id:
-            state = self._last_state
-        else:
-            state = self._live.get(request_id)
-            if state is None:
-                state = self._live[request_id] = self.claim()
-            self._last_id = request_id
-            self._last_state = state
+        state = self._live.get(request_id)
+        if state is None:
+            state = self._live[request_id] = _RequestState()
         # Durations from wall-stamped endpoints, exactly as a Span stores
         # them -- with nonzero skew, (end+skew)-(start+skew) can differ
         # from end-start in the last ulp, and a Span sees the former.
@@ -425,7 +386,6 @@ class AggregatingTracer:
         duration = (end + skew) - (start + skew)
         if duration < 0.0:
             raise ValueError(f"span {name}: end {end} precedes start {start}")
-        self.spans_recorded += 1
         # Every CPU charge becomes one record, appended in call order --
         # the recording order the fold needs; the rest are single-writer
         # updates.  Only the shard's sparse-op charge reads its net.
@@ -476,17 +436,11 @@ class AggregatingTracer:
         elif layer is _RPC_CLIENT:
             state.rpcs += 1
             entry = state.rpc_live.pop(rpc_id, None)
-            if entry is None:
-                entry = [0.0, 0.0, 0.0, 0.0]
             # Strict > keeps the first-recorded maximum, matching max()
             # over the span list in recording order.
             if duration > state.best_rpc_dur:
-                if state.best_rpc is not None:
-                    state.rpc_free.append(state.best_rpc)
                 state.best_rpc_dur = duration
-                state.best_rpc = entry
-            else:
-                state.rpc_free.append(entry)
+                state.best_rpc = [0.0] * 4 if entry is None else entry
         elif layer is _EMBEDDED:
             if batch is not None:
                 if batch >= len(state.batch_embedded):
@@ -512,116 +466,107 @@ class AggregatingTracer:
         self, request_id: int, state: _RequestState | None = None
     ) -> None:
         """Attribute one completed request into the next row of the output
-        columns: fold its CPU charges (:func:`fold_charges`), read its
-        single-writer sums, and recycle its state.
+        columns: fold its CPU charges (:func:`fold_charges`) and read its
+        single-writer sums.
 
         The DES's request is attributed from the state its
-        ``record_interval`` calls filled; the evaluator passes the
-        state it claimed (:meth:`claim`) and filled itself."""
+        ``record_interval`` calls filled, which is dropped here; the
+        evaluator passes a state it built and filled itself."""
         if state is None:
             state = self._live.pop(request_id, None)
             if state is None:
                 raise AttributionError("no spans for request")
-            if request_id == self._last_id:
-                self._last_id = None
-                self._last_state = None
-        try:
-            if state.service_count != 1:
-                raise AttributionError(
-                    f"expected exactly one service span on shard {MAIN_SHARD}, "
-                    f"found {state.service_count}"
-                )
-            if state.num_batches == 0:
-                raise AttributionError(f"request {request_id}: no batch spans")
+        if state.service_count != 1:
+            raise AttributionError(
+                f"expected exactly one service span on shard {MAIN_SHARD}, "
+                f"found {state.service_count}"
+            )
+        if state.num_batches == 0:
+            raise AttributionError(f"request {request_id}: no batch spans")
 
-            bounding = state.best_batch
-            dense = state.batch_dense[bounding]
-            embedded = state.batch_embedded[bounding]
-            serde = state.batch_serde[bounding] + state.tail_serde
-            overhead = state.batch_overhead[bounding]
-            e2e = state.e2e
-            # Same association as summing the stack dict in bucket order
-            # (RPC Service Function still zero at that point).
-            accounted = 0.0 + dense + embedded + serde + 0.0 + overhead
-            rpc_service = max(0.0, e2e - accounted)
+        bounding = state.best_batch
+        dense = state.batch_dense[bounding]
+        embedded = state.batch_embedded[bounding]
+        serde = state.batch_serde[bounding] + state.tail_serde
+        overhead = state.batch_overhead[bounding]
+        e2e = state.e2e
+        # Same association as summing the stack dict in bucket order
+        # (RPC Service Function still zero at that point).
+        accounted = 0.0 + dense + embedded + serde + 0.0 + overhead
+        rpc_service = max(0.0, e2e - accounted)
 
-            if state.rpcs == 0:
-                # Singular: the embedded portion is the bounding batch's
-                # local sparse ops themselves.
-                emb_sparse = state.batch_sparse[bounding]
-                emb_serde = emb_service = emb_overhead = emb_network = 0.0
-            else:
-                best = state.best_rpc
-                emb_sparse = best[_R_OPS]
-                emb_serde = best[_R_SERDE]
-                emb_overhead = best[_R_OVERHEAD]
-                shard_service = best[_R_SERVICE]
-                emb_service = max(
-                    0.0, shard_service - emb_sparse - emb_serde - emb_overhead
-                )
-                # Skew-safe: both terms are same-server durations.
-                emb_network = max(0.0, state.best_rpc_dur - shard_service)
+        best = state.best_rpc  # set by a request's first RPC
+        if best is None:
+            # Singular: the embedded portion is the bounding batch's
+            # local sparse ops themselves.
+            emb_sparse = state.batch_sparse[bounding]
+            emb_serde = emb_service = emb_overhead = emb_network = 0.0
+        else:
+            emb_sparse = best[_R_OPS]
+            emb_serde = best[_R_SERDE]
+            emb_overhead = best[_R_OVERHEAD]
+            shard_service = best[_R_SERVICE]
+            emb_service = max(
+                0.0, shard_service - emb_sparse - emb_serde - emb_overhead
+            )
+            # Skew-safe: both terms are same-server durations.
+            emb_network = max(0.0, state.best_rpc_dur - shard_service)
 
-            (
-                cpu_ops, cpu_serde, cpu_service, sparse_op_cpu, dense_op_cpu,
-                shard_cpu, shard_op, shard_net_op,
-            ) = fold_charges(state.records)
-            cpu_total = 0 + cpu_ops + cpu_serde + cpu_service
+        (
+            cpu_ops, cpu_serde, cpu_service, sparse_op_cpu, dense_op_cpu,
+            shard_cpu, shard_op, shard_net_op,
+        ) = fold_charges(state.records)
+        cpu_total = 0 + cpu_ops + cpu_serde + cpu_service
 
-            index = self._count
+        index = self._count
+        columns = self._columns
+        if index == len(columns["e2e"]):
+            self._grow(2 * index)
             columns = self._columns
-            if index == len(columns["e2e"]):
-                self._grow(2 * index)
-                columns = self._columns
-            columns["e2e"][index] = e2e
-            columns["cpu"][index] = cpu_total
-            columns["sparse_op_cpu"][index] = sparse_op_cpu
-            columns["dense_op_cpu"][index] = dense_op_cpu
-            columns["rpcs"][index] = state.rpcs
-            columns["num_batches"][index] = state.num_batches
-            workload_ids = self.workload_ids
-            if workload_ids is not None:
-                columns["workload"][index] = int(workload_ids[request_id])
-            columns["request_ids"][index] = request_id
-            outcomes = self.outcomes
-            row = None if outcomes is None else outcomes.get(request_id)
-            if row is not None:
-                columns["status"][index] = 1 if row[DEGRADED] else 0
-                for name, value in zip(OUTCOME_FIELDS, row):
-                    columns[name][index] = value
-            cols = self._stack_cols
-            cols["latency", E2E_BUCKETS[0]][index] = dense
-            cols["latency", E2E_BUCKETS[1]][index] = embedded
-            cols["latency", E2E_BUCKETS[2]][index] = serde
-            cols["latency", E2E_BUCKETS[3]][index] = rpc_service
-            cols["latency", E2E_BUCKETS[4]][index] = overhead
-            cols["embedded", EMBEDDED_BUCKETS[0]][index] = emb_sparse
-            cols["embedded", EMBEDDED_BUCKETS[1]][index] = emb_serde
-            cols["embedded", EMBEDDED_BUCKETS[2]][index] = emb_service
-            cols["embedded", EMBEDDED_BUCKETS[3]][index] = emb_overhead
-            cols["embedded", EMBEDDED_BUCKETS[4]][index] = emb_network
-            cols["cpu", CPU_BUCKETS[0]][index] = cpu_ops
-            cols["cpu", CPU_BUCKETS[1]][index] = cpu_serde
-            cols["cpu", CPU_BUCKETS[2]][index] = cpu_service
-            shard_cols = self._shard_cols
-            capacity = len(columns["e2e"])
-            for kind, values in (
-                ("cpu", shard_cpu),
-                ("op", shard_op),
-                ("net_op", shard_net_op),
-            ):
-                kind_cols = shard_cols[kind]
-                for key, value in values.items():
-                    col = kind_cols.get(key)
-                    if col is None:
-                        col = kind_cols[key] = np.zeros(capacity)
-                    col[index] = value
-            self._count = index + 1
-        finally:
-            # The evaluator's records are dispatch keys, which reach its
-            # RPC payloads: drop them now, not when the state is reused.
-            del state.records[:]
-            self._pool.append(state)
+        columns["e2e"][index] = e2e
+        columns["cpu"][index] = cpu_total
+        columns["sparse_op_cpu"][index] = sparse_op_cpu
+        columns["dense_op_cpu"][index] = dense_op_cpu
+        columns["rpcs"][index] = state.rpcs
+        columns["num_batches"][index] = state.num_batches
+        workload_ids = self.workload_ids
+        if workload_ids is not None:
+            columns["workload"][index] = int(workload_ids[request_id])
+        columns["request_ids"][index] = request_id
+        outcomes = self.outcomes
+        row = None if outcomes is None else outcomes.get(request_id)
+        if row is not None:
+            columns["status"][index] = 1 if row[DEGRADED] else 0
+            for name, value in zip(OUTCOME_FIELDS, row):
+                columns[name][index] = value
+        cols = self._stack_cols
+        cols["latency", E2E_BUCKETS[0]][index] = dense
+        cols["latency", E2E_BUCKETS[1]][index] = embedded
+        cols["latency", E2E_BUCKETS[2]][index] = serde
+        cols["latency", E2E_BUCKETS[3]][index] = rpc_service
+        cols["latency", E2E_BUCKETS[4]][index] = overhead
+        cols["embedded", EMBEDDED_BUCKETS[0]][index] = emb_sparse
+        cols["embedded", EMBEDDED_BUCKETS[1]][index] = emb_serde
+        cols["embedded", EMBEDDED_BUCKETS[2]][index] = emb_service
+        cols["embedded", EMBEDDED_BUCKETS[3]][index] = emb_overhead
+        cols["embedded", EMBEDDED_BUCKETS[4]][index] = emb_network
+        cols["cpu", CPU_BUCKETS[0]][index] = cpu_ops
+        cols["cpu", CPU_BUCKETS[1]][index] = cpu_serde
+        cols["cpu", CPU_BUCKETS[2]][index] = cpu_service
+        shard_cols = self._shard_cols
+        capacity = len(columns["e2e"])
+        for kind, values in (
+            ("cpu", shard_cpu),
+            ("op", shard_op),
+            ("net_op", shard_net_op),
+        ):
+            kind_cols = shard_cols[kind]
+            for key, value in values.items():
+                col = kind_cols.get(key)
+                if col is None:
+                    col = kind_cols[key] = np.zeros(capacity)
+                col[index] = value
+        self._count = index + 1
 
     def _grow(self, capacity: int) -> None:
         count = self._count
@@ -667,12 +612,10 @@ class AggregatingTracer:
         return len(self._live)
 
     def drain_incomplete(self) -> list[int]:
-        """Free accumulators of requests that never completed."""
+        """Drop the accumulators of requests that never completed; returns
+        their ids, sorted."""
         stale = sorted(self._live)
-        for request_id in stale:
-            self._pool.append(self._live.pop(request_id))
-        self._last_id = None
-        self._last_state = None
+        self._live.clear()
         return stale
 
     def assert_drained(self) -> None:

@@ -114,7 +114,13 @@ class MixedStream:
         return len(self.requests)
 
     def __iter__(self) -> Iterator[tuple[float, int, Request]]:
-        assert self.times is not None, "a serial stream has no arrival times"
+        """Yield ``(arrival_time, workload, request)`` triples; a serial
+        stream has no arrival times and raises ``ValueError``."""
+        if self.times is None:
+            raise ValueError(
+                "a serial stream has no arrival times; replay its requests "
+                "with ClusterSimulation.run_serial"
+            )
         times = self.times.tolist()
         ids = self.workload_ids.tolist()
         return iter(zip(times, ids, self.requests))

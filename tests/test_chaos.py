@@ -39,7 +39,7 @@ from repro.sharding.pooling import estimate_pooling_factors
 from repro.simulation.costmodel import CostModel
 from repro.simulation.network import FabricSpec
 from repro.simulation.platform import SC_LARGE, Platform
-from repro.workloads import PoissonArrivals, Workload
+from repro.workloads import MixedStream, PoissonArrivals, Workload
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -695,6 +695,25 @@ class TestPlannerAvailability:
             availability_sweep(
                 workload, REUSE_CONFIGURATION, REUSE_CRASH, (1,),
                 settings=planner.settings, healthy=(sweep.stream, empty),
+            )
+        assert sweep_tasks == []
+
+    def test_a_serial_healthy_stream_fails_before_any_replay(
+        self, planned, sweep_tasks
+    ):
+        """Availability bins requests by arrival time: a serial (untimed)
+        stream raises ``ValueError`` up front, and no replay runs."""
+        workload, planner, plan = planned
+        sweep = plan.chosen.sweep
+        stream = sweep.stream
+        serial = MixedStream(
+            None, stream.workload_ids, stream.requests, stream.counts
+        )
+        with pytest.raises(ValueError, match="arrival times"):
+            availability_sweep(
+                workload, REUSE_CONFIGURATION, REUSE_CRASH, (1, 2),
+                settings=planner.settings, healthy=(serial, sweep.result),
+                max_workers=1,
             )
         assert sweep_tasks == []
 

@@ -183,26 +183,6 @@ def test_io_thread_pool_matches_batched(qps):
                 assert_run_identical(replay("batched"), hybrid, label)
 
 
-@pytest.mark.parametrize("name", ["DRM1", "DRM3"])
-def test_evaluator_counts_the_des_spans(name):
-    """The evaluator's span count -- one formula for both plan shapes --
-    equals the DES's on every paper configuration (singular, NSBP and
-    the sharded ones), serial closed loop."""
-    model, plans, requests = _inputs(name)
-    for plan in plans:
-        batched, des = _replay_stream(
-            model, plan, requests, "batched", serial=True
-        )
-        hybrid, mixed = _replay_stream(
-            model, plan, requests, "vectorized", serial=True
-        )
-        assert hybrid.des_requests == 0, plan.label
-        assert mixed.tracer.spans_recorded == des.tracer.spans_recorded, (
-            plan.label
-        )
-        assert des.tracer.spans_recorded > 0, plan.label
-
-
 def _replay_stream(model, plan, stream, kernel, serial=False, **serving_kwargs):
     """Replay an explicit ``(time, tenant, request)`` stream the way
     ``run_configuration`` replays a schedule; returns the result and the

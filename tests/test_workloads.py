@@ -39,6 +39,7 @@ from repro.planning.elasticity import diurnal_qps_curve as elasticity_curve
 from repro.sharding import estimate_pooling_factors, singular_plan
 from repro.workloads import (
     ConstantRateArrivals,
+    MixedStream,
     MMPPArrivals,
     PiecewiseRateArrivals,
     PoissonArrivals,
@@ -375,6 +376,17 @@ class TestColocatedCluster:
         requests = RequestGenerator(model, seed=3).generate_many(2)
         with pytest.raises(ValueError, match="nondecreasing"):
             cluster.run_stream([(1.0, 0, requests[0]), (0.5, 0, requests[1])])
+
+    def test_run_stream_rejects_a_serial_stream(self):
+        """A serial (untimed) stream has no arrival times to inject: it
+        raises ``ValueError`` naming ``run_serial``, not a bare assert."""
+        model = drm1()
+        cluster = ClusterSimulation(model, singular_plan(model), ServingConfig(seed=1))
+        requests = RequestGenerator(model, seed=3).generate_many(2)
+        serial = MixedStream(None, np.zeros(2, np.int64), requests, (2,))
+        with pytest.raises(ValueError, match="run_serial"):
+            cluster.run_stream(serial)
+        assert cluster.completed == {}
 
 
 class TestCorrelatedStream:
